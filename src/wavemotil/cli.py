@@ -20,10 +20,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,7 +50,7 @@ from .errors import (
     WindowTooSmall,
     WindowViolation,
 )
-from .frontmetrics import classify_profile, decay_fit, ring_metrics, wave_speed
+from .frontmetrics import classify_profile, decay_fit, wave_speed
 from .model import (
     ExponentialMotility,
     ModelParams,
@@ -62,12 +59,14 @@ from .model import (
     motility_eval,
 )
 from .pde import (
+    ArrayIC,
     Bump2dIC,
     CustomIC,
     Dirichlet,
     FrontIC,
     Neumann,
     SimConfig,
+    ring_radii,
     save_field,
     simulate,
 )
@@ -576,14 +575,9 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> int:
             )
     else:
         lines.append("time,mass_u,mass_v,r_inner,r_peak,r_outer\n")
-        ext = config.extents
-        center = (0.5 * (ext[0][0] + ext[0][1]), 0.5 * (ext[1][0] + ext[1][1]))
-        r_max = 0.45 * min(ext[0][1] - ext[0][0], ext[1][1] - ext[1][0])
         for k, field in enumerate(traj.snapshots):
             try:
-                r_in, r_pk, r_out = ring_metrics(
-                    field.x, field.y, field.u, center=center, level=level, r_max=r_max
-                )
+                r_in, r_pk, r_out = ring_radii(field, level)
                 ring = f"{r_in!r},{r_pk!r},{r_out!r}"
             except NoRing:
                 ring = "nan,nan,nan"
@@ -639,20 +633,17 @@ def run_scan_row(resolved: dict, lam0: float) -> dict:
     profile = np.minimum(a / b, np.exp(-lam0 * (x - x0)))
     record = {"lambda0": lam0, "c_pred": c_pred}
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "ic.npz")
-            np.savez(path, u=profile, v=profile)
-            config = SimConfig(
-                params=ModelParams(a=a, b=b, motility=motility),
-                dim=1,
-                extents=((0.0, length),),
-                h=h,
-                ic=CustomIC(path),
-                t_end=t_end,
-                cadence=resolved["cadence"],
-                dt_max=resolved["dt_max"],
-            )
-            traj = simulate(config)
+        config = SimConfig(
+            params=ModelParams(a=a, b=b, motility=motility),
+            dim=1,
+            extents=((0.0, length),),
+            h=h,
+            ic=ArrayIC(profile, profile),
+            t_end=t_end,
+            cadence=resolved["cadence"],
+            dt_max=resolved["dt_max"],
+        )
+        traj = simulate(config)
         c_est, _ = wave_speed(
             np.array(traj.times),
             np.array(traj.front),
@@ -671,20 +662,7 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> int:
         raise ConfigError(
             f"key 'threshold': expected literal|minimizer, got {resolved['threshold']!r}"
         )
-    rows = resolved["lambda0"]
-    threads = os.environ.get("WAVEMOTIL_THREADS", "1")
-    try:
-        max_workers = max(1, int(threads))
-    except ValueError as exc:
-        raise ConfigError(
-            f"WAVEMOTIL_THREADS: expected an integer, got {threads!r}"
-        ) from exc
-
-    if max_workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(rows))) as pool:
-            records = list(pool.map(lambda l: run_scan_row(resolved, l), rows))
-    else:
-        records = [run_scan_row(resolved, lam0) for lam0 in rows]
+    records = [run_scan_row(resolved, lam0) for lam0 in resolved["lambda0"]]
 
     lines = ["lambda0,c_pred,c_est,rel_err\n"]
     for rec in records:

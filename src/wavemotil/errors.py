@@ -55,6 +55,10 @@ class NegativeDensity(WavemotilError):
     """A density field dropped below the clipping tolerance."""
 
 
+class NonFiniteState(WavemotilError):
+    """A time step produced a NaN or infinite density."""
+
+
 class StabilityViolation(WavemotilError):
     """Requested time step exceeds the advective stability bound."""
 

@@ -11,16 +11,26 @@ the cross-diffusion (advective) flux upwinds u to the donor side with a
 centered slope reconstruction, falling back to first order at faces whose
 stencil leaves the domain.  Boundary nodes own half cells, which makes the
 discrete chemical-mass identity d/dt int v = int u - int v exact on
-zero-flux boxes up to solver rounding.
+zero-flux boxes up to solver rounding.  One flux assembly serves both
+dimensions: it loops over the grid axes, x first.
 
-Time stepping is IMEX: both Laplacians are implicit (one tridiagonal solve
-per equation in 1-D, one sparse LU in 2-D), while the cross-diffusion flux
-and the reactions are explicit.  The implicit diffusion matrices are
-M-matrices, so diffusion alone cannot create negative densities; slope
-reconstruction can undershoot by a rounding-scale amount at sharp fronts,
-which is clipped when above -1e-12 and reported as an error otherwise.
-The step size obeys an advective bound 0.4 h / max |gamma'(v) dv/dn|
-recomputed every step and capped at 0.1.
+Time stepping is IMEX: both Laplacians are implicit (LAPACK ``dgtsv`` per
+equation in 1-D, one sparse LU per equation in 2-D), while the
+cross-diffusion flux and the reactions are explicit.  The implicit
+diffusion matrices are M-matrices, so diffusion alone cannot create
+negative densities; slope reconstruction can undershoot by a
+rounding-scale amount at sharp fronts, which is clipped when above -1e-12
+and reported as ``NegativeDensity`` otherwise.  A NaN or infinite value
+anywhere in a new state is reported as ``NonFiniteState``.  The step size
+obeys an advective bound 0.4 h / max |gamma'(v) dv/dn| recomputed every
+step and capped at 0.1.
+
+What the steps of a run share and what depends only on the grid geometry
+(held nodes, cell volumes, open faces and the v operator) is built once, on
+first use, into a stepper that every ``GridField`` of the run holds by
+reference.  The stepper keeps the run's last two v-operator factors, keyed
+by dt, and hands the face data that chose a step size in ``simulate`` to
+that step, so the motility law is evaluated once per step.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -30,18 +40,19 @@ geometry closer to a petri dish.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .errors import (
     ConfigError,
     NegativeDensity,
     NoCrossing,
+    NonFiniteState,
     NoRing,
     StabilityViolation,
 )
@@ -55,6 +66,7 @@ __all__ = [
     "FrontIC",
     "Bump2dIC",
     "CustomIC",
+    "ArrayIC",
     "SimConfig",
     "Trajectory",
     "make_field",
@@ -63,6 +75,7 @@ __all__ = [
     "step",
     "build_initial",
     "simulate",
+    "ring_radii",
     "save_field",
     "load_field",
     "DEFAULT_CFL",
@@ -76,7 +89,13 @@ DEFAULT_CFL = 0.4
 DEFAULT_DT_MAX = 0.1
 
 _NEG_FLOOR = -1e-12
-_SIDES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
+
+#: Side names in axis order; a 1-D grid has the first two.
+_SIDES = ("left", "right", "bottom", "top")
+
+#: v-operator factors a run keeps.  Its step sizes alternate between the
+#: dt_max cap and a segment-end remainder, so two slots cover the repeats.
+_V_FACTOR_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +130,9 @@ class GridField:
     v: np.ndarray
     bc: dict[str, Neumann | Dirichlet]
     mask: np.ndarray | None = None
+    _stepper: _Stepper | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def x(self) -> np.ndarray:
@@ -123,17 +145,23 @@ class GridField:
         return self.extents[1][0] + self.h * np.arange(self.ny)
 
     def copy(self) -> "GridField":
-        return GridField(
+        return self._with(self.u.copy(), self.v.copy(), dict(self.bc))
+
+    def _with(self, u: np.ndarray, v: np.ndarray, bc: dict) -> "GridField":
+        """A state on the same grid that shares this field's stepper."""
+        out = GridField(
             dim=self.dim,
             extents=self.extents,
             nx=self.nx,
             ny=self.ny,
             h=self.h,
-            u=self.u.copy(),
-            v=self.v.copy(),
-            bc=dict(self.bc),
+            u=u,
+            v=v,
+            bc=bc,
             mask=self.mask,
         )
+        out._stepper = self._stepper
+        return out
 
 
 @dataclass(frozen=True)
@@ -157,6 +185,14 @@ class CustomIC:
     """Initial state loaded from an ``.npz`` file with arrays ``u``, ``v``."""
 
     path: str
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayIC:
+    """Initial state given in memory as arrays ``u``, ``v`` of the grid shape."""
+
+    u: np.ndarray
+    v: np.ndarray
 
 
 def _normalize_extents(dim: int, extents) -> tuple[tuple[float, float], ...]:
@@ -185,7 +221,34 @@ def _axis_count(lo: float, hi: float, h: float) -> int:
 
 
 def _default_bc(dim: int) -> dict[str, Neumann | Dirichlet]:
-    return {side: Neumann() for side in _SIDES[dim]}
+    return {side: Neumann() for side in _SIDES[: 2 * dim]}
+
+
+def _grid_spec(dim: int, extents, h: float, bc: dict | None, disk_mask: bool):
+    """Validate a grid description.
+
+    Returns the normalized extents, the node count per axis (x first) and
+    the boundary conditions of every side.  Raises ValueError.
+    """
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
+    if not h > 0:
+        raise ValueError("spacing h must be positive")
+    extents = _normalize_extents(dim, extents)
+    counts = [_axis_count(lo, hi, h) for lo, hi in extents]
+    full_bc = _default_bc(dim)
+    for side, cond in (bc or {}).items():
+        if side not in full_bc:
+            raise ValueError(f"unknown side {side!r} for dim {dim}")
+        if not isinstance(cond, (Neumann, Dirichlet)):
+            raise ValueError(f"invalid boundary condition for side {side!r}")
+        full_bc[side] = cond
+    if disk_mask:
+        if dim != 2:
+            raise ValueError("disk mask requires a planar grid")
+        if any(isinstance(c, Dirichlet) for c in full_bc.values()):
+            raise ValueError("disk mask supports zero-flux sides only")
+    return extents, counts, full_bc
 
 
 def make_field(
@@ -199,23 +262,10 @@ def make_field(
     disk_mask: bool = False,
 ) -> GridField:
     """Allocate a grid and fill both fields from scalars or arrays."""
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
-    if not h > 0:
-        raise ValueError("spacing h must be positive")
-    extents = _normalize_extents(dim, extents)
-    nx = _axis_count(*extents[0], h)
-    ny = _axis_count(*extents[1], h) if dim == 2 else None
-    shape = (nx,) if dim == 1 else (ny, nx)
-
-    full_bc = _default_bc(dim)
-    if bc:
-        for side, cond in bc.items():
-            if side not in full_bc:
-                raise ValueError(f"unknown side {side!r} for dim {dim}")
-            if not isinstance(cond, (Neumann, Dirichlet)):
-                raise ValueError(f"invalid boundary condition for side {side!r}")
-            full_bc[side] = cond
+    extents, counts, full_bc = _grid_spec(dim, extents, h, bc, disk_mask)
+    nx = counts[0]
+    ny = counts[1] if dim == 2 else None
+    shape = tuple(reversed(counts))
 
     u = np.zeros(shape)
     v = np.zeros(shape)
@@ -224,10 +274,6 @@ def make_field(
 
     mask = None
     if disk_mask:
-        if dim != 2:
-            raise ValueError("disk mask requires a planar grid")
-        if any(isinstance(c, Dirichlet) for c in full_bc.values()):
-            raise ValueError("disk mask supports zero-flux sides only")
         cx = 0.5 * (extents[0][0] + extents[0][1])
         cy = 0.5 * (extents[1][0] + extents[1][1])
         radius = 0.5 * min(
@@ -245,87 +291,120 @@ def make_field(
     )
 
 
-def _volume_weights(f: GridField) -> np.ndarray:
-    wx = np.full(f.nx, f.h)
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    if f.dim == 1:
-        w = wx
-    else:
-        wy = np.full(f.ny, f.h)
-        wy[0] *= 0.5
-        wy[-1] *= 0.5
-        w = np.outer(wy, wx)
-    if f.mask is not None:
-        w = w * f.mask
-    return w
+def _along(a: np.ndarray, axis: int) -> np.ndarray:
+    """View of a with ``axis`` last; its own inverse."""
+    return a.swapaxes(axis, -1)
+
+
+class _Stepper:
+    """Per-run constants of one grid geometry, plus the run's v factors.
+
+    Everything here depends only on ``dim``, ``extents``, ``h``, ``bc`` and
+    ``mask``.  Per-axis face arrays are held in the frame where that axis
+    is last (see ``_along``); axes run x first.
+    """
+
+    def __init__(self, f: GridField) -> None:
+        shape = f.u.shape
+        self.h = f.h
+        self.axes = tuple(range(f.dim - 1, -1, -1))
+        self.pin = np.zeros(shape, dtype=bool)
+        self.pin_u = np.zeros(shape)
+        self.pin_v = np.zeros(shape)
+        for side, cond in f.bc.items():
+            if isinstance(cond, Dirichlet):
+                k = _SIDES.index(side)
+                index = [slice(None)] * f.dim
+                index[self.axes[k // 2]] = -(k % 2)
+                self.pin[tuple(index)] = True
+                self.pin_u[tuple(index)] = cond.u_val
+                self.pin_v[tuple(index)] = cond.v_val
+        weights = np.ones(())
+        for n in shape:
+            edge = np.full(n, f.h)
+            edge[0] *= 0.5
+            edge[-1] *= 0.5
+            weights = np.multiply.outer(weights, edge)
+        if f.mask is None:
+            self.open = (None,) * f.dim
+        else:
+            dead = ~f.mask
+            self.pin |= dead
+            self.pin_u[dead] = 0.0
+            self.pin_v[dead] = 0.0
+            weights = weights * f.mask
+            self.open = tuple(
+                _along(f.mask, ax)[..., :-1] & _along(f.mask, ax)[..., 1:]
+                for ax in self.axes
+            )
+        self.weights = weights
+        self.held = bool(self.pin.any())
+        self.v_conds = []
+        for ax, open_ in zip(self.axes, self.open):
+            ones = np.ones(_along(self.pin, ax)[..., 1:].shape)
+            self.v_conds.append(ones if open_ is None else ones * open_)
+        self._factor = _Tridiagonal if f.dim == 1 else _sparse_lu
+        self._v_factors: dict[float, object] = {}
+        self._pending = None
+
+    def factor(self, conds, dt: float):
+        """Solver of (I - dt L) for face conductances ``conds``."""
+        return self._factor(self, conds, dt)
+
+    def v_factor(self, dt: float):
+        """Solver of the v operator at dt, reusing the last two built."""
+        factors = self._v_factors
+        solver = factors.pop(dt, None)
+        if solver is None:
+            solver = self.factor(self.v_conds, dt)
+            if len(factors) >= _V_FACTOR_SLOTS:
+                del factors[next(iter(factors))]
+        factors[dt] = solver
+        return solver
+
+    def advective_bound(self, f: GridField, params: ModelParams) -> float:
+        """Largest stable dt for f; the face data is kept for f's next step."""
+        faces = _face_data(f, params, self)
+        self._pending = (f, params, faces)
+        return faces[2]
+
+    def faces_for_step(self, f: GridField, params: ModelParams):
+        """Face data of f: the one ``advective_bound`` just kept, or fresh."""
+        pending, self._pending = self._pending, None
+        if pending is not None and pending[0] is f and pending[1] is params:
+            return pending[2]
+        return _face_data(f, params, self)
+
+
+def _stepper_of(f: GridField) -> _Stepper:
+    if f._stepper is None:
+        f._stepper = _Stepper(f)
+    return f._stepper
 
 
 def mass(f: GridField) -> tuple[float, float]:
     """Trapezoid-weighted totals of u and v over the active domain."""
-    w = _volume_weights(f)
+    w = _stepper_of(f).weights
     return float(np.sum(w * f.u)), float(np.sum(w * f.v))
 
 
-def _side_index(dim: int, side: str):
-    if dim == 1:
-        return {"left": 0, "right": -1}[side]
-    return {
-        "left": (slice(None), 0),
-        "right": (slice(None), -1),
-        "bottom": (0, slice(None)),
-        "top": (-1, slice(None)),
-    }[side]
-
-
-def _pin_info(f: GridField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Held nodes (Dirichlet sides and masked-out cells) with their values."""
-    pin = np.zeros(f.u.shape, dtype=bool)
-    pu = np.zeros(f.u.shape)
-    pv = np.zeros(f.u.shape)
-    for side, cond in f.bc.items():
-        if isinstance(cond, Dirichlet):
-            sl = _side_index(f.dim, side)
-            pin[sl] = True
-            pu[sl] = cond.u_val
-            pv[sl] = cond.v_val
-    if f.mask is not None:
-        dead = ~f.mask
-        pin |= dead
-        pu[dead] = 0.0
-        pv[dead] = 0.0
-    return pin, pu, pv
-
-
-def _open_faces(f: GridField):
-    if f.mask is None:
-        return None
-    if f.dim == 1:
-        return f.mask[:-1] & f.mask[1:]
-    return f.mask[:, :-1] & f.mask[:, 1:], f.mask[:-1, :] & f.mask[1:, :]
-
-
-def _face_data(f: GridField, params: ModelParams):
-    """Per-axis face conductances gamma and drift speeds gamma' dv/dn."""
+def _face_data(f: GridField, params: ModelParams, st: _Stepper):
+    """Per-axis face conductances gamma and drift speeds gamma' dv/dn, and
+    the advective bound on dt they set."""
     g, gp, _ = motility_eval(params.motility, f.v)
-    if f.dim == 1:
-        gf = 0.5 * (g[:-1] + g[1:])
-        w = 0.5 * (gp[:-1] + gp[1:]) * np.diff(f.v) / f.h
-        open_ = _open_faces(f)
+    conds, ws = [], []
+    for ax, open_ in zip(st.axes, st.open):
+        g_ax, gp_ax, v_ax = _along(g, ax), _along(gp, ax), _along(f.v, ax)
+        gf = 0.5 * (g_ax[..., :-1] + g_ax[..., 1:])
+        w = 0.5 * (gp_ax[..., :-1] + gp_ax[..., 1:]) * np.diff(v_ax) / f.h
         if open_ is not None:
             gf = gf * open_
             w = w * open_
-        return (gf,), (w,)
-    gfx = 0.5 * (g[:, :-1] + g[:, 1:])
-    wx = 0.5 * (gp[:, :-1] + gp[:, 1:]) * np.diff(f.v, axis=1) / f.h
-    gfy = 0.5 * (g[:-1, :] + g[1:, :])
-    wy = 0.5 * (gp[:-1, :] + gp[1:, :]) * np.diff(f.v, axis=0) / f.h
-    open_ = _open_faces(f)
-    if open_ is not None:
-        ox, oy = open_
-        gfx, wx = gfx * ox, wx * ox
-        gfy, wy = gfy * oy, wy * oy
-    return (gfx, gfy), (wx, wy)
+        conds.append(gf)
+        ws.append(w)
+    wmax = max(float(np.max(np.abs(w))) for w in ws)
+    bound = np.inf if wmax == 0.0 else DEFAULT_CFL * f.h / wmax
+    return conds, ws, bound
 
 
 def _fromm_face(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -342,27 +421,34 @@ def _fromm_face(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(w > 0.0, u_right, u_left)
 
 
-def _div_last(flux: np.ndarray, h: float, n_nodes: int) -> np.ndarray:
+def _div_last(flux: np.ndarray, h: float) -> np.ndarray:
     """Flux divergence along the last axis with half cells at the ends."""
-    out = np.empty(flux.shape[:-1] + (n_nodes,))
+    out = np.empty(flux.shape[:-1] + (flux.shape[-1] + 1,))
     out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h
     out[..., 0] = 2.0 * flux[..., 0] / h
     out[..., -1] = -2.0 * flux[..., -1] / h
     return out
 
 
-def _explicit_u(f: GridField, ws, params: ModelParams) -> np.ndarray:
+def _divergence(fluxes, st: _Stepper) -> np.ndarray:
+    """Sum over the axes, x first, of the divergence of per-axis face fluxes."""
+    total = None
+    for ax, flux in zip(st.axes, fluxes):
+        part = _along(_div_last(flux, st.h), ax)
+        total = part if total is None else total + part
+    return total
+
+
+def _explicit_u(f: GridField, ws, params: ModelParams, st: _Stepper) -> np.ndarray:
     """Advective divergence plus reaction (the explicit part of u)."""
-    if f.dim == 1:
-        (w,) = ws
-        adv = _div_last(w * _fromm_face(f.u, w), f.h, f.nx)
-    else:
-        wx, wy = ws
-        adv = _div_last(wx * _fromm_face(f.u, wx), f.h, f.nx)
-        adv += _div_last(
-            (wy.T * _fromm_face(f.u.T, wy.T)), f.h, f.ny
-        ).T
-    return adv + f.u * (params.a - params.b * f.u)
+    fluxes = [w * _fromm_face(_along(f.u, ax), w) for ax, w in zip(st.axes, ws)]
+    return _divergence(fluxes, st) + f.u * (params.a - params.b * f.u)
+
+
+def _diffusion(a: np.ndarray, conds, st: _Stepper) -> np.ndarray:
+    """Face-conductance Laplacian of a node array."""
+    fluxes = [c * np.diff(_along(a, ax)) / st.h for ax, c in zip(st.axes, conds)]
+    return _divergence(fluxes, st)
 
 
 def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -371,161 +457,84 @@ def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     Held nodes (Dirichlet sides, masked-out cells) report zero.  Useful for
     verifying the spatial order of the flux discretization directly.
     """
-    conds, ws = _face_data(f, params)
-    du = _explicit_u(f, ws, params)
-    if f.dim == 1:
-        (gf,) = conds
-        du += _div_last(gf * np.diff(f.u) / f.h, f.h, f.nx)
-        fv = np.diff(f.v) / f.h
-        open_ = _open_faces(f)
-        if open_ is not None:
-            fv = fv * open_
-        dv = _div_last(fv, f.h, f.nx) + f.u - f.v
-    else:
-        gfx, gfy = conds
-        du += _div_last(gfx * np.diff(f.u, axis=1) / f.h, f.h, f.nx)
-        du += _div_last((gfy * np.diff(f.u, axis=0)).T / f.h, f.h, f.ny).T
-        fvx = np.diff(f.v, axis=1) / f.h
-        fvy = np.diff(f.v, axis=0) / f.h
-        open_ = _open_faces(f)
-        if open_ is not None:
-            ox, oy = open_
-            fvx, fvy = fvx * ox, fvy * oy
-        dv = _div_last(fvx, f.h, f.nx)
-        dv += _div_last(fvy.T, f.h, f.ny).T
-        dv += f.u - f.v
-    pin, _, _ = _pin_info(f)
-    du[pin] = 0.0
-    dv[pin] = 0.0
+    st = _stepper_of(f)
+    conds, ws, _ = _face_data(f, params, st)
+    du = _explicit_u(f, ws, params, st) + _diffusion(f.u, conds, st)
+    dv = _diffusion(f.v, st.v_conds, st) + f.u - f.v
+    du[st.pin] = 0.0
+    dv[st.pin] = 0.0
     return du, dv
 
 
-def _banded_solve(
-    cond: np.ndarray,
-    rhs: np.ndarray,
-    dt: float,
-    h: float,
-    pin: np.ndarray,
-    pin_vals: np.ndarray,
-) -> np.ndarray:
-    """Solve (I - dt L) x = rhs for the 1-D face-conductance Laplacian L."""
-    n = rhs.size
-    cl = np.empty(n)
-    cl[0] = 0.0
-    cl[1:] = cond
-    cr = np.empty(n)
-    cr[-1] = 0.0
-    cr[:-1] = cond
-    s = np.ones(n)
-    s[0] = 2.0
-    s[-1] = 2.0
-    k = dt / h**2
-    diag = 1.0 + k * s * (cl + cr)
-    lower = -k * s * cl
-    upper = -k * s * cr
-    b = rhs.copy()
-    if pin.any():
-        diag[pin] = 1.0
-        lower[pin] = 0.0
-        upper[pin] = 0.0
-        b[pin] = pin_vals[pin]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, b)
+class _Tridiagonal:
+    """(I - dt L) for the 1-D face-conductance Laplacian, solved by gtsv."""
+
+    def __init__(self, st: _Stepper, conds, dt: float) -> None:
+        (cond,) = conds
+        n = cond.size + 1
+        cl = np.empty(n)
+        cl[0] = 0.0
+        cl[1:] = cond
+        cr = np.empty(n)
+        cr[-1] = 0.0
+        cr[:-1] = cond
+        s = np.ones(n)
+        s[0] = 2.0
+        s[-1] = 2.0
+        k = dt / st.h**2
+        diag = 1.0 + k * s * (cl + cr)
+        lower = -k * s * cl
+        upper = -k * s * cr
+        if st.held:
+            diag[st.pin] = 1.0
+            lower[st.pin] = 0.0
+            upper[st.pin] = 0.0
+        self.bands = (lower[1:], diag, upper[:-1])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        _, _, _, x, info = dgtsv(*self.bands, rhs)
+        if info != 0:
+            raise NonFiniteState(f"tridiagonal solve failed (LAPACK info {info})")
+        return x
 
 
-def _sparse_factor(cond_x, cond_y, dt, h, pin):
+def _sparse_lu(st: _Stepper, conds, dt: float):
     """LU factor of (I - dt L) for the 2-D face-conductance Laplacian."""
-    ny, nx = pin.shape
-    n = ny * nx
-    idx = np.arange(n).reshape(ny, nx)
-    k = dt / h**2
-    sx = np.ones(nx)
-    sx[0] = 2.0
-    sx[-1] = 2.0
-    sy = np.ones(ny)
-    sy[0] = 2.0
-    sy[-1] = 2.0
+    shape = st.pin.shape
+    n = st.pin.size
+    idx = np.arange(n).reshape(shape)
+    k = dt / st.h**2
 
     rows, cols, vals = [], [], []
-
-    def add_faces(p, q, c, sp, sq):
+    # Entries are listed in C order of the natural layout, x faces first.
+    for ax, cond in zip(st.axes, conds):
+        s = np.ones(shape[ax])
+        s[0] = 2.0
+        s[-1] = 2.0
+        idx_ax = _along(idx, ax)
+        s_ax = np.broadcast_to(s, idx_ax.shape)
+        p, q, c, sp, sq = (
+            _along(a, ax).ravel()
+            for a in (
+                idx_ax[..., :-1],
+                idx_ax[..., 1:],
+                k * cond,
+                s_ax[..., :-1],
+                s_ax[..., 1:],
+            )
+        )
         rows.extend([p, p, q, q])
         cols.extend([p, q, q, p])
         vals.extend([c * sp, -c * sp, c * sq, -c * sq])
 
-    p = idx[:, :-1].ravel()
-    q = idx[:, 1:].ravel()
-    c = (k * cond_x).ravel()
-    add_faces(
-        p,
-        q,
-        c,
-        np.broadcast_to(sx[:-1], cond_x.shape).ravel(),
-        np.broadcast_to(sx[1:], cond_x.shape).ravel(),
-    )
-    p = idx[:-1, :].ravel()
-    q = idx[1:, :].ravel()
-    c = (k * cond_y).ravel()
-    add_faces(
-        p,
-        q,
-        c,
-        np.broadcast_to(sy[:-1, None], cond_y.shape).ravel(),
-        np.broadcast_to(sy[1:, None], cond_y.shape).ravel(),
-    )
-
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    keep = ~pin.ravel()[rows]
+    keep = ~st.pin.ravel()[rows]
     body = sparse.coo_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
     ).tocsc()
     return splu(sparse.identity(n, format="csc") + body)
-
-
-_V_FACTOR_CACHE: dict = {}
-
-
-def _bc_signature(f: GridField):
-    sig = []
-    for side in _SIDES[f.dim]:
-        cond = f.bc[side]
-        if isinstance(cond, Dirichlet):
-            sig.append((side, "dirichlet", cond.u_val, cond.v_val))
-        else:
-            sig.append((side, "neumann"))
-    mask_sig = None if f.mask is None else hash(f.mask.tobytes())
-    return tuple(sig), mask_sig
-
-
-def _v_factor_2d(f: GridField, dt: float, pin: np.ndarray):
-    key = (f.ny, f.nx, f.h, dt, *_bc_signature(f))
-    factor = _V_FACTOR_CACHE.get(key)
-    if factor is None:
-        ones_x = np.ones((f.ny, f.nx - 1))
-        ones_y = np.ones((f.ny - 1, f.nx))
-        open_ = _open_faces(f)
-        if open_ is not None:
-            ox, oy = open_
-            ones_x = ones_x * ox
-            ones_y = ones_y * oy
-        factor = _sparse_factor(ones_x, ones_y, dt, f.h, pin)
-        if len(_V_FACTOR_CACHE) >= 16:
-            _V_FACTOR_CACHE.clear()
-        _V_FACTOR_CACHE[key] = factor
-    return factor
-
-
-def _advective_bound(f: GridField, params: ModelParams) -> float:
-    _, ws = _face_data(f, params)
-    wmax = max((float(np.max(np.abs(w))) if w.size else 0.0) for w in ws)
-    if wmax == 0.0:
-        return np.inf
-    return DEFAULT_CFL * f.h / wmax
 
 
 def step(f: GridField, params: ModelParams, dt: float) -> GridField:
@@ -535,57 +544,37 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
         StabilityViolation: dt exceeds the advective bound 0.4 h / max drift.
         NegativeDensity: a node fell below -1e-12 (undershoots above that
             floor are clipped to zero).
+        NonFiniteState: the new state holds a NaN or an infinite value.
         ValueError: nonpositive dt.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    conds, ws = _face_data(f, params)
-    wmax = max((float(np.max(np.abs(w))) if w.size else 0.0) for w in ws)
-    if wmax > 0.0:
-        bound = DEFAULT_CFL * f.h / wmax
-        if dt > bound * (1.0 + 1e-6):
-            raise StabilityViolation(
-                f"dt={dt:.6g} exceeds the advective bound {bound:.6g}"
-            )
+    st = _stepper_of(f)
+    conds, ws, bound = st.faces_for_step(f, params)
+    if dt > bound * (1.0 + 1e-6):
+        raise StabilityViolation(
+            f"dt={dt:.6g} exceeds the advective bound {bound:.6g}"
+        )
 
-    pin, pu, pv = _pin_info(f)
-    rhs_u = f.u + dt * _explicit_u(f, ws, params)
+    pin = st.pin
+    rhs_u = f.u + dt * _explicit_u(f, ws, params, st)
     rhs_v = f.v + dt * (f.u - f.v)
-    rhs_u[pin] = pu[pin]
-    rhs_v[pin] = pv[pin]
-
-    if f.dim == 1:
-        new_u = _banded_solve(conds[0], rhs_u, dt, f.h, pin, pu)
-        v_cond = np.ones(f.nx - 1)
-        open_ = _open_faces(f)
-        if open_ is not None:
-            v_cond = v_cond * open_
-        new_v = _banded_solve(v_cond, rhs_v, dt, f.h, pin, pv)
-    else:
-        lu_u = _sparse_factor(conds[0], conds[1], dt, f.h, pin)
-        new_u = lu_u.solve(rhs_u.ravel()).reshape(f.u.shape)
-        lu_v = _v_factor_2d(f, dt, pin)
-        new_v = lu_v.solve(rhs_v.ravel()).reshape(f.v.shape)
+    rhs_u[pin] = st.pin_u[pin]
+    rhs_v[pin] = st.pin_v[pin]
+    new_u = st.factor(conds, dt).solve(rhs_u.ravel()).reshape(f.u.shape)
+    new_v = st.v_factor(dt).solve(rhs_v.ravel()).reshape(f.v.shape)
 
     for name, arr in (("u", new_u), ("v", new_v)):
-        low = float(arr.min()) if arr.size else 0.0
+        low, high = float(arr.min()), float(arr.max())
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise NonFiniteState(f"{name} holds a non-finite value")
         if low < _NEG_FLOOR:
             raise NegativeDensity(
                 f"{name} reached {low:.6g}, below the {_NEG_FLOOR} floor"
             )
         np.copyto(arr, 0.0, where=arr < 0.0)
 
-    return GridField(
-        dim=f.dim,
-        extents=f.extents,
-        nx=f.nx,
-        ny=f.ny,
-        h=f.h,
-        u=new_u,
-        v=new_v,
-        bc=f.bc,
-        mask=f.mask,
-    )
+    return f._with(new_u, new_v, f.bc)
 
 
 @dataclass
@@ -596,7 +585,7 @@ class SimConfig:
     dim: int
     extents: tuple
     h: float
-    ic: FrontIC | Bump2dIC | CustomIC
+    ic: FrontIC | Bump2dIC | CustomIC | ArrayIC
     t_end: float
     cadence: float
     bc: dict | None = None
@@ -604,14 +593,10 @@ class SimConfig:
     disk_mask: bool = False
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ConfigError("dim must be 1 or 2")
-        if not self.h > 0:
-            raise ConfigError("spacing h must be positive")
         try:
-            self.extents = _normalize_extents(self.dim, self.extents)
-            for pair in self.extents:
-                _axis_count(*pair, self.h)
+            self.extents, _, _ = _grid_spec(
+                self.dim, self.extents, self.h, self.bc, self.disk_mask
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not self.t_end > 0:
@@ -621,25 +606,12 @@ class SimConfig:
         ratio = self.t_end / self.cadence
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
             raise ConfigError("cadence must divide t_end")
-        if not isinstance(self.ic, (FrontIC, Bump2dIC, CustomIC)):
+        if not isinstance(self.ic, (FrontIC, Bump2dIC, CustomIC, ArrayIC)):
             raise ConfigError("unknown initial-condition selector")
         if isinstance(self.ic, Bump2dIC) and self.dim != 2:
             raise ConfigError("bump initial condition requires dim=2")
-        if self.disk_mask and self.dim != 2:
-            raise ConfigError("disk mask requires dim=2")
         if not self.dt_max > 0:
             raise ConfigError("dt_max must be positive")
-        if self.bc:
-            valid = _SIDES[self.dim]
-            for side, cond in self.bc.items():
-                if side not in valid:
-                    raise ConfigError(f"unknown side {side!r} for dim {self.dim}")
-                if not isinstance(cond, (Neumann, Dirichlet)):
-                    raise ConfigError(f"invalid boundary condition for {side!r}")
-            if self.disk_mask and any(
-                isinstance(c, Dirichlet) for c in self.bc.values()
-            ):
-                raise ConfigError("disk mask supports zero-flux sides only")
 
 
 def build_initial(config: SimConfig) -> GridField:
@@ -658,8 +630,6 @@ def build_initial(config: SimConfig) -> GridField:
         from scipy.special import expit
 
         profile = expit(-ic.steepness * (f.x - ic.offset))
-        if f.dim == 2:
-            profile = np.tile(profile, (f.ny, 1))
         f.u[...] = profile
         f.v[...] = profile
     elif isinstance(ic, Bump2dIC):
@@ -668,12 +638,14 @@ def build_initial(config: SimConfig) -> GridField:
         f.u[...] = bump
         f.v[...] = bump
     else:
-        try:
-            with np.load(ic.path) as data:
-                u0 = np.asarray(data["u"], dtype=float)
-                v0 = np.asarray(data["v"], dtype=float)
-        except (OSError, KeyError) as exc:
-            raise ConfigError(f"cannot load initial state: {exc}") from exc
+        if isinstance(ic, CustomIC):
+            try:
+                with np.load(ic.path) as data:
+                    ic = ArrayIC(data["u"], data["v"])
+            except (OSError, KeyError) as exc:
+                raise ConfigError(f"cannot load initial state: {exc}") from exc
+        u0 = np.asarray(ic.u, dtype=float)
+        v0 = np.asarray(ic.v, dtype=float)
         if u0.shape != f.u.shape or v0.shape != f.v.shape:
             raise ConfigError(
                 f"initial arrays of shape {u0.shape} do not match grid {f.u.shape}"
@@ -685,9 +657,9 @@ def build_initial(config: SimConfig) -> GridField:
         f.u[...] = np.maximum(u0, 0.0)
         f.v[...] = np.maximum(v0, 0.0)
 
-    pin, pu, pv = _pin_info(f)
-    f.u[pin] = pu[pin]
-    f.v[pin] = pv[pin]
+    st = _stepper_of(f)
+    f.u[st.pin] = st.pin_u[st.pin]
+    f.v[st.pin] = st.pin_v[st.pin]
     return f
 
 
@@ -709,20 +681,24 @@ class Trajectory:
     config: SimConfig
 
 
+def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
+    """Inner, peak and outer ring radii of a planar u at ``level``.
+
+    The ring is centred on the box and searched out to 0.45 of its shorter
+    side.
+    """
+    (x0, x1), (y0, y1) = f.extents
+    center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    r_max = 0.45 * min(x1 - x0, y1 - y0)
+    return ring_metrics(f.x, f.y, f.u, center=center, level=level, r_max=r_max)
+
+
 def _front_diagnostic(f: GridField, params: ModelParams) -> float:
     level = params.a / (2.0 * params.b)
     try:
         if f.dim == 1:
             return front_position(f.x, f.u, level)
-        cx = 0.5 * (f.extents[0][0] + f.extents[0][1])
-        cy = 0.5 * (f.extents[1][0] + f.extents[1][1])
-        r_max = 0.45 * min(
-            f.extents[0][1] - f.extents[0][0], f.extents[1][1] - f.extents[1][0]
-        )
-        _, _, r_outer = ring_metrics(
-            f.x, f.y, f.u, center=(cx, cy), level=level, r_max=r_max
-        )
-        return r_outer
+        return ring_radii(f, level)[2]
     except (NoCrossing, NoRing):
         return float("nan")
 
@@ -735,6 +711,7 @@ def simulate(config: SimConfig) -> Trajectory:
     errors propagate with the failing time appended.
     """
     f = build_initial(config)
+    st = _stepper_of(f)
     params = config.params
     mu, mv = mass(f)
     times = [0.0]
@@ -749,10 +726,10 @@ def simulate(config: SimConfig) -> Trajectory:
     for seg in range(1, n_segments + 1):
         seg_end = seg * config.cadence
         while t < seg_end - 1e-9 * max(1.0, seg_end):
-            dt = min(config.dt_max, _advective_bound(f, params), seg_end - t)
+            dt = min(config.dt_max, st.advective_bound(f, params), seg_end - t)
             try:
                 f = step(f, params, dt)
-            except (NegativeDensity, StabilityViolation) as exc:
+            except (NegativeDensity, NonFiniteState, StabilityViolation) as exc:
                 raise type(exc)(f"{exc} at t={t + dt:.6g}") from exc
             t += dt
             dt_history.append(dt)
@@ -773,7 +750,6 @@ def simulate(config: SimConfig) -> Trajectory:
         dt_history=dt_history,
         config=config,
     )
-
 
 def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.

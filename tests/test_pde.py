@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wavemotil.errors import ConfigError, NegativeDensity, StabilityViolation
+import wavemotil.pde as pde
+from wavemotil.errors import (
+    ConfigError,
+    NegativeDensity,
+    NonFiniteState,
+    StabilityViolation,
+)
 from wavemotil.frontmetrics import wave_speed
 from wavemotil.model import ModelParams, PowerMotility, SigmoidMotility, motility_eval
 from wavemotil.pde import (
+    ArrayIC,
     Bump2dIC,
     CustomIC,
     Dirichlet,
@@ -178,6 +185,16 @@ def _manufactured_1d(params, lx=10.0):
     return u_ex, v_ex, exact_rhs_u, exact_rhs_v
 
 
+def _smooth_2d(lx=4.0, ly=6.0):
+    def u_ex(x, y):
+        return 0.4 + 0.1 * np.cos(np.pi * x / lx) * np.cos(np.pi * y / ly)
+
+    def v_ex(x, y):
+        return 0.3 + 0.15 * np.cos(2 * np.pi * x / lx) * np.cos(np.pi * y / ly)
+
+    return u_ex, v_ex
+
+
 class TestSpatialOrder:
     PARAMS = ModelParams(a=0.2, b=0.5, motility=PowerMotility(m=3.0))
 
@@ -202,12 +219,7 @@ class TestSpatialOrder:
         params = self.PARAMS
         mot = params.motility
         lx, ly = 4.0, 6.0
-
-        def u_ex(x, y):
-            return 0.4 + 0.1 * np.cos(np.pi * x / lx) * np.cos(np.pi * y / ly)
-
-        def v_ex(x, y):
-            return 0.3 + 0.15 * np.cos(2 * np.pi * x / lx) * np.cos(np.pi * y / ly)
+        u_ex, v_ex = _smooth_2d(lx, ly)
 
         def flux_x(x, y, d=1e-5):
             dudx = (u_ex(x + d, y) - u_ex(x - d, y)) / (2 * d)
@@ -238,11 +250,19 @@ class TestSpatialOrder:
         e2 = self._error_2d(0.125)
         assert e1 / e2 == pytest.approx(4.0, rel=0.4)
 
-    def test_step_consistent_with_spatial_rhs(self):
-        u_ex, v_ex, _, _ = _manufactured_1d(self.PARAMS)
-        f = make_field(1, ((0.0, 10.0),), 0.05, u0=0.0, v0=0.0)
-        f.u[:] = u_ex(f.x)
-        f.v[:] = v_ex(f.x)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_consistent_with_spatial_rhs(self, dim):
+        if dim == 1:
+            u_ex, v_ex, _, _ = _manufactured_1d(self.PARAMS)
+            f = make_field(1, ((0.0, 10.0),), 0.05, u0=0.0, v0=0.0)
+            f.u[:] = u_ex(f.x)
+            f.v[:] = v_ex(f.x)
+        else:
+            u_ex, v_ex = _smooth_2d()
+            f = make_field(2, ((0.0, 4.0), (0.0, 6.0)), 0.1, u0=0.0, v0=0.0)
+            xx, yy = np.meshgrid(f.x, f.y)
+            f.u[:] = u_ex(xx, yy)
+            f.v[:] = v_ex(xx, yy)
         du, dv = spatial_rhs(f, self.PARAMS)
         dt = 1e-5
         g = step(f, self.PARAMS, dt)
@@ -281,6 +301,16 @@ class TestStepErrors:
         assert np.min(out.u) == 0.0
         assert np.min(out.v) >= 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_node_raises_non_finite_state(self, dim):
+        # One NaN node: in 1-D it used to surface as a bare ValueError from
+        # the banded solver, in 2-D it spread silently to all 441 nodes.
+        extents = ((0.0, 2.0),) * dim
+        f = make_field(dim, extents, 0.1, u0=0.5, v0=0.5)
+        f.u[(10,) * dim] = np.nan
+        with pytest.raises(NonFiniteState):
+            step(f, POWER, 0.01)
+
     def test_nonpositive_dt_rejected(self):
         f = make_field(1, ((0.0, 1.0),), 0.1, u0=0.1, v0=0.1)
         with pytest.raises(ValueError):
@@ -306,6 +336,14 @@ def _front_config(**overrides):
     return SimConfig(**base)
 
 
+def _array_ic(source, tmp_path, u, v):
+    if source == "array":
+        return ArrayIC(u, v)
+    path = tmp_path / "ic.npz"
+    np.savez(path, u=u, v=v)
+    return CustomIC(path=str(path))
+
+
 class TestSimConfig:
     def test_cadence_must_divide_t_end(self):
         with pytest.raises(ConfigError):
@@ -314,6 +352,21 @@ class TestSimConfig:
     def test_t_end_positive(self):
         with pytest.raises(ConfigError):
             _front_config(t_end=-1.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(dim=3),
+            dict(h=0.0),
+            dict(h=0.3),
+            dict(bc={"bottom": Neumann()}),
+            dict(bc={"left": "dirichlet"}),
+            dict(disk_mask=True),
+        ],
+    )
+    def test_grid_errors_are_config_errors(self, overrides):
+        with pytest.raises(ConfigError):
+            _front_config(**overrides)
 
     def test_bump_ic_needs_2d(self):
         with pytest.raises(ConfigError):
@@ -366,6 +419,30 @@ class TestSimConfig:
             extents=((0.0, 1.0),),
             h=0.1,
             ic=CustomIC(path=str(path)),
+            t_end=1.0,
+            cadence=0.5,
+        )
+        with pytest.raises(ConfigError):
+            build_initial(cfg)
+
+    @pytest.mark.parametrize("source", ["npz", "array"])
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (np.zeros(7), np.zeros(7)),
+            (np.full(11, np.inf), np.zeros(11)),
+            (np.zeros(11), np.full(11, -1.0)),
+        ],
+        ids=["shape", "non-finite", "negative"],
+    )
+    def test_initial_arrays_validated(self, tmp_path, source, u, v):
+        # File-backed and in-memory initial states share one validation.
+        cfg = SimConfig(
+            params=POWER,
+            dim=1,
+            extents=((0.0, 1.0),),
+            h=0.1,
+            ic=_array_ic(source, tmp_path, u, v),
             t_end=1.0,
             cadence=0.5,
         )
@@ -443,6 +520,42 @@ class TestSimulate:
         )
         with pytest.raises(NegativeDensity, match="t="):
             simulate(cfg)
+
+    def test_motility_evaluated_once_per_step(self, monkeypatch):
+        # The face data that chooses dt is the face data the step uses.
+        calls = []
+
+        def counting(family, v):
+            calls.append(v.shape)
+            return motility_eval(family, v)
+
+        monkeypatch.setattr(pde, "motility_eval", counting)
+        traj = simulate(_front_config(t_end=2.0, cadence=1.0))
+        assert len(calls) == len(traj.dt_history) > 0
+
+    def test_back_to_back_2d_runs_match_runs_alone(self):
+        # Each run owns its operators and factors, so a run on another mask
+        # in between changes nothing.
+        def run(disk):
+            return simulate(
+                SimConfig(
+                    params=POWER,
+                    dim=2,
+                    extents=((-3.0, 3.0), (-3.0, 3.0)),
+                    h=0.25,
+                    ic=Bump2dIC(base=1.0, amplitude=0.5),
+                    t_end=1.0,
+                    cadence=0.5,
+                    disk_mask=disk,
+                )
+            )
+
+        alone = {disk: run(disk) for disk in (True, False)}
+        for disk in (False, True, False):
+            again = run(disk)
+            assert again.dt_history == alone[disk].dt_history
+            for a, b in zip(again.snapshots, alone[disk].snapshots):
+                assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
     def test_2d_bump_smoke(self):
         cfg = SimConfig(
