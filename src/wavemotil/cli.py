@@ -615,6 +615,8 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> int:
         "classification": classification,
         "front_final": _maybe(traj.front[-1]),
         "steps": len(traj.dt_history),
+        "solver_iterations": sum(traj.solver_iterations),
+        "solver_iterations_step_max": max(traj.solver_iterations, default=0),
     }
     _write_manifest("simulate", resolved, out_dir, outputs, metrics, started)
     return 0

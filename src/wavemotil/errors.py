@@ -44,7 +44,8 @@ class NonMonotone(WavemotilError):
 
 
 class NoConvergence(WavemotilError):
-    """Time marching failed to reach the increment tolerance before t_max."""
+    """An iteration failed to reach its tolerance within its budget (a time
+    horizon, an outer-iteration limit or a solver iteration cap)."""
 
 
 class PicardStalled(WavemotilError):

@@ -14,23 +14,37 @@ discrete chemical-mass identity d/dt int v = int u - int v exact on
 zero-flux boxes up to solver rounding.  One flux assembly serves both
 dimensions: it loops over the grid axes, x first.
 
-Time stepping is IMEX: both Laplacians are implicit (LAPACK ``dgtsv`` per
-equation in 1-D, one sparse LU per equation in 2-D), while the
-cross-diffusion flux and the reactions are explicit.  The implicit
-diffusion matrices are M-matrices, so diffusion alone cannot create
-negative densities; slope reconstruction can undershoot by a
-rounding-scale amount at sharp fronts, which is clipped when above -1e-12
-and reported as ``NegativeDensity`` otherwise.  A NaN or infinite value
-anywhere in a new state is reported as ``NonFiniteState``.  The step size
-obeys an advective bound 0.4 h / max |gamma'(v) dv/dn| recomputed every
-step and capped at 0.1.
+Time stepping is IMEX: both Laplacians are implicit, while the
+cross-diffusion flux and the reactions are explicit.  In 1-D each implicit
+system is solved directly by LAPACK ``dgtsv``.  In 2-D the system
+(I - dt L) x = rhs is multiplied by the half-cell volumes W, which makes it
+symmetric positive definite; nodes held at fixed values (Dirichlet sides,
+masked-out cells) move to the right-hand side, and Jacobi-preconditioned
+conjugate gradients, started from the current field, solve for the active
+nodes until the weighted residual falls to 1e-12 of the weighted
+right-hand side.  Hitting the iteration cap raises ``NoConvergence``.
+
+The exact implicit diffusion matrices are M-matrices, so diffusion alone
+cannot create negative densities; slope reconstruction can undershoot by a
+rounding-scale amount at sharp fronts.  Undershoots above -1e-12 are
+clipped and anything lower is reported as ``NegativeDensity``.  The
+iterative 2-D solve does not carry the M-matrix sign property over
+exactly, but it stops at a residual 1e-12 of the right-hand side, so its
+error stays far inside that floor: the worst undershoot seen before
+clipping is about -4e-17, on the fig4 ring to t = 5 and on a steep front
+running into a side held at u = 0.  A NaN or infinite value anywhere in a new
+state is reported as ``NonFiniteState``.  The step size obeys an advective
+bound 0.4 h / max |gamma'(v) dv/dn| recomputed every step and capped at 0.1.
 
 What the steps of a run share and what depends only on the grid geometry
-(held nodes, cell volumes, open faces and the v operator) is built once, on
-first use, into a stepper that every ``GridField`` of the run holds by
-reference.  The stepper keeps the run's last two v-operator factors, keyed
-by dt, and hands the face data that chose a step size in ``simulate`` to
-that step, so the motility law is evaluated once per step.
+(held nodes, cell volumes, open faces, the v conductances and, in 2-D, the
+sparsity pattern of the weighted operator with the map from face
+conductances to its entries) is built once, on first use, into a stepper
+that every ``GridField`` of the run holds by reference.  Each implicit solve
+only refills the operator's entries from the conductances and dt; no
+factors are cached between steps.  The stepper hands the face data that
+chose a step size in ``simulate`` to that step, so the motility law is
+evaluated once per step, and it counts the conjugate-gradient iterations.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -46,11 +60,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ConfigError,
     NegativeDensity,
+    NoConvergence,
     NoCrossing,
     NonFiniteState,
     NoRing,
@@ -93,9 +107,19 @@ _NEG_FLOOR = -1e-12
 #: Side names in axis order; a 1-D grid has the first two.
 _SIDES = ("left", "right", "bottom", "top")
 
-#: v-operator factors a run keeps.  Its step sizes alternate between the
-#: dt_max cap and a segment-end remainder, so two slots cover the repeats.
-_V_FACTOR_SLOTS = 2
+#: Relative tolerance on the weighted residual of a 2-D implicit solve; the
+#: absolute tolerance is zero.
+_CG_RTOL = 1e-12
+
+#: Iteration cap of one 2-D implicit solve.  Exact-arithmetic CG needs at
+#: most one iteration per active node (31,417 on the fig4 grid, the largest
+#: preset); warm-started solves there take about a hundred.
+_CG_MAX_ITER = 100_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product without BLAS, whose threads stall when cores are busy."""
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass(frozen=True)
@@ -297,11 +321,12 @@ def _along(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Stepper:
-    """Per-run constants of one grid geometry, plus the run's v factors.
+    """Per-run constants of one grid geometry.
 
     Everything here depends only on ``dim``, ``extents``, ``h``, ``bc`` and
     ``mask``.  Per-axis face arrays are held in the frame where that axis
-    is last (see ``_along``); axes run x first.
+    is last (see ``_along``); axes run x first.  ``iterations`` counts the
+    conjugate-gradient iterations of the run's implicit solves.
     """
 
     def __init__(self, f: GridField) -> None:
@@ -319,11 +344,13 @@ class _Stepper:
                 self.pin[tuple(index)] = True
                 self.pin_u[tuple(index)] = cond.u_val
                 self.pin_v[tuple(index)] = cond.v_val
+        edges = []
         weights = np.ones(())
         for n in shape:
             edge = np.full(n, f.h)
             edge[0] *= 0.5
             edge[-1] *= 0.5
+            edges.append(edge)
             weights = np.multiply.outer(weights, edge)
         if f.mask is None:
             self.open = (None,) * f.dim
@@ -343,24 +370,17 @@ class _Stepper:
         for ax, open_ in zip(self.axes, self.open):
             ones = np.ones(_along(self.pin, ax)[..., 1:].shape)
             self.v_conds.append(ones if open_ is None else ones * open_)
-        self._factor = _Tridiagonal if f.dim == 1 else _sparse_lu
-        self._v_factors: dict[float, object] = {}
+        if f.dim == 1:
+            self._system = _Tridiagonal
+        else:
+            self._system = _JacobiCG
+            self.pattern = _Pattern(self, edges)
+        self.iterations = 0
         self._pending = None
 
-    def factor(self, conds, dt: float):
+    def system(self, conds, dt: float):
         """Solver of (I - dt L) for face conductances ``conds``."""
-        return self._factor(self, conds, dt)
-
-    def v_factor(self, dt: float):
-        """Solver of the v operator at dt, reusing the last two built."""
-        factors = self._v_factors
-        solver = factors.pop(dt, None)
-        if solver is None:
-            solver = self.factor(self.v_conds, dt)
-            if len(factors) >= _V_FACTOR_SLOTS:
-                del factors[next(iter(factors))]
-        factors[dt] = solver
-        return solver
+        return self._system(self, conds, dt)
 
     def advective_bound(self, f: GridField, params: ModelParams) -> float:
         """Largest stable dt for f; the face data is kept for f's next step."""
@@ -471,70 +491,163 @@ class _Tridiagonal:
 
     def __init__(self, st: _Stepper, conds, dt: float) -> None:
         (cond,) = conds
-        n = cond.size + 1
-        cl = np.empty(n)
-        cl[0] = 0.0
-        cl[1:] = cond
-        cr = np.empty(n)
-        cr[-1] = 0.0
-        cr[:-1] = cond
-        s = np.ones(n)
-        s[0] = 2.0
-        s[-1] = 2.0
-        k = dt / st.h**2
-        diag = 1.0 + k * s * (cl + cr)
-        lower = -k * s * cl
-        upper = -k * s * cr
+        ks = np.full(cond.size + 1, dt / st.h**2)
+        ks[0] *= 2.0  # the end nodes own half cells
+        ks[-1] *= 2.0
+        diag = np.empty_like(ks)
+        diag[0] = cond[0]
+        diag[-1] = cond[-1]
+        np.add(cond[:-1], cond[1:], out=diag[1:-1])
+        diag *= ks
+        diag += 1.0
+        lower = -(ks[1:] * cond)
+        upper = -(ks[:-1] * cond)
         if st.held:
             diag[st.pin] = 1.0
-            lower[st.pin] = 0.0
-            upper[st.pin] = 0.0
-        self.bands = (lower[1:], diag, upper[:-1])
+            lower[st.pin[1:]] = 0.0
+            upper[st.pin[:-1]] = 0.0
+        self.bands = (lower, diag, upper)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Exact solution; a direct solve needs no starting guess ``x0``."""
         _, _, _, x, info = dgtsv(*self.bands, rhs)
         if info != 0:
             raise NonFiniteState(f"tridiagonal solve failed (LAPACK info {info})")
         return x
 
 
-def _sparse_lu(st: _Stepper, conds, dt: float):
-    """LU factor of (I - dt L) for the 2-D face-conductance Laplacian."""
-    shape = st.pin.shape
-    n = st.pin.size
-    idx = np.arange(n).reshape(shape)
-    k = dt / st.h**2
+class _Pattern:
+    """Sparsity of W (I - dt L) on the active nodes of a planar grid.
 
-    rows, cols, vals = [], [], []
-    # Entries are listed in C order of the natural layout, x faces first.
-    for ax, cond in zip(st.axes, conds):
-        s = np.ones(shape[ax])
-        s[0] = 2.0
-        s[-1] = 2.0
-        idx_ax = _along(idx, ax)
-        s_ax = np.broadcast_to(s, idx_ax.shape)
-        p, q, c, sp, sq = (
-            _along(a, ax).ravel()
-            for a in (
-                idx_ax[..., :-1],
-                idx_ax[..., 1:],
-                k * cond,
-                s_ax[..., :-1],
-                s_ax[..., 1:],
-            )
+    Unknowns are the active (unheld) nodes in C order.  A face couples its
+    two nodes with the coefficient g = dt * cond * w_perp / h, where w_perp
+    is the cell width across the face; closed faces are left out.  Faces
+    between two active nodes give the off-diagonal entries -g, faces from
+    an active node to a held one move g * (held value) to the right-hand
+    side, and every face adds g to the diagonal of its active ends.
+    """
+
+    def __init__(self, st: _Stepper, edges) -> None:
+        shape = st.pin.shape
+        live = ~st.pin.ravel()
+        self.active = np.flatnonzero(live)
+        n_act = self.active.size
+        local = np.full(live.size, -1)
+        local[self.active] = np.arange(n_act)
+        idx = np.arange(live.size).reshape(shape)
+
+        self.scale = []  # per-axis w_perp / h on the faces, 0 where closed
+        p_all, q_all = [], []
+        for ax, open_ in zip(st.axes, st.open):
+            idx_ax = _along(idx, ax)
+            perp = np.ones(())
+            for other, edge in enumerate(edges):
+                if other != ax:
+                    perp = np.multiply.outer(perp, edge)
+            scale = np.broadcast_to(perp[..., None] / st.h, idx_ax[..., 1:].shape)
+            self.scale.append(scale if open_ is None else scale * open_)
+            p_all.append(idx_ax[..., :-1].ravel())
+            q_all.append(idx_ax[..., 1:].ravel())
+        p_all = np.concatenate(p_all)
+        q_all = np.concatenate(q_all)
+        closed = np.concatenate([s.ravel() for s in self.scale]) == 0.0
+        lp, lq = local[p_all], local[q_all]
+
+        both = np.flatnonzero((lp >= 0) & (lq >= 0) & ~closed)
+        rows = np.concatenate([lp[both], lq[both], np.arange(n_act)])
+        cols = np.concatenate([lq[both], lp[both], np.arange(n_act)])
+        # Entry sources index concat(-g, diagonal): faces first, then nodes.
+        source = np.concatenate([both, both, p_all.size + np.arange(n_act)])
+        order = np.lexsort((cols, rows))
+        self.source = source[order]
+        self.indices = cols[order].astype(np.int32)
+        self.indptr = np.zeros(n_act + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n_act), out=self.indptr[1:])
+
+        # Faces with exactly one active end: its row, the held node's index.
+        self.held_faces = np.flatnonzero(((lp >= 0) != (lq >= 0)) & ~closed)
+        p_lives = lp[self.held_faces] >= 0
+        self.held_rows = np.where(
+            p_lives, lp[self.held_faces], lq[self.held_faces]
         )
-        rows.extend([p, p, q, q])
-        cols.extend([p, q, q, p])
-        vals.extend([c * sp, -c * sp, c * sq, -c * sq])
+        self.held_nodes = np.where(
+            p_lives, q_all[self.held_faces], p_all[self.held_faces]
+        )
+        self.weights = st.weights.ravel()[self.active]
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    keep = ~st.pin.ravel()[rows]
-    body = sparse.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsc()
-    return splu(sparse.identity(n, format="csc") + body)
+
+class _JacobiCG:
+    """(I - dt L) for the 2-D face-conductance Laplacian, solved by
+    Jacobi-preconditioned conjugate gradients on the symmetric W (I - dt L).
+
+    Held nodes keep the values the right-hand side gives them.  The
+    iteration stops once the weighted residual is at most ``_CG_RTOL``
+    times the weighted right-hand side.
+    """
+
+    def __init__(self, st: _Stepper, conds, dt: float) -> None:
+        pat = st.pattern
+        self.st = st
+        diag = st.weights.copy()
+        faces = []
+        for ax, cond, scale in zip(st.axes, conds, pat.scale):
+            g = dt * cond * scale
+            diag_ax = _along(diag, ax)
+            diag_ax[..., :-1] += g
+            diag_ax[..., 1:] += g
+            faces.append(g.ravel())
+        self.g = np.concatenate(faces)
+        self.diag = diag.ravel()[pat.active]
+        entries = np.concatenate([-self.g, self.diag])
+        n_act = pat.active.size
+        self.matrix = sparse.csr_matrix(
+            (entries[pat.source], pat.indices, pat.indptr), shape=(n_act, n_act)
+        )
+
+    def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Solution for ``rhs``, iterated from the starting guess ``x0``."""
+        pat, a = self.st.pattern, self.matrix
+        flat = rhs.ravel()
+        b = pat.weights * flat[pat.active]
+        if pat.held_rows.size:
+            np.add.at(
+                b, pat.held_rows, self.g[pat.held_faces] * flat[pat.held_nodes]
+            )
+        x = x0.ravel()[pat.active]
+        r = b - a @ x
+        tol = _CG_RTOL * np.sqrt(_dot(b, b))
+        inv_diag = 1.0 / self.diag
+        z = inv_diag * r
+        p = z.copy()
+        scaled = np.empty_like(p)
+        rz = _dot(r, z)
+        res = np.sqrt(_dot(r, r))
+        it = 0
+        while True:
+            # Checked before the stop test: an infinite rhs gives tol = inf.
+            if not np.isfinite(res):
+                raise NonFiniteState("implicit solve met a non-finite residual")
+            if res <= tol:
+                break
+            if it >= _CG_MAX_ITER:
+                raise NoConvergence(
+                    f"implicit solve stopped at {it} iterations with weighted "
+                    f"residual {res:.3g} above {tol:.3g}"
+                )
+            q = a @ p
+            alpha = rz / _dot(p, q)
+            x += np.multiply(p, alpha, out=scaled)
+            r -= np.multiply(q, alpha, out=scaled)
+            res = np.sqrt(_dot(r, r))
+            np.multiply(inv_diag, r, out=z)
+            rz, rz_old = _dot(r, z), rz
+            p *= rz / rz_old
+            p += z
+            it += 1
+        self.st.iterations += it
+        out = rhs.copy()
+        out.ravel()[pat.active] = x
+        return out
 
 
 def step(f: GridField, params: ModelParams, dt: float) -> GridField:
@@ -545,6 +658,7 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
         NegativeDensity: a node fell below -1e-12 (undershoots above that
             floor are clipped to zero).
         NonFiniteState: the new state holds a NaN or an infinite value.
+        NoConvergence: a 2-D implicit solve hit its iteration cap.
         ValueError: nonpositive dt.
     """
     if not dt > 0:
@@ -561,8 +675,8 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     rhs_v = f.v + dt * (f.u - f.v)
     rhs_u[pin] = st.pin_u[pin]
     rhs_v[pin] = st.pin_v[pin]
-    new_u = st.factor(conds, dt).solve(rhs_u.ravel()).reshape(f.u.shape)
-    new_v = st.v_factor(dt).solve(rhs_v.ravel()).reshape(f.v.shape)
+    new_u = st.system(conds, dt).solve(rhs_u, f.u)
+    new_v = st.system(st.v_conds, dt).solve(rhs_v, f.v)
 
     for name, arr in (("u", new_u), ("v", new_v)):
         low, high = float(arr.min()), float(arr.max())
@@ -669,7 +783,9 @@ class Trajectory:
 
     ``front`` holds the tracked front position at level a/(2b) for 1-D runs
     and the outer ring radius at the same level for 2-D runs; entries are
-    NaN where the level set does not exist yet.
+    NaN where the level set does not exist yet.  ``solver_iterations``
+    holds, per step, the conjugate-gradient iterations of the u and v solves
+    together (always 0 in 1-D, where the solves are direct).
     """
 
     times: list[float]
@@ -679,6 +795,7 @@ class Trajectory:
     front: list[float]
     dt_history: list[float]
     config: SimConfig
+    solver_iterations: list[int] = field(default_factory=list)
 
 
 def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
@@ -720,6 +837,7 @@ def simulate(config: SimConfig) -> Trajectory:
     mass_v = [mv]
     front = [_front_diagnostic(f, params)]
     dt_history: list[float] = []
+    solver_iterations: list[int] = []
 
     n_segments = int(round(config.t_end / config.cadence))
     t = 0.0
@@ -727,12 +845,19 @@ def simulate(config: SimConfig) -> Trajectory:
         seg_end = seg * config.cadence
         while t < seg_end - 1e-9 * max(1.0, seg_end):
             dt = min(config.dt_max, st.advective_bound(f, params), seg_end - t)
+            before = st.iterations
             try:
                 f = step(f, params, dt)
-            except (NegativeDensity, NonFiniteState, StabilityViolation) as exc:
+            except (
+                NegativeDensity,
+                NonFiniteState,
+                NoConvergence,
+                StabilityViolation,
+            ) as exc:
                 raise type(exc)(f"{exc} at t={t + dt:.6g}") from exc
             t += dt
             dt_history.append(dt)
+            solver_iterations.append(st.iterations - before)
         t = seg_end
         mu, mv = mass(f)
         times.append(t)
@@ -749,14 +874,17 @@ def simulate(config: SimConfig) -> Trajectory:
         front=front,
         dt_history=dt_history,
         config=config,
+        solver_iterations=solver_iterations,
     )
+
 
 def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.
 
     1-D fields become a CSV with columns x, u, v.  2-D fields become a flat
     binary file (u then v, C order, float64) plus a JSON header describing
-    the geometry.  Floats are written with full round-trip precision.
+    the geometry and the boundary condition of each side.  Floats are
+    written with full round-trip precision.
     """
     base = Path(basepath)
     if f.dim == 1:
@@ -783,6 +911,12 @@ def save_field(f: GridField, basepath: str) -> list[str]:
         "dtype": "<f8",
         "order": "C",
         "arrays": arrays,
+        "bc": {
+            side: {"type": "dirichlet", "u_val": cond.u_val, "v_val": cond.v_val}
+            if isinstance(cond, Dirichlet)
+            else {"type": "neumann"}
+            for side, cond in f.bc.items()
+        },
     }
     with open(jpath, "w") as fh:
         json.dump(header, fh, indent=2)
@@ -793,7 +927,11 @@ def save_field(f: GridField, basepath: str) -> list[str]:
 
 
 def load_field(basepath: str) -> GridField:
-    """Inverse of save_field; boundary conditions default to zero-flux."""
+    """Inverse of save_field.
+
+    2-D fields get the boundary conditions their header records; headers
+    without them, and 1-D fields, get zero-flux sides.
+    """
     base = Path(basepath)
     jpath = base.with_suffix(".json")
     cpath = base.with_suffix(".csv")
@@ -811,6 +949,10 @@ def load_field(basepath: str) -> GridField:
         mask = None
         if "mask" in header["arrays"]:
             mask = raw[2 * n : 3 * n].reshape(ny, nx) > 0.5
+        bc = _default_bc(2)
+        for side, cond in header.get("bc", {}).items():
+            if cond["type"] == "dirichlet":
+                bc[side] = Dirichlet(float(cond["u_val"]), float(cond["v_val"]))
         return GridField(
             dim=2,
             extents=extents,
@@ -819,7 +961,7 @@ def load_field(basepath: str) -> GridField:
             h=float(header["h"]),
             u=u,
             v=v,
-            bc=_default_bc(2),
+            bc=bc,
             mask=mask,
         )
     if cpath.exists():

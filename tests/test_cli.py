@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import wavemotil.pde as pde
 from wavemotil.analysis import b_star, kappa
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
 from wavemotil.errors import ConfigError
@@ -143,6 +144,13 @@ _SIM_CFG = (
 )
 
 
+_SIM_2D_CFG = (
+    "motility=power\nm=6\na=0.1\nb=0.1\ndim=2\nx_min=-3\nx_max=3\n"
+    "y_min=-3\ny_max=3\nh=0.25\nic=bump2d\nic_base=0\nic_amplitude=4\n"
+    "t_end=2\ncadence=1\n"
+)
+
+
 class TestSimulate:
     def test_snapshots_metrics_manifest(self, tmp_path):
         cfg = _write(tmp_path, "s.cfg", _SIM_CFG)
@@ -161,6 +169,7 @@ class TestSimulate:
             assert target.exists()
             assert hashlib.sha256(target.read_bytes()).hexdigest() == entry["sha256"]
         assert manifest["metrics"]["c_est"] is not None
+        assert manifest["metrics"]["solver_iterations"] == 0
         assert manifest["config"]["t_end"] == "10.0"
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -184,19 +193,26 @@ class TestSimulate:
         assert len(sorted(out.glob("snap_*.csv"))) == 3
 
     def test_2d_snapshot_pairs(self, tmp_path):
-        cfg = _write(
-            tmp_path,
-            "s.cfg",
-            "motility=power\nm=6\na=0.1\nb=0.1\ndim=2\nx_min=-3\nx_max=3\n"
-            "y_min=-3\ny_max=3\nh=0.25\nic=bump2d\nic_base=0\nic_amplitude=4\n"
-            "t_end=2\ncadence=1\n",
-        )
+        cfg = _write(tmp_path, "s.cfg", _SIM_2D_CFG)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert len(sorted(out.glob("snap_*.json"))) == 3
         assert len(sorted(out.glob("snap_*.bin"))) == 3
         rows = (out / "metrics.csv").read_text().splitlines()
         assert rows[0] == "time,mass_u,mass_v,r_inner,r_peak,r_outer"
+        # Solver telemetry goes to the manifest only, never into the CSVs.
+        metrics = json.loads((out / "run.json").read_text())["metrics"]
+        steps, total = metrics["steps"], metrics["solver_iterations"]
+        peak = metrics["solver_iterations_step_max"]
+        assert 2 * steps <= total <= steps * peak
+        assert "iteration" not in (out / "metrics.csv").read_text()
+
+    def test_solver_iteration_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pde, "_CG_MAX_ITER", 1)
+        cfg = _write(tmp_path, "s.cfg", _SIM_2D_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "NoConvergence" in err and "t=" in err
 
     def test_solver_error_exits_1(self, tmp_path, capsys):
         # A cliff in the chemical field with an empty cell under the spike

@@ -1,20 +1,26 @@
 """Tests for the direct 1-D/2-D time-dependent solver.
 
 Oracles: uniform states against a high-accuracy two-ODE integration, the
-discrete chemical-mass identity on zero-flux boxes, and a smooth manufactured
-solution for the spatial order of the flux discretization.
+discrete chemical-mass identity on zero-flux boxes, a smooth manufactured
+solution for the spatial order of the flux discretization, and a direct
+sparse solve of the unweighted 2-D implicit system.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import spsolve
 
 import wavemotil.pde as pde
 from wavemotil.errors import (
     ConfigError,
     NegativeDensity,
+    NoConvergence,
     NonFiniteState,
     StabilityViolation,
 )
@@ -147,6 +153,20 @@ class TestChemicalMassIdentity:
         xx, yy = np.meshgrid(f.x, f.y)
         f.u[:] = 0.8 + 0.5 * np.exp(-(xx**2 + yy**2))
         f.v[:] = 0.3 + 0.2 * np.exp(-((xx - 0.5) ** 2 + yy**2))
+        mu, mv = mass(f)
+        dt = 0.05
+        g = step(f, POWER, dt)
+        _, mv_new = mass(g)
+        assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+
+    def test_2d_masked_disk(self):
+        # Closed faces at the staircase edge keep the Laplacian telescoping.
+        f = make_field(
+            2, ((-2.0, 2.0), (-2.0, 2.0)), 0.1, u0=0.0, v0=0.0, disk_mask=True
+        )
+        xx, yy = np.meshgrid(f.x, f.y)
+        f.u[f.mask] = (0.8 + 0.5 * np.exp(-(xx**2 + yy**2)))[f.mask]
+        f.v[f.mask] = (0.3 + 0.2 * np.exp(-((xx - 0.5) ** 2 + yy**2)))[f.mask]
         mu, mv = mass(f)
         dt = 0.05
         g = step(f, POWER, dt)
@@ -311,10 +331,144 @@ class TestStepErrors:
         with pytest.raises(NonFiniteState):
             step(f, POWER, 0.01)
 
+    def test_steep_front_into_held_zero_stays_nonnegative(self):
+        # u is held at 0 on the right, where the far field is already
+        # empty; the iterative solve must not push it below the floor.
+        extents = ((0.0, 8.0), (0.0, 2.0))
+        f = make_field(2, extents, 0.05, u0=0.0, v0=0.0)
+        xx, yy = np.meshgrid(f.x, f.y)
+        u0 = 1.0 / (1.0 + np.exp(8.0 * (xx - 2.0 - 0.3 * np.sin(np.pi * yy))))
+        held = float(u0[0, 0])
+        cfg = SimConfig(
+            params=POWER,
+            dim=2,
+            extents=extents,
+            h=0.05,
+            ic=ArrayIC(u0, u0),
+            t_end=2.0,
+            cadence=2.0,
+            bc={"left": Dirichlet(held, held), "right": Dirichlet(0.0, 0.0)},
+        )
+        traj = simulate(cfg)
+        assert len(traj.dt_history) >= 40
+        final = traj.snapshots[-1]
+        assert np.all(final.u[:, -1] == 0.0) and np.all(final.v[:, -1] == 0.0)
+        assert np.min(final.u) >= 0.0
+
     def test_nonpositive_dt_rejected(self):
         f = make_field(1, ((0.0, 1.0),), 0.1, u0=0.1, v0=0.1)
         with pytest.raises(ValueError):
             step(f, POWER, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# 2-D implicit solve against a direct reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_system(f, conds_x, conds_y, dt):
+    """Unweighted I - dt L of a planar grid, assembled node by node.
+
+    Held rows (Dirichlet sides, masked-out cells) are identity rows; a node
+    on a box side owns a half cell across that side.
+    """
+    ny, nx = f.u.shape
+    nodes_of_side = {
+        "left": (slice(None), 0),
+        "right": (slice(None), -1),
+        "bottom": (0, slice(None)),
+        "top": (-1, slice(None)),
+    }
+    held = np.zeros((ny, nx), dtype=bool)
+    for side, cond in f.bc.items():
+        if isinstance(cond, Dirichlet):
+            held[nodes_of_side[side]] = True
+    if f.mask is not None:
+        held |= ~f.mask
+    k = dt / f.h**2
+    a = sparse.lil_matrix((nx * ny, nx * ny))
+    for j in range(ny):
+        for i in range(nx):
+            row = j * nx + i
+            a[row, row] = 1.0
+            if held[j, i]:
+                continue
+            sx = 2.0 if i in (0, nx - 1) else 1.0
+            sy = 2.0 if j in (0, ny - 1) else 1.0
+            links = []
+            if i > 0:
+                links.append((row - 1, sx * conds_x[j, i - 1]))
+            if i < nx - 1:
+                links.append((row + 1, sx * conds_x[j, i]))
+            if j > 0:
+                links.append((row - nx, sy * conds_y[j - 1, i]))
+            if j < ny - 1:
+                links.append((row + nx, sy * conds_y[j, i]))
+            for col, c in links:
+                a[row, row] += k * c
+                a[row, col] -= k * c
+    return a.tocsr(), held
+
+
+class TestImplicitSolve2d:
+    @staticmethod
+    def _field(case):
+        extents = ((-2.0, 2.0), (-1.5, 1.5))
+        kw = {}
+        if case == "dirichlet":
+            kw["bc"] = {"left": Dirichlet(0.7, 0.4), "right": Dirichlet(0.2, 0.1)}
+        if case == "disk":
+            kw["disk_mask"] = True
+        return make_field(2, extents, 0.25, u0=0.0, v0=0.0, **kw)
+
+    @pytest.mark.parametrize("unknown", ["u", "v"])
+    @pytest.mark.parametrize("case", ["neumann", "dirichlet", "disk"])
+    def test_matches_direct_solve(self, case, unknown):
+        f = self._field(case)
+        st = pde._stepper_of(f)
+        rng = np.random.default_rng(3)
+        ny, nx = f.u.shape
+        if unknown == "u":
+            # Conductances that vary face by face, as gamma(v) does.
+            cx = 0.2 + rng.random((ny, nx - 1))
+            cy = 0.2 + rng.random((ny - 1, nx))
+        else:
+            cx, cy = np.ones((ny, nx - 1)), np.ones((ny - 1, nx))
+        if f.mask is not None:
+            cx = cx * (f.mask[:, :-1] & f.mask[:, 1:])
+            cy = cy * (f.mask[:-1, :] & f.mask[1:, :])
+        dt = 0.5
+        ref_matrix, held = _reference_system(f, cx, cy, dt)
+
+        rhs = 0.5 + rng.random((ny, nx))
+        held_values = {"u": st.pin_u, "v": st.pin_v}[unknown]
+        rhs[held] = held_values[held]
+        expected = spsolve(ref_matrix, rhs.ravel()).reshape(ny, nx)
+
+        solver = st.system([cx, cy.T], dt)
+        warm = solver.solve(rhs, rhs + 0.01 * rng.random((ny, nx)))
+        before = st.iterations
+        cold = solver.solve(rhs, np.zeros((ny, nx)))
+        assert st.iterations > before
+        for x in (warm, cold):
+            assert np.max(np.abs(x - expected)) <= 1e-11
+            assert np.array_equal(x[held], held_values[held])
+        if case == "dirichlet":
+            assert np.all(held_values[held] != 0.0)
+
+    def test_iteration_cap_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(pde, "_CG_MAX_ITER", 1)
+        cfg = SimConfig(
+            params=POWER,
+            dim=2,
+            extents=((-3.0, 3.0), (-3.0, 3.0)),
+            h=0.25,
+            ic=Bump2dIC(base=1.0, amplitude=0.5),
+            t_end=0.5,
+            cadence=0.5,
+        )
+        with pytest.raises(NoConvergence, match=r"1 iterations.*residual.*t="):
+            simulate(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +675,27 @@ class TestSimulate:
         with pytest.raises(NegativeDensity, match="t="):
             simulate(cfg)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_solver_iterations_per_step(self, dim):
+        if dim == 1:
+            cfg = _front_config(t_end=2.0, cadence=1.0)
+        else:
+            cfg = SimConfig(
+                params=POWER,
+                dim=2,
+                extents=((-3.0, 3.0), (-3.0, 3.0)),
+                h=0.25,
+                ic=Bump2dIC(base=1.0, amplitude=0.5),
+                t_end=1.0,
+                cadence=0.5,
+            )
+        traj = simulate(cfg)
+        its = traj.solver_iterations
+        assert len(its) == len(traj.dt_history) > 0
+        assert all(isinstance(n, int) for n in its)
+        # 1-D solves are direct; every 2-D step iterates for u and for v.
+        assert all(n == 0 for n in its) if dim == 1 else all(n >= 2 for n in its)
+
     def test_motility_evaluated_once_per_step(self, monkeypatch):
         # The face data that chooses dt is the face data the step uses.
         calls = []
@@ -534,8 +709,8 @@ class TestSimulate:
         assert len(calls) == len(traj.dt_history) > 0
 
     def test_back_to_back_2d_runs_match_runs_alone(self):
-        # Each run owns its operators and factors, so a run on another mask
-        # in between changes nothing.
+        # Each run owns its stepper, so a run on another mask in between
+        # changes nothing.
         def run(disk):
             return simulate(
                 SimConfig(
@@ -625,6 +800,24 @@ class TestSerialization:
         assert np.array_equal(g.u, f.u)
         assert np.array_equal(g.v, f.v)
         assert g.ny == f.ny and g.extents == f.extents
+
+    def test_2d_dirichlet_roundtrip(self, tmp_path):
+        bc = {"left": Dirichlet(0.1 + 1e-17, 1.0 / 3.0), "top": Dirichlet(0.0, 0.25)}
+        f = make_field(2, ((0.0, 1.0), (0.0, 2.0)), 0.25, u0=0.5, v0=0.5, bc=bc)
+        base = tmp_path / "snap2d"
+        save_field(f, str(base))
+        g = load_field(str(base))
+        assert g.bc == f.bc
+        assert isinstance(g.bc["right"], Neumann)
+
+        # Headers written without boundary conditions load as zero-flux.
+        jpath = base.with_suffix(".json")
+        header = json.loads(jpath.read_text())
+        del header["bc"]
+        jpath.write_text(json.dumps(header))
+        old = load_field(str(base))
+        assert all(isinstance(c, Neumann) for c in old.bc.values())
+        assert sorted(old.bc) == ["bottom", "left", "right", "top"]
 
 
 # ---------------------------------------------------------------------------
