@@ -14,7 +14,12 @@ passing report certifies every admissible source at once, not one sample.
 
 The plateau height delta is found by adaptive halving: each candidate fixes
 the junction x_delta (rightmost root of the matching equation, found by
-bisection) and all margins are re-evaluated on a dense grid around it.
+bisection) and all margins are re-evaluated on a dense grid around it.  The
+halving range, the grid size and the two slacks are module constants.
+
+Every check is a ``CheckRecord`` built from per-point margins by one rule:
+the worst point is kept and the check passes iff margin > -slack, so a NaN
+margin fails.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ __all__ = [
 ]
 
 _MATCHING_TOL = 1e-10
+# plateau heights tried by halving, from the start down to the floor
+_DELTA_START = 1e-2
+_DELTA_FLOOR = 1e-18
+# points of the margin grid around the junction and of the chemical solve
+_GRID_POINTS = 40_000
+# slack of the analytic sign checks and relative slack of the V envelopes
+_MARGIN_SLACK = 1e-12
+_V_REL_SLACK = 1e-5
 
 
 @dataclass(frozen=True)
@@ -92,14 +105,36 @@ class VSolution:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One sign check: pass iff margin > -slack (margin counts into the
-    required side; location is the grid point attaining the worst margin)."""
+    """One sign check: pass iff margin > -slack, so a NaN margin fails
+    (margin counts into the required side; location is the grid point
+    attaining the worst margin)."""
 
     name: str
     margin: float
     location: float
     slack: float
     passed: bool
+
+    @classmethod
+    def worst_of(cls, name: str, margins, locations, slack: float = 0.0) -> CheckRecord:
+        """Keep the worst of per-point margins (scalars count as one point)."""
+        margins = np.atleast_1d(np.asarray(margins, dtype=float))
+        locations = np.atleast_1d(np.asarray(locations, dtype=float))
+        i = int(np.argmin(margins))
+        margin = float(margins[i])
+        return cls(name, margin, float(locations[i]), slack, bool(margin > -slack))
+
+    def to_dict(self) -> dict:
+        def _clean(value: float):
+            return None if math.isnan(value) else value
+
+        return {
+            "name": self.name,
+            "margin": _clean(self.margin),
+            "location": _clean(self.location),
+            "slack": self.slack,
+            "passed": self.passed,
+        }
 
 
 @dataclass(frozen=True)
@@ -123,9 +158,6 @@ class CertificateReport:
     checks: tuple[CheckRecord, ...]
 
     def to_dict(self) -> dict:
-        def _clean(value: float):
-            return None if math.isnan(value) else value
-
         return {
             "a": self.a,
             "b": self.b,
@@ -141,42 +173,8 @@ class CertificateReport:
             "grid_hi": self.grid_hi,
             "grid_points": self.grid_points,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": ch.name,
-                    "margin": ch.margin,
-                    "location": _clean(ch.location),
-                    "slack": ch.slack,
-                    "passed": ch.passed,
-                }
-                for ch in self.checks
-            ],
+            "checks": [ch.to_dict() for ch in self.checks],
         }
-
-    def to_text(self) -> str:
-        lines = [
-            f"a={self.a!r}",
-            f"b={self.b!r}",
-            f"m={self.m!r}",
-            f"c={self.c!r}",
-            f"n={self.n}",
-            f"d_n={self.d_n!r}",
-            f"d0={self.d0!r}",
-            f"delta={self.delta!r}",
-            f"x_delta={self.x_delta!r}",
-            f"sign_changes={self.sign_changes}",
-            f"grid_lo={self.grid_lo!r}",
-            f"grid_hi={self.grid_hi!r}",
-            f"grid_points={self.grid_points}",
-            f"passed={str(self.passed).lower()}",
-        ]
-        for ch in self.checks:
-            prefix = f"check.{ch.name}"
-            lines.append(f"{prefix}.margin={ch.margin!r}")
-            lines.append(f"{prefix}.location={ch.location!r}")
-            lines.append(f"{prefix}.slack={ch.slack!r}")
-            lines.append(f"{prefix}.passed={str(ch.passed).lower()}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +352,15 @@ def _analytic_checks(
     delta: float,
     x_delta: float,
     grid: np.ndarray,
-    slack: float,
 ) -> list[CheckRecord]:
     a, b, m, c, lam, eta = ctx.a, ctx.b, ctx.m, ctx.c, ctx.lam, ctx.eta
     sqa = math.sqrt(a)
     r1a = math.sqrt(1.0 + a)
+    slack = _MARGIN_SLACK
     checks: list[CheckRecord] = []
 
     def record(name, margins, locations, use_slack):
-        margins = np.atleast_1d(np.asarray(margins, dtype=float))
-        locations = np.atleast_1d(np.asarray(locations, dtype=float))
-        i = int(np.argmin(margins))
-        margin = float(margins[i])
-        checks.append(
-            CheckRecord(
-                name=name,
-                margin=margin,
-                location=float(locations[i]),
-                slack=use_slack,
-                passed=bool(margin > -use_slack),
-            )
-        )
+        checks.append(CheckRecord.worst_of(name, margins, locations, use_slack))
 
     # L at the flat branch of the super-solution: the worst-case chain
     # collapses to the defining quadratic of eta, which vanishes identically.
@@ -469,67 +455,38 @@ def _analytic_checks(
     return checks
 
 
-def _v_checks(
-    ctx: WaveContext, grid: np.ndarray, grid_points: int, rel_slack: float
-) -> list[CheckRecord]:
+def _v_checks(ctx: WaveContext, grid: np.ndarray) -> list[CheckRecord]:
     """Envelope checks on the numerically solved chemical field at the
     largest admissible source (monotonicity of the kernel covers the rest)."""
     x_knee = -math.log(ctx.eta) / ctx.lam
     lo = min(float(grid[0]), x_knee - 10.0)
-    vx = np.linspace(lo, float(grid[-1]), grid_points)
+    vx = np.linspace(lo, float(grid[-1]), _GRID_POINTS)
     u = super_solution(ctx, vx)
     sol = solve_v(vx, u, ctx.c, u_left=ctx.eta, tail_amplitude=1.0, tail_rate=ctx.lam)
     v_cap, dv_cap = _caps(ctx, vx)
-    checks = []
     v = sol.values
-    i = int(np.argmin(v))
-    checks.append(
-        CheckRecord("v_positive", float(v[i]), float(vx[i]), 0.0, bool(v[i] > 0.0))
-    )
-    rel_upper = (v_cap - v) / v_cap
-    i = int(np.argmin(rel_upper))
-    checks.append(
-        CheckRecord(
-            "v_upper_bound",
-            float(rel_upper[i]),
-            float(vx[i]),
-            rel_slack,
-            bool(rel_upper[i] > -rel_slack),
-        )
-    )
-    rel_dv = (dv_cap - np.abs(sol.dvalues)) / dv_cap
-    i = int(np.argmin(rel_dv))
-    checks.append(
-        CheckRecord(
-            "dv_bound",
-            float(rel_dv[i]),
-            float(vx[i]),
-            rel_slack,
-            bool(rel_dv[i] > -rel_slack),
-        )
-    )
-    return checks
+    return [
+        CheckRecord.worst_of("v_positive", v, vx),
+        CheckRecord.worst_of("v_upper_bound", (v_cap - v) / v_cap, vx, _V_REL_SLACK),
+        CheckRecord.worst_of(
+            "dv_bound", (dv_cap - np.abs(sol.dvalues)) / dv_cap, vx, _V_REL_SLACK
+        ),
+    ]
 
 
 def certify_pair(
     params: ModelParams,
     c: float,
     n: int = 2,
-    *,
-    delta_start: float = 1e-2,
-    delta_floor: float = 1e-18,
-    grid_points: int = 40_000,
-    margin_slack: float = 1e-12,
-    v_rel_slack: float = 1e-5,
 ) -> CertificateReport:
     """Certify min{e^{-lambda x}, eta} and the glued plateau/tail pair as
     super- and sub-solutions of L over the whole sandwich class.
 
-    The plateau height is halved from delta_start until every sign check
+    The plateau height is halved from _DELTA_START until every sign check
     passes; each candidate re-locates the junction and re-evaluates all
     margins.  Raises WindowViolation outside b >= b_threshold or c outside
     [2 sqrt(a), c_max]; raises CertificateFailed (naming the first failing
-    check) if no plateau height above delta_floor works.
+    check) if no plateau height above _DELTA_FLOOR works.
     """
     if n < 2:
         raise ValueError("sub-solution index n must be at least 2")
@@ -543,9 +500,9 @@ def certify_pair(
     d_n = 1.0 - 1.0 / n
     d0 = 1.0 if ctx.is_critical else -1.0
 
-    delta = delta_start
+    delta = _DELTA_START
     last_fail: tuple[str, float] | None = None
-    while delta >= delta_floor:
+    while delta >= _DELTA_FLOOR:
         try:
             x_delta, crossings = locate_junction(tb, d_n, d0, delta)
         except CertificateFailed:
@@ -554,16 +511,14 @@ def certify_pair(
             continue
         lo = x_delta - 20.0 / ctx.lam
         hi = x_delta + 200.0 / ctx.lam
-        grid = np.linspace(lo, hi, grid_points)
-        checks = _analytic_checks(
-            ctx, tb, n, d_n, d0, delta, x_delta, grid, margin_slack
-        )
+        grid = np.linspace(lo, hi, _GRID_POINTS)
+        checks = _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
         failing = [ch for ch in checks if not ch.passed]
         if failing:
             last_fail = (failing[0].name, delta)
             delta *= 0.5
             continue
-        checks = checks + _v_checks(ctx, grid, grid_points, v_rel_slack)
+        checks = checks + _v_checks(ctx, grid)
         failing = [ch for ch in checks if not ch.passed]
         if failing:
             # the chemical-field envelopes do not depend on the plateau
@@ -587,14 +542,14 @@ def certify_pair(
             sign_changes=crossings,
             grid_lo=lo,
             grid_hi=hi,
-            grid_points=grid_points,
+            grid_points=_GRID_POINTS,
             passed=True,
             checks=tuple(checks),
         )
     name = last_fail[0] if last_fail else "junction_matching"
-    bad_delta = last_fail[1] if last_fail else delta_start
+    bad_delta = last_fail[1] if last_fail else _DELTA_START
     raise CertificateFailed(
-        f"no plateau height in [{delta_floor!r}, {delta_start!r}] passes; "
+        f"no plateau height in [{_DELTA_FLOOR!r}, {_DELTA_START!r}] passes; "
         f"first failing check {name!r} at delta={bad_delta!r}",
         failing_check=name,
         delta=bad_delta,

@@ -306,6 +306,22 @@ def _build_motility(cfg: dict):
     )
 
 
+def _model_params(resolved: dict) -> ModelParams:
+    """The model of a resolved config, with malformed values as usage errors.
+
+    Also rejects a non-positive grid step ``h`` for the commands that take one.
+    """
+    h = resolved.get("h")
+    if h is not None and not h > 0.0:
+        raise ConfigError(f"key 'h': expected a positive step, got {h!r}")
+    try:
+        return ModelParams(
+            a=resolved["a"], b=resolved["b"], motility=_build_motility(resolved)
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _parse_bc(key: str, raw: str):
     if raw == "neumann":
         return Neumann()
@@ -381,9 +397,9 @@ def _maybe(value) -> float | None:
 
 def cmd_analyze(resolved: dict, out_dir: Path) -> int:
     started = _now()
+    params = _model_params(resolved)
     a, b, m = resolved["a"], resolved["b"], resolved["m"]
     c = resolved["c"] if resolved["c"] is not None else 2.0 * math.sqrt(a)
-    params = ModelParams(a=a, b=b, motility=PowerMotility(m=m))
 
     bs = b_star(m, a)
     cs = c_star(a, b, m)
@@ -449,10 +465,7 @@ def cmd_analyze(resolved: dict, out_dir: Path) -> int:
 
 def cmd_certify(resolved: dict, out_dir: Path) -> int:
     started = _now()
-    params = ModelParams(
-        a=resolved["a"], b=resolved["b"], motility=PowerMotility(m=resolved["m"])
-    )
-    report = certify_pair(params, resolved["c"], resolved["n"])
+    report = certify_pair(_model_params(resolved), resolved["c"], resolved["n"])
     _write_json(out_dir / "certificate.json", report.to_dict())
     worst = min(report.checks, key=lambda ch: ch.margin)
     metrics = {
@@ -470,16 +483,8 @@ def cmd_certify(resolved: dict, out_dir: Path) -> int:
 
 def cmd_wave(resolved: dict, out_dir: Path) -> int:
     started = _now()
-    a, b, m, c = resolved["a"], resolved["b"], resolved["m"], resolved["c"]
-    params = ModelParams(a=a, b=b, motility=PowerMotility(m=m))
-    ctx = speed_window(params, c)
-    if not ctx.in_window:
-        raise WindowViolation(
-            f"refused before solving: c={c!r} with b={b!r} is outside the "
-            f"admissible window (need b >= {b_star(m, a)!r} and "
-            f"c in [{ctx.c_min!r}, {ctx.c_max!r}])"
-        )
-    profile = traveling_wave(params, c, h=resolved["h"])
+    params = _model_params(resolved)
+    profile = traveling_wave(params, resolved["c"], h=resolved["h"])
     verification = verify_profile(profile, params)
     profile.write_csv(out_dir / "wave.csv")
     payload = profile.to_dict()
@@ -502,9 +507,7 @@ def cmd_wave(resolved: dict, out_dir: Path) -> int:
 
 
 def _sim_config(resolved: dict) -> SimConfig:
-    params = ModelParams(
-        a=resolved["a"], b=resolved["b"], motility=_build_motility(resolved)
-    )
+    params = _model_params(resolved)
     dim = resolved["dim"]
     if dim == 2:
         if resolved["y_min"] is None or resolved["y_max"] is None:
@@ -624,9 +627,9 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> int:
 
 def run_scan_row(resolved: dict, lam0: float) -> dict:
     """Run one decay-rate row of the front-speed scan and return its record."""
-    a, b = resolved["a"], resolved["b"]
-    motility = _build_motility(resolved)
-    gamma0 = float(np.asarray(motility_eval(motility, 0.0)[0]))
+    params = _model_params(resolved)
+    a, b = params.a, params.b
+    gamma0 = float(np.asarray(motility_eval(params.motility, 0.0)[0]))
     c_pred = leading_edge_speed(lam0, a, gamma0, threshold=resolved["threshold"])
     x0, h, t_end = resolved["x0"], resolved["h"], resolved["t_end"]
     length = 10.0 * math.ceil((x0 + 1.25 * c_pred * t_end + 10.0) / 10.0)
@@ -636,7 +639,7 @@ def run_scan_row(resolved: dict, lam0: float) -> dict:
     record = {"lambda0": lam0, "c_pred": c_pred}
     try:
         config = SimConfig(
-            params=ModelParams(a=a, b=b, motility=motility),
+            params=params,
             dim=1,
             extents=((0.0, length),),
             h=h,
@@ -663,6 +666,10 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> int:
     if resolved["threshold"] not in ("literal", "minimizer"):
         raise ConfigError(
             f"key 'threshold': expected literal|minimizer, got {resolved['threshold']!r}"
+        )
+    if not all(lam0 > 0.0 for lam0 in resolved["lambda0"]):
+        raise ConfigError(
+            f"key 'lambda0': expected positive rates, got {resolved['lambda0']}"
         )
     records = [run_scan_row(resolved, lam0) for lam0 in resolved["lambda0"]]
 

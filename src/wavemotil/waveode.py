@@ -23,7 +23,16 @@ The profile is built exactly the way its existence is certified:
    corridor at every stage.
 
 ``verify_profile`` re-checks a finished profile against the original
-wave system with independent finite differences.
+wave system with independent finite differences.  Each of its checks
+follows the ``CheckRecord`` rule (pass iff margin > -slack, so a NaN margin
+fails), except the two plateau checks, which are informational passes when
+the invasion index is at least one.
+
+Each relaxation march factors its implicit tridiagonal matrix once with
+LAPACK ``dgttrf`` and takes every step as one ``dgttrs`` solve.  The
+checkpoint length, the settling tolerance and time cap of the profile map,
+the Picard tolerance and cap, and the verification tolerances are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -32,12 +41,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .analysis import WaveContext, kappa, speed_window
-from .certificates import CheckRecord, certify_pair, residual_l, solve_v, super_solution
-from .errors import BlowUp, NoConvergence, NonMonotone, PicardStalled
+from .certificates import (
+    CheckRecord,
+    VSolution,
+    certify_pair,
+    residual_l,
+    solve_v,
+    super_solution,
+)
+from .errors import BlowUp, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
 from .model import ModelParams, PowerMotility, motility_eval
 
 __all__ = [
@@ -53,6 +68,30 @@ __all__ = [
 
 _CORRIDOR_FLOOR = -1e-12
 _VISIBLE_TAIL = 1e-12
+# artificial time between two relaxation snapshots, and the rise a snapshot
+# may show over its predecessor before the march counts as non-monotone
+_CHECKPOINT_DT = 1.0
+_MONOTONE_SLACK = 1e-9
+# The profile map stops relaxing once the sup-norm change per checkpoint is
+# below _TOL_LIMIT, and gives up at _T_MAX.  At the minimal speed the
+# truncated domain supports a spurious slowly-varying mode in the weighted
+# tail amplitude U e^{lam z}: the exact steady state of the truncated
+# problem ramps that amplitude linearly toward the pinned right boundary
+# instead of holding the infinite-domain limit 1.  The artifact only
+# develops on the long diffusive timescale of the domain, so this tolerance
+# stops the march after the front has equilibrated but before the ramp
+# forms, which is the more faithful answer; a tolerance below ~1e-7 trades
+# front accuracy for tail-amplitude contamination.
+_TOL_LIMIT = 1e-6
+_T_MAX = 1e4
+# the Picard iteration of the profile map stops at this sup-norm change
+_PICARD_TOL = 1e-6
+_PICARD_MAX = 200
+# verify_profile: residual bound, relative error of the plateau and tail
+# limits, and the largest slope allowed at either end
+_RESIDUAL_TOL = 1e-4
+_LIMIT_RTOL = 0.02
+_SLOPE_TOL = 1e-4
 
 
 def default_wave_grid(params: ModelParams, c: float, h: float = 0.05) -> np.ndarray:
@@ -100,17 +139,11 @@ class _FrozenField:
     structurally monotone — while the quadratic saturation term stays
     explicit.  The resting state solves the centered-difference wave
     equation regardless of the step size, so the step only controls how
-    fast the march settles.
+    fast the march settles.  The matrix is factored once per march.
     """
 
     def __init__(
-        self,
-        u,
-        params: ModelParams,
-        c: float,
-        grid,
-        checkpoint_dt: float,
-        u_left_bc: float | None = None,
+        self, u, params: ModelParams, c: float, grid, u_left_bc: float | None = None
     ):
         u = np.asarray(u, dtype=float)
         grid = np.asarray(grid, dtype=float)
@@ -119,14 +152,7 @@ class _FrozenField:
         ctx = speed_window(params, c)
         h = float(grid[1] - grid[0])
         lam = ctx.lam
-        vsol = solve_v(
-            grid,
-            u,
-            c,
-            u_left=float(u[0]),
-            tail_amplitude=float(u[-1] * math.exp(lam * grid[-1])),
-            tail_rate=lam,
-        )
+        vsol = _chemical_field(grid, u, c, lam)
         V = vsol.values
         Vp = vsol.dvalues
         g, gp, gpp = motility_eval(params.motility, V)
@@ -134,16 +160,14 @@ class _FrozenField:
         a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
         a3 = ((gp + params.b) / g)[1:-1]
 
-        steps = max(1, math.ceil(checkpoint_dt / 0.25))
-        dt = checkpoint_dt / steps
+        steps = max(1, math.ceil(_CHECKPOINT_DT / 0.25))
+        dt = _CHECKPOINT_DT / steps
         lower = 1.0 / h**2 - a1 / (2.0 * h)
         upper = 1.0 / h**2 + a1 / (2.0 * h)
         main = -2.0 / h**2 + a2
-        matrix = diags(
-            [-dt * lower[1:], 1.0 - dt * main, -dt * upper[:-1]],
-            offsets=(-1, 0, 1),
-            format="csc",
-        )
+        *factor, info = dgttrf(-dt * lower[1:], 1.0 - dt * main, -dt * upper[:-1])
+        if info != 0:
+            raise NonFiniteState(f"frozen-field factorization failed (LAPACK info {info})")
         self.ctx = ctx
         self.vsol = vsol
         self.grid = grid
@@ -151,7 +175,7 @@ class _FrozenField:
         self.dt = dt
         self.steps_per_checkpoint = steps
         self.a3 = a3
-        self.factor = splu(matrix)
+        self.factor = factor
         self.u_left = (
             _plateau_value(params, float(V[0])) if u_left_bc is None else u_left_bc
         )
@@ -173,7 +197,9 @@ class _FrozenField:
             new = np.empty_like(U)
             new[0] = self.u_left
             new[-1] = self.u_right
-            new[1:-1] = self.factor.solve(rhs)
+            new[1:-1], info = dgttrs(*self.factor, rhs)
+            if info != 0:
+                raise NonFiniteState(f"frozen-field solve failed (LAPACK info {info})")
             U = new
         return U
 
@@ -202,6 +228,39 @@ def _plateau_value(params: ModelParams, v_left: float) -> float:
     return (params.a + gp * v_left) / den
 
 
+def _chemical_field(grid, u, c: float, lam: float) -> VSolution:
+    """V of the density u, extended by its left value and by the tail
+    u[-1] e^{-lam (z - z_end)} beyond the right end."""
+    return solve_v(
+        grid,
+        u,
+        c,
+        u_left=float(u[0]),
+        tail_amplitude=float(u[-1] * math.exp(lam * grid[-1])),
+        tail_rate=lam,
+    )
+
+
+def _march(field: _FrozenField, state: np.ndarray, t_end: float):
+    """Relax ``state`` checkpoint by checkpoint up to ``t_end``.
+
+    Yields each new snapshot with its rise over the previous one.  Raises
+    ``BlowUp`` if a state leaves [0, 2 eta] and ``NonMonotone`` if a
+    snapshot rises above its predecessor by more than _MONOTONE_SLACK.
+    """
+    field.corridor_check(state)
+    for k in range(1, max(1, math.ceil(t_end / _CHECKPOINT_DT - 1e-12)) + 1):
+        new = field.advance_checkpoint(state)
+        field.corridor_check(new)
+        rise = float(np.max(new - state))
+        if rise > _MONOTONE_SLACK:
+            raise NonMonotone(
+                f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
+            )
+        yield new, rise
+        state = new
+
+
 def solve_auxiliary(
     u,
     params: ModelParams,
@@ -210,49 +269,36 @@ def solve_auxiliary(
     grid,
     *,
     initial=None,
-    checkpoint_dt: float = 1.0,
-    monotone_slack: float = 1e-9,
     u_left_bc: float | None = None,
 ) -> AuxiliaryRun:
     """Relax the density in the chemical field of ``u`` for a fixed horizon.
 
     The field V(z; u) is frozen, the state starts at the certified upper
     envelope (or at ``initial``), and snapshots are recorded every
-    ``checkpoint_dt`` time units.  The left boundary is pinned at
-    ``u_left_bc`` when given, otherwise at the flat-state density
-    consistent with the frozen chemical level there.  Raises ``BlowUp``
-    if the state leaves [0, 2 eta] and ``NonMonotone`` if a snapshot
-    rises above its predecessor by more than ``monotone_slack``.
+    checkpoint (one unit of artificial time).  The left boundary is
+    pinned at ``u_left_bc`` when given, otherwise at the flat-state
+    density consistent with the frozen chemical level there.  Raises
+    ``BlowUp`` if the state leaves [0, 2 eta] and ``NonMonotone`` if a
+    snapshot rises above its predecessor by more than the monotone slack.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    field = _FrozenField(u, params, c, grid, checkpoint_dt, u_left_bc)
+    field = _FrozenField(u, params, c, grid, u_left_bc)
     state = (
         field.initial_state()
         if initial is None
         else np.array(initial, dtype=float, copy=True)
     )
-    field.corridor_check(state)
-    n_checkpoints = max(1, math.ceil(t_end / checkpoint_dt - 1e-12))
-    times = [0.0]
-    snapshots = [state.copy()]
+    snapshots = [state]
     worst = 0.0
-    for k in range(1, n_checkpoints + 1):
-        state = field.advance_checkpoint(state)
-        field.corridor_check(state)
-        rise = float(np.max(state - snapshots[-1]))
+    for state, rise in _march(field, state, t_end):
         worst = max(worst, rise)
-        if rise > monotone_slack:
-            raise NonMonotone(
-                f"snapshot at t={k * checkpoint_dt:g} rose by {rise:.3e}"
-            )
-        times.append(k * checkpoint_dt)
-        snapshots.append(state.copy())
+        snapshots.append(state)
     final_increment = float(np.max(np.abs(snapshots[-1] - snapshots[-2])))
     return AuxiliaryRun(
-        times=np.asarray(times),
+        times=_CHECKPOINT_DT * np.arange(len(snapshots)),
         snapshots=np.asarray(snapshots),
-        monotone=worst <= monotone_slack,
+        monotone=worst <= _MONOTONE_SLACK,
         max_monotone_violation=worst,
         final_increment=final_increment,
     )
@@ -264,47 +310,25 @@ def u_map(
     c: float,
     grid,
     *,
-    tol_limit: float = 1e-6,
-    t_max: float = 1e4,
-    checkpoint_dt: float = 1.0,
-    monotone_slack: float = 1e-9,
     u_left_bc: float | None = None,
 ) -> np.ndarray:
     """One application of the profile map: relax in the field of ``u`` to rest.
 
     Marches the frozen-field relaxation from the upper envelope until the
-    sup-norm change per checkpoint drops below ``tol_limit``; raises
-    ``NoConvergence`` if that does not happen by ``t_max``.
-
-    At the minimal speed the truncated domain supports a spurious
-    slowly-varying mode in the weighted tail amplitude U e^{lam z}: the
-    exact steady state of the truncated problem ramps that amplitude
-    linearly toward the pinned right boundary instead of holding the
-    infinite-domain limit 1.  The artifact only develops on the long
-    diffusive timescale of the domain, so the default tolerance stops the
-    march after the front has equilibrated but before the ramp forms,
-    which is the more faithful answer; tightening ``tol_limit`` below
-    ~1e-7 trades front accuracy for tail-amplitude contamination.
+    sup-norm change per checkpoint drops below the settling tolerance
+    (see _TOL_LIMIT for why it is not tighter); raises ``NoConvergence``
+    if that does not happen by the time cap.
     """
-    field = _FrozenField(u, params, c, grid, checkpoint_dt, u_left_bc)
+    field = _FrozenField(u, params, c, grid, u_left_bc)
     state = field.initial_state()
-    field.corridor_check(state)
-    t = 0.0
-    while t < t_max:
-        new = field.advance_checkpoint(state)
-        field.corridor_check(new)
-        t += checkpoint_dt
-        rise = float(np.max(new - state))
-        if rise > monotone_slack:
-            raise NonMonotone(f"relaxation rose by {rise:.3e} at t={t:g}")
+    for new, _ in _march(field, state, _T_MAX):
         increment = float(np.max(np.abs(new - state)))
         state = new
-        if increment < tol_limit:
-            out = state.copy()
-            out.setflags(write=False)
-            return out
+        if increment < _TOL_LIMIT:
+            state.setflags(write=False)
+            return state
     raise NoConvergence(
-        f"relaxation did not settle to {tol_limit:g} within t={t_max:g}"
+        f"relaxation did not settle to {_TOL_LIMIT:g} within t={_T_MAX:g}"
     )
 
 
@@ -405,49 +429,31 @@ def _profile_residuals(grid, U, V, params: ModelParams, c: float):
     return float(np.max(np.abs(res_l))), float(np.max(np.abs(res_v)))
 
 
-def traveling_wave(
-    params: ModelParams,
-    c: float,
-    *,
-    grid=None,
-    h: float = 0.05,
-    picard_tol: float = 1e-6,
-    picard_max: int = 200,
-    tol_limit: float = 1e-6,
-) -> WaveProfile:
+def traveling_wave(params: ModelParams, c: float, *, h: float = 0.05) -> WaveProfile:
     """Construct the wave profile at speed c by iterating the profile map.
 
-    The run starts by certifying the envelope pair for (params, c); the
-    iteration then starts at the upper envelope and applies the profile
-    map until the sup-norm change drops below ``picard_tol``.  Raises
-    ``PicardStalled`` when the changes stop decreasing for five
-    consecutive iterations and ``NoConvergence`` when ``picard_max`` is
-    exhausted.
+    The run starts by certifying the envelope pair for (params, c), which
+    raises ``WindowViolation`` outside the admissible window; the iteration
+    then starts at the upper envelope of ``default_wave_grid(params, c, h)``
+    and applies the profile map until the sup-norm change drops below
+    _PICARD_TOL.  Raises ``PicardStalled`` when the changes stop decreasing
+    for five consecutive iterations and ``NoConvergence`` after
+    _PICARD_MAX iterations.
     """
     certify_pair(params, c)
     ctx = speed_window(params, c)
-    if grid is None:
-        grid = default_wave_grid(params, c, h)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = default_wave_grid(params, c, h)
     u = np.asarray(super_solution(ctx, grid), dtype=float)
     changes: list[float] = []
     converged = False
-    for k in range(picard_max):
+    for k in range(_PICARD_MAX):
         # the first sweep pins the left end at the envelope plateau eta;
         # later sweeps use the self-consistent flat-state value
-        u_new = u_map(
-            u,
-            params,
-            c,
-            grid,
-            tol_limit=tol_limit,
-            u_left_bc=ctx.eta if k == 0 else None,
-        )
+        u_new = u_map(u, params, c, grid, u_left_bc=ctx.eta if k == 0 else None)
         change = float(np.max(np.abs(u_new - u)))
         changes.append(change)
         u = np.asarray(u_new, dtype=float)
-        if change < picard_tol:
+        if change < _PICARD_TOL:
             converged = True
             break
         if len(changes) >= 6 and all(
@@ -458,18 +464,11 @@ def traveling_wave(
             )
     if not converged:
         raise NoConvergence(
-            f"profile map did not reach {picard_tol:g} in {picard_max} iterations"
+            f"profile map did not reach {_PICARD_TOL:g} in {_PICARD_MAX} iterations"
         )
 
     lam = ctx.lam
-    vsol = solve_v(
-        grid,
-        u,
-        c,
-        u_left=float(u[0]),
-        tail_amplitude=float(u[-1] * math.exp(lam * grid[-1])),
-        tail_rate=lam,
-    )
+    vsol = _chemical_field(grid, u, c, lam)
     V = vsol.values
     res_l, res_v = _profile_residuals(grid, u, V, params, c)
     return WaveProfile(
@@ -499,33 +498,14 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": ch.name,
-                    "margin": None if math.isnan(ch.margin) else ch.margin,
-                    "location": None if math.isnan(ch.location) else ch.location,
-                    "slack": ch.slack,
-                    "passed": ch.passed,
-                }
-                for ch in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [ch.to_dict() for ch in self.checks]}
 
 
 def _slope(grid, values) -> float:
     return float(np.polyfit(grid, values, 1)[0])
 
 
-def verify_profile(
-    profile: WaveProfile,
-    params: ModelParams,
-    *,
-    residual_tol: float = 1e-4,
-    limit_rtol: float = 0.02,
-    slope_tol: float = 1e-4,
-) -> VerificationReport:
+def verify_profile(profile: WaveProfile, params: ModelParams) -> VerificationReport:
     """Re-check a profile against the original wave system.
 
     All quantities are recomputed from the stored arrays with independent
@@ -533,16 +513,17 @@ def verify_profile(
     U (a - b U) and V'' + c V' + U - V, plateau limits, tail ratios, end
     flatness, and positivity.  The plateau target a/b applies when the
     invasion index of the power family is below one; otherwise the
-    plateau checks are recorded as informational passes.
+    plateau checks are recorded as informational passes.  Every other
+    check passes iff its margin exceeds minus its slack, so a NaN margin
+    (say, a tail with no visible values) fails.
     """
     grid, U, V = profile.grid, profile.U, profile.V
     c, lam = profile.c, profile.lam
     h = float(grid[1] - grid[0])
     checks: list[CheckRecord] = []
 
-    def record(name, margin, location, slack=0.0):
-        passed = bool(margin > -slack) if not math.isnan(margin) else True
-        checks.append(CheckRecord(name, margin, location, slack, passed))
+    def record(name, margins, locations):
+        checks.append(CheckRecord.worst_of(name, margins, locations))
 
     g = motility_eval(params.motility, V)[0]
     W = g * U
@@ -550,22 +531,12 @@ def verify_profile(
     up = (U[2:] - U[:-2]) / (2.0 * h)
     ui = U[1:-1]
     res_u = wpp + c * up + ui * (params.a - params.b * ui)
-    i_worst = int(np.argmax(np.abs(res_u)))
-    record(
-        "residual_u_equation",
-        residual_tol - float(np.abs(res_u[i_worst])),
-        float(grid[1 + i_worst]),
-    )
+    record("residual_u_equation", _RESIDUAL_TOL - np.abs(res_u), grid[1:-1])
 
     vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
     vp = (V[2:] - V[:-2]) / (2.0 * h)
     res_v = vpp + c * vp + ui - V[1:-1]
-    i_worst = int(np.argmax(np.abs(res_v)))
-    record(
-        "residual_v_equation",
-        residual_tol - float(np.abs(res_v[i_worst])),
-        float(grid[1 + i_worst]),
-    )
+    record("residual_v_equation", _RESIDUAL_TOL - np.abs(res_v), grid[1:-1])
 
     enforce_plateau = isinstance(params.motility, PowerMotility) and (
         kappa(params.motility.m, params.a) < 1.0
@@ -573,23 +544,15 @@ def verify_profile(
     eq = params.equilibrium
     for name, values in (("left_limit_u", U), ("left_limit_v", V)):
         if enforce_plateau:
-            record(
-                name,
-                limit_rtol * eq - abs(_left_mean(values) - eq),
-                float(grid[0]),
-            )
+            record(name, _LIMIT_RTOL * eq - abs(_left_mean(values) - eq), grid[0])
         else:
-            record(name, math.nan, math.nan)
+            checks.append(CheckRecord(name, math.nan, math.nan, 0.0, True))
 
     ratio_u = _fit_tail_ratio(grid, U, lam)
-    record("tail_ratio_u", limit_rtol - abs(ratio_u - 1.0), float(grid[-1]))
+    record("tail_ratio_u", _LIMIT_RTOL - abs(ratio_u - 1.0), grid[-1])
     ratio_v = _fit_tail_ratio(grid, V, lam)
     target_v = 1.0 / (1.0 + params.a)
-    record(
-        "tail_ratio_v",
-        limit_rtol * target_v - abs(ratio_v - target_v),
-        float(grid[-1]),
-    )
+    record("tail_ratio_v", _LIMIT_RTOL * target_v - abs(ratio_v - target_v), grid[-1])
 
     n_end = max(2, grid.size // 10)
     for name, values in (("flat_ends_u", U), ("flat_ends_v", V)):
@@ -597,10 +560,10 @@ def verify_profile(
             abs(_slope(grid[:n_end], values[:n_end])),
             abs(_slope(grid[-n_end:], values[-n_end:])),
         )
-        record(name, slope_tol - worst, float(grid[-1]))
+        record(name, _SLOPE_TOL - worst, grid[-1])
 
     low = min(float(np.min(U)), float(np.min(V)))
-    record("positivity", low, float(grid[int(np.argmin(U))]))
+    record("positivity", low, grid[int(np.argmin(U))])
 
     return VerificationReport(
         checks=tuple(checks), passed=all(ch.passed for ch in checks)

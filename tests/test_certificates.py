@@ -33,6 +33,7 @@ from wavemotil import (
     super_solution,
     theta_bundle,
 )
+from wavemotil import certificates
 from wavemotil.certificates import SubSolutionSpec
 
 A, B, M = 0.1, 60.0, 6.0
@@ -294,11 +295,12 @@ def test_certify_rejects_out_of_window_parameters():
         certify_pair(PARAMS, c_star(A, B, M) + 0.5, n=2)
 
 
-def test_certify_reports_failure_when_plateau_floor_blocks_halving():
+def test_certify_reports_failure_when_plateau_floor_blocks_halving(monkeypatch):
     # at the minimal speed the junction must sit far out (x_delta ~ 1e2), so
     # freezing the plateau height at its starting value cannot succeed
+    monkeypatch.setattr(certificates, "_DELTA_FLOOR", 1e-2)
     with pytest.raises(CertificateFailed) as err:
-        certify_pair(PARAMS, C_MIN, n=2, delta_floor=1e-2)
+        certify_pair(PARAMS, C_MIN, n=2)
     assert err.value.failing_check != ""
 
 
@@ -308,10 +310,6 @@ def test_certificate_report_serializes():
     json.dumps(data)  # round-trippable
     assert data["passed"] is True
     assert data["c"] == pytest.approx(_mid_speed())
-    text = report.to_text()
-    assert "passed=true" in text.lower().replace(" ", "")
-    for check in report.checks:
-        assert check.name in text
 
 
 def test_certificate_junction_matching_is_tight():

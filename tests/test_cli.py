@@ -276,7 +276,36 @@ class TestSpeedscan:
         capsys.readouterr()
 
 
+_SIM_SHORT = (
+    "m=6\na=0.1\nb=0.1\nx_min=0\nx_max=10\nh=0.1\nic=front\n"
+    "ic_steepness=2\nic_offset=3\nt_end=1\ncadence=1\n"
+)
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("analyze", "a=-0.1\nb=60\nm=6\n"),
+            ("certify", "a=-0.1\nb=60\nm=6\nc=0.7\n"),
+            ("simulate", _SIM_SHORT.replace("a=0.1", "a=-0.1")),
+            ("analyze", "a=0.1\nb=60\nm=-6\n"),
+            ("simulate", _SIM_SHORT.replace("m=6", "motility=sigmoid\neps=-1\nv0=1")),
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.7\nh=0\n"),
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.7\nh=-0.05\n"),
+            ("speedscan", _SCAN_CFG.replace("lambda0=0.5", "lambda0=-1")),
+            ("speedscan", _SCAN_CFG + "h=0\n"),
+        ],
+        ids=[
+            "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
+            "wave-h0", "wave-hneg", "speedscan-lambda0", "speedscan-h0",
+        ],
+    )
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, command, text):
+        cfg = _write(tmp_path, "bad.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 64
+        assert "usage error" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 64
         capsys.readouterr()

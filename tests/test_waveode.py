@@ -20,6 +20,8 @@ import pytest
 from wavemotil import (
     BlowUp,
     ModelParams,
+    NoConvergence,
+    NonMonotone,
     PowerMotility,
     SpeedBelowMinimal,
     default_wave_grid,
@@ -32,6 +34,7 @@ from wavemotil import (
     u_map,
     verify_profile,
 )
+from wavemotil import waveode
 from wavemotil.waveode import WaveProfile, _fit_tail_ratio
 
 A, B, M = 0.1, 60.0, 6.0
@@ -67,6 +70,16 @@ def test_auxiliary_snapshots_decrease_in_time():
     assert run.final_increment < np.max(np.abs(run.snapshots[1] - run.snapshots[0])) + 1e-15
 
 
+def test_auxiliary_raises_when_a_snapshot_rises(monkeypatch):
+    # the pinned right end never moves, so every snapshot rises by at least
+    # zero, which a negative slack rejects at the first checkpoint
+    monkeypatch.setattr(waveode, "_MONOTONE_SLACK", -1.0)
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    with pytest.raises(NonMonotone, match="rose by .* at t=1"):
+        solve_auxiliary(u0, PARAMS, C_MIN, 3.0, grid)
+
+
 def test_auxiliary_rejects_states_outside_the_corridor():
     grid = default_wave_grid(PARAMS, C_MIN)
     ctx = speed_window(PARAMS, C_MIN)
@@ -88,6 +101,22 @@ def test_profile_map_output_stays_in_the_sandwich_and_contracts():
     u2 = u_map(u1, PARAMS, C_MIN, grid)
     change2 = float(np.max(np.abs(u2 - u1)))
     assert change2 < change1
+
+
+def test_profile_map_raises_when_a_snapshot_rises(monkeypatch):
+    monkeypatch.setattr(waveode, "_MONOTONE_SLACK", -1.0)
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    with pytest.raises(NonMonotone, match="rose by .* at t=1"):
+        u_map(u0, PARAMS, C_MIN, grid)
+
+
+def test_profile_map_gives_up_at_its_time_cap(monkeypatch):
+    monkeypatch.setattr(waveode, "_T_MAX", 2.0)
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    with pytest.raises(NoConvergence, match="within t=2"):
+        u_map(u0, PARAMS, C_MIN, grid)
 
 
 def test_profile_map_limit_satisfies_the_frozen_field_equation():
@@ -114,6 +143,12 @@ def test_profile_map_limit_satisfies_the_frozen_field_equation():
 def test_traveling_wave_rejects_subminimal_speed():
     with pytest.raises(SpeedBelowMinimal):
         traveling_wave(PARAMS, 0.5 * C_MIN)
+
+
+def test_traveling_wave_gives_up_at_its_picard_cap(monkeypatch):
+    monkeypatch.setattr(waveode, "_PICARD_MAX", 1)
+    with pytest.raises(NoConvergence, match="in 1 iterations"):
+        traveling_wave(PARAMS, C_MIN, h=0.2)
 
 
 def test_traveling_wave_converges_to_the_advertised_asymptotics(critical_profile):
@@ -180,6 +215,39 @@ def test_verification_flags_a_constant_pair_as_not_a_front():
     assert by_name["residual_u_equation"].passed
     assert by_name["residual_v_equation"].passed
     assert not by_name["tail_ratio_u"].passed
+
+
+def test_verification_fails_a_tail_with_no_visible_values():
+    # A flat pair below the visibility floor leaves no tail to fit: the
+    # ratios are NaN, and a NaN margin must fail.  With kappa >= 1 the
+    # plateau checks are informational, so nothing else flags the pair.
+    params = ModelParams(a=1.0, b=1.0, motility=PowerMotility(4.0))
+    grid = np.linspace(-40.0, 40.0, 1601)
+    n = grid.size
+    prof = WaveProfile(
+        grid=grid,
+        U=np.full(n, 1e-13),
+        V=np.full(n, 1e-13),
+        Uprime=np.zeros(n),
+        Vprime=np.zeros(n),
+        c=2.0,
+        lam=1.0,
+        left_limit_U=1e-13,
+        left_limit_V=1e-13,
+        tail_ratio_U=math.nan,
+        tail_ratio_V=math.nan,
+        ode_residual_l=0.0,
+        ode_residual_v=0.0,
+        picard_iterations=0,
+        picard_change=0.0,
+    )
+    report = verify_profile(prof, params)
+    assert not report.passed
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"tail_ratio_u", "tail_ratio_v"}
+    checks = {c["name"]: c for c in report.to_dict()["checks"]}
+    assert checks["tail_ratio_u"]["margin"] is None
+    assert checks["left_limit_u"]["passed"] is True
 
 
 def test_verification_flags_an_injected_perturbation(critical_profile):
