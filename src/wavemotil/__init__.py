@@ -2,189 +2,20 @@
 system: closed-form wave quantities, super/sub-solution certificates, a
 constructive traveling-wave solver and 1-D/2-D pattern experiments."""
 
-from .errors import (
-    BlowUp,
-    CertificateFailed,
-    ConfigError,
-    EtaUndefined,
-    InsufficientSamples,
-    NegativeDensity,
-    NoConvergence,
-    NoCrossing,
-    NonFiniteState,
-    NonFiniteTail,
-    NonMonotone,
-    NoRing,
-    PicardStalled,
-    SpeedBelowMinimal,
-    StabilityViolation,
-    WavemotilError,
-    WindowTooSmall,
-    WindowViolation,
-)
-from .model import (
-    ExponentialMotility,
-    HypothesisReport,
-    ModelParams,
-    MotilityFamily,
-    PowerMotility,
-    SigmoidMotility,
-    motility_eval,
-    validate_h0,
-)
-from .analysis import (
-    LinearizationReport,
-    ThetaBundle,
-    WaveContext,
-    amplitude_ratio,
-    b_star,
-    c_star,
-    kappa,
-    lambda12,
-    lambda_decay,
-    leading_edge_speed,
-    linearize,
-    oscillation_condition,
-    speed_window,
-    theta_bundle,
-)
-from .certificates import (
-    CertificateReport,
-    CheckRecord,
-    SubSolutionSpec,
-    VSolution,
-    certify_pair,
-    locate_junction,
-    residual_l,
-    solve_v,
-    sub_solution,
-    super_solution,
-)
-from .waveode import (
-    AuxiliaryRun,
-    VerificationReport,
-    WaveProfile,
-    default_wave_grid,
-    solve_auxiliary,
-    traveling_wave,
-    u_map,
-    verify_profile,
-)
-from .frontmetrics import (
-    FrontSeries,
-    ProfileClass,
-    classify_profile,
-    decay_fit,
-    front_position,
-    front_series,
-    ring_metrics,
-    wave_speed,
-)
-from .pde import (
-    ArrayIC,
-    Bump2dIC,
-    CustomIC,
-    Dirichlet,
-    FrontIC,
-    GridField,
-    Neumann,
-    SimConfig,
-    Trajectory,
-    build_initial,
-    load_field,
-    make_field,
-    mass,
-    save_field,
-    simulate,
-    spatial_rhs,
-    step,
-)
+from . import analysis, certificates, errors, frontmetrics, model, pde, waveode
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .analysis import *  # noqa: F403
+from .certificates import *  # noqa: F403
+from .waveode import *  # noqa: F403
+from .frontmetrics import *  # noqa: F403
+from .pde import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, in its module's __all__.
 __all__ = [
-    "WavemotilError",
-    "SpeedBelowMinimal",
-    "EtaUndefined",
-    "WindowViolation",
-    "CertificateFailed",
-    "NonFiniteTail",
-    "BlowUp",
-    "NonMonotone",
-    "NoConvergence",
-    "PicardStalled",
-    "NegativeDensity",
-    "NonFiniteState",
-    "StabilityViolation",
-    "NoCrossing",
-    "InsufficientSamples",
-    "WindowTooSmall",
-    "NoRing",
-    "ConfigError",
-    "ModelParams",
-    "MotilityFamily",
-    "PowerMotility",
-    "ExponentialMotility",
-    "SigmoidMotility",
-    "HypothesisReport",
-    "motility_eval",
-    "validate_h0",
-    "WaveContext",
-    "ThetaBundle",
-    "LinearizationReport",
-    "lambda_decay",
-    "lambda12",
-    "b_star",
-    "c_star",
-    "kappa",
-    "speed_window",
-    "theta_bundle",
-    "linearize",
-    "oscillation_condition",
-    "leading_edge_speed",
-    "amplitude_ratio",
-    "SubSolutionSpec",
-    "VSolution",
-    "CheckRecord",
-    "CertificateReport",
-    "super_solution",
-    "sub_solution",
-    "locate_junction",
-    "solve_v",
-    "residual_l",
-    "certify_pair",
-    "AuxiliaryRun",
-    "WaveProfile",
-    "VerificationReport",
-    "default_wave_grid",
-    "solve_auxiliary",
-    "u_map",
-    "traveling_wave",
-    "verify_profile",
-    "FrontSeries",
-    "ProfileClass",
-    "front_position",
-    "front_series",
-    "wave_speed",
-    "decay_fit",
-    "classify_profile",
-    "ring_metrics",
-    "Neumann",
-    "Dirichlet",
-    "GridField",
-    "FrontIC",
-    "Bump2dIC",
-    "CustomIC",
-    "ArrayIC",
-    "SimConfig",
-    "Trajectory",
-    "make_field",
-    "mass",
-    "build_initial",
-    "spatial_rhs",
-    "step",
-    "simulate",
-    "save_field",
-    "load_field",
-    "__version__",
-]
+    name
+    for module in (errors, model, analysis, certificates, waveode, frontmetrics, pde)
+    for name in module.__all__
+] + ["__version__"]

@@ -37,6 +37,7 @@ __all__ = [
     "c_star",
     "kappa",
     "speed_window",
+    "in_speed_window",
     "theta_bundle",
     "linearize",
     "oscillation_condition",
@@ -159,16 +160,20 @@ def speed_window(params: ModelParams, c: float) -> WaveContext:
     lam = lambda_decay(c, a)
     lam1, lam2 = lambda12(c)
     eta = _eta_smaller_root(a, b, m, c)
-    c_min = 2.0 * math.sqrt(a)
-    c_max = c_star(a, b, m)
-    in_window = (
-        b >= b_star(m, a) * (1.0 - _REL_TOL)
-        and c >= c_min * (1.0 - _REL_TOL)
-        and c <= c_max + _REL_TOL * max(1.0, abs(c_max))
-    )
     return WaveContext(
         c=float(c), a=a, b=b, m=m, lam=lam, lam1=lam1, lam2=lam2,
-        eta=eta, in_window=bool(in_window),
+        eta=eta, in_window=in_speed_window(a, b, m, c),
+    )
+
+
+def in_speed_window(a: float, b: float, m: float, c: float) -> bool:
+    """Whether b >= b_star(m, a) and 2 sqrt(a) <= c <= c_star(a, b, m), each
+    up to a relative rounding tolerance."""
+    c_max = c_star(a, b, m)
+    return bool(
+        b >= b_star(m, a) * (1.0 - _REL_TOL)
+        and c >= 2.0 * math.sqrt(a) * (1.0 - _REL_TOL)
+        and c <= c_max + _REL_TOL * max(1.0, abs(c_max))
     )
 
 

@@ -9,6 +9,12 @@ the package version, timestamps, content hashes of every output file and the
 headline metrics.  Re-running a command with the same resolved config and
 build produces byte-identical data files.
 
+``resolve_config`` checks a config completely, including the keys each
+listed value needs (``motility=sigmoid`` needs ``eps`` and ``v0``), and
+``speedscan`` builds every row before it simulates one, so a malformed value
+fails before any work starts.  Each command returns its exit code, outputs
+and metrics; ``main`` writes the manifest, with non-finite metrics as null.
+
 Exit codes: 0 all requested checks passed; 1 numeric failure (divergence,
 instability, failed verification); 2 certificate or speed-window failure;
 64 malformed config or usage.
@@ -30,6 +36,7 @@ from . import __version__
 from .analysis import (
     b_star,
     c_star,
+    in_speed_window,
     kappa,
     lambda_decay,
     leading_edge_speed,
@@ -132,15 +139,51 @@ def _as_str(key: str, raw: str) -> str:
     return raw
 
 
-def _as_float_list(key: str, raw: str) -> tuple[float, ...]:
+def _bounded(test, expected: str):
+    def convert(key: str, raw: str) -> float:
+        value = _as_float(key, raw)
+        if not test(value):
+            raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}")
+        return value
+
+    return convert
+
+
+_as_positive = _bounded(lambda v: v > 0.0, "a positive number")
+_as_fraction = _bounded(lambda v: 0.0 <= v < 1.0, "a fraction in [0, 1)")
+
+
+def _as_rates(key: str, raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"key {key!r}: expected a comma-separated list of numbers")
-    return tuple(_as_float(key, p) for p in parts)
+    return tuple(_as_positive(key, p) for p in parts)
 
+
+def _one_of(needs: dict, convert=_as_str):
+    """Converter accepting only the keys of ``needs``, which maps each value
+    to the keys a config with that value must set (checked by resolve_config)."""
+
+    def check(key: str, raw: str):
+        value = convert(key, raw)
+        if value not in needs:
+            listed = "|".join(str(choice) for choice in needs)
+            raise ConfigError(f"key {key!r}: expected {listed}, got {raw!r}")
+        return value
+
+    check.needs = needs
+    return check
+
+
+_MOTILITY = {"power": ("m",), "exponential": ("chi",), "sigmoid": ("eps", "v0")}
+_IC = {
+    "front": ("ic_steepness", "ic_offset"),
+    "bump2d": ("ic_base", "ic_amplitude"),
+    "custom": ("ic_path",),
+}
 
 _MOTILITY_KEYS = {
-    "motility": (_as_str, "power"),
+    "motility": (_one_of(_MOTILITY), "power"),
     "m": (_as_float, None),
     "chi": (_as_float, None),
     "eps": (_as_float, None),
@@ -166,19 +209,19 @@ _SCHEMAS: dict[str, dict] = {
         "b": (_as_float, _REQUIRED),
         "m": (_as_float, _REQUIRED),
         "c": (_as_float, _REQUIRED),
-        "h": (_as_float, 0.05),
+        "h": (_as_positive, 0.05),
     },
     "simulate": {
         **_MOTILITY_KEYS,
         "a": (_as_float, _REQUIRED),
         "b": (_as_float, _REQUIRED),
-        "dim": (_as_int, 1),
+        "dim": (_one_of({1: (), 2: ("y_min", "y_max")}, _as_int), 1),
         "x_min": (_as_float, _REQUIRED),
         "x_max": (_as_float, _REQUIRED),
         "y_min": (_as_float, None),
         "y_max": (_as_float, None),
-        "h": (_as_float, _REQUIRED),
-        "ic": (_as_str, _REQUIRED),
+        "h": (_as_positive, _REQUIRED),
+        "ic": (_one_of(_IC), _REQUIRED),
         "ic_steepness": (_as_float, None),
         "ic_offset": (_as_float, None),
         "ic_base": (_as_float, None),
@@ -192,20 +235,20 @@ _SCHEMAS: dict[str, dict] = {
         "cadence": (_as_float, _REQUIRED),
         "dt_max": (_as_float, 0.1),
         "disk_mask": (_as_bool, False),
-        "transient_fraction": (_as_float, 0.2),
+        "transient_fraction": (_as_fraction, 0.2),
     },
     "speedscan": {
         **_MOTILITY_KEYS,
         "a": (_as_float, _REQUIRED),
         "b": (_as_float, _REQUIRED),
-        "lambda0": (_as_float_list, _REQUIRED),
+        "lambda0": (_as_rates, _REQUIRED),
         "x0": (_as_float, 10.0),
-        "h": (_as_float, 0.05),
+        "h": (_as_positive, 0.05),
         "t_end": (_as_float, 60.0),
         "cadence": (_as_float, 2.0),
         "dt_max": (_as_float, 0.02),
-        "transient_fraction": (_as_float, 0.5),
-        "threshold": (_as_str, "literal"),
+        "transient_fraction": (_as_fraction, 0.5),
+        "threshold": (_one_of({"literal": (), "minimizer": ()}), "literal"),
     },
 }
 
@@ -271,7 +314,8 @@ PRESETS: dict[str, dict[str, str]] = {
 
 
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
-    """Validate raw strings against the command schema and convert types."""
+    """Validate raw strings against the command schema and convert types,
+    then check that every key a chosen value needs is set."""
     schema = _SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -284,36 +328,26 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
             raise ConfigError(f"missing required key {key!r}")
         else:
             resolved[key] = default
+    for key, (convert, _) in schema.items():
+        for needed in getattr(convert, "needs", {}).get(resolved[key], ()):
+            if resolved[needed] is None:
+                raise ConfigError(
+                    f"missing required key {needed!r} for {key}={resolved[key]}"
+                )
     return resolved
 
 
 def _build_motility(cfg: dict):
     family = cfg.get("motility", "power")
-    if family == "power":
-        if cfg.get("m") is None:
-            raise ConfigError("missing required key 'm' for the power motility")
-        return PowerMotility(m=cfg["m"])
     if family == "exponential":
-        if cfg.get("chi") is None:
-            raise ConfigError("missing required key 'chi' for the exponential motility")
         return ExponentialMotility(chi=cfg["chi"])
     if family == "sigmoid":
-        if cfg.get("eps") is None or cfg.get("v0") is None:
-            raise ConfigError("sigmoid motility needs keys 'eps' and 'v0'")
         return SigmoidMotility(eps=cfg["eps"], v0=cfg["v0"])
-    raise ConfigError(
-        f"key 'motility': expected power|exponential|sigmoid, got {family!r}"
-    )
+    return PowerMotility(m=cfg["m"])
 
 
 def _model_params(resolved: dict) -> ModelParams:
-    """The model of a resolved config, with malformed values as usage errors.
-
-    Also rejects a non-positive grid step ``h`` for the commands that take one.
-    """
-    h = resolved.get("h")
-    if h is not None and not h > 0.0:
-        raise ConfigError(f"key 'h': expected a positive step, got {h!r}")
+    """The model of a resolved config, with malformed values as usage errors."""
     try:
         return ModelParams(
             a=resolved["a"], b=resolved["b"], motility=_build_motility(resolved)
@@ -379,41 +413,34 @@ def _write_manifest(
         "outputs": [
             {"path": name, "sha256": _sha256(out_dir / name)} for name in outputs
         ],
-        "metrics": metrics,
+        # NaN and infinities are not JSON: every metric writes them as null
+        "metrics": {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in metrics.items()
+        },
     }
     _write_json(out_dir / "run.json", manifest)
-
-
-def _maybe(value) -> float | None:
-    if value is None:
-        return None
-    value = float(value)
-    return None if math.isnan(value) else value
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_analyze(resolved: dict, out_dir: Path) -> int:
-    started = _now()
+def cmd_analyze(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     params = _model_params(resolved)
     a, b, m = resolved["a"], resolved["b"], resolved["m"]
     c = resolved["c"] if resolved["c"] is not None else 2.0 * math.sqrt(a)
 
     bs = b_star(m, a)
-    cs = c_star(a, b, m)
-    c_min = 2.0 * math.sqrt(a)
+    in_window = in_speed_window(a, b, m, c)
     lam = eta = None
     try:
         ctx = speed_window(params, c)
-        lam, eta, in_window = ctx.lam, ctx.eta, ctx.in_window
-    except (SpeedBelowMinimal, EtaUndefined):
-        in_window = b >= bs and c_min <= c <= cs
-        try:
-            lam = lambda_decay(c, a)
-        except SpeedBelowMinimal:
-            lam = None
+        lam, eta = ctx.lam, ctx.eta
+    except SpeedBelowMinimal:
+        pass
+    except EtaUndefined:
+        lam = lambda_decay(c, a)
 
     holds, lhs, rhs = oscillation_condition(params)
 
@@ -433,8 +460,8 @@ def cmd_analyze(resolved: dict, out_dir: Path) -> int:
         "m": m,
         "c": c,
         "b_star": bs,
-        "c_star": cs,
-        "c_min": c_min,
+        "c_star": c_star(a, b, m),
+        "c_min": 2.0 * math.sqrt(a),
         "kappa": kappa(m, a),
         "lambda": lam,
         "eta": eta,
@@ -459,12 +486,10 @@ def cmd_analyze(resolved: dict, out_dir: Path) -> int:
         "oscillation_condition": bool(holds),
         "speed_in_window": bool(in_window),
     }
-    _write_manifest("analyze", resolved, out_dir, ["analysis.json"], metrics, started)
-    return 0
+    return 0, ["analysis.json"], metrics
 
 
-def cmd_certify(resolved: dict, out_dir: Path) -> int:
-    started = _now()
+def cmd_certify(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     report = certify_pair(_model_params(resolved), resolved["c"], resolved["n"])
     _write_json(out_dir / "certificate.json", report.to_dict())
     worst = min(report.checks, key=lambda ch: ch.margin)
@@ -475,14 +500,10 @@ def cmd_certify(resolved: dict, out_dir: Path) -> int:
         "worst_check": worst.name,
         "worst_margin": worst.margin,
     }
-    _write_manifest(
-        "certify", resolved, out_dir, ["certificate.json"], metrics, started
-    )
-    return 0 if report.passed else 2
+    return (0 if report.passed else 2), ["certificate.json"], metrics
 
 
-def cmd_wave(resolved: dict, out_dir: Path) -> int:
-    started = _now()
+def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     params = _model_params(resolved)
     profile = traveling_wave(params, resolved["c"], h=resolved["h"])
     verification = verify_profile(profile, params)
@@ -500,45 +521,25 @@ def cmd_wave(resolved: dict, out_dir: Path) -> int:
         "picard_iterations": profile.picard_iterations,
         "verification_passed": bool(verification.passed),
     }
-    _write_manifest(
-        "wave", resolved, out_dir, ["wave.csv", "wave.json"], metrics, started
-    )
-    return 0 if verification.passed else 1
+    return (0 if verification.passed else 1), ["wave.csv", "wave.json"], metrics
 
 
 def _sim_config(resolved: dict) -> SimConfig:
-    params = _model_params(resolved)
     dim = resolved["dim"]
-    if dim == 2:
-        if resolved["y_min"] is None or resolved["y_max"] is None:
-            raise ConfigError("dim=2 needs keys 'y_min' and 'y_max'")
-        extents = (
-            (resolved["x_min"], resolved["x_max"]),
-            (resolved["y_min"], resolved["y_max"]),
-        )
-    else:
-        extents = ((resolved["x_min"], resolved["x_max"]),)
-
+    extents = tuple(
+        (resolved[f"{axis}_min"], resolved[f"{axis}_max"]) for axis in "xy"[:dim]
+    )
     kind = resolved["ic"]
     if kind == "front":
-        if resolved["ic_steepness"] is None or resolved["ic_offset"] is None:
-            raise ConfigError("ic=front needs keys 'ic_steepness' and 'ic_offset'")
         ic = FrontIC(resolved["ic_steepness"], resolved["ic_offset"])
     elif kind == "bump2d":
-        if resolved["ic_base"] is None or resolved["ic_amplitude"] is None:
-            raise ConfigError("ic=bump2d needs keys 'ic_base' and 'ic_amplitude'")
         ic = Bump2dIC(resolved["ic_base"], resolved["ic_amplitude"])
-    elif kind == "custom":
-        if resolved["ic_path"] is None:
-            raise ConfigError("ic=custom needs key 'ic_path'")
-        ic = CustomIC(resolved["ic_path"])
     else:
-        raise ConfigError(f"key 'ic': expected front|bump2d|custom, got {kind!r}")
-
-    sides = ("left", "right") if dim == 1 else ("left", "right", "bottom", "top")
+        ic = CustomIC(resolved["ic_path"])
+    sides = ("left", "right", "bottom", "top")[: 2 * dim]
     bc = {side: _parse_bc(f"bc_{side}", resolved[f"bc_{side}"]) for side in sides}
     return SimConfig(
-        params=params,
+        params=_model_params(resolved),
         dim=dim,
         extents=extents,
         h=resolved["h"],
@@ -551,8 +552,7 @@ def _sim_config(resolved: dict) -> SimConfig:
     )
 
 
-def cmd_simulate(resolved: dict, out_dir: Path) -> int:
-    started = _now()
+def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     config = _sim_config(resolved)
     traj = simulate(config)
     params = config.params
@@ -564,6 +564,7 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> int:
         outputs.extend(Path(p).name for p in written)
 
     lines = []
+    classification = lambda_est = None
     if config.dim == 1:
         lines.append("time,mass_u,mass_v,front,label,crossing_count,overshoot\n")
         for k, field in enumerate(traj.snapshots):
@@ -576,6 +577,12 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> int:
                 f"{traj.times[k]!r},{traj.mass_u[k]!r},{traj.mass_v[k]!r},"
                 f"{traj.front[k]!r},{label},{ncross},{over}\n"
             )
+        classification = label  # of the final snapshot
+        final = traj.snapshots[-1]
+        try:
+            lambda_est, _ = decay_fit(final.x, final.u)
+        except WavemotilError:
+            pass
     else:
         lines.append("time,mass_u,mass_v,r_inner,r_peak,r_outer\n")
         for k, field in enumerate(traj.snapshots):
@@ -600,59 +607,54 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> int:
         )
     except (InsufficientSamples, WindowTooSmall):
         pass
-    classification = lambda_est = None
-    if config.dim == 1:
-        final = traj.snapshots[-1]
-        try:
-            classification = classify_profile(final.u, params.equilibrium).label
-        except NoCrossing:
-            classification = "NoFront"
-        try:
-            lambda_est, _ = decay_fit(final.x, final.u)
-        except (WindowTooSmall, WavemotilError):
-            lambda_est = None
     metrics = {
-        "c_est": _maybe(c_est),
-        "c_est_stderr": _maybe(stderr),
-        "lambda_est": _maybe(lambda_est),
+        "c_est": c_est,
+        "c_est_stderr": stderr,
+        "lambda_est": lambda_est,
         "classification": classification,
-        "front_final": _maybe(traj.front[-1]),
+        "front_final": traj.front[-1],
         "steps": len(traj.dt_history),
         "solver_iterations": sum(traj.solver_iterations),
         "solver_iterations_step_max": max(traj.solver_iterations, default=0),
     }
-    _write_manifest("simulate", resolved, out_dir, outputs, metrics, started)
-    return 0
+    return 0, outputs, metrics
 
 
-def run_scan_row(resolved: dict, lam0: float) -> dict:
-    """Run one decay-rate row of the front-speed scan and return its record."""
-    params = _model_params(resolved)
+def _scan_row(
+    resolved: dict, params: ModelParams, gamma0: float, lam0: float
+) -> tuple[float, SimConfig]:
+    """The predicted speed and the simulation setup of one decay-rate row."""
     a, b = params.a, params.b
-    gamma0 = float(np.asarray(motility_eval(params.motility, 0.0)[0]))
     c_pred = leading_edge_speed(lam0, a, gamma0, threshold=resolved["threshold"])
     x0, h, t_end = resolved["x0"], resolved["h"], resolved["t_end"]
     length = 10.0 * math.ceil((x0 + 1.25 * c_pred * t_end + 10.0) / 10.0)
     nx = int(round(length / h)) + 1
     x = h * np.arange(nx)
     profile = np.minimum(a / b, np.exp(-lam0 * (x - x0)))
+    config = SimConfig(
+        params=params,
+        dim=1,
+        extents=((0.0, length),),
+        h=h,
+        ic=ArrayIC(profile, profile),
+        t_end=t_end,
+        cadence=resolved["cadence"],
+        dt_max=resolved["dt_max"],
+    )
+    return c_pred, config
+
+
+def run_scan_row(
+    lam0: float, c_pred: float, config: SimConfig, transient_fraction: float
+) -> dict:
+    """Simulate one built row of the front-speed scan and return its record."""
     record = {"lambda0": lam0, "c_pred": c_pred}
     try:
-        config = SimConfig(
-            params=params,
-            dim=1,
-            extents=((0.0, length),),
-            h=h,
-            ic=ArrayIC(profile, profile),
-            t_end=t_end,
-            cadence=resolved["cadence"],
-            dt_max=resolved["dt_max"],
-        )
         traj = simulate(config)
         c_est, _ = wave_speed(
             np.array(traj.times),
             np.array(traj.front),
-            transient_fraction=resolved["transient_fraction"],
+            transient_fraction=transient_fraction,
         )
         record["c_est"] = c_est
         record["rel_err"] = (c_est - c_pred) / c_pred
@@ -661,27 +663,19 @@ def run_scan_row(resolved: dict, lam0: float) -> dict:
     return record
 
 
-def cmd_speedscan(resolved: dict, out_dir: Path) -> int:
-    started = _now()
-    if resolved["threshold"] not in ("literal", "minimizer"):
-        raise ConfigError(
-            f"key 'threshold': expected literal|minimizer, got {resolved['threshold']!r}"
-        )
-    if not all(lam0 > 0.0 for lam0 in resolved["lambda0"]):
-        raise ConfigError(
-            f"key 'lambda0': expected positive rates, got {resolved['lambda0']}"
-        )
-    records = [run_scan_row(resolved, lam0) for lam0 in resolved["lambda0"]]
+def cmd_speedscan(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    params = _model_params(resolved)
+    gamma0 = float(np.asarray(motility_eval(params.motility, 0.0)[0]))
+    rows = [
+        (lam0, *_scan_row(resolved, params, gamma0, lam0))
+        for lam0 in resolved["lambda0"]
+    ]
+    records = [run_scan_row(*row, resolved["transient_fraction"]) for row in rows]
 
     lines = ["lambda0,c_pred,c_est,rel_err\n"]
     for rec in records:
-        if "error" in rec:
-            lines.append(f"{rec['lambda0']!r},{rec['c_pred']!r},,\n")
-        else:
-            lines.append(
-                f"{rec['lambda0']!r},{rec['c_pred']!r},"
-                f"{rec['c_est']!r},{rec['rel_err']!r}\n"
-            )
+        fit = "," if "error" in rec else f"{rec['c_est']!r},{rec['rel_err']!r}"
+        lines.append(f"{rec['lambda0']!r},{rec['c_pred']!r},{fit}\n")
     with open(out_dir / "speedscan.csv", "w") as fh:
         fh.writelines(lines)
 
@@ -696,10 +690,7 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> int:
             default=None,
         ),
     }
-    _write_manifest(
-        "speedscan", resolved, out_dir, ["speedscan.csv"], metrics, started
-    )
-    return 1 if failures else 0
+    return (1 if failures else 0), ["speedscan.csv"], metrics
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +738,10 @@ def main(argv: list[str] | None = None) -> int:
         resolved = resolve_config(args.command, raw)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](resolved, out_dir)
+        started = _now()
+        code, outputs, metrics = _COMMANDS[args.command](resolved, out_dir)
+        _write_manifest(args.command, resolved, out_dir, outputs, metrics, started)
+        return code
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -5,6 +5,27 @@ command line driver) can distinguish usage problems, parameter-window
 violations and genuine numerical failures.
 """
 
+__all__ = [
+    "WavemotilError",
+    "SpeedBelowMinimal",
+    "EtaUndefined",
+    "WindowViolation",
+    "CertificateFailed",
+    "NonFiniteTail",
+    "BlowUp",
+    "NonMonotone",
+    "NoConvergence",
+    "PicardStalled",
+    "NegativeDensity",
+    "NonFiniteState",
+    "StabilityViolation",
+    "NoCrossing",
+    "InsufficientSamples",
+    "WindowTooSmall",
+    "NoRing",
+    "ConfigError",
+]
+
 
 class WavemotilError(Exception):
     """Base class for all package-specific errors."""

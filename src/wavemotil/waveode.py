@@ -371,7 +371,8 @@ class WaveProfile:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
     def to_dict(self) -> dict:
-        return {
+        """The profile's scalars, with NaN and infinities written as null."""
+        out = {
             "c": float(self.c),
             "lam": float(self.lam),
             "z_min": float(self.grid[0]),
@@ -386,6 +387,10 @@ class WaveProfile:
             "ode_residual_v": float(self.ode_residual_v),
             "picard_iterations": int(self.picard_iterations),
             "picard_change": float(self.picard_change),
+        }
+        return {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in out.items()
         }
 
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import wavemotil.cli as cli
 import wavemotil.pde as pde
 from wavemotil.analysis import b_star, kappa
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
@@ -295,16 +296,42 @@ class TestUsage:
             ("wave", "a=0.1\nb=60\nm=6\nc=0.7\nh=-0.05\n"),
             ("speedscan", _SCAN_CFG.replace("lambda0=0.5", "lambda0=-1")),
             ("speedscan", _SCAN_CFG + "h=0\n"),
+            ("simulate", _SIM_SHORT.replace("m=6", "motility=exponential")),
+            ("simulate", _SIM_SHORT + "motility=foo\n"),
+            ("simulate", _SIM_SHORT.replace("ic_steepness=2\n", "")),
+            ("simulate", _SIM_SHORT.replace("ic=front", "ic=spiral")),
+            ("simulate", _SIM_2D_CFG.replace("y_min=-3\ny_max=3\n", "")),
+            ("simulate", _SIM_SHORT + "bc_left=dirichlet:1\n"),
+            ("simulate", _SIM_SHORT + "transient_fraction=1\n"),
+            ("speedscan", _SCAN_CFG + "threshold=median\n"),
+            ("speedscan", _SCAN_CFG.replace("cadence=0.5", "cadence=7")),
+            ("speedscan", _SCAN_CFG.replace("t_end=20", "t_end=0")),
+            ("speedscan", _SCAN_CFG + "h=0.03\n"),
+            ("speedscan", _SCAN_CFG + "dt_max=0\n"),
+            ("speedscan", _SCAN_CFG + "transient_fraction=2\n"),
         ],
         ids=[
             "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
             "wave-h0", "wave-hneg", "speedscan-lambda0", "speedscan-h0",
+            "exponential-no-chi", "motility-foo", "front-no-steepness",
+            "ic-spiral", "dim2-no-y", "bc-dirichlet-one-value", "simulate-fraction",
+            "speedscan-threshold", "speedscan-cadence", "speedscan-t_end0",
+            "speedscan-h", "speedscan-dt_max0", "speedscan-fraction",
         ],
     )
-    def test_malformed_value_is_usage_error(self, tmp_path, capsys, command, text):
+    def test_malformed_value_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, text
+    ):
+        def no_simulation(config):
+            raise AssertionError("a malformed config reached the simulation")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
         cfg = _write(tmp_path, "bad.cfg", text)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 64
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 64
         assert "usage error" in capsys.readouterr().err
+        # Nothing is written: no data file (speedscan.csv included), no run.json.
+        assert not list(out.glob("*"))
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 64

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -217,14 +218,11 @@ def test_verification_flags_a_constant_pair_as_not_a_front():
     assert not by_name["tail_ratio_u"].passed
 
 
-def test_verification_fails_a_tail_with_no_visible_values():
-    # A flat pair below the visibility floor leaves no tail to fit: the
-    # ratios are NaN, and a NaN margin must fail.  With kappa >= 1 the
-    # plateau checks are informational, so nothing else flags the pair.
-    params = ModelParams(a=1.0, b=1.0, motility=PowerMotility(4.0))
+def _invisible_profile() -> WaveProfile:
+    """A flat pair below the visibility floor: no tail to fit, NaN ratios."""
     grid = np.linspace(-40.0, 40.0, 1601)
     n = grid.size
-    prof = WaveProfile(
+    return WaveProfile(
         grid=grid,
         U=np.full(n, 1e-13),
         V=np.full(n, 1e-13),
@@ -241,13 +239,27 @@ def test_verification_fails_a_tail_with_no_visible_values():
         picard_iterations=0,
         picard_change=0.0,
     )
-    report = verify_profile(prof, params)
+
+
+def test_verification_fails_a_tail_with_no_visible_values():
+    # A flat pair below the visibility floor leaves no tail to fit: the
+    # ratios are NaN, and a NaN margin must fail.  With kappa >= 1 the
+    # plateau checks are informational, so nothing else flags the pair.
+    params = ModelParams(a=1.0, b=1.0, motility=PowerMotility(4.0))
+    report = verify_profile(_invisible_profile(), params)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"tail_ratio_u", "tail_ratio_v"}
     checks = {c["name"]: c for c in report.to_dict()["checks"]}
     assert checks["tail_ratio_u"]["margin"] is None
     assert checks["left_limit_u"]["passed"] is True
+
+
+def test_profile_dict_writes_non_finite_values_as_null():
+    payload = _invisible_profile().to_dict()
+    assert payload["tail_ratio_U"] is None and payload["tail_ratio_V"] is None
+    assert payload["c"] == 2.0
+    json.dumps(payload, allow_nan=False)  # raises on a bare NaN token
 
 
 def test_verification_flags_an_injected_perturbation(critical_profile):
