@@ -42,7 +42,6 @@ __all__ = [
     "linearize",
     "oscillation_condition",
     "leading_edge_speed",
-    "amplitude_ratio",
 ]
 
 _REL_TOL = 1e-12
@@ -394,8 +393,3 @@ def leading_edge_speed(
     if lambda0 < cut:
         return gamma0 * lambda0 + a / lambda0
     return 2.0 * math.sqrt(gamma0 * a)
-
-
-def amplitude_ratio(lambda0: float, a: float, gamma0: float = 1.0) -> float:
-    """Ratio A/B of the u- and v-amplitudes on the linear leading edge."""
-    return 1.0 + a + (gamma0 - 1.0) * lambda0**2

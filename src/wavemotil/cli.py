@@ -10,7 +10,9 @@ headline metrics.  Re-running a command with the same resolved config and
 build produces byte-identical data files.
 
 ``resolve_config`` checks a config completely, including the keys each
-listed value needs (``motility=sigmoid`` needs ``eps`` and ``v0``), and
+listed value needs (``motility=sigmoid`` needs ``eps`` and ``v0``) and the
+keys only one value accepts (``y_min``, ``y_max``, ``bc_bottom`` and
+``bc_top`` only with ``dim=2``), and
 ``speedscan`` builds every row before it simulates one, so a malformed value
 fails before any work starts.  Each command returns its exit code, outputs
 and metrics; ``main`` writes the manifest, with non-finite metrics as null.
@@ -160,9 +162,10 @@ def _as_rates(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_as_positive(key, p) for p in parts)
 
 
-def _one_of(needs: dict, convert=_as_str):
+def _one_of(needs: dict, convert=_as_str, only: dict | None = None):
     """Converter accepting only the keys of ``needs``, which maps each value
-    to the keys a config with that value must set (checked by resolve_config)."""
+    to the keys a config with that value must set; ``only`` maps a value to
+    the keys that no other value accepts (both checked by resolve_config)."""
 
     def check(key: str, raw: str):
         value = convert(key, raw)
@@ -172,6 +175,7 @@ def _one_of(needs: dict, convert=_as_str):
         return value
 
     check.needs = needs
+    check.only = only or {}
     return check
 
 
@@ -215,7 +219,14 @@ _SCHEMAS: dict[str, dict] = {
         **_MOTILITY_KEYS,
         "a": (_as_float, _REQUIRED),
         "b": (_as_float, _REQUIRED),
-        "dim": (_one_of({1: (), 2: ("y_min", "y_max")}, _as_int), 1),
+        "dim": (
+            _one_of(
+                {1: (), 2: ("y_min", "y_max")},
+                _as_int,
+                only={2: ("y_min", "y_max", "bc_bottom", "bc_top")},
+            ),
+            1,
+        ),
         "x_min": (_as_float, _REQUIRED),
         "x_max": (_as_float, _REQUIRED),
         "y_min": (_as_float, None),
@@ -315,7 +326,8 @@ PRESETS: dict[str, dict[str, str]] = {
 
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw strings against the command schema and convert types,
-    then check that every key a chosen value needs is set."""
+    then check that every key a chosen value needs is set and that no key
+    another value owns is."""
     schema = _SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -329,10 +341,15 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
         else:
             resolved[key] = default
     for key, (convert, _) in schema.items():
-        for needed in getattr(convert, "needs", {}).get(resolved[key], ()):
+        value = resolved[key]
+        for needed in getattr(convert, "needs", {}).get(value, ()):
             if resolved[needed] is None:
+                raise ConfigError(f"missing required key {needed!r} for {key}={value}")
+        for owner, owned in getattr(convert, "only", {}).items():
+            stray = [name for name in owned if name in raw and owner != value]
+            if stray:
                 raise ConfigError(
-                    f"missing required key {needed!r} for {key}={resolved[key]}"
+                    f"key(s) {', '.join(stray)} need {key}={owner}, got {key}={value}"
                 )
     return resolved
 

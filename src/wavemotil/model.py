@@ -24,9 +24,7 @@ __all__ = [
     "SigmoidMotility",
     "MotilityFamily",
     "ModelParams",
-    "HypothesisReport",
     "motility_eval",
-    "validate_h0",
 ]
 
 
@@ -138,51 +136,7 @@ def motility_eval(family, v):
     """Evaluate (gamma, gamma', gamma'') at v >= 0.
 
     Accepts scalars or arrays; rejects any negative v.  Any object exposing
-    an ``eval(v)`` triple works, which keeps validation reusable, but the
-    supported families are exactly the three closed-form ones above.
+    an ``eval(v)`` triple works, but the supported families are exactly the
+    three closed-form ones above.
     """
     return family.eval(v)
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of sampling the structural conditions on a motility law."""
-
-    ok: bool
-    v_max: float
-    n_samples: int
-    min_gamma: float
-    max_dgamma: float
-    gamma_at_vmax: float
-    first_violation: float | None
-
-
-def validate_h0(family, v_max: float, n_samples: int = 10_000) -> HypothesisReport:
-    """Check gamma > 0 and gamma' < 0 on a uniform sample of [0, v_max].
-
-    The limiting condition gamma -> 0 as v -> infinity cannot be verified by
-    sampling; the report only records gamma at v_max.  Returns a report with
-    the first violating sample when either sign condition fails.
-    """
-    if not v_max > 0:
-        raise ValueError("v_max must be positive")
-    vs = np.linspace(0.0, v_max, n_samples)
-    g, gp, _ = motility_eval(family, vs)
-    g = np.asarray(g, dtype=float)
-    gp = np.asarray(gp, dtype=float)
-    bad = (g <= 0.0) | (gp >= 0.0)
-    if np.any(bad):
-        first = float(vs[int(np.argmax(bad))])
-        ok = False
-    else:
-        first = None
-        ok = True
-    return HypothesisReport(
-        ok=ok,
-        v_max=float(v_max),
-        n_samples=int(n_samples),
-        min_gamma=float(np.min(g)),
-        max_dgamma=float(np.max(gp)),
-        gamma_at_vmax=float(np.asarray(motility_eval(family, v_max)[0])),
-        first_violation=first,
-    )

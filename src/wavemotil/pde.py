@@ -18,11 +18,19 @@ Time stepping is IMEX: both Laplacians are implicit, while the
 cross-diffusion flux and the reactions are explicit.  In 1-D each implicit
 system is solved directly by LAPACK ``dgtsv``.  In 2-D the system
 (I - dt L) x = rhs is multiplied by the half-cell volumes W, which makes it
-symmetric positive definite; nodes held at fixed values (Dirichlet sides,
-masked-out cells) move to the right-hand side, and Jacobi-preconditioned
-conjugate gradients, started from the current field, solve for the active
-nodes until the weighted residual falls to 1e-12 of the weighted
-right-hand side.  Hitting the iteration cap raises ``NoConvergence``.
+symmetric positive definite, and nodes held at fixed values (Dirichlet
+sides, masked-out cells) move to the right-hand side.  The five-point
+operator couples only nodes of opposite parity of i + j, so the active
+nodes split into red and black: the red ones are eliminated exactly,
+conjugate gradients preconditioned by the black diagonal and started from
+the current field solve the black Schur complement, and one back
+substitution recovers the red nodes (Reid, SIAM J. Numer. Anal. 9 (1972);
+Hageman & Young, *Applied Iterative Methods*, ch. 9).  That takes about
+half the iterations of Jacobi-preconditioned CG on the full system at
+about the same cost per iteration.  The iteration stops once the weighted
+residual, which the back substitution leaves on the black nodes alone, falls
+to 1e-12 of the weighted right-hand side; hitting the iteration cap raises
+``NoConvergence``.
 
 The exact implicit diffusion matrices are M-matrices, so diffusion alone
 cannot create negative densities; slope reconstruction can undershoot by a
@@ -30,21 +38,23 @@ rounding-scale amount at sharp fronts.  Undershoots above -1e-12 are
 clipped and anything lower is reported as ``NegativeDensity``.  The
 iterative 2-D solve does not carry the M-matrix sign property over
 exactly, but it stops at a residual 1e-12 of the right-hand side, so its
-error stays far inside that floor: the worst undershoot seen before
-clipping is about -4e-17, on the fig4 ring to t = 5 and on a steep front
-running into a side held at u = 0.  A NaN or infinite value anywhere in a new
-state is reported as ``NonFiniteState``.  The step size obeys an advective
-bound 0.4 h / max |gamma'(v) dv/dn| recomputed every step and capped at 0.1.
+error stays far inside that floor: no solve of the fig4 ring undershoots at
+all, and a steep front running into a side held at u = 0 stays
+nonnegative.  A NaN or infinite value anywhere in a new state is reported
+as ``NonFiniteState``.  The step size obeys an advective bound
+0.4 h / max |gamma'(v) dv/dn| recomputed every step and capped at 0.1.
 
 What the steps of a run share and what depends only on the grid geometry
-(held nodes, cell volumes, open faces, the v conductances and, in 2-D, the
-sparsity pattern of the weighted operator with the map from face
-conductances to its entries) is built once, on first use, into a stepper
-that every ``GridField`` of the run holds by reference.  Each implicit solve
-only refills the operator's entries from the conductances and dt; no
-factors are cached between steps.  The stepper hands the face data that
-chose a step size in ``simulate`` to that step, so the motility law is
-evaluated once per step, and it counts the conjugate-gradient iterations.
+(held nodes, cell volumes, open faces, the v conductances, in 1-D the v
+bands before scaling by dt, and in 2-D the red and black index maps, the
+sparsity pattern of the red-black coupling block with the map from face
+conductances to its entries, and the faces to held nodes) is built once,
+on first use, into a stepper that every ``GridField`` of the run holds by
+reference.  Each implicit solve only refills the coupling block and the
+diagonals from the conductances and dt; no factors are cached between
+steps.  The stepper hands the face data that chose a step size in
+``simulate`` to that step, so the motility law is evaluated once per step,
+and it counts the conjugate-gradient iterations.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -112,8 +122,9 @@ _SIDES = ("left", "right", "bottom", "top")
 _CG_RTOL = 1e-12
 
 #: Iteration cap of one 2-D implicit solve.  Exact-arithmetic CG needs at
-#: most one iteration per active node (31,417 on the fig4 grid, the largest
-#: preset); warm-started solves there take about a hundred.
+#: most one iteration per unknown of the reduced system (15,712 black nodes
+#: of the 31,417 active ones on the fig4 grid, the largest preset);
+#: warm-started solves there take about fifty.
 _CG_MAX_ITER = 100_000
 
 
@@ -325,8 +336,10 @@ class _Stepper:
 
     Everything here depends only on ``dim``, ``extents``, ``h``, ``bc`` and
     ``mask``.  Per-axis face arrays are held in the frame where that axis
-    is last (see ``_along``); axes run x first.  ``iterations`` counts the
-    conjugate-gradient iterations of the run's implicit solves.
+    is last (see ``_along``); axes run x first.  A 1-D stepper keeps the
+    unit v bands (``v_bands``), a 2-D one the red-black ``pattern``.
+    ``iterations`` counts the conjugate-gradient iterations of the run's
+    implicit solves on the reduced (black-node) systems.
     """
 
     def __init__(self, f: GridField) -> None:
@@ -372,8 +385,9 @@ class _Stepper:
             self.v_conds.append(ones if open_ is None else ones * open_)
         if f.dim == 1:
             self._system = _Tridiagonal
+            self.v_bands = _unit_bands(self, *self.v_conds)
         else:
-            self._system = _JacobiCG
+            self._system = _RedBlackCG
             self.pattern = _Pattern(self, edges)
         self.iterations = 0
         self._pending = None
@@ -486,27 +500,44 @@ def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     return du, dv
 
 
+def _unit_bands(st: _Stepper, cond: np.ndarray):
+    """Bands of -L h^2 for 1-D face conductances, with held rows zeroed.
+
+    (I - dt L) has the bands (lower, 1 + diag, upper) scaled by dt / h^2.
+    Every factor applied here is 1 or 2, so scaling afterwards rounds
+    exactly as scaling the conductances by dt / h^2 first would.
+    """
+    ends = np.ones(cond.size + 1)
+    ends[0] = ends[-1] = 2.0  # the end nodes own half cells
+    diag = np.empty_like(ends)
+    diag[0] = cond[0]
+    diag[-1] = cond[-1]
+    np.add(cond[:-1], cond[1:], out=diag[1:-1])
+    diag *= ends
+    lower = -(ends[1:] * cond)
+    upper = -(ends[:-1] * cond)
+    if st.held:
+        diag[st.pin] = 0.0
+        lower[st.pin[1:]] = 0.0
+        upper[st.pin[:-1]] = 0.0
+    return lower, diag, upper
+
+
 class _Tridiagonal:
-    """(I - dt L) for the 1-D face-conductance Laplacian, solved by gtsv."""
+    """(I - dt L) for the 1-D face-conductance Laplacian, solved by gtsv.
+
+    The v conductances never change, so their unit bands are the stepper's
+    ``v_bands``, built once; the u bands are built from each step's
+    conductances.
+    """
 
     def __init__(self, st: _Stepper, conds, dt: float) -> None:
-        (cond,) = conds
-        ks = np.full(cond.size + 1, dt / st.h**2)
-        ks[0] *= 2.0  # the end nodes own half cells
-        ks[-1] *= 2.0
-        diag = np.empty_like(ks)
-        diag[0] = cond[0]
-        diag[-1] = cond[-1]
-        np.add(cond[:-1], cond[1:], out=diag[1:-1])
-        diag *= ks
-        diag += 1.0
-        lower = -(ks[1:] * cond)
-        upper = -(ks[:-1] * cond)
-        if st.held:
-            diag[st.pin] = 1.0
-            lower[st.pin[1:]] = 0.0
-            upper[st.pin[:-1]] = 0.0
-        self.bands = (lower, diag, upper)
+        if conds is st.v_conds:
+            lower, diag, upper = st.v_bands
+        else:
+            lower, diag, upper = _unit_bands(st, *conds)
+        k = dt / st.h**2
+        self.bands = (lower * k, diag * k + 1.0, upper * k)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Exact solution; a direct solve needs no starting guess ``x0``."""
@@ -517,23 +548,28 @@ class _Tridiagonal:
 
 
 class _Pattern:
-    """Sparsity of W (I - dt L) on the active nodes of a planar grid.
+    """Red-black structure of W (I - dt L) on the active nodes of a planar grid.
 
-    Unknowns are the active (unheld) nodes in C order.  A face couples its
-    two nodes with the coefficient g = dt * cond * w_perp / h, where w_perp
-    is the cell width across the face; closed faces are left out.  Faces
-    between two active nodes give the off-diagonal entries -g, faces from
-    an active node to a held one move g * (held value) to the right-hand
-    side, and every face adds g to the diagonal of its active ends.
+    Active (unheld) nodes are red where i + j is even and black where it is
+    odd, each colour in C order.  A face couples its two nodes with the
+    coefficient g = dt * cond * w_perp / h, where w_perp is the cell width
+    across the face; closed faces are left out.  Every face joins a red node
+    to a black one, so the only off-diagonal block is the red-row,
+    black-column coupling C, with one entry -g per face between two active
+    nodes.  Faces from an active node to a held one move g * (held value) to
+    the right-hand side, and every face adds g to the diagonal of its active
+    ends.
     """
 
     def __init__(self, st: _Stepper, edges) -> None:
         shape = st.pin.shape
         live = ~st.pin.ravel()
-        self.active = np.flatnonzero(live)
-        n_act = self.active.size
+        red = (np.add.outer(*(np.arange(n) for n in shape)) % 2 == 0).ravel()
+        self.red = np.flatnonzero(live & red)
+        self.black = np.flatnonzero(live & ~red)
         local = np.full(live.size, -1)
-        local[self.active] = np.arange(n_act)
+        local[self.red] = np.arange(self.red.size)
+        local[self.black] = np.arange(self.black.size)
         idx = np.arange(live.size).reshape(shape)
 
         self.scale = []  # per-axis w_perp / h on the faces, 0 where closed
@@ -551,38 +587,46 @@ class _Pattern:
         p_all = np.concatenate(p_all)
         q_all = np.concatenate(q_all)
         closed = np.concatenate([s.ravel() for s in self.scale]) == 0.0
-        lp, lq = local[p_all], local[q_all]
+        p_live, q_live = live[p_all], live[q_all]
 
-        both = np.flatnonzero((lp >= 0) & (lq >= 0) & ~closed)
-        rows = np.concatenate([lp[both], lq[both], np.arange(n_act)])
-        cols = np.concatenate([lq[both], lp[both], np.arange(n_act)])
-        # Entry sources index concat(-g, diagonal): faces first, then nodes.
-        source = np.concatenate([both, both, p_all.size + np.arange(n_act)])
+        # C in CSR form; its entry sources index the face coefficients g.
+        both = np.flatnonzero(p_live & q_live & ~closed)
+        p_red = red[p_all[both]]
+        rows = local[np.where(p_red, p_all[both], q_all[both])]
+        cols = local[np.where(p_red, q_all[both], p_all[both])]
         order = np.lexsort((cols, rows))
-        self.source = source[order]
+        self.source = both[order]
         self.indices = cols[order].astype(np.int32)
-        self.indptr = np.zeros(n_act + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n_act), out=self.indptr[1:])
+        self.indptr = np.zeros(self.red.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=self.red.size), out=self.indptr[1:])
 
-        # Faces with exactly one active end: its row, the held node's index.
-        self.held_faces = np.flatnonzero(((lp >= 0) != (lq >= 0)) & ~closed)
-        p_lives = lp[self.held_faces] >= 0
+        # Faces with exactly one active end: that end and the held node.
+        self.held_faces = np.flatnonzero((p_live != q_live) & ~closed)
+        p_lives = p_live[self.held_faces]
         self.held_rows = np.where(
-            p_lives, lp[self.held_faces], lq[self.held_faces]
+            p_lives, p_all[self.held_faces], q_all[self.held_faces]
         )
         self.held_nodes = np.where(
             p_lives, q_all[self.held_faces], p_all[self.held_faces]
         )
-        self.weights = st.weights.ravel()[self.active]
 
 
-class _JacobiCG:
-    """(I - dt L) for the 2-D face-conductance Laplacian, solved by
-    Jacobi-preconditioned conjugate gradients on the symmetric W (I - dt L).
+class _RedBlackCG:
+    """(I - dt L) for the 2-D face-conductance Laplacian, solved on the
+    red-black Schur complement of the symmetric W (I - dt L).
 
-    Held nodes keep the values the right-hand side gives them.  The
-    iteration stops once the weighted residual is at most ``_CG_RTOL``
-    times the weighted right-hand side.
+    With D_r, D_b the diagonals of the two colours, eliminating the red
+    nodes leaves S = D_b - C^T D_r^-1 C on the black ones.  S is applied
+    without being formed, and conjugate gradients solve it preconditioned
+    by D_b: the Jacobi scaling of the full system carried over to the
+    reduced one (the reduced-system CG of Hageman & Young, *Applied
+    Iterative Methods*, ch. 9), which needs about half the iterations of
+    Jacobi-preconditioned CG on the full system.  One back substitution
+    then gives the red nodes.  That leaves the red rows' residual at
+    rounding level, so the reduced residual is the full weighted residual;
+    the iteration stops once it is at most ``_CG_RTOL`` times the full
+    weighted right-hand side.  Held nodes keep the values the right-hand
+    side gives them.
     """
 
     def __init__(self, st: _Stepper, conds, dt: float) -> None:
@@ -597,27 +641,35 @@ class _JacobiCG:
             diag_ax[..., 1:] += g
             faces.append(g.ravel())
         self.g = np.concatenate(faces)
-        self.diag = diag.ravel()[pat.active]
-        entries = np.concatenate([-self.g, self.diag])
-        n_act = pat.active.size
-        self.matrix = sparse.csr_matrix(
-            (entries[pat.source], pat.indices, pat.indptr), shape=(n_act, n_act)
+        diag = diag.ravel()
+        self.inv_red = 1.0 / diag[pat.red]
+        self.diag_black = diag[pat.black]
+        entries = -self.g[pat.source]
+        self.coupling = sparse.csr_matrix(
+            (entries, pat.indices, pat.indptr), shape=(pat.red.size, pat.black.size)
+        )
+        self.coupling_t = self.coupling.T
+        self.inv_black = 1.0 / self.diag_black
+
+    def _schur(self, p: np.ndarray) -> np.ndarray:
+        return self.diag_black * p - self.coupling_t @ (
+            self.inv_red * (self.coupling @ p)
         )
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Solution for ``rhs``, iterated from the starting guess ``x0``."""
-        pat, a = self.st.pattern, self.matrix
+        pat = self.st.pattern
         flat = rhs.ravel()
-        b = pat.weights * flat[pat.active]
+        b = self.st.weights.ravel() * flat
         if pat.held_rows.size:
             np.add.at(
                 b, pat.held_rows, self.g[pat.held_faces] * flat[pat.held_nodes]
             )
-        x = x0.ravel()[pat.active]
-        r = b - a @ x
-        tol = _CG_RTOL * np.sqrt(_dot(b, b))
-        inv_diag = 1.0 / self.diag
-        z = inv_diag * r
+        b_red, b_black = b[pat.red], b[pat.black]
+        tol = _CG_RTOL * np.sqrt(_dot(b_red, b_red) + _dot(b_black, b_black))
+        x = x0.ravel()[pat.black]
+        r = b_black - self.coupling_t @ (self.inv_red * b_red) - self._schur(x)
+        z = self.inv_black * r
         p = z.copy()
         scaled = np.empty_like(p)
         rz = _dot(r, z)
@@ -634,19 +686,21 @@ class _JacobiCG:
                     f"implicit solve stopped at {it} iterations with weighted "
                     f"residual {res:.3g} above {tol:.3g}"
                 )
-            q = a @ p
+            q = self._schur(p)
             alpha = rz / _dot(p, q)
             x += np.multiply(p, alpha, out=scaled)
             r -= np.multiply(q, alpha, out=scaled)
             res = np.sqrt(_dot(r, r))
-            np.multiply(inv_diag, r, out=z)
+            np.multiply(self.inv_black, r, out=z)
             rz, rz_old = _dot(r, z), rz
             p *= rz / rz_old
             p += z
             it += 1
         self.st.iterations += it
         out = rhs.copy()
-        out.ravel()[pat.active] = x
+        out_flat = out.ravel()
+        out_flat[pat.red] = self.inv_red * (b_red - self.coupling @ x)
+        out_flat[pat.black] = x
         return out
 
 
@@ -785,7 +839,8 @@ class Trajectory:
     and the outer ring radius at the same level for 2-D runs; entries are
     NaN where the level set does not exist yet.  ``solver_iterations``
     holds, per step, the conjugate-gradient iterations of the u and v solves
-    together (always 0 in 1-D, where the solves are direct).
+    together, counted on the red-black reduced systems (always 0 in 1-D,
+    where the solves are direct).
     """
 
     times: list[float]

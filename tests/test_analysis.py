@@ -15,7 +15,6 @@ from wavemotil import (
     ModelParams,
     PowerMotility,
     SigmoidMotility,
-    amplitude_ratio,
     b_star,
     c_star,
     kappa,
@@ -328,8 +327,3 @@ def test_leading_edge_speed_branches():
     assert leading_edge_speed(0.4, a, g0, "literal") == pytest.approx(
         2.0 * math.sqrt(g0 * a), rel=1e-14
     )
-
-
-def test_amplitude_ratio_reference_values():
-    assert amplitude_ratio(0.5, 0.3, 1.0) == pytest.approx(1.3, rel=1e-14)
-    assert amplitude_ratio(1.0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)

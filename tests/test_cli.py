@@ -309,6 +309,10 @@ class TestUsage:
             ("speedscan", _SCAN_CFG + "h=0.03\n"),
             ("speedscan", _SCAN_CFG + "dt_max=0\n"),
             ("speedscan", _SCAN_CFG + "transient_fraction=2\n"),
+            ("simulate", _SIM_SHORT + "bc_top=garbage\n"),
+            ("simulate", _SIM_SHORT + "bc_bottom=neumann\n"),
+            ("simulate", _SIM_SHORT + "y_min=-1\n"),
+            ("simulate", _SIM_SHORT + "dim=1\ny_max=1\n"),
         ],
         ids=[
             "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
@@ -317,6 +321,7 @@ class TestUsage:
             "ic-spiral", "dim2-no-y", "bc-dirichlet-one-value", "simulate-fraction",
             "speedscan-threshold", "speedscan-cadence", "speedscan-t_end0",
             "speedscan-h", "speedscan-dt_max0", "speedscan-fraction",
+            "dim1-bc_top", "dim1-bc_bottom", "dim1-y_min", "dim1-y_max",
         ],
     )
     def test_malformed_value_is_usage_error(

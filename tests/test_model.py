@@ -13,7 +13,6 @@ from wavemotil import (
     PowerMotility,
     SigmoidMotility,
     motility_eval,
-    validate_h0,
 )
 
 ALL_FAMILIES = [
@@ -110,32 +109,6 @@ def test_invalid_family_parameters():
         ExponentialMotility(-1.0)
     with pytest.raises(ValueError):
         SigmoidMotility(0.0, 1.0)
-
-
-def test_validate_h0_passes_for_builtin_families():
-    for family in ALL_FAMILIES:
-        report = validate_h0(family, v_max=20.0)
-        assert report.ok
-        assert report.first_violation is None
-        assert report.min_gamma > 0
-        assert report.max_dgamma < 0
-
-
-class _BrokenFamily:
-    """Stub with gamma' > 0 beyond v = 2 (violates the decrease condition)."""
-
-    def eval(self, v):
-        v = np.asarray(v, dtype=float)
-        g = 1.0 + (v - 2.0) ** 2
-        gp = 2.0 * (v - 2.0)
-        gpp = 2.0 * np.ones_like(v)
-        return g, gp, gpp
-
-
-def test_validate_h0_reports_first_violation():
-    report = validate_h0(_BrokenFamily(), v_max=10.0)
-    assert not report.ok
-    assert report.first_violation == pytest.approx(2.0, abs=0.01)
 
 
 def test_model_params_validation_and_equilibrium():

@@ -361,6 +361,44 @@ class TestStepErrors:
             step(f, POWER, 0.0)
 
 
+def _bands_built_per_step(st, cond, dt):
+    """The 1-D bands of I - dt L as each step used to build them."""
+    ks = np.full(cond.size + 1, dt / st.h**2)
+    ks[0] *= 2.0
+    ks[-1] *= 2.0
+    diag = np.empty_like(ks)
+    diag[0] = cond[0]
+    diag[-1] = cond[-1]
+    np.add(cond[:-1], cond[1:], out=diag[1:-1])
+    diag *= ks
+    diag += 1.0
+    lower = -(ks[1:] * cond)
+    upper = -(ks[:-1] * cond)
+    if st.held:
+        diag[st.pin] = 1.0
+        lower[st.pin[1:]] = 0.0
+        upper[st.pin[:-1]] = 0.0
+    return lower, diag, upper
+
+
+class TestTridiagonalBands:
+    @pytest.mark.parametrize("held", [False, True])
+    def test_bit_identical_to_bands_built_per_step(self, held):
+        bc = {"left": Dirichlet(1.0, 1.0), "right": Dirichlet(0.0, 0.0)} if held else None
+        f = make_field(1, ((0.0, 200.0),), 0.05, u0=0.0, v0=0.0, bc=bc)
+        st = pde._stepper_of(f)
+        assert st.held == held
+        rng = np.random.default_rng(11)
+        u_cond = 0.01 + rng.random(f.nx - 1)
+        for dt in np.concatenate([rng.uniform(1e-4, 0.1, 20), [0.1, 0.02]]):
+            for conds in (st.v_conds, [u_cond]):
+                got = st.system(conds, dt).bands
+                want = _bands_built_per_step(st, conds[0], dt)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                    assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 # ---------------------------------------------------------------------------
 # 2-D implicit solve against a direct reference
 # ---------------------------------------------------------------------------
@@ -469,6 +507,136 @@ class TestImplicitSolve2d:
         )
         with pytest.raises(NoConvergence, match=r"1 iterations.*residual.*t="):
             simulate(cfg)
+
+
+def _half_cell_weights(f):
+    """Cell volumes of a planar grid (half cells on the sides), 0 off the mask."""
+    wx = np.full(f.nx, f.h)
+    wx[[0, -1]] *= 0.5
+    wy = np.full(f.ny, f.h)
+    wy[[0, -1]] *= 0.5
+    w = np.outer(wy, wx)
+    return w if f.mask is None else w * f.mask
+
+
+def _textbook_jacobi_pcg(a, b, x, rtol):
+    """Jacobi-preconditioned CG on a x = b until ||b - a x|| <= rtol ||b||.
+
+    Returns the solution and the number of iterations.
+    """
+    inv_diag = 1.0 / a.diagonal()
+    r = b - a @ x
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    its = 0
+    while np.linalg.norm(r) > rtol * np.linalg.norm(b):
+        q = a @ p
+        alpha = rz / (p @ q)
+        x = x + alpha * p
+        r = r - alpha * q
+        z = inv_diag * r
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+        its += 1
+    return x, its
+
+
+class TestRedBlackSolve:
+    """The 2-D solve against the full weighted system it reduces."""
+
+    CASES = ["neumann", "dirichlet", "disk", "odd_by_even"]
+
+    @staticmethod
+    def _case(case, seed=3):
+        # odd_by_even: 17 x 12 nodes with the bottom row held, so the two
+        # colours of the 187 active nodes differ in size.
+        if case == "odd_by_even":
+            f = make_field(
+                2,
+                ((-2.0, 2.0), (-1.5, 1.25)),
+                0.25,
+                u0=0.0,
+                v0=0.0,
+                bc={"bottom": Dirichlet(0.3, 0.6)},
+            )
+        else:
+            f = TestImplicitSolve2d._field(case)
+        rng = np.random.default_rng(seed)
+        ny, nx = f.u.shape
+        cx = 0.2 + rng.random((ny, nx - 1))
+        cy = 0.2 + rng.random((ny - 1, nx))
+        if f.mask is not None:
+            cx = cx * (f.mask[:, :-1] & f.mask[:, 1:])
+            cy = cy * (f.mask[:-1, :] & f.mask[1:, :])
+        return f, cx, cy, rng
+
+    @staticmethod
+    def _weighted(f, ref_matrix, held, rhs):
+        """W (I - dt L) on the active nodes and its right-hand side W b."""
+        w = _half_cell_weights(f).ravel()
+        active = ~held.ravel()
+        held_part = np.where(held, rhs, 0.0).ravel()
+        moved = ref_matrix @ held_part - held_part
+        b = (w * (rhs.ravel() - moved))[active]
+        a = (sparse.diags(w) @ ref_matrix).tocsr()[active][:, active]
+        return a, b, w, active
+
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    @pytest.mark.parametrize("case", CASES)
+    def test_full_weighted_residual_within_tolerance(self, case, dt):
+        f, cx, cy, rng = self._case(case)
+        st = pde._stepper_of(f)
+        ref_matrix, held = _reference_system(f, cx, cy, dt)
+        if case == "odd_by_even":
+            red = np.add.outer(np.arange(f.ny), np.arange(f.nx)) % 2 == 0
+            assert np.sum(red & ~held) != np.sum(~red & ~held)
+        rhs = 0.5 + rng.random(f.u.shape)
+        rhs[held] = st.pin_u[held]
+        _, b, w, active = self._weighted(f, ref_matrix, held, rhs)
+
+        solver = st.system([cx, cy.T], dt)
+        for x0 in (np.zeros_like(rhs), rhs):
+            x = solver.solve(rhs, x0)
+            residual = (w * (rhs.ravel() - ref_matrix @ x.ravel()))[active]
+            # The stop test reads the recursively updated residual, which
+            # differs from this one by rounding.
+            bound = pde._CG_RTOL * np.linalg.norm(b)
+            assert np.linalg.norm(residual) <= 1.01 * bound
+            assert np.array_equal(x[held], st.pin_u[held])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_nonnegative_rhs_gives_nonnegative_colours(self, case):
+        # A narrow bump and a short step: on the zero-flux box the solution
+        # falls to about 1e-19 on the far side, far below the solve's
+        # tolerance.
+        f, cx, cy, _ = self._case(case)
+        st = pde._stepper_of(f)
+        xx, yy = np.meshgrid(f.x, f.y)
+        rhs = np.exp(-20.0 * ((xx - 1.5) ** 2 + yy**2))
+        rhs[st.pin] = st.pin_u[st.pin]
+        red = np.add.outer(np.arange(f.ny), np.arange(f.nx)) % 2 == 0
+        solver = st.system([cx, cy.T], 0.01)
+        for x0 in (np.zeros_like(rhs), rhs):
+            x = solver.solve(rhs, x0)
+            assert np.min(x[red]) >= 0.0 and np.min(x[~red]) >= 0.0
+
+    def test_half_the_iterations_of_full_system_cg(self):
+        # Guards against a silent return to CG on the full system, which
+        # needs about twice the iterations from the same start.
+        f, cx, cy, rng = self._case("disk")
+        st = pde._stepper_of(f)
+        dt = 0.5
+        ref_matrix, held = _reference_system(f, cx, cy, dt)
+        rhs = 0.5 + rng.random(f.u.shape)
+        rhs[held] = 0.0
+        a, b, _, active = self._weighted(f, ref_matrix, held, rhs)
+        expected, full_its = _textbook_jacobi_pcg(a, b, np.zeros_like(b), 1e-12)
+
+        before = st.iterations
+        x = st.system([cx, cy.T], dt).solve(rhs, np.zeros_like(rhs))
+        assert st.iterations - before <= 0.6 * full_its
+        assert np.max(np.abs(x.ravel()[active] - expected)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
