@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import (
     ThetaBundle,
@@ -55,6 +54,10 @@ __all__ = [
 ]
 
 _MATCHING_TOL = 1e-10
+# junction root: absolute and relative tolerance, iteration cap
+_ROOT_XTOL = 1e-12
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAX_ITER = 100
 # plateau heights tried by halving, from the start down to the floor
 _DELTA_START = 1e-2
 _DELTA_FLOOR = 1e-18
@@ -236,8 +239,63 @@ def locate_junction(
         )
 
     i = int(brackets[-1])
-    x_delta = float(brentq(_f, xs[i], xs[i + 1], xtol=1e-12, rtol=4.0 * np.finfo(float).eps))
+    x_delta = _bracketed_root(_f, float(xs[i]), float(xs[i + 1]))
     return x_delta, int(len(brackets))
+
+
+def _bracketed_root(f, x_pre: float, x_cur: float) -> float:
+    """Root of f in a bracket [x_pre, x_cur] where f changes sign.
+
+    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4): inverse quadratic interpolation or secant steps, replaced by
+    bisection whenever they would not shrink the bracket fast enough, so
+    the bracket always holds a root.  Stops once half the bracket is below
+    (1e-12 + 4 eps |x|) / 2 or f vanishes.
+    """
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+            math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)
+        ):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (
+                    -f_cur
+                    * (f_blk * d_blk - f_pre * d_pre)
+                    / (d_blk * d_pre * (f_blk - f_pre))
+                )
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = f(x_cur)
+    raise CertificateFailed(
+        f"junction root did not converge in {_ROOT_MAX_ITER} iterations",
+        failing_check="junction_matching",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import InsufficientSamples, NoCrossing, NoRing, WindowTooSmall
 
 __all__ = [
-    "FrontSeries",
     "ProfileClass",
     "front_position",
-    "front_series",
     "wave_speed",
     "decay_fit",
     "classify_profile",
@@ -43,28 +40,6 @@ DEFAULT_TRANSIENT_FRACTION = 0.2
 DECAY_WINDOW = (1e-12, 1e-2)
 
 _MIN_FIT_SAMPLES = 10
-
-
-@dataclass(frozen=True)
-class FrontSeries:
-    """Front trajectory with its fitted speed.
-
-    Attributes:
-        times: sample times (transient included, non-finite positions dropped).
-        positions: front positions x_f(t) at the tracking level.
-        c_est: least-squares slope of positions vs times over the fit window.
-        stderr: standard error of the fitted slope.
-        r_squared: coefficient of determination of the fit.
-        fit_window: (t_lo, t_hi) actually used by the fit; t_lo excludes the
-            leading transient fraction of the time span.
-    """
-
-    times: np.ndarray
-    positions: np.ndarray
-    c_est: float
-    stderr: float
-    r_squared: float
-    fit_window: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -115,44 +90,6 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float) -> float:
     return float(x[j - 1])
 
 
-def _fit_line(
-    times: np.ndarray,
-    positions: np.ndarray,
-    transient_fraction: float,
-) -> tuple[float, float, float, tuple[float, float]]:
-    """Shared OLS core: slope, stderr, R^2, and the realized fit window."""
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if times.ndim != 1 or positions.shape != times.shape:
-        raise ValueError("times and positions must be matching 1-D arrays")
-    keep = np.isfinite(times) & np.isfinite(positions)
-    times, positions = times[keep], positions[keep]
-    if times.size == 0:
-        raise InsufficientSamples("no finite front samples")
-    t_cut = times.min() + transient_fraction * (times.max() - times.min())
-    window = times >= t_cut - 1e-12 * max(1.0, abs(t_cut))
-    t_fit, p_fit = times[window], positions[window]
-    if t_fit.size < _MIN_FIT_SAMPLES:
-        raise InsufficientSamples(
-            f"{t_fit.size} samples in the fit window, need {_MIN_FIT_SAMPLES}"
-        )
-    t_mean = t_fit.mean()
-    p_mean = p_fit.mean()
-    dt = t_fit - t_mean
-    dp = p_fit - p_mean
-    sxx = float(dt @ dt)
-    if sxx == 0.0:
-        raise InsufficientSamples("all fit-window samples share one time")
-    slope = float(dt @ dp) / sxx
-    resid = dp - slope * dt
-    ssr = float(resid @ resid)
-    dof = t_fit.size - 2
-    stderr = float(np.sqrt(max(ssr, 0.0) / (dof * sxx))) if dof > 0 else float("nan")
-    sst = float(dp @ dp)
-    r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
-    return slope, stderr, r_squared, (float(t_fit.min()), float(t_fit.max()))
-
-
 def wave_speed(
     times: np.ndarray,
     positions: np.ndarray,
@@ -168,29 +105,32 @@ def wave_speed(
     Raises:
         InsufficientSamples: fewer than 10 usable samples in the window.
     """
-    slope, stderr, _, _ = _fit_line(times, positions, transient_fraction)
-    return slope, stderr
-
-
-def front_series(
-    times: np.ndarray,
-    positions: np.ndarray,
-    *,
-    transient_fraction: float = DEFAULT_TRANSIENT_FRACTION,
-) -> FrontSeries:
-    """Bundle a front trajectory with its fitted speed into a FrontSeries."""
-    slope, stderr, r_squared, window = _fit_line(times, positions, transient_fraction)
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
+    if times.ndim != 1 or positions.shape != times.shape:
+        raise ValueError("times and positions must be matching 1-D arrays")
     keep = np.isfinite(times) & np.isfinite(positions)
-    return FrontSeries(
-        times=times[keep].copy(),
-        positions=positions[keep].copy(),
-        c_est=slope,
-        stderr=stderr,
-        r_squared=r_squared,
-        fit_window=window,
-    )
+    times, positions = times[keep], positions[keep]
+    if times.size == 0:
+        raise InsufficientSamples("no finite front samples")
+    t_cut = times.min() + transient_fraction * (times.max() - times.min())
+    window = times >= t_cut - 1e-12 * max(1.0, abs(t_cut))
+    t_fit, p_fit = times[window], positions[window]
+    if t_fit.size < _MIN_FIT_SAMPLES:
+        raise InsufficientSamples(
+            f"{t_fit.size} samples in the fit window, need {_MIN_FIT_SAMPLES}"
+        )
+    dt = t_fit - t_fit.mean()
+    dp = p_fit - p_fit.mean()
+    sxx = float(dt @ dt)
+    if sxx == 0.0:
+        raise InsufficientSamples("all fit-window samples share one time")
+    slope = float(dt @ dp) / sxx
+    resid = dp - slope * dt
+    ssr = float(resid @ resid)
+    dof = t_fit.size - 2
+    stderr = float(np.sqrt(max(ssr, 0.0) / (dof * sxx))) if dof > 0 else float("nan")
+    return slope, stderr
 
 
 def decay_fit(z: np.ndarray, u: np.ndarray) -> tuple[float, float]:
@@ -263,6 +203,26 @@ def classify_profile(u: np.ndarray, equilibrium: float) -> ProfileClass:
     return ProfileClass(label=label, crossing_count=crossings, overshoot=overshoot)
 
 
+def _cell(grid: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index i of the grid cell [grid[i], grid[i+1]] holding each p, and the
+    fraction (p - grid[i]) / (grid[i+1] - grid[i]); points beyond the ends
+    extrapolate from the end cells."""
+    i = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, grid.size - 2)
+    return i, (p - grid[i]) / (grid[i + 1] - grid[i])
+
+
+def _bilinear(x, y, u, px, py) -> np.ndarray:
+    """Bilinear interpolant of u (shape (len(y), len(x))) at points (px, py)."""
+    i, tx = _cell(x, px)
+    j, ty = _cell(y, py)
+    return (
+        u[j, i] * (1 - ty) * (1 - tx)
+        + u[j, i + 1] * (1 - ty) * tx
+        + u[j + 1, i] * ty * (1 - tx)
+        + u[j + 1, i + 1] * ty * tx
+    )
+
+
 def ring_metrics(
     x: np.ndarray,
     y: np.ndarray,
@@ -299,13 +259,10 @@ def ring_metrics(
     dr = min(np.min(np.diff(x)), np.min(np.diff(y)))
     radii = np.arange(0.0, r_max + dr / 2, dr)
     angles = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
-    interp = RegularGridInterpolator(
-        (y, x), u, method="linear", bounds_error=False, fill_value=None
-    )
     px = cx + np.outer(radii, np.cos(angles))
     py = cy + np.outer(radii, np.sin(angles))
-    samples = interp(np.stack([py.ravel(), px.ravel()], axis=-1))
-    profile = samples.reshape(radii.size, n_rays).mean(axis=1)
+    samples = _bilinear(x, y, u, px, py)
+    profile = samples.mean(axis=1)
     d = profile - level
     exact = np.flatnonzero(d == 0.0)
     flips = np.flatnonzero(d[:-1] * d[1:] < 0.0)

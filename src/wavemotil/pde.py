@@ -15,11 +15,11 @@ zero-flux boxes up to solver rounding.  One flux assembly serves both
 dimensions: it loops over the grid axes, x first.
 
 Time stepping is IMEX: both Laplacians are implicit, while the
-cross-diffusion flux and the reactions are explicit.  In 1-D each implicit
-system is solved directly by LAPACK ``dgtsv``.  In 2-D the system
+cross-diffusion flux and the reactions are explicit.  Each implicit system
 (I - dt L) x = rhs is multiplied by the half-cell volumes W, which makes it
 symmetric positive definite, and nodes held at fixed values (Dirichlet
-sides, masked-out cells) move to the right-hand side.  The five-point
+sides, masked-out cells) move to the right-hand side.  In 1-D the result is
+tridiagonal and LAPACK ``pttrf``/``pttrs`` solve it directly.  The five-point
 operator couples only nodes of opposite parity of i + j, so the active
 nodes split into red and black: the red ones are eliminated exactly,
 conjugate gradients preconditioned by the black diagonal and started from
@@ -45,16 +45,18 @@ as ``NonFiniteState``.  The step size obeys an advective bound
 0.4 h / max |gamma'(v) dv/dn| recomputed every step and capped at 0.1.
 
 What the steps of a run share and what depends only on the grid geometry
-(held nodes, cell volumes, open faces, the v conductances, in 1-D the v
-bands before scaling by dt, and in 2-D the red and black index maps, the
-sparsity pattern of the red-black coupling block with the map from face
-conductances to its entries, and the faces to held nodes) is built once,
-on first use, into a stepper that every ``GridField`` of the run holds by
-reference.  Each implicit solve only refills the coupling block and the
-diagonals from the conductances and dt; no factors are cached between
-steps.  The stepper hands the face data that chose a step size in
-``simulate`` to that step, so the motility law is evaluated once per step,
-and it counts the conjugate-gradient iterations.
+(held nodes, cell volumes, open faces, the v conductances, and in 2-D the
+red and black index maps, the sparsity patterns of the red-black coupling
+block and its transpose with the maps from face conductances to their
+entries, and the faces to held nodes) is built once, on first use, into a
+stepper that every ``GridField`` of the run holds by reference.  Each 2-D
+solve only refills the coupling blocks and the diagonals from the
+conductances and dt.  The 1-D u system is factored every step; the v
+system changes only with dt, so the stepper keeps its one factor with the
+dt it was made for and reuses it while dt repeats.  The stepper hands the
+face data that chose a step size in ``simulate`` to that step, so the
+motility law is evaluated once per step, and it counts the
+conjugate-gradient iterations.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -69,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     ConfigError,
@@ -337,7 +339,9 @@ class _Stepper:
     Everything here depends only on ``dim``, ``extents``, ``h``, ``bc`` and
     ``mask``.  Per-axis face arrays are held in the frame where that axis
     is last (see ``_along``); axes run x first.  A 1-D stepper keeps the
-    unit v bands (``v_bands``), a 2-D one the red-black ``pattern``.
+    unit cell widths (``unit_w``), the held ends with their inner
+    neighbours (``held_ends``) and the factor of the last v system with its
+    dt (``v_factor``); a 2-D one keeps the red-black ``pattern``.
     ``iterations`` counts the conjugate-gradient iterations of the run's
     implicit solves on the reduced (black-node) systems.
     """
@@ -378,14 +382,17 @@ class _Stepper:
                 for ax in self.axes
             )
         self.weights = weights
-        self.held = bool(self.pin.any())
         self.v_conds = []
         for ax, open_ in zip(self.axes, self.open):
             ones = np.ones(_along(self.pin, ax)[..., 1:].shape)
             self.v_conds.append(ones if open_ is None else ones * open_)
         if f.dim == 1:
             self._system = _Tridiagonal
-            self.v_bands = _unit_bands(self, *self.v_conds)
+            self.unit_w = weights / f.h
+            self.held_ends = tuple(
+                (end, inner) for end, inner in ((0, 1), (-1, -2)) if self.pin[end]
+            )
+            self.v_factor = None
         else:
             self._system = _RedBlackCG
             self.pattern = _Pattern(self, edges)
@@ -448,10 +455,13 @@ def _fromm_face(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     transport velocity is -w, so positive w takes the right node as donor.
     Faces whose slope stencil leaves the array fall back to the donor value.
     """
-    u_left = u[..., :-1].copy()
-    u_left[..., 1:] = u[..., 1:-1] + 0.25 * (u[..., 2:] - u[..., :-2])
-    u_right = u[..., 1:].copy()
-    u_right[..., :-1] = u[..., 1:-1] - 0.25 * (u[..., 2:] - u[..., :-2])
+    slope = 0.25 * (u[..., 2:] - u[..., :-2])
+    u_left = np.empty(w.shape)
+    u_left[..., 0] = u[..., 0]
+    np.add(u[..., 1:-1], slope, out=u_left[..., 1:])
+    u_right = np.empty(w.shape)
+    u_right[..., -1] = u[..., -1]
+    np.subtract(u[..., 1:-1], slope, out=u_right[..., :-1])
     return np.where(w > 0.0, u_right, u_left)
 
 
@@ -500,50 +510,54 @@ def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     return du, dv
 
 
-def _unit_bands(st: _Stepper, cond: np.ndarray):
-    """Bands of -L h^2 for 1-D face conductances, with held rows zeroed.
-
-    (I - dt L) has the bands (lower, 1 + diag, upper) scaled by dt / h^2.
-    Every factor applied here is 1 or 2, so scaling afterwards rounds
-    exactly as scaling the conductances by dt / h^2 first would.
-    """
-    ends = np.ones(cond.size + 1)
-    ends[0] = ends[-1] = 2.0  # the end nodes own half cells
-    diag = np.empty_like(ends)
-    diag[0] = cond[0]
-    diag[-1] = cond[-1]
-    np.add(cond[:-1], cond[1:], out=diag[1:-1])
-    diag *= ends
-    lower = -(ends[1:] * cond)
-    upper = -(ends[:-1] * cond)
-    if st.held:
-        diag[st.pin] = 0.0
-        lower[st.pin[1:]] = 0.0
-        upper[st.pin[:-1]] = 0.0
-    return lower, diag, upper
-
-
 class _Tridiagonal:
-    """(I - dt L) for the 1-D face-conductance Laplacian, solved by gtsv.
+    """W (I - dt L) for the 1-D face-conductance Laplacian, factored by pttrf.
 
-    The v conductances never change, so their unit bands are the stepper's
-    ``v_bands``, built once; the u bands are built from each step's
-    conductances.
+    W holds the unit cell widths (1, with 1/2 at the end nodes), so the
+    matrix is symmetric positive definite with diagonal w + k (c_left +
+    c_right) and off-diagonal -k c on the face couplings, k = dt / h^2.  A
+    held end leaves the system as an identity row: its coupling k c times
+    the held value moves to the right-hand side of the neighbouring row,
+    and the solve returns the held value there exactly.  The v conductances
+    never change, so the stepper keeps the v factor with the dt it was made
+    for (``v_factor``) and reuses it while dt repeats.
     """
 
     def __init__(self, st: _Stepper, conds, dt: float) -> None:
-        if conds is st.v_conds:
-            lower, diag, upper = st.v_bands
-        else:
-            lower, diag, upper = _unit_bands(st, *conds)
-        k = dt / st.h**2
-        self.bands = (lower * k, diag * k + 1.0, upper * k)
+        self.st = st
+        chemical = conds is st.v_conds
+        self.held_values = st.pin_v if chemical else st.pin_u
+        if chemical and st.v_factor is not None and st.v_factor[0] == dt:
+            _, self.kc, self.diag, self.sub = st.v_factor
+            return
+        self.kc = dt / st.h**2 * conds[0]
+        diag = np.empty(self.kc.size + 1)
+        np.add(self.kc[:-1], self.kc[1:], out=diag[1:-1])
+        diag[0] = self.kc[0]
+        diag[-1] = self.kc[-1]
+        diag += st.unit_w
+        sub = -self.kc
+        for end, _ in st.held_ends:
+            diag[end] = 1.0
+            sub[end] = 0.0
+        self.diag, self.sub, info = dpttrf(diag, sub, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise NonFiniteState(
+                f"tridiagonal factorization failed (LAPACK info {info})"
+            )
+        if chemical:
+            st.v_factor = (dt, self.kc, self.diag, self.sub)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Exact solution; a direct solve needs no starting guess ``x0``."""
-        _, _, _, x, info = dgtsv(*self.bands, rhs)
-        if info != 0:
-            raise NonFiniteState(f"tridiagonal solve failed (LAPACK info {info})")
+        """Exact solution; a direct solve needs no starting guess ``x0``.
+
+        Held ends take their values from the stepper, not from ``rhs``.
+        """
+        b = rhs * self.st.unit_w
+        for end, inner in self.st.held_ends:
+            b[inner] += self.kc[end] * self.held_values[end]
+            b[end] = self.held_values[end]
+        x, _ = dpttrs(self.diag, self.sub, b, overwrite_b=1)
         return x
 
 
@@ -556,9 +570,9 @@ class _Pattern:
     across the face; closed faces are left out.  Every face joins a red node
     to a black one, so the only off-diagonal block is the red-row,
     black-column coupling C, with one entry -g per face between two active
-    nodes.  Faces from an active node to a held one move g * (held value) to
-    the right-hand side, and every face adds g to the diagonal of its active
-    ends.
+    nodes; its transpose is kept as a CSR block of its own.  Faces from an
+    active node to a held one move g * (held value) to the right-hand side,
+    and every face adds g to the diagonal of its active ends.
     """
 
     def __init__(self, st: _Stepper, edges) -> None:
@@ -599,6 +613,16 @@ class _Pattern:
         self.indices = cols[order].astype(np.int32)
         self.indptr = np.zeros(self.red.size + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=self.red.size), out=self.indptr[1:])
+
+        # C^T in CSR form with sorted indices; ``transpose`` gathers its
+        # entries from C's.  Each row sums in the order C^T's CSC view
+        # scatters, so products match that view bit for bit.
+        self.transpose = np.lexsort((rows[order], cols[order]))
+        self.t_indices = rows[order][self.transpose].astype(np.int32)
+        self.t_indptr = np.zeros(self.black.size + 1, dtype=np.int32)
+        np.cumsum(
+            np.bincount(cols, minlength=self.black.size), out=self.t_indptr[1:]
+        )
 
         # Faces with exactly one active end: that end and the held node.
         self.held_faces = np.flatnonzero((p_live != q_live) & ~closed)
@@ -648,7 +672,10 @@ class _RedBlackCG:
         self.coupling = sparse.csr_matrix(
             (entries, pat.indices, pat.indptr), shape=(pat.red.size, pat.black.size)
         )
-        self.coupling_t = self.coupling.T
+        self.coupling_t = sparse.csr_matrix(
+            (entries[pat.transpose], pat.t_indices, pat.t_indptr),
+            shape=(pat.black.size, pat.red.size),
+        )
         self.inv_black = 1.0 / self.diag_black
 
     def _schur(self, p: np.ndarray) -> np.ndarray:
@@ -724,11 +751,12 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
             f"dt={dt:.6g} exceeds the advective bound {bound:.6g}"
         )
 
-    pin = st.pin
     rhs_u = f.u + dt * _explicit_u(f, ws, params, st)
     rhs_v = f.v + dt * (f.u - f.v)
-    rhs_u[pin] = st.pin_u[pin]
-    rhs_v[pin] = st.pin_v[pin]
+    if f.dim == 2:  # the 1-D solve takes held values from the stepper
+        pin = st.pin
+        rhs_u[pin] = st.pin_u[pin]
+        rhs_v[pin] = st.pin_v[pin]
     new_u = st.system(conds, dt).solve(rhs_u, f.u)
     new_v = st.system(st.v_conds, dt).solve(rhs_v, f.v)
 
@@ -740,7 +768,8 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
             raise NegativeDensity(
                 f"{name} reached {low:.6g}, below the {_NEG_FLOOR} floor"
             )
-        np.copyto(arr, 0.0, where=arr < 0.0)
+        if low < 0.0:
+            np.copyto(arr, 0.0, where=arr < 0.0)
 
     return f._with(new_u, new_v, f.bc)
 
@@ -795,9 +824,8 @@ def build_initial(config: SimConfig) -> GridField:
     )
     ic = config.ic
     if isinstance(ic, FrontIC):
-        from scipy.special import expit
-
-        profile = expit(-ic.steepness * (f.x - ic.offset))
+        with np.errstate(over="ignore"):  # exp overflowing to inf gives 0
+            profile = 1.0 / (1.0 + np.exp(ic.steepness * (f.x - ic.offset)))
         f.u[...] = profile
         f.v[...] = profile
     elif isinstance(ic, Bump2dIC):

@@ -219,6 +219,32 @@ def test_sub_solution_vectorized_matches_scalar():
     assert np.array_equal(vec, scal)
 
 
+def test_bracketed_root_matches_scipy_brentq():
+    # The junction root replaced scipy's brentq, which the package no longer
+    # imports; Brent's method to the same tolerances agrees bit for bit.
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(0)
+    funcs = [
+        lambda x: math.cos(x) - x,
+        lambda x: x**3 - 2.0 * x - 5.0,
+        lambda x: math.exp(-x) - 0.3,
+        lambda x: math.tanh(50.0 * (x - 0.3)),
+        lambda x: math.sin(10.0 * x),
+    ]
+    cases = 0
+    for f in funcs:
+        for _ in range(60):
+            lo = rng.uniform(-3.0, 1.0)
+            hi = lo + rng.uniform(0.01, 5.0)
+            if f(lo) * f(hi) >= 0.0:
+                continue
+            want = brentq(f, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+            assert certificates._bracketed_root(f, lo, hi) == want
+            cases += 1
+    assert cases >= 100
+
+
 # -------------------------------------------------------------- residual_l
 def test_residual_l_vanishes_for_trivial_states():
     assert residual_l(0.0, 0.0, 0.0, 0.3, 0.1, PARAMS, 1.0) == 0.0

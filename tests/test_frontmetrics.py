@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavemotil import frontmetrics
 from wavemotil.errors import InsufficientSamples, NoCrossing, NoRing, WindowTooSmall
 from wavemotil.frontmetrics import (
-    FrontSeries,
     ProfileClass,
     classify_profile,
     decay_fit,
     front_position,
-    front_series,
     ring_metrics,
     wave_speed,
 )
@@ -83,7 +82,7 @@ class TestFrontPosition:
 
 
 # ---------------------------------------------------------------------------
-# wave_speed / front_series
+# wave_speed
 # ---------------------------------------------------------------------------
 
 
@@ -146,18 +145,6 @@ class TestWaveSpeed:
         xf[::7] = np.nan
         c_est, _ = wave_speed(t, xf)
         assert c_est == pytest.approx(2.0, rel=1e-10)
-
-    def test_front_series_fields(self):
-        t = np.linspace(0.0, 50.0, 101)
-        xf = 2.0 * t + 1.0
-        series = front_series(t, xf)
-        assert isinstance(series, FrontSeries)
-        assert series.c_est == pytest.approx(2.0, rel=1e-12)
-        assert series.r_squared == pytest.approx(1.0, abs=1e-12)
-        t_lo, t_hi = series.fit_window
-        assert t_lo >= 0.2 * 50.0 - 1e-9
-        assert t_hi == pytest.approx(50.0)
-        assert np.all(np.isfinite(series.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +330,24 @@ class TestRingMetrics:
             u = np.exp(-((r - radius) ** 2))
             outs.append(ring_metrics(x, y, u, level=0.5)[2])
         assert outs[0] < outs[1] < outs[2]
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_bilinear_matches_scipy_regular_grid(self, uniform):
+        # The sampling replaced scipy's RegularGridInterpolator, which the
+        # package no longer imports; it must agree bit for bit, including
+        # points on the grid lines and beyond the last node.
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(1 if uniform else 2)
+        x = -2.5 + 0.05 * np.arange(61) if uniform else np.sort(rng.uniform(-3, 3, 40))
+        y = -1.0 + 0.05 * np.arange(37)
+        u = rng.random((y.size, x.size))
+        px = rng.uniform(x[0] - 0.1, x[-1] + 0.1, (30, 7))
+        py = rng.uniform(y[0], y[-1], (30, 7))
+        px[0, :3] = x[[0, -1, 2]]
+        py[0, :3] = y[[0, -1, 3]]
+        interp = RegularGridInterpolator(
+            (y, x), u, method="linear", bounds_error=False, fill_value=None
+        )
+        want = interp(np.stack([py.ravel(), px.ravel()], axis=-1)).reshape(px.shape)
+        assert np.array_equal(frontmetrics._bilinear(x, y, u, px, py), want)

@@ -1,5 +1,10 @@
 """The package namespace: each public name is declared once, in its module."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import wavemotil
 from wavemotil import analysis, certificates, errors, frontmetrics, model, pde, waveode
 
@@ -13,3 +18,23 @@ def test_package_exports_exactly_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(wavemotil, name) is getattr(module, name), name
+
+
+def test_cli_import_loads_only_the_scipy_it_uses():
+    # scipy.optimize, scipy.interpolate and scipy.special cost import time
+    # every command pays; the package needs none of them.
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
+    probe = (
+        "import sys, wavemotil.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
+        "'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,8 +2,9 @@
 
 Oracles: uniform states against a high-accuracy two-ODE integration, the
 discrete chemical-mass identity on zero-flux boxes, a smooth manufactured
-solution for the spatial order of the flux discretization, and a direct
-sparse solve of the unweighted 2-D implicit system.
+solution for the spatial order of the flux discretization, and the
+unweighted implicit systems assembled node by node (dense in 1-D, solved
+directly as sparse in 2-D).
 """
 
 from __future__ import annotations
@@ -140,13 +141,20 @@ class TestChemicalMassIdentity:
         x = np.linspace(0.0, 10.0, 201)
         u0 = 0.5 + 0.3 * np.cos(np.pi * x / 10.0) + 0.05 * rng.random(201)
         v0 = 0.4 + 0.2 * np.cos(2 * np.pi * x / 10.0)
-        f = make_field(1, ((0.0, 10.0),), 0.05, u0=u0, v0=v0)
-        mu, mv = mass(f)
-        dt = 0.05
-        g = step(f, POWER, dt)
-        _, mv_new = mass(g)
-        # Total v changes only through the source: the Laplacian telescopes.
-        assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+        sigmoid = ModelParams(a=0.2, b=0.2, motility=SigmoidMotility(eps=0.1, v0=1.0))
+        for params in (POWER, sigmoid):
+            f = make_field(1, ((0.0, 10.0),), 0.05, u0=u0, v0=v0)
+            # Several steps, so the source u differs between the laws.
+            for _ in range(10):
+                mu, mv = mass(f)
+                dt = min(0.05, pde._stepper_of(f).advective_bound(f, params))
+                f = step(f, params, dt)
+                _, mv_new = mass(f)
+                # Total v changes only through the source: the weighted v
+                # system is symmetric with column sums W, so the Laplacian
+                # telescopes up to rounding.
+                error = abs((mv_new - mv) / dt - (mu - mv))
+                assert error <= 1e-12 * max(1.0, mu, mv)
 
     def test_2d_zero_flux_box(self):
         f = make_field(2, ((-2.0, 2.0), (-2.0, 2.0)), 0.1, u0=0.0, v0=0.0)
@@ -361,42 +369,80 @@ class TestStepErrors:
             step(f, POWER, 0.0)
 
 
-def _bands_built_per_step(st, cond, dt):
-    """The 1-D bands of I - dt L as each step used to build them."""
-    ks = np.full(cond.size + 1, dt / st.h**2)
-    ks[0] *= 2.0
-    ks[-1] *= 2.0
-    diag = np.empty_like(ks)
-    diag[0] = cond[0]
-    diag[-1] = cond[-1]
-    np.add(cond[:-1], cond[1:], out=diag[1:-1])
-    diag *= ks
-    diag += 1.0
-    lower = -(ks[1:] * cond)
-    upper = -(ks[:-1] * cond)
-    if st.held:
-        diag[st.pin] = 1.0
-        lower[st.pin[1:]] = 0.0
-        upper[st.pin[:-1]] = 0.0
-    return lower, diag, upper
+def _reference_system_1d(f, cond, dt):
+    """Dense unweighted I - dt L of a 1-D grid, assembled node by node.
+
+    Held rows (Dirichlet ends) are identity rows; an end node owns a half
+    cell.
+    """
+    n = f.nx
+    held = np.zeros(n, dtype=bool)
+    held[0] = isinstance(f.bc["left"], Dirichlet)
+    held[-1] = isinstance(f.bc["right"], Dirichlet)
+    k = dt / f.h**2
+    a = np.eye(n)
+    for i in np.flatnonzero(~held):
+        s = 2.0 if i in (0, n - 1) else 1.0
+        links = []
+        if i > 0:
+            links.append((i - 1, cond[i - 1]))
+        if i < n - 1:
+            links.append((i + 1, cond[i]))
+        for j, c in links:
+            a[i, i] += s * k * c
+            a[i, j] -= s * k * c
+    return a, held
 
 
-class TestTridiagonalBands:
-    @pytest.mark.parametrize("held", [False, True])
-    def test_bit_identical_to_bands_built_per_step(self, held):
-        bc = {"left": Dirichlet(1.0, 1.0), "right": Dirichlet(0.0, 0.0)} if held else None
-        f = make_field(1, ((0.0, 200.0),), 0.05, u0=0.0, v0=0.0, bc=bc)
+class TestTridiagonalSolve:
+    """The 1-D solve against the unweighted system it symmetrizes."""
+
+    BCS = {
+        "none": None,
+        "left": {"left": Dirichlet(0.8, 0.6)},
+        "both": {"left": Dirichlet(0.8, 0.6), "right": Dirichlet(0.1, 0.3)},
+    }
+
+    @staticmethod
+    def _field(held):
+        return make_field(
+            1, ((0.0, 20.0),), 0.05, u0=0.0, v0=0.0, bc=TestTridiagonalSolve.BCS[held]
+        )
+
+    @pytest.mark.parametrize("held", sorted(BCS))
+    def test_residual_and_held_values(self, held):
+        f = self._field(held)
         st = pde._stepper_of(f)
-        assert st.held == held
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(7)
         u_cond = 0.01 + rng.random(f.nx - 1)
-        for dt in np.concatenate([rng.uniform(1e-4, 0.1, 20), [0.1, 0.02]]):
-            for conds in (st.v_conds, [u_cond]):
-                got = st.system(conds, dt).bands
-                want = _bands_built_per_step(st, conds[0], dt)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w)
-                    assert np.array_equal(np.signbit(g), np.signbit(w))
+        for dt in np.concatenate([rng.uniform(1e-4, 0.1, 22), [0.1, 0.02]]):
+            for conds, values in (([u_cond], st.pin_u), (st.v_conds, st.pin_v)):
+                a, pinned = _reference_system_1d(f, conds[0], dt)
+                rhs = 0.5 + rng.random(f.nx)
+                rhs[pinned] = values[pinned]
+                given = rhs.copy()
+                given[pinned] = np.nan  # held values come from the stepper
+                x = st.system(conds, dt).solve(given, f.u)
+                residual = np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
+                assert residual <= 1e-13
+                assert np.array_equal(x[pinned], values[pinned])
+        # Distinct held values for u and v, so a swap would show.
+        assert np.all(st.pin_u[st.pin] != st.pin_v[st.pin])
+
+    def test_chemical_factor_kept_while_dt_repeats(self):
+        f = self._field("both")
+        st = pde._stepper_of(f)
+        rng = np.random.default_rng(5)
+        factors = []
+        for dt in (0.05, 0.05, 0.02, 0.05):
+            rhs = 0.5 + rng.random(f.nx)
+            x = st.system(st.v_conds, dt).solve(rhs, f.v)
+            factors.append(st.v_factor)
+            fresh = pde._stepper_of(self._field("both"))
+            assert np.array_equal(x, fresh.system(fresh.v_conds, dt).solve(rhs, f.v))
+            assert st.v_factor[0] == dt
+        same = [a is b for a, b in zip(factors, factors[1:])]
+        assert same == [True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +666,20 @@ class TestRedBlackSolve:
         for x0 in (np.zeros_like(rhs), rhs):
             x = solver.solve(rhs, x0)
             assert np.min(x[red]) >= 0.0 and np.min(x[~red]) >= 0.0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_transposed_block_matches_transpose_view(self, case):
+        # The CSR copy of C^T sums each row in the order the CSC view
+        # scatters, so the Schur product is unchanged bit for bit.
+        f, cx, cy, rng = self._case(case)
+        solver = pde._stepper_of(f).system([cx, cy.T], 0.5)
+        view = solver.coupling.T
+        for _ in range(3):
+            r = rng.standard_normal(solver.inv_red.size)
+            p = rng.standard_normal(solver.diag_black.size)
+            assert np.array_equal(solver.coupling_t @ r, view @ r)
+            reduced = view @ (solver.inv_red * (solver.coupling @ p))
+            assert np.array_equal(solver._schur(p), solver.diag_black * p - reduced)
 
     def test_half_the_iterations_of_full_system_cg(self):
         # Guards against a silent return to CG on the full system, which
