@@ -102,8 +102,8 @@ def kappa(m: float, a: float) -> float:
 class WaveContext:
     """Derived quantities for one (params, c) pair with power-law motility.
 
-    lam is the front decay rate, (lam1, lam2) the chemical-kernel rates and
-    eta the plateau ceiling: the smaller root of
+    lam is the front decay rate and eta the plateau ceiling: the smaller
+    root of
 
         m (m+1)/(1+a) eta^2 + m (1 + c/sqrt(1+a)) eta + a - b eta = 0.
 
@@ -115,8 +115,6 @@ class WaveContext:
     b: float
     m: float
     lam: float
-    lam1: float
-    lam2: float
     eta: float
     in_window: bool
 
@@ -157,11 +155,10 @@ def speed_window(params: ModelParams, c: float) -> WaveContext:
         raise WindowViolation("speed window analysis requires the power motility family")
     a, b, m = params.a, params.b, params.motility.m
     lam = lambda_decay(c, a)
-    lam1, lam2 = lambda12(c)
     eta = _eta_smaller_root(a, b, m, c)
     return WaveContext(
-        c=float(c), a=a, b=b, m=m, lam=lam, lam1=lam1, lam2=lam2,
-        eta=eta, in_window=in_speed_window(a, b, m, c),
+        c=float(c), a=a, b=b, m=m, lam=lam, eta=eta,
+        in_window=in_speed_window(a, b, m, c),
     )
 
 

@@ -13,9 +13,11 @@ with the worst-case envelopes of V and V' over the whole sandwich class, so a
 passing report certifies every admissible source at once, not one sample.
 
 The plateau height delta is found by adaptive halving: each candidate fixes
-the junction x_delta (rightmost root of the matching equation, found by
-bisection) and all margins are re-evaluated on a dense grid around it.  The
-halving range, the grid size and the two slacks are module constants.
+the junction x_delta (rightmost root of the matching equation: the rightmost
+sign-change cell of a scan, resampled and narrowed until it is narrower than
+1e-12 + 4 eps |x|) and all margins are re-evaluated on a dense grid around
+it.  The halving range, the grid size and the two slacks are module
+constants.
 
 Every check is a ``CheckRecord`` built from per-point margins by one rule:
 the worst point is kept and the check passes iff margin > -slack, so a NaN
@@ -54,10 +56,11 @@ __all__ = [
 ]
 
 _MATCHING_TOL = 1e-10
-# junction root: absolute and relative tolerance, iteration cap
+# junction root: absolute and relative width of the final bracket, and the
+# samples each refinement of the bracket takes
 _ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-_ROOT_MAX_ITER = 100
+_REFINE_POINTS = 33
 # plateau heights tried by halving, from the start down to the floor
 _DELTA_START = 1e-2
 _DELTA_FLOOR = 1e-18
@@ -190,16 +193,19 @@ def super_solution(ctx: WaveContext, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _tail(bundle: ThetaBundle, d_n: float, d0: float, x):
+    """Two-rate tail d_n e^{-theta1(x) x} + d0 e^{-theta2(x) x} at x."""
+    th1 = np.asarray(bundle.theta1(x))
+    return d_n * np.exp(-th1 * x) + d0 * np.exp(-(th1 + bundle.shift) * x)
+
+
 def sub_solution(ctx: WaveContext, bundle: ThetaBundle, spec: SubSolutionSpec, x):
     """Plateau delta for x <= x_delta, two-rate tail beyond it."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, spec.delta, dtype=float)
     mask = xa > spec.x_delta
     if np.any(mask):
-        xm = xa[mask]
-        th1 = np.asarray(bundle.theta1(xm))
-        th2 = th1 + bundle.shift
-        out[mask] = spec.d_n * np.exp(-th1 * xm) + spec.d0 * np.exp(-th2 * xm)
+        out[mask] = _tail(bundle, spec.d_n, spec.d0, xa[mask])
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -208,20 +214,22 @@ def locate_junction(
 ) -> tuple[float, int]:
     """Rightmost root of d_n e^{-theta1 x} + d0 e^{-theta2 x} = delta.
 
-    Returns (x_delta, sign_change_count).  With d0 = -1 the matching function
-    typically changes sign twice (it starts negative, rises, then decays);
-    the rightmost root lies on the decreasing branch, which is the one the
-    plateau must glue to.  Raises CertificateFailed when no root exists, which
-    simply means this plateau height is too large.
+    Returns (x_delta, sign_change_count), the count taken on a 4097-point
+    scan of [0, x_max].  With d0 = -1 the matching function typically
+    changes sign twice (it starts negative, rises, then decays); the
+    rightmost root lies on the decreasing branch, which is the one the
+    plateau must glue to.  The rightmost sign-change cell of the scan is
+    resampled on _REFINE_POINTS points and narrowed to its rightmost
+    sign-change cell until it is narrower than 1e-12 + 4 eps |x|; x_delta
+    is its midpoint.  Raises CertificateFailed when the scan finds no sign
+    change, which simply means this plateau height is too large.
     """
     if not delta > 0.0:
         raise ValueError("plateau height delta must be positive")
     lam = bundle.ctx.lam
     x_max = 10.0 / lam * (1.0 + abs(math.log(delta)))
     xs = np.linspace(0.0, x_max, 4097)
-    th1 = np.asarray(bundle.theta1(xs))
-    f = d_n * np.exp(-th1 * xs) + d0 * np.exp(-(th1 + bundle.shift) * xs) - delta
-    sign = np.sign(f)
+    sign = np.sign(_tail(bundle, d_n, d0, xs) - delta)
     brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     if len(brackets) == 0:
         raise CertificateFailed(
@@ -229,73 +237,16 @@ def locate_junction(
             failing_check="junction_matching",
             delta=delta,
         )
-
-    def _f(x: float) -> float:
-        t1 = bundle.theta1(x)
-        return (
-            d_n * math.exp(-t1 * x)
-            + d0 * math.exp(-(t1 + bundle.shift) * x)
-            - delta
-        )
-
     i = int(brackets[-1])
-    x_delta = _bracketed_root(_f, float(xs[i]), float(xs[i + 1]))
-    return x_delta, int(len(brackets))
-
-
-def _bracketed_root(f, x_pre: float, x_cur: float) -> float:
-    """Root of f in a bracket [x_pre, x_cur] where f changes sign.
-
-    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
-    ch. 4): inverse quadratic interpolation or secant steps, replaced by
-    bisection whenever they would not shrink the bracket fast enough, so
-    the bracket always holds a root.  Stops once half the bracket is below
-    (1e-12 + 4 eps |x|) / 2 or f vanishes.
-    """
-    f_pre, f_cur = f(x_pre), f(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_ROOT_MAX_ITER):
-        if f_pre != 0.0 and f_cur != 0.0 and (
-            math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)
-        ):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (
-                    -f_cur
-                    * (f_blk * d_blk - f_pre * d_pre)
-                    / (d_blk * d_pre * (f_blk - f_pre))
-                )
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
-        else:
-            x_cur += delta if s_bis > 0.0 else -delta
-        f_cur = f(x_cur)
-    raise CertificateFailed(
-        f"junction root did not converge in {_ROOT_MAX_ITER} iterations",
-        failing_check="junction_matching",
-    )
+    lo, hi, right = xs[i], xs[i + 1], sign[i + 1]
+    while hi - lo >= _ROOT_XTOL + _ROOT_RTOL * hi:
+        xs = np.linspace(lo, hi, _REFINE_POINTS)
+        sign = np.sign(_tail(bundle, d_n, d0, xs) - delta)
+        # the left end is a root or has the other sign, so j exists and the
+        # new cell still holds a root
+        j = int(np.nonzero(sign != right)[0][-1])
+        lo, hi = xs[j], xs[j + 1]
+    return float(0.5 * (lo + hi)), int(len(brackets))
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +447,7 @@ def _analytic_checks(
     record("sub_tail", tail_margin, xr, 0.0)
 
     # junction matching residual
-    t1 = tb.theta1(x_delta)
-    resid = (
-        d_n * math.exp(-t1 * x_delta)
-        + d0 * math.exp(-(t1 + shift) * x_delta)
-        - delta
-    )
+    resid = float(_tail(tb, d_n, d0, x_delta)) - delta
     record("junction_matching", _MATCHING_TOL - abs(resid), x_delta, 0.0)
 
     # strict ordering 0 < lower < upper on the whole grid

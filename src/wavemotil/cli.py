@@ -68,6 +68,7 @@ from .model import (
     motility_eval,
 )
 from .pde import (
+    DEFAULT_DT_MAX,
     ArrayIC,
     Bump2dIC,
     CustomIC,
@@ -116,9 +117,12 @@ def read_config(path: str) -> dict[str, str]:
 
 def _as_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(key: str, raw: str) -> int:
@@ -244,7 +248,7 @@ _SCHEMAS: dict[str, dict] = {
         "bc_top": (_as_str, "neumann"),
         "t_end": (_as_float, _REQUIRED),
         "cadence": (_as_float, _REQUIRED),
-        "dt_max": (_as_float, 0.1),
+        "dt_max": (_as_float, DEFAULT_DT_MAX),
         "disk_mask": (_as_bool, False),
         "transient_fraction": (_as_fraction, 0.2),
     },

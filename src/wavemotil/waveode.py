@@ -124,7 +124,6 @@ class AuxiliaryRun:
 
     times: np.ndarray
     snapshots: np.ndarray
-    monotone: bool
     max_monotone_violation: float
     final_increment: float
 
@@ -298,7 +297,6 @@ def solve_auxiliary(
     return AuxiliaryRun(
         times=_CHECKPOINT_DT * np.arange(len(snapshots)),
         snapshots=np.asarray(snapshots),
-        monotone=worst <= _MONOTONE_SLACK,
         max_monotone_violation=worst,
         final_increment=final_increment,
     )

@@ -219,30 +219,29 @@ def test_sub_solution_vectorized_matches_scalar():
     assert np.array_equal(vec, scal)
 
 
-def test_bracketed_root_matches_scipy_brentq():
-    # The junction root replaced scipy's brentq, which the package no longer
-    # imports; Brent's method to the same tolerances agrees bit for bit.
+@pytest.mark.parametrize("delta", [1e-4, 1e-7, 1e-10])
+@pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
+def test_locate_junction_matches_scipy_brentq(c, delta):
+    # scipy stays the reference here; the package no longer imports it.
     from scipy.optimize import brentq
 
-    rng = np.random.default_rng(0)
-    funcs = [
-        lambda x: math.cos(x) - x,
-        lambda x: x**3 - 2.0 * x - 5.0,
-        lambda x: math.exp(-x) - 0.3,
-        lambda x: math.tanh(50.0 * (x - 0.3)),
-        lambda x: math.sin(10.0 * x),
-    ]
-    cases = 0
-    for f in funcs:
-        for _ in range(60):
-            lo = rng.uniform(-3.0, 1.0)
-            hi = lo + rng.uniform(0.01, 5.0)
-            if f(lo) * f(hi) >= 0.0:
-                continue
-            want = brentq(f, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
-            assert certificates._bracketed_root(f, lo, hi) == want
-            cases += 1
-    assert cases >= 100
+    tb = theta_bundle(_ctx(c))
+    d0 = 1.0 if tb.is_critical else -1.0
+
+    def f(x):
+        return (
+            0.5 * math.exp(-tb.theta1(x) * x)
+            + d0 * math.exp(-tb.theta2(x) * x)
+            - delta
+        )
+
+    # rightmost sign change of the same 4097-point scan
+    xs = np.linspace(0.0, 10.0 / tb.ctx.lam * (1.0 + abs(math.log(delta))), 4097)
+    signs = np.sign([f(x) for x in xs])
+    i = int(np.nonzero(signs[:-1] * signs[1:] < 0.0)[0][-1])
+    want = brentq(f, xs[i], xs[i + 1], xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    x_delta, _ = locate_junction(tb, d_n=0.5, d0=d0, delta=delta)
+    assert abs(x_delta - want) <= 1e-12 + 4.0 * np.finfo(float).eps * abs(want)
 
 
 # -------------------------------------------------------------- residual_l
@@ -294,6 +293,19 @@ def test_certificate_passes_across_the_speed_window(which):
         "v_upper_bound",
         "dv_bound",
     } <= names
+
+
+@pytest.mark.parametrize(
+    "which, halvings, sign_changes",
+    [("critical", 45, 1), ("c0.88", 11, 2), ("endpoint", 11, 2)],
+)
+def test_certificate_accepts_the_pinned_plateau_height(which, halvings, sign_changes):
+    from wavemotil import c_star
+
+    speeds = {"critical": C_MIN, "c0.88": 0.88, "endpoint": c_star(A, B, M)}
+    report = certify_pair(PARAMS, speeds[which], n=2)
+    assert report.delta == 1e-2 * 2.0**-halvings
+    assert report.sign_changes == sign_changes
 
 
 def test_certificate_minimal_speed_keeps_the_reserve_margin():

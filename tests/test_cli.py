@@ -313,6 +313,15 @@ class TestUsage:
             ("simulate", _SIM_SHORT + "bc_bottom=neumann\n"),
             ("simulate", _SIM_SHORT + "y_min=-1\n"),
             ("simulate", _SIM_SHORT + "dim=1\ny_max=1\n"),
+            ("simulate --preset fig2", "t_end=inf\n"),
+            ("simulate --preset fig2", "x_max=inf\n"),
+            ("simulate --preset fig2", "cadence=inf\n"),
+            ("simulate", _SIM_SHORT + "bc_left=dirichlet:nan:0\n"),
+            ("analyze", "a=0.1\nb=60\nm=6\nc=nan\n"),
+            ("analyze", "a=0.1\nb=60\nm=6\nc=inf\n"),
+            ("analyze", "a=0.1\nb=inf\nm=6\n"),
+            ("certify", "a=0.1\nb=inf\nm=6\nc=0.7\n"),
+            ("speedscan", _SCAN_CFG.replace("lambda0=0.5", "lambda0=0.5,inf")),
         ],
         ids=[
             "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
@@ -322,6 +331,9 @@ class TestUsage:
             "speedscan-threshold", "speedscan-cadence", "speedscan-t_end0",
             "speedscan-h", "speedscan-dt_max0", "speedscan-fraction",
             "dim1-bc_top", "dim1-bc_bottom", "dim1-y_min", "dim1-y_max",
+            "fig2-t_end-inf", "fig2-x_max-inf", "fig2-cadence-inf",
+            "dirichlet-nan", "analyze-c-nan", "analyze-c-inf", "analyze-b-inf",
+            "certify-b-inf", "speedscan-lambda0-inf",
         ],
     )
     def test_malformed_value_is_usage_error(
@@ -333,7 +345,7 @@ class TestUsage:
         monkeypatch.setattr(cli, "simulate", no_simulation)
         cfg = _write(tmp_path, "bad.cfg", text)
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 64
+        assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 64
         assert "usage error" in capsys.readouterr().err
         # Nothing is written: no data file (speedscan.csv included), no run.json.
         assert not list(out.glob("*"))
