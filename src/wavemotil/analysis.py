@@ -197,7 +197,7 @@ class ThetaBundle:
 
     # -- internals -------------------------------------------------------
     def _pieces(self, x):
-        """Return (t, rho, phi_pow_m1, one_minus) with t = e^{-lam x}/(1+a)."""
+        """Return (t, log phi, rho) with t = e^{-lam x}/(1+a) and phi = 1 + t."""
         ctx = self.ctx
         x = np.asarray(x, dtype=float)
         t = np.exp(-ctx.lam * x) / (1.0 + ctx.a)
@@ -206,25 +206,29 @@ class ThetaBundle:
         one_minus = -np.expm1(-ctx.m * log_phi)
         d0 = max(ctx.c * ctx.c - 4.0 * ctx.a, 0.0)
         rho = np.sqrt(d0 + 4.0 * ctx.a * one_minus)
-        phi_pow_m1 = np.exp((ctx.m + 1.0) * log_phi)  # phi^{m+1}
-        return t, rho, phi_pow_m1, one_minus
+        return t, log_phi, rho
+
+    def _slope_pieces(self, x):
+        """Return (t, rho, phi^{m+1}) for the derivative evaluators."""
+        t, log_phi, rho = self._pieces(x)
+        return t, rho, np.exp((self.ctx.m + 1.0) * log_phi)
 
     def theta1(self, x):
         ctx = self.ctx
-        _, rho, _, _ = self._pieces(x)
+        _, _, rho = self._pieces(x)
         out = 2.0 * ctx.a / (ctx.c + rho)
         return float(out) if np.isscalar(x) else out
 
     def dtheta1(self, x):
         ctx = self.ctx
-        t, rho, phi_pow_m1, _ = self._pieces(x)
+        t, rho, phi_pow_m1 = self._slope_pieces(x)
         out = 4.0 * ctx.a**2 * ctx.m * ctx.lam * t / (rho * (ctx.c + rho) ** 2 * phi_pow_m1)
         return float(out) if np.isscalar(x) else out
 
     def d2theta1(self, x):
         ctx = self.ctx
         a, m, lam, c = ctx.a, ctx.m, ctx.lam, ctx.c
-        t, rho, phi_pow_m1, _ = self._pieces(x)
+        t, rho, phi_pow_m1 = self._slope_pieces(x)
         phi = 1.0 + t
         # d/dphi of log(-h'(phi)) for h(phi) = 2a/(c + rho(phi))
         dlog = (

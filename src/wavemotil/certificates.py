@@ -6,11 +6,14 @@ The operator under certification is
            + (gamma''(V) (V')^2 + gamma'(V) (V - U - c V') + a) U - b U^2,
 
 where V solves V'' + c V' + u - V = 0 for a source u between the candidate
-sub- and super-solutions.  The super-solution is min{e^{-lambda x}, eta}; the
-sub-solution is a plateau delta glued at x_delta to the two-rate tail
-d_n e^{-theta1(x) x} + d0 e^{-theta2(x) x}.  All sign checks are evaluated
-with the worst-case envelopes of V and V' over the whole sandwich class, so a
-passing report certifies every admissible source at once, not one sample.
+sub- and super-solutions.  ``solve_v`` evaluates V through the whole-line
+kernel of that equation: two composite-Simpson recurrences, each solved as
+one unit triangular banded system by BLAS ``dtbsv``.  The super-solution is
+min{e^{-lambda x}, eta}; the sub-solution is a plateau delta glued at
+x_delta to the two-rate tail d_n e^{-theta1(x) x} + d0 e^{-theta2(x) x}.
+All sign checks are evaluated with the worst-case envelopes of V and V' over
+the whole sandwich class, so a passing report certifies every admissible
+source at once, not one sample.
 
 The plateau height delta is found by adaptive halving: each candidate fixes
 the junction x_delta (rightmost root of the matching equation: the rightmost
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 
 from .analysis import (
     ThetaBundle,
@@ -265,10 +269,14 @@ def solve_v(
 
     The source is the sampled u on the uniform grid, extended by u == u_left
     for x < grid[0] and u == tail_amplitude * e^{-tail_rate x} for
-    x > grid[-1].  The two one-sided integrals are accumulated by marching
-    composite-Simpson recurrences (the exponential kernel factors out of each
-    panel), seeded by the closed-form tail integrals; V' comes from the
-    differentiated kernel, so no numerical differentiation is involved.
+    x > grid[-1].  Each of the two one-sided integrals obeys a two-step
+    composite-Simpson recurrence y[k] = r y[k -/+ 2] + s[k] (the exponential
+    kernel factors out of each panel), seeded by the closed-form tail
+    integrals.  The sources s are built as whole arrays and each recurrence
+    is solved as one unit triangular banded system (BLAS dtbsv, bandwidth 2:
+    lower for the leftward integral, upper for the rightward one).  V' comes
+    from the differentiated kernel, so no numerical differentiation is
+    involved.
     """
     grid = np.asarray(grid, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -294,6 +302,12 @@ def solve_v(
         )
 
     n = grid.size
+    # The two seed values at the start of each sweep are the first two unit
+    # rows.  In BLAS band storage the coupling -r sits in row 2 of the lower
+    # band and in row 0 of the upper band; each solve's unit diagonal is not
+    # referenced and is the other's coupling row, so one array serves both.
+    band = np.zeros((3, n), order="F")
+
     # leftward integral: I1(x) = int_{-inf}^{x} e^{lam1 (x - s)} u(s) ds
     e1 = math.exp(lam1 * h)
     e1sq = e1 * e1
@@ -301,10 +315,9 @@ def solve_v(
     i1 = np.empty(n)
     i1[0] = u_left / (-lam1)
     i1[1] = e1 * i1[0] + (h / 12.0) * (5.0 * e1 * u[0] + 8.0 * u[1] - e1inv * u[2])
-    for k in range(2, n):
-        i1[k] = e1sq * i1[k - 2] + (h / 3.0) * (
-            e1sq * u[k - 2] + 4.0 * e1 * u[k - 1] + u[k]
-        )
+    i1[2:] = (h / 3.0) * (e1sq * u[:-2] + 4.0 * e1 * u[1:-1] + u[2:])
+    band[2, : n - 2] = -e1sq
+    i1 = dtbsv(2, band, i1, lower=1, diag=1, overwrite_x=1)
 
     # rightward integral: I2(x) = int_{x}^{+inf} e^{lam2 (x - s)} u(s) ds
     e2 = math.exp(-lam2 * h)
@@ -315,10 +328,9 @@ def solve_v(
     i2[n - 2] = e2 * i2[n - 1] + (h / 12.0) * (
         -e2inv * u[n - 3] + 8.0 * u[n - 2] + 5.0 * e2 * u[n - 1]
     )
-    for k in range(n - 3, -1, -1):
-        i2[k] = e2sq * i2[k + 2] + (h / 3.0) * (
-            u[k] + 4.0 * e2 * u[k + 1] + e2sq * u[k + 2]
-        )
+    i2[: n - 2] = (h / 3.0) * (u[:-2] + 4.0 * e2 * u[1:-1] + e2sq * u[2:])
+    band[0, 2:] = -e2sq
+    i2 = dtbsv(2, band, i2, lower=0, diag=1, overwrite_x=1)
 
     denom = lam2 - lam1
     values = (i1 + i2) / denom

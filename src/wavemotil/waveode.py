@@ -365,8 +365,9 @@ class WaveProfile:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("z,U,V,Uprime,Vprime\n")
-            for row in zip(self.grid, self.U, self.V, self.Uprime, self.Vprime):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            columns = (self.grid, self.U, self.V, self.Uprime, self.Vprime)
+            lists = [np.asarray(col, dtype=float).tolist() for col in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*lists))
 
     def to_dict(self) -> dict:
         """The profile's scalars, with NaN and infinities written as null."""

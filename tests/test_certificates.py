@@ -25,6 +25,7 @@ from wavemotil import (
     PowerMotility,
     WindowViolation,
     certify_pair,
+    lambda12,
     locate_junction,
     residual_l,
     solve_v,
@@ -142,6 +143,50 @@ def test_solve_v_is_monotone_in_the_source():
     lo = solve_v(grid, u_low, c, u_left=u_low[0], tail_amplitude=u_low[-1], tail_rate=0.0)
     hi = solve_v(grid, u_high, c, u_left=u_high[0], tail_amplitude=u_high[-1], tail_rate=0.0)
     assert np.all(hi.values >= lo.values - 1e-14)
+
+
+def _solve_v_by_loops(grid, u, c, u_left, tail_amplitude, tail_rate):
+    """Reference: both Simpson recurrences marched one node at a time."""
+    lam1, lam2 = lambda12(c)
+    n, h = grid.size, float(grid[1] - grid[0])
+    e1, e1inv = math.exp(lam1 * h), math.exp(-lam1 * h)
+    e1sq = e1 * e1
+    i1 = np.empty(n)
+    i1[0] = u_left / (-lam1)
+    i1[1] = e1 * i1[0] + (h / 12.0) * (5.0 * e1 * u[0] + 8.0 * u[1] - e1inv * u[2])
+    for k in range(2, n):
+        i1[k] = e1sq * i1[k - 2] + (h / 3.0) * (
+            e1sq * u[k - 2] + 4.0 * e1 * u[k - 1] + u[k]
+        )
+    e2, e2inv = math.exp(-lam2 * h), math.exp(lam2 * h)
+    e2sq = e2 * e2
+    i2 = np.empty(n)
+    i2[n - 1] = tail_amplitude * math.exp(-tail_rate * grid[n - 1]) / (lam2 + tail_rate)
+    i2[n - 2] = e2 * i2[n - 1] + (h / 12.0) * (
+        -e2inv * u[n - 3] + 8.0 * u[n - 2] + 5.0 * e2 * u[n - 1]
+    )
+    for k in range(n - 3, -1, -1):
+        i2[k] = e2sq * i2[k + 2] + (h / 3.0) * (
+            u[k] + 4.0 * e2 * u[k + 1] + e2sq * u[k + 2]
+        )
+    denom = lam2 - lam1
+    return (i1 + i2) / denom, (lam1 * i1 + lam2 * i2) / denom
+
+
+@pytest.mark.parametrize("n", [5, 4097, 40001])
+@pytest.mark.parametrize("which", ["critical", "mid"])
+def test_solve_v_banded_solve_matches_the_simpson_loops(which, n):
+    c = C_MIN if which == "critical" else _mid_speed()
+    ctx = _ctx(c)
+    grid = np.linspace(-30.0, 200.0, n)
+    u = super_solution(ctx, grid)
+    tail = dict(u_left=ctx.eta, tail_amplitude=1.0, tail_rate=ctx.lam)
+    sol = solve_v(grid, u, c, **tail)
+    values, dvalues = _solve_v_by_loops(grid, u, c, **tail)
+    np.testing.assert_allclose(sol.values, values, rtol=1e-12, atol=0.0)
+    dscale = float(np.max(np.abs(dvalues)))
+    assert float(np.max(np.abs(sol.dvalues - dvalues))) <= 1e-12 * dscale
+    assert not sol.values.flags.writeable and not sol.dvalues.flags.writeable
 
 
 def test_solve_v_requires_tail_description():
@@ -314,6 +359,15 @@ def test_certificate_minimal_speed_keeps_the_reserve_margin():
     # at the minimal speed the shifted-rate quadratic must clear a/64
     assert theta2.margin >= -1e-12
     assert report.d0 == 1.0
+
+
+def test_certificate_minimal_speed_v_envelope_margins_are_rounding_level():
+    # the kernel solve is accurate enough that these margins stay far inside
+    # the 1e-5 slack; a less accurate recurrence would show here first
+    report = certify_pair(PARAMS, C_MIN, n=2)
+    margins = {c.name: c.margin for c in report.checks}
+    assert margins["v_upper_bound"] > -1e-8
+    assert margins["dv_bound"] > -1e-8
 
 
 def test_certificate_supercritical_uses_negative_shifted_quadratic():

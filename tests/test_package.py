@@ -21,13 +21,13 @@ def test_package_exports_exactly_the_module_lists():
 
 
 def test_cli_import_loads_only_the_scipy_it_uses():
-    # scipy.optimize, scipy.interpolate and scipy.special cost import time
-    # every command pays; the package needs none of them.
+    # scipy.optimize, scipy.interpolate, scipy.special and scipy.signal cost
+    # import time every command pays; the package needs none of them.
     env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
     probe = (
         "import sys, wavemotil.cli; "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
-        "'scipy.special') if m in sys.modules))"
+        "'scipy.special', 'scipy.signal') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

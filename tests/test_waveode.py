@@ -305,6 +305,15 @@ def test_profile_serialization_round_trips(critical_profile, tmp_path):
     u_back = np.array([float(r[1]) for r in rows[1:]])
     assert np.array_equal(z_back, critical_profile.grid)
     assert np.array_equal(u_back, critical_profile.U)
+    # the bytes of the per-scalar formatter the column lists replaced
+    columns = (
+        critical_profile.grid, critical_profile.U, critical_profile.V,
+        critical_profile.Uprime, critical_profile.Vprime,
+    )
+    expected = "z,U,V,Uprime,Vprime\n" + "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in zip(*columns)
+    )
+    assert path.read_bytes() == expected.encode()
     side = critical_profile.to_dict()
     assert side["c"] == critical_profile.c
     assert side["tail_ratio_U"] == critical_profile.tail_ratio_U
