@@ -209,9 +209,20 @@ class ThetaBundle:
         return t, log_phi, rho
 
     def _slope_pieces(self, x):
-        """Return (t, rho, phi^{m+1}) for the derivative evaluators."""
+        """Return (t, rho, phi^{m+1}) for the derivative evaluators.
+
+        Where t is below the smallest normal float, e^{-lambda x} has
+        underflowed and the slopes take their t -> 0 limit, 0: t is set to 0
+        there and rho, which vanishes with t at the minimal speed, to 1, so
+        that no 0/0 or overflowing 1/rho^2 arises.
+        """
         t, log_phi, rho = self._pieces(x)
-        return t, rho, np.exp((self.ctx.m + 1.0) * log_phi)
+        flat = t < np.finfo(float).tiny
+        return (
+            np.where(flat, 0.0, t),
+            np.where(flat, 1.0, rho),
+            np.exp((self.ctx.m + 1.0) * log_phi),
+        )
 
     def theta1(self, x):
         ctx = self.ctx

@@ -18,9 +18,9 @@ source at once, not one sample.
 The plateau height delta is found by adaptive halving: each candidate fixes
 the junction x_delta (rightmost root of the matching equation: the rightmost
 sign-change cell of a scan, resampled and narrowed until it is narrower than
-1e-12 + 4 eps |x|) and all margins are re-evaluated on a dense grid around
-it.  The halving range, the grid size and the two slacks are module
-constants.
+1e-12 + 4 eps |x|) and its tail margin is evaluated on a dense grid around
+it; a candidate that passes it gets every margin on that grid.  The halving
+range, the grid size and the two slacks are module constants.
 
 Every check is a ``CheckRecord`` built from per-point margins by one rule:
 the worst point is kept and the check passes iff margin > -slack, so a NaN
@@ -364,6 +364,57 @@ def _caps(ctx: WaveContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v_cap, dv_cap
 
 
+def _sub_tail_margin(
+    ctx: WaveContext,
+    tb: ThetaBundle,
+    d_n: float,
+    d0: float,
+    xr: np.ndarray,
+    th1: np.ndarray,
+) -> np.ndarray:
+    """Lower bound of L at the two-rate tail on the points xr beyond the
+    junction, bounded below exactly as the worst-case chain (th1 is
+    theta1 at xr)."""
+    a, b, m, c, lam, eta = ctx.a, ctx.b, ctx.m, ctx.c, ctx.lam, ctx.eta
+    sqa = math.sqrt(a)
+    r1a = math.sqrt(1.0 + a)
+    shift = tb.shift
+    e_lam = np.exp(-lam * xr)
+    e_b = b * (
+        d_n * d_n * np.exp((shift - th1) * xr)
+        + np.exp(-(th1 + shift) * xr)
+        + (2.0 * d_n * np.exp(-th1 * xr) if d0 > 0 else 0.0)
+    )
+    if tb.is_critical:
+        poly = tb.K1 * (4.0 + 4.0 * sqa * xr + 4.0 * m * eta * xr / r1a)
+        return (
+            a / 64.0
+            - poly * (np.exp(-0.5 * lam * xr) + d_n * np.exp((shift - 0.5 * lam) * xr))
+            - (4.0 * m * sqa / r1a + m / (1.0 + a))
+            * (e_lam + d_n * np.exp((shift - lam) * xr))
+            - (m * sqa / (2.0 * r1a)) * e_lam
+            - e_b
+        )
+    k2, k0 = tb.K2, tb.k0
+    reserve = lam * (c - 2.0 * lam) / (4.0 * k0)
+    quad = m * (m + 1.0) / (1.0 + a)
+    d1 = (
+        4.0 * k2
+        + 2.0 * c * xr * k2
+        + (2.0 * m / r1a) * (2.0 * k2 * xr * e_lam + sqa)
+        + m * (1.0 / (1.0 + a) + c / r1a)
+    )
+    d2 = (
+        (2.0 * k2 * xr) ** 2 * e_lam
+        + 4.0 * k2 * (sqa + lam / k0) * xr
+        + 2.0 * lam * k2 * xr
+        + (2.0 * m / r1a) * (2.0 * k2 * xr * e_lam + sqa + lam / k0)
+        + quad * e_lam
+        + c * m / r1a
+    )
+    return reserve - e_b - d1 * d_n * np.exp((shift - lam) * xr) - d2 * e_lam
+
+
 def _analytic_checks(
     ctx: WaveContext,
     tb: ThetaBundle,
@@ -375,7 +426,6 @@ def _analytic_checks(
     grid: np.ndarray,
 ) -> list[CheckRecord]:
     a, b, m, c, lam, eta = ctx.a, ctx.b, ctx.m, ctx.c, ctx.lam, ctx.eta
-    sqa = math.sqrt(a)
     r1a = math.sqrt(1.0 + a)
     slack = _MARGIN_SLACK
     checks: list[CheckRecord] = []
@@ -404,7 +454,6 @@ def _analytic_checks(
     xr = grid[grid > x_delta]
     th1 = np.asarray(tb.theta1(xr))
     th2 = th1 + tb.shift
-    shift = tb.shift
 
     # shifted-rate quadratics with the worst-case gamma(V)
     v_cap, _ = _caps(ctx, xr)
@@ -419,44 +468,8 @@ def _analytic_checks(
         q2 = -(th2 * th2 - c * th2 + a) - reserve
         record("theta2_quadratic", q2, xr, slack)
 
-    # L at the two-rate tail, bounded below exactly as the worst-case chain
-    e_b = b * (
-        d_n * d_n * np.exp((shift - th1) * xr)
-        + np.exp(-th2 * xr)
-        + (2.0 * d_n * np.exp(-th1 * xr) if d0 > 0 else 0.0)
-    )
-    if tb.is_critical:
-        poly = tb.K1 * (4.0 + 4.0 * sqa * xr + 4.0 * m * eta * xr / r1a)
-        tail_margin = (
-            a / 64.0
-            - poly * (np.exp(-0.5 * lam * xr) + d_n * np.exp((shift - 0.5 * lam) * xr))
-            - (4.0 * m * sqa / r1a + m / (1.0 + a))
-            * (np.exp(-lam * xr) + d_n * np.exp((shift - lam) * xr))
-            - (m * sqa / (2.0 * r1a)) * np.exp(-lam * xr)
-            - e_b
-        )
-    else:
-        k2, k0 = tb.K2, tb.k0
-        reserve = lam * (c - 2.0 * lam) / (4.0 * k0)
-        e_lam = np.exp(-lam * xr)
-        d1 = (
-            4.0 * k2
-            + 2.0 * c * xr * k2
-            + (2.0 * m / r1a) * (2.0 * k2 * xr * e_lam + sqa)
-            + m * (1.0 / (1.0 + a) + c / r1a)
-        )
-        d2 = (
-            (2.0 * k2 * xr) ** 2 * e_lam
-            + 4.0 * k2 * (sqa + lam / k0) * xr
-            + 2.0 * lam * k2 * xr
-            + (2.0 * m / r1a) * (2.0 * k2 * xr * e_lam + sqa + lam / k0)
-            + quad * e_lam
-            + c * m / r1a
-        )
-        tail_margin = (
-            reserve - e_b - d1 * d_n * np.exp((shift - lam) * xr) - d2 * e_lam
-        )
-    record("sub_tail", tail_margin, xr, 0.0)
+    # L at the two-rate tail
+    record("sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xr, th1), xr, 0.0)
 
     # junction matching residual
     resid = float(_tail(tb, d_n, d0, x_delta)) - delta
@@ -499,10 +512,15 @@ def certify_pair(
     super- and sub-solutions of L over the whole sandwich class.
 
     The plateau height is halved from _DELTA_START until every sign check
-    passes; each candidate re-locates the junction and re-evaluates all
-    margins.  Raises WindowViolation outside b >= b_threshold or c outside
-    [2 sqrt(a), c_max]; raises CertificateFailed (naming the first failing
-    check) if no plateau height above _DELTA_FLOOR works.
+    passes.  Each candidate re-locates the junction and computes the
+    ``sub_tail`` margin first: a height that fails it is rejected on that
+    margin alone, and only a height that passes it gets every analytic
+    check and then the chemical-field envelopes.  The accepted height, and
+    so the report, is the one a full evaluation of every candidate would
+    accept.  Raises WindowViolation outside b >= b_threshold or c outside
+    [2 sqrt(a), c_max]; raises CertificateFailed if no plateau height above
+    _DELTA_FLOOR works, naming the first check a full evaluation fails at
+    the last height tried.
     """
     if n < 2:
         raise ValueError("sub-solution index n must be at least 2")
@@ -517,21 +535,32 @@ def certify_pair(
     d0 = 1.0 if ctx.is_critical else -1.0
 
     delta = _DELTA_START
-    last_fail: tuple[str, float] | None = None
+    # (delta, x_delta, grid) of the last height that failed; x_delta and grid
+    # are None when its matching equation had no root
+    last_fail: tuple[float, float | None, np.ndarray | None] | None = None
     while delta >= _DELTA_FLOOR:
         try:
             x_delta, crossings = locate_junction(tb, d_n, d0, delta)
         except CertificateFailed:
-            last_fail = ("junction_matching", delta)
+            last_fail = (delta, None, None)
             delta *= 0.5
             continue
         lo = x_delta - 20.0 / ctx.lam
         hi = x_delta + 200.0 / ctx.lam
         grid = np.linspace(lo, hi, _GRID_POINTS)
-        checks = _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
-        failing = [ch for ch in checks if not ch.passed]
-        if failing:
-            last_fail = (failing[0].name, delta)
+        # too large a height fails the tail margin, so that margin alone can
+        # reject it; only a height that passes it gets every check
+        xr = grid[grid > x_delta]
+        tail = CheckRecord.worst_of(
+            "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xr, tb.theta1(xr)), xr
+        )
+        checks = (
+            _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
+            if tail.passed
+            else [tail]
+        )
+        if not all(ch.passed for ch in checks):
+            last_fail = (delta, x_delta, grid)
             delta *= 0.5
             continue
         checks = checks + _v_checks(ctx, grid)
@@ -562,8 +591,13 @@ def certify_pair(
             passed=True,
             checks=tuple(checks),
         )
-    name = last_fail[0] if last_fail else "junction_matching"
-    bad_delta = last_fail[1] if last_fail else _DELTA_START
+    name, bad_delta = "junction_matching", _DELTA_START
+    if last_fail is not None:
+        bad_delta, x_delta, grid = last_fail
+        if grid is not None:
+            # name the first failing check in the order of a full evaluation
+            checks = _analytic_checks(ctx, tb, n, d_n, d0, bad_delta, x_delta, grid)
+            name = next(ch.name for ch in checks if not ch.passed)
     raise CertificateFailed(
         f"no plateau height in [{_DELTA_FLOOR!r}, {_DELTA_START!r}] passes; "
         f"first failing check {name!r} at delta={bad_delta!r}",

@@ -8,12 +8,15 @@ The system couples a cell density u and a chemical concentration v through
 where the motility gamma is a positive, strictly decreasing function of v.
 Three closed-form motility families are supported; each returns gamma and its
 first two derivatives exactly, which downstream certificate computations rely
-on.  Arbitrary user callables are deliberately not accepted.
+on.  ``motility_rates`` stops after gamma and gamma', which is all the
+time stepper uses, through the same expressions.  Arbitrary user callables
+are deliberately not accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Union
 
 import numpy as np
@@ -25,6 +28,7 @@ __all__ = [
     "MotilityFamily",
     "ModelParams",
     "motility_eval",
+    "motility_rates",
 ]
 
 
@@ -41,8 +45,25 @@ def _maybe_scalar(scalar_input: bool, *arrays):
     return arrays
 
 
+class _Family:
+    """Evaluation shared by the families: ``_terms`` yields gamma, gamma'
+    and gamma'' in turn, so asking for fewer computes fewer."""
+
+    def _first(self, v, count: int):
+        terms = self._terms(_as_checked_array(v))
+        return _maybe_scalar(np.isscalar(v), *islice(terms, count))
+
+    def eval(self, v):
+        """(gamma, gamma', gamma'') at v >= 0."""
+        return self._first(v, 3)
+
+    def rates(self, v):
+        """(gamma, gamma') at v >= 0."""
+        return self._first(v, 2)
+
+
 @dataclass(frozen=True)
-class PowerMotility:
+class PowerMotility(_Family):
     """gamma(v) = (1 + v)^(-m) with m > 0.
 
     Bounds used throughout: 0 < gamma <= 1, -m < gamma' < 0 and
@@ -55,17 +76,15 @@ class PowerMotility:
         if not self.m > 0:
             raise ValueError("power exponent m must be positive")
 
-    def eval(self, v):
-        arr = _as_checked_array(v)
+    def _terms(self, arr):
         base = 1.0 + arr
-        g = base ** (-self.m)
-        gp = -self.m * base ** (-(self.m + 1.0))
-        gpp = self.m * (self.m + 1.0) * base ** (-(self.m + 2.0))
-        return _maybe_scalar(np.isscalar(v), g, gp, gpp)
+        yield base ** (-self.m)
+        yield -self.m * base ** (-(self.m + 1.0))
+        yield self.m * (self.m + 1.0) * base ** (-(self.m + 2.0))
 
 
 @dataclass(frozen=True)
-class ExponentialMotility:
+class ExponentialMotility(_Family):
     """gamma(v) = exp(-chi v) with chi > 0."""
 
     chi: float
@@ -74,16 +93,15 @@ class ExponentialMotility:
         if not self.chi > 0:
             raise ValueError("exponential rate chi must be positive")
 
-    def eval(self, v):
-        arr = _as_checked_array(v)
+    def _terms(self, arr):
         g = np.exp(-self.chi * arr)
-        gp = -self.chi * g
-        gpp = self.chi**2 * g
-        return _maybe_scalar(np.isscalar(v), g, gp, gpp)
+        yield g
+        yield -self.chi * g
+        yield self.chi**2 * g
 
 
 @dataclass(frozen=True)
-class SigmoidMotility:
+class SigmoidMotility(_Family):
     """gamma(v) = 1 - (v - v0) / sqrt(eps + (v - v0)^2) with eps > 0.
 
     A smoothed switch: gamma stays near 2 well below v0, near 0 well above
@@ -97,14 +115,12 @@ class SigmoidMotility:
         if not self.eps > 0:
             raise ValueError("smoothing parameter eps must be positive")
 
-    def eval(self, v):
-        arr = _as_checked_array(v)
+    def _terms(self, arr):
         w = arr - self.v0
         s = np.sqrt(self.eps + w**2)
-        g = 1.0 - w / s
-        gp = -self.eps / s**3
-        gpp = 3.0 * self.eps * w / s**5
-        return _maybe_scalar(np.isscalar(v), g, gp, gpp)
+        yield 1.0 - w / s
+        yield -self.eps / s**3
+        yield 3.0 * self.eps * w / s**5
 
 
 MotilityFamily = Union[PowerMotility, ExponentialMotility, SigmoidMotility]
@@ -140,3 +156,12 @@ def motility_eval(family, v):
     three closed-form ones above.
     """
     return family.eval(v)
+
+
+def motility_rates(family, v):
+    """Evaluate (gamma, gamma') at v >= 0 by the expressions of
+    ``motility_eval``, without computing gamma''.
+
+    Accepts scalars or arrays; rejects any negative v.
+    """
+    return family.rates(v)

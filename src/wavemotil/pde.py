@@ -55,8 +55,9 @@ conductances and dt.  The 1-D u system is factored every step; the v
 system changes only with dt, so the stepper keeps its one factor with the
 dt it was made for and reuses it while dt repeats.  The stepper hands the
 face data that chose a step size in ``simulate`` to that step, so the
-motility law is evaluated once per step, and it counts the
-conjugate-gradient iterations.
+motility law is evaluated once per step, for gamma and gamma' only (the
+scheme never uses gamma''), and it counts the conjugate-gradient
+iterations.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -83,7 +84,7 @@ from .errors import (
     StabilityViolation,
 )
 from .frontmetrics import front_position, ring_metrics
-from .model import ModelParams, motility_eval
+from .model import ModelParams, motility_rates
 
 __all__ = [
     "Neumann",
@@ -432,7 +433,7 @@ def mass(f: GridField) -> tuple[float, float]:
 def _face_data(f: GridField, params: ModelParams, st: _Stepper):
     """Per-axis face conductances gamma and drift speeds gamma' dv/dn, and
     the advective bound on dt they set."""
-    g, gp, _ = motility_eval(params.motility, f.v)
+    g, gp = motility_rates(params.motility, f.v)
     conds, ws = [], []
     for ax, open_ in zip(st.axes, st.open):
         g_ax, gp_ax, v_ax = _along(g, ax), _along(gp, ax), _along(f.v, ax)

@@ -171,32 +171,32 @@ class _FrozenField:
         self.vsol = vsol
         self.grid = grid
         self.h = h
-        self.dt = dt
         self.steps_per_checkpoint = steps
-        self.a3 = a3
         self.factor = factor
         self.u_left = (
             _plateau_value(params, float(V[0])) if u_left_bc is None else u_left_bc
         )
         self.u_right = math.exp(min(-lam * grid[-1], math.log(ctx.eta)))
-        self.bc_left = lower[0] * self.u_left
-        self.bc_right = upper[-1] * self.u_right
+        # explicit-step factors, in the operand order of dt * a3 * u * u and
+        # dt * (boundary coupling * held value)
+        self.dt_a3 = dt * a3
+        self.dt_bc_left = dt * (lower[0] * self.u_left)
+        self.dt_bc_right = dt * (upper[-1] * self.u_right)
 
     def initial_state(self) -> np.ndarray:
         return np.asarray(super_solution(self.ctx, self.grid), dtype=float)
 
     def advance_checkpoint(self, state: np.ndarray) -> np.ndarray:
-        dt = self.dt
         U = state
         for _ in range(self.steps_per_checkpoint):
             ui = U[1:-1]
-            rhs = ui - dt * self.a3 * ui * ui
-            rhs[0] += dt * self.bc_left
-            rhs[-1] += dt * self.bc_right
+            rhs = ui - self.dt_a3 * ui * ui
+            rhs[0] += self.dt_bc_left
+            rhs[-1] += self.dt_bc_right
             new = np.empty_like(U)
             new[0] = self.u_left
             new[-1] = self.u_right
-            new[1:-1], info = dgttrs(*self.factor, rhs)
+            new[1:-1], info = dgttrs(*self.factor, rhs, overwrite_b=1)
             if info != 0:
                 raise NonFiniteState(f"frozen-field solve failed (LAPACK info {info})")
             U = new

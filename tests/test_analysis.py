@@ -187,6 +187,19 @@ def test_theta_derivatives_match_finite_differences(ctx):
 
 
 @pytest.mark.parametrize("ctx", _contexts(), ids=["critical", "mid", "endpoint"])
+def test_theta_slopes_stay_finite_where_the_exponential_underflows(ctx):
+    # at the minimal speed rho vanishes with t = e^{-lam x}/(1+a), so the
+    # slope formulas read 0/0 once t underflows unless they take the limit
+    tb = theta_bundle(ctx)
+    x = np.linspace(0.0, 3000.0, 30001)
+    assert np.all(np.isfinite(tb.dtheta1(x)))
+    assert np.all(np.isfinite(tb.d2theta1(x)))
+    far = 800.0 / ctx.lam
+    assert tb.dtheta1(far) == 0.0
+    assert tb.d2theta1(far) == 0.0
+
+
+@pytest.mark.parametrize("ctx", _contexts(), ids=["critical", "mid", "endpoint"])
 def test_theta1_range_and_monotonicity(ctx):
     tb = theta_bundle(ctx)
     x = np.linspace(0.0, 300.0, 4000)

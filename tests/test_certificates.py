@@ -389,11 +389,98 @@ def test_certify_rejects_out_of_window_parameters():
 
 def test_certify_reports_failure_when_plateau_floor_blocks_halving(monkeypatch):
     # at the minimal speed the junction must sit far out (x_delta ~ 1e2), so
-    # freezing the plateau height at its starting value cannot succeed
+    # freezing the plateau height at its starting value cannot succeed; the
+    # first check a full evaluation fails there is the plateau reserve
     monkeypatch.setattr(certificates, "_DELTA_FLOOR", 1e-2)
     with pytest.raises(CertificateFailed) as err:
         certify_pair(PARAMS, C_MIN, n=2)
-    assert err.value.failing_check != ""
+    assert err.value.failing_check == "sub_plateau"
+    assert err.value.delta == 1e-2
+    assert "first failing check 'sub_plateau' at delta=0.01" in str(err.value)
+
+
+def _certify_by_full_checks(params, c, n=2):
+    """The halving search that evaluates every analytic check at every
+    height, as the oracle of the search that rejects on the tail margin."""
+    ctx = speed_window(params, c)
+    tb = theta_bundle(ctx)
+    d_n = 1.0 - 1.0 / n
+    d0 = 1.0 if ctx.is_critical else -1.0
+    delta = certificates._DELTA_START
+    last_fail = None
+    while delta >= certificates._DELTA_FLOOR:
+        try:
+            x_delta, crossings = locate_junction(tb, d_n, d0, delta)
+        except CertificateFailed:
+            last_fail = ("junction_matching", delta)
+            delta *= 0.5
+            continue
+        lo = x_delta - 20.0 / ctx.lam
+        hi = x_delta + 200.0 / ctx.lam
+        grid = np.linspace(lo, hi, certificates._GRID_POINTS)
+        checks = certificates._analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
+        failing = [ch for ch in checks if not ch.passed]
+        if failing:
+            last_fail = (failing[0].name, delta)
+            delta *= 0.5
+            continue
+        checks = checks + certificates._v_checks(ctx, grid)
+        failing = [ch for ch in checks if not ch.passed]
+        if failing:
+            raise CertificateFailed(
+                f"chemical-field envelope check {failing[0].name!r} failed "
+                f"(margin {failing[0].margin!r})",
+                failing_check=failing[0].name,
+                delta=delta,
+            )
+        return certificates.CertificateReport(
+            a=ctx.a, b=ctx.b, m=ctx.m, c=ctx.c, n=n, d_n=d_n, d0=d0,
+            delta=delta, x_delta=x_delta, sign_changes=crossings,
+            grid_lo=lo, grid_hi=hi, grid_points=certificates._GRID_POINTS,
+            passed=True, checks=tuple(checks),
+        )
+    name, bad_delta = last_fail
+    raise CertificateFailed(
+        f"no plateau height in [{certificates._DELTA_FLOOR!r}, "
+        f"{certificates._DELTA_START!r}] passes; "
+        f"first failing check {name!r} at delta={bad_delta!r}",
+        failing_check=name,
+        delta=bad_delta,
+    )
+
+
+def _outcome(certify, c):
+    try:
+        return certify(PARAMS, c, n=2).to_dict()
+    except CertificateFailed as err:
+        return (str(err), err.failing_check, err.delta)
+
+
+@pytest.mark.parametrize("floor", [None, 1e-2, 1e-9], ids=["default", "1e-2", "1e-9"])
+@pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
+def test_certify_matches_the_search_that_evaluates_every_check(monkeypatch, c, floor):
+    if floor is not None:
+        monkeypatch.setattr(certificates, "_DELTA_FLOOR", floor)
+    assert _outcome(certify_pair, c) == _outcome(_certify_by_full_checks, c)
+
+
+def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
+    counts = {"locate_junction": 0, "_analytic_checks": 0}
+
+    def counting(name):
+        original = getattr(certificates, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(certificates, name, counting(name))
+    report = certify_pair(PARAMS, C_MIN, n=2)
+    assert report.delta == 1e-2 * 2.0**-45
+    assert counts == {"locate_junction": 46, "_analytic_checks": 1}
 
 
 def test_certificate_report_serializes():

@@ -13,6 +13,7 @@ from wavemotil import (
     PowerMotility,
     SigmoidMotility,
     motility_eval,
+    motility_rates,
 )
 
 ALL_FAMILIES = [
@@ -93,6 +94,22 @@ def test_rejects_negative_v():
             motility_eval(family, -0.5)
         with pytest.raises(ValueError):
             motility_eval(family, np.array([0.2, -1e-9]))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
+def test_rates_are_the_first_two_derivatives_bit_for_bit(family):
+    vs = np.linspace(0.0, 10.0, 401)
+    g, gp = motility_rates(family, vs)
+    ref = motility_eval(family, vs)
+    assert g.tobytes() == ref[0].tobytes() and gp.tobytes() == ref[1].tobytes()
+    for v in (0.0, 0.3, 1.0, 7.5):
+        rates = motility_rates(family, v)
+        assert all(isinstance(r, float) for r in rates)
+        assert np.array(rates).tobytes() == np.array(motility_eval(family, v)[:2]).tobytes()
+    with pytest.raises(ValueError):
+        motility_rates(family, -0.5)
+    with pytest.raises(ValueError):
+        motility_rates(family, np.array([0.2, -1e-9]))
 
 
 def test_scalar_in_scalar_out():

@@ -26,7 +26,13 @@ from wavemotil.errors import (
     StabilityViolation,
 )
 from wavemotil.frontmetrics import wave_speed
-from wavemotil.model import ModelParams, PowerMotility, SigmoidMotility, motility_eval
+from wavemotil.model import (
+    ModelParams,
+    PowerMotility,
+    SigmoidMotility,
+    motility_eval,
+    motility_rates,
+)
 from wavemotil.pde import (
     ArrayIC,
     Bump2dIC,
@@ -930,9 +936,9 @@ class TestSimulate:
 
         def counting(family, v):
             calls.append(v.shape)
-            return motility_eval(family, v)
+            return motility_rates(family, v)
 
-        monkeypatch.setattr(pde, "motility_eval", counting)
+        monkeypatch.setattr(pde, "motility_rates", counting)
         traj = simulate(_front_config(t_end=2.0, cadence=1.0))
         assert len(calls) == len(traj.dt_history) > 0
 
