@@ -511,6 +511,15 @@ def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     return du, dv
 
 
+def spd_tridiagonal_factor(diag, sub):
+    """In-place ``pttrf`` factor (d, e) of an SPD tridiagonal matrix, or
+    ``NonFiniteState`` when it is not positive definite (LAPACK info != 0)."""
+    d, e, info = dpttrf(diag, sub, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise NonFiniteState(f"tridiagonal factorization failed (LAPACK info {info})")
+    return d, e
+
+
 class _Tridiagonal:
     """W (I - dt L) for the 1-D face-conductance Laplacian, factored by pttrf.
 
@@ -541,11 +550,7 @@ class _Tridiagonal:
         for end, _ in st.held_ends:
             diag[end] = 1.0
             sub[end] = 0.0
-        self.diag, self.sub, info = dpttrf(diag, sub, overwrite_d=1, overwrite_e=1)
-        if info != 0:
-            raise NonFiniteState(
-                f"tridiagonal factorization failed (LAPACK info {info})"
-            )
+        self.diag, self.sub = spd_tridiagonal_factor(diag, sub)
         if chemical:
             st.v_factor = (dt, self.kc, self.diag, self.sub)
 
@@ -962,6 +967,13 @@ def simulate(config: SimConfig) -> Trajectory:
     )
 
 
+def csv_rows(columns) -> str:
+    """Newline-ended CSV rows of float columns, each float as its ``repr``."""
+    table = np.asarray(np.column_stack(columns), dtype=float)
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    return (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.
 
@@ -974,9 +986,7 @@ def save_field(f: GridField, basepath: str) -> list[str]:
     if f.dim == 1:
         path = base.with_suffix(".csv")
         with open(path, "w") as fh:
-            fh.write("x,u,v\n")
-            for x, u, v in zip(f.x, f.u, f.v):
-                fh.write(f"{float(x)!r},{float(u)!r},{float(v)!r}\n")
+            fh.write("x,u,v\n" + csv_rows((f.x, f.u, f.v)))
         return [str(path)]
     jpath = base.with_suffix(".json")
     bpath = base.with_suffix(".bin")

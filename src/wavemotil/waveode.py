@@ -28,20 +28,21 @@ follows the ``CheckRecord`` rule (pass iff margin > -slack, so a NaN margin
 fails), except the two plateau checks, which are informational passes when
 the invasion index is at least one.
 
-Each relaxation march factors its implicit tridiagonal matrix once with
-LAPACK ``dgttrf`` and takes every step as one ``dgttrs`` solve.  The
-checkpoint length, the settling tolerance and time cap of the profile map,
-the Picard tolerance and cap, and the verification tolerances are module
-constants, not options.
+Each relaxation march symmetrizes its implicit tridiagonal matrix by a
+diagonal scaling, factors it once with LAPACK ``pttrf`` and takes every step
+as one ``pttrs`` solve.  The checkpoint length, the settling tolerance and
+time cap of the profile map, the Picard tolerance and cap, and the
+verification tolerances are module constants, not options.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
 from .analysis import WaveContext, kappa, speed_window
 from .certificates import (
@@ -54,6 +55,7 @@ from .certificates import (
 )
 from .errors import BlowUp, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
 from .model import ModelParams, PowerMotility, motility_eval
+from .pde import csv_rows, spd_tridiagonal_factor
 
 __all__ = [
     "AuxiliaryRun",
@@ -72,6 +74,9 @@ _VISIBLE_TAIL = 1e-12
 # may show over its predecessor before the march counts as non-monotone
 _CHECKPOINT_DT = 1.0
 _MONOTONE_SLACK = 1e-9
+# largest |log s| at which s and W = U / s stay normal floats (U runs down to
+# about e^-40); wider similarities, at speeds far above 2 sqrt(a), march U by LU
+_MAX_LOG_SCALE = 600.0
 # The profile map stops relaxing once the sup-norm change per checkpoint is
 # below _TOL_LIMIT, and gives up at _T_MAX.  At the minimal speed the
 # truncated domain supports a spurious slowly-varying mode in the weighted
@@ -131,14 +136,17 @@ class AuxiliaryRun:
 class _FrozenField:
     """Coefficients and solver state for one relaxation march.
 
-    The linear part (diffusion, drift, linear reaction) is treated
-    implicitly — the off-diagonal entries of the implicit tridiagonal
-    matrix keep a fixed sign as long as h |A1| / 2 <= 1, which makes each
-    step order-preserving and the descent from the upper envelope
-    structurally monotone — while the quadratic saturation term stays
-    explicit.  The resting state solves the centered-difference wave
-    equation regardless of the step size, so the step only controls how
-    fast the march settles.  The matrix is factored once per march.
+    Diffusion, drift and linear reaction are implicit, the quadratic term
+    explicit.  The implicit matrix has off-diagonals -dt lower_{i+1} and
+    -dt upper_i, lower, upper = 1/h^2 -+ A1 / (2h), both positive when
+    h |A1| / 2 < 1 (else ``NonFiniteState``): each step is order-preserving,
+    the descent from the upper envelope structurally monotone, and the
+    similarity s_{i+1} / s_i = sqrt(lower_{i+1} / upper_i) (log s centred)
+    makes the matrix symmetric, with off-diagonal -dt sqrt(lower upper).
+    The march steps W = U / s by ``pttrs`` with one factor and returns to U
+    once per checkpoint; where s would leave the float range it steps U by
+    ``gttrs``.  The resting state solves the centered-difference wave
+    equation whatever the step size.
     """
 
     def __init__(
@@ -154,6 +162,8 @@ class _FrozenField:
         vsol = _chemical_field(grid, u, c, lam)
         V = vsol.values
         Vp = vsol.dvalues
+        if not (np.all(np.isfinite(V)) and float(np.min(V)) >= 0.0):
+            raise NonFiniteState(f"chemical field negative or non-finite at h = {h:g}")
         g, gp, gpp = motility_eval(params.motility, V)
         a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
         a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
@@ -163,43 +173,49 @@ class _FrozenField:
         dt = _CHECKPOINT_DT / steps
         lower = 1.0 / h**2 - a1 / (2.0 * h)
         upper = 1.0 / h**2 + a1 / (2.0 * h)
+        if not np.all(lower * upper > 0.0):
+            raise NonFiniteState(f"h |A1| / 2 >= 1 in the frozen field at h = {h:g}")
         main = -2.0 / h**2 + a2
-        *factor, info = dgttrf(-dt * lower[1:], 1.0 - dt * main, -dt * upper[:-1])
-        if info != 0:
-            raise NonFiniteState(f"frozen-field factorization failed (LAPACK info {info})")
+        log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower[1:] / upper[:-1]))))
+        half_span = 0.5 * float(np.ptp(log_s))
+        if half_span <= _MAX_LOG_SCALE:
+            self.s = s = np.exp(log_s - (float(np.min(log_s)) + half_span))
+            d, e = spd_tridiagonal_factor(
+                1.0 - dt * main, -dt * np.sqrt(lower[1:] * upper[:-1])
+            )
+            self.solve = partial(dpttrs, d, e, overwrite_b=1)
+        else:
+            self.s = s = np.ones_like(log_s)
+            *lu, info = dgttrf(-dt * lower[1:], 1.0 - dt * main, -dt * upper[:-1])
+            if info != 0:
+                raise NonFiniteState(f"frozen-field factorization failed (LAPACK info {info})")
+            self.solve = partial(dgttrs, *lu, overwrite_b=1)
         self.ctx = ctx
-        self.vsol = vsol
         self.grid = grid
-        self.h = h
         self.steps_per_checkpoint = steps
-        self.factor = factor
         self.u_left = (
             _plateau_value(params, float(V[0])) if u_left_bc is None else u_left_bc
         )
         self.u_right = math.exp(min(-lam * grid[-1], math.log(ctx.eta)))
-        # explicit-step factors, in the operand order of dt * a3 * u * u and
-        # dt * (boundary coupling * held value)
-        self.dt_a3 = dt * a3
-        self.dt_bc_left = dt * (lower[0] * self.u_left)
-        self.dt_bc_right = dt * (upper[-1] * self.u_right)
+        # explicit terms over s: dt a3 U^2 / s = dt a3 s W^2, boundary couplings
+        self.dt_a3_s = dt * a3 * s
+        self.bc_left = dt * (lower[0] * self.u_left) / s[0]
+        self.bc_right = dt * (upper[-1] * self.u_right) / s[-1]
 
     def initial_state(self) -> np.ndarray:
         return np.asarray(super_solution(self.ctx, self.grid), dtype=float)
 
     def advance_checkpoint(self, state: np.ndarray) -> np.ndarray:
-        U = state
+        w = state[1:-1] / self.s
         for _ in range(self.steps_per_checkpoint):
-            ui = U[1:-1]
-            rhs = ui - self.dt_a3 * ui * ui
-            rhs[0] += self.dt_bc_left
-            rhs[-1] += self.dt_bc_right
-            new = np.empty_like(U)
-            new[0] = self.u_left
-            new[-1] = self.u_right
-            new[1:-1], info = dgttrs(*self.factor, rhs, overwrite_b=1)
-            if info != 0:
-                raise NonFiniteState(f"frozen-field solve failed (LAPACK info {info})")
-            U = new
+            rhs = w - self.dt_a3_s * w * w
+            rhs[0] += self.bc_left
+            rhs[-1] += self.bc_right
+            w, _ = self.solve(rhs)
+        U = np.empty_like(state)
+        U[0] = self.u_left
+        U[-1] = self.u_right
+        np.multiply(self.s, w, out=U[1:-1])
         return U
 
     def corridor_check(self, state: np.ndarray) -> None:
@@ -365,9 +381,7 @@ class WaveProfile:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("z,U,V,Uprime,Vprime\n")
-            columns = (self.grid, self.U, self.V, self.Uprime, self.Vprime)
-            lists = [np.asarray(col, dtype=float).tolist() for col in columns]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*lists))
+            fh.write(csv_rows((self.grid, self.U, self.V, self.Uprime, self.Vprime)))
 
     def to_dict(self) -> dict:
         """The profile's scalars, with NaN and infinities written as null."""

@@ -133,6 +133,14 @@ class TestWave:
         assert main(["wave", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "SpeedBelowMinimal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c, h", [("0.8", "2"), ("0.8", "2.6"), ("1.0", "3")])
+    def test_grid_too_coarse_exits_1_without_traceback(self, tmp_path, capsys, c, h):
+        cfg = _write(tmp_path, "w.cfg", f"a=0.1\nb=60\nm=6\nc={c}\nh={h}\n")
+        assert main(["wave", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteState:") and f"h = {h}" in err
+        assert "Traceback" not in err
+
     def test_speed_above_window_refused(self, tmp_path, capsys):
         cfg = _write(tmp_path, "w.cfg", "a=0.1\nb=60\nm=6\nc=1.2\n")
         assert main(["wave", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1021,6 +1021,19 @@ class TestSerialization:
         assert np.array_equal(g.v, f.v)
         assert g.h == f.h and g.nx == f.nx
 
+    def test_1d_csv_bytes_match_per_row_repr(self, tmp_path):
+        f = make_field(1, ((0.0, 400.0),), 0.1, u0=0.0, v0=0.0)
+        rng = np.random.default_rng(11)
+        f.u[:] = rng.random(f.nx) * 10.0 ** rng.integers(-300, 300, f.nx)
+        f.v[:] = -rng.random(f.nx)
+        f.u[:5] = f.v[-5:] = [0.0, -0.0, 5e-324, 1e-300, 1e16]
+        save_field(f, str(tmp_path / "snap"))
+        rows = zip(f.x, f.u, f.v)
+        expected = "x,u,v\n" + "".join(
+            f"{float(x)!r},{float(u)!r},{float(v)!r}\n" for x, u, v in rows
+        )
+        assert (tmp_path / "snap.csv").read_bytes() == expected.encode()
+
     def test_2d_binary_roundtrip(self, tmp_path):
         f = make_field(2, ((0.0, 1.0), (0.0, 2.0)), 0.25, u0=0.0, v0=0.0)
         rng = np.random.default_rng(5)

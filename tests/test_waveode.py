@@ -17,11 +17,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
+import wavemotil.pde as pde
 from wavemotil import (
     BlowUp,
     ModelParams,
     NoConvergence,
+    NonFiniteState,
     NonMonotone,
     PowerMotility,
     SpeedBelowMinimal,
@@ -36,6 +39,8 @@ from wavemotil import (
     verify_profile,
 )
 from wavemotil import waveode
+from wavemotil.analysis import c_star
+from wavemotil.model import motility_eval
 from wavemotil.waveode import WaveProfile, _fit_tail_ratio
 
 A, B, M = 0.1, 60.0, 6.0
@@ -87,6 +92,106 @@ def test_auxiliary_rejects_states_outside_the_corridor():
     bad = np.full_like(grid, 2.5 * ctx.eta)
     with pytest.raises(BlowUp):
         solve_auxiliary(u0, PARAMS, C_MIN, 2.0, grid, initial=bad)
+
+
+def _general_lu_checkpoint(u, params, c, grid, state):
+    """One checkpoint of the frozen-field march on U itself, with one dgttrf
+    factor and one dgttrs solve per step: the oracle for the scaled march."""
+    ctx = speed_window(params, c)
+    h = float(grid[1] - grid[0])
+    vsol = waveode._chemical_field(grid, u, c, ctx.lam)
+    V, Vp = vsol.values, vsol.dvalues
+    g, gp, gpp = motility_eval(params.motility, V)
+    a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
+    a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
+    a3 = ((gp + params.b) / g)[1:-1]
+    steps = 4
+    dt = waveode._CHECKPOINT_DT / steps
+    lower = 1.0 / h**2 - a1 / (2.0 * h)
+    upper = 1.0 / h**2 + a1 / (2.0 * h)
+    main = -2.0 / h**2 + a2
+    *factor, info = dgttrf(-dt * lower[1:], 1.0 - dt * main, -dt * upper[:-1])
+    assert info == 0
+    u_left = waveode._plateau_value(params, float(V[0]))
+    u_right = math.exp(min(-ctx.lam * grid[-1], math.log(ctx.eta)))
+    U = state
+    for _ in range(steps):
+        ui = U[1:-1]
+        rhs = ui - dt * a3 * ui * ui
+        rhs[0] += dt * (lower[0] * u_left)
+        rhs[-1] += dt * (upper[-1] * u_right)
+        new = np.empty_like(U)
+        new[0] = u_left
+        new[-1] = u_right
+        new[1:-1], info = dgttrs(*factor, rhs)
+        assert info == 0
+        U = new
+    return U
+
+
+def _march_both_ways(field, u, params, c, grid):
+    state = oracle = field.initial_state()
+    for _ in range(3):
+        state = field.advance_checkpoint(state)
+        oracle = _general_lu_checkpoint(u, params, c, grid, oracle)
+    return state, oracle
+
+
+def test_scaled_march_agrees_with_the_general_lu_march():
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
+    assert np.ptp(np.log(field.s)) > 60.0  # the similarity is far from the identity
+    state, oracle = _march_both_ways(field, u0, PARAMS, C_MIN, grid)
+    assert np.max(np.abs(state - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_march_past_the_scaling_range_is_the_general_lu_march(monkeypatch):
+    monkeypatch.setattr(waveode, "_MAX_LOG_SCALE", 0.0)
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
+    assert np.all(field.s == 1.0)
+    state, oracle = _march_both_ways(field, u0, PARAMS, C_MIN, grid)
+    assert np.array_equal(state, oracle)
+
+
+def test_fast_wave_whose_scaling_leaves_the_float_range_still_verifies():
+    # at c = 9.5 with a = 1 the similarity would span about e^{+-1000}
+    params = ModelParams(a=1.0, b=290.0, motility=PowerMotility(6.0))
+    grid = default_wave_grid(params, 9.5)
+    u0 = super_solution(speed_window(params, 9.5), grid)
+    assert np.all(waveode._FrozenField(u0, params, 9.5, grid).s == 1.0)
+    prof = traveling_wave(params, 9.5)
+    assert prof.picard_iterations == 3
+    assert verify_profile(prof, params).passed
+
+
+@pytest.mark.parametrize(
+    "c, h",
+    [(C_MIN, 0.05), (0.88, 0.05), (C_MIN, 0.025)],
+    ids=["critical", "c0.88", "fine"],
+)
+def test_picard_counts_are_those_of_the_general_lu_march(c, h):
+    assert traveling_wave(PARAMS, c, h=h).picard_iterations == 5
+
+
+def test_march_factorization_failure_raises_non_finite_state(monkeypatch):
+    monkeypatch.setattr(pde, "dpttrf", lambda d, e, **kw: (d, e, 7))
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    with pytest.raises(NonFiniteState, match="LAPACK info 7"):
+        u_map(u0, PARAMS, C_MIN, grid)
+
+
+def test_march_rejects_a_grid_too_coarse_for_the_drift():
+    # at c* of b = 200 the drift is about c, so h = 0.25 gives h |A1| / 2 > 1
+    params = ModelParams(a=A, b=200.0, motility=PowerMotility(M))
+    c = c_star(A, 200.0, M)
+    grid = default_wave_grid(params, c, 0.25)
+    u0 = super_solution(speed_window(params, c), grid)
+    with pytest.raises(NonFiniteState, match=r"h \|A1\| / 2 >= 1 .* h = 0.25"):
+        u_map(u0, params, c, grid)
 
 
 # ----------------------------------------------------------------- u_map
