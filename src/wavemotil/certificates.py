@@ -18,9 +18,12 @@ source at once, not one sample.
 The plateau height delta is found by adaptive halving: each candidate fixes
 the junction x_delta (rightmost root of the matching equation: the rightmost
 sign-change cell of a scan, resampled and narrowed until it is narrower than
-1e-12 + 4 eps |x|) and its tail margin is evaluated on a dense grid around
-it; a candidate that passes it gets every margin on that grid.  The halving
-range, the grid size and the two slacks are module constants.
+1e-12 + 4 eps |x|) and a dense grid around it.  The candidate is screened
+on the tail margin at the first _SCREEN_POINTS grid points past x_delta; one
+that fails there is rejected, since by the worst-point rule below a failing
+subset fails the whole grid.  Only a candidate that passes the screen gets
+every margin on the whole grid.  The halving range, the grid and screen
+sizes and the two slacks are module constants.
 
 Every check is a ``CheckRecord`` built from per-point margins by one rule:
 the worst point is kept and the check passes iff margin > -slack, so a NaN
@@ -70,6 +73,8 @@ _DELTA_START = 1e-2
 _DELTA_FLOOR = 1e-18
 # points of the margin grid around the junction and of the chemical solve
 _GRID_POINTS = 40_000
+# leading grid points past the junction on which a plateau height is screened
+_SCREEN_POINTS = 64
 # slack of the analytic sign checks and relative slack of the V envelopes
 _MARGIN_SLACK = 1e-12
 _V_REL_SLACK = 1e-5
@@ -301,6 +306,14 @@ def solve_v(
             f"right tail e^(-{tail_rate!r} x) decays too slowly for the kernel rate {lam2!r}"
         )
 
+    # the seed rows weight u by e^{-lam1 h} and e^{lam2 h}, which must stay
+    # finite floats
+    rate = h * max(-lam1, lam2)
+    if not rate < math.log(np.finfo(float).max):
+        raise NonFiniteTail(
+            f"grid step h = {h!r} too coarse for the kernel: e^({rate!r}) overflows"
+        )
+
     n = grid.size
     # The two seed values at the start of each sweep are the first two unit
     # rows.  In BLAS band storage the coupling -r sits in row 2 of the lower
@@ -512,13 +525,15 @@ def certify_pair(
     super- and sub-solutions of L over the whole sandwich class.
 
     The plateau height is halved from _DELTA_START until every sign check
-    passes.  Each candidate re-locates the junction and computes the
-    ``sub_tail`` margin first: a height that fails it is rejected on that
-    margin alone, and only a height that passes it gets every analytic
-    check and then the chemical-field envelopes.  The accepted height, and
-    so the report, is the one a full evaluation of every candidate would
-    accept.  Raises WindowViolation outside b >= b_threshold or c outside
-    [2 sqrt(a), c_max]; raises CertificateFailed if no plateau height above
+    passes.  Each candidate re-locates the junction and screens the
+    ``sub_tail`` margin on the first _SCREEN_POINTS grid points past it: a
+    height that fails there is rejected on that slice alone, and only a
+    height that passes it gets every analytic check on the whole grid and
+    then the chemical-field envelopes.  A margin that fails on a slice
+    fails on the whole grid, so the accepted height, and so the report, is
+    the one a full evaluation of every candidate would accept.  Raises
+    WindowViolation outside b >= b_threshold or c outside [2 sqrt(a),
+    c_max]; raises CertificateFailed if no plateau height above
     _DELTA_FLOOR works, naming the first check a full evaluation fails at
     the last height tried.
     """
@@ -548,16 +563,18 @@ def certify_pair(
         lo = x_delta - 20.0 / ctx.lam
         hi = x_delta + 200.0 / ctx.lam
         grid = np.linspace(lo, hi, _GRID_POINTS)
-        # too large a height fails the tail margin, so that margin alone can
-        # reject it; only a height that passes it gets every check
-        xr = grid[grid > x_delta]
-        tail = CheckRecord.worst_of(
-            "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xr, tb.theta1(xr)), xr
+        # too large a height fails the tail margin already on the first
+        # points past the junction, so those points alone can reject it;
+        # only a height that passes them gets every check
+        start = int(np.searchsorted(grid, x_delta, side="right"))
+        xs = grid[start : start + _SCREEN_POINTS]
+        screen = CheckRecord.worst_of(
+            "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xs, tb.theta1(xs)), xs
         )
         checks = (
             _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
-            if tail.passed
-            else [tail]
+            if screen.passed
+            else [screen]
         )
         if not all(ch.passed for ch in checks):
             last_fail = (delta, x_delta, grid)

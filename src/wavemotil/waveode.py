@@ -220,10 +220,11 @@ class _FrozenField:
 
     def corridor_check(self, state: np.ndarray) -> None:
         ceiling = 2.0 * self.ctx.eta
+        low, high = float(state.min()), float(state.max())
         if (
-            not np.all(np.isfinite(state))
-            or float(np.min(state)) < _CORRIDOR_FLOOR
-            or float(np.max(state)) > ceiling * (1.0 + 1e-9)
+            not (math.isfinite(low) and math.isfinite(high))
+            or low < _CORRIDOR_FLOOR
+            or high > ceiling * (1.0 + 1e-9)
         ):
             raise BlowUp(
                 f"relaxation state left the corridor [0, {ceiling:.6e}]"
@@ -259,7 +260,8 @@ def _chemical_field(grid, u, c: float, lam: float) -> VSolution:
 def _march(field: _FrozenField, state: np.ndarray, t_end: float):
     """Relax ``state`` checkpoint by checkpoint up to ``t_end``.
 
-    Yields each new snapshot with its rise over the previous one.  Raises
+    Yields each new snapshot with its rise over the previous one and the
+    sup-norm of the change, both taken from one difference.  Raises
     ``BlowUp`` if a state leaves [0, 2 eta] and ``NonMonotone`` if a
     snapshot rises above its predecessor by more than _MONOTONE_SLACK.
     """
@@ -267,12 +269,13 @@ def _march(field: _FrozenField, state: np.ndarray, t_end: float):
     for k in range(1, max(1, math.ceil(t_end / _CHECKPOINT_DT - 1e-12)) + 1):
         new = field.advance_checkpoint(state)
         field.corridor_check(new)
-        rise = float(np.max(new - state))
+        change = new - state
+        rise = float(change.max())
         if rise > _MONOTONE_SLACK:
             raise NonMonotone(
                 f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
             )
-        yield new, rise
+        yield new, rise, max(rise, -float(change.min()))
         state = new
 
 
@@ -306,10 +309,9 @@ def solve_auxiliary(
     )
     snapshots = [state]
     worst = 0.0
-    for state, rise in _march(field, state, t_end):
+    for state, rise, final_increment in _march(field, state, t_end):
         worst = max(worst, rise)
         snapshots.append(state)
-    final_increment = float(np.max(np.abs(snapshots[-1] - snapshots[-2])))
     return AuxiliaryRun(
         times=_CHECKPOINT_DT * np.arange(len(snapshots)),
         snapshots=np.asarray(snapshots),
@@ -334,10 +336,7 @@ def u_map(
     if that does not happen by the time cap.
     """
     field = _FrozenField(u, params, c, grid, u_left_bc)
-    state = field.initial_state()
-    for new, _ in _march(field, state, _T_MAX):
-        increment = float(np.max(np.abs(new - state)))
-        state = new
+    for state, _, increment in _march(field, field.initial_state(), _T_MAX):
         if increment < _TOL_LIMIT:
             state.setflags(write=False)
             return state

@@ -208,6 +208,13 @@ def test_solve_v_requires_tail_description():
         solve_v(grid, bad, 1.0, u_left=1.0, tail_amplitude=1.0, tail_rate=1.0)
 
 
+def test_solve_v_rejects_a_step_whose_panel_factor_overflows():
+    # at c = 117.5, |lambda_1| h = 940 puts e^{-lambda_1 h} past the float range
+    grid = np.arange(0.0, 80.0 + 1e-12, 8.0)
+    with pytest.raises(NonFiniteTail, match="too coarse"):
+        solve_v(grid, np.exp(-grid), 117.5, u_left=1.0, tail_amplitude=1.0, tail_rate=1.0)
+
+
 # ------------------------------------------------- super / sub evaluation
 def test_super_solution_branches_and_monotonicity():
     ctx = _ctx(C_MIN)
@@ -401,7 +408,7 @@ def test_certify_reports_failure_when_plateau_floor_blocks_halving(monkeypatch):
 
 def _certify_by_full_checks(params, c, n=2):
     """The halving search that evaluates every analytic check at every
-    height, as the oracle of the search that rejects on the tail margin."""
+    height, as the oracle of the search that screens the tail margin."""
     ctx = speed_window(params, c)
     tb = theta_bundle(ctx)
     d_n = 1.0 - 1.0 / n
@@ -462,6 +469,61 @@ def test_certify_matches_the_search_that_evaluates_every_check(monkeypatch, c, f
     if floor is not None:
         monkeypatch.setattr(certificates, "_DELTA_FLOOR", floor)
     assert _outcome(certify_pair, c) == _outcome(_certify_by_full_checks, c)
+
+
+@pytest.mark.parametrize("floor", [None, 1e-2, 1e-9], ids=["default", "1e-2", "1e-9"])
+@pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
+@pytest.mark.parametrize("screen", ["one", "grid"])
+def test_certify_matches_the_full_search_at_any_screen_length(monkeypatch, screen, c, floor):
+    points = {"one": 1, "grid": certificates._GRID_POINTS}[screen]
+    monkeypatch.setattr(certificates, "_SCREEN_POINTS", points)
+    if floor is not None:
+        monkeypatch.setattr(certificates, "_DELTA_FLOOR", floor)
+    assert _outcome(certify_pair, c) == _outcome(_certify_by_full_checks, c)
+
+
+@pytest.mark.parametrize("which", ["critical", "mid", "c0.88"])
+def test_tail_screen_margins_are_the_full_margins_bit_for_bit(which):
+    c = {"critical": C_MIN, "mid": _mid_speed(), "c0.88": 0.88}[which]
+    ctx = speed_window(PARAMS, c)
+    tb = theta_bundle(ctx)
+    d_n, d0 = 0.5, (1.0 if ctx.is_critical else -1.0)
+    delta, heights = certificates._DELTA_START, 0
+    while delta >= certificates._DELTA_FLOOR:
+        try:
+            x_delta, _ = locate_junction(tb, d_n, d0, delta)
+        except CertificateFailed:
+            delta *= 0.5
+            continue
+        grid = np.linspace(
+            x_delta - 20.0 / ctx.lam, x_delta + 200.0 / ctx.lam, certificates._GRID_POINTS
+        )
+        xr = grid[grid > x_delta]
+        full = certificates._sub_tail_margin(ctx, tb, d_n, d0, xr, tb.theta1(xr))
+        start = int(np.searchsorted(grid, x_delta, side="right"))
+        xs = grid[start : start + certificates._SCREEN_POINTS]
+        screen = certificates._sub_tail_margin(ctx, tb, d_n, d0, xs, tb.theta1(xs))
+        assert xs.tobytes() == xr[: xs.size].tobytes()
+        assert screen.tobytes() == full[: xs.size].tobytes()
+        heights += 1
+        delta *= 0.5
+    assert heights >= 46
+
+
+def test_certify_evaluates_the_full_tail_margin_only_at_the_accepted_height(monkeypatch):
+    calls = {"screen": 0, "full": 0}
+    original = certificates._sub_tail_margin
+
+    def counting(ctx, tb, d_n, d0, xr, th1):
+        calls["screen" if xr.size <= certificates._SCREEN_POINTS else "full"] += 1
+        return original(ctx, tb, d_n, d0, xr, th1)
+
+    monkeypatch.setattr(certificates, "_sub_tail_margin", counting)
+    report = certify_pair(PARAMS, C_MIN, n=2)
+    assert report.delta == 1e-2 * 2.0**-45
+    # every height is screened; only the accepted one reaches the full grid
+    # (47 full-length margins without the screen)
+    assert calls == {"screen": 46, "full": 1}
 
 
 def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):

@@ -112,6 +112,14 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "WindowViolation" in capsys.readouterr().err
 
+    def test_kernel_overflow_exits_1_without_traceback(self, tmp_path, capsys):
+        # the chemical-field grid of this certificate has h |lambda_1| > 709
+        cfg = _write(tmp_path, "c.cfg", "a=0.1\nb=2057.3\nm=6\nc=117.5\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteTail:") and "too coarse" in err
+        assert "Traceback" not in err
+
 
 class TestWave:
     def test_profile_artifacts_and_manifest(self, tmp_path):
