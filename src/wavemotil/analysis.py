@@ -298,10 +298,9 @@ class LinearizationReport:
     hopf_omega: float | None
 
 
-def _char_residual(matrix: np.ndarray, eigs: np.ndarray) -> float:
-    coeffs = np.poly(matrix)
+def _char_residual(coeffs: np.ndarray, eigs: np.ndarray) -> float:
     vals = np.polyval(coeffs, eigs)
-    scale = np.maximum(1.0, np.abs(eigs)) ** matrix.shape[0]
+    scale = np.maximum(1.0, np.abs(eigs)) ** (coeffs.size - 1)
     return float(np.max(np.abs(vals) / scale))
 
 
@@ -357,7 +356,7 @@ def linearize(params: ModelParams, c: float, at: str = "origin") -> Linearizatio
         matrix=matrix,
         eigenvalues=eigs,
         char_poly=coeffs,
-        residual=_char_residual(matrix, eigs),
+        residual=_char_residual(coeffs, eigs),
         spiral=spiral,
         hopf_omega=hopf,
     )

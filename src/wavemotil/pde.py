@@ -50,14 +50,14 @@ red and black index maps, the sparsity patterns of the red-black coupling
 block and its transpose with the maps from face conductances to their
 entries, and the faces to held nodes) is built once, on first use, into a
 stepper that every ``GridField`` of the run holds by reference.  Each 2-D
-solve only refills the coupling blocks and the diagonals from the
-conductances and dt.  The 1-D u system is factored every step; the v
-system changes only with dt, so the stepper keeps its one factor with the
-dt it was made for and reuses it while dt repeats.  The stepper hands the
+system only refills the coupling blocks and the diagonals from the
+conductances and dt.  Every system takes its held values from the stepper,
+not from the right-hand side.  The u system is built every step; the v
+system changes only with dt, so in both dimensions the stepper keeps the
+last one with its dt and reuses it while dt repeats.  The stepper hands the
 face data that chose a step size in ``simulate`` to that step, so the
 motility law is evaluated once per step, for gamma and gamma' only (the
-scheme never uses gamma''), and it counts the conjugate-gradient
-iterations.
+scheme never uses gamma''), and it counts the conjugate-gradient iterations.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -340,11 +340,12 @@ class _Stepper:
     Everything here depends only on ``dim``, ``extents``, ``h``, ``bc`` and
     ``mask``.  Per-axis face arrays are held in the frame where that axis
     is last (see ``_along``); axes run x first.  A 1-D stepper keeps the
-    unit cell widths (``unit_w``), the held ends with their inner
-    neighbours (``held_ends``) and the factor of the last v system with its
-    dt (``v_factor``); a 2-D one keeps the red-black ``pattern``.
-    ``iterations`` counts the conjugate-gradient iterations of the run's
-    implicit solves on the reduced (black-node) systems.
+    unit cell widths (``unit_w``) and the held ends with their inner
+    neighbours (``held_ends``); a 2-D one keeps the red-black ``pattern``.
+    ``u_system`` and ``v_system`` build the implicit solvers, each with its
+    held values (``pin_u`` or ``pin_v``); the last v system is kept with its
+    dt.  ``iterations`` counts the conjugate-gradient iterations of the
+    run's implicit solves on the reduced (black-node) systems.
     """
 
     def __init__(self, f: GridField) -> None:
@@ -393,16 +394,22 @@ class _Stepper:
             self.held_ends = tuple(
                 (end, inner) for end, inner in ((0, 1), (-1, -2)) if self.pin[end]
             )
-            self.v_factor = None
         else:
             self._system = _RedBlackCG
             self.pattern = _Pattern(self, edges)
         self.iterations = 0
         self._pending = None
+        self._kept_v = None
 
-    def system(self, conds, dt: float):
-        """Solver of (I - dt L) for face conductances ``conds``."""
-        return self._system(self, conds, dt)
+    def u_system(self, conds, dt: float):
+        """Solver of (I - dt L) for u with face conductances ``conds``."""
+        return self._system(self, conds, dt, self.pin_u)
+
+    def v_system(self, dt: float):
+        """Solver of (I - dt L) for v, the last one kept while dt repeats."""
+        if self._kept_v is None or self._kept_v[0] != dt:
+            self._kept_v = (dt, self._system(self, self.v_conds, dt, self.pin_v))
+        return self._kept_v[1]
 
     def advective_bound(self, f: GridField, params: ModelParams) -> float:
         """Largest stable dt for f; the face data is kept for f's next step."""
@@ -526,33 +533,28 @@ class _Tridiagonal:
     W holds the unit cell widths (1, with 1/2 at the end nodes), so the
     matrix is symmetric positive definite with diagonal w + k (c_left +
     c_right) and off-diagonal -k c on the face couplings, k = dt / h^2.  A
-    held end leaves the system as an identity row: its coupling k c times
-    the held value moves to the right-hand side of the neighbouring row,
-    and the solve returns the held value there exactly.  The v conductances
-    never change, so the stepper keeps the v factor with the dt it was made
-    for (``v_factor``) and reuses it while dt repeats.
+    held end leaves the system as an identity row, and the solve returns
+    its value from ``held`` (the stepper's ``pin_u`` or ``pin_v``) exactly.
+    Its coupling k c times that value moves to the right-hand side of the
+    neighbouring row, unless that row is held too.
     """
 
-    def __init__(self, st: _Stepper, conds, dt: float) -> None:
+    def __init__(self, st: _Stepper, conds, dt: float, held: np.ndarray) -> None:
         self.st = st
-        chemical = conds is st.v_conds
-        self.held_values = st.pin_v if chemical else st.pin_u
-        if chemical and st.v_factor is not None and st.v_factor[0] == dt:
-            _, self.kc, self.diag, self.sub = st.v_factor
-            return
-        self.kc = dt / st.h**2 * conds[0]
-        diag = np.empty(self.kc.size + 1)
-        np.add(self.kc[:-1], self.kc[1:], out=diag[1:-1])
-        diag[0] = self.kc[0]
-        diag[-1] = self.kc[-1]
+        self.held = held
+        kc = dt / st.h**2 * conds[0]
+        diag = np.empty(kc.size + 1)
+        np.add(kc[:-1], kc[1:], out=diag[1:-1])
+        diag[0] = kc[0]
+        diag[-1] = kc[-1]
         diag += st.unit_w
-        sub = -self.kc
+        sub = -kc
         for end, _ in st.held_ends:
             diag[end] = 1.0
             sub[end] = 0.0
+        links = [(end, inner) for end, inner in st.held_ends if not st.pin[inner]]
+        self.couplings = [(inner, kc[end] * held[end]) for end, inner in links]
         self.diag, self.sub = spd_tridiagonal_factor(diag, sub)
-        if chemical:
-            st.v_factor = (dt, self.kc, self.diag, self.sub)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Exact solution; a direct solve needs no starting guess ``x0``.
@@ -560,9 +562,10 @@ class _Tridiagonal:
         Held ends take their values from the stepper, not from ``rhs``.
         """
         b = rhs * self.st.unit_w
-        for end, inner in self.st.held_ends:
-            b[inner] += self.kc[end] * self.held_values[end]
-            b[end] = self.held_values[end]
+        for inner, coupling in self.couplings:
+            b[inner] += coupling
+        for end, _ in self.st.held_ends:
+            b[end] = self.held[end]
         x, _ = dpttrs(self.diag, self.sub, b, overwrite_b=1)
         return x
 
@@ -655,13 +658,14 @@ class _RedBlackCG:
     then gives the red nodes.  That leaves the red rows' residual at
     rounding level, so the reduced residual is the full weighted residual;
     the iteration stops once it is at most ``_CG_RTOL`` times the full
-    weighted right-hand side.  Held nodes keep the values the right-hand
-    side gives them.
+    weighted right-hand side.  Held nodes take their values from ``held``
+    (``pin_u`` or ``pin_v``), so their face term is fixed with the system.
     """
 
-    def __init__(self, st: _Stepper, conds, dt: float) -> None:
+    def __init__(self, st: _Stepper, conds, dt: float, held: np.ndarray) -> None:
         pat = st.pattern
         self.st = st
+        self.held = held
         diag = st.weights.copy()
         faces = []
         for ax, cond, scale in zip(st.axes, conds, pat.scale):
@@ -683,6 +687,7 @@ class _RedBlackCG:
             shape=(pat.black.size, pat.red.size),
         )
         self.inv_black = 1.0 / self.diag_black
+        self.held_term = self.g[pat.held_faces] * held.ravel()[pat.held_nodes]
 
     def _schur(self, p: np.ndarray) -> np.ndarray:
         return self.diag_black * p - self.coupling_t @ (
@@ -692,12 +697,8 @@ class _RedBlackCG:
     def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Solution for ``rhs``, iterated from the starting guess ``x0``."""
         pat = self.st.pattern
-        flat = rhs.ravel()
-        b = self.st.weights.ravel() * flat
-        if pat.held_rows.size:
-            np.add.at(
-                b, pat.held_rows, self.g[pat.held_faces] * flat[pat.held_nodes]
-            )
+        b = self.st.weights.ravel() * rhs.ravel()
+        np.add.at(b, pat.held_rows, self.held_term)
         b_red, b_black = b[pat.red], b[pat.black]
         tol = _CG_RTOL * np.sqrt(_dot(b_red, b_red) + _dot(b_black, b_black))
         x = x0.ravel()[pat.black]
@@ -730,7 +731,7 @@ class _RedBlackCG:
             p += z
             it += 1
         self.st.iterations += it
-        out = rhs.copy()
+        out = self.held.copy()
         out_flat = out.ravel()
         out_flat[pat.red] = self.inv_red * (b_red - self.coupling @ x)
         out_flat[pat.black] = x
@@ -759,12 +760,8 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
 
     rhs_u = f.u + dt * _explicit_u(f, ws, params, st)
     rhs_v = f.v + dt * (f.u - f.v)
-    if f.dim == 2:  # the 1-D solve takes held values from the stepper
-        pin = st.pin
-        rhs_u[pin] = st.pin_u[pin]
-        rhs_v[pin] = st.pin_v[pin]
-    new_u = st.system(conds, dt).solve(rhs_u, f.u)
-    new_v = st.system(st.v_conds, dt).solve(rhs_v, f.v)
+    new_u = st.u_system(conds, dt).solve(rhs_u, f.u)
+    new_v = st.v_system(dt).solve(rhs_v, f.v)
 
     for name, arr in (("u", new_u), ("v", new_v)):
         low, high = float(arr.min()), float(arr.max())
@@ -842,9 +839,12 @@ def build_initial(config: SimConfig) -> GridField:
     else:
         if isinstance(ic, CustomIC):
             try:
-                with np.load(ic.path) as data:
+                data = np.load(ic.path)
+                if not isinstance(data, np.lib.npyio.NpzFile):
+                    raise ValueError("not an .npz archive")
+                with data:
                     ic = ArrayIC(data["u"], data["v"])
-            except (OSError, KeyError) as exc:
+            except (OSError, KeyError, ValueError) as exc:
                 raise ConfigError(f"cannot load initial state: {exc}") from exc
         u0 = np.asarray(ic.u, dtype=float)
         v0 = np.asarray(ic.v, dtype=float)

@@ -189,12 +189,25 @@ class TestSimulate:
         assert manifest["metrics"]["solver_iterations"] == 0
         assert manifest["config"]["t_end"] == "10.0"
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = _write(tmp_path, "s.cfg", _SIM_CFG)
+    @pytest.mark.parametrize(
+        "text, snaps",
+        [
+            pytest.param(_SIM_CFG, [f"snap_{k:04d}.csv" for k in range(21)], id="1d"),
+            pytest.param(
+                _SIM_2D_CFG,
+                [f"snap_{k:04d}.{ext}" for k in range(3) for ext in ("json", "bin")],
+                id="2d",
+            ),
+        ],
+    )
+    def test_rerun_is_byte_identical(self, tmp_path, text, snaps):
+        # Each run builds its own stepper, so a v system kept by the first
+        # run cannot reach the second.
+        cfg = _write(tmp_path, "s.cfg", text)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-        for name in ["metrics.csv"] + [f"snap_{k:04d}.csv" for k in range(21)]:
+        for name in ["metrics.csv"] + snaps:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_config_overrides_preset(self, tmp_path):
@@ -263,6 +276,22 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "NonFiniteState" in err and "t=" in err
+
+    @pytest.mark.parametrize("kind", ["garbage", "npy"])
+    def test_custom_ic_not_npz_is_usage_error(self, tmp_path, capsys, kind):
+        path = tmp_path / f"ic.{kind}"
+        if kind == "npy":
+            np.save(path, np.zeros(41))
+        else:
+            path.write_bytes(b"not an archive\n")
+        cfg = _write(
+            tmp_path,
+            "s.cfg",
+            "motility=power\nm=6\na=0.1\nb=0.1\ndim=1\nx_min=0\nx_max=4\nh=0.1\n"
+            f"ic=custom\nic_path={path}\nt_end=1\ncadence=1\n",
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 64
+        assert "cannot load initial state" in capsys.readouterr().err
 
     def test_no_config_or_preset_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path)]) == 64

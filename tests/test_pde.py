@@ -422,13 +422,17 @@ class TestTridiagonalSolve:
         rng = np.random.default_rng(7)
         u_cond = 0.01 + rng.random(f.nx - 1)
         for dt in np.concatenate([rng.uniform(1e-4, 0.1, 22), [0.1, 0.02]]):
-            for conds, values in (([u_cond], st.pin_u), (st.v_conds, st.pin_v)):
+            systems = (
+                ([u_cond], st.pin_u, st.u_system([u_cond], dt)),
+                (st.v_conds, st.pin_v, st.v_system(dt)),
+            )
+            for conds, values, system in systems:
                 a, pinned = _reference_system_1d(f, conds[0], dt)
                 rhs = 0.5 + rng.random(f.nx)
                 rhs[pinned] = values[pinned]
                 given = rhs.copy()
                 given[pinned] = np.nan  # held values come from the stepper
-                x = st.system(conds, dt).solve(given, f.u)
+                x = system.solve(given, f.u)
                 residual = np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
                 assert residual <= 1e-13
                 assert np.array_equal(x[pinned], values[pinned])
@@ -436,19 +440,31 @@ class TestTridiagonalSolve:
         assert np.all(st.pin_u[st.pin] != st.pin_v[st.pin])
 
     def test_chemical_factor_kept_while_dt_repeats(self):
-        f = self._field("both")
-        st = pde._stepper_of(f)
-        rng = np.random.default_rng(5)
-        factors = []
-        for dt in (0.05, 0.05, 0.02, 0.05):
-            rhs = 0.5 + rng.random(f.nx)
-            x = st.system(st.v_conds, dt).solve(rhs, f.v)
-            factors.append(st.v_factor)
-            fresh = pde._stepper_of(self._field("both"))
-            assert np.array_equal(x, fresh.system(fresh.v_conds, dt).solve(rhs, f.v))
-            assert st.v_factor[0] == dt
-        same = [a is b for a, b in zip(factors, factors[1:])]
-        assert same == [True, False, False]
+        # The stepper keeps one v system with its dt, in 1-D and 2-D alike.
+        for make in (
+            lambda: self._field("both"),
+            lambda: TestImplicitSolve2d._field("dirichlet"),
+        ):
+            f = make()
+            st = pde._stepper_of(f)
+            rng = np.random.default_rng(5)
+            factors = []
+            for dt in (0.05, 0.05, 0.02, 0.05):
+                rhs = 0.5 + rng.random(f.u.shape)
+                x = st.v_system(dt).solve(rhs, f.v)
+                factors.append(st.v_system(dt))
+                fresh = pde._stepper_of(make())
+                assert np.array_equal(x, fresh.v_system(dt).solve(rhs, f.v))
+                assert st._kept_v[0] == dt
+            same = [a is b for a, b in zip(factors, factors[1:])]
+            assert same == [True, False, False]
+
+    def test_two_node_grid_held_at_both_ends(self):
+        # Each end's inner neighbour is the other held end.
+        f = make_field(1, ((0.0, 1.0),), 1.0, u0=0.5, v0=0.5, bc=self.BCS["both"])
+        out = pde.step(f, POWER, 0.05)
+        assert out.u.tolist() == [0.8, 0.1]
+        assert out.v.tolist() == [0.6, 0.3]
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +527,13 @@ class TestImplicitSolve2d:
             kw["disk_mask"] = True
         return make_field(2, extents, 0.25, u0=0.0, v0=0.0, **kw)
 
-    @pytest.mark.parametrize("unknown", ["u", "v"])
-    @pytest.mark.parametrize("case", ["neumann", "dirichlet", "disk"])
-    def test_matches_direct_solve(self, case, unknown):
-        f = self._field(case)
+    @classmethod
+    def _problem(cls, case, unknown, seed):
+        """The solver of ``unknown`` at dt = 0.5, a right-hand side holding
+        the stepper's values at the held nodes, and the direct solution."""
+        f = cls._field(case)
         st = pde._stepper_of(f)
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(seed)
         ny, nx = f.u.shape
         if unknown == "u":
             # Conductances that vary face by face, as gamma(v) does.
@@ -534,17 +551,37 @@ class TestImplicitSolve2d:
         held_values = {"u": st.pin_u, "v": st.pin_v}[unknown]
         rhs[held] = held_values[held]
         expected = spsolve(ref_matrix, rhs.ravel()).reshape(ny, nx)
+        solver = st.u_system([cx, cy.T], dt) if unknown == "u" else st.v_system(dt)
+        return st, solver, rhs, held, held_values, expected, rng
 
-        solver = st.system([cx, cy.T], dt)
-        warm = solver.solve(rhs, rhs + 0.01 * rng.random((ny, nx)))
+    @pytest.mark.parametrize("unknown", ["u", "v"])
+    @pytest.mark.parametrize("case", ["neumann", "dirichlet", "disk"])
+    def test_matches_direct_solve(self, case, unknown):
+        st, solver, rhs, held, held_values, expected, rng = self._problem(
+            case, unknown, 3
+        )
+        warm = solver.solve(rhs, rhs + 0.01 * rng.random(rhs.shape))
         before = st.iterations
-        cold = solver.solve(rhs, np.zeros((ny, nx)))
+        cold = solver.solve(rhs, np.zeros(rhs.shape))
         assert st.iterations > before
         for x in (warm, cold):
             assert np.max(np.abs(x - expected)) <= 1e-11
             assert np.array_equal(x[held], held_values[held])
         if case == "dirichlet":
             assert np.all(held_values[held] != 0.0)
+
+    @pytest.mark.parametrize("unknown", ["u", "v"])
+    @pytest.mark.parametrize("case", ["dirichlet", "disk"])
+    def test_held_values_come_from_the_stepper(self, case, unknown):
+        _, solver, rhs, held, held_values, expected, _ = self._problem(
+            case, unknown, 11
+        )
+        given = rhs.copy()
+        given[held] = np.nan  # the solve never reads rhs at held nodes
+        x = solver.solve(given, rhs)
+        assert np.max(np.abs(x - expected)) <= 1e-11
+        assert np.array_equal(x[held], held_values[held])
+        assert np.array_equal(x, solver.solve(rhs, rhs))
 
     def test_iteration_cap_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(pde, "_CG_MAX_ITER", 1)
@@ -647,7 +684,7 @@ class TestRedBlackSolve:
         rhs[held] = st.pin_u[held]
         _, b, w, active = self._weighted(f, ref_matrix, held, rhs)
 
-        solver = st.system([cx, cy.T], dt)
+        solver = st.u_system([cx, cy.T], dt)
         for x0 in (np.zeros_like(rhs), rhs):
             x = solver.solve(rhs, x0)
             residual = (w * (rhs.ravel() - ref_matrix @ x.ravel()))[active]
@@ -668,7 +705,7 @@ class TestRedBlackSolve:
         rhs = np.exp(-20.0 * ((xx - 1.5) ** 2 + yy**2))
         rhs[st.pin] = st.pin_u[st.pin]
         red = np.add.outer(np.arange(f.ny), np.arange(f.nx)) % 2 == 0
-        solver = st.system([cx, cy.T], 0.01)
+        solver = st.u_system([cx, cy.T], 0.01)
         for x0 in (np.zeros_like(rhs), rhs):
             x = solver.solve(rhs, x0)
             assert np.min(x[red]) >= 0.0 and np.min(x[~red]) >= 0.0
@@ -678,7 +715,7 @@ class TestRedBlackSolve:
         # The CSR copy of C^T sums each row in the order the CSC view
         # scatters, so the Schur product is unchanged bit for bit.
         f, cx, cy, rng = self._case(case)
-        solver = pde._stepper_of(f).system([cx, cy.T], 0.5)
+        solver = pde._stepper_of(f).u_system([cx, cy.T], 0.5)
         view = solver.coupling.T
         for _ in range(3):
             r = rng.standard_normal(solver.inv_red.size)
@@ -700,7 +737,7 @@ class TestRedBlackSolve:
         expected, full_its = _textbook_jacobi_pcg(a, b, np.zeros_like(b), 1e-12)
 
         before = st.iterations
-        x = st.system([cx, cy.T], dt).solve(rhs, np.zeros_like(rhs))
+        x = st.u_system([cx, cy.T], dt).solve(rhs, np.zeros_like(rhs))
         assert st.iterations - before <= 0.6 * full_its
         assert np.max(np.abs(x.ravel()[active] - expected)) <= 1e-11
 
