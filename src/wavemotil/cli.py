@@ -28,6 +28,7 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -758,9 +759,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("no configuration given: pass --config and/or --preset")
         resolved = resolve_config(args.command, raw)
         out_dir = Path(args.out)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         started = _now()
-        code, outputs, metrics = _COMMANDS[args.command](resolved, out_dir)
+        try:
+            code, outputs, metrics = _COMMANDS[args.command](resolved, out_dir)
+        except ConfigError:
+            # A usage error found during the run writes nothing either.
+            if made:
+                shutil.rmtree(made[-1], ignore_errors=True)
+            raise
         _write_manifest(args.command, resolved, out_dir, outputs, metrics, started)
         return code
     except ConfigError as exc:

@@ -293,6 +293,23 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 64
         assert "cannot load initial state" in capsys.readouterr().err
 
+    def test_usage_error_during_run_leaves_no_directory(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "s.cfg",
+            "motility=power\nm=6\na=0.1\nb=0.1\ndim=1\nx_min=0\nx_max=4\nh=0.1\n"
+            f"ic=custom\nic_path={tmp_path / 'missing.npz'}\nt_end=1\ncadence=1\n",
+        )
+        out = tmp_path / "newdir" / "sub"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 64
+        assert "cannot load initial state" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()
+        # A directory that was there before the call stays.
+        out.mkdir(parents=True)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 64
+        capsys.readouterr()
+        assert out.is_dir() and not list(out.iterdir())
+
     def test_no_config_or_preset_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path)]) == 64
         assert "no configuration" in capsys.readouterr().err

@@ -162,11 +162,20 @@ class TestChemicalMassIdentity:
                 error = abs((mv_new - mv) / dt - (mu - mv))
                 assert error <= 1e-12 * max(1.0, mu, mv)
 
-    def test_2d_zero_flux_box(self):
-        f = make_field(2, ((-2.0, 2.0), (-2.0, 2.0)), 0.1, u0=0.0, v0=0.0)
+    @staticmethod
+    def _bumps(disk):
+        """Offset bumps of u and v on [-2, 2]^2, zero off the disk mask."""
+        f = make_field(
+            2, ((-2.0, 2.0), (-2.0, 2.0)), 0.1, u0=0.0, v0=0.0, disk_mask=disk
+        )
         xx, yy = np.meshgrid(f.x, f.y)
-        f.u[:] = 0.8 + 0.5 * np.exp(-(xx**2 + yy**2))
-        f.v[:] = 0.3 + 0.2 * np.exp(-((xx - 0.5) ** 2 + yy**2))
+        live = np.ones(f.u.shape, dtype=bool) if f.mask is None else f.mask
+        f.u[live] = (0.8 + 0.5 * np.exp(-(xx**2 + yy**2)))[live]
+        f.v[live] = (0.3 + 0.2 * np.exp(-((xx - 0.5) ** 2 + yy**2)))[live]
+        return f
+
+    def test_2d_zero_flux_box(self):
+        f = self._bumps(disk=False)
         mu, mv = mass(f)
         dt = 0.05
         g = step(f, POWER, dt)
@@ -175,17 +184,26 @@ class TestChemicalMassIdentity:
 
     def test_2d_masked_disk(self):
         # Closed faces at the staircase edge keep the Laplacian telescoping.
-        f = make_field(
-            2, ((-2.0, 2.0), (-2.0, 2.0)), 0.1, u0=0.0, v0=0.0, disk_mask=True
-        )
-        xx, yy = np.meshgrid(f.x, f.y)
-        f.u[f.mask] = (0.8 + 0.5 * np.exp(-(xx**2 + yy**2)))[f.mask]
-        f.v[f.mask] = (0.3 + 0.2 * np.exp(-((xx - 0.5) ** 2 + yy**2)))[f.mask]
+        f = self._bumps(disk=True)
         mu, mv = mass(f)
         dt = 0.05
         g = step(f, POWER, dt)
         _, mv_new = mass(g)
         assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_2d_along_a_chain(self, disk):
+        # Steps on one chain start their solves from extrapolated histories;
+        # uneven step sizes give the extrapolation uneven nodes.
+        f = self._bumps(disk)
+        for k in range(12):
+            mu, mv = mass(f)
+            bound = pde._stepper_of(f).advective_bound(f, POWER)
+            dt = min(0.05 if k % 3 else 0.02, bound)
+            f = step(f, POWER, dt)
+            _, mv_new = mass(f)
+            assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+        assert len(pde._stepper_of(f)._history) == pde._GUESS_POINTS - 1
 
 
 def _manufactured_1d(params, lx=10.0):
@@ -451,10 +469,11 @@ class TestTridiagonalSolve:
             factors = []
             for dt in (0.05, 0.05, 0.02, 0.05):
                 rhs = 0.5 + rng.random(f.u.shape)
-                x = st.v_system(dt).solve(rhs, f.v)
+                start = None if f.dim == 1 else _black(st, f.v)
+                x = st.v_system(dt).solve(rhs, start)
                 factors.append(st.v_system(dt))
                 fresh = pde._stepper_of(make())
-                assert np.array_equal(x, fresh.v_system(dt).solve(rhs, f.v))
+                assert np.array_equal(x, fresh.v_system(dt).solve(rhs, start))
                 assert st._kept_v[0] == dt
             same = [a is b for a, b in zip(factors, factors[1:])]
             assert same == [True, False, False]
@@ -470,6 +489,12 @@ class TestTridiagonalSolve:
 # ---------------------------------------------------------------------------
 # 2-D implicit solve against a direct reference
 # ---------------------------------------------------------------------------
+
+
+def _black(st, a):
+    """Values of a planar node array on the black nodes, where a 2-D solve
+    starts."""
+    return a.ravel()[st.pattern.black]
 
 
 def _reference_system(f, conds_x, conds_y, dt):
@@ -560,9 +585,9 @@ class TestImplicitSolve2d:
         st, solver, rhs, held, held_values, expected, rng = self._problem(
             case, unknown, 3
         )
-        warm = solver.solve(rhs, rhs + 0.01 * rng.random(rhs.shape))
+        warm = solver.solve(rhs, _black(st, rhs + 0.01 * rng.random(rhs.shape)))
         before = st.iterations
-        cold = solver.solve(rhs, np.zeros(rhs.shape))
+        cold = solver.solve(rhs, np.zeros(st.pattern.black.size))
         assert st.iterations > before
         for x in (warm, cold):
             assert np.max(np.abs(x - expected)) <= 1e-11
@@ -573,15 +598,43 @@ class TestImplicitSolve2d:
     @pytest.mark.parametrize("unknown", ["u", "v"])
     @pytest.mark.parametrize("case", ["dirichlet", "disk"])
     def test_held_values_come_from_the_stepper(self, case, unknown):
-        _, solver, rhs, held, held_values, expected, _ = self._problem(
+        st, solver, rhs, held, held_values, expected, _ = self._problem(
             case, unknown, 11
         )
         given = rhs.copy()
         given[held] = np.nan  # the solve never reads rhs at held nodes
-        x = solver.solve(given, rhs)
+        x = solver.solve(given, _black(st, rhs))
         assert np.max(np.abs(x - expected)) <= 1e-11
         assert np.array_equal(x[held], held_values[held])
-        assert np.array_equal(x, solver.solve(rhs, rhs))
+        assert np.array_equal(x, solver.solve(rhs, _black(st, rhs)))
+
+    def test_corner_takes_the_later_side(self):
+        # Held values go in side by side in the order left, right, bottom,
+        # top, whatever the order of the bc mapping: bottom and top win the
+        # corners.
+        sides = {
+            "left": Dirichlet(0.8, 0.6),
+            "right": Dirichlet(0.5, 0.4),
+            "bottom": Dirichlet(0.1, 0.3),
+            "top": Dirichlet(0.2, 0.7),
+        }
+        for bc in (sides, dict(reversed(sides.items()))):
+            f = GridField(
+                dim=2,
+                extents=((0.0, 2.0), (0.0, 2.0)),
+                nx=3,
+                ny=3,
+                h=1.0,
+                u=np.full((3, 3), 0.5),
+                v=np.full((3, 3), 0.5),
+                bc=bc,
+            )
+            st = pde._stepper_of(f)
+            assert st.pin_u.tolist() == [[0.1] * 3, [0.8, 0.0, 0.5], [0.2] * 3]
+            assert st.pin_v.tolist() == [[0.3] * 3, [0.6, 0.0, 0.4], [0.7] * 3]
+            out = step(f, POWER, 0.05)
+            for new, held in ((out.u, st.pin_u), (out.v, st.pin_v)):
+                assert np.array_equal(new[st.pin], held[st.pin])
 
     def test_iteration_cap_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(pde, "_CG_MAX_ITER", 1)
@@ -686,7 +739,7 @@ class TestRedBlackSolve:
 
         solver = st.u_system([cx, cy.T], dt)
         for x0 in (np.zeros_like(rhs), rhs):
-            x = solver.solve(rhs, x0)
+            x = solver.solve(rhs, _black(st, x0))
             residual = (w * (rhs.ravel() - ref_matrix @ x.ravel()))[active]
             # The stop test reads the recursively updated residual, which
             # differs from this one by rounding.
@@ -707,7 +760,7 @@ class TestRedBlackSolve:
         red = np.add.outer(np.arange(f.ny), np.arange(f.nx)) % 2 == 0
         solver = st.u_system([cx, cy.T], 0.01)
         for x0 in (np.zeros_like(rhs), rhs):
-            x = solver.solve(rhs, x0)
+            x = solver.solve(rhs, _black(st, x0))
             assert np.min(x[red]) >= 0.0 and np.min(x[~red]) >= 0.0
 
     @pytest.mark.parametrize("case", CASES)
@@ -737,9 +790,64 @@ class TestRedBlackSolve:
         expected, full_its = _textbook_jacobi_pcg(a, b, np.zeros_like(b), 1e-12)
 
         before = st.iterations
-        x = st.u_system([cx, cy.T], dt).solve(rhs, np.zeros_like(rhs))
+        x = st.u_system([cx, cy.T], dt).solve(rhs, np.zeros(st.pattern.black.size))
         assert st.iterations - before <= 0.6 * full_its
         assert np.max(np.abs(x.ravel()[active] - expected)) <= 1e-11
+
+
+class TestExtrapolatedStart:
+    """A 2-D step starts CG from the extrapolated history of its chain."""
+
+    @staticmethod
+    def _run(disk, t_end=3.0, cadence=1.0):
+        return simulate(
+            SimConfig(
+                params=POWER,
+                dim=2,
+                extents=((-4.0, 4.0), (-4.0, 4.0)),
+                h=0.1,
+                ic=Bump2dIC(base=0.2, amplitude=2.0),
+                t_end=t_end,
+                cadence=cadence,
+                disk_mask=disk,
+            )
+        )
+
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_fewer_iterations_to_the_same_solution(self, disk, monkeypatch):
+        extrapolated = self._run(disk)
+        monkeypatch.setattr(pde, "_GUESS_POINTS", 1)  # start from the field
+        plain = self._run(disk)
+        monkeypatch.setattr(pde, "_CG_RTOL", 1e-15)
+        reference = self._run(disk)
+        assert plain.dt_history == extrapolated.dt_history
+        assert sum(extrapolated.solver_iterations) <= 0.85 * sum(
+            plain.solver_iterations
+        )
+        for run in (extrapolated, plain):
+            for a, b in zip(run.snapshots, reference.snapshots):
+                assert np.max(np.abs(a.u - b.u)) <= 1e-11
+                assert np.max(np.abs(a.v - b.v)) <= 1e-11
+
+    def test_steps_cut_short_cost_no_more_than_the_plain_start(self, monkeypatch):
+        # Each snapshot time lands 1e-5 past a multiple of dt_max, so every
+        # segment ends with a step of 1e-5 and two nearly equal nodes.
+        extrapolated = self._run(False, t_end=10 * 0.30001, cadence=0.30001)
+        assert min(extrapolated.dt_history) < 1e-4
+        monkeypatch.setattr(pde, "_GUESS_POINTS", 1)
+        plain = self._run(False, t_end=10 * 0.30001, cadence=0.30001)
+        assert sum(extrapolated.solver_iterations) <= sum(plain.solver_iterations)
+
+    def test_step_off_the_chain_matches_a_fresh_stepper(self):
+        f = TestChemicalMassIdentity._bumps(disk=True)
+        for _ in range(4):
+            f = step(f, POWER, 0.05)
+        # A copy has the values of the chain's last output but is not it.
+        off = step(f.copy(), POWER, 0.05)
+        alone = make_field(2, f.extents, f.h, u0=f.u, v0=f.v, disk_mask=True)
+        fresh = step(alone, POWER, 0.05)
+        assert np.array_equal(off.u, fresh.u) and np.array_equal(off.v, fresh.v)
+        assert len(pde._stepper_of(off)._history) == 1
 
 
 # ---------------------------------------------------------------------------
