@@ -638,6 +638,8 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "steps": len(traj.dt_history),
         "solver_iterations": sum(traj.solver_iterations),
         "solver_iterations_step_max": max(traj.solver_iterations, default=0),
+        "v_builds": traj.v_builds,
+        **{f"steps_at_{limit}": n for limit, n in traj.dt_limits.items()},
     }
     return 0, outputs, metrics
 

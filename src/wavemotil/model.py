@@ -34,8 +34,8 @@ __all__ = [
 
 def _as_checked_array(v):
     arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("motility is only defined for v >= 0")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
+        raise ValueError("motility is only defined for finite v >= 0")
     return arr
 
 
@@ -151,9 +151,9 @@ class ModelParams:
 def motility_eval(family, v):
     """Evaluate (gamma, gamma', gamma'') at v >= 0.
 
-    Accepts scalars or arrays; rejects any negative v.  Any object exposing
-    an ``eval(v)`` triple works, but the supported families are exactly the
-    three closed-form ones above.
+    Accepts scalars or arrays; rejects any negative or non-finite v.  Any
+    object exposing an ``eval(v)`` triple works, but the supported families
+    are exactly the three closed-form ones above.
     """
     return family.eval(v)
 
@@ -162,6 +162,6 @@ def motility_rates(family, v):
     """Evaluate (gamma, gamma') at v >= 0 by the expressions of
     ``motility_eval``, without computing gamma''.
 
-    Accepts scalars or arrays; rejects any negative v.
+    Accepts scalars or arrays; rejects any negative or non-finite v.
     """
     return family.rates(v)

@@ -63,7 +63,13 @@ last one with its dt and reuses it while dt repeats.  The stepper hands the
 face data that chose a step size in ``simulate`` to that step, so the
 motility law is evaluated once per step, for gamma and gamma' only (the
 scheme never uses gamma''), it keeps the black-node history of the 2-D
-starts, and it counts the conjugate-gradient iterations.
+starts, and it counts the conjugate-gradient iterations and the v systems
+built.  It also holds the work arrays every step writes its intermediates
+into: per axis the face data, the upwind face values and fluxes, and per
+node the two right-hand sides.  Their expressions keep the operand order of
+the plain whole-array forms, so the results are the same bits, and the
+states a step returns are always new arrays.  A 1-D run renders the x
+column of its CSV snapshots once.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -376,7 +382,13 @@ class _Stepper:
     ``step`` returned; a step on any other field clears the history.  A 1-D
     stepper keeps no history.  ``iterations`` counts the conjugate-gradient
     iterations of the run's implicit solves on the reduced (black-node)
-    systems.
+    systems, and ``v_builds`` the v systems built.
+
+    ``face_work`` and ``node_work`` are work arrays that every face-data
+    evaluation and step overwrite; the face data ``advective_bound`` keeps
+    for the next step lives there, so any other evaluation drops it.  A 1-D
+    ``save_field`` keeps the snapshots' CSV row format, with the x column
+    rendered, in ``csv_format``.
     """
 
     def __init__(self, f: GridField) -> None:
@@ -428,7 +440,19 @@ class _Stepper:
         else:
             self._system = _RedBlackCG
             self.pattern = _Pattern(self, edges)
+        # Work arrays that every step overwrites: per axis, viewed in its
+        # frame, the face gamma, the drift and two face-sized ones (scratch
+        # in ``_face_data``, the Fromm values and flux in ``_explicit_u``);
+        # per node, the right-hand sides of u and v.
+        self.face_work = []
+        for ax in self.axes:
+            faces = list(shape)
+            faces[ax] -= 1
+            self.face_work.append([_along(np.empty(faces), ax) for _ in range(4)])
+        self.node_work = (np.empty(shape), np.empty(shape))
         self.iterations = 0
+        self.v_builds = 0
+        self.csv_format = None
         self._pending = None
         self._kept_v = None
         self._history = []
@@ -442,6 +466,7 @@ class _Stepper:
         """Solver of (I - dt L) for v, the last one kept while dt repeats."""
         if self._kept_v is None or self._kept_v[0] != dt:
             self._kept_v = (dt, self._system(self, self.v_conds, dt, self.pin_v))
+            self.v_builds += 1
         return self._kept_v[1]
 
     def starts(self, f: GridField, dt: float):
@@ -511,68 +536,96 @@ def mass(f: GridField) -> tuple[float, float]:
 
 def _face_data(f: GridField, params: ModelParams, st: _Stepper):
     """Per-axis face conductances gamma and drift speeds gamma' dv/dn, and
-    the advective bound on dt they set."""
-    g, gp = motility_rates(params.motility, f.v)
-    conds, ws = [], []
-    for ax, open_ in zip(st.axes, st.open):
+    the advective bound on dt they set.
+
+    The faces are written to the stepper's work arrays, so the face data
+    ``advective_bound`` kept is gone.
+    """
+    st._pending = None
+    try:
+        g, gp = motility_rates(params.motility, f.v)
+    except ValueError as exc:
+        if np.all(np.isfinite(f.v)):
+            raise
+        raise NonFiniteState("v holds a non-finite value") from exc
+    conds, ws, peaks = [], [], []
+    for ax, open_, (gf, w, diff, _) in zip(st.axes, st.open, st.face_work):
         g_ax, gp_ax, v_ax = _along(g, ax), _along(gp, ax), _along(f.v, ax)
-        gf = 0.5 * (g_ax[..., :-1] + g_ax[..., 1:])
-        w = 0.5 * (gp_ax[..., :-1] + gp_ax[..., 1:]) * np.diff(v_ax) / f.h
+        np.add(g_ax[..., :-1], g_ax[..., 1:], out=gf)
+        gf *= 0.5
+        np.add(gp_ax[..., :-1], gp_ax[..., 1:], out=w)
+        w *= 0.5
+        w *= np.subtract(v_ax[..., 1:], v_ax[..., :-1], out=diff)
+        w /= f.h
         if open_ is not None:
-            gf = gf * open_
-            w = w * open_
+            gf *= open_
+            w *= open_
         conds.append(gf)
         ws.append(w)
-    wmax = max(float(np.max(np.abs(w))) for w in ws)
+        peaks.append(float(max(w.max(), -w.min())))  # max |w|, NaN if any
+    wmax = max(peaks)
     bound = np.inf if wmax == 0.0 else DEFAULT_CFL * f.h / wmax
     return conds, ws, bound
 
 
-def _fromm_face(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _fromm_face(
+    u: np.ndarray, w: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
     """Upwind face value of u along the last axis with a centered slope.
 
     The advective flux is w * u_face with w = gamma' dv/dx at the face; the
     transport velocity is -w, so positive w takes the right node as donor.
     Faces whose slope stencil leaves the array fall back to the donor value.
+    The face values are written to ``left``; ``right`` is overwritten.
     """
-    slope = 0.25 * (u[..., 2:] - u[..., :-2])
-    u_left = np.empty(w.shape)
-    u_left[..., 0] = u[..., 0]
-    np.add(u[..., 1:-1], slope, out=u_left[..., 1:])
-    u_right = np.empty(w.shape)
-    u_right[..., -1] = u[..., -1]
-    np.subtract(u[..., 1:-1], slope, out=u_right[..., :-1])
-    return np.where(w > 0.0, u_right, u_left)
+    slope = np.subtract(u[..., 2:], u[..., :-2], out=right[..., :-1])
+    slope *= 0.25
+    np.add(u[..., 1:-1], slope, out=left[..., 1:])
+    left[..., 0] = u[..., 0]
+    np.subtract(u[..., 1:-1], slope, out=slope)
+    right[..., -1] = u[..., -1]
+    np.copyto(left, right, where=w > 0.0)
+    return left
 
 
-def _div_last(flux: np.ndarray, h: float) -> np.ndarray:
+def _div_last(flux: np.ndarray, h: float, out: np.ndarray) -> None:
     """Flux divergence along the last axis with half cells at the ends."""
-    out = np.empty(flux.shape[:-1] + (flux.shape[-1] + 1,))
-    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h
+    inner = np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:-1])
+    inner /= h
     out[..., 0] = 2.0 * flux[..., 0] / h
     out[..., -1] = -2.0 * flux[..., -1] / h
+
+
+def _divergence(fluxes, st: _Stepper, out: np.ndarray, spare: np.ndarray):
+    """Sum over the axes, x first, of the divergence of per-axis face fluxes,
+    written to ``out``; ``spare`` takes the later axes' terms."""
+    for k, (ax, flux) in enumerate(zip(st.axes, fluxes)):
+        _div_last(flux, st.h, _along(spare if k else out, ax))
+        if k:
+            out += spare
     return out
 
 
-def _divergence(fluxes, st: _Stepper) -> np.ndarray:
-    """Sum over the axes, x first, of the divergence of per-axis face fluxes."""
-    total = None
-    for ax, flux in zip(st.axes, fluxes):
-        part = _along(_div_last(flux, st.h), ax)
-        total = part if total is None else total + part
-    return total
-
-
 def _explicit_u(f: GridField, ws, params: ModelParams, st: _Stepper) -> np.ndarray:
-    """Advective divergence plus reaction (the explicit part of u)."""
-    fluxes = [w * _fromm_face(_along(f.u, ax), w) for ax, w in zip(st.axes, ws)]
-    return _divergence(fluxes, st) + f.u * (params.a - params.b * f.u)
+    """Advective divergence plus reaction (the explicit part of u), in the
+    stepper's first node work array."""
+    out, spare = st.node_work
+    fluxes = []
+    for ax, w, (_, _, left, right) in zip(st.axes, ws, st.face_work):
+        face = _fromm_face(_along(f.u, ax), w, left, right)
+        fluxes.append(np.multiply(w, face, out=face))
+    _divergence(fluxes, st, out, spare)
+    np.multiply(params.b, f.u, out=spare)
+    np.subtract(params.a, spare, out=spare)
+    np.multiply(f.u, spare, out=spare)
+    out += spare
+    return out
 
 
 def _diffusion(a: np.ndarray, conds, st: _Stepper) -> np.ndarray:
     """Face-conductance Laplacian of a node array."""
     fluxes = [c * np.diff(_along(a, ax)) / st.h for ax, c in zip(st.axes, conds)]
-    return _divergence(fluxes, st)
+    return _divergence(fluxes, st, np.empty(a.shape), np.empty(a.shape))
 
 
 def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -614,18 +667,21 @@ class _Tridiagonal:
     def __init__(self, st: _Stepper, conds, dt: float, held: np.ndarray) -> None:
         self.st = st
         self.held = held
-        kc = dt / st.h**2 * conds[0]
+        kc = np.multiply(dt / st.h**2, conds[0])
         diag = np.empty(kc.size + 1)
         np.add(kc[:-1], kc[1:], out=diag[1:-1])
         diag[0] = kc[0]
         diag[-1] = kc[-1]
         diag += st.unit_w
-        sub = -kc
+        self.couplings = [
+            (inner, kc[end] * held[end])
+            for end, inner in st.held_ends
+            if not st.pin[inner]
+        ]
+        sub = np.negative(kc, out=kc)
         for end, _ in st.held_ends:
             diag[end] = 1.0
             sub[end] = 0.0
-        links = [(end, inner) for end, inner in st.held_ends if not st.pin[inner]]
-        self.couplings = [(inner, kc[end] * held[end]) for end, inner in links]
         self.diag, self.sub = spd_tridiagonal_factor(diag, sub)
 
     def solve(self, rhs: np.ndarray, start) -> np.ndarray:
@@ -834,15 +890,19 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
             f"dt={dt:.6g} exceeds the advective bound {bound:.6g}"
         )
 
-    rhs_u = f.u + dt * _explicit_u(f, ws, params, st)
-    rhs_v = f.v + dt * (f.u - f.v)
+    rhs_u = _explicit_u(f, ws, params, st)
+    rhs_u *= dt
+    rhs_u += f.u
+    rhs_v = np.subtract(f.u, f.v, out=st.node_work[1])
+    rhs_v *= dt
+    rhs_v += f.v
     start_u, start_v = st.starts(f, dt)
     new_u = st.u_system(conds, dt).solve(rhs_u, start_u)
     new_v = st.v_system(dt).solve(rhs_v, start_v)
 
     for name, arr in (("u", new_u), ("v", new_v)):
         low, high = float(arr.min()), float(arr.max())
-        if not (np.isfinite(low) and np.isfinite(high)):
+        if not -np.inf < low <= high < np.inf:  # False for NaN
             raise NonFiniteState(f"{name} holds a non-finite value")
         if low < _NEG_FLOOR:
             raise NegativeDensity(
@@ -952,7 +1012,11 @@ class Trajectory:
     NaN where the level set does not exist yet.  ``solver_iterations``
     holds, per step, the conjugate-gradient iterations of the u and v solves
     together, counted on the red-black reduced systems (always 0 in 1-D,
-    where the solves are direct).
+    where the solves are direct).  ``v_builds`` counts the v systems built,
+    one on the first step and one whenever dt changes; ``dt_limits`` counts
+    the steps whose dt was set by ``dt_max``, the advective bound or the
+    cadence (the remaining time to the next snapshot), in that order where
+    two agree.
     """
 
     times: list[float]
@@ -963,6 +1027,8 @@ class Trajectory:
     dt_history: list[float]
     config: SimConfig
     solver_iterations: list[int] = field(default_factory=list)
+    v_builds: int = 0
+    dt_limits: dict[str, int] = field(default_factory=dict)
 
 
 def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
@@ -1005,13 +1071,15 @@ def simulate(config: SimConfig) -> Trajectory:
     front = [_front_diagnostic(f, params)]
     dt_history: list[float] = []
     solver_iterations: list[int] = []
+    limits = [0, 0, 0]  # steps whose dt was set by each entry of ``choices``
 
     n_segments = int(round(config.t_end / config.cadence))
     t = 0.0
     for seg in range(1, n_segments + 1):
         seg_end = seg * config.cadence
         while t < seg_end - 1e-9 * max(1.0, seg_end):
-            dt = min(config.dt_max, st.advective_bound(f, params), seg_end - t)
+            choices = (config.dt_max, st.advective_bound(f, params), seg_end - t)
+            dt = min(choices)
             before = st.iterations
             try:
                 f = step(f, params, dt)
@@ -1025,6 +1093,7 @@ def simulate(config: SimConfig) -> Trajectory:
             t += dt
             dt_history.append(dt)
             solver_iterations.append(st.iterations - before)
+            limits[choices.index(dt)] += 1
         t = seg_end
         mu, mv = mass(f)
         times.append(t)
@@ -1042,6 +1111,8 @@ def simulate(config: SimConfig) -> Trajectory:
         dt_history=dt_history,
         config=config,
         solver_iterations=solver_iterations,
+        v_builds=st.v_builds,
+        dt_limits=dict(zip(("dt_max", "advective_bound", "cadence"), limits)),
     )
 
 
@@ -1062,9 +1133,13 @@ def save_field(f: GridField, basepath: str) -> list[str]:
     """
     base = Path(basepath)
     if f.dim == 1:
+        st = _stepper_of(f)
+        if st.csv_format is None:  # the x column of every snapshot of a run
+            st.csv_format = "".join(["%r,%%r,%%r\n" % x for x in f.x.tolist()])
+        values = np.asarray(np.column_stack((f.u, f.v)), dtype=float)
         path = base.with_suffix(".csv")
         with open(path, "w") as fh:
-            fh.write("x,u,v\n" + csv_rows((f.x, f.u, f.v)))
+            fh.write("x,u,v\n" + st.csv_format % tuple(values.ravel().tolist()))
         return [str(path)]
     jpath = base.with_suffix(".json")
     bpath = base.with_suffix(".bin")

@@ -222,6 +222,26 @@ class TestSimulate:
         assert manifest["config"]["m"] == "6.0"
         assert len(sorted(out.glob("snap_*.csv"))) == 3
 
+    @pytest.mark.parametrize(
+        "preset, t_end, expected",
+        [
+            ("fig2", "20", (245, 202, 44, 197, 4)),
+            ("fig3", "10", (243, 243, 0, 241, 2)),
+        ],
+    )
+    def test_step_counts_of_shortened_presets(self, tmp_path, preset, t_end, expected):
+        # The full runs: fig2 takes 3,045 steps, builds 238 v systems and
+        # takes 2,826 steps at dt_max; fig3 builds one v system per step.
+        cfg = _write(tmp_path, "s.cfg", f"t_end={t_end}\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--preset", preset, "--config", cfg, "--out", str(out)]
+        assert main(argv) == 0
+        metrics = json.loads((out / "run.json").read_text())["metrics"]
+        names = ["steps", "v_builds", "steps_at_dt_max", "steps_at_advective_bound"]
+        names.append("steps_at_cadence")
+        assert tuple(metrics[name] for name in names) == expected
+        assert "steps" not in (out / "metrics.csv").read_text()
+
     def test_2d_snapshot_pairs(self, tmp_path):
         cfg = _write(tmp_path, "s.cfg", _SIM_2D_CFG)
         out = tmp_path / "out"

@@ -96,6 +96,18 @@ def test_rejects_negative_v():
             motility_eval(family, np.array([0.2, -1e-9]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_v(value):
+    # Checked before any arithmetic: NaN used to pass through to
+    # (nan, nan), and the sigmoid law turned inf into NaN with a warning.
+    for family in ALL_FAMILIES:
+        for evaluate in (motility_eval, motility_rates):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(family, value)
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(family, np.array([0.2, value, 0.5]))
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
 def test_rates_are_the_first_two_derivatives_bit_for_bit(family):
     vs = np.linspace(0.0, 10.0, 401)

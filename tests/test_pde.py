@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import spsolve
 
 import wavemotil.pde as pde
@@ -363,6 +364,14 @@ class TestStepErrors:
         with pytest.raises(NonFiniteState):
             step(f, POWER, 0.01)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_v_raises_non_finite_state(self, value):
+        # The motility law rejects it; the step reports the state.
+        f = make_field(1, ((0.0, 2.0),), 0.1, u0=0.5, v0=0.5)
+        f.v[10] = value
+        with pytest.raises(NonFiniteState):
+            step(f, POWER, 0.01)
+
     def test_steep_front_into_held_zero_stays_nonnegative(self):
         # u is held at 0 on the right, where the far field is already
         # empty; the iterative solve must not push it below the floor.
@@ -484,6 +493,198 @@ class TestTridiagonalSolve:
         out = pde.step(f, POWER, 0.05)
         assert out.u.tolist() == [0.8, 0.1]
         assert out.v.tolist() == [0.6, 0.3]
+
+
+# ---------------------------------------------------------------------------
+# The in-place step against its allocating form
+# ---------------------------------------------------------------------------
+
+
+def _allocating_face_data(f, params, st):
+    """Face conductances, drifts and advective bound, every expression
+    allocating its result."""
+    g, gp = motility_rates(params.motility, f.v)
+    conds, ws = [], []
+    for ax, open_ in zip(st.axes, st.open):
+        g_ax = pde._along(g, ax)
+        gp_ax = pde._along(gp, ax)
+        v_ax = pde._along(f.v, ax)
+        gf = 0.5 * (g_ax[..., :-1] + g_ax[..., 1:])
+        w = 0.5 * (gp_ax[..., :-1] + gp_ax[..., 1:]) * np.diff(v_ax) / f.h
+        if open_ is not None:
+            gf = gf * open_
+            w = w * open_
+        conds.append(gf)
+        ws.append(w)
+    wmax = max(float(np.max(np.abs(w))) for w in ws)
+    bound = np.inf if wmax == 0.0 else pde.DEFAULT_CFL * f.h / wmax
+    return conds, ws, bound
+
+
+def _allocating_fromm_face(u, w):
+    slope = 0.25 * (u[..., 2:] - u[..., :-2])
+    u_left = np.empty(w.shape)
+    u_left[..., 0] = u[..., 0]
+    np.add(u[..., 1:-1], slope, out=u_left[..., 1:])
+    u_right = np.empty(w.shape)
+    u_right[..., -1] = u[..., -1]
+    np.subtract(u[..., 1:-1], slope, out=u_right[..., :-1])
+    return np.where(w > 0.0, u_right, u_left)
+
+
+def _allocating_div_last(flux, h):
+    out = np.empty(flux.shape[:-1] + (flux.shape[-1] + 1,))
+    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h
+    out[..., 0] = 2.0 * flux[..., 0] / h
+    out[..., -1] = -2.0 * flux[..., -1] / h
+    return out
+
+
+def _allocating_explicit_u(f, ws, params, st):
+    total = None
+    for ax, w in zip(st.axes, ws):
+        flux = w * _allocating_fromm_face(pde._along(f.u, ax), w)
+        part = pde._along(_allocating_div_last(flux, st.h), ax)
+        total = part if total is None else total + part
+    return total + f.u * (params.a - params.b * f.u)
+
+
+def _allocating_tridiagonal_solve(st, cond, dt, held, rhs):
+    kc = dt / st.h**2 * cond
+    diag = np.empty(kc.size + 1)
+    np.add(kc[:-1], kc[1:], out=diag[1:-1])
+    diag[0] = kc[0]
+    diag[-1] = kc[-1]
+    diag += st.unit_w
+    sub = -kc
+    for end, _ in st.held_ends:
+        diag[end] = 1.0
+        sub[end] = 0.0
+    d, e, info = dpttrf(diag, sub)
+    assert info == 0
+    b = rhs * st.unit_w
+    for end, inner in st.held_ends:
+        if not st.pin[inner]:
+            b[inner] += kc[end] * held[end]
+    for end, _ in st.held_ends:
+        b[end] = held[end]
+    x, info = dpttrs(d, e, b)
+    assert info == 0
+    return x
+
+
+def _allocating_step(f, params, dt):
+    """One step by the allocating expressions; the 2-D solves, which these
+    expressions only feed, are the stepper's."""
+    st = pde._stepper_of(f)
+    conds, ws, bound = _allocating_face_data(f, params, st)
+    assert dt <= bound
+    rhs_u = f.u + dt * _allocating_explicit_u(f, ws, params, st)
+    rhs_v = f.v + dt * (f.u - f.v)
+    if f.dim == 1:
+        new_u = _allocating_tridiagonal_solve(st, conds[0], dt, st.pin_u, rhs_u)
+        new_v = _allocating_tridiagonal_solve(st, st.v_conds[0], dt, st.pin_v, rhs_v)
+    else:
+        start_u, start_v = st.starts(f, dt)
+        new_u = st.u_system(conds, dt).solve(rhs_u, start_u)
+        new_v = st.v_system(dt).solve(rhs_v, start_v)
+    for arr in (new_u, new_v):
+        assert np.all(np.isfinite(arr)) and arr.min() >= pde._NEG_FLOOR
+        np.copyto(arr, 0.0, where=arr < 0.0)
+    st.last = f._with(new_u, new_v, f.bc)
+    return st.last
+
+
+SIGMOID = ModelParams(a=0.2, b=0.2, motility=SigmoidMotility(eps=0.1, v0=1.0))
+
+
+def _work_case(case):
+    """A fresh field and its model: Dirichlet sides with the power law,
+    zero-flux sides with the sigmoid law, or a masked disk."""
+    if case == "masked_2d":
+        return TestChemicalMassIdentity._bumps(disk=True), POWER
+    f = make_field(1, ((0.0, 40.0),), 0.05, u0=0.0, v0=0.0)
+    front = 1.0 / (1.0 + np.exp(2.0 * (f.x - 10.0)))
+    if case == "dirichlet_power":
+        bc = {"left": Dirichlet(1.0, 1.0), "right": Dirichlet(0.0, 0.0)}
+        return make_field(1, f.extents, f.h, u0=front, v0=front, bc=bc), POWER
+    bump = 0.3 * np.exp(-((f.x - 5.0) ** 2))
+    return make_field(1, f.extents, f.h, u0=front + bump, v0=front), SIGMOID
+
+
+WORK_CASES = ["dirichlet_power", "neumann_sigmoid", "masked_2d"]
+
+
+class TestStepAgainstAllocatingForm:
+    """``step`` writes its intermediates into the stepper's work arrays; the
+    states it returns carry the bytes of the allocating expressions."""
+
+    @pytest.mark.parametrize("case", WORK_CASES)
+    def test_twenty_steps_bit_for_bit(self, case):
+        f, params = _work_case(case)
+        ref, _ = _work_case(case)
+        st = pde._stepper_of(f)
+        caps = [0.02, 0.02, 0.05, 0.05, 0.05, 0.01]
+        dts = []
+        for k in range(20):
+            bound = _allocating_face_data(ref, params, pde._stepper_of(ref))[2]
+            dt = min(caps[k % len(caps)], 0.9 * bound)
+            if k % 2:  # the face data that chose dt is kept for the step
+                assert st.advective_bound(f, params) == bound
+            f = step(f, params, dt)
+            ref = _allocating_step(ref, params, dt)
+            assert f.u.tobytes() == ref.u.tobytes()
+            assert f.v.tobytes() == ref.v.tobytes()
+            dts.append(dt)
+        # dt repeats on some steps (a kept v system) and changes on others.
+        changes = sum(a != b for a, b in zip(dts, dts[1:]))
+        assert 0 < changes < len(dts) - 1
+
+
+class TestWorkArrays:
+    @staticmethod
+    def _arrays(obj):
+        return [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+
+    @pytest.mark.parametrize("case", WORK_CASES)
+    def test_states_own_their_memory(self, case):
+        f, params = _work_case(case)
+        st = pde._stepper_of(f)
+        states, saved = [f], [(f.u.copy(), f.v.copy())]
+        for k in range(6):
+            dt = min(0.02 if k % 3 else 0.01, st.advective_bound(states[-1], params))
+            g = step(states[-1], params, dt)
+            held = [*st.face_work, *st.node_work, *self._arrays(st)]
+            held += self._arrays(st._kept_v[1])
+            earlier = [a for s in states for a in (s.u, s.v)]
+            for arr in (g.u, g.v):
+                assert not any(np.shares_memory(arr, a) for a in held + earlier)
+            assert not np.shares_memory(g.u, g.v)
+            states.append(g)
+            saved.append((g.u.copy(), g.v.copy()))
+        for s, (u, v) in zip(states, saved):
+            assert s.u.tobytes() == u.tobytes() and s.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("case", WORK_CASES)
+    @pytest.mark.parametrize("bound_copy", [True, False])
+    def test_calls_on_a_copy_between_bound_and_step(self, case, bound_copy):
+        # A copy shares the stepper and its work arrays; its face data must
+        # not stand in for the field whose bound was taken.
+        f, params = _work_case(case)
+        st = pde._stepper_of(f)
+        dt = 0.5 * st.advective_bound(f, params)
+        g = f.copy()
+        g.v *= 1.5
+        spatial_rhs(g, params)
+        if bound_copy:
+            st.advective_bound(g, params)
+        out = step(f, params, dt)
+        alone = make_field(
+            f.dim, f.extents, f.h, u0=f.u, v0=f.v, bc=f.bc, disk_mask=f.mask is not None
+        )
+        fresh = step(alone, params, dt)
+        assert out.u.tobytes() == fresh.u.tobytes()
+        assert out.v.tobytes() == fresh.v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1075,6 +1276,33 @@ class TestSimulate:
         # 1-D solves are direct; every 2-D step iterates for u and for v.
         assert all(n == 0 for n in its) if dim == 1 else all(n >= 2 for n in its)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_size_limits_and_v_builds(self, dim):
+        # A v system is built on the first step and whenever dt changes;
+        # each step's dt is set by dt_max, the advective bound or the
+        # cadence, counted in that order where two agree.
+        if dim == 1:
+            cfg = _front_config(t_end=10.0, cadence=2.5, dt_max=0.07)
+        else:
+            cfg = SimConfig(
+                params=POWER,
+                dim=2,
+                extents=((-3.0, 3.0), (-3.0, 3.0)),
+                h=0.25,
+                ic=Bump2dIC(base=0.0, amplitude=4.0),
+                t_end=1.2,
+                cadence=0.15,
+                disk_mask=True,
+            )
+        traj = simulate(cfg)
+        dts = traj.dt_history
+        assert traj.v_builds == 1 + sum(a != b for a, b in zip(dts, dts[1:]))
+        limits = traj.dt_limits
+        assert list(limits) == ["dt_max", "advective_bound", "cadence"]
+        assert sum(limits.values()) == len(dts)
+        assert limits["dt_max"] == sum(dt == cfg.dt_max for dt in dts)
+        assert all(n > 0 for n in limits.values()), limits
+
     def test_motility_evaluated_once_per_step(self, monkeypatch):
         # The face data that chooses dt is the face data the step uses.
         calls = []
@@ -1172,12 +1400,17 @@ class TestSerialization:
         f.u[:] = rng.random(f.nx) * 10.0 ** rng.integers(-300, 300, f.nx)
         f.v[:] = -rng.random(f.nx)
         f.u[:5] = f.v[-5:] = [0.0, -0.0, 5e-324, 1e-300, 1e16]
-        save_field(f, str(tmp_path / "snap"))
-        rows = zip(f.x, f.u, f.v)
-        expected = "x,u,v\n" + "".join(
-            f"{float(x)!r},{float(u)!r},{float(v)!r}\n" for x, u, v in rows
-        )
-        assert (tmp_path / "snap.csv").read_bytes() == expected.encode()
+        # A later snapshot of the run shares the rendered x column.
+        later = f.copy()
+        later.u[:] = f.v[::-1]
+        later.v[:] = f.u[::-1]
+        for k, g in enumerate((f, later)):
+            save_field(g, str(tmp_path / f"snap{k}"))
+            rows = zip(g.x, g.u, g.v)
+            expected = "x,u,v\n" + "".join(
+                f"{float(x)!r},{float(u)!r},{float(v)!r}\n" for x, u, v in rows
+            )
+            assert (tmp_path / f"snap{k}.csv").read_bytes() == expected.encode()
 
     def test_2d_binary_roundtrip(self, tmp_path):
         f = make_field(2, ((0.0, 1.0), (0.0, 2.0)), 0.25, u0=0.0, v0=0.0)
