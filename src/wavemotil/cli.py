@@ -305,6 +305,7 @@ PRESETS: dict[str, dict[str, str]] = {
         "ic_offset": "15",
         "t_end": "140",
         "cadence": "5",
+        "dt_max": "0.02",
         "transient_fraction": "0.5",
     },
     "fig4": {

@@ -18,7 +18,6 @@ __all__ = [
     "PicardStalled",
     "NegativeDensity",
     "NonFiniteState",
-    "StabilityViolation",
     "NoCrossing",
     "InsufficientSamples",
     "WindowTooSmall",
@@ -79,10 +78,6 @@ class NegativeDensity(WavemotilError):
 
 class NonFiniteState(WavemotilError):
     """A time step produced a NaN or infinite density."""
-
-
-class StabilityViolation(WavemotilError):
-    """Requested time step exceeds the advective stability bound."""
 
 
 class NoCrossing(WavemotilError):

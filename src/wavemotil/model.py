@@ -8,8 +8,8 @@ The system couples a cell density u and a chemical concentration v through
 where the motility gamma is a positive, strictly decreasing function of v.
 Three closed-form motility families are supported; each returns gamma and its
 first two derivatives exactly, which downstream certificate computations rely
-on.  ``motility_rates`` stops after gamma and gamma', which is all the
-time stepper uses, through the same expressions.  Arbitrary user callables
+on.  The time stepper needs gamma alone, which each family's ``gamma``
+method computes through the same expressions.  Arbitrary user callables
 are deliberately not accepted.
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "MotilityFamily",
     "ModelParams",
     "motility_eval",
-    "motility_rates",
 ]
 
 
@@ -47,7 +46,7 @@ def _maybe_scalar(scalar_input: bool, *arrays):
 
 class _Family:
     """Evaluation shared by the families: ``_terms`` yields gamma, gamma'
-    and gamma'' in turn, so asking for fewer computes fewer."""
+    and gamma'' in turn, so asking for gamma alone computes gamma alone."""
 
     def _first(self, v, count: int):
         terms = self._terms(_as_checked_array(v))
@@ -57,9 +56,9 @@ class _Family:
         """(gamma, gamma', gamma'') at v >= 0."""
         return self._first(v, 3)
 
-    def rates(self, v):
-        """(gamma, gamma') at v >= 0."""
-        return self._first(v, 2)
+    def gamma(self, v):
+        """gamma at v >= 0, by the expression ``eval`` uses."""
+        return self._first(v, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,3 @@ def motility_eval(family, v):
     """
     return family.eval(v)
 
-
-def motility_rates(family, v):
-    """Evaluate (gamma, gamma') at v >= 0 by the expressions of
-    ``motility_eval``, without computing gamma''.
-
-    Accepts scalars or arrays; rejects any negative or non-finite v.
-    """
-    return family.rates(v)

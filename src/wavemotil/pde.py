@@ -1,75 +1,73 @@
 """Direct time-dependent solver for the motility system in one and two
 space dimensions.
 
-The density equation is discretized in conservative flux form,
+The density equation is taken in the paper's own form,
 
-    u_t = div( gamma(v) grad u + u gamma'(v) grad v ) + u (a - b u),
+    u_t = Laplacian( gamma(v) u ) + u (a - b u),
 
-with node-centered finite volumes: faces carry the arithmetic mean of
-gamma and gamma', the diffusive flux uses the two-point difference, and
-the cross-diffusion (advective) flux upwinds u to the donor side with a
-centered slope reconstruction, falling back to first order at faces whose
-stencil leaves the domain.  Boundary nodes own half cells, which makes the
-discrete chemical-mass identity d/dt int v = int u - int v exact on
-zero-flux boxes up to solver rounding.  One flux assembly serves both
-dimensions: it loops over the grid axes, x first.
+with node-centered finite volumes: the Laplacian is the two-point (1-D) or
+five-point (2-D) difference, and boundary nodes own half cells.  With W the
+half-cell volumes, K = W L is symmetric, couples each face's two nodes by
+the cell width across the face over h (closed faces at a mask edge drop
+out) and has zero column sums, so the discrete mass identities of u and v
+are exact on zero-flux boxes up to solver rounding.
 
-Time stepping is IMEX: both Laplacians are implicit, while the
-cross-diffusion flux and the reactions are explicit.  Each implicit system
-(I - dt L) x = rhs is multiplied by the half-cell volumes W, which makes it
-symmetric positive definite, and nodes held at fixed values (Dirichlet
-sides, masked-out cells) move to the right-hand side.  In 1-D the result is
-tridiagonal and LAPACK ``pttrf``/``pttrs`` solve it directly.  The five-point
-operator couples only nodes of opposite parity of i + j, so the active
-nodes split into red and black: the red ones are eliminated exactly,
-conjugate gradients preconditioned by the black diagonal solve the black
-Schur complement, and one back substitution recovers the red nodes (Reid,
-SIAM J. Numer. Anal. 9 (1972); Hageman & Young, *Applied Iterative
-Methods*, ch. 9).  That takes about half the iterations of
-Jacobi-preconditioned CG on the full system at about the same cost per
-iteration.  Each solve starts from the Lagrange extrapolation, to the new
-time, of the current state and up to four earlier states of the same chain
-of steps, taken on the black nodes only (the cheapest form of the
-projection start of Fischer, Comput. Methods Appl. Mech. Engrg. 163
-(1998)); a step on any other field starts from that field.  The iteration
-stops once the weighted residual, which the back substitution leaves on
-the black nodes alone, falls to 1e-12 of the weighted right-hand side;
-hitting the iteration cap raises ``NoConvergence``.  The start moves a
-result only within that tolerance.
+Time stepping is IMEX with gamma frozen at the old v, Gamma = diag gamma(v):
 
-The exact implicit diffusion matrices are M-matrices, so diffusion alone
-cannot create negative densities; slope reconstruction can undershoot by a
-rounding-scale amount at sharp fronts.  Undershoots above -1e-12 are
-clipped and anything lower is reported as ``NegativeDensity``.  The
-iterative 2-D solve does not carry the M-matrix sign property over
-exactly, but it stops at a residual 1e-12 of the right-hand side, so its
-error stays far inside that floor: no solve of the fig4 ring undershoots at
-all, and a steep front running into a side held at u = 0 stays
-nonnegative.  A NaN or infinite value anywhere in a new state is reported
-as ``NonFiniteState``.  The step size obeys an advective bound
-0.4 h / max |gamma'(v) dv/dn| recomputed every step and capped at 0.1.
+    (I - dt L Gamma) u+ = u + dt u (a - b u),    (I - dt L) v+ = v + dt (u - v).
+
+The u system is solved for w = Gamma u+.  Multiplied by W it reads
+W (Gamma^-1 - dt L) w = W rhs: the v system's matrix W (I - dt L) with
+W / gamma on the diagonal in place of W.  Both are symmetric positive
+definite Z-matrices whose column j sums to W_j / gamma_j or W_j > 0, so
+they are M-matrices for every dt.  The implicit part therefore never makes
+a density negative, and no advective bound limits dt.  Then u+ = w / gamma,
+and the column sums give sum W u+ = sum W rhs: the mass identity of u.
+Nodes held at fixed values (Dirichlet sides, masked-out cells) move to the
+right-hand side; a held node of the u system holds w = gamma(v_D) u_D.
+
+In 1-D each system is tridiagonal and LAPACK ``pttrf``/``pttrs`` solve it
+directly.  The five-point operator couples only nodes of opposite parity of
+i + j, so the active nodes split into red and black: the red ones are
+eliminated exactly, conjugate gradients preconditioned by the black
+diagonal solve the black Schur complement, and one back substitution
+recovers the red nodes (Reid, SIAM J. Numer. Anal. 9 (1972); Hageman &
+Young, *Applied Iterative Methods*, ch. 9).  That takes about half the
+iterations of Jacobi-preconditioned CG on the full system at about the same
+cost per iteration.  Each solve starts from the Lagrange extrapolation, to
+the new time, of the current state and up to four earlier states of the
+same chain of steps, taken on the black nodes only (the cheapest form of
+the projection start of Fischer, Comput. Methods Appl. Mech. Engrg. 163
+(1998)); the u solve's start is that of u times gamma, in the units of w.
+A step on any other field starts from that field.  The iteration stops once
+the weighted residual, which the back substitution leaves on the black
+nodes alone, falls to 1e-12 of the weighted right-hand side; hitting the
+iteration cap raises ``NoConvergence``.  The start moves a result only
+within that tolerance.
+
+The explicit logistic term keeps the right-hand side nonnegative only
+while dt (b u - a) <= 1, and the iterative 2-D solve carries the M-matrix
+sign property over only to its tolerance.  So undershoots above -1e-12 are
+clipped and anything lower is reported as ``NegativeDensity``.  A NaN or
+infinite value anywhere in a new state is reported as ``NonFiniteState``.
+``simulate`` steps by ``dt_max`` (default 0.1), cut short to land on each
+snapshot time.
 
 What the steps of a run share and what depends only on the grid geometry
-(held nodes, cell volumes, open faces, the v conductances, and in 2-D the
-red and black index maps, the sparsity patterns of the red-black coupling
-block and its transpose with the maps from face conductances to their
-entries, and the faces to held nodes) is built once, on first use, into a
-stepper that every ``GridField`` of the run holds by reference.  Each 2-D
-system only refills the coupling blocks and the diagonals from the
-conductances and dt.  Every system takes its held values from the stepper,
-not from the right-hand side.  The u system is built every step; the v
-system changes only with dt, so in both dimensions the stepper keeps the
-last one with its dt and reuses it while dt repeats.  The stepper hands the
-face data that chose a step size in ``simulate`` to that step, so the
-motility law is evaluated once per step, for gamma and gamma' only (the
-scheme never uses gamma''), it keeps the black-node history of the 2-D
-starts, and it counts the conjugate-gradient iterations and the v systems
-built.  It also holds the work arrays every step writes its intermediates
-into: per axis the face data, the upwind face values and fluxes, and per
-node the two right-hand sides.  Their expressions keep the operand order of
-the plain whole-array forms, so the results are the same bits, and the
-states a step returns are always new arrays.  A 1-D run renders the x
-column of its CSV snapshots once.
+(held nodes, cell volumes, the face coefficients of K and their per-node
+sums, and in 2-D the red and black index maps, the red-black coupling
+block C1 of K with unit conductances and its transpose as a CSR pair, and
+the faces to held nodes) is built once, on first use, into a stepper that
+every ``GridField`` of the run holds by reference.  u and v share the unit
+conductances, so each system holds only its two diagonals and dt: the
+Schur complement is applied as D_b p - dt^2 C1^T D_r^-1 C1 p and the red
+nodes are D_r^-1 (b_r - dt C1 x_b).  The u system changes with gamma and is
+built every step; the v system changes only with dt, so the stepper keeps
+the last one and reuses it while dt repeats.  The motility law is
+evaluated once per step, for gamma only.  The stepper also keeps the
+black-node history of the 2-D starts, and it counts the conjugate-gradient
+iterations and the v systems built.  A 1-D run renders the x column of its
+CSV snapshots once.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -93,10 +91,9 @@ from .errors import (
     NoCrossing,
     NonFiniteState,
     NoRing,
-    StabilityViolation,
 )
 from .frontmetrics import front_position, ring_metrics
-from .model import ModelParams, motility_rates
+from .model import ModelParams
 
 __all__ = [
     "Neumann",
@@ -117,14 +114,10 @@ __all__ = [
     "ring_radii",
     "save_field",
     "load_field",
-    "DEFAULT_CFL",
     "DEFAULT_DT_MAX",
 ]
 
-#: Safety factor of the explicit advective CFL condition.
-DEFAULT_CFL = 0.4
-
-#: Upper cap on the step size regardless of the advective bound.
+#: Step size of ``simulate``, cut short only to land on a snapshot time.
 DEFAULT_DT_MAX = 0.1
 
 _NEG_FLOOR = -1e-12
@@ -139,7 +132,8 @@ _CG_RTOL = 1e-12
 #: Iteration cap of one 2-D implicit solve.  Exact-arithmetic CG needs at
 #: most one iteration per unknown of the reduced system (15,712 black nodes
 #: of the 31,417 active ones on the fig4 grid, the largest preset); solves
-#: there take 4 to 44 from the extrapolated start, 9 in the median.
+#: there take at most 107 per step, u and v together, from the
+#: extrapolated start.
 _CG_MAX_ITER = 100_000
 
 #: States the 2-D CG start extrapolates from: the current one and up to
@@ -149,11 +143,11 @@ _CG_MAX_ITER = 100_000
 #: plain start from the current field):
 #:
 #:     points   t_end = 5   full run (t_end = 50)   full-run difference
-#:          1       5,277       43,935                  5.8e-11
-#:          3       4,082       26,205                  3.4e-11
-#:          4       3,666       18,326                  1.7e-11
-#:          5       3,333       12,358                  3.6e-11
-#:          6       3,116       10,142                  7.2e-12
+#:          1       4,943       43,417                  4.2e-11
+#:          3       3,855       25,776                  2.5e-11
+#:          4       3,469       17,904                  1.8e-11
+#:          5       3,156       11,915                  3.3e-11
+#:          6       2,905        9,600                  1.4e-11
 #:
 #: Each point costs two black-node vectors (250 kB on fig4).
 _GUESS_POINTS = 5
@@ -367,14 +361,17 @@ class _Stepper:
 
     Everything here depends only on ``dim``, ``extents``, ``h``, ``bc`` and
     ``mask``.  Per-axis face arrays are held in the frame where that axis
-    is last (see ``_along``); axes run x first.  A 1-D stepper keeps the
-    unit cell widths (``unit_w``) and the held ends with their inner
-    neighbours (``held_ends``); a 2-D one keeps the red-black ``pattern``.
-    ``u_system`` and ``v_system`` build the implicit solvers, each with its
-    held values (``pin_u`` or ``pin_v``); the last v system is kept with its
-    dt.  Held values are written side by side in ``_SIDES`` order, so where
-    two Dirichlet sides meet, the corner node takes the later side's values:
-    ``bottom`` or ``top`` over ``left`` or ``right``.
+    is last (see ``_along``); axes run x first.  ``weights`` holds the cell
+    volumes W (half cells on the sides, 0 off the mask), ``scale`` per axis
+    the face coefficients of K = W L (the cell width across the face over
+    h, 0 at closed faces) and ``degree`` their sum at each node.  A 1-D
+    stepper keeps the held ends with their inner neighbours
+    (``held_ends``); a 2-D one keeps the red-black ``pattern``.
+    ``u_system`` and ``v_system`` build the implicit solvers; the last v
+    system is kept with its dt.  Held values are written side by side in
+    ``_SIDES`` order, so where two Dirichlet sides meet, the corner node
+    takes the later side's values: ``bottom`` or ``top`` over ``left`` or
+    ``right``.
 
     ``starts`` gives the CG starts of a 2-D step.  For them the stepper
     keeps the black-node values of u and v of the last few states with the
@@ -382,18 +379,13 @@ class _Stepper:
     ``step`` returned; a step on any other field clears the history.  A 1-D
     stepper keeps no history.  ``iterations`` counts the conjugate-gradient
     iterations of the run's implicit solves on the reduced (black-node)
-    systems, and ``v_builds`` the v systems built.
-
-    ``face_work`` and ``node_work`` are work arrays that every face-data
-    evaluation and step overwrite; the face data ``advective_bound`` keeps
-    for the next step lives there, so any other evaluation drops it.  A 1-D
-    ``save_field`` keeps the snapshots' CSV row format, with the x column
-    rendered, in ``csv_format``.
+    systems, and ``v_builds`` the v systems built.  A 1-D ``save_field``
+    keeps the snapshots' CSV rows, with the x column rendered, in
+    ``csv_format``.
     """
 
     def __init__(self, f: GridField) -> None:
         shape = f.u.shape
-        self.h = f.h
         self.axes = tuple(range(f.dim - 1, -1, -1))
         self.pin = np.zeros(shape, dtype=bool)
         self.pin_u = np.zeros(shape)
@@ -414,69 +406,66 @@ class _Stepper:
             edge[-1] *= 0.5
             edges.append(edge)
             weights = np.multiply.outer(weights, edge)
-        if f.mask is None:
-            self.open = (None,) * f.dim
-        else:
+        if f.mask is not None:
             dead = ~f.mask
             self.pin |= dead
             self.pin_u[dead] = 0.0
             self.pin_v[dead] = 0.0
             weights = weights * f.mask
-            self.open = tuple(
-                _along(f.mask, ax)[..., :-1] & _along(f.mask, ax)[..., 1:]
-                for ax in self.axes
-            )
         self.weights = weights
-        self.v_conds = []
-        for ax, open_ in zip(self.axes, self.open):
-            ones = np.ones(_along(self.pin, ax)[..., 1:].shape)
-            self.v_conds.append(ones if open_ is None else ones * open_)
+        self.scale = []
+        self.degree = np.zeros(shape)
+        for ax in self.axes:
+            perp = np.ones(())
+            for other, edge in enumerate(edges):
+                if other != ax:
+                    perp = np.multiply.outer(perp, edge)
+            faces = _along(self.pin, ax)[..., 1:].shape
+            scale = np.broadcast_to(perp[..., None] / f.h, faces)
+            if f.mask is not None:
+                mask = _along(f.mask, ax)
+                scale = scale * (mask[..., :-1] & mask[..., 1:])
+            self.scale.append(scale)
+            degree = _along(self.degree, ax)
+            degree[..., :-1] += scale
+            degree[..., 1:] += scale
         if f.dim == 1:
             self._system = _Tridiagonal
-            self.unit_w = weights / f.h
             self.held_ends = tuple(
                 (end, inner) for end, inner in ((0, 1), (-1, -2)) if self.pin[end]
             )
         else:
             self._system = _RedBlackCG
-            self.pattern = _Pattern(self, edges)
-        # Work arrays that every step overwrites: per axis, viewed in its
-        # frame, the face gamma, the drift and two face-sized ones (scratch
-        # in ``_face_data``, the Fromm values and flux in ``_explicit_u``);
-        # per node, the right-hand sides of u and v.
-        self.face_work = []
-        for ax in self.axes:
-            faces = list(shape)
-            faces[ax] -= 1
-            self.face_work.append([_along(np.empty(faces), ax) for _ in range(4)])
-        self.node_work = (np.empty(shape), np.empty(shape))
+            self.pattern = _Pattern(self)
         self.iterations = 0
         self.v_builds = 0
         self.csv_format = None
-        self._pending = None
         self._kept_v = None
         self._history = []
         self.last = None
 
-    def u_system(self, conds, dt: float):
-        """Solver of (I - dt L) for u with face conductances ``conds``."""
-        return self._system(self, conds, dt, self.pin_u)
+    def u_system(self, gamma: np.ndarray, dt: float):
+        """Solver of W (Gamma^-1 - dt L) for w = gamma u+, each held node
+        holding gamma times its u value."""
+        return self._system(self, self.weights / gamma, dt, gamma * self.pin_u)
 
     def v_system(self, dt: float):
-        """Solver of (I - dt L) for v, the last one kept while dt repeats."""
+        """Solver of W (I - dt L) for v, the last one kept while dt repeats."""
         if self._kept_v is None or self._kept_v[0] != dt:
-            self._kept_v = (dt, self._system(self, self.v_conds, dt, self.pin_v))
+            self._kept_v = (dt, self._system(self, self.weights, dt, self.pin_v))
             self.v_builds += 1
         return self._kept_v[1]
 
-    def starts(self, f: GridField, dt: float):
-        """Black-node CG starts of u and v for the step of f by dt.
+    def starts(self, f: GridField, dt: float, gamma: np.ndarray):
+        """Black-node CG starts of w = gamma u and of v for the step of f by
+        dt.
 
         Each is the Lagrange extrapolation to the new time of f and, when f
         is ``last``, up to ``_GUESS_POINTS - 1`` earlier states of its chain,
-        with weights from the cumulative step sizes.  Otherwise the history
-        restarts at f, whose values are the start.  In 1-D the solves are
-        direct and there is no start.
+        with weights from the cumulative step sizes; the u one is then
+        multiplied by gamma.  Otherwise the history restarts at f, whose
+        values are the start.  In 1-D the solves are direct and there is no
+        start.
         """
         if f.dim == 1:
             return None, None
@@ -506,20 +495,8 @@ class _Stepper:
                 u_start += weight * u
                 v_start += weight * v
         del self._history[_GUESS_POINTS - 1 :]
+        u_start *= gamma.ravel()[black]
         return u_start, v_start
-
-    def advective_bound(self, f: GridField, params: ModelParams) -> float:
-        """Largest stable dt for f; the face data is kept for f's next step."""
-        faces = _face_data(f, params, self)
-        self._pending = (f, params, faces)
-        return faces[2]
-
-    def faces_for_step(self, f: GridField, params: ModelParams):
-        """Face data of f: the one ``advective_bound`` just kept, or fresh."""
-        pending, self._pending = self._pending, None
-        if pending is not None and pending[0] is f and pending[1] is params:
-            return pending[2]
-        return _face_data(f, params, self)
 
 
 def _stepper_of(f: GridField) -> _Stepper:
@@ -534,110 +511,38 @@ def mass(f: GridField) -> tuple[float, float]:
     return float(np.sum(w * f.u)), float(np.sum(w * f.v))
 
 
-def _face_data(f: GridField, params: ModelParams, st: _Stepper):
-    """Per-axis face conductances gamma and drift speeds gamma' dv/dn, and
-    the advective bound on dt they set.
-
-    The faces are written to the stepper's work arrays, so the face data
-    ``advective_bound`` kept is gone.
-    """
-    st._pending = None
+def _gamma(f: GridField, params: ModelParams) -> np.ndarray:
+    """The motility gamma(v) at every node; ``NonFiniteState`` for a NaN or
+    infinite v."""
     try:
-        g, gp = motility_rates(params.motility, f.v)
+        return params.motility.gamma(f.v)
     except ValueError as exc:
         if np.all(np.isfinite(f.v)):
             raise
         raise NonFiniteState("v holds a non-finite value") from exc
-    conds, ws, peaks = [], [], []
-    for ax, open_, (gf, w, diff, _) in zip(st.axes, st.open, st.face_work):
-        g_ax, gp_ax, v_ax = _along(g, ax), _along(gp, ax), _along(f.v, ax)
-        np.add(g_ax[..., :-1], g_ax[..., 1:], out=gf)
-        gf *= 0.5
-        np.add(gp_ax[..., :-1], gp_ax[..., 1:], out=w)
-        w *= 0.5
-        w *= np.subtract(v_ax[..., 1:], v_ax[..., :-1], out=diff)
-        w /= f.h
-        if open_ is not None:
-            gf *= open_
-            w *= open_
-        conds.append(gf)
-        ws.append(w)
-        peaks.append(float(max(w.max(), -w.min())))  # max |w|, NaN if any
-    wmax = max(peaks)
-    bound = np.inf if wmax == 0.0 else DEFAULT_CFL * f.h / wmax
-    return conds, ws, bound
 
 
-def _fromm_face(
-    u: np.ndarray, w: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Upwind face value of u along the last axis with a centered slope.
-
-    The advective flux is w * u_face with w = gamma' dv/dx at the face; the
-    transport velocity is -w, so positive w takes the right node as donor.
-    Faces whose slope stencil leaves the array fall back to the donor value.
-    The face values are written to ``left``; ``right`` is overwritten.
-    """
-    slope = np.subtract(u[..., 2:], u[..., :-2], out=right[..., :-1])
-    slope *= 0.25
-    np.add(u[..., 1:-1], slope, out=left[..., 1:])
-    left[..., 0] = u[..., 0]
-    np.subtract(u[..., 1:-1], slope, out=slope)
-    right[..., -1] = u[..., -1]
-    np.copyto(left, right, where=w > 0.0)
-    return left
-
-
-def _div_last(flux: np.ndarray, h: float, out: np.ndarray) -> None:
-    """Flux divergence along the last axis with half cells at the ends."""
-    inner = np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:-1])
-    inner /= h
-    out[..., 0] = 2.0 * flux[..., 0] / h
-    out[..., -1] = -2.0 * flux[..., -1] / h
-
-
-def _divergence(fluxes, st: _Stepper, out: np.ndarray, spare: np.ndarray):
-    """Sum over the axes, x first, of the divergence of per-axis face fluxes,
-    written to ``out``; ``spare`` takes the later axes' terms."""
-    for k, (ax, flux) in enumerate(zip(st.axes, fluxes)):
-        _div_last(flux, st.h, _along(spare if k else out, ax))
-        if k:
-            out += spare
-    return out
-
-
-def _explicit_u(f: GridField, ws, params: ModelParams, st: _Stepper) -> np.ndarray:
-    """Advective divergence plus reaction (the explicit part of u), in the
-    stepper's first node work array."""
-    out, spare = st.node_work
-    fluxes = []
-    for ax, w, (_, _, left, right) in zip(st.axes, ws, st.face_work):
-        face = _fromm_face(_along(f.u, ax), w, left, right)
-        fluxes.append(np.multiply(w, face, out=face))
-    _divergence(fluxes, st, out, spare)
-    np.multiply(params.b, f.u, out=spare)
-    np.subtract(params.a, spare, out=spare)
-    np.multiply(f.u, spare, out=spare)
-    out += spare
-    return out
-
-
-def _diffusion(a: np.ndarray, conds, st: _Stepper) -> np.ndarray:
-    """Face-conductance Laplacian of a node array."""
-    fluxes = [c * np.diff(_along(a, ax)) / st.h for ax, c in zip(st.axes, conds)]
-    return _divergence(fluxes, st, np.empty(a.shape), np.empty(a.shape))
+def _laplacian(a: np.ndarray, st: _Stepper) -> np.ndarray:
+    """L a = W^-1 K a, zero at held nodes."""
+    k = np.zeros(a.shape)
+    for ax, scale in zip(st.axes, st.scale):
+        flux = scale * np.diff(_along(a, ax))
+        k_ax = _along(k, ax)
+        k_ax[..., :-1] += flux
+        k_ax[..., 1:] -= flux
+    return np.divide(k, st.weights, out=np.zeros(a.shape), where=~st.pin)
 
 
 def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Full semi-discrete right-hand side (d/dt of u and v) at held dt -> 0.
 
     Held nodes (Dirichlet sides, masked-out cells) report zero.  Useful for
-    verifying the spatial order of the flux discretization directly.
+    verifying the spatial order of the discretization directly.
     """
     st = _stepper_of(f)
-    conds, ws, _ = _face_data(f, params, st)
-    du = _explicit_u(f, ws, params, st) + _diffusion(f.u, conds, st)
-    dv = _diffusion(f.v, st.v_conds, st) + f.u - f.v
+    du = _laplacian(_gamma(f, params) * f.u, st)
+    du += f.u * (params.a - params.b * f.u)
+    dv = _laplacian(f.v, st) + f.u - f.v
     du[st.pin] = 0.0
     dv[st.pin] = 0.0
     return du, dv
@@ -653,32 +558,27 @@ def spd_tridiagonal_factor(diag, sub):
 
 
 class _Tridiagonal:
-    """W (I - dt L) for the 1-D face-conductance Laplacian, factored by pttrf.
+    """W (D - dt L) on a 1-D grid, factored by pttrf.
 
-    W holds the unit cell widths (1, with 1/2 at the end nodes), so the
-    matrix is symmetric positive definite with diagonal w + k (c_left +
-    c_right) and off-diagonal -k c on the face couplings, k = dt / h^2.  A
-    held end leaves the system as an identity row, and the solve returns
-    its value from ``held`` (the stepper's ``pin_u`` or ``pin_v``) exactly.
-    Its coupling k c times that value moves to the right-hand side of the
-    neighbouring row, unless that row is held too.
+    ``diag`` is W D: the cell widths W (h, with h/2 at the end nodes) for
+    the v system, W / gamma for the u system.  The matrix is symmetric
+    positive definite with diagonal ``diag`` + dt (s_left + s_right) and
+    off-diagonal -dt s on the faces, s = 1 / h.  A held end leaves the
+    system as an identity row, and the solve returns its value from
+    ``held`` exactly.  Its coupling dt s times that value moves to the
+    right-hand side of the neighbouring row, unless that row is held too.
     """
 
-    def __init__(self, st: _Stepper, conds, dt: float, held: np.ndarray) -> None:
+    def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
         self.st = st
         self.held = held
-        kc = np.multiply(dt / st.h**2, conds[0])
-        diag = np.empty(kc.size + 1)
-        np.add(kc[:-1], kc[1:], out=diag[1:-1])
-        diag[0] = kc[0]
-        diag[-1] = kc[-1]
-        diag += st.unit_w
+        sub = np.multiply(-dt, st.scale[0])
+        diag = diag + dt * st.degree
         self.couplings = [
-            (inner, kc[end] * held[end])
+            (inner, -sub[end] * held[end])
             for end, inner in st.held_ends
             if not st.pin[inner]
         ]
-        sub = np.negative(kc, out=kc)
         for end, _ in st.held_ends:
             diag[end] = 1.0
             sub[end] = 0.0
@@ -687,9 +587,9 @@ class _Tridiagonal:
     def solve(self, rhs: np.ndarray, start) -> np.ndarray:
         """Exact solution; a direct solve ignores its ``start``.
 
-        Held ends take their values from the stepper, not from ``rhs``.
+        Held ends take their values from ``held``, not from ``rhs``.
         """
-        b = rhs * self.st.unit_w
+        b = rhs * self.st.weights
         for inner, coupling in self.couplings:
             b[inner] += coupling
         for end, _ in self.st.held_ends:
@@ -699,20 +599,21 @@ class _Tridiagonal:
 
 
 class _Pattern:
-    """Red-black structure of W (I - dt L) on the active nodes of a planar grid.
+    """Red-black structure of K = W L on the active nodes of a planar grid.
 
     Active (unheld) nodes are red where i + j is even and black where it is
-    odd, each colour in C order.  A face couples its two nodes with the
-    coefficient g = dt * cond * w_perp / h, where w_perp is the cell width
-    across the face; closed faces are left out.  Every face joins a red node
-    to a black one, so the only off-diagonal block is the red-row,
-    black-column coupling C, with one entry -g per face between two active
-    nodes; its transpose is kept as a CSR block of its own.  Faces from an
-    active node to a held one move g * (held value) to the right-hand side,
-    and every face adds g to the diagonal of its active ends.
+    odd, each colour in C order.  A face couples its two nodes by its
+    coefficient s (the stepper's ``scale``); closed faces are left out.
+    Every face joins a red node to a black one, so the only off-diagonal
+    block of W (D - dt L) is dt times the red-row, black-column block
+    ``coupling`` = C1, with one entry -s per face between two active nodes.
+    C1 and its transpose are built once per run as CSR matrices.  Faces
+    from an active node (``held_rows``) to a held one (``held_nodes``) move
+    dt s times the held value (``held_scale`` holds s) to the right-hand
+    side.
     """
 
-    def __init__(self, st: _Stepper, edges) -> None:
+    def __init__(self, st: _Stepper) -> None:
         shape = st.pin.shape
         live = ~st.pin.ravel()
         red = (np.add.outer(*(np.arange(n) for n in shape)) % 2 == 0).ravel()
@@ -722,107 +623,70 @@ class _Pattern:
         local[self.red] = np.arange(self.red.size)
         local[self.black] = np.arange(self.black.size)
         idx = np.arange(live.size).reshape(shape)
-
-        self.scale = []  # per-axis w_perp / h on the faces, 0 where closed
-        p_all, q_all = [], []
-        for ax, open_ in zip(st.axes, st.open):
-            idx_ax = _along(idx, ax)
-            perp = np.ones(())
-            for other, edge in enumerate(edges):
-                if other != ax:
-                    perp = np.multiply.outer(perp, edge)
-            scale = np.broadcast_to(perp[..., None] / st.h, idx_ax[..., 1:].shape)
-            self.scale.append(scale if open_ is None else scale * open_)
-            p_all.append(idx_ax[..., :-1].ravel())
-            q_all.append(idx_ax[..., 1:].ravel())
-        p_all = np.concatenate(p_all)
-        q_all = np.concatenate(q_all)
-        closed = np.concatenate([s.ravel() for s in self.scale]) == 0.0
+        p_all = np.concatenate([_along(idx, ax)[..., :-1].ravel() for ax in st.axes])
+        q_all = np.concatenate([_along(idx, ax)[..., 1:].ravel() for ax in st.axes])
+        scale = np.concatenate([s.ravel() for s in st.scale])
+        closed = scale == 0.0
         p_live, q_live = live[p_all], live[q_all]
 
-        # C in CSR form; its entry sources index the face coefficients g.
         both = np.flatnonzero(p_live & q_live & ~closed)
         p_red = red[p_all[both]]
         rows = local[np.where(p_red, p_all[both], q_all[both])]
         cols = local[np.where(p_red, q_all[both], p_all[both])]
         order = np.lexsort((cols, rows))
-        self.source = both[order]
-        self.indices = cols[order].astype(np.int32)
-        self.indptr = np.zeros(self.red.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.red.size), out=self.indptr[1:])
+        indptr = np.zeros(self.red.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=self.red.size), out=indptr[1:])
+        self.coupling = sparse.csr_matrix(
+            (-scale[both[order]], cols[order], indptr),
+            shape=(self.red.size, self.black.size),
+        )
+        self.coupling_t = sparse.csr_matrix(self.coupling.T)
 
-        # C^T in CSR form with sorted indices; ``transpose`` gathers its
-        # entries from C's.  Each row sums in the order C^T's CSC view
-        # scatters, so products match that view bit for bit.
-        self.transpose = np.lexsort((rows[order], cols[order]))
-        self.t_indices = rows[order][self.transpose].astype(np.int32)
-        self.t_indptr = np.zeros(self.black.size + 1, dtype=np.int32)
-        np.cumsum(
-            np.bincount(cols, minlength=self.black.size), out=self.t_indptr[1:]
-        )
-
-        # Faces with exactly one active end: that end and the held node.
-        self.held_faces = np.flatnonzero((p_live != q_live) & ~closed)
-        p_lives = p_live[self.held_faces]
-        self.held_rows = np.where(
-            p_lives, p_all[self.held_faces], q_all[self.held_faces]
-        )
-        self.held_nodes = np.where(
-            p_lives, q_all[self.held_faces], p_all[self.held_faces]
-        )
+        held_faces = np.flatnonzero((p_live != q_live) & ~closed)
+        p_lives = p_live[held_faces]
+        self.held_scale = scale[held_faces]
+        self.held_rows = np.where(p_lives, p_all[held_faces], q_all[held_faces])
+        self.held_nodes = np.where(p_lives, q_all[held_faces], p_all[held_faces])
 
 
 class _RedBlackCG:
-    """(I - dt L) for the 2-D face-conductance Laplacian, solved on the
-    red-black Schur complement of the symmetric W (I - dt L).
+    """W (D - dt L) on a planar grid, solved on its red-black Schur
+    complement.
 
-    With D_r, D_b the diagonals of the two colours, eliminating the red
-    nodes leaves S = D_b - C^T D_r^-1 C on the black ones.  S is applied
-    without being formed, and conjugate gradients solve it preconditioned
-    by D_b: the Jacobi scaling of the full system carried over to the
-    reduced one (the reduced-system CG of Hageman & Young, *Applied
-    Iterative Methods*, ch. 9), which needs about half the iterations of
-    Jacobi-preconditioned CG on the full system.  One back substitution
-    then gives the red nodes.  That leaves the red rows' residual at
-    rounding level, so the reduced residual is the full weighted residual;
-    the iteration stops once it is at most ``_CG_RTOL`` times the full
-    weighted right-hand side.  CG iterates on the black nodes only, so its
-    start is a black-node vector: in a step, the stepper's extrapolation
-    from the last few states (``_Stepper.starts``).  Held nodes take their
-    values from ``held`` (``pin_u`` or ``pin_v``), so their face term is
-    fixed with the system.
+    ``diag`` is W D, as for ``_Tridiagonal``.  With D_r, D_b the diagonals
+    of the two colours (``diag`` + dt times the stepper's ``degree``) and
+    C1 the pattern's coupling block, eliminating the red nodes leaves
+    S = D_b - dt^2 C1^T D_r^-1 C1 on the black ones.  S is applied without
+    being formed, and conjugate gradients solve it preconditioned by D_b:
+    the Jacobi scaling of the full system carried over to the reduced one
+    (the reduced-system CG of Hageman & Young, *Applied Iterative Methods*,
+    ch. 9), which needs about half the iterations of Jacobi-preconditioned
+    CG on the full system.  One back substitution then gives the red nodes.
+    That leaves the red rows' residual at rounding level, so the reduced
+    residual is the full weighted residual; the iteration stops once it is
+    at most ``_CG_RTOL`` times the full weighted right-hand side.  CG
+    iterates on the black nodes only, so its start is a black-node vector:
+    in a step, the stepper's extrapolation from the last few states
+    (``_Stepper.starts``).  Held nodes take their values from ``held``, so
+    their face term is fixed with the system.
     """
 
-    def __init__(self, st: _Stepper, conds, dt: float, held: np.ndarray) -> None:
+    def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
         pat = st.pattern
         self.st = st
         self.held = held
-        diag = st.weights.copy()
-        faces = []
-        for ax, cond, scale in zip(st.axes, conds, pat.scale):
-            g = dt * cond * scale
-            diag_ax = _along(diag, ax)
-            diag_ax[..., :-1] += g
-            diag_ax[..., 1:] += g
-            faces.append(g.ravel())
-        self.g = np.concatenate(faces)
-        diag = diag.ravel()
+        self.dt = dt
+        diag = (diag + dt * st.degree).ravel()
         self.inv_red = 1.0 / diag[pat.red]
         self.diag_black = diag[pat.black]
-        entries = -self.g[pat.source]
-        self.coupling = sparse.csr_matrix(
-            (entries, pat.indices, pat.indptr), shape=(pat.red.size, pat.black.size)
-        )
-        self.coupling_t = sparse.csr_matrix(
-            (entries[pat.transpose], pat.t_indices, pat.t_indptr),
-            shape=(pat.black.size, pat.red.size),
-        )
         self.inv_black = 1.0 / self.diag_black
-        self.held_term = self.g[pat.held_faces] * held.ravel()[pat.held_nodes]
+        self.reduce = dt * dt * self.inv_red
+        self.held_term = dt * pat.held_scale * held.ravel()[pat.held_nodes]
 
     def _schur(self, p: np.ndarray) -> np.ndarray:
-        return self.diag_black * p - self.coupling_t @ (
-            self.inv_red * (self.coupling @ p)
+        pat = self.st.pattern
+        return self.diag_black * p - pat.coupling_t @ (
+            self.reduce * (pat.coupling @ p)
         )
 
     def solve(self, rhs: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -834,7 +698,8 @@ class _RedBlackCG:
         b_red, b_black = b[pat.red], b[pat.black]
         tol = _CG_RTOL * np.sqrt(_dot(b_red, b_red) + _dot(b_black, b_black))
         x = start.copy()
-        r = b_black - self.coupling_t @ (self.inv_red * b_red) - self._schur(x)
+        r = b_black - pat.coupling_t @ (self.dt * self.inv_red * b_red)
+        r -= self._schur(x)
         z = self.inv_black * r
         p = z.copy()
         scaled = np.empty_like(p)
@@ -865,7 +730,7 @@ class _RedBlackCG:
         self.st.iterations += it
         out = self.held.copy()
         out_flat = out.ravel()
-        out_flat[pat.red] = self.inv_red * (b_red - self.coupling @ x)
+        out_flat[pat.red] = self.inv_red * (b_red - self.dt * (pat.coupling @ x))
         out_flat[pat.black] = x
         return out
 
@@ -874,7 +739,6 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     """Advance one IMEX step of size dt and return the new state.
 
     Raises:
-        StabilityViolation: dt exceeds the advective bound 0.4 h / max drift.
         NegativeDensity: a node fell below -1e-12 (undershoots above that
             floor are clipped to zero).
         NonFiniteState: the new state holds a NaN or an infinite value.
@@ -884,20 +748,19 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     if not dt > 0:
         raise ValueError("dt must be positive")
     st = _stepper_of(f)
-    conds, ws, bound = st.faces_for_step(f, params)
-    if dt > bound * (1.0 + 1e-6):
-        raise StabilityViolation(
-            f"dt={dt:.6g} exceeds the advective bound {bound:.6g}"
-        )
-
-    rhs_u = _explicit_u(f, ws, params, st)
+    gamma = _gamma(f, params)
+    rhs_u = np.multiply(params.b, f.u)
+    np.subtract(params.a, rhs_u, out=rhs_u)
+    rhs_u *= f.u
     rhs_u *= dt
     rhs_u += f.u
-    rhs_v = np.subtract(f.u, f.v, out=st.node_work[1])
+    rhs_v = np.subtract(f.u, f.v)
     rhs_v *= dt
     rhs_v += f.v
-    start_u, start_v = st.starts(f, dt)
-    new_u = st.u_system(conds, dt).solve(rhs_u, start_u)
+    start_u, start_v = st.starts(f, dt, gamma)
+    new_u = st.u_system(gamma, dt).solve(rhs_u, start_u)
+    new_u /= gamma
+    np.copyto(new_u, st.pin_u, where=st.pin)
     new_v = st.v_system(dt).solve(rhs_v, start_v)
 
     for name, arr in (("u", new_u), ("v", new_v)):
@@ -1014,9 +877,8 @@ class Trajectory:
     together, counted on the red-black reduced systems (always 0 in 1-D,
     where the solves are direct).  ``v_builds`` counts the v systems built,
     one on the first step and one whenever dt changes; ``dt_limits`` counts
-    the steps whose dt was set by ``dt_max``, the advective bound or the
-    cadence (the remaining time to the next snapshot), in that order where
-    two agree.
+    the steps whose dt was set by ``dt_max`` and by the cadence (the
+    remaining time to the next snapshot), ``dt_max`` where the two agree.
     """
 
     times: list[float]
@@ -1056,9 +918,9 @@ def _front_diagnostic(f: GridField, params: ModelParams) -> float:
 def simulate(config: SimConfig) -> Trajectory:
     """March the configured run to t_end, recording snapshots at the cadence.
 
-    The step size is recomputed every step as the minimum of the advective
-    bound, ``dt_max`` and the remaining time to the next snapshot.  Step
-    errors propagate with the failing time appended.
+    Each step size is the smaller of ``dt_max`` and the remaining time to
+    the next snapshot.  Step errors propagate with the failing time
+    appended.
     """
     f = build_initial(config)
     st = _stepper_of(f)
@@ -1071,24 +933,19 @@ def simulate(config: SimConfig) -> Trajectory:
     front = [_front_diagnostic(f, params)]
     dt_history: list[float] = []
     solver_iterations: list[int] = []
-    limits = [0, 0, 0]  # steps whose dt was set by each entry of ``choices``
+    limits = [0, 0]  # steps whose dt was set by each entry of ``choices``
 
     n_segments = int(round(config.t_end / config.cadence))
     t = 0.0
     for seg in range(1, n_segments + 1):
         seg_end = seg * config.cadence
         while t < seg_end - 1e-9 * max(1.0, seg_end):
-            choices = (config.dt_max, st.advective_bound(f, params), seg_end - t)
+            choices = (config.dt_max, seg_end - t)
             dt = min(choices)
             before = st.iterations
             try:
                 f = step(f, params, dt)
-            except (
-                NegativeDensity,
-                NonFiniteState,
-                NoConvergence,
-                StabilityViolation,
-            ) as exc:
+            except (NegativeDensity, NonFiniteState, NoConvergence) as exc:
                 raise type(exc)(f"{exc} at t={t + dt:.6g}") from exc
             t += dt
             dt_history.append(dt)
@@ -1112,7 +969,7 @@ def simulate(config: SimConfig) -> Trajectory:
         config=config,
         solver_iterations=solver_iterations,
         v_builds=st.v_builds,
-        dt_limits=dict(zip(("dt_max", "advective_bound", "cadence"), limits)),
+        dt_limits=dict(zip(("dt_max", "cadence"), limits)),
     )
 
 
@@ -1123,13 +980,38 @@ def csv_rows(columns) -> str:
     return (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
+#: Start of the first line of a 1-D snapshot, followed by the JSON record
+#: of each side's boundary condition.
+_CSV_BC = "# bc "
+
+
+def _bc_record(bc: dict) -> dict:
+    """Each side's boundary condition as JSON values."""
+    return {
+        side: {"type": "dirichlet", "u_val": cond.u_val, "v_val": cond.v_val}
+        if isinstance(cond, Dirichlet)
+        else {"type": "neumann"}
+        for side, cond in bc.items()
+    }
+
+
+def _bc_of_record(dim: int, record: dict) -> dict:
+    """Inverse of ``_bc_record``; sides it does not name are zero-flux."""
+    bc = _default_bc(dim)
+    for side, cond in record.items():
+        if cond["type"] == "dirichlet":
+            bc[side] = Dirichlet(float(cond["u_val"]), float(cond["v_val"]))
+    return bc
+
+
 def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.
 
-    1-D fields become a CSV with columns x, u, v.  2-D fields become a flat
-    binary file (u then v, C order, float64) plus a JSON header describing
-    the geometry and the boundary condition of each side.  Floats are
-    written with full round-trip precision.
+    1-D fields become a CSV: a first line ``# bc`` with the JSON record of
+    each side's boundary condition, then the columns x, u, v.  2-D fields
+    become a flat binary file (u then v, C order, float64) plus a JSON
+    header describing the geometry and the boundary condition of each side.
+    Floats are written with full round-trip precision.
     """
     base = Path(basepath)
     if f.dim == 1:
@@ -1139,7 +1021,8 @@ def save_field(f: GridField, basepath: str) -> list[str]:
         values = np.asarray(np.column_stack((f.u, f.v)), dtype=float)
         path = base.with_suffix(".csv")
         with open(path, "w") as fh:
-            fh.write("x,u,v\n" + st.csv_format % tuple(values.ravel().tolist()))
+            fh.write(_CSV_BC + json.dumps(_bc_record(f.bc)) + "\nx,u,v\n")
+            fh.write(st.csv_format % tuple(values.ravel().tolist()))
         return [str(path)]
     jpath = base.with_suffix(".json")
     bpath = base.with_suffix(".bin")
@@ -1158,12 +1041,7 @@ def save_field(f: GridField, basepath: str) -> list[str]:
         "dtype": "<f8",
         "order": "C",
         "arrays": arrays,
-        "bc": {
-            side: {"type": "dirichlet", "u_val": cond.u_val, "v_val": cond.v_val}
-            if isinstance(cond, Dirichlet)
-            else {"type": "neumann"}
-            for side, cond in f.bc.items()
-        },
+        "bc": _bc_record(f.bc),
     }
     with open(jpath, "w") as fh:
         json.dump(header, fh, indent=2)
@@ -1176,8 +1054,8 @@ def save_field(f: GridField, basepath: str) -> list[str]:
 def load_field(basepath: str) -> GridField:
     """Inverse of save_field.
 
-    2-D fields get the boundary conditions their header records; headers
-    without them, and 1-D fields, get zero-flux sides.
+    Fields get the boundary conditions their 2-D header or 1-D first line
+    records; files without that record get zero-flux sides.
     """
     base = Path(basepath)
     jpath = base.with_suffix(".json")
@@ -1196,10 +1074,6 @@ def load_field(basepath: str) -> GridField:
         mask = None
         if "mask" in header["arrays"]:
             mask = raw[2 * n : 3 * n].reshape(ny, nx) > 0.5
-        bc = _default_bc(2)
-        for side, cond in header.get("bc", {}).items():
-            if cond["type"] == "dirichlet":
-                bc[side] = Dirichlet(float(cond["u_val"]), float(cond["v_val"]))
         return GridField(
             dim=2,
             extents=extents,
@@ -1208,12 +1082,17 @@ def load_field(basepath: str) -> GridField:
             h=float(header["h"]),
             u=u,
             v=v,
-            bc=bc,
+            bc=_bc_of_record(2, header.get("bc", {})),
             mask=mask,
         )
     if cpath.exists():
-        data = np.loadtxt(cpath, delimiter=",", skiprows=1)
-        data = np.atleast_2d(data)
+        with open(cpath) as fh:
+            line = fh.readline()
+            record = {}
+            if line.startswith(_CSV_BC):
+                record = json.loads(line[len(_CSV_BC) :])
+                fh.readline()  # the column names
+            data = np.atleast_2d(np.loadtxt(fh, delimiter=","))
         x, u, v = data[:, 0], data[:, 1], data[:, 2]
         h = (x[-1] - x[0]) / (x.size - 1)
         return GridField(
@@ -1224,6 +1103,6 @@ def load_field(basepath: str) -> GridField:
             h=float(h),
             u=u.copy(),
             v=v.copy(),
-            bc=_default_bc(1),
+            bc=_bc_of_record(1, record),
         )
     raise FileNotFoundError(f"no snapshot found at {basepath!r}")

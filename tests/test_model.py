@@ -13,7 +13,6 @@ from wavemotil import (
     PowerMotility,
     SigmoidMotility,
     motility_eval,
-    motility_rates,
 )
 
 ALL_FAMILIES = [
@@ -101,7 +100,7 @@ def test_rejects_non_finite_v(value):
     # Checked before any arithmetic: NaN used to pass through to
     # (nan, nan), and the sigmoid law turned inf into NaN with a warning.
     for family in ALL_FAMILIES:
-        for evaluate in (motility_eval, motility_rates):
+        for evaluate in (motility_eval, type(family).gamma):
             with pytest.raises(ValueError, match="finite"):
                 evaluate(family, value)
             with pytest.raises(ValueError, match="finite"):
@@ -109,19 +108,18 @@ def test_rejects_non_finite_v(value):
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
-def test_rates_are_the_first_two_derivatives_bit_for_bit(family):
+def test_gamma_is_the_first_term_bit_for_bit(family):
+    # The time stepper's evaluator computes gamma alone, by the expression
+    # of motility_eval.
     vs = np.linspace(0.0, 10.0, 401)
-    g, gp = motility_rates(family, vs)
-    ref = motility_eval(family, vs)
-    assert g.tobytes() == ref[0].tobytes() and gp.tobytes() == ref[1].tobytes()
+    assert family.gamma(vs).tobytes() == motility_eval(family, vs)[0].tobytes()
     for v in (0.0, 0.3, 1.0, 7.5):
-        rates = motility_rates(family, v)
-        assert all(isinstance(r, float) for r in rates)
-        assert np.array(rates).tobytes() == np.array(motility_eval(family, v)[:2]).tobytes()
+        g = family.gamma(v)
+        assert isinstance(g, float) and g == motility_eval(family, v)[0]
     with pytest.raises(ValueError):
-        motility_rates(family, -0.5)
+        family.gamma(-0.5)
     with pytest.raises(ValueError):
-        motility_rates(family, np.array([0.2, -1e-9]))
+        family.gamma(np.array([0.2, -1e-9]))
 
 
 def test_scalar_in_scalar_out():

@@ -1,6 +1,7 @@
 """The package namespace: each public name is declared once, in its module."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,20 @@ def test_package_exports_exactly_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(wavemotil, name) is getattr(module, name), name
+
+
+def test_every_error_type_is_raised():
+    # An error type nothing raises is dead weight in the hierarchy callers
+    # and the CLI's exit-code map are written against.
+    source = "".join(
+        path.read_text() for path in Path(wavemotil.__file__).parent.glob("*.py")
+    )
+    for name in errors.__all__:
+        cls = getattr(errors, name)
+        if cls is errors.WavemotilError:
+            continue
+        assert issubclass(cls, errors.WavemotilError), name
+        assert re.search(rf"raise {name}\b", source), f"nothing raises {name}"
 
 
 def test_cli_import_loads_only_the_scipy_it_uses():

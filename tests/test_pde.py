@@ -1,8 +1,8 @@
 """Tests for the direct 1-D/2-D time-dependent solver.
 
 Oracles: uniform states against a high-accuracy two-ODE integration, the
-discrete chemical-mass identity on zero-flux boxes, a smooth manufactured
-solution for the spatial order of the flux discretization, and the
+discrete mass identities of u and v on zero-flux boxes, a smooth
+manufactured solution for the spatial order of the discretization, and the
 unweighted implicit systems assembled node by node (dense in 1-D, solved
 directly as sparse in 2-D).
 """
@@ -24,7 +24,6 @@ from wavemotil.errors import (
     NegativeDensity,
     NoConvergence,
     NonFiniteState,
-    StabilityViolation,
 )
 from wavemotil.frontmetrics import wave_speed
 from wavemotil.model import (
@@ -32,7 +31,6 @@ from wavemotil.model import (
     PowerMotility,
     SigmoidMotility,
     motility_eval,
-    motility_rates,
 )
 from wavemotil.pde import (
     ArrayIC,
@@ -143,6 +141,18 @@ class TestUniformODEOracle:
 
 
 class TestChemicalMassIdentity:
+    """Total v changes only through the source: the weighted v system is
+    symmetric with column sums W, so the Laplacian telescopes.  K = W L has
+    zero column sums, so the rows of the u system W (Gamma^-1 - dt L) w =
+    W rhs sum to sum W u+ = sum W rhs, with rhs = u + dt u (a - b u).  Both
+    hold to rounding in 1-D and to the CG tolerance in 2-D."""
+
+    @staticmethod
+    def _u_mass_error(f, params, dt, g):
+        rhs = f.u + dt * f.u * (params.a - params.b * f.u)
+        expected = float(np.sum(pde._stepper_of(f).weights * rhs))
+        return abs(mass(g)[0] - expected) / expected
+
     def test_1d_zero_flux_box(self):
         rng = np.random.default_rng(11)
         x = np.linspace(0.0, 10.0, 201)
@@ -152,16 +162,15 @@ class TestChemicalMassIdentity:
         for params in (POWER, sigmoid):
             f = make_field(1, ((0.0, 10.0),), 0.05, u0=u0, v0=v0)
             # Several steps, so the source u differs between the laws.
-            for _ in range(10):
+            for k in range(10):
                 mu, mv = mass(f)
-                dt = min(0.05, pde._stepper_of(f).advective_bound(f, params))
-                f = step(f, params, dt)
-                _, mv_new = mass(f)
-                # Total v changes only through the source: the weighted v
-                # system is symmetric with column sums W, so the Laplacian
-                # telescopes up to rounding.
+                dt = 0.05 if k % 3 else 0.2
+                g = step(f, params, dt)
+                _, mv_new = mass(g)
                 error = abs((mv_new - mv) / dt - (mu - mv))
                 assert error <= 1e-12 * max(1.0, mu, mv)
+                assert self._u_mass_error(f, params, dt, g) <= 1e-13
+                f = g
 
     @staticmethod
     def _bumps(disk):
@@ -182,6 +191,7 @@ class TestChemicalMassIdentity:
         g = step(f, POWER, dt)
         _, mv_new = mass(g)
         assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+        assert self._u_mass_error(f, POWER, dt, g) <= 1e-10
 
     def test_2d_masked_disk(self):
         # Closed faces at the staircase edge keep the Laplacian telescoping.
@@ -191,6 +201,7 @@ class TestChemicalMassIdentity:
         g = step(f, POWER, dt)
         _, mv_new = mass(g)
         assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+        assert self._u_mass_error(f, POWER, dt, g) <= 1e-10
 
     @pytest.mark.parametrize("disk", [False, True])
     def test_2d_along_a_chain(self, disk):
@@ -199,11 +210,12 @@ class TestChemicalMassIdentity:
         f = self._bumps(disk)
         for k in range(12):
             mu, mv = mass(f)
-            bound = pde._stepper_of(f).advective_bound(f, POWER)
-            dt = min(0.05 if k % 3 else 0.02, bound)
-            f = step(f, POWER, dt)
-            _, mv_new = mass(f)
+            dt = 0.05 if k % 3 else 0.02
+            g = step(f, POWER, dt)
+            _, mv_new = mass(g)
             assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
+            assert self._u_mass_error(f, POWER, dt, g) <= 1e-10
+            f = g
         assert len(pde._stepper_of(f)._history) == pde._GUESS_POINTS - 1
 
 
@@ -324,35 +336,57 @@ class TestSpatialOrder:
 
 
 class TestStepErrors:
-    def _sharp_state(self, spike=1.0):
-        # A sharp v drop right of the spike engages a strong cross-diffusion
-        # drift; the slope-reconstructed face value then drains an empty node.
-        h = 0.1
-        f = make_field(1, ((0.0, 4.0),), h, u0=0.0, v0=0.01)
-        f.v[:2] = 3.0
-        f.u[1] = spike
-        return f, h
+    # Competition strong enough that dt (b u - a) > 1 at the spike, so the
+    # explicit logistic term turns the right-hand side there negative.
+    CROWDED = ModelParams(a=0.1, b=1e12, motility=PowerMotility(m=6.0))
 
-    def _dt_at_fraction(self, f, h, frac):
-        _, gp, _ = motility_eval(POWER.motility, f.v)
-        w = 0.5 * (gp[:-1] + gp[1:]) * np.diff(f.v) / h
-        return frac * h / np.max(np.abs(w))
-
-    def test_stability_violation(self):
-        f, h = self._sharp_state()
-        with pytest.raises(StabilityViolation):
-            step(f, POWER, 10.0 * self._dt_at_fraction(f, h, 0.4))
+    @staticmethod
+    def _spike(height):
+        f = make_field(1, ((0.0, 4.0),), 0.1, u0=0.0, v0=0.0)
+        f.u[20] = height
+        return f
 
     def test_negative_density_raised(self):
-        f, h = self._sharp_state(spike=1.0)
         with pytest.raises(NegativeDensity):
-            step(f, POWER, self._dt_at_fraction(f, h, 0.39))
+            step(self._spike(1e-10), self.CROWDED, 1.5)
 
     def test_tiny_undershoot_clipped_to_zero(self):
-        f, h = self._sharp_state(spike=4e-12)
-        out = step(f, POWER, self._dt_at_fraction(f, h, 0.39))
+        out = step(self._spike(1e-12), self.CROWDED, 1.5)
         assert np.min(out.u) == 0.0
         assert np.min(out.v) >= 0.0
+
+    @staticmethod
+    def _old_advective_bound(f, params):
+        """The bound 0.4 h / max |gamma'(v) dv/dn| the explicit cross-diffusion
+        flux of the expanded form put on dt."""
+        _, gp, _ = motility_eval(params.motility, f.v)
+        peak = 0.0
+        for ax in range(f.dim):
+            face = 0.5 * (np.delete(gp, 0, ax) + np.delete(gp, -1, ax))
+            peak = max(peak, np.max(np.abs(face * np.diff(f.v, axis=ax))) / f.h)
+        return 0.4 * f.h / peak
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_steep_front_far_past_the_old_advective_bound(self, dim, monkeypatch):
+        # The u system is an M-matrix for every dt: a steep front in u and
+        # v stays nonnegative at 10x and 100x the old advective bound.  In
+        # 1-D the direct solve keeps the sign exactly, so a zero floor (no
+        # clip) must hold; in 2-D the clip may absorb the CG tolerance.
+        extents = ((0.0, 8.0),) if dim == 1 else ((0.0, 8.0), (0.0, 2.0))
+        f = make_field(dim, extents, 0.05, u0=0.0, v0=0.0)
+        x = f.x if dim == 1 else np.meshgrid(f.x, f.y)[0]
+        front = 1.0 / (1.0 + np.exp(20.0 * (x - 3.0)))
+        f.u[...] = 2.0 * front
+        f.v[...] = 3.0 * front
+        bound = self._old_advective_bound(f, POWER)
+        if dim == 1:
+            monkeypatch.setattr(pde, "_NEG_FLOOR", 0.0)
+        for factor in (10.0, 100.0):
+            dt = factor * bound
+            # The explicit logistic term is nonnegative only here.
+            assert dt * (POWER.b * f.u.max() - POWER.a) <= 1.0
+            out = step(f, POWER, dt)
+            assert np.min(out.u) >= 0.0 and np.min(out.v) >= 0.0
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nan_node_raises_non_finite_state(self, dim):
@@ -391,7 +425,7 @@ class TestStepErrors:
             bc={"left": Dirichlet(held, held), "right": Dirichlet(0.0, 0.0)},
         )
         traj = simulate(cfg)
-        assert len(traj.dt_history) >= 40
+        assert len(traj.dt_history) == 20  # all at dt_max
         final = traj.snapshots[-1]
         assert np.all(final.u[:, -1] == 0.0) and np.all(final.v[:, -1] == 0.0)
         assert np.min(final.u) >= 0.0
@@ -402,8 +436,9 @@ class TestStepErrors:
             step(f, POWER, 0.0)
 
 
-def _reference_system_1d(f, cond, dt):
-    """Dense unweighted I - dt L of a 1-D grid, assembled node by node.
+def _reference_system_1d(f, dt, gamma=None):
+    """Dense unweighted Gamma^-1 - dt L of a 1-D grid (I - dt L without
+    gamma), assembled node by node.
 
     Held rows (Dirichlet ends) are identity rows; an end node owns a half
     cell.
@@ -415,15 +450,13 @@ def _reference_system_1d(f, cond, dt):
     k = dt / f.h**2
     a = np.eye(n)
     for i in np.flatnonzero(~held):
+        if gamma is not None:
+            a[i, i] = 1.0 / gamma[i]
         s = 2.0 if i in (0, n - 1) else 1.0
-        links = []
-        if i > 0:
-            links.append((i - 1, cond[i - 1]))
-        if i < n - 1:
-            links.append((i + 1, cond[i]))
-        for j, c in links:
-            a[i, i] += s * k * c
-            a[i, j] -= s * k * c
+        for j in (i - 1, i + 1):
+            if 0 <= j < n:
+                a[i, i] += s * k
+                a[i, j] -= s * k
     return a, held
 
 
@@ -447,14 +480,14 @@ class TestTridiagonalSolve:
         f = self._field(held)
         st = pde._stepper_of(f)
         rng = np.random.default_rng(7)
-        u_cond = 0.01 + rng.random(f.nx - 1)
+        gamma = 0.01 + rng.random(f.nx)
         for dt in np.concatenate([rng.uniform(1e-4, 0.1, 22), [0.1, 0.02]]):
             systems = (
-                ([u_cond], st.pin_u, st.u_system([u_cond], dt)),
-                (st.v_conds, st.pin_v, st.v_system(dt)),
+                (gamma, gamma * st.pin_u, st.u_system(gamma, dt)),
+                (None, st.pin_v, st.v_system(dt)),
             )
-            for conds, values, system in systems:
-                a, pinned = _reference_system_1d(f, conds[0], dt)
+            for diag, values, system in systems:
+                a, pinned = _reference_system_1d(f, dt, diag)
                 rhs = 0.5 + rng.random(f.nx)
                 rhs[pinned] = values[pinned]
                 given = rhs.copy()
@@ -496,98 +529,50 @@ class TestTridiagonalSolve:
 
 
 # ---------------------------------------------------------------------------
-# The in-place step against its allocating form
+# The step against its allocating form
 # ---------------------------------------------------------------------------
 
 
-def _allocating_face_data(f, params, st):
-    """Face conductances, drifts and advective bound, every expression
-    allocating its result."""
-    g, gp = motility_rates(params.motility, f.v)
-    conds, ws = [], []
-    for ax, open_ in zip(st.axes, st.open):
-        g_ax = pde._along(g, ax)
-        gp_ax = pde._along(gp, ax)
-        v_ax = pde._along(f.v, ax)
-        gf = 0.5 * (g_ax[..., :-1] + g_ax[..., 1:])
-        w = 0.5 * (gp_ax[..., :-1] + gp_ax[..., 1:]) * np.diff(v_ax) / f.h
-        if open_ is not None:
-            gf = gf * open_
-            w = w * open_
-        conds.append(gf)
-        ws.append(w)
-    wmax = max(float(np.max(np.abs(w))) for w in ws)
-    bound = np.inf if wmax == 0.0 else pde.DEFAULT_CFL * f.h / wmax
-    return conds, ws, bound
-
-
-def _allocating_fromm_face(u, w):
-    slope = 0.25 * (u[..., 2:] - u[..., :-2])
-    u_left = np.empty(w.shape)
-    u_left[..., 0] = u[..., 0]
-    np.add(u[..., 1:-1], slope, out=u_left[..., 1:])
-    u_right = np.empty(w.shape)
-    u_right[..., -1] = u[..., -1]
-    np.subtract(u[..., 1:-1], slope, out=u_right[..., :-1])
-    return np.where(w > 0.0, u_right, u_left)
-
-
-def _allocating_div_last(flux, h):
-    out = np.empty(flux.shape[:-1] + (flux.shape[-1] + 1,))
-    out[..., 1:-1] = (flux[..., 1:] - flux[..., :-1]) / h
-    out[..., 0] = 2.0 * flux[..., 0] / h
-    out[..., -1] = -2.0 * flux[..., -1] / h
-    return out
-
-
-def _allocating_explicit_u(f, ws, params, st):
-    total = None
-    for ax, w in zip(st.axes, ws):
-        flux = w * _allocating_fromm_face(pde._along(f.u, ax), w)
-        part = pde._along(_allocating_div_last(flux, st.h), ax)
-        total = part if total is None else total + part
-    return total + f.u * (params.a - params.b * f.u)
-
-
-def _allocating_tridiagonal_solve(st, cond, dt, held, rhs):
-    kc = dt / st.h**2 * cond
-    diag = np.empty(kc.size + 1)
-    np.add(kc[:-1], kc[1:], out=diag[1:-1])
-    diag[0] = kc[0]
-    diag[-1] = kc[-1]
-    diag += st.unit_w
-    sub = -kc
-    for end, _ in st.held_ends:
-        diag[end] = 1.0
-        sub[end] = 0.0
+def _allocating_tridiagonal_solve(f, diag_w, dt, held, rhs):
+    """W (D - dt L) x = W rhs on a 1-D grid of at least three nodes, its
+    bands assembled from the cell widths, with ``diag_w`` = W D."""
+    n, h = f.nx, f.h
+    w = np.full(n, h)
+    w[[0, -1]] *= 0.5
+    links = np.full(n, 2.0)
+    links[[0, -1]] = 1.0
+    diag = diag_w + dt * (links * (1.0 / h))
+    sub = np.full(n - 1, -dt * (1.0 / h))
+    b = rhs * w
+    for end, inner, side in ((0, 1, "left"), (-1, -2, "right")):
+        if isinstance(f.bc[side], Dirichlet):
+            b[inner] += dt * (1.0 / h) * held[end]
+            diag[end] = 1.0
+            sub[end] = 0.0
+            b[end] = held[end]
     d, e, info = dpttrf(diag, sub)
     assert info == 0
-    b = rhs * st.unit_w
-    for end, inner in st.held_ends:
-        if not st.pin[inner]:
-            b[inner] += kc[end] * held[end]
-    for end, _ in st.held_ends:
-        b[end] = held[end]
     x, info = dpttrs(d, e, b)
     assert info == 0
     return x
 
 
 def _allocating_step(f, params, dt):
-    """One step by the allocating expressions; the 2-D solves, which these
+    """One step by allocating expressions; the 2-D solves, which these
     expressions only feed, are the stepper's."""
     st = pde._stepper_of(f)
-    conds, ws, bound = _allocating_face_data(f, params, st)
-    assert dt <= bound
-    rhs_u = f.u + dt * _allocating_explicit_u(f, ws, params, st)
+    gamma = motility_eval(params.motility, f.v)[0]
+    rhs_u = f.u + dt * (f.u * (params.a - params.b * f.u))
     rhs_v = f.v + dt * (f.u - f.v)
+    held_w = gamma * st.pin_u
     if f.dim == 1:
-        new_u = _allocating_tridiagonal_solve(st, conds[0], dt, st.pin_u, rhs_u)
-        new_v = _allocating_tridiagonal_solve(st, st.v_conds[0], dt, st.pin_v, rhs_v)
+        w = _allocating_tridiagonal_solve(f, st.weights / gamma, dt, held_w, rhs_u)
+        new_v = _allocating_tridiagonal_solve(f, st.weights, dt, st.pin_v, rhs_v)
     else:
-        start_u, start_v = st.starts(f, dt)
-        new_u = st.u_system(conds, dt).solve(rhs_u, start_u)
+        start_u, start_v = st.starts(f, dt, gamma)
+        w = st.u_system(gamma, dt).solve(rhs_u, start_u)
         new_v = st.v_system(dt).solve(rhs_v, start_v)
+    new_u = np.where(st.pin, st.pin_u, w / gamma)
     for arr in (new_u, new_v):
         assert np.all(np.isfinite(arr)) and arr.min() >= pde._NEG_FLOOR
         np.copyto(arr, 0.0, where=arr < 0.0)
@@ -616,21 +601,17 @@ WORK_CASES = ["dirichlet_power", "neumann_sigmoid", "masked_2d"]
 
 
 class TestStepAgainstAllocatingForm:
-    """``step`` writes its intermediates into the stepper's work arrays; the
-    states it returns carry the bytes of the allocating expressions."""
+    """The states ``step`` returns carry the bytes of the allocating
+    expressions, with the 1-D bands assembled from the cell widths."""
 
     @pytest.mark.parametrize("case", WORK_CASES)
     def test_twenty_steps_bit_for_bit(self, case):
         f, params = _work_case(case)
         ref, _ = _work_case(case)
-        st = pde._stepper_of(f)
         caps = [0.02, 0.02, 0.05, 0.05, 0.05, 0.01]
         dts = []
         for k in range(20):
-            bound = _allocating_face_data(ref, params, pde._stepper_of(ref))[2]
-            dt = min(caps[k % len(caps)], 0.9 * bound)
-            if k % 2:  # the face data that chose dt is kept for the step
-                assert st.advective_bound(f, params) == bound
+            dt = caps[k % len(caps)]
             f = step(f, params, dt)
             ref = _allocating_step(ref, params, dt)
             assert f.u.tobytes() == ref.u.tobytes()
@@ -642,6 +623,9 @@ class TestStepAgainstAllocatingForm:
 
 
 class TestWorkArrays:
+    """The states a step returns own their memory: they share none with
+    the stepper, its kept v system or earlier states."""
+
     @staticmethod
     def _arrays(obj):
         return [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
@@ -652,10 +636,8 @@ class TestWorkArrays:
         st = pde._stepper_of(f)
         states, saved = [f], [(f.u.copy(), f.v.copy())]
         for k in range(6):
-            dt = min(0.02 if k % 3 else 0.01, st.advective_bound(states[-1], params))
-            g = step(states[-1], params, dt)
-            held = [*st.face_work, *st.node_work, *self._arrays(st)]
-            held += self._arrays(st._kept_v[1])
+            g = step(states[-1], params, 0.02 if k % 3 else 0.01)
+            held = self._arrays(st) + self._arrays(st._kept_v[1])
             earlier = [a for s in states for a in (s.u, s.v)]
             for arr in (g.u, g.v):
                 assert not any(np.shares_memory(arr, a) for a in held + earlier)
@@ -666,23 +648,21 @@ class TestWorkArrays:
             assert s.u.tobytes() == u.tobytes() and s.v.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("case", WORK_CASES)
-    @pytest.mark.parametrize("bound_copy", [True, False])
-    def test_calls_on_a_copy_between_bound_and_step(self, case, bound_copy):
-        # A copy shares the stepper and its work arrays; its face data must
-        # not stand in for the field whose bound was taken.
+    @pytest.mark.parametrize("step_copy", [True, False])
+    def test_calls_on_a_copy_before_a_step(self, case, step_copy):
+        # A copy shares the stepper; evaluating or stepping it must not
+        # change the step of the field it was copied from.
         f, params = _work_case(case)
-        st = pde._stepper_of(f)
-        dt = 0.5 * st.advective_bound(f, params)
         g = f.copy()
         g.v *= 1.5
         spatial_rhs(g, params)
-        if bound_copy:
-            st.advective_bound(g, params)
-        out = step(f, params, dt)
+        if step_copy:
+            step(g, params, 0.01)
+        out = step(f, params, 0.02)
         alone = make_field(
             f.dim, f.extents, f.h, u0=f.u, v0=f.v, bc=f.bc, disk_mask=f.mask is not None
         )
-        fresh = step(alone, params, dt)
+        fresh = step(alone, params, 0.02)
         assert out.u.tobytes() == fresh.u.tobytes()
         assert out.v.tobytes() == fresh.v.tobytes()
 
@@ -698,11 +678,13 @@ def _black(st, a):
     return a.ravel()[st.pattern.black]
 
 
-def _reference_system(f, conds_x, conds_y, dt):
-    """Unweighted I - dt L of a planar grid, assembled node by node.
+def _reference_system(f, dt, gamma=None):
+    """Unweighted Gamma^-1 - dt L of a planar grid (I - dt L without gamma),
+    assembled node by node.
 
     Held rows (Dirichlet sides, masked-out cells) are identity rows; a node
-    on a box side owns a half cell across that side.
+    on a box side owns a half cell across that side, and faces leaving the
+    disk mask are closed.
     """
     ny, nx = f.u.shape
     nodes_of_side = {
@@ -715,8 +697,11 @@ def _reference_system(f, conds_x, conds_y, dt):
     for side, cond in f.bc.items():
         if isinstance(cond, Dirichlet):
             held[nodes_of_side[side]] = True
+    conds_x, conds_y = np.ones((ny, nx - 1)), np.ones((ny - 1, nx))
     if f.mask is not None:
         held |= ~f.mask
+        conds_x = conds_x * (f.mask[:, :-1] & f.mask[:, 1:])
+        conds_y = conds_y * (f.mask[:-1, :] & f.mask[1:, :])
     k = dt / f.h**2
     a = sparse.lil_matrix((nx * ny, nx * ny))
     for j in range(ny):
@@ -725,6 +710,8 @@ def _reference_system(f, conds_x, conds_y, dt):
             a[row, row] = 1.0
             if held[j, i]:
                 continue
+            if gamma is not None:
+                a[row, row] = 1.0 / gamma[j, i]
             sx = 2.0 if i in (0, nx - 1) else 1.0
             sy = 2.0 if j in (0, ny - 1) else 1.0
             links = []
@@ -761,23 +748,16 @@ class TestImplicitSolve2d:
         st = pde._stepper_of(f)
         rng = np.random.default_rng(seed)
         ny, nx = f.u.shape
-        if unknown == "u":
-            # Conductances that vary face by face, as gamma(v) does.
-            cx = 0.2 + rng.random((ny, nx - 1))
-            cy = 0.2 + rng.random((ny - 1, nx))
-        else:
-            cx, cy = np.ones((ny, nx - 1)), np.ones((ny - 1, nx))
-        if f.mask is not None:
-            cx = cx * (f.mask[:, :-1] & f.mask[:, 1:])
-            cy = cy * (f.mask[:-1, :] & f.mask[1:, :])
+        # The u system's unknown is w = gamma u; gamma varies node by node.
+        gamma = 0.2 + rng.random((ny, nx)) if unknown == "u" else None
         dt = 0.5
-        ref_matrix, held = _reference_system(f, cx, cy, dt)
+        ref_matrix, held = _reference_system(f, dt, gamma)
 
         rhs = 0.5 + rng.random((ny, nx))
-        held_values = {"u": st.pin_u, "v": st.pin_v}[unknown]
+        held_values = gamma * st.pin_u if unknown == "u" else st.pin_v
         rhs[held] = held_values[held]
         expected = spsolve(ref_matrix, rhs.ravel()).reshape(ny, nx)
-        solver = st.u_system([cx, cy.T], dt) if unknown == "u" else st.v_system(dt)
+        solver = st.u_system(gamma, dt) if unknown == "u" else st.v_system(dt)
         return st, solver, rhs, held, held_values, expected, rng
 
     @pytest.mark.parametrize("unknown", ["u", "v"])
@@ -906,17 +886,12 @@ class TestRedBlackSolve:
         else:
             f = TestImplicitSolve2d._field(case)
         rng = np.random.default_rng(seed)
-        ny, nx = f.u.shape
-        cx = 0.2 + rng.random((ny, nx - 1))
-        cy = 0.2 + rng.random((ny - 1, nx))
-        if f.mask is not None:
-            cx = cx * (f.mask[:, :-1] & f.mask[:, 1:])
-            cy = cy * (f.mask[:-1, :] & f.mask[1:, :])
-        return f, cx, cy, rng
+        return f, 0.2 + rng.random(f.u.shape), rng
 
     @staticmethod
     def _weighted(f, ref_matrix, held, rhs):
-        """W (I - dt L) on the active nodes and its right-hand side W b."""
+        """W (Gamma^-1 - dt L) on the active nodes and its right-hand side
+        W b."""
         w = _half_cell_weights(f).ravel()
         active = ~held.ravel()
         held_part = np.where(held, rhs, 0.0).ravel()
@@ -928,17 +903,18 @@ class TestRedBlackSolve:
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     @pytest.mark.parametrize("case", CASES)
     def test_full_weighted_residual_within_tolerance(self, case, dt):
-        f, cx, cy, rng = self._case(case)
+        f, gamma, rng = self._case(case)
         st = pde._stepper_of(f)
-        ref_matrix, held = _reference_system(f, cx, cy, dt)
+        ref_matrix, held = _reference_system(f, dt, gamma)
         if case == "odd_by_even":
             red = np.add.outer(np.arange(f.ny), np.arange(f.nx)) % 2 == 0
             assert np.sum(red & ~held) != np.sum(~red & ~held)
         rhs = 0.5 + rng.random(f.u.shape)
-        rhs[held] = st.pin_u[held]
+        held_w = gamma * st.pin_u
+        rhs[held] = held_w[held]
         _, b, w, active = self._weighted(f, ref_matrix, held, rhs)
 
-        solver = st.u_system([cx, cy.T], dt)
+        solver = st.u_system(gamma, dt)
         for x0 in (np.zeros_like(rhs), rhs):
             x = solver.solve(rhs, _black(st, x0))
             residual = (w * (rhs.ravel() - ref_matrix @ x.ravel()))[active]
@@ -946,52 +922,54 @@ class TestRedBlackSolve:
             # differs from this one by rounding.
             bound = pde._CG_RTOL * np.linalg.norm(b)
             assert np.linalg.norm(residual) <= 1.01 * bound
-            assert np.array_equal(x[held], st.pin_u[held])
+            assert np.array_equal(x[held], held_w[held])
 
     @pytest.mark.parametrize("case", CASES)
     def test_nonnegative_rhs_gives_nonnegative_colours(self, case):
         # A narrow bump and a short step: on the zero-flux box the solution
         # falls to about 1e-19 on the far side, far below the solve's
         # tolerance.
-        f, cx, cy, _ = self._case(case)
+        f, gamma, _ = self._case(case)
         st = pde._stepper_of(f)
         xx, yy = np.meshgrid(f.x, f.y)
         rhs = np.exp(-20.0 * ((xx - 1.5) ** 2 + yy**2))
-        rhs[st.pin] = st.pin_u[st.pin]
+        rhs[st.pin] = (gamma * st.pin_u)[st.pin]
         red = np.add.outer(np.arange(f.ny), np.arange(f.nx)) % 2 == 0
-        solver = st.u_system([cx, cy.T], 0.01)
+        solver = st.u_system(gamma, 0.01)
         for x0 in (np.zeros_like(rhs), rhs):
             x = solver.solve(rhs, _black(st, x0))
             assert np.min(x[red]) >= 0.0 and np.min(x[~red]) >= 0.0
 
     @pytest.mark.parametrize("case", CASES)
     def test_transposed_block_matches_transpose_view(self, case):
-        # The CSR copy of C^T sums each row in the order the CSC view
+        # The CSR copy of C1^T sums each row in the order the CSC view
         # scatters, so the Schur product is unchanged bit for bit.
-        f, cx, cy, rng = self._case(case)
-        solver = pde._stepper_of(f).u_system([cx, cy.T], 0.5)
-        view = solver.coupling.T
+        f, gamma, rng = self._case(case)
+        st = pde._stepper_of(f)
+        solver = st.u_system(gamma, 0.5)
+        pat = st.pattern
+        view = pat.coupling.T
         for _ in range(3):
             r = rng.standard_normal(solver.inv_red.size)
             p = rng.standard_normal(solver.diag_black.size)
-            assert np.array_equal(solver.coupling_t @ r, view @ r)
-            reduced = view @ (solver.inv_red * (solver.coupling @ p))
+            assert np.array_equal(pat.coupling_t @ r, view @ r)
+            reduced = view @ (solver.reduce * (pat.coupling @ p))
             assert np.array_equal(solver._schur(p), solver.diag_black * p - reduced)
 
     def test_half_the_iterations_of_full_system_cg(self):
         # Guards against a silent return to CG on the full system, which
         # needs about twice the iterations from the same start.
-        f, cx, cy, rng = self._case("disk")
+        f, gamma, rng = self._case("disk")
         st = pde._stepper_of(f)
         dt = 0.5
-        ref_matrix, held = _reference_system(f, cx, cy, dt)
+        ref_matrix, held = _reference_system(f, dt, gamma)
         rhs = 0.5 + rng.random(f.u.shape)
         rhs[held] = 0.0
         a, b, _, active = self._weighted(f, ref_matrix, held, rhs)
         expected, full_its = _textbook_jacobi_pcg(a, b, np.zeros_like(b), 1e-12)
 
         before = st.iterations
-        x = st.u_system([cx, cy.T], dt).solve(rhs, np.zeros(st.pattern.black.size))
+        x = st.u_system(gamma, dt).solve(rhs, np.zeros(st.pattern.black.size))
         assert st.iterations - before <= 0.6 * full_its
         assert np.max(np.abs(x.ravel()[active] - expected)) <= 1e-11
 
@@ -1234,12 +1212,12 @@ class TestSimulate:
             assert snap.u[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_error_carries_failing_time(self, tmp_path):
-        # A custom IC with an isolated spike goes negative on the first step.
+        # A custom IC with an isolated spike far above the carrying capacity
+        # goes negative on the first step: dt (b u - a) > 1 there.
         n = 41
         u = np.zeros(n)
-        u[1] = 1.0
+        u[1] = 1e3
         v = np.full(n, 0.01)
-        v[:2] = 3.0
         path = tmp_path / "spike.npz"
         np.savez(path, u=u, v=v)
         cfg = SimConfig(
@@ -1279,8 +1257,8 @@ class TestSimulate:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_step_size_limits_and_v_builds(self, dim):
         # A v system is built on the first step and whenever dt changes;
-        # each step's dt is set by dt_max, the advective bound or the
-        # cadence, counted in that order where two agree.
+        # each step's dt is set by dt_max or the cadence, counted as dt_max
+        # where the two agree.
         if dim == 1:
             cfg = _front_config(t_end=10.0, cadence=2.5, dt_max=0.07)
         else:
@@ -1298,22 +1276,48 @@ class TestSimulate:
         dts = traj.dt_history
         assert traj.v_builds == 1 + sum(a != b for a, b in zip(dts, dts[1:]))
         limits = traj.dt_limits
-        assert list(limits) == ["dt_max", "advective_bound", "cadence"]
+        assert list(limits) == ["dt_max", "cadence"]
         assert sum(limits.values()) == len(dts)
         assert limits["dt_max"] == sum(dt == cfg.dt_max for dt in dts)
         assert all(n > 0 for n in limits.values()), limits
 
     def test_motility_evaluated_once_per_step(self, monkeypatch):
-        # The face data that chooses dt is the face data the step uses.
+        # The step needs gamma alone, once.
         calls = []
+        gamma = PowerMotility.gamma
 
         def counting(family, v):
             calls.append(v.shape)
-            return motility_rates(family, v)
+            return gamma(family, v)
 
-        monkeypatch.setattr(pde, "motility_rates", counting)
+        monkeypatch.setattr(PowerMotility, "gamma", counting)
+        monkeypatch.setattr(PowerMotility, "eval", None)  # no gamma', gamma''
         traj = simulate(_front_config(t_end=2.0, cadence=1.0))
         assert len(calls) == len(traj.dt_history) > 0
+
+    def test_one_coupling_pair_per_2d_run(self, monkeypatch):
+        # u and v share unit conductances, so the red-black coupling block
+        # and its transpose are built once per run, not per step.
+        calls = []
+        csr = pde.sparse.csr_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return csr(*args, **kwargs)
+
+        monkeypatch.setattr(pde.sparse, "csr_matrix", counting)
+        cfg = SimConfig(
+            params=POWER,
+            dim=2,
+            extents=((-3.0, 3.0), (-3.0, 3.0)),
+            h=0.25,
+            ic=Bump2dIC(base=0.0, amplitude=4.0),
+            t_end=1.0,
+            cadence=0.5,
+            disk_mask=True,
+        )
+        traj = simulate(cfg)
+        assert len(traj.dt_history) == 10 and len(calls) == 2
 
     def test_back_to_back_2d_runs_match_runs_alone(self):
         # Each run owns its stepper, so a run on another mask in between
@@ -1383,16 +1387,25 @@ class TestSimulate:
 
 class TestSerialization:
     def test_1d_csv_roundtrip(self, tmp_path):
-        f = make_field(1, ((0.0, 2.0),), 0.1, u0=0.0, v0=0.0)
-        f.u[:] = np.linspace(0.0, 1.0, f.nx) ** 2
-        f.v[:] = 0.5 - 0.1 * np.linspace(0.0, 1.0, f.nx)
-        base = tmp_path / "snap"
-        paths = save_field(f, str(base))
-        assert any(p.endswith(".csv") for p in paths)
-        g = load_field(str(base))
-        assert np.array_equal(g.u, f.u)
-        assert np.array_equal(g.v, f.v)
-        assert g.h == f.h and g.nx == f.nx
+        for bc in (None, {"left": Dirichlet(0.1 + 1e-17, 1.0 / 3.0)}):
+            f = make_field(1, ((0.0, 2.0),), 0.1, u0=0.0, v0=0.0, bc=bc)
+            f.u[:] = np.linspace(0.0, 1.0, f.nx) ** 2
+            f.v[:] = 0.5 - 0.1 * np.linspace(0.0, 1.0, f.nx)
+            base = tmp_path / "snap"
+            paths = save_field(f, str(base))
+            assert any(p.endswith(".csv") for p in paths)
+            g = load_field(str(base))
+            assert np.array_equal(g.u, f.u)
+            assert np.array_equal(g.v, f.v)
+            assert g.h == f.h and g.nx == f.nx
+            assert g.bc == f.bc
+
+        # Files written without the boundary record load as zero-flux.
+        path = base.with_suffix(".csv")
+        path.write_text(path.read_text().split("\n", 1)[1])
+        old = load_field(str(base))
+        assert np.array_equal(old.u, f.u)
+        assert old.bc == {"left": Neumann(), "right": Neumann()}
 
     def test_1d_csv_bytes_match_per_row_repr(self, tmp_path):
         f = make_field(1, ((0.0, 400.0),), 0.1, u0=0.0, v0=0.0)
@@ -1404,10 +1417,11 @@ class TestSerialization:
         later = f.copy()
         later.u[:] = f.v[::-1]
         later.v[:] = f.u[::-1]
+        record = '{"left": {"type": "neumann"}, "right": {"type": "neumann"}}'
         for k, g in enumerate((f, later)):
             save_field(g, str(tmp_path / f"snap{k}"))
             rows = zip(g.x, g.u, g.v)
-            expected = "x,u,v\n" + "".join(
+            expected = f"# bc {record}\nx,u,v\n" + "".join(
                 f"{float(x)!r},{float(u)!r},{float(v)!r}\n" for x, u, v in rows
             )
             assert (tmp_path / f"snap{k}.csv").read_bytes() == expected.encode()
