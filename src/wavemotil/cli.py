@@ -262,7 +262,7 @@ _SCHEMAS: dict[str, dict] = {
         "h": (_as_positive, 0.05),
         "t_end": (_as_float, 60.0),
         "cadence": (_as_float, 2.0),
-        "dt_max": (_as_float, 0.02),
+        "dt_max": (_as_float, DEFAULT_DT_MAX),
         "transient_fraction": (_as_fraction, 0.5),
         "threshold": (_one_of({"literal": (), "minimizer": ()}), "literal"),
     },
@@ -305,7 +305,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "ic_offset": "15",
         "t_end": "140",
         "cadence": "5",
-        "dt_max": "0.02",
         "transient_fraction": "0.5",
     },
     "fig4": {
@@ -640,7 +639,7 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "solver_iterations": sum(traj.solver_iterations),
         "solver_iterations_step_max": max(traj.solver_iterations, default=0),
         "v_builds": traj.v_builds,
-        **{f"steps_at_{limit}": n for limit, n in traj.dt_limits.items()},
+        "dt": traj.dt_history[0],
     }
     return 0, outputs, metrics
 

@@ -12,19 +12,34 @@ the cell width across the face over h (closed faces at a mask edge drop
 out) and has zero column sums, so the discrete mass identities of u and v
 are exact on zero-flux boxes up to solver rounding.
 
-Time stepping is IMEX with gamma frozen at the old v, Gamma = diag gamma(v):
+Time stepping is IMEX: the Laplacian terms are implicit, the growth
+u (a - b u) and the source u - v explicit, and gamma is frozen at a known
+v, Gamma = diag gamma(v*).  A step is second order (SBDF2: Ascher, Ruuth &
+Wetton, SIAM J. Numer. Anal. 32 (1995)) when it continues a chain of steps
+of the same size, and first order otherwise (the first step of a chain, a
+step after a change of dt, a step on a field the last step did not return):
 
-    (I - dt L Gamma) u+ = u + dt u (a - b u),    (I - dt L) v+ = v + dt (u - v).
+    first order   (I - dt L Gamma) u+ = u + dt R(u),    v* = v,
+                  (I - dt L) v+ = v + dt (u - v),
+    SBDF2         (3/2 I - dt L Gamma) u+ = 2 u - u0 / 2 + dt (2 R(u) - R(u0)),
+                  (3/2 I - dt L) v+ = 2 v - v0 / 2 + dt (2 (u - v) - (u0 - v0)),
+                  v* = max(2 v - v0, 0),
+
+with R(u) = u (a - b u) and (u0, v0) the state before (u, v).  For a field
+x with explicit term g, the SBDF2 right-hand side is computed as
+2 (x + dt g) - c0: twice the first-order one less the carry
+c0 = x0 / 2 + dt g0 that the state before kept from its own step, so no
+explicit term is evaluated twice.
 
 The u system is solved for w = Gamma u+.  Multiplied by W it reads
-W (Gamma^-1 - dt L) w = W rhs: the v system's matrix W (I - dt L) with
-W / gamma on the diagonal in place of W.  Both are symmetric positive
-definite Z-matrices whose column j sums to W_j / gamma_j or W_j > 0, so
-they are M-matrices for every dt.  The implicit part therefore never makes
-a density negative, and no advective bound limits dt.  Then u+ = w / gamma,
-and the column sums give sum W u+ = sum W rhs: the mass identity of u.
-Nodes held at fixed values (Dirichlet sides, masked-out cells) move to the
-right-hand side; a held node of the u system holds w = gamma(v_D) u_D.
+W (lead Gamma^-1 - dt L) w = W rhs, with lead 1 or 3/2: the v system's
+matrix W (lead I - dt L) with lead W / gamma on the diagonal in place of
+lead W.  Both are symmetric positive definite Z-matrices whose column j
+sums to lead W_j / gamma_j or lead W_j > 0, so they are M-matrices for every
+dt, and no advective bound limits dt.  Then u+ = w / gamma, and the column
+sums give lead sum W u+ = sum W rhs: the mass identity of u.  Nodes held at
+fixed values (Dirichlet sides, masked-out cells) move to the right-hand
+side; a held node of the u system holds w = gamma(v_D) u_D.
 
 In 1-D each system is tridiagonal and LAPACK ``pttrf``/``pttrs`` solve it
 directly.  The five-point operator couples only nodes of opposite parity of
@@ -45,13 +60,15 @@ nodes alone, falls to 1e-12 of the weighted right-hand side; hitting the
 iteration cap raises ``NoConvergence``.  The start moves a result only
 within that tolerance.
 
-The explicit logistic term keeps the right-hand side nonnegative only
-while dt (b u - a) <= 1, and the iterative 2-D solve carries the M-matrix
-sign property over only to its tolerance.  So undershoots above -1e-12 are
-clipped and anything lower is reported as ``NegativeDensity``.  A NaN or
-infinite value anywhere in a new state is reported as ``NonFiniteState``.
-``simulate`` steps by ``dt_max`` (default 0.1), cut short to land on each
-snapshot time.
+The implicit part never makes a density negative, but the right-hand side
+can be: the first-order one only where dt (b u - a) > 1, the SBDF2 one also
+where a field falls to less than a quarter of its value in one step.  And
+the iterative 2-D solve carries the M-matrix sign property over only to its
+tolerance.  So undershoots above -1e-12 are clipped and anything lower is
+reported as ``NegativeDensity``.  A NaN or infinite value anywhere in a new
+state is reported as ``NonFiniteState``.  ``simulate`` splits each snapshot
+interval into the fewest equal steps of at most ``dt_max`` (default 0.1), so
+every step of a run has one size and all after the first are SBDF2.
 
 What the steps of a run share and what depends only on the grid geometry
 (held nodes, cell volumes, the face coefficients of K and their per-node
@@ -62,10 +79,11 @@ every ``GridField`` of the run holds by reference.  u and v share the unit
 conductances, so each system holds only its two diagonals and dt: the
 Schur complement is applied as D_b p - dt^2 C1^T D_r^-1 C1 p and the red
 nodes are D_r^-1 (b_r - dt C1 x_b).  The u system changes with gamma and is
-built every step; the v system changes only with dt, so the stepper keeps
-the last one and reuses it while dt repeats.  The motility law is
-evaluated once per step, for gamma only.  The stepper also keeps the
-black-node history of the 2-D starts, and it counts the conjugate-gradient
+built every step; the v system changes only with dt and the order, so the
+stepper keeps the last one and reuses it while both repeat.  The motility
+law is evaluated once per step, for gamma only.  The stepper also keeps the
+chain of steps (the black-node history of the 2-D starts, and the v and
+carries of the newest state), and it counts the conjugate-gradient
 iterations and the v systems built.  A 1-D run renders the x column of its
 CSV snapshots once.
 
@@ -77,6 +95,7 @@ geometry closer to a petri dish.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,7 +151,7 @@ _CG_RTOL = 1e-12
 #: Iteration cap of one 2-D implicit solve.  Exact-arithmetic CG needs at
 #: most one iteration per unknown of the reduced system (15,712 black nodes
 #: of the 31,417 active ones on the fig4 grid, the largest preset); solves
-#: there take at most 107 per step, u and v together, from the
+#: there take at most 102 per step, u and v together, from the
 #: extrapolated start.
 _CG_MAX_ITER = 100_000
 
@@ -143,11 +162,11 @@ _CG_MAX_ITER = 100_000
 #: plain start from the current field):
 #:
 #:     points   t_end = 5   full run (t_end = 50)   full-run difference
-#:          1       4,943       43,417                  4.2e-11
-#:          3       3,855       25,776                  2.5e-11
-#:          4       3,469       17,904                  1.8e-11
-#:          5       3,156       11,915                  3.3e-11
-#:          6       2,905        9,600                  1.4e-11
+#:          1       4,016       35,492                  7.1e-11
+#:          3       3,129       20,891                  3.3e-11
+#:          4       2,828       14,439                  2.5e-11
+#:          5       2,593        9,637                  4.3e-11
+#:          6       2,391        7,657                  1.2e-11
 #:
 #: Each point costs two black-node vectors (250 kB on fig4).
 _GUESS_POINTS = 5
@@ -368,20 +387,22 @@ class _Stepper:
     stepper keeps the held ends with their inner neighbours
     (``held_ends``); a 2-D one keeps the red-black ``pattern``.
     ``u_system`` and ``v_system`` build the implicit solvers; the last v
-    system is kept with its dt.  Held values are written side by side in
+    system is kept with its dt and lead coefficient.  Held values are written side by side in
     ``_SIDES`` order, so where two Dirichlet sides meet, the corner node
     takes the later side's values: ``bottom`` or ``top`` over ``left`` or
     ``right``.
 
-    ``starts`` gives the CG starts of a 2-D step.  For them the stepper
-    keeps the black-node values of u and v of the last few states with the
-    step sizes between them (``_history``), and ``last``, the field the last
-    ``step`` returned; a step on any other field clears the history.  A 1-D
-    stepper keeps no history.  ``iterations`` counts the conjugate-gradient
-    iterations of the run's implicit solves on the reduced (black-node)
-    systems, and ``v_builds`` the v systems built.  A 1-D ``save_field``
-    keeps the snapshots' CSV rows, with the x column rendered, in
-    ``csv_format``.
+    The stepper keeps the chain of steps that leads to ``last``, the field
+    the last ``step`` returned; a step on any other field restarts it.
+    ``_history`` holds, newest first, up to ``_GUESS_POINTS`` states of the
+    chain, each with the step size taken from it and its u and v on the
+    black nodes (None in 1-D), from which ``starts`` extrapolates the CG
+    starts of a 2-D step.  The newest also keeps its v and the carries of
+    its step, which the next step needs if it is second order (``chain``).
+    ``iterations`` counts the conjugate-gradient iterations of the run's
+    implicit solves on the reduced (black-node) systems, and ``v_builds``
+    the v systems built.  A 1-D ``save_field`` keeps the snapshots' CSV
+    rows, with the x column rendered, in ``csv_format``.
     """
 
     def __init__(self, f: GridField) -> None:
@@ -444,42 +465,64 @@ class _Stepper:
         self._history = []
         self.last = None
 
-    def u_system(self, gamma: np.ndarray, dt: float):
-        """Solver of W (Gamma^-1 - dt L) for w = gamma u+, each held node
-        holding gamma times its u value."""
-        return self._system(self, self.weights / gamma, dt, gamma * self.pin_u)
+    def u_system(self, gamma: np.ndarray, dt: float, lead: float = 1.0):
+        """Solver of W (lead Gamma^-1 - dt L) for w = gamma u+, each held
+        node holding gamma times its u value."""
+        diag = lead * self.weights / gamma
+        return self._system(self, diag, dt, gamma * self.pin_u)
 
-    def v_system(self, dt: float):
-        """Solver of W (I - dt L) for v, the last one kept while dt repeats."""
-        if self._kept_v is None or self._kept_v[0] != dt:
-            self._kept_v = (dt, self._system(self, self.weights, dt, self.pin_v))
+    def v_system(self, dt: float, lead: float = 1.0):
+        """Solver of W (lead - dt L) for v, the last one kept while dt and
+        lead repeat."""
+        if self._kept_v is None or self._kept_v[0] != (dt, lead):
+            system = self._system(self, lead * self.weights, dt, self.pin_v)
+            self._kept_v = ((dt, lead), system)
             self.v_builds += 1
         return self._kept_v[1]
 
-    def starts(self, f: GridField, dt: float, gamma: np.ndarray):
-        """Black-node CG starts of w = gamma u and of v for the step of f by
-        dt.
+    def chain(self, f: GridField, dt: float, carry_u, carry_v):
+        """Record f, with the carries of u and v its step computed, as the
+        newest state of its chain.
 
-        Each is the Lagrange extrapolation to the new time of f and, when f
-        is ``last``, up to ``_GUESS_POINTS - 1`` earlier states of its chain,
-        with weights from the cumulative step sizes; the u one is then
-        multiplied by gamma.  Otherwise the history restarts at f, whose
-        values are the start.  In 1-D the solves are direct and there is no
-        start.
+        Returns the state before f as (v, carry_u, carry_v) when the step of
+        f by dt is second order: f is ``last`` and the step before took the
+        same dt.  Otherwise it returns None; a step on any field but
+        ``last`` restarts the chain at f.
         """
-        if f.dim == 1:
-            return None, None
         if f is not self.last:
             self._history = []
         self.last = None  # set again by the step, once it succeeds
-        black = self.pattern.black
-        self._history.insert(0, (dt, f.u.ravel()[black], f.v.ravel()[black]))
+        before = None
+        if self._history:
+            size, u, v, state = self._history[0]
+            self._history[0] = (size, u, v, None)  # no later step needs it
+            if size == dt:
+                before = state
+        u = v = None
+        if len(self.axes) == 2:
+            black = self.pattern.black
+            u, v = f.u.ravel()[black], f.v.ravel()[black]
+        self._history.insert(0, (dt, u, v, (f.v, carry_u, carry_v)))
+        del self._history[_GUESS_POINTS:]
+        return before
+
+    def starts(self, dt: float, gamma: np.ndarray):
+        """Black-node CG starts of w = gamma u and of v for the step by dt
+        from the chain's newest state.
+
+        Each is the Lagrange extrapolation to the new time of the chain's
+        states, with weights from the cumulative step sizes; the u one is
+        then multiplied by gamma.  In 1-D the solves are direct and there
+        is no start.
+        """
+        if len(self.axes) == 1:
+            return None, None
         # Distances to the new time.  A weight grows like the inverse of the
         # gap between two nodes and would amplify the solver error of both
         # states, so a state at most half a step from the one kept after it
-        # (as after a step cut short to land on a snapshot time) is skipped.
+        # (as after a step much shorter than this one) is skipped.
         points, total = [], 0.0
-        for size, u, v in self._history:
+        for size, u, v, _ in self._history:
             total += size
             if not points or total - points[-1][0] > 0.5 * dt:
                 points.append((total, u, v))
@@ -494,8 +537,7 @@ class _Stepper:
             else:
                 u_start += weight * u
                 v_start += weight * v
-        del self._history[_GUESS_POINTS - 1 :]
-        u_start *= gamma.ravel()[black]
+        u_start *= gamma.ravel()[self.pattern.black]
         return u_start, v_start
 
 
@@ -511,13 +553,13 @@ def mass(f: GridField) -> tuple[float, float]:
     return float(np.sum(w * f.u)), float(np.sum(w * f.v))
 
 
-def _gamma(f: GridField, params: ModelParams) -> np.ndarray:
+def _gamma(v: np.ndarray, params: ModelParams) -> np.ndarray:
     """The motility gamma(v) at every node; ``NonFiniteState`` for a NaN or
     infinite v."""
     try:
-        return params.motility.gamma(f.v)
+        return params.motility.gamma(v)
     except ValueError as exc:
-        if np.all(np.isfinite(f.v)):
+        if np.all(np.isfinite(v)):
             raise
         raise NonFiniteState("v holds a non-finite value") from exc
 
@@ -540,7 +582,7 @@ def spatial_rhs(f: GridField, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     verifying the spatial order of the discretization directly.
     """
     st = _stepper_of(f)
-    du = _laplacian(_gamma(f, params) * f.u, st)
+    du = _laplacian(_gamma(f.v, params) * f.u, st)
     du += f.u * (params.a - params.b * f.u)
     dv = _laplacian(f.v, st) + f.u - f.v
     du[st.pin] = 0.0
@@ -560,13 +602,14 @@ def spd_tridiagonal_factor(diag, sub):
 class _Tridiagonal:
     """W (D - dt L) on a 1-D grid, factored by pttrf.
 
-    ``diag`` is W D: the cell widths W (h, with h/2 at the end nodes) for
-    the v system, W / gamma for the u system.  The matrix is symmetric
-    positive definite with diagonal ``diag`` + dt (s_left + s_right) and
-    off-diagonal -dt s on the faces, s = 1 / h.  A held end leaves the
-    system as an identity row, and the solve returns its value from
-    ``held`` exactly.  Its coupling dt s times that value moves to the
-    right-hand side of the neighbouring row, unless that row is held too.
+    ``diag`` is W D: lead times the cell widths W (h, with h/2 at the end
+    nodes) for the v system and lead W / gamma for the u system, with lead
+    1 (first order) or 3/2 (SBDF2).  The matrix is symmetric positive
+    definite with diagonal ``diag`` + dt (s_left + s_right) and off-diagonal
+    -dt s on the faces, s = 1 / h.  A held end leaves the system as an
+    identity row, and the solve returns its value from ``held`` exactly.
+    Its coupling dt s times that value moves to the right-hand side of the
+    neighbouring row, unless that row is held too.
     """
 
     def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
@@ -735,8 +778,29 @@ class _RedBlackCG:
         return out
 
 
+def _second_order(v, before, rhs_u, rhs_v, params: ModelParams) -> np.ndarray:
+    """Turn the first-order right-hand sides of a step from (u, v) into the
+    SBDF2 ones in place, 2 rhs - c0 with the carries c0 of the state before,
+    and return gamma at v* = max(2 v - v0, 0).
+
+    ``before`` is that state's (v0, carry_u0, carry_v0) from ``chain``.
+    """
+    v0, carry_u0, carry_v0 = before
+    rhs_u *= 2.0
+    rhs_u -= carry_u0
+    rhs_v *= 2.0
+    rhs_v -= carry_v0
+    v_star = np.multiply(2.0, v)
+    v_star -= v0
+    return _gamma(np.maximum(v_star, 0.0, out=v_star), params)
+
+
 def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     """Advance one IMEX step of size dt and return the new state.
+
+    The step is second order (SBDF2) when f is the state the stepper's last
+    step returned and that step took the same dt; otherwise it is first
+    order.
 
     Raises:
         NegativeDensity: a node fell below -1e-12 (undershoots above that
@@ -748,20 +812,35 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     if not dt > 0:
         raise ValueError("dt must be positive")
     st = _stepper_of(f)
-    gamma = _gamma(f, params)
-    rhs_u = np.multiply(params.b, f.u)
-    np.subtract(params.a, rhs_u, out=rhs_u)
-    rhs_u *= f.u
-    rhs_u *= dt
-    rhs_u += f.u
-    rhs_v = np.subtract(f.u, f.v)
-    rhs_v *= dt
-    rhs_v += f.v
-    start_u, start_v = st.starts(f, dt, gamma)
-    new_u = st.u_system(gamma, dt).solve(rhs_u, start_u)
+    # dt times the explicit terms: the growth u (a - b u) and the source
+    # u - v.  Each field's first-order right-hand side is x + dt g, and its
+    # carry x / 2 + dt g is what the next step's SBDF2 right-hand side
+    # 2 (x + dt g) - (x0 / 2 + dt g0) takes from this state.  An infinite
+    # value makes NaN here; gamma or the final check reports it.
+    with np.errstate(invalid="ignore"):
+        carry_u = np.multiply(params.b, f.u)
+        np.subtract(params.a, carry_u, out=carry_u)
+        carry_u *= f.u
+        carry_u *= dt
+        carry_v = np.subtract(f.u, f.v)
+        carry_v *= dt
+        rhs_u = carry_u + f.u
+        rhs_v = carry_v + f.v
+        carry_u += 0.5 * f.u
+        carry_v += 0.5 * f.v
+    before = st.chain(f, dt, carry_u, carry_v)
+    if before is None:
+        lead = 1.0
+        gamma = _gamma(f.v, params)
+    else:
+        lead = 1.5
+        gamma = _second_order(f.v, before, rhs_u, rhs_v, params)
+        del before  # the solves need no array of the state before f
+    start_u, start_v = st.starts(dt, gamma)
+    new_u = st.u_system(gamma, dt, lead).solve(rhs_u, start_u)
     new_u /= gamma
     np.copyto(new_u, st.pin_u, where=st.pin)
-    new_v = st.v_system(dt).solve(rhs_v, start_v)
+    new_v = st.v_system(dt, lead).solve(rhs_v, start_v)
 
     for name, arr in (("u", new_u), ("v", new_v)):
         low, high = float(arr.min()), float(arr.max())
@@ -875,10 +954,9 @@ class Trajectory:
     NaN where the level set does not exist yet.  ``solver_iterations``
     holds, per step, the conjugate-gradient iterations of the u and v solves
     together, counted on the red-black reduced systems (always 0 in 1-D,
-    where the solves are direct).  ``v_builds`` counts the v systems built,
-    one on the first step and one whenever dt changes; ``dt_limits`` counts
-    the steps whose dt was set by ``dt_max`` and by the cadence (the
-    remaining time to the next snapshot), ``dt_max`` where the two agree.
+    where the solves are direct).  ``v_builds`` counts the v systems built:
+    one for the first-order first step and one for the second-order steps
+    after it, as every step of a run has the same size.
     """
 
     times: list[float]
@@ -890,7 +968,6 @@ class Trajectory:
     config: SimConfig
     solver_iterations: list[int] = field(default_factory=list)
     v_builds: int = 0
-    dt_limits: dict[str, int] = field(default_factory=dict)
 
 
 def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
@@ -918,9 +995,10 @@ def _front_diagnostic(f: GridField, params: ModelParams) -> float:
 def simulate(config: SimConfig) -> Trajectory:
     """March the configured run to t_end, recording snapshots at the cadence.
 
-    Each step size is the smaller of ``dt_max`` and the remaining time to
-    the next snapshot.  Step errors propagate with the failing time
-    appended.
+    Each snapshot interval is split into the fewest equal steps of at most
+    ``dt_max`` (up to a relative 1e-9), so every step of a run has the same
+    size and all but the first are second order.  Step errors propagate
+    with the failing time appended.
     """
     f = build_initial(config)
     st = _stepper_of(f)
@@ -933,27 +1011,22 @@ def simulate(config: SimConfig) -> Trajectory:
     front = [_front_diagnostic(f, params)]
     dt_history: list[float] = []
     solver_iterations: list[int] = []
-    limits = [0, 0]  # steps whose dt was set by each entry of ``choices``
 
     n_segments = int(round(config.t_end / config.cadence))
-    t = 0.0
+    per_segment = math.ceil(config.cadence / config.dt_max * (1.0 - 1e-9))
+    dt = config.cadence / per_segment
     for seg in range(1, n_segments + 1):
-        seg_end = seg * config.cadence
-        while t < seg_end - 1e-9 * max(1.0, seg_end):
-            choices = (config.dt_max, seg_end - t)
-            dt = min(choices)
+        for k in range(1, per_segment + 1):
             before = st.iterations
             try:
                 f = step(f, params, dt)
             except (NegativeDensity, NonFiniteState, NoConvergence) as exc:
-                raise type(exc)(f"{exc} at t={t + dt:.6g}") from exc
-            t += dt
+                t = (seg - 1) * config.cadence + k * dt
+                raise type(exc)(f"{exc} at t={t:.6g}") from exc
             dt_history.append(dt)
             solver_iterations.append(st.iterations - before)
-            limits[choices.index(dt)] += 1
-        t = seg_end
         mu, mv = mass(f)
-        times.append(t)
+        times.append(seg * config.cadence)
         snapshots.append(f.copy())
         mass_u.append(mu)
         mass_v.append(mv)
@@ -969,7 +1042,6 @@ def simulate(config: SimConfig) -> Trajectory:
         config=config,
         solver_iterations=solver_iterations,
         v_builds=st.v_builds,
-        dt_limits=dict(zip(("dt_max", "cadence"), limits)),
     )
 
 

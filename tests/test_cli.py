@@ -225,21 +225,23 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "preset, t_end, expected",
         [
-            ("fig2", "20", (200, 2, 199, 1)),
-            ("fig3", "10", (500, 1, 500, 0)),
+            ("fig2", "20", (200, 2, 0.1)),
+            ("fig3", "10", (100, 2, 0.1)),
         ],
     )
     def test_step_counts_of_shortened_presets(self, tmp_path, preset, t_end, expected):
-        # The full runs: fig2 takes 3,000 steps, builds 38 v systems and
-        # takes 2,981 steps at dt_max; fig3 takes 7,000 steps and builds 20.
+        # Every step has one size, so a run builds two v systems: one for
+        # its first-order first step and one for the second-order rest.
+        # The full runs: fig2 takes 3,000 steps and fig3 1,400, each at
+        # dt = 0.1 with two v systems.
         cfg = _write(tmp_path, "s.cfg", f"t_end={t_end}\n")
         out = tmp_path / "out"
         argv = ["simulate", "--preset", preset, "--config", cfg, "--out", str(out)]
         assert main(argv) == 0
         metrics = json.loads((out / "run.json").read_text())["metrics"]
-        names = ["steps", "v_builds", "steps_at_dt_max", "steps_at_cadence"]
+        names = ["steps", "v_builds", "dt"]
         assert tuple(metrics[name] for name in names) == expected
-        assert "steps_at_advective_bound" not in metrics
+        assert not any(name.startswith("steps_at") for name in metrics)
         assert "steps" not in (out / "metrics.csv").read_text()
 
     def test_2d_snapshot_pairs(self, tmp_path):

@@ -141,17 +141,46 @@ class TestUniformODEOracle:
 
 
 class TestChemicalMassIdentity:
-    """Total v changes only through the source: the weighted v system is
-    symmetric with column sums W, so the Laplacian telescopes.  K = W L has
-    zero column sums, so the rows of the u system W (Gamma^-1 - dt L) w =
-    W rhs sum to sum W u+ = sum W rhs, with rhs = u + dt u (a - b u).  Both
-    hold to rounding in 1-D and to the CG tolerance in 2-D."""
+    """Both systems are symmetric with column sums lead W (u: in the unknown
+    w = gamma u+), since K = W L has zero column sums.  So their rows sum to
+    lead sum W u+ = sum W rhs_u and lead sum W v+ = sum W rhs_v, with the
+    right-hand sides of the step's order (``_scheme``): the discrete mass
+    identities of u and of v.  Both hold to rounding in 1-D and to the CG
+    tolerance in 2-D."""
 
     @staticmethod
-    def _u_mass_error(f, params, dt, g):
-        rhs = f.u + dt * f.u * (params.a - params.b * f.u)
-        expected = float(np.sum(pde._stepper_of(f).weights * rhs))
-        return abs(mass(g)[0] - expected) / expected
+    def _scheme(f, before, params, dt):
+        """Lead coefficient and right-hand sides of u and v of the step of
+        f by dt: SBDF2 from ``before``, the state before f, when given,
+        else first order."""
+        def growth(u):
+            return u * (params.a - params.b * u)
+
+        rhs_u = f.u + dt * growth(f.u)
+        rhs_v = f.v + dt * (f.u - f.v)
+        if before is None:
+            return 1.0, rhs_u, rhs_v
+        u0, v0 = before.u, before.v
+        rhs_u = 2.0 * rhs_u - (0.5 * u0 + dt * growth(u0))
+        rhs_v = 2.0 * rhs_v - (0.5 * v0 + dt * (u0 - v0))
+        return 1.5, rhs_u, rhs_v
+
+    @classmethod
+    def _march(cls, f, params, dts, tol):
+        """Steps f through ``dts`` and checks both identities, relative to
+        sum W rhs, at each step; a step that repeats the last dt is second
+        order.  Returns the last state and the order of each step."""
+        weights = pde._stepper_of(f).weights
+        before, orders = None, []
+        for k, dt in enumerate(dts):
+            second = k > 0 and dt == dts[k - 1]
+            lead, *rhs = cls._scheme(f, before if second else None, params, dt)
+            g = step(f, params, dt)
+            for new, total in zip(mass(g), (float(np.sum(weights * r)) for r in rhs)):
+                assert abs(lead * new - total) <= tol * total
+            orders.append(2 if second else 1)
+            before, f = f, g
+        return f, orders
 
     def test_1d_zero_flux_box(self):
         rng = np.random.default_rng(11)
@@ -162,15 +191,9 @@ class TestChemicalMassIdentity:
         for params in (POWER, sigmoid):
             f = make_field(1, ((0.0, 10.0),), 0.05, u0=u0, v0=v0)
             # Several steps, so the source u differs between the laws.
-            for k in range(10):
-                mu, mv = mass(f)
-                dt = 0.05 if k % 3 else 0.2
-                g = step(f, params, dt)
-                _, mv_new = mass(g)
-                error = abs((mv_new - mv) / dt - (mu - mv))
-                assert error <= 1e-12 * max(1.0, mu, mv)
-                assert self._u_mass_error(f, params, dt, g) <= 1e-13
-                f = g
+            dts = [0.05 if k % 3 else 0.2 for k in range(10)]
+            _, orders = self._march(f, params, dts, 1e-13)
+            assert sorted(set(orders)) == [1, 2]
 
     @staticmethod
     def _bumps(disk):
@@ -185,38 +208,20 @@ class TestChemicalMassIdentity:
         return f
 
     def test_2d_zero_flux_box(self):
-        f = self._bumps(disk=False)
-        mu, mv = mass(f)
-        dt = 0.05
-        g = step(f, POWER, dt)
-        _, mv_new = mass(g)
-        assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
-        assert self._u_mass_error(f, POWER, dt, g) <= 1e-10
+        self._march(self._bumps(disk=False), POWER, [0.05, 0.05], 1e-10)
 
     def test_2d_masked_disk(self):
         # Closed faces at the staircase edge keep the Laplacian telescoping.
-        f = self._bumps(disk=True)
-        mu, mv = mass(f)
-        dt = 0.05
-        g = step(f, POWER, dt)
-        _, mv_new = mass(g)
-        assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
-        assert self._u_mass_error(f, POWER, dt, g) <= 1e-10
+        self._march(self._bumps(disk=True), POWER, [0.05, 0.05], 1e-10)
 
     @pytest.mark.parametrize("disk", [False, True])
     def test_2d_along_a_chain(self, disk):
         # Steps on one chain start their solves from extrapolated histories;
         # uneven step sizes give the extrapolation uneven nodes.
-        f = self._bumps(disk)
-        for k in range(12):
-            mu, mv = mass(f)
-            dt = 0.05 if k % 3 else 0.02
-            g = step(f, POWER, dt)
-            _, mv_new = mass(g)
-            assert abs((mv_new - mv) / dt - (mu - mv)) <= 1e-10 * max(1.0, mu, mv)
-            assert self._u_mass_error(f, POWER, dt, g) <= 1e-10
-            f = g
-        assert len(pde._stepper_of(f)._history) == pde._GUESS_POINTS - 1
+        dts = [0.05 if k % 3 else 0.02 for k in range(12)]
+        f, orders = self._march(self._bumps(disk), POWER, dts, 1e-10)
+        assert sorted(set(orders)) == [1, 2]
+        assert len(pde._stepper_of(f)._history) == pde._GUESS_POINTS
 
 
 def _manufactured_1d(params, lx=10.0):
@@ -335,6 +340,32 @@ class TestSpatialOrder:
         assert np.max(np.abs(g.v - (f.v + dt * dv))) <= 1e-7
 
 
+class TestTimeOrder:
+    def test_second_order_in_time(self):
+        # Halving dt cuts the error of a short front run, against a run at
+        # a 64th of the step, by about 4: SBDF2 after a first-order start.
+        def run(dt_max):
+            cfg = SimConfig(
+                params=SIGMOID,
+                dim=1,
+                extents=((0.0, 20.0),),
+                h=0.1,
+                ic=FrontIC(steepness=1.0, offset=20.0 / 3.0),
+                t_end=2.0,
+                cadence=2.0,
+                dt_max=dt_max,
+            )
+            return simulate(cfg).snapshots[-1]
+
+        ref = run(0.1 / 64)
+        errors = []
+        for dt_max in (0.1, 0.05):
+            g = run(dt_max)
+            errors.append([np.max(np.abs(g.u - ref.u)), np.max(np.abs(g.v - ref.v))])
+        coarse, fine = errors
+        assert min(c / f for c, f in zip(coarse, fine)) >= 3.5
+
+
 class TestStepErrors:
     # Competition strong enough that dt (b u - a) > 1 at the spike, so the
     # explicit logistic term turns the right-hand side there negative.
@@ -436,9 +467,9 @@ class TestStepErrors:
             step(f, POWER, 0.0)
 
 
-def _reference_system_1d(f, dt, gamma=None):
-    """Dense unweighted Gamma^-1 - dt L of a 1-D grid (I - dt L without
-    gamma), assembled node by node.
+def _reference_system_1d(f, dt, gamma=None, lead=1.0):
+    """Dense unweighted lead Gamma^-1 - dt L of a 1-D grid (lead I - dt L
+    without gamma), assembled node by node.
 
     Held rows (Dirichlet ends) are identity rows; an end node owns a half
     cell.
@@ -450,8 +481,7 @@ def _reference_system_1d(f, dt, gamma=None):
     k = dt / f.h**2
     a = np.eye(n)
     for i in np.flatnonzero(~held):
-        if gamma is not None:
-            a[i, i] = 1.0 / gamma[i]
+        a[i, i] = lead if gamma is None else lead / gamma[i]
         s = 2.0 if i in (0, n - 1) else 1.0
         for j in (i - 1, i + 1):
             if 0 <= j < n:
@@ -481,13 +511,14 @@ class TestTridiagonalSolve:
         st = pde._stepper_of(f)
         rng = np.random.default_rng(7)
         gamma = 0.01 + rng.random(f.nx)
-        for dt in np.concatenate([rng.uniform(1e-4, 0.1, 22), [0.1, 0.02]]):
+        dts = np.concatenate([rng.uniform(1e-4, 0.1, 22), [0.1, 0.02]])
+        for dt, lead in zip(dts, [1.0, 1.5] * 12):
             systems = (
-                (gamma, gamma * st.pin_u, st.u_system(gamma, dt)),
-                (None, st.pin_v, st.v_system(dt)),
+                (gamma, gamma * st.pin_u, st.u_system(gamma, dt, lead)),
+                (None, st.pin_v, st.v_system(dt, lead)),
             )
             for diag, values, system in systems:
-                a, pinned = _reference_system_1d(f, dt, diag)
+                a, pinned = _reference_system_1d(f, dt, diag, lead)
                 rhs = 0.5 + rng.random(f.nx)
                 rhs[pinned] = values[pinned]
                 given = rhs.copy()
@@ -500,7 +531,8 @@ class TestTridiagonalSolve:
         assert np.all(st.pin_u[st.pin] != st.pin_v[st.pin])
 
     def test_chemical_factor_kept_while_dt_repeats(self):
-        # The stepper keeps one v system with its dt, in 1-D and 2-D alike.
+        # The stepper keeps one v system with its dt and lead coefficient,
+        # in 1-D and 2-D alike.
         for make in (
             lambda: self._field("both"),
             lambda: TestImplicitSolve2d._field("dirichlet"),
@@ -509,16 +541,17 @@ class TestTridiagonalSolve:
             st = pde._stepper_of(f)
             rng = np.random.default_rng(5)
             factors = []
-            for dt in (0.05, 0.05, 0.02, 0.05):
+            keys = [(0.05, 1.0), (0.05, 1.0), (0.05, 1.5), (0.02, 1.5), (0.05, 1.5)]
+            for key in keys:
                 rhs = 0.5 + rng.random(f.u.shape)
                 start = None if f.dim == 1 else _black(st, f.v)
-                x = st.v_system(dt).solve(rhs, start)
-                factors.append(st.v_system(dt))
+                x = st.v_system(*key).solve(rhs, start)
+                factors.append(st.v_system(*key))
                 fresh = pde._stepper_of(make())
-                assert np.array_equal(x, fresh.v_system(dt).solve(rhs, start))
-                assert st._kept_v[0] == dt
+                assert np.array_equal(x, fresh.v_system(*key).solve(rhs, start))
+                assert st._kept_v[0] == key
             same = [a is b for a, b in zip(factors, factors[1:])]
-            assert same == [True, False, False]
+            assert same == [True, False, False, False]
 
     def test_two_node_grid_held_at_both_ends(self):
         # Each end's inner neighbour is the other held end.
@@ -557,21 +590,24 @@ def _allocating_tridiagonal_solve(f, diag_w, dt, held, rhs):
     return x
 
 
-def _allocating_step(f, params, dt):
-    """One step by allocating expressions; the 2-D solves, which these
-    expressions only feed, are the stepper's."""
+def _allocating_step(f, params, dt, before=None):
+    """One step by allocating expressions: SBDF2 from ``before``, the state
+    before f, when given, else first order.  The 2-D solves, which these
+    expressions only feed, are the stepper's, started from its chain."""
     st = pde._stepper_of(f)
-    gamma = motility_eval(params.motility, f.v)[0]
-    rhs_u = f.u + dt * (f.u * (params.a - params.b * f.u))
-    rhs_v = f.v + dt * (f.u - f.v)
+    lead, rhs_u, rhs_v = TestChemicalMassIdentity._scheme(f, before, params, dt)
+    st.chain(f, dt, None, None)  # feeds the 2-D starts
+    v_frozen = f.v if before is None else np.maximum(2.0 * f.v - before.v, 0.0)
+    gamma = motility_eval(params.motility, v_frozen)[0]
     held_w = gamma * st.pin_u
     if f.dim == 1:
-        w = _allocating_tridiagonal_solve(f, st.weights / gamma, dt, held_w, rhs_u)
-        new_v = _allocating_tridiagonal_solve(f, st.weights, dt, st.pin_v, rhs_v)
+        diag_u = lead * st.weights / gamma
+        w = _allocating_tridiagonal_solve(f, diag_u, dt, held_w, rhs_u)
+        new_v = _allocating_tridiagonal_solve(f, lead * st.weights, dt, st.pin_v, rhs_v)
     else:
-        start_u, start_v = st.starts(f, dt, gamma)
-        w = st.u_system(gamma, dt).solve(rhs_u, start_u)
-        new_v = st.v_system(dt).solve(rhs_v, start_v)
+        start_u, start_v = st.starts(dt, gamma)
+        w = st.u_system(gamma, dt, lead).solve(rhs_u, start_u)
+        new_v = st.v_system(dt, lead).solve(rhs_v, start_v)
     new_u = np.where(st.pin, st.pin_u, w / gamma)
     for arr in (new_u, new_v):
         assert np.all(np.isfinite(arr)) and arr.min() >= pde._NEG_FLOOR
@@ -602,24 +638,42 @@ WORK_CASES = ["dirichlet_power", "neumann_sigmoid", "masked_2d"]
 
 class TestStepAgainstAllocatingForm:
     """The states ``step`` returns carry the bytes of the allocating
-    expressions, with the 1-D bands assembled from the cell widths."""
+    expressions, with the 1-D bands assembled from the cell widths.  The
+    first step of a chain, a step after a change of dt and a step on a
+    field off the chain are the first-order step; the others are SBDF2."""
 
     @pytest.mark.parametrize("case", WORK_CASES)
     def test_twenty_steps_bit_for_bit(self, case):
         f, params = _work_case(case)
         ref, _ = _work_case(case)
         caps = [0.02, 0.02, 0.05, 0.05, 0.05, 0.01]
-        dts = []
+        dts, before = [], None
         for k in range(20):
             dt = caps[k % len(caps)]
+            second = bool(dts) and dts[-1] == dt
             f = step(f, params, dt)
-            ref = _allocating_step(ref, params, dt)
+            new = _allocating_step(ref, params, dt, before if second else None)
+            ref, before = new, ref
             assert f.u.tobytes() == ref.u.tobytes()
             assert f.v.tobytes() == ref.v.tobytes()
             dts.append(dt)
         # dt repeats on some steps (a kept v system) and changes on others.
         changes = sum(a != b for a, b in zip(dts, dts[1:]))
         assert 0 < changes < len(dts) - 1
+
+    @pytest.mark.parametrize("case", WORK_CASES)
+    def test_step_off_the_chain_is_first_order(self, case):
+        # A copy has the values of the chain's last state but is not it.
+        f, params = _work_case(case)
+        for _ in range(3):
+            f = step(f, params, 0.02)
+        off = step(f.copy(), params, 0.02)
+        alone = make_field(
+            f.dim, f.extents, f.h, u0=f.u, v0=f.v, bc=f.bc, disk_mask=f.mask is not None
+        )
+        ref = _allocating_step(alone, params, 0.02)
+        assert off.u.tobytes() == ref.u.tobytes()
+        assert off.v.tobytes() == ref.v.tobytes()
 
 
 class TestWorkArrays:
@@ -978,19 +1032,21 @@ class TestExtrapolatedStart:
     """A 2-D step starts CG from the extrapolated history of its chain."""
 
     @staticmethod
-    def _run(disk, t_end=3.0, cadence=1.0):
-        return simulate(
-            SimConfig(
-                params=POWER,
-                dim=2,
-                extents=((-4.0, 4.0), (-4.0, 4.0)),
-                h=0.1,
-                ic=Bump2dIC(base=0.2, amplitude=2.0),
-                t_end=t_end,
-                cadence=cadence,
-                disk_mask=disk,
-            )
+    def _config(disk):
+        return SimConfig(
+            params=POWER,
+            dim=2,
+            extents=((-4.0, 4.0), (-4.0, 4.0)),
+            h=0.1,
+            ic=Bump2dIC(base=0.2, amplitude=2.0),
+            t_end=3.0,
+            cadence=1.0,
+            disk_mask=disk,
         )
+
+    @classmethod
+    def _run(cls, disk):
+        return simulate(cls._config(disk))
 
     @pytest.mark.parametrize("disk", [False, True])
     def test_fewer_iterations_to_the_same_solution(self, disk, monkeypatch):
@@ -1009,13 +1065,17 @@ class TestExtrapolatedStart:
                 assert np.max(np.abs(a.v - b.v)) <= 1e-11
 
     def test_steps_cut_short_cost_no_more_than_the_plain_start(self, monkeypatch):
-        # Each snapshot time lands 1e-5 past a multiple of dt_max, so every
-        # segment ends with a step of 1e-5 and two nearly equal nodes.
-        extrapolated = self._run(False, t_end=10 * 0.30001, cadence=0.30001)
-        assert min(extrapolated.dt_history) < 1e-4
+        # A step of 1e-5 after every three of 0.1 leaves two nearly equal
+        # nodes in the extrapolation.
+        def iterations():
+            f = build_initial(self._config(False))
+            for k in range(24):
+                f = step(f, POWER, 1e-5 if k % 4 == 3 else 0.1)
+            return pde._stepper_of(f).iterations
+
+        extrapolated = iterations()
         monkeypatch.setattr(pde, "_GUESS_POINTS", 1)
-        plain = self._run(False, t_end=10 * 0.30001, cadence=0.30001)
-        assert sum(extrapolated.solver_iterations) <= sum(plain.solver_iterations)
+        assert extrapolated <= iterations()
 
     def test_step_off_the_chain_matches_a_fresh_stepper(self):
         f = TestChemicalMassIdentity._bumps(disk=True)
@@ -1256,9 +1316,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_step_size_limits_and_v_builds(self, dim):
-        # A v system is built on the first step and whenever dt changes;
-        # each step's dt is set by dt_max or the cadence, counted as dt_max
-        # where the two agree.
+        # Each snapshot interval is split into the fewest equal steps of at
+        # most dt_max, so a run builds two v systems: one for its
+        # first-order first step and one for the second-order rest.
         if dim == 1:
             cfg = _front_config(t_end=10.0, cadence=2.5, dt_max=0.07)
         else:
@@ -1273,13 +1333,23 @@ class TestSimulate:
                 disk_mask=True,
             )
         traj = simulate(cfg)
-        dts = traj.dt_history
-        assert traj.v_builds == 1 + sum(a != b for a, b in zip(dts, dts[1:]))
-        limits = traj.dt_limits
-        assert list(limits) == ["dt_max", "cadence"]
-        assert sum(limits.values()) == len(dts)
-        assert limits["dt_max"] == sum(dt == cfg.dt_max for dt in dts)
-        assert all(n > 0 for n in limits.values()), limits
+        per_interval, steps = (36, 4 * 36) if dim == 1 else (2, 8 * 2)
+        assert traj.dt_history == [cfg.cadence / per_interval] * steps
+        assert traj.v_builds == 2
+
+    @pytest.mark.parametrize(
+        "cadence, dt_max, per_interval",
+        [(2.1, 0.3, 7), (0.14, 0.02, 7), (0.3, 0.1, 3), (1.0, 0.3, 4), (0.5, 1.0, 1)],
+    )
+    def test_interval_split_within_a_relative_guard(
+        self, cadence, dt_max, per_interval
+    ):
+        # 2.1 / 0.3 and 0.14 / 0.02 are 7.000000000000001 in floating point,
+        # 0.3 / 0.1 is 2.9999999999999996: none takes an extra step.
+        cfg = _front_config(t_end=2 * cadence, cadence=cadence, dt_max=dt_max)
+        traj = simulate(cfg)
+        assert traj.dt_history == [cadence / per_interval] * (2 * per_interval)
+        assert traj.times == [0.0, cadence, 2 * cadence]
 
     def test_motility_evaluated_once_per_step(self, monkeypatch):
         # The step needs gamma alone, once.
