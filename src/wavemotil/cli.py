@@ -77,8 +77,8 @@ from .pde import (
     FrontIC,
     Neumann,
     SimConfig,
+    _SnapshotWriter,
     ring_radii,
-    save_field,
     simulate,
 )
 from .waveode import traveling_wave, verify_profile
@@ -576,14 +576,14 @@ def _sim_config(resolved: dict) -> SimConfig:
 
 def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     config = _sim_config(resolved)
-    traj = simulate(config)
+    # The snapshots are saved by a forked writer while the run steps; they
+    # are complete, and hashed by the manifest, only after the block.
+    with _SnapshotWriter(out_dir) as writer:
+        traj = simulate(config, on_snapshot=writer)
     params = config.params
     level = params.a / (2.0 * params.b)
 
-    outputs: list[str] = []
-    for k, field in enumerate(traj.snapshots):
-        written = save_field(field, str(out_dir / f"snap_{k:04d}"))
-        outputs.extend(Path(p).name for p in written)
+    outputs = [Path(p).name for p in writer.written]
 
     lines = []
     classification = lambda_est = None

@@ -50,7 +50,7 @@ recovers the red nodes (Reid, SIAM J. Numer. Anal. 9 (1972); Hageman &
 Young, *Applied Iterative Methods*, ch. 9).  That takes about half the
 iterations of Jacobi-preconditioned CG on the full system at about the same
 cost per iteration.  Each solve starts from the Lagrange extrapolation, to
-the new time, of the current state and up to four earlier states of the
+the new time, of the current state and up to five earlier states of the
 same chain of steps, taken on the black nodes only (the cheapest form of
 the projection start of Fischer, Comput. Methods Appl. Mech. Engrg. 163
 (1998)); the u solve's start is that of u times gamma, in the units of w.
@@ -87,6 +87,18 @@ carries of the newest state), and it counts the conjugate-gradient
 iterations and the v systems built.  A 1-D run renders the x column of its
 CSV snapshots once.
 
+``simulate`` hands each snapshot, as it takes it, to an optional
+``on_snapshot`` callback.  The CLI passes a ``_SnapshotWriter``, which saves
+the snapshots with ``save_field`` in one forked writer process while the
+run steps on, so the CLI needs the ``fork`` start method of
+``multiprocessing`` (POSIX).  The writer inherits the first snapshot and
+the run's stepper through the fork, and each later snapshot reaches it as
+(k, u, v); the files have the bytes of an in-process save.  The CLI hashes
+them for ``run.json`` only after the writer has finished.  A run that fails
+writes no snapshot: the writer is stopped and reaped, the files it wrote
+are removed and the run's error propagates, and so does an error of the
+writer itself.
+
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
 geometry closer to a petri dish.
@@ -96,6 +108,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,7 +169,7 @@ _CG_RTOL = 1e-12
 _CG_MAX_ITER = 100_000
 
 #: States the 2-D CG start extrapolates from: the current one and up to
-#: four earlier ones of the same chain of steps.  Total CG iterations of
+#: five earlier ones of the same chain of steps.  Total CG iterations of
 #: fig4, and the largest difference of its full-run snapshots from a run
 #: with ``_CG_RTOL = 1e-15`` (2-vCPU VM, one BLAS thread; one point is the
 #: plain start from the current field):
@@ -167,9 +180,11 @@ _CG_MAX_ITER = 100_000
 #:          4       2,828       14,439                  2.5e-11
 #:          5       2,593        9,637                  4.3e-11
 #:          6       2,391        7,657                  1.2e-11
+#:          7       2,236        8,297                  6.1e-12
 #:
-#: Each point costs two black-node vectors (250 kB on fig4).
-_GUESS_POINTS = 5
+#: The busiest step takes 102 iterations in every row.  Each point costs
+#: two black-node vectors (250 kB on fig4).
+_GUESS_POINTS = 6
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -387,10 +402,11 @@ class _Stepper:
     stepper keeps the held ends with their inner neighbours
     (``held_ends``); a 2-D one keeps the red-black ``pattern``.
     ``u_system`` and ``v_system`` build the implicit solvers; the last v
-    system is kept with its dt and lead coefficient.  Held values are written side by side in
-    ``_SIDES`` order, so where two Dirichlet sides meet, the corner node
-    takes the later side's values: ``bottom`` or ``top`` over ``left`` or
-    ``right``.
+    system is kept with its dt and lead coefficient, and the dt-scaled face
+    terms both systems share (``faces``) with their dt.  Held values are
+    written side by side in ``_SIDES`` order, so where two Dirichlet sides
+    meet, the corner node takes the later side's values: ``bottom`` or
+    ``top`` over ``left`` or ``right``.
 
     The stepper keeps the chain of steps that leads to ``last``, the field
     the last ``step`` returned; a step on any other field restarts it.
@@ -462,6 +478,7 @@ class _Stepper:
         self.v_builds = 0
         self.csv_format = None
         self._kept_v = None
+        self._kept_faces = None
         self._history = []
         self.last = None
 
@@ -479,6 +496,15 @@ class _Stepper:
             self._kept_v = ((dt, lead), system)
             self.v_builds += 1
         return self._kept_v[1]
+
+    def faces(self, dt: float):
+        """dt times ``degree`` and, in 1-D, the off-diagonal -dt s of the
+        implicit systems, kept while dt repeats; callers must not write into
+        them."""
+        if self._kept_faces is None or self._kept_faces[0] != dt:
+            sub = np.multiply(-dt, self.scale[0]) if len(self.axes) == 1 else None
+            self._kept_faces = (dt, dt * self.degree, sub)
+        return self._kept_faces[1:]
 
     def chain(self, f: GridField, dt: float, carry_u, carry_v):
         """Record f, with the carries of u and v its step computed, as the
@@ -615,8 +641,9 @@ class _Tridiagonal:
     def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
         self.st = st
         self.held = held
-        sub = np.multiply(-dt, st.scale[0])
-        diag = diag + dt * st.degree
+        degree, sub = st.faces(dt)
+        sub = sub.copy()  # pttrf factors in place
+        diag = diag + degree
         self.couplings = [
             (inner, -sub[end] * held[end])
             for end, inner in st.held_ends
@@ -719,7 +746,7 @@ class _RedBlackCG:
         self.st = st
         self.held = held
         self.dt = dt
-        diag = (diag + dt * st.degree).ravel()
+        diag = (diag + st.faces(dt)[0]).ravel()
         self.inv_red = 1.0 / diag[pat.red]
         self.diag_black = diag[pat.black]
         self.inv_black = 1.0 / self.diag_black
@@ -992,13 +1019,22 @@ def _front_diagnostic(f: GridField, params: ModelParams) -> float:
         return float("nan")
 
 
-def simulate(config: SimConfig) -> Trajectory:
+def simulate(
+    config: SimConfig, on_snapshot: Callable[[int, GridField], None] | None = None
+) -> Trajectory:
     """March the configured run to t_end, recording snapshots at the cadence.
 
     Each snapshot interval is split into the fewest equal steps of at most
     ``dt_max`` (up to a relative 1e-9), so every step of a run has the same
     size and all but the first are second order.  Step errors propagate
     with the failing time appended.
+
+    ``on_snapshot(k, field)``, when given, is called with each snapshot as
+    it is taken, k = 0 for the initial state.  The CLI passes a
+    ``_SnapshotWriter``: a forked process (start method ``fork``) saves
+    each snapshot while the run steps on.  The CLI hashes the snapshot
+    files for ``run.json`` only after that writer has finished, and a run
+    that fails leaves no snapshot of its own on disk.
     """
     f = build_initial(config)
     st = _stepper_of(f)
@@ -1009,6 +1045,8 @@ def simulate(config: SimConfig) -> Trajectory:
     mass_u = [mu]
     mass_v = [mv]
     front = [_front_diagnostic(f, params)]
+    if on_snapshot is not None:
+        on_snapshot(0, snapshots[0])
     dt_history: list[float] = []
     solver_iterations: list[int] = []
 
@@ -1031,6 +1069,8 @@ def simulate(config: SimConfig) -> Trajectory:
         mass_u.append(mu)
         mass_v.append(mv)
         front.append(_front_diagnostic(f, params))
+        if on_snapshot is not None:
+            on_snapshot(seg, snapshots[-1])
 
     return Trajectory(
         times=times,
@@ -1121,6 +1161,107 @@ def save_field(f: GridField, basepath: str) -> list[str]:
     with open(bpath, "wb") as fh:
         fh.write(b"".join(payload))
     return [str(jpath), str(bpath)]
+
+
+class _SnapshotWriter:
+    """Saves the snapshots of one run as ``snap_<k>`` in ``out_dir`` from a
+    forked process, while the run steps on.
+
+    Pass it to ``simulate`` as ``on_snapshot``.  The first call forks the
+    writer (start method ``fork``, so POSIX only), which inherits that field
+    and through it the run's stepper; later calls send only (k, u, v), and
+    the writer saves ``field._with(u, v, bc)`` with ``save_field``, so every
+    file has the bytes of an in-process save.  The writer only formats and
+    writes: it calls no BLAS and starts no thread.  Leaving the ``with``
+    block waits for the writer, reaps it and puts the written paths in
+    ``written``.  If the block raises, or a write raises ``OSError`` (raised
+    again in the run at the next snapshot, or on leaving), the writer is
+    stopped and reaped, the files it wrote are removed and the first error
+    propagates.  A writer that dies without answering raises ``OSError``
+    with its exit code, and its files stay.
+    """
+
+    def __init__(self, out_dir: str | Path) -> None:
+        self.out_dir = Path(out_dir)
+        self.written: list[str] = []
+        self._process = self._conn = self._result = None
+
+    def __enter__(self) -> "_SnapshotWriter":
+        return self
+
+    def __call__(self, k: int, f: GridField) -> None:
+        if self._process is None:
+            import multiprocessing  # paid only by runs that save snapshots
+
+            context = multiprocessing.get_context("fork")
+            self._conn, child_end = context.Pipe()
+            self._process = context.Process(
+                target=self._serve, args=(child_end, k, f), daemon=True
+            )
+            self._process.start()
+            child_end.close()
+            return
+        try:
+            if not self._conn.poll():  # the writer answers early only if it failed
+                self._conn.send((k, f.u, f.v))
+                return
+        except OSError:  # the writer has stopped
+            pass
+        raise self._stop()[1]
+
+    def _serve(self, conn, k: int, f: GridField) -> None:
+        """The writer's loop: save snapshot k of field f and each one sent
+        after it until told to stop, then answer with the written paths and
+        the error that ended the loop early, if any."""
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the run stops it
+        # The run's end of the pipe came along with the fork; closing it
+        # here lets the writer see EOF if the run dies.
+        self._conn.close()
+        written, error = [], None
+        try:
+            while True:
+                written += save_field(f, str(self.out_dir / f"snap_{k:04d}"))
+                message = conn.recv()
+                if message is None:
+                    break
+                k, u, v = message
+                f = f._with(u, v, f.bc)
+        except OSError as exc:  # raised again in the run
+            error = exc
+        conn.send((written, error))
+
+    def _stop(self):
+        """Stop and reap the writer once; its (written paths, error)."""
+        if self._result is None:
+            try:
+                self._conn.send(None)
+            except OSError:  # it has stopped already
+                pass
+            try:
+                answer = self._conn.recv()
+            except (EOFError, OSError):  # it died without answering
+                answer = None
+            self._conn.close()
+            self._process.join()
+            self._result = answer or (
+                [],
+                OSError(f"snapshot writer exited with code {self._process.exitcode}"),
+            )
+        return self._result
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._process is None:
+            return
+        written, error = self._stop()
+        if exc_type is None and error is None:
+            self.written = written
+            return
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        if exc_type is None:
+            raise error
 
 
 def load_field(basepath: str) -> GridField:

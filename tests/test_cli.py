@@ -5,6 +5,7 @@ codes, preset resolution and deterministic re-runs."""
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "NegativeDensity" in err and "t=" in err
+        # The writer saved snapshot 0 before the step failed; it is removed.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ic.npz", "s.cfg"]
+        assert not multiprocessing.active_children()
+
+    def test_write_error_reaches_the_caller(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("")  # a file where the snapshots should go
+        resolved = resolve_config("simulate", {**PRESETS["fig2"], "t_end": "10"})
+        with pytest.raises(OSError) as direct:
+            pde.save_field(pde.build_initial(cli._sim_config(resolved)), str(out / "x"))
+        with pytest.raises(type(direct.value)):
+            cli.cmd_simulate(resolved, out)
+        assert not multiprocessing.active_children()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_step_exits_1(self, tmp_path, capsys):

@@ -10,6 +10,8 @@ directly as sparse in 2-D).
 from __future__ import annotations
 
 import json
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1527,6 +1529,94 @@ class TestSerialization:
         old = load_field(str(base))
         assert all(isinstance(c, Neumann) for c in old.bc.values())
         assert sorted(old.bc) == ["bottom", "left", "right", "top"]
+
+
+class TestSnapshotWriter:
+    """Snapshots saved by the forked writer while the run steps."""
+
+    CONFIGS = {
+        "1d-dirichlet": lambda: _front_config(
+            bc={"left": Dirichlet(1.0, 1.0), "right": Dirichlet(0.0, 0.0)},
+            t_end=4.0,
+        ),
+        "1d-zero-flux": lambda: _front_config(t_end=4.0),
+        "2d-masked-disk": lambda: SimConfig(
+            params=POWER,
+            dim=2,
+            extents=((-3.0, 3.0), (-3.0, 3.0)),
+            h=0.25,
+            ic=Bump2dIC(base=1.0, amplitude=0.5),
+            t_end=1.0,
+            cadence=0.5,
+            disk_mask=True,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_bytes_match_saves_in_the_run(self, tmp_path, case):
+        forked, direct = tmp_path / "forked", tmp_path / "direct"
+        forked.mkdir()
+        direct.mkdir()
+        with pde._SnapshotWriter(forked) as writer:
+            traj = simulate(self.CONFIGS[case](), on_snapshot=writer)
+        expected = []
+        for k, snap in enumerate(traj.snapshots):
+            expected += save_field(snap, str(direct / f"snap_{k:04d}"))
+        names = [Path(p).name for p in expected]
+        assert [Path(p).name for p in writer.written] == names
+        assert sorted(p.name for p in forked.iterdir()) == sorted(names)
+        for name in names:
+            assert (forked / name).read_bytes() == (direct / name).read_bytes(), name
+        assert not multiprocessing.active_children()
+
+    def test_on_snapshot_sees_every_snapshot_in_order(self):
+        calls = []
+        traj = simulate(_front_config(), on_snapshot=lambda k, f: calls.append((k, f)))
+        assert [k for k, _ in calls] == list(range(len(traj.times)))
+        assert all(f is snap for (_, f), snap in zip(calls, traj.snapshots))
+
+    @pytest.mark.parametrize("stop", ["on_leaving", "at_next_snapshot"])
+    def test_write_error_reaches_the_run(self, tmp_path, stop):
+        out = tmp_path / "not-a-directory"
+        out.write_text("")
+        f = build_initial(_front_config())
+        with pytest.raises(OSError) as direct:
+            save_field(f, str(out / "snap_0000"))
+        with pytest.raises(type(direct.value)) as caught:
+            with pde._SnapshotWriter(out) as writer:
+                writer(0, f)
+                if stop == "at_next_snapshot":
+                    writer._process.join(timeout=60)  # it failed on snapshot 0
+                    assert not writer._process.is_alive()
+                    writer(1, f)
+        raised_in = [entry.name for entry in caught.traceback]
+        assert ("__call__" in raised_in) == (stop == "at_next_snapshot")
+        assert not multiprocessing.active_children()
+
+    def test_writer_killed_raises_os_error(self, tmp_path):
+        f = build_initial(_front_config())
+        with pytest.raises(OSError, match="exited with code -9"):
+            with pde._SnapshotWriter(tmp_path) as writer:
+                writer(0, f)
+                writer._process.kill()
+                writer._process.join(timeout=60)
+                assert not writer._process.is_alive()
+        assert not multiprocessing.active_children()
+
+    def test_failed_run_removes_what_the_writer_wrote(self, tmp_path):
+        (tmp_path / "keep.txt").write_text("")
+        cfg = _front_config(t_end=4.0)
+
+        def fail_at_two(k, f):
+            writer(k, f)
+            if k == 2:
+                raise NegativeDensity("stop here")
+
+        with pytest.raises(NegativeDensity):
+            with pde._SnapshotWriter(tmp_path) as writer:
+                simulate(cfg, on_snapshot=fail_at_two)
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+        assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------------
