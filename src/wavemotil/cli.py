@@ -635,11 +635,11 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "lambda_est": lambda_est,
         "classification": classification,
         "front_final": traj.front[-1],
-        "steps": len(traj.dt_history),
+        "steps": len(traj.solver_iterations),
         "solver_iterations": sum(traj.solver_iterations),
         "solver_iterations_step_max": max(traj.solver_iterations, default=0),
         "v_builds": traj.v_builds,
-        "dt": traj.dt_history[0],
+        "dt": config.dt,
     }
     return 0, outputs, metrics
 

@@ -16,8 +16,8 @@ Time stepping is IMEX: the Laplacian terms are implicit, the growth
 u (a - b u) and the source u - v explicit, and gamma is frozen at a known
 v, Gamma = diag gamma(v*).  A step is second order (SBDF2: Ascher, Ruuth &
 Wetton, SIAM J. Numer. Anal. 32 (1995)) when it continues a chain of steps
-of the same size, and first order otherwise (the first step of a chain, a
-step after a change of dt, a step on a field the last step did not return):
+of one size, and first order on the first step of a chain (a step by
+another dt, or on a field the last step did not return, starts a new one):
 
     first order   (I - dt L Gamma) u+ = u + dt R(u),    v* = v,
                   (I - dt L) v+ = v + dt (u - v),
@@ -49,16 +49,17 @@ diagonal solve the black Schur complement, and one back substitution
 recovers the red nodes (Reid, SIAM J. Numer. Anal. 9 (1972); Hageman &
 Young, *Applied Iterative Methods*, ch. 9).  That takes about half the
 iterations of Jacobi-preconditioned CG on the full system at about the same
-cost per iteration.  Each solve starts from the Lagrange extrapolation, to
-the new time, of the current state and up to five earlier states of the
-same chain of steps, taken on the black nodes only (the cheapest form of
-the projection start of Fischer, Comput. Methods Appl. Mech. Engrg. 163
-(1998)); the u solve's start is that of u times gamma, in the units of w.
-A step on any other field starts from that field.  The iteration stops once
-the weighted residual, which the back substitution leaves on the black
-nodes alone, falls to 1e-12 of the weighted right-hand side; hitting the
-iteration cap raises ``NoConvergence``.  The start moves a result only
-within that tolerance.
+cost per iteration.  Each solve starts from the polynomial extrapolation,
+to the new time, of the current state and up to five earlier states of its
+chain, taken on the black nodes only (the cheapest form of the projection
+start of Fischer, Comput. Methods Appl. Mech. Engrg. 163 (1998)).  The
+states of a chain are equally spaced, so the j-th newest of k has the
+weight (-1)^j C(k, j + 1); the u solve's start is that of u times gamma, in
+the units of w.  The first step of a chain starts from its field.  The
+iteration stops once the weighted residual, which the back substitution
+leaves on the black nodes alone, falls to 1e-12 of the weighted right-hand
+side; hitting the iteration cap raises ``NoConvergence``.  The start moves
+a result only within that tolerance.
 
 The implicit part never makes a density negative, but the right-hand side
 can be: the first-order one only where dt (b u - a) > 1, the SBDF2 one also
@@ -82,8 +83,8 @@ nodes are D_r^-1 (b_r - dt C1 x_b).  The u system changes with gamma and is
 built every step; the v system changes only with dt and the order, so the
 stepper keeps the last one and reuses it while both repeat.  The motility
 law is evaluated once per step, for gamma only.  The stepper also keeps the
-chain of steps (the black-node history of the 2-D starts, and the v and
-carries of the newest state), and it counts the conjugate-gradient
+chain of steps (the v and carries of the newest state and, in 2-D, the
+black-node states of the starts), and it counts the conjugate-gradient
 iterations and the v systems built.  A 1-D run renders the x column of its
 CSV snapshots once.
 
@@ -108,6 +109,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,9 +180,9 @@ _CG_MAX_ITER = 100_000
 #:          1       4,016       35,492                  7.1e-11
 #:          3       3,129       20,891                  3.3e-11
 #:          4       2,828       14,439                  2.5e-11
-#:          5       2,593        9,637                  4.3e-11
-#:          6       2,391        7,657                  1.2e-11
-#:          7       2,236        8,297                  6.1e-12
+#:          5       2,593        9,628                  4.3e-11
+#:          6       2,391        7,649                  8.5e-12
+#:          7       2,236        8,290                  6.5e-12
 #:
 #: The busiest step takes 102 iterations in every row.  Each point costs
 #: two black-node vectors (250 kB on fig4).
@@ -408,13 +410,13 @@ class _Stepper:
     meet, the corner node takes the later side's values: ``bottom`` or
     ``top`` over ``left`` or ``right``.
 
-    The stepper keeps the chain of steps that leads to ``last``, the field
-    the last ``step`` returned; a step on any other field restarts it.
-    ``_history`` holds, newest first, up to ``_GUESS_POINTS`` states of the
-    chain, each with the step size taken from it and its u and v on the
-    black nodes (None in 1-D), from which ``starts`` extrapolates the CG
-    starts of a 2-D step.  The newest also keeps its v and the carries of
-    its step, which the next step needs if it is second order (``chain``).
+    The stepper keeps the chain of steps of one size ``_dt`` that leads to
+    ``last``, the field the last ``step`` returned; a step on any other
+    field, or by another dt, restarts it.  ``_before`` holds the newest
+    state's v and the carries of its step, which the next step needs if it
+    is second order (``chain``).  In 2-D, ``_points`` holds, newest first,
+    the u and v on the black nodes of up to ``_GUESS_POINTS`` states of the
+    chain, from which ``starts`` extrapolates the CG starts.
     ``iterations`` counts the conjugate-gradient iterations of the run's
     implicit solves on the reduced (black-node) systems, and ``v_builds``
     the v systems built.  A 1-D ``save_field`` keeps the snapshots' CSV
@@ -479,7 +481,8 @@ class _Stepper:
         self.csv_format = None
         self._kept_v = None
         self._kept_faces = None
-        self._history = []
+        self._before = self._dt = None
+        self._points = deque(maxlen=_GUESS_POINTS)
         self.last = None
 
     def u_system(self, gamma: np.ndarray, dt: float, lead: float = 1.0):
@@ -512,52 +515,35 @@ class _Stepper:
 
         Returns the state before f as (v, carry_u, carry_v) when the step of
         f by dt is second order: f is ``last`` and the step before took the
-        same dt.  Otherwise it returns None; a step on any field but
-        ``last`` restarts the chain at f.
+        same dt.  Otherwise it returns None and restarts the chain at f.
         """
-        if f is not self.last:
-            self._history = []
+        before = self._before
+        if f is not self.last or dt != self._dt:
+            before = None
+            self._points.clear()
         self.last = None  # set again by the step, once it succeeds
-        before = None
-        if self._history:
-            size, u, v, state = self._history[0]
-            self._history[0] = (size, u, v, None)  # no later step needs it
-            if size == dt:
-                before = state
-        u = v = None
+        self._before = (f.v, carry_u, carry_v)
+        self._dt = dt
         if len(self.axes) == 2:
             black = self.pattern.black
-            u, v = f.u.ravel()[black], f.v.ravel()[black]
-        self._history.insert(0, (dt, u, v, (f.v, carry_u, carry_v)))
-        del self._history[_GUESS_POINTS:]
+            self._points.appendleft((f.u.ravel()[black], f.v.ravel()[black]))
         return before
 
-    def starts(self, dt: float, gamma: np.ndarray):
-        """Black-node CG starts of w = gamma u and of v for the step by dt
-        from the chain's newest state.
+    def starts(self, gamma: np.ndarray):
+        """Black-node CG starts of w = gamma u and of v for the next step of
+        the chain.
 
-        Each is the Lagrange extrapolation to the new time of the chain's
-        states, with weights from the cumulative step sizes; the u one is
-        then multiplied by gamma.  In 1-D the solves are direct and there
-        is no start.
+        Each is the extrapolation to the new time of the chain's k equally
+        spaced states, the j-th newest weighted by (-1)^j C(k, j + 1); the
+        u one is then multiplied by gamma.  In 1-D the solves are direct
+        and there is no start.
         """
         if len(self.axes) == 1:
             return None, None
-        # Distances to the new time.  A weight grows like the inverse of the
-        # gap between two nodes and would amplify the solver error of both
-        # states, so a state at most half a step from the one kept after it
-        # (as after a step much shorter than this one) is skipped.
-        points, total = [], 0.0
-        for size, u, v, _ in self._history:
-            total += size
-            if not points or total - points[-1][0] > 0.5 * dt:
-                points.append((total, u, v))
+        k = len(self._points)
         u_start = v_start = None
-        for sj, u, v in points:
-            weight = 1.0
-            for sk, _, _ in points:
-                if sk != sj:
-                    weight *= sk / (sk - sj)
+        for j, (u, v) in enumerate(self._points):
+            weight = (-1) ** j * math.comb(k, j + 1)
             if u_start is None:
                 u_start, v_start = weight * u, weight * v
             else:
@@ -826,8 +812,9 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     """Advance one IMEX step of size dt and return the new state.
 
     The step is second order (SBDF2) when f is the state the stepper's last
-    step returned and that step took the same dt; otherwise it is first
-    order.
+    step returned and that step took the same dt.  Otherwise it is first
+    order and starts a new chain at f, and a 2-D step starts its solves
+    from f itself.
 
     Raises:
         NegativeDensity: a node fell below -1e-12 (undershoots above that
@@ -863,7 +850,7 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
         lead = 1.5
         gamma = _second_order(f.v, before, rhs_u, rhs_v, params)
         del before  # the solves need no array of the state before f
-    start_u, start_v = st.starts(dt, gamma)
+    start_u, start_v = st.starts(gamma)
     new_u = st.u_system(gamma, dt, lead).solve(rhs_u, start_u)
     new_u /= gamma
     np.copyto(new_u, st.pin_u, where=st.pin)
@@ -919,6 +906,14 @@ class SimConfig:
             raise ConfigError("bump initial condition requires dim=2")
         if not self.dt_max > 0:
             raise ConfigError("dt_max must be positive")
+        if not 0 < self.cadence / self.dt_max < math.inf:
+            raise ConfigError("dt_max must split the cadence into finitely many steps")
+
+    @property
+    def dt(self) -> float:
+        """Step size of ``simulate``: the cadence split into the fewest equal
+        steps of at most ``dt_max`` (up to a relative 1e-9)."""
+        return self.cadence / math.ceil(self.cadence / self.dt_max * (1.0 - 1e-9))
 
 
 def build_initial(config: SimConfig) -> GridField:
@@ -981,9 +976,10 @@ class Trajectory:
     NaN where the level set does not exist yet.  ``solver_iterations``
     holds, per step, the conjugate-gradient iterations of the u and v solves
     together, counted on the red-black reduced systems (always 0 in 1-D,
-    where the solves are direct).  ``v_builds`` counts the v systems built:
-    one for the first-order first step and one for the second-order steps
-    after it, as every step of a run has the same size.
+    where the solves are direct); its length is the number of steps, each
+    of size ``config.dt``.  ``v_builds`` counts the v systems built: one
+    for the first-order first step and one for the second-order steps
+    after it.
     """
 
     times: list[float]
@@ -991,7 +987,6 @@ class Trajectory:
     mass_u: list[float]
     mass_v: list[float]
     front: list[float]
-    dt_history: list[float]
     config: SimConfig
     solver_iterations: list[int] = field(default_factory=list)
     v_builds: int = 0
@@ -1024,10 +1019,10 @@ def simulate(
 ) -> Trajectory:
     """March the configured run to t_end, recording snapshots at the cadence.
 
-    Each snapshot interval is split into the fewest equal steps of at most
-    ``dt_max`` (up to a relative 1e-9), so every step of a run has the same
-    size and all but the first are second order.  Step errors propagate
-    with the failing time appended.
+    Every step has the size ``config.dt``, which splits each snapshot
+    interval into equal steps, so the run is one chain and all its steps
+    but the first are second order.  Step errors propagate with the
+    failing time appended.
 
     ``on_snapshot(k, field)``, when given, is called with each snapshot as
     it is taken, k = 0 for the initial state.  The CLI passes a
@@ -1047,12 +1042,11 @@ def simulate(
     front = [_front_diagnostic(f, params)]
     if on_snapshot is not None:
         on_snapshot(0, snapshots[0])
-    dt_history: list[float] = []
     solver_iterations: list[int] = []
 
     n_segments = int(round(config.t_end / config.cadence))
-    per_segment = math.ceil(config.cadence / config.dt_max * (1.0 - 1e-9))
-    dt = config.cadence / per_segment
+    dt = config.dt
+    per_segment = round(config.cadence / dt)
     for seg in range(1, n_segments + 1):
         for k in range(1, per_segment + 1):
             before = st.iterations
@@ -1061,7 +1055,6 @@ def simulate(
             except (NegativeDensity, NonFiniteState, NoConvergence) as exc:
                 t = (seg - 1) * config.cadence + k * dt
                 raise type(exc)(f"{exc} at t={t:.6g}") from exc
-            dt_history.append(dt)
             solver_iterations.append(st.iterations - before)
         mu, mv = mass(f)
         times.append(seg * config.cadence)
@@ -1078,7 +1071,6 @@ def simulate(
         mass_u=mass_u,
         mass_v=mass_v,
         front=front,
-        dt_history=dt_history,
         config=config,
         solver_iterations=solver_iterations,
         v_builds=st.v_builds,

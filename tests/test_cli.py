@@ -447,6 +447,22 @@ class TestUsage:
         # Nothing is written: no data file (speedscan.csv included), no run.json.
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("simulate --preset fig3", "dt_max=1e-320\nt_end=5\n"),
+            ("speedscan", _SCAN_CFG + "dt_max=1e-320\n"),
+        ],
+        ids=["fig3", "speedscan"],
+    )
+    def test_dt_max_too_small_for_the_cadence(self, tmp_path, capsys, command, text):
+        # cadence / dt_max overflows to inf, so no step count exists.
+        cfg = _write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 64
+        assert "dt_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 64
         capsys.readouterr()

@@ -38,11 +38,12 @@ def test_every_error_type_is_raised():
 def test_cli_import_loads_only_the_scipy_it_uses():
     # scipy.optimize, scipy.interpolate, scipy.special and scipy.signal cost
     # import time every command pays; the package needs none of them.
+    # multiprocessing is imported only by a run that saves snapshots.
     env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
     probe = (
         "import sys, wavemotil.cli; "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
-        "'scipy.special', 'scipy.signal') if m in sys.modules))"
+        "'scipy.special', 'scipy.signal', 'multiprocessing') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

@@ -219,11 +219,16 @@ class TestChemicalMassIdentity:
     @pytest.mark.parametrize("disk", [False, True])
     def test_2d_along_a_chain(self, disk):
         # Steps on one chain start their solves from extrapolated histories;
-        # uneven step sizes give the extrapolation uneven nodes.
-        dts = [0.05 if k % 3 else 0.02 for k in range(12)]
-        f, orders = self._march(self._bumps(disk), POWER, dts, 1e-10)
+        # a change of dt restarts the chain, and its history with it.
+        dts = [0.02, 0.05, 0.05, 0.02, 0.05, 0.02] + [0.05] * 8
+        _, orders = self._march(self._bumps(disk), POWER, dts, 1e-10)
         assert sorted(set(orders)) == [1, 2]
-        assert len(pde._stepper_of(f)._history) == pde._GUESS_POINTS
+        f, since = self._bumps(disk), 0
+        for k, dt in enumerate(dts):
+            since = since + 1 if k and dt == dts[k - 1] else 1
+            f = step(f, POWER, dt)
+            points = pde._stepper_of(f)._points
+            assert len(points) == min(since, pde._GUESS_POINTS)
 
 
 def _manufactured_1d(params, lx=10.0):
@@ -458,7 +463,7 @@ class TestStepErrors:
             bc={"left": Dirichlet(held, held), "right": Dirichlet(0.0, 0.0)},
         )
         traj = simulate(cfg)
-        assert len(traj.dt_history) == 20  # all at dt_max
+        assert cfg.dt == cfg.dt_max and len(traj.solver_iterations) == 20
         final = traj.snapshots[-1]
         assert np.all(final.u[:, -1] == 0.0) and np.all(final.v[:, -1] == 0.0)
         assert np.min(final.u) >= 0.0
@@ -607,7 +612,7 @@ def _allocating_step(f, params, dt, before=None):
         w = _allocating_tridiagonal_solve(f, diag_u, dt, held_w, rhs_u)
         new_v = _allocating_tridiagonal_solve(f, lead * st.weights, dt, st.pin_v, rhs_v)
     else:
-        start_u, start_v = st.starts(dt, gamma)
+        start_u, start_v = st.starts(gamma)
         w = st.u_system(gamma, dt, lead).solve(rhs_u, start_u)
         new_v = st.v_system(dt, lead).solve(rhs_v, start_v)
     new_u = np.where(st.pin, st.pin_u, w / gamma)
@@ -638,6 +643,15 @@ def _work_case(case):
 WORK_CASES = ["dirichlet_power", "neumann_sigmoid", "masked_2d"]
 
 
+def _restart(f, params, how):
+    """A step that restarts the chain of f, the last state of a chain of
+    steps by 0.02, and its dt: by 0.02 on a copy, which has the values of
+    f but is not it, or by 0.05 on f itself."""
+    if how == "copy":
+        return step(f.copy(), params, 0.02), 0.02
+    return step(f, params, 0.05), 0.05
+
+
 class TestStepAgainstAllocatingForm:
     """The states ``step`` returns carry the bytes of the allocating
     expressions, with the 1-D bands assembled from the cell widths.  The
@@ -663,17 +677,21 @@ class TestStepAgainstAllocatingForm:
         changes = sum(a != b for a, b in zip(dts, dts[1:]))
         assert 0 < changes < len(dts) - 1
 
-    @pytest.mark.parametrize("case", WORK_CASES)
-    def test_step_off_the_chain_is_first_order(self, case):
-        # A copy has the values of the chain's last state but is not it.
+    @pytest.mark.parametrize(
+        "case, restart",
+        [(case, "copy") for case in WORK_CASES]
+        + [(case, "dt_change") for case in WORK_CASES],
+        ids=WORK_CASES + [f"{case}-dt_change" for case in WORK_CASES],
+    )
+    def test_step_off_the_chain_is_first_order(self, case, restart):
         f, params = _work_case(case)
         for _ in range(3):
             f = step(f, params, 0.02)
-        off = step(f.copy(), params, 0.02)
+        off, dt = _restart(f, params, restart)
         alone = make_field(
             f.dim, f.extents, f.h, u0=f.u, v0=f.v, bc=f.bc, disk_mask=f.mask is not None
         )
-        ref = _allocating_step(alone, params, 0.02)
+        ref = _allocating_step(alone, params, dt)
         assert off.u.tobytes() == ref.u.tobytes()
         assert off.v.tobytes() == ref.v.tobytes()
 
@@ -1057,7 +1075,7 @@ class TestExtrapolatedStart:
         plain = self._run(disk)
         monkeypatch.setattr(pde, "_CG_RTOL", 1e-15)
         reference = self._run(disk)
-        assert plain.dt_history == extrapolated.dt_history
+        assert len(plain.solver_iterations) == len(extrapolated.solver_iterations)
         assert sum(extrapolated.solver_iterations) <= 0.85 * sum(
             plain.solver_iterations
         )
@@ -1067,8 +1085,8 @@ class TestExtrapolatedStart:
                 assert np.max(np.abs(a.v - b.v)) <= 1e-11
 
     def test_steps_cut_short_cost_no_more_than_the_plain_start(self, monkeypatch):
-        # A step of 1e-5 after every three of 0.1 leaves two nearly equal
-        # nodes in the extrapolation.
+        # A step of 1e-5 after every three of 0.1 restarts the chain, and so
+        # does the step after it: no chain is longer than three steps.
         def iterations():
             f = build_initial(self._config(False))
             for k in range(24):
@@ -1079,16 +1097,35 @@ class TestExtrapolatedStart:
         monkeypatch.setattr(pde, "_GUESS_POINTS", 1)
         assert extrapolated <= iterations()
 
-    def test_step_off_the_chain_matches_a_fresh_stepper(self):
+    @pytest.mark.parametrize("restart", ["copy", "dt_change"])
+    def test_step_off_the_chain_matches_a_fresh_stepper(self, restart):
         f = TestChemicalMassIdentity._bumps(disk=True)
         for _ in range(4):
-            f = step(f, POWER, 0.05)
-        # A copy has the values of the chain's last output but is not it.
-        off = step(f.copy(), POWER, 0.05)
+            f = step(f, POWER, 0.02)
+        off, dt = _restart(f, POWER, restart)
         alone = make_field(2, f.extents, f.h, u0=f.u, v0=f.v, disk_mask=True)
-        fresh = step(alone, POWER, 0.05)
-        assert np.array_equal(off.u, fresh.u) and np.array_equal(off.v, fresh.v)
-        assert len(pde._stepper_of(off)._history) == 1
+        fresh = step(alone, POWER, dt)
+        assert off.u.tobytes() == fresh.u.tobytes()
+        assert off.v.tobytes() == fresh.v.tobytes()
+        assert len(pde._stepper_of(off)._points) == 1
+
+    @pytest.mark.parametrize("k", range(1, pde._GUESS_POINTS + 1))
+    def test_equal_steps_extrapolate_polynomials(self, k):
+        # The weights are those of Lagrange extrapolation from k equally
+        # spaced nodes, exact for every polynomial of degree below k.
+        f = TestChemicalMassIdentity._bumps(disk=False)
+        st = pde._stepper_of(f)
+        coeffs = np.random.default_rng(k).standard_normal((k, st.pattern.black.size))
+
+        def at(n, c=coeffs):
+            return sum(c_d * float(n) ** d for d, c_d in enumerate(c))
+
+        for n in range(k):  # oldest first; the starts extrapolate to n = k
+            st._points.appendleft((at(n), -at(n)))
+        u, v = st.starts(np.full(f.u.shape, 2.0))
+        tol = 1e-14 * 2**k * at(k, np.abs(coeffs))  # bounds every |at(n)|
+        assert np.all(np.abs(u - 2.0 * at(k)) <= tol)
+        assert np.all(np.abs(v + at(k)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,6 +1178,13 @@ class TestSimConfig:
     def test_grid_errors_are_config_errors(self, overrides):
         with pytest.raises(ConfigError):
             _front_config(**overrides)
+
+    @pytest.mark.parametrize("dt_max", [1e-320, np.inf])
+    def test_dt_max_gives_a_finite_step_count(self, dt_max):
+        # cadence / dt_max is inf for the first and 0 for the second: no
+        # whole number of steps.
+        with pytest.raises(ConfigError, match="dt_max"):
+            _front_config(dt_max=dt_max)
 
     def test_bump_ic_needs_2d(self):
         with pytest.raises(ConfigError):
@@ -1234,7 +1278,8 @@ class TestSimulate:
         assert len(traj.mass_u) == 6 and len(traj.mass_v) == 6
         assert all(m > 0 for m in traj.mass_u)
         assert all(np.min(s.u) >= 0.0 and np.min(s.v) >= 0.0 for s in traj.snapshots)
-        assert all(dt <= cfg.dt_max + 1e-12 for dt in traj.dt_history)
+        assert cfg.dt <= cfg.dt_max
+        assert len(traj.solver_iterations) == round(cfg.t_end / cfg.dt)
         # Front positions are recorded and move right once the wave forms.
         assert np.isfinite(traj.front[-1]) and traj.front[-1] > traj.front[0]
 
@@ -1311,7 +1356,7 @@ class TestSimulate:
             )
         traj = simulate(cfg)
         its = traj.solver_iterations
-        assert len(its) == len(traj.dt_history) > 0
+        assert len(its) == round(cfg.t_end / cfg.dt) > 0
         assert all(isinstance(n, int) for n in its)
         # 1-D solves are direct; every 2-D step iterates for u and for v.
         assert all(n == 0 for n in its) if dim == 1 else all(n >= 2 for n in its)
@@ -1336,7 +1381,8 @@ class TestSimulate:
             )
         traj = simulate(cfg)
         per_interval, steps = (36, 4 * 36) if dim == 1 else (2, 8 * 2)
-        assert traj.dt_history == [cfg.cadence / per_interval] * steps
+        assert cfg.dt == cfg.cadence / per_interval
+        assert len(traj.solver_iterations) == steps
         assert traj.v_builds == 2
 
     @pytest.mark.parametrize(
@@ -1350,7 +1396,8 @@ class TestSimulate:
         # 0.3 / 0.1 is 2.9999999999999996: none takes an extra step.
         cfg = _front_config(t_end=2 * cadence, cadence=cadence, dt_max=dt_max)
         traj = simulate(cfg)
-        assert traj.dt_history == [cadence / per_interval] * (2 * per_interval)
+        assert cfg.dt == cadence / per_interval
+        assert len(traj.solver_iterations) == 2 * per_interval
         assert traj.times == [0.0, cadence, 2 * cadence]
 
     def test_motility_evaluated_once_per_step(self, monkeypatch):
@@ -1365,7 +1412,7 @@ class TestSimulate:
         monkeypatch.setattr(PowerMotility, "gamma", counting)
         monkeypatch.setattr(PowerMotility, "eval", None)  # no gamma', gamma''
         traj = simulate(_front_config(t_end=2.0, cadence=1.0))
-        assert len(calls) == len(traj.dt_history) > 0
+        assert len(calls) == len(traj.solver_iterations) > 0
 
     def test_one_coupling_pair_per_2d_run(self, monkeypatch):
         # u and v share unit conductances, so the red-black coupling block
@@ -1389,7 +1436,7 @@ class TestSimulate:
             disk_mask=True,
         )
         traj = simulate(cfg)
-        assert len(traj.dt_history) == 10 and len(calls) == 2
+        assert len(traj.solver_iterations) == 10 and len(calls) == 2
 
     def test_back_to_back_2d_runs_match_runs_alone(self):
         # Each run owns its stepper, so a run on another mask in between
@@ -1411,7 +1458,7 @@ class TestSimulate:
         alone = {disk: run(disk) for disk in (True, False)}
         for disk in (False, True, False):
             again = run(disk)
-            assert again.dt_history == alone[disk].dt_history
+            assert again.solver_iterations == alone[disk].solver_iterations
             for a, b in zip(again.snapshots, alone[disk].snapshots):
                 assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
