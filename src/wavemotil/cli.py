@@ -541,6 +541,8 @@ def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "ode_residual_l": profile.ode_residual_l,
         "ode_residual_v": profile.ode_residual_v,
         "picard_iterations": profile.picard_iterations,
+        "march_steps_per_checkpoint": profile.march_steps_per_checkpoint,
+        "checkpoints": profile.checkpoints,
         "verification_passed": bool(verification.passed),
     }
     return (0 if verification.passed else 1), ["wave.csv", "wave.json"], metrics

@@ -30,9 +30,14 @@ the invasion index is at least one.
 
 Each relaxation march symmetrizes its implicit tridiagonal matrix by a
 diagonal scaling, factors it once with LAPACK ``pttrf`` and takes every step
-as one ``pttrs`` solve.  The checkpoint length, the settling tolerance and
-time cap of the profile map, the Picard tolerance and cap, and the
-verification tolerances are module constants, not options.
+as one ``pttrs`` solve.  Its step size comes from the comparison principle
+it discretizes: a checkpoint is split into the fewest equal steps for which
+each step is order-preserving on the corridor [0, 2 eta], that is
+4 dt max(A3) eta <= 1 for the explicit quadratic term and dt max(A2) <= 1/2
+for the implicit matrix.  The rest state does not depend on dt.  The
+checkpoint length, the settling tolerance and time cap of the profile map,
+the Picard tolerance and cap, and the verification tolerances are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -139,12 +144,16 @@ class _FrozenField:
     Diffusion, drift and linear reaction are implicit, the quadratic term
     explicit.  The implicit matrix has off-diagonals -dt lower_{i+1} and
     -dt upper_i, lower, upper = 1/h^2 -+ A1 / (2h), both positive when
-    h |A1| / 2 < 1 (else ``NonFiniteState``): each step is order-preserving,
-    the descent from the upper envelope structurally monotone, and the
-    similarity s_{i+1} / s_i = sqrt(lower_{i+1} / upper_i) (log s centred)
-    makes the matrix symmetric, with off-diagonal -dt sqrt(lower upper).
-    The march steps W = U / s by ``pttrs`` with one factor and returns to U
-    once per checkpoint; where s would leave the float range it steps U by
+    h |A1| / 2 < 1 (else ``NonFiniteState``), and interior row sums
+    1 - dt A2.  A step is order-preserving on the corridor [0, 2 eta] when
+    the matrix is an M-matrix, dt max(A2) <= 1/2, and the explicit map
+    U -> U - dt A3 U^2 is monotone there, 4 dt max(A3) eta <= 1; the
+    checkpoint takes the fewest equal steps that meet both, so the descent
+    from the upper envelope is structurally monotone.  The similarity
+    s_{i+1} / s_i = sqrt(lower_{i+1} / upper_i) (log s centred) makes the
+    matrix symmetric, with off-diagonal -dt sqrt(lower upper).  The march
+    steps W = U / s by ``pttrs`` with one factor and returns to U once per
+    checkpoint; where s would leave the float range it steps U by
     ``gttrs``.  The resting state solves the centered-difference wave
     equation whatever the step size.
     """
@@ -169,7 +178,10 @@ class _FrozenField:
         a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
         a3 = ((gp + params.b) / g)[1:-1]
 
-        steps = max(1, math.ceil(_CHECKPOINT_DT / 0.25))
+        # the fewest equal steps that keep a step order-preserving on
+        # [0, 2 eta]: 4 dt max(A3) eta <= 1 and dt max(A2) <= 1/2
+        rate = max(4.0 * float(np.max(a3)) * ctx.eta, 2.0 * float(np.max(a2)))
+        steps = max(1, math.ceil(_CHECKPOINT_DT * rate))
         dt = _CHECKPOINT_DT / steps
         lower = 1.0 / h**2 - a1 / (2.0 * h)
         upper = 1.0 / h**2 + a1 / (2.0 * h)
@@ -327,17 +339,24 @@ def u_map(
     grid,
     *,
     u_left_bc: float | None = None,
+    marches: list | None = None,
 ) -> np.ndarray:
     """One application of the profile map: relax in the field of ``u`` to rest.
 
     Marches the frozen-field relaxation from the upper envelope until the
     sup-norm change per checkpoint drops below the settling tolerance
     (see _TOL_LIMIT for why it is not tighter); raises ``NoConvergence``
-    if that does not happen by the time cap.
+    if that does not happen by the time cap.  When ``marches`` is given,
+    the march's steps per checkpoint and the checkpoints it took are
+    appended to it as one pair.
     """
     field = _FrozenField(u, params, c, grid, u_left_bc)
-    for state, _, increment in _march(field, field.initial_state(), _T_MAX):
+    for k, (state, _, increment) in enumerate(
+        _march(field, field.initial_state(), _T_MAX), start=1
+    ):
         if increment < _TOL_LIMIT:
+            if marches is not None:
+                marches.append((field.steps_per_checkpoint, k))
             state.setflags(write=False)
             return state
     raise NoConvergence(
@@ -359,6 +378,9 @@ class WaveProfile:
     (targets 1 and 1/(1+a)); the left limits are plateau averages
     (target a/b); the residuals are sup-norms of the frozen-field wave
     equation and of the chemical equation on interior nodes.
+    ``march_steps_per_checkpoint`` is the largest step count of any
+    frozen-field march of the run, ``checkpoints`` the number of checkpoints
+    all its marches took.
     """
 
     grid: np.ndarray
@@ -376,6 +398,8 @@ class WaveProfile:
     ode_residual_v: float
     picard_iterations: int
     picard_change: float
+    march_steps_per_checkpoint: int
+    checkpoints: int
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -399,6 +423,8 @@ class WaveProfile:
             "ode_residual_v": float(self.ode_residual_v),
             "picard_iterations": int(self.picard_iterations),
             "picard_change": float(self.picard_change),
+            "march_steps_per_checkpoint": int(self.march_steps_per_checkpoint),
+            "checkpoints": int(self.checkpoints),
         }
         return {
             k: None if isinstance(v, float) and not math.isfinite(v) else v
@@ -463,10 +489,13 @@ def traveling_wave(params: ModelParams, c: float, *, h: float = 0.05) -> WavePro
     u = np.asarray(super_solution(ctx, grid), dtype=float)
     changes: list[float] = []
     converged = False
+    marches: list[tuple[int, int]] = []
     for k in range(_PICARD_MAX):
         # the first sweep pins the left end at the envelope plateau eta;
         # later sweeps use the self-consistent flat-state value
-        u_new = u_map(u, params, c, grid, u_left_bc=ctx.eta if k == 0 else None)
+        u_new = u_map(
+            u, params, c, grid, u_left_bc=ctx.eta if k == 0 else None, marches=marches
+        )
         change = float(np.max(np.abs(u_new - u)))
         changes.append(change)
         u = np.asarray(u_new, dtype=float)
@@ -504,6 +533,8 @@ def traveling_wave(params: ModelParams, c: float, *, h: float = 0.05) -> WavePro
         ode_residual_v=res_v,
         picard_iterations=len(changes),
         picard_change=changes[-1] if changes else 0.0,
+        march_steps_per_checkpoint=max(steps for steps, _ in marches),
+        checkpoints=sum(taken for _, taken in marches),
     )
 
 

@@ -11,12 +11,16 @@ original wave system.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 import wavemotil.pde as pde
@@ -39,13 +43,16 @@ from wavemotil import (
     verify_profile,
 )
 from wavemotil import waveode
-from wavemotil.analysis import c_star
+from wavemotil.analysis import b_star, c_star
 from wavemotil.model import motility_eval
 from wavemotil.waveode import WaveProfile, _fit_tail_ratio
 
 A, B, M = 0.1, 60.0, 6.0
 PARAMS = ModelParams(a=A, b=B, motility=PowerMotility(M))
 C_MIN = 2.0 * math.sqrt(A)
+# a = 3, where the explicit quadratic term needs 15 steps per checkpoint
+A3_PARAMS = ModelParams(a=3.0, b=171.0, motility=PowerMotility(M))
+A3_C_MIN = 2.0 * math.sqrt(3.0)
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +101,29 @@ def test_auxiliary_rejects_states_outside_the_corridor():
         solve_auxiliary(u0, PARAMS, C_MIN, 2.0, grid, initial=bad)
 
 
-def _general_lu_checkpoint(u, params, c, grid, state):
-    """One checkpoint of the frozen-field march on U itself, with one dgttrf
-    factor and one dgttrs solve per step: the oracle for the scaled march."""
+# the fields of the envelope at the gate's critical and mid-window speeds, on
+# the gttrs path at (1, 290, 6, 9.5) and at a = 3, with the step counts the
+# rule gives on them
+_STEP_CASES = {
+    "gate-critical": (PARAMS, C_MIN, 1),
+    "gate-mid": (PARAMS, 0.88, 1),
+    "gttrs": (ModelParams(a=1.0, b=290.0, motility=PowerMotility(M)), 9.5, 5),
+    "a3-critical": (A3_PARAMS, A3_C_MIN, 15),
+}
+
+
+@functools.cache
+def _envelope_field(case):
+    params, c, _ = _STEP_CASES[case]
+    grid = default_wave_grid(params, c)
+    u0 = super_solution(speed_window(params, c), grid)
+    return waveode._FrozenField(u0, params, c, grid)
+
+
+def _general_lu_checkpoint(u, params, c, grid, state, steps):
+    """One checkpoint of ``steps`` frozen-field steps on U itself, with one
+    dgttrf factor and one dgttrs solve per step: the oracle for the scaled
+    march."""
     ctx = speed_window(params, c)
     h = float(grid[1] - grid[0])
     vsol = waveode._chemical_field(grid, u, c, ctx.lam)
@@ -105,7 +132,6 @@ def _general_lu_checkpoint(u, params, c, grid, state):
     a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
     a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
     a3 = ((gp + params.b) / g)[1:-1]
-    steps = 4
     dt = waveode._CHECKPOINT_DT / steps
     lower = 1.0 / h**2 - a1 / (2.0 * h)
     upper = 1.0 / h**2 + a1 / (2.0 * h)
@@ -133,17 +159,28 @@ def _march_both_ways(field, u, params, c, grid):
     state = oracle = field.initial_state()
     for _ in range(3):
         state = field.advance_checkpoint(state)
-        oracle = _general_lu_checkpoint(u, params, c, grid, oracle)
+        oracle = _general_lu_checkpoint(
+            u, params, c, grid, oracle, field.steps_per_checkpoint
+        )
     return state, oracle
 
 
-def test_scaled_march_agrees_with_the_general_lu_march():
-    grid = default_wave_grid(PARAMS, C_MIN)
-    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
-    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
+def _assert_scaled_march_is_the_general_lu_march(case):
+    params, c, _ = _STEP_CASES[case]
+    field = _envelope_field(case)
     assert np.ptp(np.log(field.s)) > 60.0  # the similarity is far from the identity
-    state, oracle = _march_both_ways(field, u0, PARAMS, C_MIN, grid)
+    state, oracle = _march_both_ways(
+        field, field.initial_state(), params, c, field.grid
+    )
     assert np.max(np.abs(state - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_scaled_march_agrees_with_the_general_lu_march():
+    _assert_scaled_march_is_the_general_lu_march("gate-critical")
+
+
+def test_scaled_march_at_15_steps_per_checkpoint_agrees_with_the_general_lu_march():
+    _assert_scaled_march_is_the_general_lu_march("a3-critical")
 
 
 def test_march_past_the_scaling_range_is_the_general_lu_march(monkeypatch):
@@ -192,6 +229,39 @@ def test_march_rejects_a_grid_too_coarse_for_the_drift():
     u0 = super_solution(speed_window(params, c), grid)
     with pytest.raises(NonFiniteState, match=r"h \|A1\| / 2 >= 1 .* h = 0.25"):
         u_map(u0, params, c, grid)
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+def test_march_step_count_comes_from_the_order_preserving_bounds(case):
+    field = _envelope_field(case)
+    steps = _STEP_CASES[case][2]
+    assert field.steps_per_checkpoint == steps
+    # the quadratic term's bound holds and binds: one step fewer breaks it
+    bound = 4.0 * float(np.max(field.dt_a3_s / field.s)) * field.ctx.eta
+    assert bound <= 1.0
+    if steps > 1:
+        assert bound * steps / (steps - 1) > 1.0
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    floor=st.floats(min_value=0.0, max_value=0.99),
+    ties=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_one_checkpoint_preserves_the_order_of_two_states(case, seed, floor, ties):
+    # comparison principle of the discrete march: 0 <= U1 <= U2 <= 2 eta
+    # node by node stays ordered after a checkpoint
+    field = _envelope_field(case)
+    ceiling = 2.0 * field.ctx.eta
+    rng = np.random.default_rng(seed)
+    n = field.grid.size
+    upper = ceiling * rng.uniform(floor, 1.0, n)
+    lower = upper * np.where(rng.random(n) < ties, 1.0, rng.random(n))
+    new_lower = field.advance_checkpoint(lower)
+    new_upper = field.advance_checkpoint(upper)
+    assert np.all(new_lower <= new_upper + 1e-12 * ceiling)
 
 
 # ----------------------------------------------------------------- u_map
@@ -245,6 +315,39 @@ def test_profile_map_limit_satisfies_the_frozen_field_equation():
 
 
 # --------------------------------------------------------- traveling wave
+def test_traveling_wave_at_a3_critical_speed_returns_a_profile():
+    # the march stays in its corridor; verification at 2 sqrt(a) is the
+    # critical tail's open question, not the march's
+    prof = traveling_wave(A3_PARAMS, A3_C_MIN)
+    assert prof.march_steps_per_checkpoint == 15
+    eta = speed_window(A3_PARAMS, A3_C_MIN).eta
+    assert np.all(prof.U > 0.0) and np.all(prof.U <= 2.0 * eta)
+
+
+_SWEEP = [
+    (a, m, share)
+    for a in (0.1, 0.5, 1.0, 2.0, 3.0)
+    for m in (2.0, 6.0)
+    for share in (0.25, 0.5)
+]
+
+
+@pytest.mark.parametrize(
+    "a, m, share", _SWEEP, ids=[f"a{a:g}-m{m:g}-{share:g}" for a, m, share in _SWEEP]
+)
+def test_march_returns_a_profile_across_the_window(a, m, share):
+    # b = 1.5 b*, c a quarter and half into the window [2 sqrt(a), c*]
+    b = 1.5 * b_star(m, a)
+    params = ModelParams(a=a, b=b, motility=PowerMotility(m))
+    c_min = 2.0 * math.sqrt(a)
+    c = c_min + share * (c_star(a, b, m) - c_min)
+    prof = traveling_wave(params, c)
+    assert np.all(prof.U > 0.0)
+    if a <= 1.0:
+        report = verify_profile(prof, params)
+        assert report.passed, [ch.name for ch in report.checks if not ch.passed]
+
+
 def test_traveling_wave_rejects_subminimal_speed():
     with pytest.raises(SpeedBelowMinimal):
         traveling_wave(PARAMS, 0.5 * C_MIN)
@@ -313,6 +416,8 @@ def test_verification_flags_a_constant_pair_as_not_a_front():
         ode_residual_v=0.0,
         picard_iterations=0,
         picard_change=0.0,
+        march_steps_per_checkpoint=0,
+        checkpoints=0,
     )
     report = verify_profile(prof, PARAMS)
     assert not report.passed
@@ -342,6 +447,8 @@ def _invisible_profile() -> WaveProfile:
         ode_residual_v=0.0,
         picard_iterations=0,
         picard_change=0.0,
+        march_steps_per_checkpoint=0,
+        checkpoints=0,
     )
 
 
@@ -369,23 +476,7 @@ def test_profile_dict_writes_non_finite_values_as_null():
 def test_verification_flags_an_injected_perturbation(critical_profile):
     rng = np.random.default_rng(7)
     noisy_u = critical_profile.U + 1e-3 * rng.standard_normal(critical_profile.U.size)
-    prof = WaveProfile(
-        grid=critical_profile.grid,
-        U=noisy_u,
-        V=critical_profile.V,
-        Uprime=critical_profile.Uprime,
-        Vprime=critical_profile.Vprime,
-        c=critical_profile.c,
-        lam=critical_profile.lam,
-        left_limit_U=critical_profile.left_limit_U,
-        left_limit_V=critical_profile.left_limit_V,
-        tail_ratio_U=critical_profile.tail_ratio_U,
-        tail_ratio_V=critical_profile.tail_ratio_V,
-        ode_residual_l=critical_profile.ode_residual_l,
-        ode_residual_v=critical_profile.ode_residual_v,
-        picard_iterations=critical_profile.picard_iterations,
-        picard_change=critical_profile.picard_change,
-    )
+    prof = dataclasses.replace(critical_profile, U=noisy_u)
     report = verify_profile(prof, PARAMS)
     by_name = {c.name: c for c in report.checks}
     assert not by_name["residual_u_equation"].passed
@@ -423,3 +514,5 @@ def test_profile_serialization_round_trips(critical_profile, tmp_path):
     assert side["c"] == critical_profile.c
     assert side["tail_ratio_U"] == critical_profile.tail_ratio_U
     assert side["picard_iterations"] == critical_profile.picard_iterations
+    assert side["march_steps_per_checkpoint"] == 1
+    assert side["checkpoints"] == critical_profile.checkpoints > 0
