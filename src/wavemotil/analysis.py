@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaUndefined, SpeedBelowMinimal, WindowViolation
-from .model import ModelParams, PowerMotility, motility_eval
+from .model import ModelParams, PowerMotility
 
 __all__ = [
     "WaveContext",
@@ -319,7 +319,7 @@ def linearize(params: ModelParams, c: float, at: str = "origin") -> Linearizatio
     """Linearize the traveling-wave system at 'origin' or 'coexistence'."""
     a, b = params.a, params.b
     if at == "origin":
-        g0 = float(np.asarray(motility_eval(params.motility, 0.0)[0]))
+        g0 = params.motility.gamma(0.0)
         matrix = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -332,7 +332,7 @@ def linearize(params: ModelParams, c: float, at: str = "origin") -> Linearizatio
         hopf = None
     elif at == "coexistence":
         eq = params.equilibrium
-        s1, s2, _ = (float(np.asarray(t)) for t in motility_eval(params.motility, eq))
+        s1, s2, _ = params.motility.eval(eq)
         matrix = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -378,7 +378,7 @@ def oscillation_condition(params: ModelParams) -> tuple[bool, float, float]:
         rhs = math.sqrt((1.0 + t) / t) * abs(math.sqrt(a * (1.0 + t) ** m) - 1.0)
     else:
         eq = params.equilibrium
-        s1, s2, _ = (float(np.asarray(v)) for v in motility_eval(params.motility, eq))
+        s1, s2, _ = params.motility.eval(eq)
         lhs = abs(s2)
         rhs = (b / a) * s1 * (math.sqrt(a / s1) - 1.0) ** 2
     return lhs < rhs, lhs, rhs

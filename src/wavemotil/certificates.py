@@ -47,7 +47,7 @@ from .analysis import (
     theta_bundle,
 )
 from .errors import CertificateFailed, NonFiniteTail, WindowViolation
-from .model import ModelParams, PowerMotility, motility_eval
+from .model import ModelParams
 
 __all__ = [
     "SubSolutionSpec",
@@ -110,12 +110,10 @@ class SubSolutionSpec:
 
 @dataclass(frozen=True)
 class VSolution:
-    """Chemical field V and derivative V' on a uniform grid, at speed c."""
+    """Chemical field V and derivative V' on the grid it was solved on."""
 
-    grid: np.ndarray
     values: np.ndarray
     dvalues: np.ndarray
-    c: float
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,7 @@ def _tail(bundle: ThetaBundle, d_n: float, d0: float, x):
     return d_n * np.exp(-th1 * x) + d0 * np.exp(-(th1 + bundle.shift) * x)
 
 
-def sub_solution(ctx: WaveContext, bundle: ThetaBundle, spec: SubSolutionSpec, x):
+def sub_solution(bundle: ThetaBundle, spec: SubSolutionSpec, x):
     """Plateau delta for x <= x_delta, two-rate tail beyond it."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, spec.delta, dtype=float)
@@ -350,14 +348,12 @@ def solve_v(
     dvalues = (lam1 * i1 + lam2 * i2) / denom
     for arr in (values, dvalues):
         arr.setflags(write=False)
-    out_grid = grid.copy()
-    out_grid.setflags(write=False)
-    return VSolution(grid=out_grid, values=values, dvalues=dvalues, c=float(c))
+    return VSolution(values=values, dvalues=dvalues)
 
 
 def residual_l(U, Up, Upp, V, Vp, params: ModelParams, c: float):
     """Evaluate L(U) pointwise from values and derivatives of U and V."""
-    g, gp, gpp = motility_eval(params.motility, V)
+    g, gp, gpp = params.motility.eval(V)
     return (
         g * Upp
         + (2.0 * gp * Vp + c) * Up
@@ -490,7 +486,7 @@ def _analytic_checks(
 
     # strict ordering 0 < lower < upper on the whole grid
     spec = SubSolutionSpec(n=n, d_n=d_n, d0=d0, delta=delta, x_delta=x_delta)
-    lower = sub_solution(ctx, tb, spec, grid)
+    lower = sub_solution(tb, spec, grid)
     upper = super_solution(ctx, grid)
     margin = min(float(np.min(lower)), float(np.min(upper - lower)))
     record("sandwich_ordering", margin, grid[int(np.argmin(upper - lower))], 0.0)

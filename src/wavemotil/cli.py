@@ -66,7 +66,6 @@ from .model import (
     ModelParams,
     PowerMotility,
     SigmoidMotility,
-    motility_eval,
 )
 from .pde import (
     DEFAULT_DT_MAX,
@@ -691,7 +690,7 @@ def run_scan_row(
 
 def cmd_speedscan(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     params = _model_params(resolved)
-    gamma0 = float(np.asarray(motility_eval(params.motility, 0.0)[0]))
+    gamma0 = params.motility.gamma(0.0)
     rows = [
         (lam0, *_scan_row(resolved, params, gamma0, lam0))
         for lam0 in resolved["lambda0"]

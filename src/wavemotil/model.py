@@ -27,7 +27,6 @@ __all__ = [
     "SigmoidMotility",
     "MotilityFamily",
     "ModelParams",
-    "motility_eval",
 ]
 
 
@@ -145,14 +144,4 @@ class ModelParams:
     @property
     def equilibrium(self) -> float:
         return self.a / self.b
-
-
-def motility_eval(family, v):
-    """Evaluate (gamma, gamma', gamma'') at v >= 0.
-
-    Accepts scalars or arrays; rejects any negative or non-finite v.  Any
-    object exposing an ``eval(v)`` triple works, but the supported families
-    are exactly the three closed-form ones above.
-    """
-    return family.eval(v)
 

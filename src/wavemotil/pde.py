@@ -151,7 +151,8 @@ __all__ = [
     "DEFAULT_DT_MAX",
 ]
 
-#: Step size of ``simulate``, cut short only to land on a snapshot time.
+#: Largest step of ``simulate``, which splits each snapshot interval into the
+#: fewest equal steps of at most this size.
 DEFAULT_DT_MAX = 0.1
 
 _NEG_FLOOR = -1e-12

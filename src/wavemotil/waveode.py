@@ -17,7 +17,7 @@ The profile is built exactly the way its existence is certified:
        U_t = U'' + A1(z) U' + A2(z) U - A3(z) U^2,
 
    starting from the certified upper envelope, until it settles
-   (``solve_auxiliary`` / ``u_map``), and
+   (``u_map``), and
 3. the map u -> settled U is iterated to its fixed point
    (``traveling_wave``), which stays pinched inside the certified
    corridor at every stage.
@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
-from .analysis import WaveContext, kappa, speed_window
+from .analysis import kappa, speed_window
 from .certificates import (
     CheckRecord,
     VSolution,
@@ -59,15 +59,13 @@ from .certificates import (
     super_solution,
 )
 from .errors import BlowUp, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
-from .model import ModelParams, PowerMotility, motility_eval
+from .model import ModelParams, PowerMotility
 from .pde import csv_rows, spd_tridiagonal_factor
 
 __all__ = [
-    "AuxiliaryRun",
     "WaveProfile",
     "VerificationReport",
     "default_wave_grid",
-    "solve_auxiliary",
     "u_map",
     "traveling_wave",
     "verify_profile",
@@ -123,21 +121,6 @@ def default_wave_grid(params: ModelParams, c: float, h: float = 0.05) -> np.ndar
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuxiliaryRun:
-    """Checkpointed relaxation history in a frozen chemical field.
-
-    ``snapshots[k]`` is the state at ``times[k]``; successive snapshots are
-    pointwise nonincreasing (the run starts at an upper envelope), and
-    ``final_increment`` is the sup-norm change over the last checkpoint.
-    """
-
-    times: np.ndarray
-    snapshots: np.ndarray
-    max_monotone_violation: float
-    final_increment: float
-
-
 class _FrozenField:
     """Coefficients and solver state for one relaxation march.
 
@@ -173,7 +156,7 @@ class _FrozenField:
         Vp = vsol.dvalues
         if not (np.all(np.isfinite(V)) and float(np.min(V)) >= 0.0):
             raise NonFiniteState(f"chemical field negative or non-finite at h = {h:g}")
-        g, gp, gpp = motility_eval(params.motility, V)
+        g, gp, gpp = params.motility.eval(V)
         a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
         a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
         a3 = ((gp + params.b) / g)[1:-1]
@@ -249,7 +232,7 @@ def _plateau_value(params: ModelParams, v_left: float) -> float:
     Solves A2 u = A3 u^2 at zero slope; when the chemical level equals the
     density this reduces exactly to a/b.
     """
-    _, gp, _ = motility_eval(params.motility, v_left)
+    _, gp, _ = params.motility.eval(v_left)
     den = params.b + gp
     if den <= 0.0:
         return params.equilibrium
@@ -269,69 +252,6 @@ def _chemical_field(grid, u, c: float, lam: float) -> VSolution:
     )
 
 
-def _march(field: _FrozenField, state: np.ndarray, t_end: float):
-    """Relax ``state`` checkpoint by checkpoint up to ``t_end``.
-
-    Yields each new snapshot with its rise over the previous one and the
-    sup-norm of the change, both taken from one difference.  Raises
-    ``BlowUp`` if a state leaves [0, 2 eta] and ``NonMonotone`` if a
-    snapshot rises above its predecessor by more than _MONOTONE_SLACK.
-    """
-    field.corridor_check(state)
-    for k in range(1, max(1, math.ceil(t_end / _CHECKPOINT_DT - 1e-12)) + 1):
-        new = field.advance_checkpoint(state)
-        field.corridor_check(new)
-        change = new - state
-        rise = float(change.max())
-        if rise > _MONOTONE_SLACK:
-            raise NonMonotone(
-                f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
-            )
-        yield new, rise, max(rise, -float(change.min()))
-        state = new
-
-
-def solve_auxiliary(
-    u,
-    params: ModelParams,
-    c: float,
-    t_end: float,
-    grid,
-    *,
-    initial=None,
-    u_left_bc: float | None = None,
-) -> AuxiliaryRun:
-    """Relax the density in the chemical field of ``u`` for a fixed horizon.
-
-    The field V(z; u) is frozen, the state starts at the certified upper
-    envelope (or at ``initial``), and snapshots are recorded every
-    checkpoint (one unit of artificial time).  The left boundary is
-    pinned at ``u_left_bc`` when given, otherwise at the flat-state
-    density consistent with the frozen chemical level there.  Raises
-    ``BlowUp`` if the state leaves [0, 2 eta] and ``NonMonotone`` if a
-    snapshot rises above its predecessor by more than the monotone slack.
-    """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    field = _FrozenField(u, params, c, grid, u_left_bc)
-    state = (
-        field.initial_state()
-        if initial is None
-        else np.array(initial, dtype=float, copy=True)
-    )
-    snapshots = [state]
-    worst = 0.0
-    for state, rise, final_increment in _march(field, state, t_end):
-        worst = max(worst, rise)
-        snapshots.append(state)
-    return AuxiliaryRun(
-        times=_CHECKPOINT_DT * np.arange(len(snapshots)),
-        snapshots=np.asarray(snapshots),
-        max_monotone_violation=worst,
-        final_increment=final_increment,
-    )
-
-
 def u_map(
     u,
     params: ModelParams,
@@ -343,22 +263,35 @@ def u_map(
 ) -> np.ndarray:
     """One application of the profile map: relax in the field of ``u`` to rest.
 
-    Marches the frozen-field relaxation from the upper envelope until the
-    sup-norm change per checkpoint drops below the settling tolerance
-    (see _TOL_LIMIT for why it is not tighter); raises ``NoConvergence``
-    if that does not happen by the time cap.  When ``marches`` is given,
-    the march's steps per checkpoint and the checkpoints it took are
-    appended to it as one pair.
+    Marches the frozen-field relaxation from the upper envelope, one unit
+    of artificial time per checkpoint, until the sup-norm change per
+    checkpoint drops below the settling tolerance (see _TOL_LIMIT for why
+    it is not tighter).  The left boundary is pinned at ``u_left_bc`` when
+    given, otherwise at the flat-state density of the frozen chemical level
+    there.  Raises ``BlowUp`` if a state leaves [0, 2 eta], ``NonMonotone``
+    if a checkpoint rises above its predecessor by more than
+    _MONOTONE_SLACK, and ``NoConvergence`` if the march has not settled by
+    the time cap.  When ``marches`` is given, the march's steps per
+    checkpoint and the checkpoints it took are appended to it as one pair.
     """
     field = _FrozenField(u, params, c, grid, u_left_bc)
-    for k, (state, _, increment) in enumerate(
-        _march(field, field.initial_state(), _T_MAX), start=1
-    ):
-        if increment < _TOL_LIMIT:
+    state = field.initial_state()
+    field.corridor_check(state)
+    for k in range(1, math.ceil(_T_MAX / _CHECKPOINT_DT) + 1):
+        new = field.advance_checkpoint(state)
+        field.corridor_check(new)
+        change = new - state
+        rise = float(change.max())
+        if rise > _MONOTONE_SLACK:
+            raise NonMonotone(
+                f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
+            )
+        if max(rise, -float(change.min())) < _TOL_LIMIT:
             if marches is not None:
                 marches.append((field.steps_per_checkpoint, k))
-            state.setflags(write=False)
-            return state
+            new.setflags(write=False)
+            return new
+        state = new
     raise NoConvergence(
         f"relaxation did not settle to {_TOL_LIMIT:g} within t={_T_MAX:g}"
     )
@@ -573,7 +506,7 @@ def verify_profile(profile: WaveProfile, params: ModelParams) -> VerificationRep
     def record(name, margins, locations):
         checks.append(CheckRecord.worst_of(name, margins, locations))
 
-    g = motility_eval(params.motility, V)[0]
+    g = params.motility.gamma(V)
     W = g * U
     wpp = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / h**2
     up = (U[2:] - U[:-2]) / (2.0 * h)

@@ -247,9 +247,9 @@ def test_sub_solution_matches_at_junction(c):
     )
     assert abs(tail_at_junction - delta) < 1e-10
     # plateau left of the junction, two-rate tail to the right
-    assert sub_solution(ctx, tb, spec, x_delta - 3.0) == delta
+    assert sub_solution(tb, spec, x_delta - 3.0) == delta
     x_right = x_delta + 7.0
-    got = sub_solution(ctx, tb, spec, x_right)
+    got = sub_solution(tb, spec, x_right)
     single = 0.5 * math.exp(-tb.theta1(x_right) * x_right)
     if ctx.is_critical:
         assert got > single
@@ -257,7 +257,7 @@ def test_sub_solution_matches_at_junction(c):
         assert got < single
     # continuity across the junction
     eps = 1e-9
-    assert sub_solution(ctx, tb, spec, x_delta + eps) == pytest.approx(delta, rel=1e-6)
+    assert sub_solution(tb, spec, x_delta + eps) == pytest.approx(delta, rel=1e-6)
 
 
 def test_sub_solution_vectorized_matches_scalar():
@@ -266,8 +266,8 @@ def test_sub_solution_vectorized_matches_scalar():
     x_delta, _ = locate_junction(tb, d_n=0.5, d0=1.0, delta=1e-6)
     spec = SubSolutionSpec(n=2, d_n=0.5, d0=1.0, delta=1e-6, x_delta=x_delta)
     xs = np.linspace(x_delta - 10.0, x_delta + 50.0, 97)
-    vec = sub_solution(ctx, tb, spec, xs)
-    scal = np.array([sub_solution(ctx, tb, spec, x) for x in xs])
+    vec = sub_solution(tb, spec, xs)
+    scal = np.array([sub_solution(tb, spec, x) for x in xs])
     assert np.array_equal(vec, scal)
 
 
@@ -574,7 +574,7 @@ def test_certificate_sandwich_is_strict_on_the_grid():
         delta=report.delta, x_delta=report.x_delta,
     )
     x = np.linspace(report.x_delta - 15.0, report.x_delta + 150.0, 5000)
-    lower = sub_solution(ctx, tb, spec, x)
+    lower = sub_solution(tb, spec, x)
     upper = super_solution(ctx, x)
     assert np.all(lower > 0.0)
     assert np.all(lower < upper)

@@ -12,7 +12,6 @@ from wavemotil import (
     ModelParams,
     PowerMotility,
     SigmoidMotility,
-    motility_eval,
 )
 
 ALL_FAMILIES = [
@@ -39,7 +38,7 @@ def fd_derivatives(family, v, h=1e-5):
 
 
 def test_power_closed_form_values():
-    g, gp, gpp = motility_eval(PowerMotility(6.0), 1.0)
+    g, gp, gpp = PowerMotility(6.0).eval(1.0)
     assert g == pytest.approx(2.0**-6, rel=1e-15)
     assert gp == pytest.approx(-6.0 * 2.0**-7, rel=1e-15)
     assert gpp == pytest.approx(42.0 * 2.0**-8, rel=1e-15)
@@ -47,7 +46,7 @@ def test_power_closed_form_values():
 
 def test_exponential_closed_form_values():
     chi = 0.7
-    g, gp, gpp = motility_eval(ExponentialMotility(chi), 2.0)
+    g, gp, gpp = ExponentialMotility(chi).eval(2.0)
     assert g == pytest.approx(np.exp(-1.4), rel=1e-14)
     assert gp == pytest.approx(-chi * np.exp(-1.4), rel=1e-14)
     assert gpp == pytest.approx(chi**2 * np.exp(-1.4), rel=1e-14)
@@ -55,22 +54,22 @@ def test_exponential_closed_form_values():
 
 def test_sigmoid_unit_value_at_switch_point():
     fam = SigmoidMotility(0.1, 1.0)
-    g, gp, _ = motility_eval(fam, 1.0)
+    g, gp, _ = fam.eval(1.0)
     assert g == pytest.approx(1.0, abs=1e-15)
     assert gp < 0
 
 
 def test_sigmoid_convexity_changes_at_switch_point():
     fam = SigmoidMotility(0.1, 1.0)
-    _, _, below = motility_eval(fam, 0.5)
-    _, _, above = motility_eval(fam, 1.5)
+    _, _, below = fam.eval(0.5)
+    _, _, above = fam.eval(1.5)
     assert below < 0 < above
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
 def test_derivatives_match_finite_differences(family):
     vs = np.linspace(0.01, 10.0, 400)
-    _, gp, gpp = motility_eval(family, vs)
+    _, gp, gpp = family.eval(vs)
     fd1, fd2 = fd_derivatives(family, vs)
     assert np.max(np.abs(gp - fd1) / np.maximum(np.abs(gp), 1e-12)) < 1e-6
     assert np.all(np.abs(gpp - fd2) <= 1e-4 * np.abs(gpp) + 1e-6)
@@ -79,7 +78,7 @@ def test_derivatives_match_finite_differences(family):
 def test_power_family_bounds():
     m = 6.0
     vs = np.linspace(0.0, 50.0, 2000)
-    g, gp, gpp = motility_eval(PowerMotility(m), vs)
+    g, gp, gpp = PowerMotility(m).eval(vs)
     assert np.all((g > 0) & (g <= 1.0))
     # gamma'(0) = -m exactly; the bound is strict only for v > 0.
     assert np.all((gp >= -m) & (gp < 0))
@@ -90,9 +89,9 @@ def test_power_family_bounds():
 def test_rejects_negative_v():
     for family in ALL_FAMILIES:
         with pytest.raises(ValueError):
-            motility_eval(family, -0.5)
+            family.eval(-0.5)
         with pytest.raises(ValueError):
-            motility_eval(family, np.array([0.2, -1e-9]))
+            family.eval(np.array([0.2, -1e-9]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -100,7 +99,7 @@ def test_rejects_non_finite_v(value):
     # Checked before any arithmetic: NaN used to pass through to
     # (nan, nan), and the sigmoid law turned inf into NaN with a warning.
     for family in ALL_FAMILIES:
-        for evaluate in (motility_eval, type(family).gamma):
+        for evaluate in (type(family).eval, type(family).gamma):
             with pytest.raises(ValueError, match="finite"):
                 evaluate(family, value)
             with pytest.raises(ValueError, match="finite"):
@@ -110,12 +109,12 @@ def test_rejects_non_finite_v(value):
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
 def test_gamma_is_the_first_term_bit_for_bit(family):
     # The time stepper's evaluator computes gamma alone, by the expression
-    # of motility_eval.
+    # eval uses.
     vs = np.linspace(0.0, 10.0, 401)
-    assert family.gamma(vs).tobytes() == motility_eval(family, vs)[0].tobytes()
+    assert family.gamma(vs).tobytes() == family.eval(vs)[0].tobytes()
     for v in (0.0, 0.3, 1.0, 7.5):
         g = family.gamma(v)
-        assert isinstance(g, float) and g == motility_eval(family, v)[0]
+        assert isinstance(g, float) and g == family.eval(v)[0]
     with pytest.raises(ValueError):
         family.gamma(-0.5)
     with pytest.raises(ValueError):
@@ -123,9 +122,9 @@ def test_gamma_is_the_first_term_bit_for_bit(family):
 
 
 def test_scalar_in_scalar_out():
-    g, gp, gpp = motility_eval(PowerMotility(2.0), 0.3)
+    g, gp, gpp = PowerMotility(2.0).eval(0.3)
     assert isinstance(g, float) and isinstance(gp, float) and isinstance(gpp, float)
-    arr = motility_eval(PowerMotility(2.0), np.array([0.3, 0.4]))[0]
+    arr = PowerMotility(2.0).eval(np.array([0.3, 0.4]))[0]
     assert arr.shape == (2,)
 
 

@@ -32,7 +32,6 @@ from wavemotil.model import (
     ModelParams,
     PowerMotility,
     SigmoidMotility,
-    motility_eval,
 )
 from wavemotil.pde import (
     ArrayIC,
@@ -247,7 +246,7 @@ def _manufactured_1d(params, lx=10.0):
         return -0.2 * (2 * np.pi / lx) * np.sin(2 * np.pi * x / lx)
 
     def flux(x):
-        g, gp, _ = motility_eval(mot, v_ex(x))
+        g, gp, _ = mot.eval(v_ex(x))
         return g * du_ex(x) + u_ex(x) * gp * dv_ex(x)
 
     def exact_rhs_u(x, d=1e-5):
@@ -301,13 +300,13 @@ class TestSpatialOrder:
         def flux_x(x, y, d=1e-5):
             dudx = (u_ex(x + d, y) - u_ex(x - d, y)) / (2 * d)
             dvdx = (v_ex(x + d, y) - v_ex(x - d, y)) / (2 * d)
-            g, gp, _ = motility_eval(mot, v_ex(x, y))
+            g, gp, _ = mot.eval(v_ex(x, y))
             return g * dudx + u_ex(x, y) * gp * dvdx
 
         def flux_y(x, y, d=1e-5):
             dudy = (u_ex(x, y + d) - u_ex(x, y - d)) / (2 * d)
             dvdy = (v_ex(x, y + d) - v_ex(x, y - d)) / (2 * d)
-            g, gp, _ = motility_eval(mot, v_ex(x, y))
+            g, gp, _ = mot.eval(v_ex(x, y))
             return g * dudy + u_ex(x, y) * gp * dvdy
 
         f = make_field(2, ((0.0, lx), (0.0, ly)), h, u0=0.0, v0=0.0)
@@ -397,7 +396,7 @@ class TestStepErrors:
     def _old_advective_bound(f, params):
         """The bound 0.4 h / max |gamma'(v) dv/dn| the explicit cross-diffusion
         flux of the expanded form put on dt."""
-        _, gp, _ = motility_eval(params.motility, f.v)
+        _, gp, _ = params.motility.eval(f.v)
         peak = 0.0
         for ax in range(f.dim):
             face = 0.5 * (np.delete(gp, 0, ax) + np.delete(gp, -1, ax))
@@ -605,7 +604,7 @@ def _allocating_step(f, params, dt, before=None):
     lead, rhs_u, rhs_v = TestChemicalMassIdentity._scheme(f, before, params, dt)
     st.chain(f, dt, None, None)  # feeds the 2-D starts
     v_frozen = f.v if before is None else np.maximum(2.0 * f.v - before.v, 0.0)
-    gamma = motility_eval(params.motility, v_frozen)[0]
+    gamma = params.motility.gamma(v_frozen)
     held_w = gamma * st.pin_u
     if f.dim == 1:
         diag_u = lead * st.weights / gamma

@@ -34,7 +34,6 @@ from wavemotil import (
     SpeedBelowMinimal,
     default_wave_grid,
     residual_l,
-    solve_auxiliary,
     solve_v,
     speed_window,
     super_solution,
@@ -44,7 +43,6 @@ from wavemotil import (
 )
 from wavemotil import waveode
 from wavemotil.analysis import b_star, c_star
-from wavemotil.model import motility_eval
 from wavemotil.waveode import WaveProfile, _fit_tail_ratio
 
 A, B, M = 0.1, 60.0, 6.0
@@ -61,44 +59,58 @@ def critical_profile():
 
 
 # ------------------------------------------------------------- aux march
-def test_auxiliary_starts_at_the_super_solution():
+def test_relaxation_starts_at_the_super_solution():
     grid = default_wave_grid(PARAMS, C_MIN)
-    ctx = speed_window(PARAMS, C_MIN)
-    u0 = super_solution(ctx, grid)
-    run = solve_auxiliary(u0, PARAMS, C_MIN, 3.0, grid)
-    assert np.array_equal(run.snapshots[0], u0)
-    assert run.times[0] == 0.0
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
+    assert np.array_equal(field.initial_state(), u0)
 
 
-def test_auxiliary_snapshots_decrease_in_time():
+def test_relaxation_checkpoints_decrease_in_time():
     grid = default_wave_grid(PARAMS, C_MIN)
-    ctx = speed_window(PARAMS, C_MIN)
-    u0 = super_solution(ctx, grid)
-    run = solve_auxiliary(u0, PARAMS, C_MIN, 10.0, grid)
-    assert run.max_monotone_violation <= 1e-9
-    for snap in run.snapshots:
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
+    snapshots = [field.initial_state()]
+    for _ in range(10):
+        snapshots.append(field.advance_checkpoint(snapshots[-1]))
+    changes = [new - old for old, new in zip(snapshots, snapshots[1:])]
+    assert max(float(change.max()) for change in changes) <= 1e-9
+    for snap in snapshots:
         assert np.all(snap <= u0 + 1e-9)
         assert np.all(snap >= -1e-12)
-    assert run.final_increment < np.max(np.abs(run.snapshots[1] - run.snapshots[0])) + 1e-15
+    assert np.max(np.abs(changes[-1])) < np.max(np.abs(changes[0]))
 
 
 def test_auxiliary_raises_when_a_snapshot_rises(monkeypatch):
-    # the pinned right end never moves, so every snapshot rises by at least
-    # zero, which a negative slack rejects at the first checkpoint
-    monkeypatch.setattr(waveode, "_MONOTONE_SLACK", -1.0)
+    # at the default slack: the first checkpoint descends as marched, the
+    # second rises by 1e-6 everywhere, inside the corridor
+    advance = waveode._FrozenField.advance_checkpoint
+    calls = []
+
+    def rising_second_checkpoint(self, state):
+        calls.append(None)
+        return advance(self, state) if len(calls) == 1 else state + 1e-6
+
+    monkeypatch.setattr(
+        waveode._FrozenField, "advance_checkpoint", rising_second_checkpoint
+    )
     grid = default_wave_grid(PARAMS, C_MIN)
     u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
-    with pytest.raises(NonMonotone, match="rose by .* at t=1"):
-        solve_auxiliary(u0, PARAMS, C_MIN, 3.0, grid)
+    with pytest.raises(NonMonotone, match=r"rose by 1\.000e-06 at t=2"):
+        u_map(u0, PARAMS, C_MIN, grid)
 
 
-def test_auxiliary_rejects_states_outside_the_corridor():
+def test_profile_map_rejects_states_outside_the_corridor(monkeypatch):
     grid = default_wave_grid(PARAMS, C_MIN)
     ctx = speed_window(PARAMS, C_MIN)
     u0 = super_solution(ctx, grid)
-    bad = np.full_like(grid, 2.5 * ctx.eta)
-    with pytest.raises(BlowUp):
-        solve_auxiliary(u0, PARAMS, C_MIN, 2.0, grid, initial=bad)
+    monkeypatch.setattr(
+        waveode._FrozenField,
+        "advance_checkpoint",
+        lambda self, state: np.full_like(state, 2.5 * ctx.eta),
+    )
+    with pytest.raises(BlowUp, match="left the corridor"):
+        u_map(u0, PARAMS, C_MIN, grid)
 
 
 # the fields of the envelope at the gate's critical and mid-window speeds, on
@@ -128,7 +140,7 @@ def _general_lu_checkpoint(u, params, c, grid, state, steps):
     h = float(grid[1] - grid[0])
     vsol = waveode._chemical_field(grid, u, c, ctx.lam)
     V, Vp = vsol.values, vsol.dvalues
-    g, gp, gpp = motility_eval(params.motility, V)
+    g, gp, gpp = params.motility.eval(V)
     a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
     a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
     a3 = ((gp + params.b) / g)[1:-1]
