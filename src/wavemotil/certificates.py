@@ -18,12 +18,14 @@ source at once, not one sample.
 The plateau height delta is found by adaptive halving: each candidate fixes
 the junction x_delta (rightmost root of the matching equation: the rightmost
 sign-change cell of a scan, resampled and narrowed until it is narrower than
-1e-12 + 4 eps |x|) and a dense grid around it.  The candidate is screened
-on the tail margin at the first _SCREEN_POINTS grid points past x_delta; one
+1e-12 + 4 eps |x|) and a dense grid around it.  The junctions of a block of
+_HEIGHT_BLOCK candidates are searched together, each bit for bit as on its
+own.  A candidate is screened on the tail margin at the first
+_SCREEN_POINTS grid points past x_delta, computed without the grid; one
 that fails there is rejected, since by the worst-point rule below a failing
 subset fails the whole grid.  Only a candidate that passes the screen gets
-every margin on the whole grid.  The halving range, the grid and screen
-sizes and the two slacks are module constants.
+the grid and every margin on it.  The halving range, the block, grid and
+screen sizes and the two slacks are module constants.
 
 Every check is a ``CheckRecord`` built from per-point margins by one rule:
 the worst point is kept and the check passes iff margin > -slack, so a NaN
@@ -75,6 +77,8 @@ _DELTA_FLOOR = 1e-18
 _GRID_POINTS = 40_000
 # leading grid points past the junction on which a plateau height is screened
 _SCREEN_POINTS = 64
+# plateau heights whose junctions are searched together
+_HEIGHT_BLOCK = 8
 # slack of the analytic sign checks and relative slack of the V envelopes
 _MARGIN_SLACK = 1e-12
 _V_REL_SLACK = 1e-5
@@ -225,35 +229,64 @@ def locate_junction(
     scan of [0, x_max].  With d0 = -1 the matching function typically
     changes sign twice (it starts negative, rises, then decays); the
     rightmost root lies on the decreasing branch, which is the one the
-    plateau must glue to.  The rightmost sign-change cell of the scan is
-    resampled on _REFINE_POINTS points and narrowed to its rightmost
-    sign-change cell until it is narrower than 1e-12 + 4 eps |x|; x_delta
-    is its midpoint.  Raises CertificateFailed when the scan finds no sign
-    change, which simply means this plateau height is too large.
+    plateau must glue to.  This is the one-height case of
+    ``_locate_junctions``, which describes the search.  Raises
+    CertificateFailed when the scan finds no sign change, which simply
+    means this plateau height is too large.
     """
     if not delta > 0.0:
         raise ValueError("plateau height delta must be positive")
-    lam = bundle.ctx.lam
-    x_max = 10.0 / lam * (1.0 + abs(math.log(delta)))
-    xs = np.linspace(0.0, x_max, 4097)
-    sign = np.sign(_tail(bundle, d_n, d0, xs) - delta)
-    brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    if len(brackets) == 0:
+    x_delta, crossings = _locate_junctions(bundle, d_n, d0, [delta])
+    if crossings[0] == 0:
         raise CertificateFailed(
             f"matching equation has no root for plateau height {delta!r}",
             failing_check="junction_matching",
             delta=delta,
         )
-    i = int(brackets[-1])
-    lo, hi, right = xs[i], xs[i + 1], sign[i + 1]
-    while hi - lo >= _ROOT_XTOL + _ROOT_RTOL * hi:
-        xs = np.linspace(lo, hi, _REFINE_POINTS)
-        sign = np.sign(_tail(bundle, d_n, d0, xs) - delta)
+    return float(x_delta[0]), int(crossings[0])
+
+
+def _locate_junctions(
+    bundle: ThetaBundle, d_n: float, d0: float, deltas
+) -> tuple[np.ndarray, np.ndarray]:
+    """Junctions of a block of plateau heights, searched together.
+
+    Row k scans the matching function for deltas[k] on 4097 points of
+    [0, x_max_k], x_max_k = 10 (1 + |log deltas[k]|) / lambda, and counts
+    its sign changes.  The rightmost sign-change cell is resampled on
+    _REFINE_POINTS points and narrowed to its rightmost sign-change cell
+    until it is narrower than 1e-12 + 4 eps |x|; x_delta is its midpoint.
+    All rows advance together, each by the arithmetic a search of its
+    height alone would do, so every row is bit for bit that search.
+    Returns (x_delta, sign_change_count) per row, NaN and 0 for a height
+    whose scan finds no sign change.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    lam = bundle.ctx.lam
+    x_max = np.array([10.0 / lam * (1.0 + abs(math.log(d))) for d in deltas])
+    xs = np.linspace(0.0, x_max, 4097, axis=1)
+    sign = np.sign(_tail(bundle, d_n, d0, xs) - deltas[:, None])
+    cells = sign[:, :-1] * sign[:, 1:] < 0.0
+    crossings = np.count_nonzero(cells, axis=1)
+    found = np.flatnonzero(crossings)
+    # the rightmost sign-change cell of each row with a root
+    i = cells.shape[1] - 1 - np.argmax(cells[found, ::-1], axis=1)
+    lo, hi, right = xs[found, i], xs[found, i + 1], sign[found, i + 1]
+    found_deltas = deltas[found, None]
+    active = np.flatnonzero(hi - lo >= _ROOT_XTOL + _ROOT_RTOL * hi)
+    while active.size:
+        xs = np.linspace(lo[active], hi[active], _REFINE_POINTS, axis=1)
+        sign = np.sign(_tail(bundle, d_n, d0, xs) - found_deltas[active])
         # the left end is a root or has the other sign, so j exists and the
         # new cell still holds a root
-        j = int(np.nonzero(sign != right)[0][-1])
-        lo, hi = xs[j], xs[j + 1]
-    return float(0.5 * (lo + hi)), int(len(brackets))
+        other = sign != right[active, None]
+        j = _REFINE_POINTS - 1 - np.argmax(other[:, ::-1], axis=1)
+        k = np.arange(active.size)
+        lo[active], hi[active] = xs[k, j], xs[k, j + 1]
+        active = active[hi[active] - lo[active] >= _ROOT_XTOL + _ROOT_RTOL * hi[active]]
+    x_delta = np.full(deltas.size, math.nan)
+    x_delta[found] = 0.5 * (lo + hi)
+    return x_delta, crossings
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +545,28 @@ def _v_checks(ctx: WaveContext, grid: np.ndarray) -> list[CheckRecord]:
     ]
 
 
+def _margin_span(ctx: WaveContext, x_delta: float) -> tuple[float, float]:
+    """Ends of the margin grid around a junction."""
+    return x_delta - 20.0 / ctx.lam, x_delta + 200.0 / ctx.lam
+
+
+def _screen_points(lo: float, hi: float, x_delta: float) -> np.ndarray:
+    """The first _SCREEN_POINTS points past x_delta of the margin grid
+    ``np.linspace(lo, hi, _GRID_POINTS)``.
+
+    Each point is lo + i step, the arithmetic of ``np.linspace``, so these
+    are the grid's own bits without building the grid.
+    """
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    # a few points on either side of the estimated first index, which
+    # rounding can miss by one
+    first = max(0, int((x_delta - lo) / step) - 2)
+    idx = np.arange(first, min(first + _SCREEN_POINTS + 5, _GRID_POINTS))
+    points = idx * step + lo
+    points[idx == _GRID_POINTS - 1] = hi
+    return points[points > x_delta][:_SCREEN_POINTS]
+
+
 def certify_pair(
     params: ModelParams,
     c: float,
@@ -521,13 +576,17 @@ def certify_pair(
     super- and sub-solutions of L over the whole sandwich class.
 
     The plateau height is halved from _DELTA_START until every sign check
-    passes.  Each candidate re-locates the junction and screens the
-    ``sub_tail`` margin on the first _SCREEN_POINTS grid points past it: a
-    height that fails there is rejected on that slice alone, and only a
-    height that passes it gets every analytic check on the whole grid and
-    then the chemical-field envelopes.  A margin that fails on a slice
-    fails on the whole grid, so the accepted height, and so the report, is
-    the one a full evaluation of every candidate would accept.  Raises
+    passes.  The junctions of _HEIGHT_BLOCK heights at a time are located
+    by one batched search (``_locate_junctions``), whose every row is the
+    search ``locate_junction`` does for that height alone.  Each candidate
+    then screens the ``sub_tail`` margin on the first _SCREEN_POINTS points
+    of its margin grid past the junction, computed as linspace computes
+    them, without the grid: a height that fails there is rejected on that
+    slice alone, and only a height that passes it gets the grid, every
+    analytic check on it and then the chemical-field envelopes.  A margin
+    that fails on a slice fails on the whole grid, so the accepted height,
+    and so the report, is the one a full evaluation of every candidate
+    would accept.  Raises
     WindowViolation outside b >= b_threshold or c outside [2 sqrt(a),
     c_max]; raises CertificateFailed if no plateau height above
     _DELTA_FLOOR works, naming the first check a full evaluation fails at
@@ -545,70 +604,71 @@ def certify_pair(
     d_n = 1.0 - 1.0 / n
     d0 = 1.0 if ctx.is_critical else -1.0
 
+    heights = []
     delta = _DELTA_START
-    # (delta, x_delta, grid) of the last height that failed; x_delta and grid
-    # are None when its matching equation had no root
-    last_fail: tuple[float, float | None, np.ndarray | None] | None = None
     while delta >= _DELTA_FLOOR:
-        try:
-            x_delta, crossings = locate_junction(tb, d_n, d0, delta)
-        except CertificateFailed:
-            last_fail = (delta, None, None)
-            delta *= 0.5
-            continue
-        lo = x_delta - 20.0 / ctx.lam
-        hi = x_delta + 200.0 / ctx.lam
-        grid = np.linspace(lo, hi, _GRID_POINTS)
-        # too large a height fails the tail margin already on the first
-        # points past the junction, so those points alone can reject it;
-        # only a height that passes them gets every check
-        start = int(np.searchsorted(grid, x_delta, side="right"))
-        xs = grid[start : start + _SCREEN_POINTS]
-        screen = CheckRecord.worst_of(
-            "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xs, tb.theta1(xs)), xs
-        )
-        checks = (
-            _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
-            if screen.passed
-            else [screen]
-        )
-        if not all(ch.passed for ch in checks):
-            last_fail = (delta, x_delta, grid)
-            delta *= 0.5
-            continue
-        checks = checks + _v_checks(ctx, grid)
-        failing = [ch for ch in checks if not ch.passed]
-        if failing:
-            # the chemical-field envelopes do not depend on the plateau
-            # height, so shrinking it further cannot help
-            raise CertificateFailed(
-                f"chemical-field envelope check {failing[0].name!r} failed "
-                f"(margin {failing[0].margin!r})",
-                failing_check=failing[0].name,
-                delta=delta,
+        heights.append(delta)
+        delta *= 0.5
+    # (delta, x_delta) of the last height that failed; x_delta is None when
+    # its matching equation had no root
+    last_fail: tuple[float, float | None] | None = None
+    for first in range(0, len(heights), _HEIGHT_BLOCK):
+        block = heights[first : first + _HEIGHT_BLOCK]
+        junctions, crossings = _locate_junctions(tb, d_n, d0, block)
+        for delta, x_delta, count in zip(block, junctions.tolist(), crossings.tolist()):
+            if count == 0:
+                last_fail = (delta, None)
+                continue
+            # too large a height fails the tail margin already on the first
+            # points past the junction, so those points alone can reject it;
+            # only a height that passes them gets the grid and every check
+            lo, hi = _margin_span(ctx, x_delta)
+            xs = _screen_points(lo, hi, x_delta)
+            screen = CheckRecord.worst_of(
+                "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xs, tb.theta1(xs)), xs
             )
-        return CertificateReport(
-            a=ctx.a,
-            b=ctx.b,
-            m=ctx.m,
-            c=ctx.c,
-            n=n,
-            d_n=d_n,
-            d0=d0,
-            delta=delta,
-            x_delta=x_delta,
-            sign_changes=crossings,
-            grid_lo=lo,
-            grid_hi=hi,
-            grid_points=_GRID_POINTS,
-            passed=True,
-            checks=tuple(checks),
-        )
+            if not screen.passed:
+                last_fail = (delta, x_delta)
+                continue
+            grid = np.linspace(lo, hi, _GRID_POINTS)
+            checks = _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
+            if not all(ch.passed for ch in checks):
+                last_fail = (delta, x_delta)
+                continue
+            checks = checks + _v_checks(ctx, grid)
+            failing = [ch for ch in checks if not ch.passed]
+            if failing:
+                # the chemical-field envelopes do not depend on the plateau
+                # height, so shrinking it further cannot help
+                raise CertificateFailed(
+                    f"chemical-field envelope check {failing[0].name!r} failed "
+                    f"(margin {failing[0].margin!r})",
+                    failing_check=failing[0].name,
+                    delta=delta,
+                )
+            return CertificateReport(
+                a=ctx.a,
+                b=ctx.b,
+                m=ctx.m,
+                c=ctx.c,
+                n=n,
+                d_n=d_n,
+                d0=d0,
+                delta=delta,
+                x_delta=x_delta,
+                sign_changes=count,
+                grid_lo=lo,
+                grid_hi=hi,
+                grid_points=_GRID_POINTS,
+                passed=True,
+                checks=tuple(checks),
+            )
     name, bad_delta = "junction_matching", _DELTA_START
     if last_fail is not None:
-        bad_delta, x_delta, grid = last_fail
-        if grid is not None:
+        bad_delta, x_delta = last_fail
+        if x_delta is not None:
             # name the first failing check in the order of a full evaluation
+            grid = np.linspace(*_margin_span(ctx, x_delta), _GRID_POINTS)
             checks = _analytic_checks(ctx, tb, n, d_n, d0, bad_delta, x_delta, grid)
             name = next(ch.name for ch in checks if not ch.passed)
     raise CertificateFailed(

@@ -542,6 +542,7 @@ def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "picard_iterations": profile.picard_iterations,
         "march_steps_per_checkpoint": profile.march_steps_per_checkpoint,
         "checkpoints": profile.checkpoints,
+        "newton_iterations": profile.newton_iterations,
         "verification_passed": bool(verification.passed),
     }
     return (0 if verification.passed else 1), ["wave.csv", "wave.json"], metrics

@@ -12,13 +12,13 @@ e^{-lam z}, where lam is the slow decay rate at the leading edge.
 The profile is built exactly the way its existence is certified:
 
 1. the chemical field V is solved for a given density u (``solve_v``),
-2. with V frozen, the density equation is relaxed in artificial time,
+2. with V frozen, the density equation
 
-       U_t = U'' + A1(z) U' + A2(z) U - A3(z) U^2,
+       U_t = U'' + A1(z) U' + A2(z) U - A3(z) U^2
 
-   starting from the certified upper envelope, until it settles
+   is brought to its rest state from the certified upper envelope
    (``u_map``), and
-3. the map u -> settled U is iterated to its fixed point
+3. the map u -> rest state U is iterated to its fixed point
    (``traveling_wave``), which stays pinched inside the certified
    corridor at every stage.
 
@@ -28,16 +28,23 @@ follows the ``CheckRecord`` rule (pass iff margin > -slack, so a NaN margin
 fails), except the two plateau checks, which are informational passes when
 the invasion index is at least one.
 
-Each relaxation march symmetrizes its implicit tridiagonal matrix by a
-diagonal scaling, factors it once with LAPACK ``pttrf`` and takes every step
-as one ``pttrs`` solve.  Its step size comes from the comparison principle
-it discretizes: a checkpoint is split into the fewest equal steps for which
-each step is order-preserving on the corridor [0, 2 eta], that is
-4 dt max(A3) eta <= 1 for the explicit quadratic term and dt max(A2) <= 1/2
-for the implicit matrix.  The rest state does not depend on dt.  The
-checkpoint length, the settling tolerance and time cap of the profile map,
-the Picard tolerance and cap, and the verification tolerances are module
-constants, not options.
+Above the minimal speed the rest state is the maximal solution of the
+centred-difference equation T U + A2 U - A3 U^2 = 0 with two Dirichlet
+ends, and Newton's method from the upper envelope reaches it with
+monotonically decreasing iterates, one ``dgtsv`` solve each.  At
+c = 2 sqrt(a) the profile map still marches the relaxation in artificial
+time and stops on a settling tolerance, until the critical profile is
+defined by something other than when the march stops.  Each march
+symmetrizes its implicit tridiagonal matrix by a diagonal scaling, factors
+it once with LAPACK ``pttrf`` and takes every step as one ``pttrs`` solve.
+Its step size comes from the comparison principle it discretizes: a
+checkpoint is split into the fewest equal steps for which each step is
+order-preserving on the corridor [0, 2 eta], that is 4 dt max(A3) eta <= 1
+for the explicit quadratic term and dt max(A2) <= 1/2 for the implicit
+matrix.  The rest state does not depend on dt.  The default frame step,
+the checkpoint length, the settling tolerance and time cap of the march,
+the Newton tolerance and cap, the Picard tolerance and cap, and the
+verification tolerances are module constants, not options.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrs
 
-from .analysis import kappa, speed_window
+from .analysis import WaveContext, kappa, lambda12, speed_window
 from .certificates import (
     CheckRecord,
     VSolution,
@@ -72,6 +79,9 @@ __all__ = [
 ]
 
 _CORRIDOR_FLOOR = -1e-12
+# default frame step: at most _FRAME_H, and at most _FRAME_H_DRIFT / |lambda_1|
+_FRAME_H = 0.05
+_FRAME_H_DRIFT = 0.14
 _VISIBLE_TAIL = 1e-12
 # artificial time between two relaxation snapshots, and the rise a snapshot
 # may show over its predecessor before the march counts as non-monotone
@@ -92,6 +102,10 @@ _MAX_LOG_SCALE = 600.0
 # front accuracy for tail-amplitude contamination.
 _TOL_LIMIT = 1e-6
 _T_MAX = 1e4
+# Newton's method for the rest state above the minimal speed stops once the
+# sup-norm correction is below _NEWTON_TOL and gives up at _NEWTON_MAX
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX = 50
 # the Picard iteration of the profile map stops at this sup-norm change
 _PICARD_TOL = 1e-6
 _PICARD_MAX = 200
@@ -102,14 +116,20 @@ _LIMIT_RTOL = 0.02
 _SLOPE_TOL = 1e-4
 
 
-def default_wave_grid(params: ModelParams, c: float, h: float = 0.05) -> np.ndarray:
+def default_wave_grid(
+    params: ModelParams, c: float, h: float | None = None
+) -> np.ndarray:
     """Uniform frame grid wide enough for both tails.
 
     The left end resolves the approach to the plateau (width scales like
     1/sqrt(a)), the right end resolves the e^{-lam z} tail down to far
-    below the fitting threshold.
+    below the fitting threshold.  The step ``h`` defaults to
+    min(0.05, 0.14 / |lambda_1|), lambda_1 < 0 the kernel rate of
+    V'' + c V' - V = 0, so it shrinks with the drift, which grows like c.
     """
     ctx = speed_window(params, c)
+    if h is None:
+        h = min(_FRAME_H, _FRAME_H_DRIFT / abs(lambda12(c)[0]))
     z_min = -40.0 / math.sqrt(params.a)
     z_max = 40.0 / ctx.lam
     n = int(round((z_max - z_min) / h)) + 1
@@ -121,77 +141,124 @@ def default_wave_grid(params: ModelParams, c: float, h: float = 0.05) -> np.ndar
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _FrozenOperator:
+    """Centred-difference frozen-field operator on the interior nodes.
+
+    Row i of T U + A2 U - A3 U^2 reads lower_i U_{i-1} + main_i U_i +
+    upper_i U_{i+1} - a3_i U_i^2, with lower, upper = 1/h^2 -+ A1 / (2h),
+    both positive when h |A1| / 2 < 1, and main = -2/h^2 + A2; the two end
+    rows couple to the Dirichlet values u_left and u_right.
+    """
+
+    ctx: WaveContext
+    grid: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    main: np.ndarray
+    u_left: float
+    u_right: float
+
+
+def _frozen_operator(
+    u, params: ModelParams, c: float, grid, u_left_bc: float | None = None
+) -> _FrozenOperator:
+    """The frozen-field operator in the chemical field of ``u``, shared by the
+    march and Newton's method; ``NonFiniteState`` if that field is negative
+    or not finite, or if h |A1| / 2 >= 1."""
+    u = np.asarray(u, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    if u.shape != grid.shape or u.ndim != 1:
+        raise ValueError("density and grid must be matching 1-D arrays")
+    ctx = speed_window(params, c)
+    h = float(grid[1] - grid[0])
+    lam = ctx.lam
+    vsol = _chemical_field(grid, u, c, lam)
+    V = vsol.values
+    Vp = vsol.dvalues
+    if not (np.all(np.isfinite(V)) and float(np.min(V)) >= 0.0):
+        raise NonFiniteState(f"chemical field negative or non-finite at h = {h:g}")
+    g, gp, gpp = params.motility.eval(V)
+    a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
+    a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
+    a3 = ((gp + params.b) / g)[1:-1]
+    lower = 1.0 / h**2 - a1 / (2.0 * h)
+    upper = 1.0 / h**2 + a1 / (2.0 * h)
+    if not np.all(lower * upper > 0.0):
+        raise NonFiniteState(f"h |A1| / 2 >= 1 in the frozen field at h = {h:g}")
+    return _FrozenOperator(
+        ctx=ctx,
+        grid=grid,
+        a2=a2,
+        a3=a3,
+        lower=lower,
+        upper=upper,
+        main=-2.0 / h**2 + a2,
+        u_left=_plateau_value(params, float(V[0])) if u_left_bc is None else u_left_bc,
+        u_right=math.exp(min(-lam * grid[-1], math.log(ctx.eta))),
+    )
+
+
+def _corridor_check(ctx: WaveContext, state: np.ndarray) -> None:
+    ceiling = 2.0 * ctx.eta
+    low, high = float(state.min()), float(state.max())
+    if (
+        not (math.isfinite(low) and math.isfinite(high))
+        or low < _CORRIDOR_FLOOR
+        or high > ceiling * (1.0 + 1e-9)
+    ):
+        raise BlowUp(f"relaxation state left the corridor [0, {ceiling:.6e}]")
+
+
 class _FrozenField:
-    """Coefficients and solver state for one relaxation march.
+    """Solver state for one relaxation march of the frozen-field operator.
 
     Diffusion, drift and linear reaction are implicit, the quadratic term
     explicit.  The implicit matrix has off-diagonals -dt lower_{i+1} and
-    -dt upper_i, lower, upper = 1/h^2 -+ A1 / (2h), both positive when
-    h |A1| / 2 < 1 (else ``NonFiniteState``), and interior row sums
-    1 - dt A2.  A step is order-preserving on the corridor [0, 2 eta] when
-    the matrix is an M-matrix, dt max(A2) <= 1/2, and the explicit map
-    U -> U - dt A3 U^2 is monotone there, 4 dt max(A3) eta <= 1; the
-    checkpoint takes the fewest equal steps that meet both, so the descent
-    from the upper envelope is structurally monotone.  The similarity
-    s_{i+1} / s_i = sqrt(lower_{i+1} / upper_i) (log s centred) makes the
-    matrix symmetric, with off-diagonal -dt sqrt(lower upper).  The march
-    steps W = U / s by ``pttrs`` with one factor and returns to U once per
-    checkpoint; where s would leave the float range it steps U by
-    ``gttrs``.  The resting state solves the centered-difference wave
-    equation whatever the step size.
+    -dt upper_i and interior row sums 1 - dt A2.  A step is order-preserving
+    on the corridor [0, 2 eta] when the matrix is an M-matrix,
+    dt max(A2) <= 1/2, and the explicit map U -> U - dt A3 U^2 is monotone
+    there, 4 dt max(A3) eta <= 1; the checkpoint takes the fewest equal
+    steps that meet both, so the descent from the upper envelope is
+    structurally monotone.  The similarity s_{i+1} / s_i =
+    sqrt(lower_{i+1} / upper_i) (log s centred) makes the matrix symmetric,
+    with off-diagonal -dt sqrt(lower upper).  The march steps W = U / s by
+    ``pttrs`` with one factor and returns to U once per checkpoint; where s
+    would leave the float range it steps U by ``gttrs``.  The resting state
+    solves the centered-difference wave equation whatever the step size.
     """
 
     def __init__(
         self, u, params: ModelParams, c: float, grid, u_left_bc: float | None = None
     ):
-        u = np.asarray(u, dtype=float)
-        grid = np.asarray(grid, dtype=float)
-        if u.shape != grid.shape or u.ndim != 1:
-            raise ValueError("density and grid must be matching 1-D arrays")
-        ctx = speed_window(params, c)
-        h = float(grid[1] - grid[0])
-        lam = ctx.lam
-        vsol = _chemical_field(grid, u, c, lam)
-        V = vsol.values
-        Vp = vsol.dvalues
-        if not (np.all(np.isfinite(V)) and float(np.min(V)) >= 0.0):
-            raise NonFiniteState(f"chemical field negative or non-finite at h = {h:g}")
-        g, gp, gpp = params.motility.eval(V)
-        a1 = ((2.0 * gp * Vp + c) / g)[1:-1]
-        a2 = ((gpp * Vp**2 + gp * (V - c * Vp) + params.a) / g)[1:-1]
-        a3 = ((gp + params.b) / g)[1:-1]
-
+        op = _frozen_operator(u, params, c, grid, u_left_bc)
+        a2, a3, lower, upper = op.a2, op.a3, op.lower, op.upper
         # the fewest equal steps that keep a step order-preserving on
         # [0, 2 eta]: 4 dt max(A3) eta <= 1 and dt max(A2) <= 1/2
-        rate = max(4.0 * float(np.max(a3)) * ctx.eta, 2.0 * float(np.max(a2)))
+        rate = max(4.0 * float(np.max(a3)) * op.ctx.eta, 2.0 * float(np.max(a2)))
         steps = max(1, math.ceil(_CHECKPOINT_DT * rate))
         dt = _CHECKPOINT_DT / steps
-        lower = 1.0 / h**2 - a1 / (2.0 * h)
-        upper = 1.0 / h**2 + a1 / (2.0 * h)
-        if not np.all(lower * upper > 0.0):
-            raise NonFiniteState(f"h |A1| / 2 >= 1 in the frozen field at h = {h:g}")
-        main = -2.0 / h**2 + a2
         log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower[1:] / upper[:-1]))))
         half_span = 0.5 * float(np.ptp(log_s))
         if half_span <= _MAX_LOG_SCALE:
             self.s = s = np.exp(log_s - (float(np.min(log_s)) + half_span))
             d, e = spd_tridiagonal_factor(
-                1.0 - dt * main, -dt * np.sqrt(lower[1:] * upper[:-1])
+                1.0 - dt * op.main, -dt * np.sqrt(lower[1:] * upper[:-1])
             )
             self.solve = partial(dpttrs, d, e, overwrite_b=1)
         else:
             self.s = s = np.ones_like(log_s)
-            *lu, info = dgttrf(-dt * lower[1:], 1.0 - dt * main, -dt * upper[:-1])
+            *lu, info = dgttrf(-dt * lower[1:], 1.0 - dt * op.main, -dt * upper[:-1])
             if info != 0:
                 raise NonFiniteState(f"frozen-field factorization failed (LAPACK info {info})")
             self.solve = partial(dgttrs, *lu, overwrite_b=1)
-        self.ctx = ctx
-        self.grid = grid
+        self.ctx = op.ctx
+        self.grid = op.grid
         self.steps_per_checkpoint = steps
-        self.u_left = (
-            _plateau_value(params, float(V[0])) if u_left_bc is None else u_left_bc
-        )
-        self.u_right = math.exp(min(-lam * grid[-1], math.log(ctx.eta)))
+        self.u_left = op.u_left
+        self.u_right = op.u_right
         # explicit terms over s: dt a3 U^2 / s = dt a3 s W^2, boundary couplings
         self.dt_a3_s = dt * a3 * s
         self.bc_left = dt * (lower[0] * self.u_left) / s[0]
@@ -213,17 +280,49 @@ class _FrozenField:
         np.multiply(self.s, w, out=U[1:-1])
         return U
 
-    def corridor_check(self, state: np.ndarray) -> None:
-        ceiling = 2.0 * self.ctx.eta
-        low, high = float(state.min()), float(state.max())
-        if (
-            not (math.isfinite(low) and math.isfinite(high))
-            or low < _CORRIDOR_FLOOR
-            or high > ceiling * (1.0 + 1e-9)
-        ):
-            raise BlowUp(
-                f"relaxation state left the corridor [0, {ceiling:.6e}]"
-            )
+
+def _newton_rest_state(op: _FrozenOperator) -> tuple[np.ndarray, int]:
+    """Maximal rest state of the frozen-field operator by Newton's method.
+
+    Starts from the upper envelope, a super-solution, with the operator's
+    Dirichlet ends.  Each iteration solves J U_new = -(A3 U^2 + ends) with
+    J = T + diag(A2 - 2 A3 U) by one ``dgtsv``, which is the Newton step
+    U_new = U - J^{-1} F(U) for F(U) = T U + A2 U - A3 U^2 + ends.  F is
+    concave where A3 >= 0, so the iterates decrease monotonically to the
+    maximal solution (Sattinger 1972; Pao 1992).  Returns the rest state and
+    the iterations taken; raises ``BlowUp`` if an iterate leaves
+    [0, 2 eta], ``NonMonotone`` if a correction rises above
+    _MONOTONE_SLACK, ``NonFiniteState`` if ``dgtsv`` fails and
+    ``NoConvergence`` if no correction falls below _NEWTON_TOL within
+    _NEWTON_MAX iterations.
+    """
+    U = np.asarray(super_solution(op.ctx, op.grid), dtype=float)
+    _corridor_check(op.ctx, U)
+    U[0] = op.u_left
+    U[-1] = op.u_right
+    ends = np.zeros(U.size - 2)
+    ends[0] = op.lower[0] * op.u_left
+    ends[-1] += op.upper[-1] * op.u_right
+    sub, sup = op.lower[1:], op.upper[:-1]
+    for k in range(1, _NEWTON_MAX + 1):
+        w = U[1:-1]
+        *_, new, info = dgtsv(
+            sub, op.main - 2.0 * op.a3 * w, sup, -(op.a3 * w * w + ends),
+            overwrite_d=1, overwrite_b=1,
+        )
+        if info != 0:
+            raise NonFiniteState(f"Newton step failed (LAPACK info {info})")
+        step = new - w
+        rise = float(step.max())
+        if rise > _MONOTONE_SLACK:
+            raise NonMonotone(f"Newton correction rose by {rise:.3e} at iteration {k}")
+        U[1:-1] = new
+        _corridor_check(op.ctx, U)
+        if max(rise, -float(step.min())) < _NEWTON_TOL:
+            return U, k
+    raise NoConvergence(
+        f"Newton's method did not reach {_NEWTON_TOL:g} in {_NEWTON_MAX} iterations"
+    )
 
 
 def _plateau_value(params: ModelParams, v_left: float) -> float:
@@ -259,27 +358,39 @@ def u_map(
     grid,
     *,
     u_left_bc: float | None = None,
-    marches: list | None = None,
+    counts: list | None = None,
 ) -> np.ndarray:
-    """One application of the profile map: relax in the field of ``u`` to rest.
+    """One application of the profile map: the rest state in the field of ``u``.
 
-    Marches the frozen-field relaxation from the upper envelope, one unit
+    The left boundary is pinned at ``u_left_bc`` when given, otherwise at
+    the flat-state density of the frozen chemical level there.  Above the
+    minimal speed the rest state is found by Newton's method from the upper
+    envelope (``_newton_rest_state``).  At c = 2 sqrt(a) the map instead
+    marches the frozen-field relaxation from the upper envelope, one unit
     of artificial time per checkpoint, until the sup-norm change per
     checkpoint drops below the settling tolerance (see _TOL_LIMIT for why
-    it is not tighter).  The left boundary is pinned at ``u_left_bc`` when
-    given, otherwise at the flat-state density of the frozen chemical level
-    there.  Raises ``BlowUp`` if a state leaves [0, 2 eta], ``NonMonotone``
-    if a checkpoint rises above its predecessor by more than
-    _MONOTONE_SLACK, and ``NoConvergence`` if the march has not settled by
-    the time cap.  When ``marches`` is given, the march's steps per
-    checkpoint and the checkpoints it took are appended to it as one pair.
+    it is not tighter); this second path is temporary and stays only until
+    the critical profile is defined by something other than when the march
+    stops.  The march raises ``BlowUp`` if a state leaves [0, 2 eta],
+    ``NonMonotone`` if a checkpoint rises above its predecessor by more
+    than _MONOTONE_SLACK, and ``NoConvergence`` if it has not settled by the
+    time cap.  When ``counts`` is given, the map appends one triple to it:
+    the march's steps per checkpoint, its checkpoints and the Newton
+    iterations, each 0 on the path not taken.
     """
+    if not speed_window(params, c).is_critical:
+        op = _frozen_operator(u, params, c, grid, u_left_bc)
+        U, iterations = _newton_rest_state(op)
+        if counts is not None:
+            counts.append((0, 0, iterations))
+        U.setflags(write=False)
+        return U
     field = _FrozenField(u, params, c, grid, u_left_bc)
     state = field.initial_state()
-    field.corridor_check(state)
+    _corridor_check(field.ctx, state)
     for k in range(1, math.ceil(_T_MAX / _CHECKPOINT_DT) + 1):
         new = field.advance_checkpoint(state)
-        field.corridor_check(new)
+        _corridor_check(field.ctx, new)
         change = new - state
         rise = float(change.max())
         if rise > _MONOTONE_SLACK:
@@ -287,8 +398,8 @@ def u_map(
                 f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
             )
         if max(rise, -float(change.min())) < _TOL_LIMIT:
-            if marches is not None:
-                marches.append((field.steps_per_checkpoint, k))
+            if counts is not None:
+                counts.append((field.steps_per_checkpoint, k, 0))
             new.setflags(write=False)
             return new
         state = new
@@ -312,8 +423,10 @@ class WaveProfile:
     (target a/b); the residuals are sup-norms of the frozen-field wave
     equation and of the chemical equation on interior nodes.
     ``march_steps_per_checkpoint`` is the largest step count of any
-    frozen-field march of the run, ``checkpoints`` the number of checkpoints
-    all its marches took.
+    frozen-field march of the run and ``checkpoints`` the number of
+    checkpoints all its marches took, both 0 when no map marched;
+    ``newton_iterations`` is the number of Newton iterations all its maps
+    took, 0 at the minimal speed.
     """
 
     grid: np.ndarray
@@ -333,6 +446,7 @@ class WaveProfile:
     picard_change: float
     march_steps_per_checkpoint: int
     checkpoints: int
+    newton_iterations: int
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -358,6 +472,7 @@ class WaveProfile:
             "picard_change": float(self.picard_change),
             "march_steps_per_checkpoint": int(self.march_steps_per_checkpoint),
             "checkpoints": int(self.checkpoints),
+            "newton_iterations": int(self.newton_iterations),
         }
         return {
             k: None if isinstance(v, float) and not math.isfinite(v) else v
@@ -405,7 +520,9 @@ def _profile_residuals(grid, U, V, params: ModelParams, c: float):
     return float(np.max(np.abs(res_l))), float(np.max(np.abs(res_v)))
 
 
-def traveling_wave(params: ModelParams, c: float, *, h: float = 0.05) -> WaveProfile:
+def traveling_wave(
+    params: ModelParams, c: float, *, h: float | None = None
+) -> WaveProfile:
     """Construct the wave profile at speed c by iterating the profile map.
 
     The run starts by certifying the envelope pair for (params, c), which
@@ -422,12 +539,12 @@ def traveling_wave(params: ModelParams, c: float, *, h: float = 0.05) -> WavePro
     u = np.asarray(super_solution(ctx, grid), dtype=float)
     changes: list[float] = []
     converged = False
-    marches: list[tuple[int, int]] = []
+    counts: list[tuple[int, int, int]] = []
     for k in range(_PICARD_MAX):
         # the first sweep pins the left end at the envelope plateau eta;
         # later sweeps use the self-consistent flat-state value
         u_new = u_map(
-            u, params, c, grid, u_left_bc=ctx.eta if k == 0 else None, marches=marches
+            u, params, c, grid, u_left_bc=ctx.eta if k == 0 else None, counts=counts
         )
         change = float(np.max(np.abs(u_new - u)))
         changes.append(change)
@@ -466,8 +583,9 @@ def traveling_wave(params: ModelParams, c: float, *, h: float = 0.05) -> WavePro
         ode_residual_v=res_v,
         picard_iterations=len(changes),
         picard_change=changes[-1] if changes else 0.0,
-        march_steps_per_checkpoint=max(steps for steps, _ in marches),
-        checkpoints=sum(taken for _, taken in marches),
+        march_steps_per_checkpoint=max((steps for steps, _, _ in counts), default=0),
+        checkpoints=sum(taken for _, taken, _ in counts),
+        newton_iterations=sum(iterations for _, _, iterations in counts),
     )
 
 

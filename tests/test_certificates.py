@@ -406,9 +406,34 @@ def test_certify_reports_failure_when_plateau_floor_blocks_halving(monkeypatch):
     assert "first failing check 'sub_plateau' at delta=0.01" in str(err.value)
 
 
-def _certify_by_full_checks(params, c, n=2):
+def _junction_of_one_height(tb, d_n, d0, delta):
+    """The junction search for one plateau height on its own: the rightmost
+    sign-change cell of a 4097-point scan, resampled on 33 points and
+    narrowed to its rightmost sign-change cell until it is narrower than
+    1e-12 + 4 eps |x|."""
+    x_max = 10.0 / tb.ctx.lam * (1.0 + abs(math.log(delta)))
+    xs = np.linspace(0.0, x_max, 4097)
+    sign = np.sign(certificates._tail(tb, d_n, d0, xs) - delta)
+    brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    if len(brackets) == 0:
+        raise CertificateFailed(
+            "no root", failing_check="junction_matching", delta=delta
+        )
+    i = int(brackets[-1])
+    lo, hi, right = xs[i], xs[i + 1], sign[i + 1]
+    while hi - lo >= 1e-12 + 4.0 * np.finfo(float).eps * hi:
+        xs = np.linspace(lo, hi, 33)
+        sign = np.sign(certificates._tail(tb, d_n, d0, xs) - delta)
+        j = int(np.nonzero(sign != right)[0][-1])
+        lo, hi = xs[j], xs[j + 1]
+    return float(0.5 * (lo + hi)), int(len(brackets))
+
+
+def _certify_by_full_checks(params, c, n=2, junction=locate_junction):
     """The halving search that evaluates every analytic check at every
-    height, as the oracle of the search that screens the tail margin."""
+    height, one height at a time, as the oracle of the search that screens
+    the tail margin and locates the junctions of a block of heights
+    together."""
     ctx = speed_window(params, c)
     tb = theta_bundle(ctx)
     d_n = 1.0 - 1.0 / n
@@ -417,7 +442,7 @@ def _certify_by_full_checks(params, c, n=2):
     last_fail = None
     while delta >= certificates._DELTA_FLOOR:
         try:
-            x_delta, crossings = locate_junction(tb, d_n, d0, delta)
+            x_delta, crossings = junction(tb, d_n, d0, delta)
         except CertificateFailed:
             last_fail = ("junction_matching", delta)
             delta *= 0.5
@@ -456,11 +481,70 @@ def _certify_by_full_checks(params, c, n=2):
     )
 
 
-def _outcome(certify, c):
+def _outcome(certify, c, params=PARAMS, **kwargs):
     try:
-        return certify(PARAMS, c, n=2).to_dict()
+        return certify(params, c, n=2, **kwargs).to_dict()
     except CertificateFailed as err:
         return (str(err), err.failing_check, err.delta)
+
+
+def _sweep_case(a, m, share):
+    # b = 1.5 b*, c at 2 sqrt(a) or a quarter or half into the window
+    # [2 sqrt(a), c*]
+    from wavemotil import b_star, c_star
+
+    b = 1.5 * b_star(m, a)
+    c_min = 2.0 * math.sqrt(a)
+    return ModelParams(a=a, b=b, motility=PowerMotility(m)), c_min + share * (
+        c_star(a, b, m) - c_min
+    )
+
+
+_SWEEP = [
+    (a, m, share)
+    for a in (0.1, 0.5, 1.0, 2.0, 3.0)
+    for m in (2.0, 6.0)
+    for share in (0.0, 0.25, 0.5)
+]
+
+
+@pytest.mark.parametrize(
+    "a, m, share", _SWEEP, ids=[f"a{a:g}-m{m:g}-{share:g}" for a, m, share in _SWEEP]
+)
+def test_certify_matches_a_search_of_one_height_at_a_time_across_the_window(a, m, share):
+    params, c = _sweep_case(a, m, share)
+    assert _outcome(certify_pair, c, params) == _outcome(
+        _certify_by_full_checks, c, params, junction=_junction_of_one_height
+    )
+
+
+@pytest.mark.parametrize("which", ["critical", "mid", "endpoint"])
+def test_certify_matches_a_search_of_one_height_at_a_time_at_the_gate_speeds(which):
+    from wavemotil import c_star
+
+    c = {"critical": C_MIN, "mid": _mid_speed(), "endpoint": c_star(A, B, M)}[which]
+    assert _outcome(certify_pair, c) == _outcome(
+        _certify_by_full_checks, c, junction=_junction_of_one_height
+    )
+
+
+@pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
+def test_locate_junction_is_its_row_of_the_block_search_bit_for_bit(c):
+    # the 46 heights the minimal speed tries, in one block; at c = 0.88 the
+    # four largest have no root
+    tb = theta_bundle(_ctx(c))
+    d0 = 1.0 if tb.is_critical else -1.0
+    deltas = [1e-2 * 2.0**-k for k in range(46)]
+    junctions, crossings = certificates._locate_junctions(tb, 0.5, d0, deltas)
+    assert np.count_nonzero(crossings == 0) == (0 if tb.is_critical else 4)
+    for delta, x_delta, count in zip(deltas, junctions.tolist(), crossings.tolist()):
+        if count == 0:
+            assert math.isnan(x_delta)
+            with pytest.raises(CertificateFailed):
+                locate_junction(tb, 0.5, d0, delta)
+        else:
+            assert locate_junction(tb, 0.5, d0, delta) == (x_delta, count)
+            assert _junction_of_one_height(tb, 0.5, d0, delta) == (x_delta, count)
 
 
 @pytest.mark.parametrize("floor", [None, 1e-2, 1e-9], ids=["default", "1e-2", "1e-9"])
@@ -527,7 +611,7 @@ def test_certify_evaluates_the_full_tail_margin_only_at_the_accepted_height(monk
 
 
 def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
-    counts = {"locate_junction": 0, "_analytic_checks": 0}
+    counts = {"_locate_junctions": 0, "_analytic_checks": 0}
 
     def counting(name):
         original = getattr(certificates, name)
@@ -542,7 +626,8 @@ def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
         monkeypatch.setattr(certificates, name, counting(name))
     report = certify_pair(PARAMS, C_MIN, n=2)
     assert report.delta == 1e-2 * 2.0**-45
-    assert counts == {"locate_junction": 46, "_analytic_checks": 1}
+    # the 46 heights tried are located in blocks of eight
+    assert counts == {"_locate_junctions": 6, "_analytic_checks": 1}
 
 
 def test_certificate_report_serializes():

@@ -137,17 +137,18 @@ class TestWave:
             data = (out / entry["path"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
-    def test_a3_wave_marches_and_verifies(self, tmp_path):
-        # b = 1.5 b*(6, 3), c a quarter into the window: the march takes 15
-        # steps per checkpoint here and stays in its corridor
+    def test_a3_wave_takes_newton_and_verifies(self, tmp_path):
+        # b = 1.5 b*(6, 3), c a quarter into the window: above the minimal
+        # speed every profile map is a Newton solve, so no map marches
         b = 1.5 * b_star(6.0, 3.0)
         cfg = _write(tmp_path, "w.cfg", f"a=3\nb={b!r}\nm=6\nc=5.0478\n")
         out = tmp_path / "out"
         assert main(["wave", "--config", cfg, "--out", str(out)]) == 0
         metrics = json.loads((out / "run.json").read_text())["metrics"]
         assert metrics["verification_passed"] is True
-        assert metrics["march_steps_per_checkpoint"] == 15
-        assert metrics["checkpoints"] > 0
+        assert metrics["march_steps_per_checkpoint"] == 0
+        assert metrics["checkpoints"] == 0
+        assert metrics["newton_iterations"] >= metrics["picard_iterations"] > 0
 
     def test_speed_below_minimal_refused(self, tmp_path, capsys):
         cfg = _write(tmp_path, "w.cfg", "a=0.1\nb=60\nm=6\nc=0.5\n")

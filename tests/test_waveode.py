@@ -3,7 +3,8 @@
 The auxiliary march starts at the super-solution and must decrease in time
 while staying inside the certified sandwich; its long-time limit is one
 application of the profile map, and Picard iteration of that map produces
-the wave.  End-to-end targets: tail ratios U/e^{-lam z} -> 1 and
+the wave.  Above the minimal speed the map takes Newton's method instead,
+whose corrections must be nonpositive and whose limit must be the march's.  End-to-end targets: tail ratios U/e^{-lam z} -> 1 and
 V/e^{-lam z} -> 1/(1+a), left plateaus a/b, and small residuals of the
 original wave system.
 """
@@ -360,6 +361,157 @@ def test_march_returns_a_profile_across_the_window(a, m, share):
         assert report.passed, [ch.name for ch in report.checks if not ch.passed]
 
 
+# ---------------------------------------------------------------- Newton
+_NEWTON_CASES = [(A, B, M, 0.88)] + [
+    (a, 1.5 * b_star(m, a), m, 2.0 * math.sqrt(a) + share * (
+        c_star(a, 1.5 * b_star(m, a), m) - 2.0 * math.sqrt(a)))
+    for a, m, share in _SWEEP
+]
+_NEWTON_IDS = ["gate-0.88"] + [f"a{a:g}-m{m:g}-{share:g}" for a, m, share in _SWEEP]
+
+
+@functools.cache
+def _envelope_operator(case):
+    a, b, m, c = case
+    params = ModelParams(a=a, b=b, motility=PowerMotility(m))
+    grid = default_wave_grid(params, c)
+    u0 = super_solution(speed_window(params, c), grid)
+    return params, u0, waveode._frozen_operator(u0, params, c, grid)
+
+
+def _march_to_rest(case):
+    """The march of the envelope's field from the envelope, run until a
+    checkpoint changes U by less than 1e-15."""
+    params, u0, op = _envelope_operator(case)
+    field = waveode._FrozenField(u0, params, case[3], op.grid)
+    state = field.initial_state()
+    while True:
+        new = field.advance_checkpoint(state)
+        if np.max(np.abs(new - state)) < 1e-15:
+            return new
+        state = new
+
+
+@pytest.mark.parametrize("case", _NEWTON_CASES, ids=_NEWTON_IDS)
+def test_newton_rest_state_is_the_march_run_to_rest(case):
+    U, iterations = waveode._newton_rest_state(_envelope_operator(case)[2])
+    assert iterations <= 10
+    assert np.max(np.abs(U - _march_to_rest(case))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", _NEWTON_CASES, ids=_NEWTON_IDS)
+def test_every_newton_correction_is_nonpositive(case, monkeypatch):
+    # the iterates are the dgtsv solutions; the first correction is taken
+    # from the upper envelope
+    params, u0, op = _envelope_operator(case)
+    iterates = [np.asarray(u0)[1:-1]]
+    solve = waveode.dgtsv
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        iterates.append(out[3].copy())
+        return out
+
+    monkeypatch.setattr(waveode, "dgtsv", recording)
+    U, iterations = waveode._newton_rest_state(op)
+    assert len(iterates) == iterations + 1
+    corrections = [new - old for old, new in zip(iterates, iterates[1:])]
+    # nonpositive up to the round-off of one solve
+    assert max(float(np.max(step)) for step in corrections) <= 1e-13 * float(np.max(U))
+    assert np.max(np.abs(corrections[-1])) < waveode._NEWTON_TOL
+
+
+def test_newton_raises_on_an_upward_correction(monkeypatch):
+    # the first solve comes back 1e-6 above itself everywhere; at the far
+    # end, where the envelope is already at rest, that is the whole rise
+    solve = waveode.dgtsv
+
+    def lifted(*args, **kwargs):
+        *rest, x, info = solve(*args, **kwargs)
+        return (*rest, x + 1e-6, info)
+
+    monkeypatch.setattr(waveode, "dgtsv", lifted)
+    op = _envelope_operator(_NEWTON_CASES[0])[2]
+    with pytest.raises(NonMonotone, match=r"rose by 1\.000e-06 at iteration 1"):
+        waveode._newton_rest_state(op)
+
+
+def test_newton_gives_up_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(waveode, "_NEWTON_MAX", 2)
+    grid = default_wave_grid(PARAMS, 0.88)
+    u0 = super_solution(speed_window(PARAMS, 0.88), grid)
+    with pytest.raises(NoConvergence, match="in 2 iterations"):
+        u_map(u0, PARAMS, 0.88, grid)
+
+
+def test_newton_solve_failure_raises_non_finite_state(monkeypatch):
+    solve = waveode.dgtsv
+
+    def singular(*args, **kwargs):
+        *rest, _ = solve(*args, **kwargs)
+        return (*rest, 3)
+
+    monkeypatch.setattr(waveode, "dgtsv", singular)
+    op = _envelope_operator(_NEWTON_CASES[0])[2]
+    with pytest.raises(NonFiniteState, match="LAPACK info 3"):
+        waveode._newton_rest_state(op)
+
+
+def test_profile_map_takes_newton_above_and_the_march_at_the_minimal_speed():
+    grid = default_wave_grid(PARAMS, 0.88)
+    u0 = super_solution(speed_window(PARAMS, 0.88), grid)
+    counts = []
+    u_map(u0, PARAMS, 0.88, grid, counts=counts)
+    grid = default_wave_grid(PARAMS, C_MIN)
+    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
+    u_map(u0, PARAMS, C_MIN, grid, counts=counts)
+    (newton, march) = counts
+    assert newton[:2] == (0, 0) and newton[2] > 0
+    assert march[0] == 1 and march[1] > 0 and march[2] == 0
+
+
+def test_wave_above_the_minimal_speed_counts_newton_iterations_and_no_march():
+    prof = traveling_wave(PARAMS, 0.88)
+    assert prof.march_steps_per_checkpoint == 0 and prof.checkpoints == 0
+    assert prof.newton_iterations >= prof.picard_iterations == 5
+    side = prof.to_dict()
+    assert (side["march_steps_per_checkpoint"], side["checkpoints"]) == (0, 0)
+    assert side["newton_iterations"] == prof.newton_iterations
+
+
+# ------------------------------------------------------------- frame step
+@pytest.mark.parametrize(
+    "params, c",
+    [
+        (PARAMS, C_MIN),
+        (PARAMS, 0.88),
+        (PARAMS, 0.5 * (C_MIN + c_star(A, B, M))),
+        (PARAMS, c_star(A, B, M)),
+    ],
+    ids=["critical", "c0.88", "mid", "endpoint"],
+)
+def test_default_frame_step_is_0_05_at_the_gate_speeds(params, c):
+    grid = default_wave_grid(params, c)
+    assert np.array_equal(grid, default_wave_grid(params, c, 0.05))
+
+
+@pytest.mark.parametrize("m", [2.0, 6.0])
+def test_frame_step_follows_the_drift_at_a_20(m):
+    # at a = 20, b = 5 b*, a quarter into the window, h = 0.05 gives
+    # h |A1| / 2 >= 1; the default step follows 1 / |lambda_1| instead
+    a = 20.0
+    b = 5.0 * b_star(m, a)
+    params = ModelParams(a=a, b=b, motility=PowerMotility(m))
+    c_min = 2.0 * math.sqrt(a)
+    c = c_min + 0.25 * (c_star(a, b, m) - c_min)
+    grid = default_wave_grid(params, c)
+    assert grid[1] - grid[0] == pytest.approx(0.14 / (0.5 * (c + math.hypot(c, 2.0))))
+    prof = traveling_wave(params, c)
+    assert np.all(prof.U > 0.0) and prof.newton_iterations > 0
+    with pytest.raises(NonFiniteState, match=r"h \|A1\| / 2 >= 1"):
+        traveling_wave(params, c, h=0.05)
+
+
 def test_traveling_wave_rejects_subminimal_speed():
     with pytest.raises(SpeedBelowMinimal):
         traveling_wave(PARAMS, 0.5 * C_MIN)
@@ -430,6 +582,7 @@ def test_verification_flags_a_constant_pair_as_not_a_front():
         picard_change=0.0,
         march_steps_per_checkpoint=0,
         checkpoints=0,
+        newton_iterations=0,
     )
     report = verify_profile(prof, PARAMS)
     assert not report.passed
@@ -461,6 +614,7 @@ def _invisible_profile() -> WaveProfile:
         picard_change=0.0,
         march_steps_per_checkpoint=0,
         checkpoints=0,
+        newton_iterations=0,
     )
 
 
@@ -528,3 +682,4 @@ def test_profile_serialization_round_trips(critical_profile, tmp_path):
     assert side["picard_iterations"] == critical_profile.picard_iterations
     assert side["march_steps_per_checkpoint"] == 1
     assert side["checkpoints"] == critical_profile.checkpoints > 0
+    assert side["newton_iterations"] == 0
