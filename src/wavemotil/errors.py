@@ -56,11 +56,13 @@ class NonFiniteTail(WavemotilError):
 
 
 class BlowUp(WavemotilError):
-    """Auxiliary march left the invariant interval [0, 2*eta]."""
+    """A frozen-field rest-state solve, the relaxation march or Newton's
+    method, left the invariant interval [0, 2*eta]."""
 
 
 class NonMonotone(WavemotilError):
-    """Auxiliary march violated monotone decrease beyond the allowed slack."""
+    """A frozen-field rest-state solve rose beyond the allowed slack: a
+    march checkpoint above its predecessor, or an upward Newton correction."""
 
 
 class NoConvergence(WavemotilError):
@@ -77,7 +79,9 @@ class NegativeDensity(WavemotilError):
 
 
 class NonFiniteState(WavemotilError):
-    """A time step produced a NaN or infinite density."""
+    """A solve produced or met an unusable state: a NaN or infinite field in
+    a time step, a failed LAPACK factorization or solve, a frame grid too
+    coarse for the drift (h |A1| / 2 >= 1), or a negative chemical field."""
 
 
 class NoCrossing(WavemotilError):

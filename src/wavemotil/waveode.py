@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrs
 
 from .analysis import WaveContext, kappa, lambda12, speed_window
 from .certificates import (
@@ -87,9 +87,6 @@ _VISIBLE_TAIL = 1e-12
 # may show over its predecessor before the march counts as non-monotone
 _CHECKPOINT_DT = 1.0
 _MONOTONE_SLACK = 1e-9
-# largest |log s| at which s and W = U / s stay normal floats (U runs down to
-# about e^-40); wider similarities, at speeds far above 2 sqrt(a), march U by LU
-_MAX_LOG_SCALE = 600.0
 # The profile map stops relaxing once the sup-norm change per checkpoint is
 # below _TOL_LIMIT, and gives up at _T_MAX.  At the minimal speed the
 # truncated domain supports a spurious slowly-varying mode in the weighted
@@ -168,11 +165,11 @@ def _frozen_operator(
     """The frozen-field operator in the chemical field of ``u``, shared by the
     march and Newton's method; ``NonFiniteState`` if that field is negative
     or not finite, or if h |A1| / 2 >= 1."""
+    ctx = speed_window(params, c)
     u = np.asarray(u, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if u.shape != grid.shape or u.ndim != 1:
         raise ValueError("density and grid must be matching 1-D arrays")
-    ctx = speed_window(params, c)
     h = float(grid[1] - grid[0])
     lam = ctx.lam
     vsol = _chemical_field(grid, u, c, lam)
@@ -213,7 +210,7 @@ def _corridor_check(ctx: WaveContext, state: np.ndarray) -> None:
 
 
 class _FrozenField:
-    """Solver state for one relaxation march of the frozen-field operator.
+    """Solver state for one relaxation march of the frozen-field operator ``op``.
 
     Diffusion, drift and linear reaction are implicit, the quadratic term
     explicit.  The implicit matrix has off-diagonals -dt lower_{i+1} and
@@ -225,15 +222,13 @@ class _FrozenField:
     structurally monotone.  The similarity s_{i+1} / s_i =
     sqrt(lower_{i+1} / upper_i) (log s centred) makes the matrix symmetric,
     with off-diagonal -dt sqrt(lower upper).  The march steps W = U / s by
-    ``pttrs`` with one factor and returns to U once per checkpoint; where s
-    would leave the float range it steps U by ``gttrs``.  The resting state
-    solves the centered-difference wave equation whatever the step size.
+    ``pttrs`` with one factor and returns to U once per checkpoint.  At
+    c = 2 sqrt(a), the one speed that marches, |log s| stays below 100, so
+    s and W stay normal floats.  The resting state solves the
+    centered-difference wave equation whatever the step size.
     """
 
-    def __init__(
-        self, u, params: ModelParams, c: float, grid, u_left_bc: float | None = None
-    ):
-        op = _frozen_operator(u, params, c, grid, u_left_bc)
+    def __init__(self, op: _FrozenOperator):
         a2, a3, lower, upper = op.a2, op.a3, op.lower, op.upper
         # the fewest equal steps that keep a step order-preserving on
         # [0, 2 eta]: 4 dt max(A3) eta <= 1 and dt max(A2) <= 1/2
@@ -241,31 +236,17 @@ class _FrozenField:
         steps = max(1, math.ceil(_CHECKPOINT_DT * rate))
         dt = _CHECKPOINT_DT / steps
         log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower[1:] / upper[:-1]))))
-        half_span = 0.5 * float(np.ptp(log_s))
-        if half_span <= _MAX_LOG_SCALE:
-            self.s = s = np.exp(log_s - (float(np.min(log_s)) + half_span))
-            d, e = spd_tridiagonal_factor(
-                1.0 - dt * op.main, -dt * np.sqrt(lower[1:] * upper[:-1])
-            )
-            self.solve = partial(dpttrs, d, e, overwrite_b=1)
-        else:
-            self.s = s = np.ones_like(log_s)
-            *lu, info = dgttrf(-dt * lower[1:], 1.0 - dt * op.main, -dt * upper[:-1])
-            if info != 0:
-                raise NonFiniteState(f"frozen-field factorization failed (LAPACK info {info})")
-            self.solve = partial(dgttrs, *lu, overwrite_b=1)
-        self.ctx = op.ctx
-        self.grid = op.grid
+        self.s = s = np.exp(log_s - (float(np.min(log_s)) + 0.5 * float(np.ptp(log_s))))
+        d, e = spd_tridiagonal_factor(
+            1.0 - dt * op.main, -dt * np.sqrt(lower[1:] * upper[:-1])
+        )
+        self.solve = partial(dpttrs, d, e, overwrite_b=1)
+        self.op = op
         self.steps_per_checkpoint = steps
-        self.u_left = op.u_left
-        self.u_right = op.u_right
         # explicit terms over s: dt a3 U^2 / s = dt a3 s W^2, boundary couplings
         self.dt_a3_s = dt * a3 * s
-        self.bc_left = dt * (lower[0] * self.u_left) / s[0]
-        self.bc_right = dt * (upper[-1] * self.u_right) / s[-1]
-
-    def initial_state(self) -> np.ndarray:
-        return np.asarray(super_solution(self.ctx, self.grid), dtype=float)
+        self.bc_left = dt * (lower[0] * op.u_left) / s[0]
+        self.bc_right = dt * (upper[-1] * op.u_right) / s[-1]
 
     def advance_checkpoint(self, state: np.ndarray) -> np.ndarray:
         w = state[1:-1] / self.s
@@ -275,10 +256,42 @@ class _FrozenField:
             rhs[-1] += self.bc_right
             w, _ = self.solve(rhs)
         U = np.empty_like(state)
-        U[0] = self.u_left
-        U[-1] = self.u_right
+        U[0] = self.op.u_left
+        U[-1] = self.op.u_right
         np.multiply(self.s, w, out=U[1:-1])
         return U
+
+
+def _march_rest_state(op: _FrozenOperator) -> tuple[np.ndarray, int, int]:
+    """Rest state of the frozen-field operator by the relaxation march.
+
+    Marches ``_FrozenField(op)`` from the upper envelope, one unit of
+    artificial time per checkpoint, until the sup-norm change per
+    checkpoint drops below _TOL_LIMIT (see there for why it is not
+    tighter).  Returns the settled state, the steps per checkpoint and the
+    checkpoints taken; raises ``BlowUp`` if a state leaves [0, 2 eta],
+    ``NonMonotone`` if a checkpoint rises above its predecessor by more
+    than _MONOTONE_SLACK and ``NoConvergence`` if it has not settled by
+    _T_MAX.
+    """
+    field = _FrozenField(op)
+    state = np.asarray(super_solution(op.ctx, op.grid), dtype=float)
+    _corridor_check(op.ctx, state)
+    for k in range(1, math.ceil(_T_MAX / _CHECKPOINT_DT) + 1):
+        new = field.advance_checkpoint(state)
+        _corridor_check(op.ctx, new)
+        change = new - state
+        rise = float(change.max())
+        if rise > _MONOTONE_SLACK:
+            raise NonMonotone(
+                f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
+            )
+        if max(rise, -float(change.min())) < _TOL_LIMIT:
+            return new, field.steps_per_checkpoint, k
+        state = new
+    raise NoConvergence(
+        f"relaxation did not settle to {_TOL_LIMIT:g} within t={_T_MAX:g}"
+    )
 
 
 def _newton_rest_state(op: _FrozenOperator) -> tuple[np.ndarray, int]:
@@ -363,49 +376,28 @@ def u_map(
     """One application of the profile map: the rest state in the field of ``u``.
 
     The left boundary is pinned at ``u_left_bc`` when given, otherwise at
-    the flat-state density of the frozen chemical level there.  Above the
-    minimal speed the rest state is found by Newton's method from the upper
-    envelope (``_newton_rest_state``).  At c = 2 sqrt(a) the map instead
-    marches the frozen-field relaxation from the upper envelope, one unit
-    of artificial time per checkpoint, until the sup-norm change per
-    checkpoint drops below the settling tolerance (see _TOL_LIMIT for why
-    it is not tighter); this second path is temporary and stays only until
-    the critical profile is defined by something other than when the march
-    stops.  The march raises ``BlowUp`` if a state leaves [0, 2 eta],
-    ``NonMonotone`` if a checkpoint rises above its predecessor by more
-    than _MONOTONE_SLACK, and ``NoConvergence`` if it has not settled by the
-    time cap.  When ``counts`` is given, the map appends one triple to it:
-    the march's steps per checkpoint, its checkpoints and the Newton
+    the flat-state density of the frozen chemical level there.  The map
+    builds the frozen-field operator in the chemical field of ``u`` once.
+    Above the minimal speed it finds the rest state by Newton's method from
+    the upper envelope (``_newton_rest_state``).  At c = 2 sqrt(a) it
+    instead marches the frozen-field relaxation to rest
+    (``_march_rest_state``); this second path is temporary and stays only
+    until the critical profile is defined by something other than when the
+    march stops.  When ``counts`` is given, the map appends one triple to
+    it: the march's steps per checkpoint, its checkpoints and the Newton
     iterations, each 0 on the path not taken.
     """
-    if not speed_window(params, c).is_critical:
-        op = _frozen_operator(u, params, c, grid, u_left_bc)
+    op = _frozen_operator(u, params, c, grid, u_left_bc)
+    if op.ctx.is_critical:
+        U, steps, checkpoints = _march_rest_state(op)
+        taken = (steps, checkpoints, 0)
+    else:
         U, iterations = _newton_rest_state(op)
-        if counts is not None:
-            counts.append((0, 0, iterations))
-        U.setflags(write=False)
-        return U
-    field = _FrozenField(u, params, c, grid, u_left_bc)
-    state = field.initial_state()
-    _corridor_check(field.ctx, state)
-    for k in range(1, math.ceil(_T_MAX / _CHECKPOINT_DT) + 1):
-        new = field.advance_checkpoint(state)
-        _corridor_check(field.ctx, new)
-        change = new - state
-        rise = float(change.max())
-        if rise > _MONOTONE_SLACK:
-            raise NonMonotone(
-                f"relaxation rose by {rise:.3e} at t={k * _CHECKPOINT_DT:g}"
-            )
-        if max(rise, -float(change.min())) < _TOL_LIMIT:
-            if counts is not None:
-                counts.append((field.steps_per_checkpoint, k, 0))
-            new.setflags(write=False)
-            return new
-        state = new
-    raise NoConvergence(
-        f"relaxation did not settle to {_TOL_LIMIT:g} within t={_T_MAX:g}"
-    )
+        taken = (0, 0, iterations)
+    if counts is not None:
+        counts.append(taken)
+    U.setflags(write=False)
+    return U
 
 
 # --------------------------------------------------------------------------
@@ -655,14 +647,13 @@ def verify_profile(profile: WaveProfile, params: ModelParams) -> VerificationRep
 
     n_end = max(2, grid.size // 10)
     for name, values in (("flat_ends_u", U), ("flat_ends_v", V)):
-        worst = max(
+        slopes = (
             abs(_slope(grid[:n_end], values[:n_end])),
             abs(_slope(grid[-n_end:], values[-n_end:])),
         )
-        record(name, _SLOPE_TOL - worst, grid[-1])
+        record(name, _SLOPE_TOL - np.array(slopes), (grid[0], grid[-1]))
 
-    low = min(float(np.min(U)), float(np.min(V)))
-    record("positivity", low, grid[int(np.argmin(U))])
+    record("positivity", np.minimum(U, V), grid)
 
     return VerificationReport(
         checks=tuple(checks), passed=all(ch.passed for ch in checks)

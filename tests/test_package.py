@@ -1,5 +1,6 @@
 """The package namespace: each public name is declared once, in its module."""
 
+import ast
 import os
 import re
 import subprocess
@@ -54,3 +55,32 @@ def test_cli_import_loads_only_the_scipy_it_uses():
         timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _exported(tree):
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # Stands in for a linter's unused-import rule.  __init__.py imports to
+    # re-export; elsewhere a name listed in __all__ counts as used.
+    for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(imported - used - _exported(tree))
+        assert not unused, f"{path.name} imports {unused} and never uses them"

@@ -60,18 +60,30 @@ def critical_profile():
 
 
 # ------------------------------------------------------------- aux march
-def test_relaxation_starts_at_the_super_solution():
+def _frozen_field(u, params, c, grid):
+    return waveode._FrozenField(waveode._frozen_operator(u, params, c, grid))
+
+
+def test_relaxation_starts_at_the_super_solution(monkeypatch):
+    advance = waveode._FrozenField.advance_checkpoint
+    states = []
+
+    def recording(self, state):
+        states.append(state.copy())
+        return advance(self, state)
+
+    monkeypatch.setattr(waveode._FrozenField, "advance_checkpoint", recording)
     grid = default_wave_grid(PARAMS, C_MIN)
     u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
-    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
-    assert np.array_equal(field.initial_state(), u0)
+    u_map(u0, PARAMS, C_MIN, grid)
+    assert np.array_equal(states[0], u0)
 
 
 def test_relaxation_checkpoints_decrease_in_time():
     grid = default_wave_grid(PARAMS, C_MIN)
     u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
-    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
-    snapshots = [field.initial_state()]
+    field = _frozen_field(u0, PARAMS, C_MIN, grid)
+    snapshots = [np.asarray(u0, dtype=float)]
     for _ in range(10):
         snapshots.append(field.advance_checkpoint(snapshots[-1]))
     changes = [new - old for old, new in zip(snapshots, snapshots[1:])]
@@ -114,13 +126,11 @@ def test_profile_map_rejects_states_outside_the_corridor(monkeypatch):
         u_map(u0, PARAMS, C_MIN, grid)
 
 
-# the fields of the envelope at the gate's critical and mid-window speeds, on
-# the gttrs path at (1, 290, 6, 9.5) and at a = 3, with the step counts the
-# rule gives on them
+# the fields of the envelope at the gate's critical and mid-window speeds and
+# at a = 3, with the step counts the rule gives on them
 _STEP_CASES = {
     "gate-critical": (PARAMS, C_MIN, 1),
     "gate-mid": (PARAMS, 0.88, 1),
-    "gttrs": (ModelParams(a=1.0, b=290.0, motility=PowerMotility(M)), 9.5, 5),
     "a3-critical": (A3_PARAMS, A3_C_MIN, 15),
 }
 
@@ -130,7 +140,7 @@ def _envelope_field(case):
     params, c, _ = _STEP_CASES[case]
     grid = default_wave_grid(params, c)
     u0 = super_solution(speed_window(params, c), grid)
-    return waveode._FrozenField(u0, params, c, grid)
+    return _frozen_field(u0, params, c, grid)
 
 
 def _general_lu_checkpoint(u, params, c, grid, state, steps):
@@ -169,7 +179,7 @@ def _general_lu_checkpoint(u, params, c, grid, state, steps):
 
 
 def _march_both_ways(field, u, params, c, grid):
-    state = oracle = field.initial_state()
+    state = oracle = np.asarray(u, dtype=float)
     for _ in range(3):
         state = field.advance_checkpoint(state)
         oracle = _general_lu_checkpoint(
@@ -182,9 +192,8 @@ def _assert_scaled_march_is_the_general_lu_march(case):
     params, c, _ = _STEP_CASES[case]
     field = _envelope_field(case)
     assert np.ptp(np.log(field.s)) > 60.0  # the similarity is far from the identity
-    state, oracle = _march_both_ways(
-        field, field.initial_state(), params, c, field.grid
-    )
+    u0 = super_solution(field.op.ctx, field.op.grid)
+    state, oracle = _march_both_ways(field, u0, params, c, field.op.grid)
     assert np.max(np.abs(state - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -196,25 +205,38 @@ def test_scaled_march_at_15_steps_per_checkpoint_agrees_with_the_general_lu_marc
     _assert_scaled_march_is_the_general_lu_march("a3-critical")
 
 
-def test_march_past_the_scaling_range_is_the_general_lu_march(monkeypatch):
-    monkeypatch.setattr(waveode, "_MAX_LOG_SCALE", 0.0)
-    grid = default_wave_grid(PARAMS, C_MIN)
-    u0 = super_solution(speed_window(PARAMS, C_MIN), grid)
-    field = waveode._FrozenField(u0, PARAMS, C_MIN, grid)
-    assert np.all(field.s == 1.0)
-    state, oracle = _march_both_ways(field, u0, PARAMS, C_MIN, grid)
-    assert np.array_equal(state, oracle)
-
-
-def test_fast_wave_whose_scaling_leaves_the_float_range_still_verifies():
-    # at c = 9.5 with a = 1 the similarity would span about e^{+-1000}
+def test_fast_wave_at_c_9_5_takes_newton_and_verifies():
+    # at c = 9.5 with a = 1 the march's similarity would span about
+    # e^{+-1000}; Newton needs none
     params = ModelParams(a=1.0, b=290.0, motility=PowerMotility(6.0))
-    grid = default_wave_grid(params, 9.5)
-    u0 = super_solution(speed_window(params, 9.5), grid)
-    assert np.all(waveode._FrozenField(u0, params, 9.5, grid).s == 1.0)
     prof = traveling_wave(params, 9.5)
     assert prof.picard_iterations == 3
+    assert prof.checkpoints == 0 and prof.newton_iterations >= 3
     assert verify_profile(prof, params).passed
+
+
+# at c = 2 sqrt(a), the one speed that marches, s and W = U / s stay normal
+# floats (|log s| below about 700) with a wide margin: over the window's
+# corners on the default grid, and at the gate's point for coarse and fine h
+_SPAN_CASES = [
+    (a, b_factor * b_star(m, a), m, None)
+    for a in (0.1, 1.0, 3.0, 20.0)
+    for m in (2.0, 6.0)
+    for b_factor in (1.5, 5.0)
+] + [(A, B, M, h) for h in (0.025, 0.05, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "a, b, m, h",
+    _SPAN_CASES,
+    ids=[f"a{a:g}-b{b:.4g}-m{m:g}-h{h}" for a, b, m, h in _SPAN_CASES],
+)
+def test_march_similarity_stays_in_the_float_range_at_the_minimal_speed(a, b, m, h):
+    params = ModelParams(a=a, b=b, motility=PowerMotility(m))
+    c = 2.0 * math.sqrt(a)
+    grid = default_wave_grid(params, c, h)
+    u0 = super_solution(speed_window(params, c), grid)
+    assert 0.5 * np.ptp(np.log(_frozen_field(u0, params, c, grid).s)) < 100.0
 
 
 @pytest.mark.parametrize(
@@ -250,7 +272,7 @@ def test_march_step_count_comes_from_the_order_preserving_bounds(case):
     steps = _STEP_CASES[case][2]
     assert field.steps_per_checkpoint == steps
     # the quadratic term's bound holds and binds: one step fewer breaks it
-    bound = 4.0 * float(np.max(field.dt_a3_s / field.s)) * field.ctx.eta
+    bound = 4.0 * float(np.max(field.dt_a3_s / field.s)) * field.op.ctx.eta
     assert bound <= 1.0
     if steps > 1:
         assert bound * steps / (steps - 1) > 1.0
@@ -267,9 +289,9 @@ def test_one_checkpoint_preserves_the_order_of_two_states(case, seed, floor, tie
     # comparison principle of the discrete march: 0 <= U1 <= U2 <= 2 eta
     # node by node stays ordered after a checkpoint
     field = _envelope_field(case)
-    ceiling = 2.0 * field.ctx.eta
+    ceiling = 2.0 * field.op.ctx.eta
     rng = np.random.default_rng(seed)
-    n = field.grid.size
+    n = field.op.grid.size
     upper = ceiling * rng.uniform(floor, 1.0, n)
     lower = upper * np.where(rng.random(n) < ties, 1.0, rng.random(n))
     new_lower = field.advance_checkpoint(lower)
@@ -383,8 +405,8 @@ def _march_to_rest(case):
     """The march of the envelope's field from the envelope, run until a
     checkpoint changes U by less than 1e-15."""
     params, u0, op = _envelope_operator(case)
-    field = waveode._FrozenField(u0, params, case[3], op.grid)
-    state = field.initial_state()
+    field = waveode._FrozenField(op)
+    state = np.asarray(u0, dtype=float)
     while True:
         new = field.advance_checkpoint(state)
         if np.max(np.abs(new - state)) < 1e-15:
@@ -630,6 +652,24 @@ def test_verification_fails_a_tail_with_no_visible_values():
     checks = {c["name"]: c for c in report.to_dict()["checks"]}
     assert checks["tail_ratio_u"]["margin"] is None
     assert checks["left_limit_u"]["passed"] is True
+
+
+def test_verification_locates_the_worse_end_and_the_lower_field():
+    # U tilts only at its left end, V only at its right end, and V dips
+    # below the minimum of U at z = 0, away from where U is lowest
+    base = _invisible_profile()
+    grid = base.grid
+    U = 1.0 + 1e-3 * np.maximum(-30.0 - grid, 0.0)
+    V = 1.0 - 0.5 * np.exp(-(grid**2)) + 1e-3 * np.maximum(grid - 30.0, 0.0)
+    prof = dataclasses.replace(base, U=U, V=V)
+    params = ModelParams(a=1.0, b=1.0, motility=PowerMotility(4.0))
+    checks = {c.name: c for c in verify_profile(prof, params).checks}
+    assert checks["flat_ends_u"].location == grid[0]
+    assert checks["flat_ends_u"].margin == pytest.approx(1e-4 - 1e-3)
+    assert checks["flat_ends_v"].location == grid[-1]
+    assert checks["flat_ends_v"].margin == pytest.approx(1e-4 - 1e-3)
+    assert checks["positivity"].location == 0.0
+    assert checks["positivity"].margin == 0.5
 
 
 def test_profile_dict_writes_non_finite_values_as_null():
