@@ -641,6 +641,8 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "solver_iterations": sum(traj.solver_iterations),
         "solver_iterations_step_max": max(traj.solver_iterations, default=0),
         "v_builds": traj.v_builds,
+        "clipped_values": traj.clipped_values,
+        "worst_undershoot": traj.worst_undershoot,
         "dt": config.dt,
     }
     return 0, outputs, metrics

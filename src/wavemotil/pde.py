@@ -74,19 +74,21 @@ every step of a run has one size and all after the first are SBDF2.
 What the steps of a run share and what depends only on the grid geometry
 (held nodes, cell volumes, the face coefficients of K and their per-node
 sums, and in 2-D the red and black index maps, the red-black coupling
-block C1 of K with unit conductances and its transpose as a CSR pair, and
-the faces to held nodes) is built once, on first use, into a stepper that
-every ``GridField`` of the run holds by reference.  u and v share the unit
-conductances, so each system holds only its two diagonals and dt: the
-Schur complement is applied as D_b p - dt^2 C1^T D_r^-1 C1 p and the red
+block C1 of K with unit conductances, the sparsity of the black Schur
+complement S = D_b - dt^2 C1^T D_r^-1 C1 with the map that fills its
+values, and the faces to held nodes) is built once, on first use, into a
+stepper that every ``GridField`` of the run holds by reference.  u and v
+share the unit conductances, so each system holds its two diagonals, dt
+and its values of S, filled through that map without building a sparse
+matrix: each CG iteration applies S as one sparse product, and the red
 nodes are D_r^-1 (b_r - dt C1 x_b).  The u system changes with gamma and is
 built every step; the v system changes only with dt and the order, so the
 stepper keeps the last one and reuses it while both repeat.  The motility
 law is evaluated once per step, for gamma only.  The stepper also keeps the
 chain of steps (the v and carries of the newest state and, in 2-D, the
 black-node states of the starts), and it counts the conjugate-gradient
-iterations and the v systems built.  A 1-D run renders the x column of its
-CSV snapshots once.
+iterations, the v systems built and the undershoots clipped.  A 1-D run
+renders the x column of its CSV snapshots once.
 
 ``simulate`` hands each snapshot, as it takes it, to an optional
 ``on_snapshot`` callback.  The CLI passes a ``_SnapshotWriter``, which saves
@@ -166,23 +168,25 @@ _CG_RTOL = 1e-12
 
 #: Iteration cap of one 2-D implicit solve.  Exact-arithmetic CG needs at
 #: most one iteration per unknown of the reduced system (15,712 black nodes
-#: of the 31,417 active ones on the fig4 grid, the largest preset); solves
-#: there take at most 102 per step, u and v together, from the
-#: extrapolated start.
+#: of the 31,417 active ones on the fig4 grid, the largest preset, where S
+#: has 140,044 entries); solves there take at most 102 per step, u and v
+#: together, from the extrapolated start.
 _CG_MAX_ITER = 100_000
 
 #: States the 2-D CG start extrapolates from: the current one and up to
 #: five earlier ones of the same chain of steps.  Total CG iterations of
 #: fig4, and the largest difference of its full-run snapshots from a run
 #: with ``_CG_RTOL = 1e-15`` (2-vCPU VM, one BLAS thread; one point is the
-#: plain start from the current field):
+#: plain start from the current field; row 6 applies the assembled Schur
+#: complement, the other rows its unformed product, where row 6 read 2,391,
+#: 7,649 and 8.5e-12):
 #:
 #:     points   t_end = 5   full run (t_end = 50)   full-run difference
 #:          1       4,016       35,492                  7.1e-11
 #:          3       3,129       20,891                  3.3e-11
 #:          4       2,828       14,439                  2.5e-11
 #:          5       2,593        9,628                  4.3e-11
-#:          6       2,391        7,649                  8.5e-12
+#:          6       2,391        7,658                  1.1e-11
 #:          7       2,236        8,290                  6.5e-12
 #:
 #: The busiest step takes 102 iterations in every row.  Each point costs
@@ -420,7 +424,9 @@ class _Stepper:
     chain, from which ``starts`` extrapolates the CG starts.
     ``iterations`` counts the conjugate-gradient iterations of the run's
     implicit solves on the reduced (black-node) systems, and ``v_builds``
-    the v systems built.  A 1-D ``save_field`` keeps the snapshots' CSV
+    the v systems built; ``clipped_values`` counts the undershoots
+    ``step`` clipped to zero and ``worst_undershoot`` keeps the most
+    negative of them.  A 1-D ``save_field`` keeps the snapshots' CSV
     rows, with the x column rendered, in ``csv_format``.
     """
 
@@ -479,6 +485,8 @@ class _Stepper:
             self.pattern = _Pattern(self)
         self.iterations = 0
         self.v_builds = 0
+        self.clipped_values = 0
+        self.worst_undershoot = 0.0
         self.csv_format = None
         self._kept_v = None
         self._kept_faces = None
@@ -655,6 +663,33 @@ class _Tridiagonal:
         return x
 
 
+def _packed(data, indices, lengths, n_cols: int) -> sparse.csr_matrix:
+    """CSR matrix whose rows, of the given lengths, hold ``data`` at
+    ``indices`` in order."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    return sparse.csr_matrix((data, indices, indptr), shape=(lengths.size, n_cols))
+
+
+def _held_faces(st: _Stepper):
+    """Faces from an active node to a held one on a planar grid, closed
+    faces left out: the active node, the held node and the face
+    coefficient of each."""
+    live = ~st.pin.ravel()
+    idx = np.arange(live.size).reshape(st.pin.shape)
+    p_all = np.concatenate([_along(idx, ax)[..., :-1].ravel() for ax in st.axes])
+    q_all = np.concatenate([_along(idx, ax)[..., 1:].ravel() for ax in st.axes])
+    scale = np.concatenate([s.ravel() for s in st.scale])
+    p_live, q_live = live[p_all], live[q_all]
+    held = np.flatnonzero((p_live != q_live) & (scale != 0.0))
+    p_lives = p_live[held]
+    return (
+        np.where(p_lives, p_all[held], q_all[held]),
+        np.where(p_lives, q_all[held], p_all[held]),
+        scale[held],
+    )
+
+
 class _Pattern:
     """Red-black structure of K = W L on the active nodes of a planar grid.
 
@@ -663,47 +698,108 @@ class _Pattern:
     coefficient s (the stepper's ``scale``); closed faces are left out.
     Every face joins a red node to a black one, so the only off-diagonal
     block of W (D - dt L) is dt times the red-row, black-column block
-    ``coupling`` = C1, with one entry -s per face between two active nodes.
-    C1 and its transpose are built once per run as CSR matrices.  Faces
+    ``coupling`` = C1, with one entry -s per face between two active nodes,
+    and ``coupling_t`` is C1^T as a CSC view of the same arrays.  Faces
     from an active node (``held_rows``) to a held one (``held_nodes``) move
     dt s times the held value (``held_scale`` holds s) to the right-hand
     side.
+
+    Eliminating the red nodes leaves S = D_b - dt^2 C1^T D_r^-1 C1 on the
+    black ones (D_r, D_b the diagonals of the two colours): a nine-point
+    operator whose entry (j, k) is D_b on the diagonal less dt^2 times the
+    sum of C1_ij C1_ik / D_r_i over the red nodes i next to both j and k.
+    ``schur`` holds its sparsity as a CSR matrix, columns sorted, with the
+    values of the system that solved last, and ``refill`` maps a system's
+    coefficients onto it: one row per entry of S in CSR order, one column
+    per red node holding C1_ij C1_ik, then one column per black node
+    holding a 1 in the row of its diagonal entry.  A system's values of S
+    are thus ``refill`` @ [-dt^2 D_r^-1, D_b].  C1, S and ``refill`` are
+    built once per run from each node's four neighbours on a frame of the
+    grid padded by two nodes, which holds every neighbour of a neighbour.
     """
 
     def __init__(self, st: _Stepper) -> None:
         shape = st.pin.shape
-        live = ~st.pin.ravel()
-        red = (np.add.outer(*(np.arange(n) for n in shape)) % 2 == 0).ravel()
+        live = ~st.pin
+        red = np.add.outer(*(np.arange(n) for n in shape)) % 2 == 0
         self.red = np.flatnonzero(live & red)
         self.black = np.flatnonzero(live & ~red)
-        local = np.full(live.size, -1)
-        local[self.red] = np.arange(self.red.size)
-        local[self.black] = np.arange(self.black.size)
-        idx = np.arange(live.size).reshape(shape)
-        p_all = np.concatenate([_along(idx, ax)[..., :-1].ravel() for ax in st.axes])
-        q_all = np.concatenate([_along(idx, ax)[..., 1:].ravel() for ax in st.axes])
-        scale = np.concatenate([s.ravel() for s in st.scale])
-        closed = scale == 0.0
-        p_live, q_live = live[p_all], live[q_all]
+        n_red, n_black = self.red.size, self.black.size
+        self.held_rows, self.held_nodes, self.held_scale = _held_faces(st)
 
-        both = np.flatnonzero(p_live & q_live & ~closed)
-        p_red = red[p_all[both]]
-        rows = local[np.where(p_red, p_all[both], q_all[both])]
-        cols = local[np.where(p_red, q_all[both], p_all[both])]
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(self.red.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.red.size), out=indptr[1:])
-        self.coupling = sparse.csr_matrix(
-            (-scale[both[order]], cols[order], indptr),
-            shape=(self.red.size, self.black.size),
+        # On the frame: each node's index within its colour (-1 where held
+        # or off the grid) and, per axis, the coefficient of the face to
+        # the next node along it (0 unless the face joins two active nodes).
+        frame = tuple(n + 4 for n in shape)
+        local = np.full(frame, -1, dtype=np.int32)
+        local[2:-2, 2:-2][live & red] = np.arange(n_red)
+        local[2:-2, 2:-2][live & ~red] = np.arange(n_black)
+        local = local.ravel()
+        # Steps to the four neighbours: (offset, faces, shift), the face a
+        # step from p crosses being faces[p + shift].
+        steps = []
+        for ax, scale in zip(st.axes, st.scale):
+            alive = _along(live, ax)
+            faces = np.zeros(frame)
+            _along(faces, ax)[2:-2, 2 : alive.shape[-1] + 1] = scale * (
+                alive[..., :-1] & alive[..., 1:]
+            )
+            stride = frame[1] if ax == 0 else 1
+            steps += [(-stride, faces.ravel(), -stride), (stride, faces.ravel(), 0)]
+        steps.sort(key=lambda s: s[0])  # C order of the node a step reaches
+        offsets = np.array([s[0] for s in steps])
+
+        def around(flat: np.ndarray):
+            """Frame positions of grid nodes ``flat`` and, per step (rows)
+            and node (columns), the face coefficient and the colour index
+            of the node reached."""
+            y, x = np.divmod(flat, shape[1])
+            at = (y + 2) * frame[1] + x + 2
+            coeff = np.array([faces[at + shift] for _, faces, shift in steps])
+            return at, coeff, local[offsets[:, None] + at]
+
+        _, coeff, cols = around(self.red)
+        keep = coeff != 0.0
+        self.coupling = _packed(
+            -coeff.T[keep.T], cols.T[keep.T], keep.sum(axis=0), n_black
         )
-        self.coupling_t = sparse.csr_matrix(self.coupling.T)
+        self.coupling_t = self.coupling.T
 
-        held_faces = np.flatnonzero((p_live != q_live) & ~closed)
-        p_lives = p_live[held_faces]
-        self.held_scale = scale[held_faces]
-        self.held_rows = np.where(p_lives, p_all[held_faces], q_all[held_faces])
-        self.held_nodes = np.where(p_lives, q_all[held_faces], p_all[held_faces])
+        # Entry (j, j + D) of S takes one term per pair of steps d1, d2 whose
+        # offsets sum to D, through the red node j + d1; the 1 for D_b leads
+        # the row of the diagonal entry.  Rows of these tables are the terms,
+        # grouped by D in ascending order; columns are the black nodes.
+        at, coeff, reds = around(self.black)
+        sums = np.add.outer(offsets, offsets)
+        stencil = np.unique(sums)
+        terms = []  # (index of D in the stencil, d1, d2); d1 None for D_b
+        for g, D in enumerate(stencil):
+            if D == 0:
+                terms.append((g, None, None))
+            terms += [(g, d1, d2) for d1, d2 in np.argwhere(sums == D)]
+        values = np.empty((len(terms), n_black))
+        columns = np.empty((len(terms), n_black), dtype=np.int32)
+        counts = np.zeros((stencil.size, n_black), dtype=np.int32)
+        for t, (g, d1, d2) in enumerate(terms):
+            if d1 is None:
+                values[t] = 1.0
+                columns[t] = np.arange(n_red, n_red + n_black)
+            else:
+                _, faces, shift = steps[d2]
+                crossed = faces[at + offsets[d1] + shift]
+                np.multiply(coeff[d1], crossed, out=values[t])
+                columns[t] = reds[d1]
+            counts[g] += values[t] != 0.0
+        keep, present = values != 0.0, counts > 0
+        self.schur = _packed(
+            np.zeros(np.count_nonzero(present)),
+            local[stencil[:, None] + at].T[present.T],
+            present.sum(axis=0),
+            n_black,
+        )
+        self.refill = _packed(
+            values.T[keep.T], columns.T[keep.T], counts.T[present.T], n_red + n_black
+        )
 
 
 class _RedBlackCG:
@@ -713,19 +809,21 @@ class _RedBlackCG:
     ``diag`` is W D, as for ``_Tridiagonal``.  With D_r, D_b the diagonals
     of the two colours (``diag`` + dt times the stepper's ``degree``) and
     C1 the pattern's coupling block, eliminating the red nodes leaves
-    S = D_b - dt^2 C1^T D_r^-1 C1 on the black ones.  S is applied without
-    being formed, and conjugate gradients solve it preconditioned by D_b:
-    the Jacobi scaling of the full system carried over to the reduced one
-    (the reduced-system CG of Hageman & Young, *Applied Iterative Methods*,
-    ch. 9), which needs about half the iterations of Jacobi-preconditioned
-    CG on the full system.  One back substitution then gives the red nodes.
-    That leaves the red rows' residual at rounding level, so the reduced
-    residual is the full weighted residual; the iteration stops once it is
-    at most ``_CG_RTOL`` times the full weighted right-hand side.  CG
-    iterates on the black nodes only, so its start is a black-node vector:
-    in a step, the stepper's extrapolation from the last few states
-    (``_Stepper.starts``).  Held nodes take their values from ``held``, so
-    their face term is fixed with the system.
+    S = D_b - dt^2 C1^T D_r^-1 C1 on the black ones.  The system assembles
+    its values of S once, through the pattern's ``refill`` map, and each
+    iteration applies S as one sparse product.  Conjugate gradients solve
+    it preconditioned by D_b: the Jacobi scaling of the full system carried
+    over to the reduced one (the reduced-system CG of Hageman & Young,
+    *Applied Iterative Methods*, ch. 9), which needs about half the
+    iterations of Jacobi-preconditioned CG on the full system.  One back
+    substitution then gives the red nodes.  That leaves the red rows'
+    residual at rounding level, so the reduced residual is the full
+    weighted residual; the iteration stops once it is at most ``_CG_RTOL``
+    times the full weighted right-hand side.  CG iterates on the black
+    nodes only, so its start is a black-node vector: in a step, the
+    stepper's extrapolation from the last few states (``_Stepper.starts``).
+    Held nodes take their values from ``held``, so their face term is fixed
+    with the system.
     """
 
     def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
@@ -735,28 +833,30 @@ class _RedBlackCG:
         self.dt = dt
         diag = (diag + st.faces(dt)[0]).ravel()
         self.inv_red = 1.0 / diag[pat.red]
-        self.diag_black = diag[pat.black]
-        self.inv_black = 1.0 / self.diag_black
-        self.reduce = dt * dt * self.inv_red
+        self.inv_black = 1.0 / diag[pat.black]
+        self.values = pat.refill @ np.concatenate(
+            (-dt * dt * self.inv_red, diag[pat.black])
+        )
         self.held_term = dt * pat.held_scale * held.ravel()[pat.held_nodes]
 
-    def _schur(self, p: np.ndarray) -> np.ndarray:
-        pat = self.st.pattern
-        return self.diag_black * p - pat.coupling_t @ (
-            self.reduce * (pat.coupling @ p)
-        )
+    def operator(self) -> sparse.csr_matrix:
+        """S: the pattern's ``schur``, made to hold this system's values."""
+        schur = self.st.pattern.schur
+        schur.data = self.values
+        return schur
 
     def solve(self, rhs: np.ndarray, start: np.ndarray) -> np.ndarray:
         """Solution for ``rhs``, iterated from ``start``, the values of the
         black nodes (``pattern.black``) to begin with."""
         pat = self.st.pattern
+        schur = self.operator()
         b = self.st.weights.ravel() * rhs.ravel()
         np.add.at(b, pat.held_rows, self.held_term)
         b_red, b_black = b[pat.red], b[pat.black]
         tol = _CG_RTOL * np.sqrt(_dot(b_red, b_red) + _dot(b_black, b_black))
         x = start.copy()
         r = b_black - pat.coupling_t @ (self.dt * self.inv_red * b_red)
-        r -= self._schur(x)
+        r -= schur @ x
         z = self.inv_black * r
         p = z.copy()
         scaled = np.empty_like(p)
@@ -774,7 +874,7 @@ class _RedBlackCG:
                     f"implicit solve stopped at {it} iterations with weighted "
                     f"residual {res:.3g} above {tol:.3g}"
                 )
-            q = self._schur(p)
+            q = schur @ p
             alpha = rz / _dot(p, q)
             x += np.multiply(p, alpha, out=scaled)
             r -= np.multiply(q, alpha, out=scaled)
@@ -866,7 +966,10 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
                 f"{name} reached {low:.6g}, below the {_NEG_FLOOR} floor"
             )
         if low < 0.0:
-            np.copyto(arr, 0.0, where=arr < 0.0)
+            below = arr < 0.0
+            st.clipped_values += int(np.count_nonzero(below))
+            st.worst_undershoot = min(st.worst_undershoot, low)
+            np.copyto(arr, 0.0, where=below)
 
     st.last = f._with(new_u, new_v, f.bc)
     return st.last
@@ -980,7 +1083,9 @@ class Trajectory:
     where the solves are direct); its length is the number of steps, each
     of size ``config.dt``.  ``v_builds`` counts the v systems built: one
     for the first-order first step and one for the second-order steps
-    after it.
+    after it.  ``clipped_values`` counts the values of u and v that steps
+    clipped from (-1e-12, 0) to zero, and ``worst_undershoot`` is the most
+    negative of them (0.0 when none was clipped).
     """
 
     times: list[float]
@@ -991,6 +1096,8 @@ class Trajectory:
     config: SimConfig
     solver_iterations: list[int] = field(default_factory=list)
     v_builds: int = 0
+    clipped_values: int = 0
+    worst_undershoot: float = 0.0
 
 
 def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
@@ -1075,6 +1182,8 @@ def simulate(
         config=config,
         solver_iterations=solver_iterations,
         v_builds=st.v_builds,
+        clipped_values=st.clipped_values,
+        worst_undershoot=st.worst_undershoot,
     )
 
 

@@ -271,7 +271,12 @@ class TestSimulate:
         steps, total = metrics["steps"], metrics["solver_iterations"]
         peak = metrics["solver_iterations_step_max"]
         assert 2 * steps <= total <= steps * peak
-        assert "iteration" not in (out / "metrics.csv").read_text()
+        assert metrics["clipped_values"] >= 0
+        assert -1e-12 <= metrics["worst_undershoot"] <= 0.0
+        assert (metrics["clipped_values"] == 0) == (metrics["worst_undershoot"] == 0.0)
+        csv_text = (out / "metrics.csv").read_text()
+        assert "iteration" not in csv_text
+        assert "clipped" not in csv_text and "undershoot" not in csv_text
 
     def test_solver_iteration_cap_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pde, "_CG_MAX_ITER", 1)

@@ -392,6 +392,29 @@ class TestStepErrors:
         assert np.min(out.u) == 0.0
         assert np.min(out.v) >= 0.0
 
+    def test_clipped_undershoots_are_counted(self):
+        f = self._spike(1e-12)
+        st = pde._stepper_of(f)
+        assert (st.clipped_values, st.worst_undershoot) == (0, 0.0)
+        out = step(f, self.CROWDED, 1.5)
+        zeros = np.count_nonzero(out.u == 0.0) + np.count_nonzero(out.v == 0.0)
+        assert 1 <= st.clipped_values <= zeros
+        assert -1e-12 <= st.worst_undershoot < 0.0
+        # simulate reports the totals of its run: here the same one step.
+        cfg = SimConfig(
+            params=self.CROWDED,
+            dim=1,
+            extents=((0.0, 4.0),),
+            h=0.1,
+            ic=ArrayIC(f.u, f.v),
+            t_end=1.5,
+            cadence=1.5,
+            dt_max=1.5,
+        )
+        traj = simulate(cfg)
+        assert traj.clipped_values == st.clipped_values
+        assert traj.worst_undershoot == st.worst_undershoot
+
     @staticmethod
     def _old_advective_bound(f, params):
         """The bound 0.4 h / max |gamma'(v) dv/dn| the explicit cross-diffusion
@@ -1015,19 +1038,68 @@ class TestRedBlackSolve:
 
     @pytest.mark.parametrize("case", CASES)
     def test_transposed_block_matches_transpose_view(self, case):
-        # The CSR copy of C1^T sums each row in the order the CSC view
-        # scatters, so the Schur product is unchanged bit for bit.
+        # The CSC view of C1^T scatters each product in the order a CSR
+        # copy of C1^T sums its rows, so the right-hand side is the same
+        # bit for bit either way.
         f, gamma, rng = self._case(case)
         st = pde._stepper_of(f)
-        solver = st.u_system(gamma, 0.5)
         pat = st.pattern
-        view = pat.coupling.T
+        copy = sparse.csr_matrix(pat.coupling.T)
         for _ in range(3):
-            r = rng.standard_normal(solver.inv_red.size)
-            p = rng.standard_normal(solver.diag_black.size)
-            assert np.array_equal(pat.coupling_t @ r, view @ r)
-            reduced = view @ (solver.reduce * (pat.coupling @ p))
-            assert np.array_equal(solver._schur(p), solver.diag_black * p - reduced)
+            r = rng.standard_normal(pat.red.size)
+            assert np.array_equal(pat.coupling_t @ r, copy @ r)
+
+    @classmethod
+    def _assembled(cls, case, unknown, dt):
+        """A system's assembled S and the blocks of its full weighted
+        matrix, taken independently from the reference system: the black
+        diagonal D_b, dt C1^T, the red diagonal D_r as a vector and dt C1."""
+        f, gamma, rng = cls._case(case)
+        st = pde._stepper_of(f)
+        if unknown == "u":
+            solver = st.u_system(gamma, dt)
+            ref_matrix, _ = _reference_system(f, dt, gamma)
+        else:
+            solver = st.v_system(dt)
+            ref_matrix, _ = _reference_system(f, dt)
+        full = (sparse.diags(_half_cell_weights(f).ravel()) @ ref_matrix).tocsr()
+        red, black = st.pattern.red, st.pattern.black
+        (d_r, c_rb), (c_br, d_b) = [
+            [full[rows][:, cols].toarray() for cols in (red, black)]
+            for rows in (red, black)
+        ]
+        assert np.count_nonzero(d_r - np.diag(np.diag(d_r))) == 0
+        assert np.count_nonzero(d_b - np.diag(np.diag(d_b))) == 0
+        return solver.operator(), d_b, c_br, np.diag(d_r), c_rb, rng
+
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    @pytest.mark.parametrize("unknown", ["u", "v"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_assembled_schur_matches_the_unformed_product(self, case, unknown, dt):
+        schur, d_b, c_br, d_r, c_rb, rng = self._assembled(case, unknown, dt)
+        for _ in range(3):
+            p = rng.standard_normal(d_b.shape[0])
+            unformed = d_b @ p - c_br @ ((c_rb @ p) / d_r)
+            err = np.linalg.norm(schur @ p - unformed)
+            assert err <= 1e-14 * np.linalg.norm(unformed)
+        # Entry by entry, with no stored entry that is zero: S holds the
+        # nine-point stencil and nothing else.
+        dense = d_b - c_br @ (c_rb / d_r[:, None])
+        assert np.max(np.abs(schur.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert schur.nnz == np.count_nonzero(dense) == np.count_nonzero(schur.data)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    @pytest.mark.parametrize("unknown", ["u", "v"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_assembled_schur_is_a_symmetric_z_matrix(self, case, unknown, dt):
+        # Nonpositive off-diagonals are what carries the M-matrix sign
+        # argument over to the reduced system.
+        schur = self._assembled(case, unknown, dt)[0]
+        dense = schur.toarray()
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(dense - dense.T)) <= 4 * np.finfo(float).eps * scale
+        off = dense - np.diag(np.diag(dense))
+        assert np.max(off) <= 0.0 < np.min(np.diag(dense))
 
     def test_half_the_iterations_of_full_system_cg(self):
         # Guards against a silent return to CG on the full system, which
@@ -1413,9 +1485,10 @@ class TestSimulate:
         traj = simulate(_front_config(t_end=2.0, cadence=1.0))
         assert len(calls) == len(traj.solver_iterations) > 0
 
-    def test_one_coupling_pair_per_2d_run(self, monkeypatch):
-        # u and v share unit conductances, so the red-black coupling block
-        # and its transpose are built once per run, not per step.
+    def test_no_sparse_matrix_built_per_2d_step(self, monkeypatch):
+        # u and v share unit conductances, so the red-black coupling block,
+        # the sparsity of the Schur complement and its refill map are built
+        # once per run; each system only fills values.
         calls = []
         csr = pde.sparse.csr_matrix
 
@@ -1424,18 +1497,23 @@ class TestSimulate:
             return csr(*args, **kwargs)
 
         monkeypatch.setattr(pde.sparse, "csr_matrix", counting)
-        cfg = SimConfig(
-            params=POWER,
-            dim=2,
-            extents=((-3.0, 3.0), (-3.0, 3.0)),
-            h=0.25,
-            ic=Bump2dIC(base=0.0, amplitude=4.0),
-            t_end=1.0,
-            cadence=0.5,
-            disk_mask=True,
-        )
-        traj = simulate(cfg)
-        assert len(traj.solver_iterations) == 10 and len(calls) == 2
+        built = []
+        for t_end in (1.0, 2.0):
+            cfg = SimConfig(
+                params=POWER,
+                dim=2,
+                extents=((-3.0, 3.0), (-3.0, 3.0)),
+                h=0.25,
+                ic=Bump2dIC(base=0.0, amplitude=4.0),
+                t_end=t_end,
+                cadence=0.5,
+                disk_mask=True,
+            )
+            calls.clear()
+            traj = simulate(cfg)
+            built.append((len(traj.solver_iterations), len(calls)))
+        assert [steps for steps, _ in built] == [10, 20]
+        assert built[0][1] == built[1][1] > 0
 
     def test_back_to_back_2d_runs_match_runs_alone(self):
         # Each run owns its stepper, so a run on another mask in between
