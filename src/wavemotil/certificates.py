@@ -35,7 +35,7 @@ margin fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -58,7 +58,6 @@ __all__ = [
     "CertificateReport",
     "super_solution",
     "sub_solution",
-    "locate_junction",
     "solve_v",
     "residual_l",
     "certify_pair",
@@ -120,6 +119,11 @@ class VSolution:
     dvalues: np.ndarray
 
 
+def _json_value(value):
+    """``value`` as JSON can hold it: a NaN or infinite float becomes None."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One sign check: pass iff margin > -slack, so a NaN margin fails
@@ -142,16 +146,8 @@ class CheckRecord:
         return cls(name, margin, float(locations[i]), slack, bool(margin > -slack))
 
     def to_dict(self) -> dict:
-        def _clean(value: float):
-            return None if math.isnan(value) else value
-
-        return {
-            "name": self.name,
-            "margin": _clean(self.margin),
-            "location": _clean(self.location),
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        """The record's fields, with NaN and infinities written as null."""
+        return {k: _json_value(v) for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -220,37 +216,15 @@ def sub_solution(bundle: ThetaBundle, spec: SubSolutionSpec, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def locate_junction(
-    bundle: ThetaBundle, d_n: float, d0: float, delta: float
-) -> tuple[float, int]:
-    """Rightmost root of d_n e^{-theta1 x} + d0 e^{-theta2 x} = delta.
-
-    Returns (x_delta, sign_change_count), the count taken on a 4097-point
-    scan of [0, x_max].  With d0 = -1 the matching function typically
-    changes sign twice (it starts negative, rises, then decays); the
-    rightmost root lies on the decreasing branch, which is the one the
-    plateau must glue to.  This is the one-height case of
-    ``_locate_junctions``, which describes the search.  Raises
-    CertificateFailed when the scan finds no sign change, which simply
-    means this plateau height is too large.
-    """
-    if not delta > 0.0:
-        raise ValueError("plateau height delta must be positive")
-    x_delta, crossings = _locate_junctions(bundle, d_n, d0, [delta])
-    if crossings[0] == 0:
-        raise CertificateFailed(
-            f"matching equation has no root for plateau height {delta!r}",
-            failing_check="junction_matching",
-            delta=delta,
-        )
-    return float(x_delta[0]), int(crossings[0])
-
-
 def _locate_junctions(
     bundle: ThetaBundle, d_n: float, d0: float, deltas
 ) -> tuple[np.ndarray, np.ndarray]:
     """Junctions of a block of plateau heights, searched together.
 
+    The junction of a height delta is the rightmost root of
+    d_n e^{-theta1 x} + d0 e^{-theta2 x} = delta.  With d0 = -1 the
+    matching function typically changes sign twice (it starts negative,
+    rises, then decays); the rightmost root lies on the decreasing branch.
     Row k scans the matching function for deltas[k] on 4097 points of
     [0, x_max_k], x_max_k = 10 (1 + |log deltas[k]|) / lambda, and counts
     its sign changes.  The rightmost sign-change cell is resampled on
@@ -578,10 +552,10 @@ def certify_pair(
     The plateau height is halved from _DELTA_START until every sign check
     passes.  The junctions of _HEIGHT_BLOCK heights at a time are located
     by one batched search (``_locate_junctions``), whose every row is the
-    search ``locate_junction`` does for that height alone.  Each candidate
-    then screens the ``sub_tail`` margin on the first _SCREEN_POINTS points
-    of its margin grid past the junction, computed as linspace computes
-    them, without the grid: a height that fails there is rejected on that
+    search of that height alone.  Each candidate then screens the
+    ``sub_tail`` margin on the first _SCREEN_POINTS points of its margin
+    grid past the junction, computed as linspace computes them, without
+    the grid: a height that fails there is rejected on that
     slice alone, and only a height that passes it gets the grid, every
     analytic check on it and then the chemical-field envelopes.  A margin
     that fails on a slice fails on the whole grid, so the accepted height,

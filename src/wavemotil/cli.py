@@ -14,8 +14,14 @@ listed value needs (``motility=sigmoid`` needs ``eps`` and ``v0``) and the
 keys only one value accepts (``y_min``, ``y_max``, ``bc_bottom`` and
 ``bc_top`` only with ``dim=2``), and
 ``speedscan`` builds every row before it simulates one, so a malformed value
-fails before any work starts.  Each command returns its exit code, outputs
-and metrics; ``main`` writes the manifest, with non-finite metrics as null.
+fails before any work starts.  The CLI restates no library decision: the
+keys of a ``motility`` or ``ic`` value are the dataclass fields of the class
+it names (``ic_`` + field for ``ic``), the side names are ``pde``'s, and
+``wave``'s ``h`` and ``simulate``'s ``transient_fraction`` default to the
+library's ``frame_step(c)`` and ``DEFAULT_TRANSIENT_FRACTION``, so
+``run.json`` records the values used.  Each command returns its exit code,
+outputs and metrics; ``main`` writes the manifest, with non-finite metrics
+as null.
 
 Exit codes: 0 all requested checks passed; 1 numeric failure (divergence,
 instability, failed verification); 2 certificate or speed-window failure;
@@ -30,6 +36,7 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,7 +54,7 @@ from .analysis import (
     oscillation_condition,
     speed_window,
 )
-from .certificates import certify_pair
+from .certificates import _json_value, certify_pair
 from .errors import (
     CertificateFailed,
     ConfigError,
@@ -60,7 +67,12 @@ from .errors import (
     WindowTooSmall,
     WindowViolation,
 )
-from .frontmetrics import classify_profile, decay_fit, wave_speed
+from .frontmetrics import (
+    DEFAULT_TRANSIENT_FRACTION,
+    classify_profile,
+    decay_fit,
+    wave_speed,
+)
 from .model import (
     ExponentialMotility,
     ModelParams,
@@ -68,6 +80,7 @@ from .model import (
     SigmoidMotility,
 )
 from .pde import (
+    _SIDES,
     DEFAULT_DT_MAX,
     ArrayIC,
     Bump2dIC,
@@ -80,7 +93,7 @@ from .pde import (
     ring_radii,
     simulate,
 )
-from .waveode import traveling_wave, verify_profile
+from .waveode import frame_step, traveling_wave, verify_profile
 
 __all__ = ["main", "PRESETS", "read_config", "resolve_config", "run_scan_row"]
 
@@ -183,15 +196,30 @@ def _one_of(needs: dict, convert=_as_str, only: dict | None = None):
     return check
 
 
-_MOTILITY = {"power": ("m",), "exponential": ("chi",), "sigmoid": ("eps", "v0")}
-_IC = {
-    "front": ("ic_steepness", "ic_offset"),
-    "bump2d": ("ic_base", "ic_amplitude"),
-    "custom": ("ic_path",),
-}
+def _builds(classes: dict, prefix: str = ""):
+    """Converter accepting only the keys of ``classes``, which maps each value
+    to the dataclass it builds: the value needs one key per field of its
+    class, ``prefix`` + field name, and ``build(value, resolved)`` builds
+    the class from them."""
+    needs = {
+        v: tuple(prefix + f.name for f in fields(cls)) for v, cls in classes.items()
+    }
+    check = _one_of(needs)
+    check.build = lambda value, resolved: classes[value](
+        **{key[len(prefix) :]: resolved[key] for key in needs[value]}
+    )
+    return check
+
+
+_FAMILY = _builds(
+    {"power": PowerMotility, "exponential": ExponentialMotility, "sigmoid": SigmoidMotility}
+)
+_INITIAL_CONDITION = _builds(
+    {"front": FrontIC, "bump2d": Bump2dIC, "custom": CustomIC}, "ic_"
+)
 
 _MOTILITY_KEYS = {
-    "motility": (_one_of(_MOTILITY), "power"),
+    "motility": (_FAMILY, "power"),
     "m": (_as_float, None),
     "chi": (_as_float, None),
     "eps": (_as_float, None),
@@ -217,7 +245,7 @@ _SCHEMAS: dict[str, dict] = {
         "b": (_as_float, _REQUIRED),
         "m": (_as_float, _REQUIRED),
         "c": (_as_float, _REQUIRED),
-        "h": (_as_positive, 0.05),
+        "h": (_as_positive, lambda resolved: frame_step(resolved["c"])),
     },
     "simulate": {
         **_MOTILITY_KEYS,
@@ -236,7 +264,7 @@ _SCHEMAS: dict[str, dict] = {
         "y_min": (_as_float, None),
         "y_max": (_as_float, None),
         "h": (_as_positive, _REQUIRED),
-        "ic": (_one_of(_IC), _REQUIRED),
+        "ic": (_INITIAL_CONDITION, _REQUIRED),
         "ic_steepness": (_as_float, None),
         "ic_offset": (_as_float, None),
         "ic_base": (_as_float, None),
@@ -250,7 +278,7 @@ _SCHEMAS: dict[str, dict] = {
         "cadence": (_as_float, _REQUIRED),
         "dt_max": (_as_float, DEFAULT_DT_MAX),
         "disk_mask": (_as_bool, False),
-        "transient_fraction": (_as_fraction, 0.2),
+        "transient_fraction": (_as_fraction, DEFAULT_TRANSIENT_FRACTION),
     },
     "speedscan": {
         **_MOTILITY_KEYS,
@@ -331,7 +359,8 @@ PRESETS: dict[str, dict[str, str]] = {
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw strings against the command schema and convert types,
     then check that every key a chosen value needs is set and that no key
-    another value owns is."""
+    another value owns is.  A callable default is a function of the keys
+    resolved before it."""
     schema = _SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -343,7 +372,7 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:
-            resolved[key] = default
+            resolved[key] = default(resolved) if callable(default) else default
     for key, (convert, _) in schema.items():
         value = resolved[key]
         for needed in getattr(convert, "needs", {}).get(value, ()):
@@ -358,21 +387,12 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
     return resolved
 
 
-def _build_motility(cfg: dict):
-    family = cfg.get("motility", "power")
-    if family == "exponential":
-        return ExponentialMotility(chi=cfg["chi"])
-    if family == "sigmoid":
-        return SigmoidMotility(eps=cfg["eps"], v0=cfg["v0"])
-    return PowerMotility(m=cfg["m"])
-
-
 def _model_params(resolved: dict) -> ModelParams:
-    """The model of a resolved config, with malformed values as usage errors."""
+    """The model of a resolved config, with malformed values as usage errors;
+    a command without a ``motility`` key takes the power family."""
     try:
-        return ModelParams(
-            a=resolved["a"], b=resolved["b"], motility=_build_motility(resolved)
-        )
+        family = _FAMILY.build(resolved.get("motility", "power"), resolved)
+        return ModelParams(a=resolved["a"], b=resolved["b"], motility=family)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -435,10 +455,7 @@ def _write_manifest(
             {"path": name, "sha256": _sha256(out_dir / name)} for name in outputs
         ],
         # NaN and infinities are not JSON: every metric writes them as null
-        "metrics": {
-            k: None if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in metrics.items()
-        },
+        "metrics": {k: _json_value(v) for k, v in metrics.items()},
     }
     _write_json(out_dir / "run.json", manifest)
 
@@ -553,21 +570,16 @@ def _sim_config(resolved: dict) -> SimConfig:
     extents = tuple(
         (resolved[f"{axis}_min"], resolved[f"{axis}_max"]) for axis in "xy"[:dim]
     )
-    kind = resolved["ic"]
-    if kind == "front":
-        ic = FrontIC(resolved["ic_steepness"], resolved["ic_offset"])
-    elif kind == "bump2d":
-        ic = Bump2dIC(resolved["ic_base"], resolved["ic_amplitude"])
-    else:
-        ic = CustomIC(resolved["ic_path"])
-    sides = ("left", "right", "bottom", "top")[: 2 * dim]
-    bc = {side: _parse_bc(f"bc_{side}", resolved[f"bc_{side}"]) for side in sides}
+    bc = {
+        side: _parse_bc(f"bc_{side}", resolved[f"bc_{side}"])
+        for side in _SIDES[: 2 * dim]
+    }
     return SimConfig(
         params=_model_params(resolved),
         dim=dim,
         extents=extents,
         h=resolved["h"],
-        ic=ic,
+        ic=_INITIAL_CONDITION.build(resolved["ic"], resolved),
         bc=bc,
         t_end=resolved["t_end"],
         cadence=resolved["cadence"],

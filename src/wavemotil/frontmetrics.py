@@ -41,6 +41,9 @@ DECAY_WINDOW = (1e-12, 1e-2)
 
 _MIN_FIT_SAMPLES = 10
 
+#: Rays from the center along which :func:`ring_metrics` samples a field.
+_N_RAYS = 64
+
 
 @dataclass(frozen=True)
 class ProfileClass:
@@ -230,12 +233,11 @@ def ring_metrics(
     *,
     center: tuple[float, float] = (0.0, 0.0),
     level: float,
-    n_rays: int = 64,
     r_max: float | None = None,
 ) -> tuple[float, float, float]:
     """Ring radii of a planar density field.
 
-    Samples ``u`` on ``n_rays`` equally spaced rays from ``center`` with
+    Samples ``u`` on ``_N_RAYS`` equally spaced rays from ``center`` with
     bilinear interpolation, averages azimuthally to a radial profile, and
     returns ``(r_inner, r_peak, r_outer)``: the innermost and outermost
     linear-interpolated crossings of ``level`` and the radius of the maximal
@@ -258,7 +260,7 @@ def ring_metrics(
         raise ValueError("center must lie strictly inside the grid")
     dr = min(np.min(np.diff(x)), np.min(np.diff(y)))
     radii = np.arange(0.0, r_max + dr / 2, dr)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, _N_RAYS, endpoint=False)
     px = cx + np.outer(radii, np.cos(angles))
     py = cy + np.outer(radii, np.sin(angles))
     samples = _bilinear(x, y, u, px, py)

@@ -217,15 +217,13 @@ class GridField:
     """Node-centered state on a uniform grid.
 
     1-D arrays have shape ``(nx,)``; 2-D arrays ``(ny, nx)`` with the first
-    index along y.  ``bc`` maps side names (``left``/``right`` and, in 2-D,
-    ``bottom``/``top``) to boundary conditions.  ``mask`` marks active nodes
-    in masked-disk mode; inactive nodes are held at zero.
+    index along y.  ``dim`` is the number of extent pairs, and ``nx`` and
+    ``ny`` are read off ``u``.  ``bc`` maps side names (``left``/``right``
+    and, in 2-D, ``bottom``/``top``) to boundary conditions.  ``mask`` marks
+    active nodes in masked-disk mode; inactive nodes are held at zero.
     """
 
-    dim: int
     extents: tuple[tuple[float, float], ...]
-    nx: int
-    ny: int | None
     h: float
     u: np.ndarray
     v: np.ndarray
@@ -234,6 +232,18 @@ class GridField:
     _stepper: _Stepper | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def dim(self) -> int:
+        return len(self.extents)
+
+    @property
+    def nx(self) -> int:
+        return self.u.shape[-1]
+
+    @property
+    def ny(self) -> int | None:
+        return self.u.shape[0] if self.dim == 2 else None
 
     @property
     def x(self) -> np.ndarray:
@@ -250,17 +260,7 @@ class GridField:
 
     def _with(self, u: np.ndarray, v: np.ndarray, bc: dict) -> "GridField":
         """A state on the same grid that shares this field's stepper."""
-        out = GridField(
-            dim=self.dim,
-            extents=self.extents,
-            nx=self.nx,
-            ny=self.ny,
-            h=self.h,
-            u=u,
-            v=v,
-            bc=bc,
-            mask=self.mask,
-        )
+        out = GridField(self.extents, self.h, u, v, bc, self.mask)
         out._stepper = self._stepper
         return out
 
@@ -364,8 +364,6 @@ def make_field(
 ) -> GridField:
     """Allocate a grid and fill both fields from scalars or arrays."""
     extents, counts, full_bc = _grid_spec(dim, extents, h, bc, disk_mask)
-    nx = counts[0]
-    ny = counts[1] if dim == 2 else None
     shape = tuple(reversed(counts))
 
     u = np.zeros(shape)
@@ -380,16 +378,14 @@ def make_field(
         radius = 0.5 * min(
             extents[0][1] - extents[0][0], extents[1][1] - extents[1][0]
         )
-        gx = extents[0][0] + h * np.arange(nx)
-        gy = extents[1][0] + h * np.arange(ny)
+        gx = extents[0][0] + h * np.arange(counts[0])
+        gy = extents[1][0] + h * np.arange(counts[1])
         xx, yy = np.meshgrid(gx, gy)
         mask = np.hypot(xx - cx, yy - cy) <= radius + 1e-9
         u[~mask] = 0.0
         v[~mask] = 0.0
 
-    return GridField(
-        dim=dim, extents=extents, nx=nx, ny=ny, h=h, u=u, v=v, bc=full_bc, mask=mask
-    )
+    return GridField(extents, h, u, v, full_bc, mask)
 
 
 def _along(a: np.ndarray, axis: int) -> np.ndarray:
@@ -1389,17 +1385,8 @@ def load_field(basepath: str) -> GridField:
         mask = None
         if "mask" in header["arrays"]:
             mask = raw[2 * n : 3 * n].reshape(ny, nx) > 0.5
-        return GridField(
-            dim=2,
-            extents=extents,
-            nx=nx,
-            ny=ny,
-            h=float(header["h"]),
-            u=u,
-            v=v,
-            bc=_bc_of_record(2, header.get("bc", {})),
-            mask=mask,
-        )
+        bc = _bc_of_record(2, header.get("bc", {}))
+        return GridField(extents, float(header["h"]), u, v, bc, mask)
     if cpath.exists():
         with open(cpath) as fh:
             line = fh.readline()
@@ -1409,15 +1396,7 @@ def load_field(basepath: str) -> GridField:
                 fh.readline()  # the column names
             data = np.atleast_2d(np.loadtxt(fh, delimiter=","))
         x, u, v = data[:, 0], data[:, 1], data[:, 2]
-        h = (x[-1] - x[0]) / (x.size - 1)
-        return GridField(
-            dim=1,
-            extents=((float(x[0]), float(x[-1])),),
-            nx=x.size,
-            ny=None,
-            h=float(h),
-            u=u.copy(),
-            v=v.copy(),
-            bc=_bc_of_record(1, record),
-        )
+        h = float((x[-1] - x[0]) / (x.size - 1))
+        bc = _bc_of_record(1, record)
+        return GridField(((float(x[0]), float(x[-1])),), h, u.copy(), v.copy(), bc)
     raise FileNotFoundError(f"no snapshot found at {basepath!r}")

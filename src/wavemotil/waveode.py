@@ -41,10 +41,12 @@ Its step size comes from the comparison principle it discretizes: a
 checkpoint is split into the fewest equal steps for which each step is
 order-preserving on the corridor [0, 2 eta], that is 4 dt max(A3) eta <= 1
 for the explicit quadratic term and dt max(A2) <= 1/2 for the implicit
-matrix.  The rest state does not depend on dt.  The default frame step,
-the checkpoint length, the settling tolerance and time cap of the march,
-the Newton tolerance and cap, the Picard tolerance and cap, and the
-verification tolerances are module constants, not options.
+matrix.  The rest state does not depend on dt.  The default frame step
+is ``frame_step(c)``, which ``default_wave_grid`` and the ``wave``
+command both take.  Its two bounds, the checkpoint length, the settling
+tolerance and time cap of the march, the Newton tolerance and cap, the
+Picard tolerance and cap, and the verification tolerances are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .analysis import WaveContext, kappa, lambda12, speed_window
 from .certificates import (
     CheckRecord,
     VSolution,
+    _json_value,
     certify_pair,
     residual_l,
     solve_v,
@@ -72,6 +75,7 @@ from .pde import csv_rows, spd_tridiagonal_factor
 __all__ = [
     "WaveProfile",
     "VerificationReport",
+    "frame_step",
     "default_wave_grid",
     "u_map",
     "traveling_wave",
@@ -113,6 +117,13 @@ _LIMIT_RTOL = 0.02
 _SLOPE_TOL = 1e-4
 
 
+def frame_step(c: float) -> float:
+    """Default frame step at speed c: min(0.05, 0.14 / |lambda_1|),
+    lambda_1 < 0 the kernel rate of V'' + c V' - V = 0, so it shrinks with
+    the drift, which grows like c.  It is 0.05 up to c = 2.4428."""
+    return min(_FRAME_H, _FRAME_H_DRIFT / abs(lambda12(c)[0]))
+
+
 def default_wave_grid(
     params: ModelParams, c: float, h: float | None = None
 ) -> np.ndarray:
@@ -121,12 +132,11 @@ def default_wave_grid(
     The left end resolves the approach to the plateau (width scales like
     1/sqrt(a)), the right end resolves the e^{-lam z} tail down to far
     below the fitting threshold.  The step ``h`` defaults to
-    min(0.05, 0.14 / |lambda_1|), lambda_1 < 0 the kernel rate of
-    V'' + c V' - V = 0, so it shrinks with the drift, which grows like c.
+    ``frame_step(c)``.
     """
     ctx = speed_window(params, c)
     if h is None:
-        h = min(_FRAME_H, _FRAME_H_DRIFT / abs(lambda12(c)[0]))
+        h = frame_step(c)
     z_min = -40.0 / math.sqrt(params.a)
     z_max = 40.0 / ctx.lam
     n = int(round((z_max - z_min) / h)) + 1
@@ -466,10 +476,7 @@ class WaveProfile:
             "checkpoints": int(self.checkpoints),
             "newton_iterations": int(self.newton_iterations),
         }
-        return {
-            k: None if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in out.items()
-        }
+        return {k: _json_value(v) for k, v in out.items()}
 
 
 def _fit_tail_ratio(grid, values, lam: float) -> float:
@@ -500,15 +507,21 @@ def _left_mean(values) -> float:
     return float(np.mean(values[:n]))
 
 
+def _residual_v(h: float, U, V, c: float) -> np.ndarray:
+    """Centred-difference residual of V'' + c V' + U - V on interior nodes."""
+    vp = (V[2:] - V[:-2]) / (2.0 * h)
+    vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
+    return vpp + c * vp + U[1:-1] - V[1:-1]
+
+
 def _profile_residuals(grid, U, V, params: ModelParams, c: float):
     """Sup-norm interior residuals of the frozen-field and chemical equations."""
     h = float(grid[1] - grid[0])
     up = (U[2:] - U[:-2]) / (2.0 * h)
     upp = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / h**2
     vp = (V[2:] - V[:-2]) / (2.0 * h)
-    vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
     res_l = residual_l(U[1:-1], up, upp, V[1:-1], vp, params, c)
-    res_v = vpp + c * vp + U[1:-1] - V[1:-1]
+    res_v = _residual_v(h, U, V, c)
     return float(np.max(np.abs(res_l))), float(np.max(np.abs(res_v)))
 
 
@@ -624,9 +637,7 @@ def verify_profile(profile: WaveProfile, params: ModelParams) -> VerificationRep
     res_u = wpp + c * up + ui * (params.a - params.b * ui)
     record("residual_u_equation", _RESIDUAL_TOL - np.abs(res_u), grid[1:-1])
 
-    vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
-    vp = (V[2:] - V[:-2]) / (2.0 * h)
-    res_v = vpp + c * vp + ui - V[1:-1]
+    res_v = _residual_v(h, U, V, c)
     record("residual_v_equation", _RESIDUAL_TOL - np.abs(res_v), grid[1:-1])
 
     enforce_plateau = isinstance(params.motility, PowerMotility) and (

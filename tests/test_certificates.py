@@ -26,7 +26,6 @@ from wavemotil import (
     WindowViolation,
     certify_pair,
     lambda12,
-    locate_junction,
     residual_l,
     solve_v,
     speed_window,
@@ -35,7 +34,7 @@ from wavemotil import (
     theta_bundle,
 )
 from wavemotil import certificates
-from wavemotil.certificates import SubSolutionSpec
+from wavemotil.certificates import CheckRecord, SubSolutionSpec
 
 A, B, M = 0.1, 60.0, 6.0
 PARAMS = ModelParams(a=A, b=B, motility=PowerMotility(M))
@@ -50,6 +49,15 @@ def _mid_speed():
     from wavemotil import c_star
 
     return 0.5 * (C_MIN + c_star(A, B, M))
+
+
+def _one_height_block(tb, d_n, d0, delta):
+    """Junction and sign-change count of one height, searched as a block of
+    one; CertificateFailed when its scan finds no root."""
+    x_delta, crossings = certificates._locate_junctions(tb, d_n, d0, [delta])
+    if crossings[0] == 0:
+        raise CertificateFailed("no root", failing_check="junction_matching", delta=delta)
+    return float(x_delta[0]), int(crossings[0])
 
 
 # ----------------------------------------------------------------- solve_v
@@ -237,7 +245,7 @@ def test_sub_solution_matches_at_junction(c):
     tb = theta_bundle(ctx)
     delta = 1e-6
     d0 = 1.0 if ctx.is_critical else -1.0
-    x_delta, crossings = locate_junction(tb, d_n=0.5, d0=d0, delta=delta)
+    x_delta, crossings = _one_height_block(tb, 0.5, d0, delta)
     assert x_delta > 0.0
     expected_crossings = 1 if ctx.is_critical else 2
     assert crossings == expected_crossings
@@ -263,7 +271,7 @@ def test_sub_solution_matches_at_junction(c):
 def test_sub_solution_vectorized_matches_scalar():
     ctx = _ctx(C_MIN)
     tb = theta_bundle(ctx)
-    x_delta, _ = locate_junction(tb, d_n=0.5, d0=1.0, delta=1e-6)
+    x_delta, _ = _one_height_block(tb, 0.5, 1.0, 1e-6)
     spec = SubSolutionSpec(n=2, d_n=0.5, d0=1.0, delta=1e-6, x_delta=x_delta)
     xs = np.linspace(x_delta - 10.0, x_delta + 50.0, 97)
     vec = sub_solution(tb, spec, xs)
@@ -273,7 +281,7 @@ def test_sub_solution_vectorized_matches_scalar():
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-7, 1e-10])
 @pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
-def test_locate_junction_matches_scipy_brentq(c, delta):
+def test_one_height_block_matches_scipy_brentq(c, delta):
     # scipy stays the reference here; the package no longer imports it.
     from scipy.optimize import brentq
 
@@ -292,7 +300,7 @@ def test_locate_junction_matches_scipy_brentq(c, delta):
     signs = np.sign([f(x) for x in xs])
     i = int(np.nonzero(signs[:-1] * signs[1:] < 0.0)[0][-1])
     want = brentq(f, xs[i], xs[i + 1], xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
-    x_delta, _ = locate_junction(tb, d_n=0.5, d0=d0, delta=delta)
+    x_delta, _ = _one_height_block(tb, 0.5, d0, delta)
     assert abs(x_delta - want) <= 1e-12 + 4.0 * np.finfo(float).eps * abs(want)
 
 
@@ -429,7 +437,7 @@ def _junction_of_one_height(tb, d_n, d0, delta):
     return float(0.5 * (lo + hi)), int(len(brackets))
 
 
-def _certify_by_full_checks(params, c, n=2, junction=locate_junction):
+def _certify_by_full_checks(params, c, n=2, junction=_one_height_block):
     """The halving search that evaluates every analytic check at every
     height, one height at a time, as the oracle of the search that screens
     the tail margin and locates the junctions of a block of heights
@@ -529,7 +537,7 @@ def test_certify_matches_a_search_of_one_height_at_a_time_at_the_gate_speeds(whi
 
 
 @pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
-def test_locate_junction_is_its_row_of_the_block_search_bit_for_bit(c):
+def test_one_height_block_is_its_row_of_the_block_search_bit_for_bit(c):
     # the 46 heights the minimal speed tries, in one block; at c = 0.88 the
     # four largest have no root
     tb = theta_bundle(_ctx(c))
@@ -541,9 +549,9 @@ def test_locate_junction_is_its_row_of_the_block_search_bit_for_bit(c):
         if count == 0:
             assert math.isnan(x_delta)
             with pytest.raises(CertificateFailed):
-                locate_junction(tb, 0.5, d0, delta)
+                _one_height_block(tb, 0.5, d0, delta)
         else:
-            assert locate_junction(tb, 0.5, d0, delta) == (x_delta, count)
+            assert _one_height_block(tb, 0.5, d0, delta) == (x_delta, count)
             assert _junction_of_one_height(tb, 0.5, d0, delta) == (x_delta, count)
 
 
@@ -575,7 +583,7 @@ def test_tail_screen_margins_are_the_full_margins_bit_for_bit(which):
     delta, heights = certificates._DELTA_START, 0
     while delta >= certificates._DELTA_FLOOR:
         try:
-            x_delta, _ = locate_junction(tb, d_n, d0, delta)
+            x_delta, _ = _one_height_block(tb, d_n, d0, delta)
         except CertificateFailed:
             delta *= 0.5
             continue
@@ -636,6 +644,37 @@ def test_certificate_report_serializes():
     json.dumps(data)  # round-trippable
     assert data["passed"] is True
     assert data["c"] == pytest.approx(_mid_speed())
+
+
+@pytest.mark.parametrize("margin", [math.inf, -math.inf, math.nan])
+def test_check_record_writes_non_finite_values_as_null(margin):
+    data = CheckRecord("probe", margin, math.inf, 0.0, margin > 0.0).to_dict()
+    assert data == {
+        "name": "probe", "margin": None, "location": None, "slack": 0.0,
+        "passed": margin > 0.0,
+    }
+    json.dumps(data, allow_nan=False)  # raises on a bare Infinity or NaN token
+
+
+@pytest.mark.parametrize(
+    "c, x_delta, slope",
+    [(C_MIN, 111.008, -0.3162), (0.88, 84.313, -0.1270)],
+    ids=["critical", "c0.88"],
+)
+def test_accepted_pair_has_a_concave_corner_at_the_junction(c, x_delta, slope):
+    # The plateau is flat up to x_delta and the tail falls beyond it, so
+    # phi'(x_delta+) < phi'(x_delta-): a lower solution with a kink needs
+    # the opposite, and no check of the certificate tests it.
+    report = certify_pair(PARAMS, c)
+    tb = theta_bundle(speed_window(PARAMS, c))
+    spec = SubSolutionSpec(report.n, report.d_n, report.d0, report.delta, report.x_delta)
+    x, eps = report.x_delta, 1e-5
+    assert x == pytest.approx(x_delta, abs=1e-3)
+    assert sub_solution(tb, spec, x - eps) == sub_solution(tb, spec, x) == report.delta
+    below, above = (
+        float(certificates._tail(tb, report.d_n, report.d0, x + s)) for s in (-eps, eps)
+    )
+    assert (above - below) / (2.0 * eps) / report.delta == pytest.approx(slope, abs=1e-4)
 
 
 def test_certificate_junction_matching_is_tight():

@@ -12,9 +12,10 @@ import pytest
 
 import wavemotil.cli as cli
 import wavemotil.pde as pde
-from wavemotil.analysis import b_star, kappa
+from wavemotil.analysis import b_star, c_star, kappa
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
 from wavemotil.errors import ConfigError
+from wavemotil.waveode import frame_step
 
 
 def _write(tmp_path, name, text):
@@ -149,6 +150,33 @@ class TestWave:
         assert metrics["march_steps_per_checkpoint"] == 0
         assert metrics["checkpoints"] == 0
         assert metrics["newton_iterations"] >= metrics["picard_iterations"] > 0
+
+    @pytest.mark.parametrize("c", ["0.6324555320336759", "0.88", "1.13"])
+    def test_default_frame_step_is_0_05_at_the_gate_speeds(self, c):
+        raw = {"a": "0.1", "b": "60", "m": "6", "c": c}
+        assert resolve_config("wave", raw)["h"] == 0.05
+        assert resolve_config("wave", {**raw, "h": "0.025"})["h"] == 0.025
+
+    def test_default_frame_step_is_the_library_step(self, tmp_path, capsys):
+        # (20, 5 b*, 2) a quarter into the window, where h = 0.05 gives
+        # h |A1| / 2 >= 1: the library's step returns a profile, which
+        # fails verification
+        a, m = 20.0, 2.0
+        b = 5.0 * b_star(m, a)
+        c_min = 2.0 * math.sqrt(a)
+        c = c_min + 0.25 * (c_star(a, b, m) - c_min)
+        cfg = _write(tmp_path, "w.cfg", f"a=20\nb={b!r}\nm=2\nc={c!r}\n")
+        out = tmp_path / "out"
+        assert main(["wave", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""  # no NonFiniteState
+        manifest = json.loads((out / "run.json").read_text())
+        assert float(manifest["config"]["h"]) == frame_step(c)
+        assert frame_step(c) == pytest.approx(0.00330, abs=1e-5)
+        assert [entry["path"] for entry in manifest["outputs"]] == ["wave.csv", "wave.json"]
+        assert manifest["metrics"]["verification_passed"] is False
+        checks = json.loads((out / "wave.json").read_text())["verification"]["checks"]
+        failed = [ch["name"] for ch in checks if not ch["passed"]]
+        assert failed == ["residual_v_equation", "flat_ends_u", "flat_ends_v"]
 
     def test_speed_below_minimal_refused(self, tmp_path, capsys):
         cfg = _write(tmp_path, "w.cfg", "a=0.1\nb=60\nm=6\nc=0.5\n")

@@ -897,10 +897,7 @@ class TestImplicitSolve2d:
         }
         for bc in (sides, dict(reversed(sides.items()))):
             f = GridField(
-                dim=2,
                 extents=((0.0, 2.0), (0.0, 2.0)),
-                nx=3,
-                ny=3,
                 h=1.0,
                 u=np.full((3, 3), 0.5),
                 v=np.full((3, 3), 0.5),

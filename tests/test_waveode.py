@@ -34,6 +34,7 @@ from wavemotil import (
     PowerMotility,
     SpeedBelowMinimal,
     default_wave_grid,
+    front_position,
     residual_l,
     solve_v,
     speed_window,
@@ -499,6 +500,43 @@ def test_wave_above_the_minimal_speed_counts_newton_iterations_and_no_march():
     side = prof.to_dict()
     assert (side["march_steps_per_checkpoint"], side["checkpoints"]) == (0, 0)
     assert side["newton_iterations"] == prof.newton_iterations
+
+
+# ------------------------------------------------ rest state and domain
+def _rest_state_front(c, span):
+    """Front (U = eta/2) of the Picard sweeps of Newton maps, run until a
+    sweep changes U by less than 1e-11, on the frame grid cut at
+    z_max = span / lam; the first sweep pins the left end at eta, as in
+    ``traveling_wave``."""
+    ctx = speed_window(PARAMS, c)
+    h = waveode.frame_step(c)
+    z_min = -40.0 / math.sqrt(A)
+    grid = z_min + h * np.arange(int(round((span / ctx.lam - z_min) / h)) + 1)
+    u = super_solution(ctx, grid)
+    for k in range(waveode._PICARD_MAX):
+        op = waveode._frozen_operator(u, PARAMS, c, grid, ctx.eta if k == 0 else None)
+        new, _ = waveode._newton_rest_state(op)
+        change = float(np.max(np.abs(new - u)))
+        u = new
+        if change < 1e-11:
+            return front_position(grid, u, 0.5 * ctx.eta)
+    raise AssertionError("the Picard sweeps did not come to rest")
+
+
+@pytest.mark.parametrize(
+    "c, fronts",
+    [(C_MIN, (2.295, 0.790)), (0.88, (41.284, 41.282))],
+    ids=["critical", "c0.88"],
+)
+def test_rest_state_moves_with_the_domain_only_at_the_minimal_speed(c, fronts):
+    # At 2 sqrt(a) the front moves back as the domain grows, the signature
+    # of a tail (A z + B) e^{-lam z}; above it the front stays put.
+    near, far = _rest_state_front(c, 40.0), _rest_state_front(c, 60.0)
+    assert (near, far) == pytest.approx(fronts, abs=1e-3)
+    if c == C_MIN:
+        assert near - far > 1.0
+    else:
+        assert abs(near - far) < 0.01
 
 
 # ------------------------------------------------------------- frame step
