@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EtaUndefined, SpeedBelowMinimal, WindowViolation
+from .errors import EtaUndefined, NonFiniteState, SpeedBelowMinimal, WindowViolation
 from .model import ModelParams, PowerMotility
 
 __all__ = [
@@ -286,7 +286,8 @@ class LinearizationReport:
     classified at the origin (complex pair from the U-block when
     c < 2 sqrt(gamma(0) a)).  hopf_omega is the frequency of a purely
     imaginary eigenvalue pair of the c = 0 problem at coexistence, when one
-    exists.
+    exists.  residual is the largest |p(lambda)| / max(1, |lambda|)^4 over
+    the eigenvalues lambda, with p the characteristic polynomial.
     """
 
     at: str
@@ -299,24 +300,44 @@ class LinearizationReport:
 
 
 def _char_residual(coeffs: np.ndarray, eigs: np.ndarray) -> float:
-    vals = np.polyval(coeffs, eigs)
-    scale = np.maximum(1.0, np.abs(eigs)) ** (coeffs.size - 1)
-    return float(np.max(np.abs(vals) / scale))
+    """max |p(lambda)| / s^n with s = max(1, |lambda|), by Horner's rule in
+    lambda / s, so no power of a large eigenvalue overflows."""
+    scale = np.maximum(1.0, np.abs(eigs))
+    z = eigs / scale
+    vals = np.zeros_like(eigs)
+    weight = np.ones_like(scale)  # s^-k for the k-th coefficient
+    for coeff in coeffs:
+        vals = vals * z + coeff * weight
+        weight = weight / scale
+    return float(np.max(np.abs(vals)))
 
 
 def _hopf_omega(a: float, b: float, sigma1: float, sigma2: float) -> float | None:
-    """Real frequency omega with omega^4 - (a(b+s2)/(s1 b) + 1) omega^2 + a/s1 = 0."""
+    """Real frequency omega with omega^4 - p omega^2 + q = 0, where
+    p = a(b+s2)/(s1 b) + 1 and q = a/s1.
+
+    p is scaled into [1/4, 1) by an even power of two first.  That is
+    exact, so the result is that of the unscaled formula, but p^2 cannot
+    overflow.
+    """
     p = a * (b + sigma2) / (sigma1 * b) + 1.0
     q = a / sigma1
-    disc = p * p - 4.0 * q
-    if disc < 0.0 or p <= 0.0:
+    if not p > 0.0:
         return None
-    omega_sq = 0.5 * (p + math.sqrt(disc))
-    return math.sqrt(omega_sq)
+    half = (math.frexp(p)[1] + 1) // 2
+    p, q = math.ldexp(p, -2 * half), math.ldexp(q, -4 * half)
+    disc = p * p - 4.0 * q
+    if disc < 0.0:
+        return None
+    return math.ldexp(math.sqrt(0.5 * (p + math.sqrt(disc))), half)
 
 
 def linearize(params: ModelParams, c: float, at: str = "origin") -> LinearizationReport:
-    """Linearize the traveling-wave system at 'origin' or 'coexistence'."""
+    """Linearize the traveling-wave system at 'origin' or 'coexistence'.
+
+    Raises NonFiniteState at coexistence when gamma(a/b) is so small that
+    the matrix cannot be formed in floating point.
+    """
     a, b = params.a, params.b
     if at == "origin":
         g0 = params.motility.gamma(0.0)
@@ -331,16 +352,26 @@ def linearize(params: ModelParams, c: float, at: str = "origin") -> Linearizatio
         spiral = c < 2.0 * math.sqrt(g0 * a) * (1.0 - _REL_TOL)
         hopf = None
     elif at == "coexistence":
-        eq = params.equilibrium
-        s1, s2, _ = params.motility.eval(eq)
-        matrix = np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [a * (b + s2) / (s1 * b), -c / s1, -a * s2 / (b * s1), a * s2 * c / (b * s1)],
-                [0.0, 0.0, 0.0, 1.0],
-                [-1.0, 0.0, 1.0, -c],
-            ]
-        )
+        s1, s2, _ = params.motility.eval(params.equilibrium)
+        if s1 * b > 0.0:
+            matrix = np.array(
+                [
+                    [0.0, 1.0, 0.0, 0.0],
+                    [
+                        a * (b + s2) / (s1 * b),
+                        -c / s1,
+                        -a * s2 / (b * s1),
+                        a * s2 * c / (b * s1),
+                    ],
+                    [0.0, 0.0, 0.0, 1.0],
+                    [-1.0, 0.0, 1.0, -c],
+                ]
+            )
+        if not (s1 * b > 0.0 and np.isfinite(matrix).all()):
+            raise NonFiniteState(
+                f"gamma(a/b) = {s1:.3g}: the linearization at coexistence "
+                "overflows in floating point"
+            )
         spiral = None
         hopf = _hopf_omega(a, b, s1, s2)
     else:
@@ -375,12 +406,18 @@ def oscillation_condition(params: ModelParams) -> tuple[bool, float, float]:
         m = params.motility.m
         t = a / b
         lhs = math.sqrt(m)
-        rhs = math.sqrt((1.0 + t) / t) * abs(math.sqrt(a * (1.0 + t) ** m) - 1.0)
+        try:  # sqrt(a (1+t)^m) in log space
+            root = math.exp(0.5 * (math.log(a) + m * math.log1p(t)))
+        except OverflowError:  # beyond every float, and so is rhs
+            root = math.inf
+        rhs = math.sqrt((1.0 + t) / t) * abs(root - 1.0)
     else:
         eq = params.equilibrium
         s1, s2, _ = params.motility.eval(eq)
         lhs = abs(s2)
-        rhs = (b / a) * s1 * (math.sqrt(a / s1) - 1.0) ** 2
+        # gamma (sqrt(a/gamma) - 1)^2 without the division, which fails
+        # where gamma(a/b) underflows to 0
+        rhs = (b / a) * (math.sqrt(a) - math.sqrt(s1)) ** 2
     return lhs < rhs, lhs, rhs
 
 

@@ -62,6 +62,7 @@ from .errors import (
     InsufficientSamples,
     NoCrossing,
     NoRing,
+    NonFiniteState,
     SpeedBelowMinimal,
     WavemotilError,
     WindowTooSmall,
@@ -431,9 +432,21 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _json_tree(value):
+    """``value`` with every NaN or infinite float in its dicts, lists and
+    tuples written as None."""
+    if isinstance(value, dict):
+        return {k: _json_tree(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_tree(v) for v in value]
+    return _json_value(value)
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: NaN and infinities are not JSON, so
+    every one of them is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_json_tree(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -454,8 +467,7 @@ def _write_manifest(
         "outputs": [
             {"path": name, "sha256": _sha256(out_dir / name)} for name in outputs
         ],
-        # NaN and infinities are not JSON: every metric writes them as null
-        "metrics": {k: _json_value(v) for k, v in metrics.items()},
+        "metrics": metrics,
     }
     _write_json(out_dir / "run.json", manifest)
 
@@ -482,8 +494,11 @@ def cmd_analyze(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
     holds, lhs, rhs = oscillation_condition(params)
 
-    def _eigs(at: str) -> dict:
-        rep = linearize(params, c, at=at)
+    def _eigs(at: str) -> dict | None:
+        try:
+            rep = linearize(params, c, at=at)
+        except NonFiniteState:  # gamma(a/b) too small to form it
+            return None
         eigs = np.sort_complex(rep.eigenvalues)
         out = {"eigenvalues": [[float(e.real), float(e.imag)] for e in eigs]}
         if rep.spiral is not None:
@@ -590,46 +605,56 @@ def _sim_config(resolved: dict) -> SimConfig:
 
 def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     config = _sim_config(resolved)
+    params = config.params
+    if config.dim == 1:
+        header = "time,mass_u,mass_v,front,label,crossing_count,overshoot\n"
+
+        def columns(field) -> tuple[str, str, str]:
+            try:
+                cls = classify_profile(field.u, params.equilibrium)
+            except NoCrossing:
+                return "NoFront", "", ""
+            return cls.label, str(cls.crossing_count), repr(cls.overshoot)
+
+    else:
+        header = "time,mass_u,mass_v,r_inner,r_peak,r_outer\n"
+        level = params.a / (2.0 * params.b)
+
+        def columns(field) -> tuple[str, str, str]:
+            try:
+                return tuple(repr(r) for r in ring_radii(field, level))
+            except NoRing:
+                return "nan", "nan", "nan"
+
+    # Each snapshot's own metrics.csv columns are taken as it arrives, so
+    # the run holds no snapshot but the newest.
+    tails = []
+
+    def on_snapshot(k: int, field) -> None:
+        writer(k, field)
+        tails.append(columns(field))
+
     # The snapshots are saved by a forked writer while the run steps; they
     # are complete, and hashed by the manifest, only after the block.
     with _SnapshotWriter(out_dir) as writer:
-        traj = simulate(config, on_snapshot=writer)
-    params = config.params
-    level = params.a / (2.0 * params.b)
+        traj = simulate(config, on_snapshot=on_snapshot)
 
     outputs = [Path(p).name for p in writer.written]
+    lines = [header]
+    series = [traj.times, traj.mass_u, traj.mass_v]
+    if config.dim == 1:
+        series.append(traj.front)
+    for *values, tail in zip(*series, tails):
+        lines.append(",".join([*map(repr, values), *tail]) + "\n")
 
-    lines = []
     classification = lambda_est = None
     if config.dim == 1:
-        lines.append("time,mass_u,mass_v,front,label,crossing_count,overshoot\n")
-        for k, field in enumerate(traj.snapshots):
-            try:
-                cls = classify_profile(field.u, params.equilibrium)
-                label, ncross, over = cls.label, str(cls.crossing_count), repr(cls.overshoot)
-            except NoCrossing:
-                label, ncross, over = "NoFront", "", ""
-            lines.append(
-                f"{traj.times[k]!r},{traj.mass_u[k]!r},{traj.mass_v[k]!r},"
-                f"{traj.front[k]!r},{label},{ncross},{over}\n"
-            )
-        classification = label  # of the final snapshot
+        classification = tails[-1][0]  # of the final snapshot
         final = traj.snapshots[-1]
         try:
             lambda_est, _ = decay_fit(final.x, final.u)
         except WavemotilError:
             pass
-    else:
-        lines.append("time,mass_u,mass_v,r_inner,r_peak,r_outer\n")
-        for k, field in enumerate(traj.snapshots):
-            try:
-                r_in, r_pk, r_out = ring_radii(field, level)
-                ring = f"{r_in!r},{r_pk!r},{r_out!r}"
-            except NoRing:
-                ring = "nan,nan,nan"
-            lines.append(
-                f"{traj.times[k]!r},{traj.mass_u[k]!r},{traj.mass_v[k]!r},{ring}\n"
-            )
     with open(out_dir / "metrics.csv", "w") as fh:
         fh.writelines(lines)
     outputs.append("metrics.csv")

@@ -81,7 +81,8 @@ class NegativeDensity(WavemotilError):
 class NonFiniteState(WavemotilError):
     """A solve produced or met an unusable state: a NaN or infinite field in
     a time step, a failed LAPACK factorization or solve, a frame grid too
-    coarse for the drift (h |A1| / 2 >= 1), or a negative chemical field."""
+    coarse for the drift (h |A1| / 2 >= 1), a negative chemical field, or a
+    linearization at coexistence whose entries overflow."""
 
 
 class NoCrossing(WavemotilError):

@@ -91,9 +91,11 @@ iterations, the v systems built and the undershoots clipped.  A 1-D run
 renders the x column of its CSV snapshots once.
 
 ``simulate`` hands each snapshot, as it takes it, to an optional
-``on_snapshot`` callback.  The CLI passes a ``_SnapshotWriter``, which saves
-the snapshots with ``save_field`` in one forked writer process while the
-run steps on, so the CLI needs the ``fork`` start method of
+``on_snapshot`` callback, and keeps only the final one: a run holds at
+most one snapshot whatever its length, and none while it steps, so a
+caller that wants the earlier ones collects them through the callback.  The CLI passes a ``_SnapshotWriter``,
+which saves the snapshots with ``save_field`` in one forked writer process
+while the run steps on, so the CLI needs the ``fork`` start method of
 ``multiprocessing`` (POSIX).  The writer inherits the first snapshot and
 the run's stepper through the fork, and each later snapshot reaches it as
 (k, u, v); the files have the bytes of an in-process save.  The CLI hashes
@@ -1069,18 +1071,21 @@ def build_initial(config: SimConfig) -> GridField:
 
 @dataclass
 class Trajectory:
-    """Timestamped snapshots with per-snapshot diagnostics.
+    """Per-snapshot times and diagnostics of a run, and its final snapshot.
 
-    ``front`` holds the tracked front position at level a/(2b) for 1-D runs
-    and the outer ring radius at the same level for 2-D runs; entries are
-    NaN where the level set does not exist yet.  ``solver_iterations``
-    holds, per step, the conjugate-gradient iterations of the u and v solves
-    together, counted on the red-black reduced systems (always 0 in 1-D,
-    where the solves are direct); its length is the number of steps, each
-    of size ``config.dt``.  ``v_builds`` counts the v systems built: one
-    for the first-order first step and one for the second-order steps
-    after it.  ``clipped_values`` counts the values of u and v that steps
-    clipped from (-1e-12, 0) to zero, and ``worst_undershoot`` is the most
+    ``snapshots`` holds only the final snapshot, so ``snapshots[-1]`` is
+    the state at ``times[-1]``; every snapshot reaches ``simulate``'s
+    ``on_snapshot`` callback as it is taken.  ``front`` holds the tracked
+    front position at level a/(2b) for 1-D runs and the outer ring radius
+    at the same level for 2-D runs; entries are NaN where the level set
+    does not exist yet.  ``solver_iterations`` holds, per step, the
+    conjugate-gradient iterations of the u and v solves together, counted
+    on the red-black reduced systems (always 0 in 1-D, where the solves
+    are direct); its length is the number of steps, each of size
+    ``config.dt``.  ``v_builds`` counts the v systems built: one for the
+    first-order first step and one for the second-order steps after it.
+    ``clipped_values`` counts the values of u and v that steps clipped
+    from (-1e-12, 0) to zero, and ``worst_undershoot`` is the most
     negative of them (0.0 when none was clipped).
     """
 
@@ -1129,7 +1134,9 @@ def simulate(
     failing time appended.
 
     ``on_snapshot(k, field)``, when given, is called with each snapshot as
-    it is taken, k = 0 for the initial state.  The CLI passes a
+    it is taken, k = 0 for the initial state; each is a copy the run no
+    longer touches.  The run keeps only the final snapshot, in
+    ``Trajectory.snapshots``.  The CLI passes a
     ``_SnapshotWriter``: a forked process (start method ``fork``) saves
     each snapshot while the run steps on.  The CLI hashes the snapshot
     files for ``run.json`` only after that writer has finished, and a run
@@ -1140,18 +1147,19 @@ def simulate(
     params = config.params
     mu, mv = mass(f)
     times = [0.0]
-    snapshots = [f.copy()]
+    snapshot = f.copy()
     mass_u = [mu]
     mass_v = [mv]
     front = [_front_diagnostic(f, params)]
     if on_snapshot is not None:
-        on_snapshot(0, snapshots[0])
+        on_snapshot(0, snapshot)
     solver_iterations: list[int] = []
 
     n_segments = int(round(config.t_end / config.cadence))
     dt = config.dt
     per_segment = round(config.cadence / dt)
     for seg in range(1, n_segments + 1):
+        del snapshot  # the run holds no snapshot while it steps
         for k in range(1, per_segment + 1):
             before = st.iterations
             try:
@@ -1162,16 +1170,16 @@ def simulate(
             solver_iterations.append(st.iterations - before)
         mu, mv = mass(f)
         times.append(seg * config.cadence)
-        snapshots.append(f.copy())
+        snapshot = f.copy()
         mass_u.append(mu)
         mass_v.append(mv)
         front.append(_front_diagnostic(f, params))
         if on_snapshot is not None:
-            on_snapshot(seg, snapshots[-1])
+            on_snapshot(seg, snapshot)
 
     return Trajectory(
         times=times,
-        snapshots=snapshots,
+        snapshots=[snapshot],
         mass_u=mass_u,
         mass_v=mass_v,
         front=front,
@@ -1231,7 +1239,8 @@ def save_field(f: GridField, basepath: str) -> list[str]:
         values = np.asarray(np.column_stack((f.u, f.v)), dtype=float)
         path = base.with_suffix(".csv")
         with open(path, "w") as fh:
-            fh.write(_CSV_BC + json.dumps(_bc_record(f.bc)) + "\nx,u,v\n")
+            bc = json.dumps(_bc_record(f.bc), allow_nan=False)
+            fh.write(_CSV_BC + bc + "\nx,u,v\n")
             fh.write(st.csv_format % tuple(values.ravel().tolist()))
         return [str(path)]
     jpath = base.with_suffix(".json")
@@ -1254,7 +1263,7 @@ def save_field(f: GridField, basepath: str) -> list[str]:
         "bc": _bc_record(f.bc),
     }
     with open(jpath, "w") as fh:
-        json.dump(header, fh, indent=2)
+        json.dump(header, fh, indent=2, allow_nan=False)
         fh.write("\n")
     with open(bpath, "wb") as fh:
         fh.write(b"".join(payload))

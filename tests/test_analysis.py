@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemotil import (
+    ExponentialMotility,
     ModelParams,
     PowerMotility,
     SigmoidMotility,
@@ -26,7 +27,13 @@ from wavemotil import (
     speed_window,
     theta_bundle,
 )
-from wavemotil.errors import EtaUndefined, SpeedBelowMinimal, WindowViolation
+from wavemotil.analysis import _hopf_omega
+from wavemotil.errors import (
+    EtaUndefined,
+    NonFiniteState,
+    SpeedBelowMinimal,
+    WindowViolation,
+)
 
 A, B, M = 0.1, 60.0, 6.0
 PARAMS = ModelParams(A, B, PowerMotility(M))
@@ -302,6 +309,37 @@ def test_hopf_frequency_consistent_with_oscillation_condition():
             w2 = rep.hopf_omega**2
             resid = w2**2 - (p.a * (p.b + s2) / (s1 * p.b) + 1.0) * w2 + p.a / s1
             assert abs(resid) < 1e-9 * max(1.0, w2**2)
+
+
+def test_hopf_frequency_scaling_is_exact():
+    # Scaling p by an even power of two changes no bit of the textbook
+    # formula where that formula does not overflow.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a, b = 10.0 ** rng.uniform(-3, 3, size=2)
+        s1 = 10.0 ** rng.uniform(-6, 0)
+        s2 = -(10.0 ** rng.uniform(-6, 1))
+        p = a * (b + s2) / (s1 * b) + 1.0
+        q = a / s1
+        disc = p * p - 4.0 * q
+        want = None if disc < 0.0 or p <= 0.0 else math.sqrt(0.5 * (p + math.sqrt(disc)))
+        assert _hopf_omega(a, b, s1, s2) == want
+
+
+def test_coexistence_linearization_at_huge_exponents():
+    # m = 700: the entries reach 1e210, yet the residual and omega stay finite.
+    rep = linearize(ModelParams(0.1, 0.1, PowerMotility(700.0)), 0.0, at="coexistence")
+    assert np.all(np.isfinite(rep.eigenvalues)) and math.isfinite(rep.residual)
+    assert rep.hopf_omega == pytest.approx(math.sqrt(0.1 * 2.0**700), rel=1e-12)
+    # m = 1100: gamma(a/b) = 2^-1100 underflows to zero.
+    with pytest.raises(NonFiniteState, match="coexistence"):
+        linearize(ModelParams(0.1, 0.1, PowerMotility(1100.0)), 0.0, at="coexistence")
+    # rhs beyond every float is infinite, and the condition still holds.
+    holds, _, rhs = oscillation_condition(ModelParams(0.1, 0.1, PowerMotility(3000.0)))
+    assert holds and rhs == math.inf
+    # In general form gamma(a/b) = e^-1000 underflows to 0: rhs tends to b.
+    p = ModelParams(0.1, 0.1, ExponentialMotility(1000.0))
+    assert oscillation_condition(p) == (True, 0.0, pytest.approx(0.1, rel=1e-15))
 
 
 def test_oscillation_condition_reference_numbers():

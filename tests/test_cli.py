@@ -2,6 +2,7 @@
 line/key diagnostics, artifact and manifest layout, headline metrics, exit
 codes, preset resolution and deterministic re-runs."""
 
+import csv
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ import wavemotil.pde as pde
 from wavemotil.analysis import b_star, c_star, kappa
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
 from wavemotil.errors import ConfigError
+from wavemotil.frontmetrics import classify_profile
 from wavemotil.waveode import frame_step
 
 
@@ -91,6 +93,31 @@ class TestAnalyze:
         report = json.loads((out / "analysis.json").read_text())
         assert report["oscillation"]["holds"] is True
         assert abs(report["oscillation"]["rhs"] - 4.2426) < 5e-4
+
+    @pytest.mark.parametrize("m", [700, 1100])
+    def test_large_exponent_writes_strict_json(self, tmp_path, m):
+        # gamma(a/b) = 2^-m: at m = 700 the coexistence entries are near
+        # 1e210 and (1+t)^m near 1e210, at m = 1100 gamma underflows to 0.
+        # The suite turns any RuntimeWarning into an error.
+        cfg = _write(tmp_path, "a.cfg", f"a=0.1\nb=0.1\nm={m}\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"analysis.json holds {name}")
+
+        report = json.loads((out / "analysis.json").read_text(), parse_constant=reject)
+        osc = report["oscillation"]
+        assert osc["holds"] is True and osc["lhs"] == pytest.approx(math.sqrt(m))
+        # rhs ~ sqrt(2) sqrt(0.1 * 2^m), formed in log space
+        assert math.log2(osc["rhs"]) == pytest.approx(0.5 * (m + 1 + math.log2(0.1)))
+        coexistence = report["linearization"]["coexistence"]
+        if m == 700:
+            # omega^2 is the large root of w^2 - p w + q, p ~ 0.1 * 2^700
+            assert coexistence["hopf_omega"] == pytest.approx(math.sqrt(0.1 * 2.0**700))
+        else:
+            assert coexistence is None
+        assert len(report["linearization"]["origin"]["eigenvalues"]) == 4
 
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "a.cfg", "b=1\nm=6\n")
@@ -230,6 +257,40 @@ class TestSimulate:
         assert manifest["metrics"]["c_est"] is not None
         assert manifest["metrics"]["solver_iterations"] == 0
         assert manifest["config"]["t_end"] == "10.0"
+
+    @pytest.mark.parametrize(
+        "text", [_SIM_CFG, _SIM_2D_CFG + "disk_mask=true\n"], ids=["1d-front", "2d-disk"]
+    )
+    def test_metrics_rows_match_the_snapshots(self, tmp_path, text):
+        # The run keeps only its final snapshot, so the CLI takes each
+        # row's profile columns as the snapshot arrives; recompute them from
+        # snapshots collected the same way.
+        cfg = _write(tmp_path, "s.cfg", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        config = cli._sim_config(resolve_config("simulate", read_config(cfg)))
+        params = config.params
+        snaps = []
+        traj = pde.simulate(config, on_snapshot=lambda k, f: snaps.append(f))
+        assert len(rows) == len(snaps) == len(traj.times) > 1
+        for row, t, mu, mv, snap in zip(
+            rows, traj.times, traj.mass_u, traj.mass_v, snaps
+        ):
+            assert (row["time"], row["mass_u"], row["mass_v"]) == (
+                repr(t), repr(mu), repr(mv)
+            )
+            if config.dim == 1:
+                cls = classify_profile(snap.u, params.equilibrium)
+                assert (row["label"], row["crossing_count"], row["overshoot"]) == (
+                    cls.label, str(cls.crossing_count), repr(cls.overshoot)
+                )
+            else:
+                radii = pde.ring_radii(snap, params.a / (2.0 * params.b))
+                assert [row[k] for k in ("r_inner", "r_peak", "r_outer")] == [
+                    repr(r) for r in radii
+                ]
 
     @pytest.mark.parametrize(
         "text, snaps",

@@ -84,3 +84,31 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used - _exported(tree))
         assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_every_json_write_rejects_nan():
+    # NaN and infinities are not JSON: each value that may be non-finite
+    # is written as null before it reaches json, and allow_nan=False turns
+    # any that slips through into an error instead of a bare NaN token.
+    calls = 0
+    for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in ("dump", "dumps")
+            ):
+                continue
+            strict = [
+                kw
+                for kw in node.keywords
+                if kw.arg == "allow_nan"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value is False
+            ]
+            assert strict, f"{path.name}:{node.lineno} json.{node.func.attr} allows NaN"
+            calls += 1
+    assert calls >= 3  # run.json and the reports, and both snapshot headers

@@ -9,8 +9,10 @@ directly as sparse in 2-D).
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,8 @@ from wavemotil.errors import (
     NoConvergence,
     NonFiniteState,
 )
-from wavemotil.frontmetrics import wave_speed
+from wavemotil.analysis import lambda_decay, leading_edge_speed
+from wavemotil.frontmetrics import front_position, wave_speed
 from wavemotil.model import (
     ModelParams,
     PowerMotility,
@@ -52,9 +55,26 @@ from wavemotil.pde import (
     spatial_rhs,
     step,
 )
+from wavemotil.waveode import traveling_wave
 
 POWER = ModelParams(a=0.1, b=0.1, motility=PowerMotility(m=6.0))
 DILUTE = ModelParams(a=0.1, b=60.0, motility=PowerMotility(m=6.0))
+
+
+def _collected(config, on_snapshot=None):
+    """A run of ``config`` and every snapshot it took, in order.
+
+    The run keeps only its final snapshot, so the others are collected
+    through ``on_snapshot``; a given ``on_snapshot`` is called first.
+    """
+    snaps = []
+
+    def keep(k, f):
+        if on_snapshot is not None:
+            on_snapshot(k, f)
+        snaps.append(f)
+
+    return simulate(config, on_snapshot=keep), snaps
 
 
 # ---------------------------------------------------------------------------
@@ -1134,21 +1154,22 @@ class TestExtrapolatedStart:
 
     @classmethod
     def _run(cls, disk):
-        return simulate(cls._config(disk))
+        return _collected(cls._config(disk))
 
     @pytest.mark.parametrize("disk", [False, True])
     def test_fewer_iterations_to_the_same_solution(self, disk, monkeypatch):
-        extrapolated = self._run(disk)
+        extrapolated, extrapolated_snaps = self._run(disk)
         monkeypatch.setattr(pde, "_GUESS_POINTS", 1)  # start from the field
-        plain = self._run(disk)
+        plain, plain_snaps = self._run(disk)
         monkeypatch.setattr(pde, "_CG_RTOL", 1e-15)
-        reference = self._run(disk)
+        _, reference_snaps = self._run(disk)
         assert len(plain.solver_iterations) == len(extrapolated.solver_iterations)
         assert sum(extrapolated.solver_iterations) <= 0.85 * sum(
             plain.solver_iterations
         )
-        for run in (extrapolated, plain):
-            for a, b in zip(run.snapshots, reference.snapshots):
+        for snaps in (extrapolated_snaps, plain_snaps):
+            assert len(snaps) == len(reference_snaps) == 4
+            for a, b in zip(snaps, reference_snaps):
                 assert np.max(np.abs(a.u - b.u)) <= 1e-11
                 assert np.max(np.abs(a.v - b.v)) <= 1e-11
 
@@ -1339,17 +1360,45 @@ class TestSimConfig:
 class TestSimulate:
     def test_snapshot_schedule_and_diagnostics(self):
         cfg = _front_config()
-        traj = simulate(cfg)
+        traj, snaps = _collected(cfg)
         assert isinstance(traj, Trajectory)
         assert traj.times == pytest.approx([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
-        assert len(traj.snapshots) == 6
+        assert len(snaps) == 6
+        # The run keeps only the final snapshot.
+        assert len(traj.snapshots) == 1 and traj.snapshots[-1] is snaps[-1]
         assert len(traj.mass_u) == 6 and len(traj.mass_v) == 6
         assert all(m > 0 for m in traj.mass_u)
-        assert all(np.min(s.u) >= 0.0 and np.min(s.v) >= 0.0 for s in traj.snapshots)
+        assert all(np.min(s.u) >= 0.0 and np.min(s.v) >= 0.0 for s in snaps)
         assert cfg.dt <= cfg.dt_max
         assert len(traj.solver_iterations) == round(cfg.t_end / cfg.dt)
         # Front positions are recorded and move right once the wave forms.
         assert np.isfinite(traj.front[-1]) and traj.front[-1] > traj.front[0]
+
+    @pytest.mark.parametrize("writer", [False, True], ids=["bare", "forked-writer"])
+    def test_run_holds_only_the_final_snapshot(self, tmp_path, writer, monkeypatch):
+        # The callback keeps weak references only, so the run frees each
+        # snapshot once it has handed it on, before it steps again, and
+        # keeps the final one alone.
+        refs, alive = [], []
+
+        def watch(k, f):
+            refs.append(weakref.ref(f))
+            if writer:
+                save(k, f)
+
+        def counted_step(f, params, dt):
+            alive.append(sum(ref() is not None for ref in refs))
+            return step(f, params, dt)
+
+        monkeypatch.setattr(pde, "step", counted_step)
+
+        with pde._SnapshotWriter(tmp_path) as save:
+            traj = simulate(_front_config(), on_snapshot=watch)
+        gc.collect()
+        assert len(refs) == 6 and len(alive) == len(traj.solver_iterations)
+        assert not any(alive)
+        assert [ref() is None for ref in refs] == [True] * 5 + [False]
+        assert refs[-1]() is traj.snapshots[-1]
 
     def test_front_speed_near_minimal(self):
         # A steep-front start travels at about the minimal speed 2 sqrt(a).
@@ -1380,8 +1429,9 @@ class TestSimulate:
             t_end=4.0,
             cadence=2.0,
         )
-        traj = simulate(cfg)
-        for snap in traj.snapshots:
+        _, snaps = _collected(cfg)
+        assert len(snaps) == 3
+        for snap in snaps:
             assert snap.u[0] == pytest.approx(val, abs=1e-12)
             assert snap.v[0] == pytest.approx(val, abs=1e-12)
             assert snap.u[-1] == pytest.approx(0.0, abs=1e-12)
@@ -1516,7 +1566,7 @@ class TestSimulate:
         # Each run owns its stepper, so a run on another mask in between
         # changes nothing.
         def run(disk):
-            return simulate(
+            return _collected(
                 SimConfig(
                     params=POWER,
                     dim=2,
@@ -1531,9 +1581,10 @@ class TestSimulate:
 
         alone = {disk: run(disk) for disk in (True, False)}
         for disk in (False, True, False):
-            again = run(disk)
-            assert again.solver_iterations == alone[disk].solver_iterations
-            for a, b in zip(again.snapshots, alone[disk].snapshots):
+            again, snaps = run(disk)
+            assert again.solver_iterations == alone[disk][0].solver_iterations
+            assert len(snaps) == len(alone[disk][1]) == 3
+            for a, b in zip(snaps, alone[disk][1]):
                 assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
     def test_2d_bump_smoke(self):
@@ -1546,12 +1597,13 @@ class TestSimulate:
             t_end=2.0,
             cadence=1.0,
         )
-        traj = simulate(cfg)
-        assert len(traj.snapshots) == 3
+        traj, snaps = _collected(cfg)
+        assert len(snaps) == 3
         final = traj.snapshots[-1]
+        assert final is snaps[-1]
         assert np.min(final.u) >= 0.0 and np.all(np.isfinite(final.u))
         # Growth is saturating: density relaxes toward a/b from above.
-        assert final.u.max() < traj.snapshots[0].u.max()
+        assert final.u.max() < snaps[0].u.max()
 
     def test_disk_mask_smoke(self):
         cfg = SimConfig(
@@ -1679,9 +1731,9 @@ class TestSnapshotWriter:
         forked.mkdir()
         direct.mkdir()
         with pde._SnapshotWriter(forked) as writer:
-            traj = simulate(self.CONFIGS[case](), on_snapshot=writer)
+            _, snaps = _collected(self.CONFIGS[case](), on_snapshot=writer)
         expected = []
-        for k, snap in enumerate(traj.snapshots):
+        for k, snap in enumerate(snaps):
             expected += save_field(snap, str(direct / f"snap_{k:04d}"))
         names = [Path(p).name for p in expected]
         assert [Path(p).name for p in writer.written] == names
@@ -1694,7 +1746,10 @@ class TestSnapshotWriter:
         calls = []
         traj = simulate(_front_config(), on_snapshot=lambda k, f: calls.append((k, f)))
         assert [k for k, _ in calls] == list(range(len(traj.times)))
-        assert all(f is snap for (_, f), snap in zip(calls, traj.snapshots))
+        assert len(traj.snapshots) == 1 and traj.snapshots[-1] is calls[-1][1]
+        # Each is a copy of its own: no later step wrote into an earlier one.
+        assert len({id(f.u) for _, f in calls}) == len(calls)
+        assert all(mass(f)[0] == mu for (_, f), mu in zip(calls, traj.mass_u))
 
     @pytest.mark.parametrize("stop", ["on_leaving", "at_next_snapshot"])
     def test_write_error_reaches_the_run(self, tmp_path, stop):
@@ -1765,3 +1820,59 @@ class TestSigmoidOscillations:
         region = final.u[final.x < traj.front[-1]]
         overshoot = region.max() - eq
         assert overshoot > 1e-2 * eq
+
+
+# ---------------------------------------------------------------------------
+# Speed selection at the profile level
+# ---------------------------------------------------------------------------
+
+
+class TestSpeedSelection:
+    """A front started with tail exp(-lambda0 x), lambda0 < sqrt(a), runs at
+    c = lambda0 + a / lambda0 and takes the shape of the traveling wave of
+    that speed.  Above 2 sqrt(a) a front carries no logarithmic lag, so
+    both comparisons are sharp.
+
+    At (a, b, m) = (0.1, 60, 6) on [0, 450] with h = 0.05 and t_end = 240
+    the measured errors were -8.6e-5 (c = 0.88) and -7.5e-5 (c = 1.0) in
+    the speed, and 2.26e-5 and 2.18e-5 of the amplitude in the profile.
+    """
+
+    @pytest.mark.parametrize("c", [0.88, 1.0])
+    def test_front_takes_the_speed_and_shape_of_its_tail(self, tmp_path, c):
+        a, b, h, length = DILUTE.a, DILUTE.b, 0.05, 450.0
+        lam0 = lambda_decay(c, a)
+        x = h * np.arange(int(round(length / h)) + 1)
+        profile = (a / b) * np.minimum(1.0, np.exp(-lam0 * (x - 20.0)))
+        path = tmp_path / "ic.npz"
+        np.savez(path, u=profile, v=profile)
+        traj = simulate(
+            SimConfig(
+                params=DILUTE,
+                dim=1,
+                extents=((0.0, length),),
+                h=h,
+                ic=CustomIC(str(path)),
+                t_end=240.0,
+                cadence=10.0,
+            )
+        )
+        c_est, _ = wave_speed(
+            np.array(traj.times), np.array(traj.front), transient_fraction=0.5
+        )
+        c_pred = leading_edge_speed(lam0, a)
+        assert abs(c_est - c_pred) <= 1e-3 * c_pred
+
+        # The final snapshot against the wave, aligned at level a/(2b).
+        wave = traveling_wave(DILUTE, c)
+        final = traj.snapshots[-1]
+        level = a / (2.0 * b)
+        shift = front_position(final.x, final.u, level) - front_position(
+            wave.grid, wave.U, level
+        )
+        lo = max(wave.grid[0] + shift, final.x[0] + 1.0)
+        hi = min(wave.grid[-1] + shift, final.x[-1] - 1.0)
+        sel = (final.x >= lo) & (final.x <= hi)
+        ref = np.interp(final.x[sel] - shift, wave.grid, wave.U)
+        assert hi - lo > 300.0
+        assert np.max(np.abs(final.u[sel] - ref)) <= 1e-3 * np.max(wave.U)
