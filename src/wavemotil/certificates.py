@@ -35,7 +35,7 @@ margin fails.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -119,11 +119,6 @@ class VSolution:
     dvalues: np.ndarray
 
 
-def _json_value(value):
-    """``value`` as JSON can hold it: a NaN or infinite float becomes None."""
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     """One sign check: pass iff margin > -slack, so a NaN margin fails
@@ -145,10 +140,6 @@ class CheckRecord:
         margin = float(margins[i])
         return cls(name, margin, float(locations[i]), slack, bool(margin > -slack))
 
-    def to_dict(self) -> dict:
-        """The record's fields, with NaN and infinities written as null."""
-        return {k: _json_value(v) for k, v in asdict(self).items()}
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -169,25 +160,6 @@ class CertificateReport:
     grid_points: int
     passed: bool
     checks: tuple[CheckRecord, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "m": self.m,
-            "c": self.c,
-            "n": self.n,
-            "d_n": self.d_n,
-            "d0": self.d0,
-            "delta": self.delta,
-            "x_delta": self.x_delta,
-            "sign_changes": self.sign_changes,
-            "grid_lo": self.grid_lo,
-            "grid_hi": self.grid_hi,
-            "grid_points": self.grid_points,
-            "passed": self.passed,
-            "checks": [ch.to_dict() for ch in self.checks],
-        }
 
 
 # ---------------------------------------------------------------------------

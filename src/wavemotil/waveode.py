@@ -62,7 +62,6 @@ from .analysis import WaveContext, kappa, lambda12, speed_window
 from .certificates import (
     CheckRecord,
     VSolution,
-    _json_value,
     certify_pair,
     residual_l,
     solve_v,
@@ -455,29 +454,6 @@ class WaveProfile:
             fh.write("z,U,V,Uprime,Vprime\n")
             fh.write(csv_rows((self.grid, self.U, self.V, self.Uprime, self.Vprime)))
 
-    def to_dict(self) -> dict:
-        """The profile's scalars, with NaN and infinities written as null."""
-        out = {
-            "c": float(self.c),
-            "lam": float(self.lam),
-            "z_min": float(self.grid[0]),
-            "z_max": float(self.grid[-1]),
-            "n_points": int(self.grid.size),
-            "h": float(self.grid[1] - self.grid[0]),
-            "left_limit_U": float(self.left_limit_U),
-            "left_limit_V": float(self.left_limit_V),
-            "tail_ratio_U": float(self.tail_ratio_U),
-            "tail_ratio_V": float(self.tail_ratio_V),
-            "ode_residual_l": float(self.ode_residual_l),
-            "ode_residual_v": float(self.ode_residual_v),
-            "picard_iterations": int(self.picard_iterations),
-            "picard_change": float(self.picard_change),
-            "march_steps_per_checkpoint": int(self.march_steps_per_checkpoint),
-            "checkpoints": int(self.checkpoints),
-            "newton_iterations": int(self.newton_iterations),
-        }
-        return {k: _json_value(v) for k, v in out.items()}
-
 
 def _fit_tail_ratio(grid, values, lam: float) -> float:
     """Fitted limit of values * e^{lam z} over the last visible decade.
@@ -598,11 +574,8 @@ def traveling_wave(
 class VerificationReport:
     """Independent re-check of a finished profile."""
 
-    checks: tuple[CheckRecord, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [ch.to_dict() for ch in self.checks]}
+    checks: tuple[CheckRecord, ...]
 
 
 def _slope(grid, values) -> float:

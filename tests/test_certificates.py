@@ -35,6 +35,7 @@ from wavemotil import (
 )
 from wavemotil import certificates
 from wavemotil.certificates import CheckRecord, SubSolutionSpec
+from wavemotil.cli import _json_tree
 
 A, B, M = 0.1, 60.0, 6.0
 PARAMS = ModelParams(a=A, b=B, motility=PowerMotility(M))
@@ -491,7 +492,7 @@ def _certify_by_full_checks(params, c, n=2, junction=_one_height_block):
 
 def _outcome(certify, c, params=PARAMS, **kwargs):
     try:
-        return certify(params, c, n=2, **kwargs).to_dict()
+        return _json_tree(certify(params, c, n=2, **kwargs))
     except CertificateFailed as err:
         return (str(err), err.failing_check, err.delta)
 
@@ -640,7 +641,7 @@ def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
 
 def test_certificate_report_serializes():
     report = certify_pair(PARAMS, _mid_speed(), n=2)
-    data = report.to_dict()
+    data = _json_tree(report)
     json.dumps(data)  # round-trippable
     assert data["passed"] is True
     assert data["c"] == pytest.approx(_mid_speed())
@@ -648,7 +649,7 @@ def test_certificate_report_serializes():
 
 @pytest.mark.parametrize("margin", [math.inf, -math.inf, math.nan])
 def test_check_record_writes_non_finite_values_as_null(margin):
-    data = CheckRecord("probe", margin, math.inf, 0.0, margin > 0.0).to_dict()
+    data = _json_tree(CheckRecord("probe", margin, math.inf, 0.0, margin > 0.0))
     assert data == {
         "name": "probe", "margin": None, "location": None, "slack": 0.0,
         "passed": margin > 0.0,

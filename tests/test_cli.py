@@ -3,6 +3,7 @@ line/key diagnostics, artifact and manifest layout, headline metrics, exit
 codes, preset resolution and deterministic re-runs."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,10 +15,11 @@ import pytest
 import wavemotil.cli as cli
 import wavemotil.pde as pde
 from wavemotil.analysis import b_star, c_star, kappa
+from wavemotil.certificates import CertificateReport, CheckRecord
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
 from wavemotil.errors import ConfigError
 from wavemotil.frontmetrics import classify_profile
-from wavemotil.waveode import frame_step
+from wavemotil.waveode import WaveProfile, frame_step
 
 
 def _write(tmp_path, name, text):
@@ -133,6 +135,10 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "certificate.json").read_text())
         assert report["passed"] is True
+        # the report and each check are written field by field, in order
+        assert list(report) == [f.name for f in dataclasses.fields(CertificateReport)]
+        check_keys = [f.name for f in dataclasses.fields(CheckRecord)]
+        assert report["checks"] and all(list(ch) == check_keys for ch in report["checks"])
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["metrics"]["certificate_passed"] is True
 
@@ -158,6 +164,15 @@ class TestWave:
         assert main(["wave", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "wave.json").read_text())
         assert payload["verification"]["passed"] is True
+        # the grid's extent, then the profile's other scalar fields in order
+        listed = {"grid", "U", "V", "Uprime", "Vprime", "c", "lam"}
+        scalars = [f.name for f in dataclasses.fields(WaveProfile) if f.name not in listed]
+        assert list(payload) == [
+            "c", "lam", "z_min", "z_max", "n_points", "h", *scalars, "verification"
+        ]
+        assert list(payload["verification"]) == ["passed", "checks"]
+        check_keys = [f.name for f in dataclasses.fields(CheckRecord)]
+        assert all(list(ch) == check_keys for ch in payload["verification"]["checks"])
         header = (out / "wave.csv").read_text().splitlines()[0]
         assert header == "z,U,V,Uprime,Vprime"
         manifest = json.loads((out / "run.json").read_text())

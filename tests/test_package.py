@@ -86,6 +86,17 @@ def test_no_module_imports_a_name_it_never_uses():
         assert not unused, f"{path.name} imports {unused} and never uses them"
 
 
+def _is_json_write(node) -> bool:
+    """Whether ``node`` is a call of ``json.dump`` or ``json.dumps``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and node.func.attr in ("dump", "dumps")
+    )
+
+
 def test_every_json_write_rejects_nan():
     # NaN and infinities are not JSON: each value that may be non-finite
     # is written as null before it reaches json, and allow_nan=False turns
@@ -94,13 +105,7 @@ def test_every_json_write_rejects_nan():
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "json"
-                and node.func.attr in ("dump", "dumps")
-            ):
+            if not _is_json_write(node):
                 continue
             strict = [
                 kw
@@ -112,3 +117,20 @@ def test_every_json_write_rejects_nan():
             assert strict, f"{path.name}:{node.lineno} json.{node.func.attr} allows NaN"
             calls += 1
     assert calls >= 3  # run.json and the reports, and both snapshot headers
+
+
+def test_records_reach_json_only_through_the_cli_writer():
+    # cli._write_json writes a report record field by field, so no record
+    # lists its fields again in a to_dict, and only the snapshot headers of
+    # pde.save_field write JSON apart from it.
+    writers = set()
+    for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef):
+                    methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                    assert "to_dict" not in methods, f"{path.name}: {node.name}.to_dict"
+                if _is_json_write(node):
+                    writers.add((path.stem, getattr(top, "name", None)))
+    assert writers == {("cli", "_write_json"), ("pde", "save_field")}

@@ -29,7 +29,7 @@ from wavemotil.errors import (
     NoConvergence,
     NonFiniteState,
 )
-from wavemotil.analysis import lambda_decay, leading_edge_speed
+from wavemotil.analysis import c_star, lambda_decay, leading_edge_speed
 from wavemotil.frontmetrics import front_position, wave_speed
 from wavemotil.model import (
     ModelParams,
@@ -1834,11 +1834,15 @@ class TestSpeedSelection:
     both comparisons are sharp.
 
     At (a, b, m) = (0.1, 60, 6) on [0, 450] with h = 0.05 and t_end = 240
-    the measured errors were -8.6e-5 (c = 0.88) and -7.5e-5 (c = 1.0) in
-    the speed, and 2.26e-5 and 2.18e-5 of the amplitude in the profile.
+    the measured errors were -8.6e-5 (c = 0.88), -7.5e-5 (c = 1.0) and
+    -7.1e-5 (c = c* = 1.13164, lambda0 = 0.09662) in the speed, and
+    2.26e-5, 2.18e-5 and 5.5e-5 of the amplitude in the profile; at c* the
+    profiles are compared over a span of 350 behind a front at x = 290.
     """
 
-    @pytest.mark.parametrize("c", [0.88, 1.0])
+    @pytest.mark.parametrize(
+        "c", [0.88, 1.0, pytest.param(c_star(0.1, 60.0, 6.0), id="c_star")]
+    )
     def test_front_takes_the_speed_and_shape_of_its_tail(self, tmp_path, c):
         a, b, h, length = DILUTE.a, DILUTE.b, 0.05, 450.0
         lam0 = lambda_decay(c, a)
