@@ -663,7 +663,7 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
             lambda_est, _ = decay_fit(final.x, final.u)
         except WavemotilError:
             pass
-    with open(out_dir / "metrics.csv", "w") as fh:
+    with open(out_dir / "metrics.csv", "w", newline="") as fh:
         fh.writelines(lines)
     outputs.append("metrics.csv")
 
@@ -749,7 +749,7 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     for rec in records:
         fit = "," if "error" in rec else f"{rec['c_est']!r},{rec['rel_err']!r}"
         lines.append(f"{rec['lambda0']!r},{rec['c_pred']!r},{fit}\n")
-    with open(out_dir / "speedscan.csv", "w") as fh:
+    with open(out_dir / "speedscan.csv", "w", newline="") as fh:
         fh.writelines(lines)
 
     failures = [rec for rec in records if "error" in rec]

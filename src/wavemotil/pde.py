@@ -87,8 +87,7 @@ stepper keeps the last one and reuses it while both repeat.  The motility
 law is evaluated once per step, for gamma only.  The stepper also keeps the
 chain of steps (the v and carries of the newest state and, in 2-D, the
 black-node states of the starts), and it counts the conjugate-gradient
-iterations, the v systems built and the undershoots clipped.  A 1-D run
-renders the x column of its CSV snapshots once.
+iterations, the v systems built and the undershoots clipped.
 
 ``simulate`` hands each snapshot, as it takes it, to an optional
 ``on_snapshot`` callback, and keeps only the final one: a run holds at
@@ -424,8 +423,7 @@ class _Stepper:
     implicit solves on the reduced (black-node) systems, and ``v_builds``
     the v systems built; ``clipped_values`` counts the undershoots
     ``step`` clipped to zero and ``worst_undershoot`` keeps the most
-    negative of them.  A 1-D ``save_field`` keeps the snapshots' CSV
-    rows, with the x column rendered, in ``csv_format``.
+    negative of them.
     """
 
     def __init__(self, f: GridField) -> None:
@@ -485,7 +483,6 @@ class _Stepper:
         self.v_builds = 0
         self.clipped_values = 0
         self.worst_undershoot = 0.0
-        self.csv_format = None
         self._kept_v = None
         self._kept_faces = None
         self._before = self._dt = None
@@ -1191,13 +1188,6 @@ def simulate(
     )
 
 
-def csv_rows(columns) -> str:
-    """Newline-ended CSV rows of float columns, each float as its ``repr``."""
-    table = np.asarray(np.column_stack(columns), dtype=float)
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
-    return (row * table.shape[0]) % tuple(table.ravel().tolist())
-
-
 #: Start of the first line of a 1-D snapshot, followed by the JSON record
 #: of each side's boundary condition.
 _CSV_BC = "# bc "
@@ -1226,22 +1216,21 @@ def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.
 
     1-D fields become a CSV: a first line ``# bc`` with the JSON record of
-    each side's boundary condition, then the columns x, u, v.  2-D fields
-    become a flat binary file (u then v, C order, float64) plus a JSON
-    header describing the geometry and the boundary condition of each side.
-    Floats are written with full round-trip precision.
+    each side's boundary condition, then the columns x, u, v, each float
+    written as its ``repr`` and every line ended by LF on any OS.  2-D
+    fields become a flat binary file (u then v, C order, float64) plus a
+    JSON header describing the geometry and the boundary condition of each
+    side.  Either way the floats round-trip exactly.
     """
     base = Path(basepath)
     if f.dim == 1:
-        st = _stepper_of(f)
-        if st.csv_format is None:  # the x column of every snapshot of a run
-            st.csv_format = "".join(["%r,%%r,%%r\n" % x for x in f.x.tolist()])
-        values = np.asarray(np.column_stack((f.u, f.v)), dtype=float)
+        from ._floattext import csv_rows  # compiled only by runs that write CSV
+
         path = base.with_suffix(".csv")
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             bc = json.dumps(_bc_record(f.bc), allow_nan=False)
             fh.write(_CSV_BC + bc + "\nx,u,v\n")
-            fh.write(st.csv_format % tuple(values.ravel().tolist()))
+            fh.write(csv_rows((f.x, f.u, f.v)))
         return [str(path)]
     jpath = base.with_suffix(".json")
     bpath = base.with_suffix(".bin")

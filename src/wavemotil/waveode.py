@@ -69,7 +69,7 @@ from .certificates import (
 )
 from .errors import BlowUp, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
 from .model import ModelParams, PowerMotility
-from .pde import csv_rows, spd_tridiagonal_factor
+from .pde import spd_tridiagonal_factor
 
 __all__ = [
     "WaveProfile",
@@ -450,6 +450,11 @@ class WaveProfile:
     newton_iterations: int
 
     def write_csv(self, path) -> None:
+        """Write the profile to ``path`` as CSV: a header line, then z, U, V,
+        U' and V' per grid node, each float as its ``repr`` and every line
+        ended by LF on any OS."""
+        from ._floattext import csv_rows  # compiled only by runs that write CSV
+
         with open(path, "w", newline="") as fh:
             fh.write("z,U,V,Uprime,Vprime\n")
             fh.write(csv_rows((self.grid, self.U, self.V, self.Uprime, self.Vprime)))

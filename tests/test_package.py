@@ -57,6 +57,38 @@ def test_cli_import_loads_only_the_scipy_it_uses():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_float_text_tables_unbuilt():
+    # The CSV kernel is imported by the first CSV write, and builds its
+    # tables on first use, so a command pays for neither at import.
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
+    probe = (
+        "import sys, wavemotil.cli; "
+        "print('wavemotil._floattext' in sys.modules); "
+        "import wavemotil._floattext as f; "
+        "print(*(t.cache_info().currsize for t in "
+        "(f._powers, f._exponents, f._layouts)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.split() == ["False", "0", "0", "0"]
+
+
+def test_no_percent_r_formatting_in_the_package():
+    # Floats reach CSV text only through _floattext.csv_rows, which
+    # renders whole arrays; a "%r" format would be a second, per-float path.
+    for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "%r" not in node.value, f"{path.name}:{node.lineno}"
+
+
 def _exported(tree):
     """The names a module lists in ``__all__``."""
     for node in tree.body:
