@@ -421,23 +421,16 @@ def oscillation_condition(params: ModelParams) -> tuple[bool, float, float]:
     return lhs < rhs, lhs, rhs
 
 
-def leading_edge_speed(
-    lambda0: float, a: float, gamma0: float = 1.0, threshold: str = "literal"
-) -> float:
+def leading_edge_speed(lambda0: float, a: float, gamma0: float = 1.0) -> float:
     """Asymptotic front speed selected by an initial tail exp(-lambda0 x).
 
-    'literal' switches to the minimal speed at lambda0 >= sqrt(a);
-    'minimizer' switches at the dispersion minimizer sqrt(a / gamma0).
-    Both agree when gamma0 = 1.
+    A tail flatter than the dispersion minimizer sqrt(a / gamma0) keeps its
+    own speed gamma0 lambda0 + a / lambda0; a steeper one is overtaken by
+    the pulled front at the minimal speed 2 sqrt(gamma0 a) (van Saarloos,
+    Phys. Rep. 386 (2003)).
     """
     if not lambda0 > 0:
         raise ValueError("decay rate lambda0 must be positive")
-    if threshold == "literal":
-        cut = math.sqrt(a)
-    elif threshold == "minimizer":
-        cut = math.sqrt(a / gamma0)
-    else:
-        raise ValueError("threshold must be 'literal' or 'minimizer'")
-    if lambda0 < cut:
+    if lambda0 < math.sqrt(a / gamma0):
         return gamma0 * lambda0 + a / lambda0
     return 2.0 * math.sqrt(gamma0 * a)

@@ -10,18 +10,21 @@ headline metrics.  Re-running a command with the same resolved config and
 build produces byte-identical data files.
 
 ``resolve_config`` checks a config completely, including the keys each
-listed value needs (``motility=sigmoid`` needs ``eps`` and ``v0``) and the
-keys only one value accepts (``y_min``, ``y_max``, ``bc_bottom`` and
-``bc_top`` only with ``dim=2``), and
-``speedscan`` builds every row before it simulates one, so a malformed value
-fails before any work starts.  The CLI restates no library decision: the
-schema keys of a ``motility`` or ``ic`` value, and the keys it needs, are
-the dataclass fields of the class it names (``ic_`` + field for ``ic``),
-the side names are ``pde``'s, and ``wave``'s ``h`` and ``simulate``'s
-``transient_fraction`` default to the library's ``frame_step(c)`` and
-``DEFAULT_TRANSIENT_FRACTION``, so ``run.json`` records the values used.
-Each command returns its exit code, outputs and metrics.  One walker writes
-every JSON file: a record field by field, non-finite values as null.
+listed value needs and owns (``motility=sigmoid`` needs and owns ``eps``
+and ``v0``; ``dim=2`` owns ``bc_bottom``, ``bc_top`` and the ``y_min`` and
+``y_max`` it needs): a key owned only by values not chosen is an error,
+and a ``--config`` value replacing a preset's drops such preset keys.
+``speedscan`` builds every row before it simulates one, so a malformed
+value fails before any work starts.  The CLI restates no library
+decision: the schema keys of a ``motility`` or ``ic`` value, and the keys
+it needs and owns, are the dataclass fields of the class it names (``ic_``
++ field for ``ic``), the side names are ``pde``'s, ``wave``'s ``h`` and
+``simulate``'s ``transient_fraction`` default to the library's
+``frame_step(c)`` and ``DEFAULT_TRANSIENT_FRACTION``, so ``run.json``
+records the values used, and ``metrics.csv`` rows are as ``simulate``
+measured them.  Each command returns its exit code, outputs and metrics.
+One walker writes every JSON file: a record field by field, non-finite
+values as null.
 
 Exit codes: 0 all requested checks passed; 1 numeric failure (divergence,
 instability, failed verification); 2 certificate or speed-window failure;
@@ -60,20 +63,12 @@ from .errors import (
     ConfigError,
     EtaUndefined,
     InsufficientSamples,
-    NoCrossing,
-    NoRing,
     NonFiniteState,
     SpeedBelowMinimal,
     WavemotilError,
-    WindowTooSmall,
     WindowViolation,
 )
-from .frontmetrics import (
-    DEFAULT_TRANSIENT_FRACTION,
-    classify_profile,
-    decay_fit,
-    wave_speed,
-)
+from .frontmetrics import DEFAULT_TRANSIENT_FRACTION, decay_fit, wave_speed
 from .model import (
     ExponentialMotility,
     ModelParams,
@@ -91,7 +86,6 @@ from .pde import (
     Neumann,
     SimConfig,
     _SnapshotWriter,
-    ring_radii,
     simulate,
 )
 from .waveode import frame_step, traveling_wave, verify_profile
@@ -183,7 +177,9 @@ def _as_rates(key: str, raw: str) -> tuple[float, ...]:
 def _one_of(needs: dict, convert=_as_str, only: dict | None = None):
     """Converter accepting only the keys of ``needs``, which maps each value
     to the keys a config with that value must set; ``only`` maps a value to
-    the keys that no other value accepts (both checked by resolve_config)."""
+    the keys it owns, and ``stray(value, keys)`` lists those of ``keys``
+    only other values own (both checked by resolve_config)."""
+    only = only or {}
 
     def check(key: str, raw: str):
         value = convert(key, raw)
@@ -192,22 +188,27 @@ def _one_of(needs: dict, convert=_as_str, only: dict | None = None):
             raise ConfigError(f"key {key!r}: expected {listed}, got {raw!r}")
         return value
 
+    def stray(value, keys) -> list[str]:
+        others = {name for names in only.values() for name in names}
+        others -= set(only.get(value, ()))
+        return [name for name in keys if name in others]
+
     check.needs = needs
-    check.only = only or {}
+    check.stray = stray
     return check
 
 
 def _builds(classes: dict, prefix: str = ""):
     """Converter accepting only the keys of ``classes``, which maps each value
-    to the dataclass it builds: the value needs one key per field of its
-    class, ``prefix`` + field name, and ``build(value, resolved)`` builds
-    the class from them.  ``schema`` holds one optional entry per field of
-    the classes, in their order: a string for a ``str`` field, else a
-    number."""
+    to the dataclass it builds: the value needs and owns one key per field
+    of its class, ``prefix`` + field name, and ``build(value, resolved)``
+    builds the class from them.  ``schema`` holds one optional entry per
+    field of the classes, in their order: a string for a ``str`` field,
+    else a number."""
     needs = {
         v: tuple(prefix + f.name for f in fields(cls)) for v, cls in classes.items()
     }
-    check = _one_of(needs)
+    check = _one_of(needs, only=needs)
     check.schema = {
         prefix + f.name: (_as_str if f.type == "str" else _as_float, None)
         for cls in classes.values()
@@ -289,7 +290,6 @@ _SCHEMAS: dict[str, dict] = {
         "cadence": (_as_float, 2.0),
         "dt_max": (_as_float, DEFAULT_DT_MAX),
         "transient_fraction": (_as_fraction, 0.5),
-        "threshold": (_one_of({"literal": (), "minimizer": ()}), "literal"),
     },
 }
 
@@ -357,7 +357,7 @@ PRESETS: dict[str, dict[str, str]] = {
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw strings against the command schema and convert types,
     then check that every key a chosen value needs is set and that no key
-    another value owns is.  A callable default is a function of the keys
+    only other values own is.  A callable default is a function of the keys
     resolved before it."""
     schema = _SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
@@ -376,13 +376,26 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
         for needed in getattr(convert, "needs", {}).get(value, ()):
             if resolved[needed] is None:
                 raise ConfigError(f"missing required key {needed!r} for {key}={value}")
-        for owner, owned in getattr(convert, "only", {}).items():
-            stray = [name for name in owned if name in raw and owner != value]
-            if stray:
-                raise ConfigError(
-                    f"key(s) {', '.join(stray)} need {key}={owner}, got {key}={value}"
-                )
+        stray = convert.stray(value, raw) if hasattr(convert, "stray") else []
+        if stray:
+            raise ConfigError(
+                f"key(s) {', '.join(stray)} do not apply to {key}={value}"
+            )
     return resolved
+
+
+def _override(command: str, preset: dict, given: dict) -> dict:
+    """``preset`` updated by ``given``; a value ``given`` sets first drops
+    the preset's keys that only other values of its key own."""
+    schema = _SCHEMAS[command]
+    merged = dict(preset)
+    for key, raw in given.items():
+        convert = schema.get(key, (None,))[0]
+        if hasattr(convert, "stray"):
+            for name in convert.stray(convert(key, raw), preset):
+                del merged[name]
+    merged.update(given)
+    return merged
 
 
 def _model_params(resolved: dict) -> ModelParams:
@@ -613,68 +626,38 @@ def _sim_config(resolved: dict) -> SimConfig:
 
 def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     config = _sim_config(resolved)
-    params = config.params
-    if config.dim == 1:
-        header = "time,mass_u,mass_v,front,label,crossing_count,overshoot\n"
-
-        def columns(field) -> tuple[str, str, str]:
-            try:
-                cls = classify_profile(field.u, params.equilibrium)
-            except NoCrossing:
-                return "NoFront", "", ""
-            return cls.label, str(cls.crossing_count), repr(cls.overshoot)
-
-    else:
-        header = "time,mass_u,mass_v,r_inner,r_peak,r_outer\n"
-        level = params.a / (2.0 * params.b)
-
-        def columns(field) -> tuple[str, str, str]:
-            try:
-                return tuple(repr(r) for r in ring_radii(field, level))
-            except NoRing:
-                return "nan", "nan", "nan"
-
-    # Each snapshot's own metrics.csv columns are taken as it arrives, so
-    # the run holds no snapshot but the newest.
-    tails = []
-
-    def on_snapshot(k: int, field) -> None:
-        writer(k, field)
-        tails.append(columns(field))
-
     # The snapshots are saved by a forked writer while the run steps; they
     # are complete, and hashed by the manifest, only after the block.
     with _SnapshotWriter(out_dir) as writer:
-        traj = simulate(config, on_snapshot=on_snapshot)
+        traj = simulate(config, on_snapshot=writer)
 
     outputs = [Path(p).name for p in writer.written]
-    lines = [header]
-    series = [traj.times, traj.mass_u, traj.mass_v]
-    if config.dim == 1:
-        series.append(traj.front)
-    for *values, tail in zip(*series, tails):
-        lines.append(",".join([*map(repr, values), *tail]) + "\n")
+    # The run measured each snapshot; its rows are written as measured.
+    lines = [",".join(["time", "mass_u", "mass_v", *traj.diagnostics[0]]) + "\n"]
+    for *values, measured in zip(
+        traj.times, traj.mass_u, traj.mass_v, traj.diagnostics
+    ):
+        values += measured.values()
+        lines.append(",".join(map(_fmt_value, values)) + "\n")
+    with open(out_dir / "metrics.csv", "w", newline="") as fh:
+        fh.writelines(lines)
+    outputs.append("metrics.csv")
 
-    classification = lambda_est = None
+    classification = traj.diagnostics[-1].get("label")  # 1-D only
+    lambda_est = c_est = stderr = None
     if config.dim == 1:
-        classification = tails[-1][0]  # of the final snapshot
         final = traj.snapshots[-1]
         try:
             lambda_est, _ = decay_fit(final.x, final.u)
         except WavemotilError:
             pass
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        fh.writelines(lines)
-    outputs.append("metrics.csv")
-
-    c_est = stderr = None
     try:
         c_est, stderr = wave_speed(
             np.array(traj.times),
             np.array(traj.front),
             transient_fraction=resolved["transient_fraction"],
         )
-    except (InsufficientSamples, WindowTooSmall):
+    except InsufficientSamples:
         pass
     metrics = {
         "c_est": c_est,
@@ -698,7 +681,7 @@ def _scan_row(
 ) -> tuple[float, SimConfig]:
     """The predicted speed and the simulation setup of one decay-rate row."""
     a, b = params.a, params.b
-    c_pred = leading_edge_speed(lam0, a, gamma0, threshold=resolved["threshold"])
+    c_pred = leading_edge_speed(lam0, a, gamma0)
     x0, h, t_end = resolved["x0"], resolved["h"], resolved["t_end"]
     length = 10.0 * math.ceil((x0 + 1.25 * c_pred * t_end + 10.0) / 10.0)
     nx = int(round(length / h)) + 1
@@ -801,11 +784,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        raw: dict[str, str] = {}
-        if getattr(args, "preset", None):
-            raw.update(PRESETS[args.preset])
+        raw = dict(PRESETS[args.preset]) if getattr(args, "preset", None) else {}
         if args.config:
-            raw.update(read_config(args.config))
+            raw = _override(args.command, raw, read_config(args.config))
         if not raw:
             raise ConfigError("no configuration given: pass --config and/or --preset")
         resolved = resolve_config(args.command, raw)

@@ -79,9 +79,10 @@ complement S = D_b - dt^2 C1^T D_r^-1 C1 with the map that fills its
 values, and the faces to held nodes) is built once, on first use, into a
 stepper that every ``GridField`` of the run holds by reference.  u and v
 share the unit conductances, so each system holds its two diagonals, dt
-and its values of S, filled through that map without building a sparse
-matrix: each CG iteration applies S as one sparse product, and the red
-nodes are D_r^-1 (b_r - dt C1 x_b).  The u system changes with gamma and is
+and its own CSR matrix of S: the values it fills through that map over the
+pattern's index arrays, with no sparse product assembled.  Each CG
+iteration applies S as one sparse product, and the red nodes are
+D_r^-1 (b_r - dt C1 x_b).  The u system changes with gamma and is
 built every step; the v system changes only with dt and the order, so the
 stepper keeps the last one and reuses it while both repeat.  The motility
 law is evaluated once per step, for gamma only.  The stepper also keeps the
@@ -89,19 +90,21 @@ chain of steps (the v and carries of the newest state and, in 2-D, the
 black-node states of the starts), and it counts the conjugate-gradient
 iterations, the v systems built and the undershoots clipped.
 
-``simulate`` hands each snapshot, as it takes it, to an optional
-``on_snapshot`` callback, and keeps only the final one: a run holds at
-most one snapshot whatever its length, and none while it steps, so a
-caller that wants the earlier ones collects them through the callback.  The CLI passes a ``_SnapshotWriter``,
-which saves the snapshots with ``save_field`` in one forked writer process
-while the run steps on, so the CLI needs the ``fork`` start method of
+``simulate`` measures each snapshot once as it takes it (``_diagnostics``:
+the front and trailing-edge class in 1-D, the ring radii in 2-D, at level
+a/(2b)), hands it to an optional ``on_snapshot`` callback and keeps only
+the final one: a run holds at most one snapshot whatever its length, and
+none while it steps, so a caller that wants the earlier ones collects them
+through the callback.  The CLI passes a ``_SnapshotWriter``, which saves
+the snapshots with ``save_field`` in one forked writer process while the
+run steps on, so the CLI needs the ``fork`` start method of
 ``multiprocessing`` (POSIX).  The writer inherits the first snapshot and
 the run's stepper through the fork, and each later snapshot reaches it as
 (k, u, v); the files have the bytes of an in-process save.  The CLI hashes
-them for ``run.json`` only after the writer has finished.  A run that fails
-writes no snapshot: the writer is stopped and reaped, the files it wrote
-are removed and the run's error propagates, and so does an error of the
-writer itself.
+them for ``run.json`` only after the writer has finished.  A run that
+fails writes no snapshot: the writer is stopped and reaped, the files it
+wrote are removed and the run's error propagates, and so does an error of
+the writer itself.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -114,7 +117,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +132,7 @@ from .errors import (
     NonFiniteState,
     NoRing,
 )
-from .frontmetrics import front_position, ring_metrics
+from .frontmetrics import classify_profile, front_position, ring_metrics
 from .model import ModelParams
 
 __all__ = [
@@ -703,9 +706,9 @@ class _Pattern:
     black ones (D_r, D_b the diagonals of the two colours): a nine-point
     operator whose entry (j, k) is D_b on the diagonal less dt^2 times the
     sum of C1_ij C1_ik / D_r_i over the red nodes i next to both j and k.
-    ``schur`` holds its sparsity as a CSR matrix, columns sorted, with the
-    values of the system that solved last, and ``refill`` maps a system's
-    coefficients onto it: one row per entry of S in CSR order, one column
+    ``schur_index`` holds its sparsity, the CSR ``indices`` and ``indptr``
+    with columns sorted, and ``refill`` maps a system's coefficients onto
+    it: one row per entry of S in CSR order, one column
     per red node holding C1_ij C1_ik, then one column per black node
     holding a 1 in the row of its diagonal entry.  A system's values of S
     are thus ``refill`` @ [-dt^2 D_r^-1, D_b].  C1, S and ``refill`` are
@@ -786,12 +789,13 @@ class _Pattern:
                 columns[t] = reds[d1]
             counts[g] += values[t] != 0.0
         keep, present = values != 0.0, counts > 0
-        self.schur = _packed(
+        schur = _packed(
             np.zeros(np.count_nonzero(present)),
             local[stencil[:, None] + at].T[present.T],
             present.sum(axis=0),
             n_black,
         )
+        self.schur_index = (schur.indices, schur.indptr)
         self.refill = _packed(
             values.T[keep.T], columns.T[keep.T], counts.T[present.T], n_red + n_black
         )
@@ -805,7 +809,8 @@ class _RedBlackCG:
     of the two colours (``diag`` + dt times the stepper's ``degree``) and
     C1 the pattern's coupling block, eliminating the red nodes leaves
     S = D_b - dt^2 C1^T D_r^-1 C1 on the black ones.  The system assembles
-    its values of S once, through the pattern's ``refill`` map, and each
+    its values of S once, through the pattern's ``refill`` map, into its
+    own CSR matrix ``schur`` over the pattern's index arrays, and each
     iteration applies S as one sparse product.  Conjugate gradients solve
     it preconditioned by D_b: the Jacobi scaling of the full system carried
     over to the reduced one (the reduced-system CG of Hageman & Young,
@@ -829,22 +834,17 @@ class _RedBlackCG:
         diag = (diag + st.faces(dt)[0]).ravel()
         self.inv_red = 1.0 / diag[pat.red]
         self.inv_black = 1.0 / diag[pat.black]
-        self.values = pat.refill @ np.concatenate(
-            (-dt * dt * self.inv_red, diag[pat.black])
+        values = pat.refill @ np.concatenate((-dt * dt * self.inv_red, diag[pat.black]))
+        self.schur = sparse.csr_matrix(
+            (values, *pat.schur_index), shape=(pat.black.size,) * 2
         )
         self.held_term = dt * pat.held_scale * held.ravel()[pat.held_nodes]
-
-    def operator(self) -> sparse.csr_matrix:
-        """S: the pattern's ``schur``, made to hold this system's values."""
-        schur = self.st.pattern.schur
-        schur.data = self.values
-        return schur
 
     def solve(self, rhs: np.ndarray, start: np.ndarray) -> np.ndarray:
         """Solution for ``rhs``, iterated from ``start``, the values of the
         black nodes (``pattern.black``) to begin with."""
         pat = self.st.pattern
-        schur = self.operator()
+        schur = self.schur
         b = self.st.weights.ravel() * rhs.ravel()
         np.add.at(b, pat.held_rows, self.held_term)
         b_red, b_black = b[pat.red], b[pat.black]
@@ -1072,18 +1072,19 @@ class Trajectory:
 
     ``snapshots`` holds only the final snapshot, so ``snapshots[-1]`` is
     the state at ``times[-1]``; every snapshot reaches ``simulate``'s
-    ``on_snapshot`` callback as it is taken.  ``front`` holds the tracked
-    front position at level a/(2b) for 1-D runs and the outer ring radius
-    at the same level for 2-D runs; entries are NaN where the level set
-    does not exist yet.  ``solver_iterations`` holds, per step, the
-    conjugate-gradient iterations of the u and v solves together, counted
-    on the red-black reduced systems (always 0 in 1-D, where the solves
-    are direct); its length is the number of steps, each of size
-    ``config.dt``.  ``v_builds`` counts the v systems built: one for the
-    first-order first step and one for the second-order steps after it.
-    ``clipped_values`` counts the values of u and v that steps clipped
-    from (-1e-12, 0) to zero, and ``worst_undershoot`` is the most
-    negative of them (0.0 when none was clipped).
+    ``on_snapshot`` callback as it is taken.  ``diagnostics`` holds each
+    snapshot's ``_diagnostics`` by ``metrics.csv`` column name, and
+    ``front`` its front at level a/(2b): the position in 1-D, ``r_outer``
+    in 2-D, NaN where the level set does not exist yet.
+    ``solver_iterations`` holds, per step, the conjugate-gradient
+    iterations of the u and v solves together, counted on the red-black
+    reduced systems (always 0 in 1-D, where the solves are direct); its
+    length is the number of steps, each of size ``config.dt``.
+    ``v_builds`` counts the v systems built: one for the first-order first
+    step and one for the second-order steps after it.  ``clipped_values``
+    counts the values of u and v that steps clipped from (-1e-12, 0) to
+    zero, and ``worst_undershoot`` is the most negative of them (0.0 when
+    none was clipped).
     """
 
     times: list[float]
@@ -1091,6 +1092,7 @@ class Trajectory:
     mass_u: list[float]
     mass_v: list[float]
     front: list[float]
+    diagnostics: list[dict]
     config: SimConfig
     solver_iterations: list[int] = field(default_factory=list)
     v_builds: int = 0
@@ -1110,14 +1112,25 @@ def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
     return ring_metrics(f.x, f.y, f.u, center=center, level=level, r_max=r_max)
 
 
-def _front_diagnostic(f: GridField, params: ModelParams) -> float:
+def _diagnostics(f: GridField, params: ModelParams) -> dict:
+    """The ``metrics.csv`` columns measured on a snapshot at level a/(2b):
+    in 1-D the ``front`` position and ``classify_profile``'s trailing-edge
+    class (``NoFront`` with a NaN front when u never crosses the level), in
+    2-D the ring radii (NaN when the azimuthal average never crosses it)."""
     level = params.a / (2.0 * params.b)
+    if f.dim == 2:
+        try:
+            radii = ring_radii(f, level)
+        except NoRing:
+            radii = (math.nan,) * 3
+        return dict(zip(("r_inner", "r_peak", "r_outer"), radii))
     try:
-        if f.dim == 1:
-            return front_position(f.x, f.u, level)
-        return ring_radii(f, level)[2]
-    except (NoCrossing, NoRing):
-        return float("nan")
+        cls = asdict(classify_profile(f.u, params.equilibrium))
+    except NoCrossing:
+        return dict(
+            front=math.nan, label="NoFront", crossing_count=None, overshoot=None
+        )
+    return dict(front=front_position(f.x, f.u, level), **cls)
 
 
 def simulate(
@@ -1133,7 +1146,8 @@ def simulate(
     ``on_snapshot(k, field)``, when given, is called with each snapshot as
     it is taken, k = 0 for the initial state; each is a copy the run no
     longer touches.  The run keeps only the final snapshot, in
-    ``Trajectory.snapshots``.  The CLI passes a
+    ``Trajectory.snapshots``, and measures each snapshot once as it takes
+    it, into ``Trajectory.diagnostics``.  The CLI passes a
     ``_SnapshotWriter``: a forked process (start method ``fork``) saves
     each snapshot while the run steps on.  The CLI hashes the snapshot
     files for ``run.json`` only after that writer has finished, and a run
@@ -1147,7 +1161,7 @@ def simulate(
     snapshot = f.copy()
     mass_u = [mu]
     mass_v = [mv]
-    front = [_front_diagnostic(f, params)]
+    diagnostics = [_diagnostics(f, params)]
     if on_snapshot is not None:
         on_snapshot(0, snapshot)
     solver_iterations: list[int] = []
@@ -1170,7 +1184,7 @@ def simulate(
         snapshot = f.copy()
         mass_u.append(mu)
         mass_v.append(mv)
-        front.append(_front_diagnostic(f, params))
+        diagnostics.append(_diagnostics(f, params))
         if on_snapshot is not None:
             on_snapshot(seg, snapshot)
 
@@ -1179,7 +1193,8 @@ def simulate(
         snapshots=[snapshot],
         mass_u=mass_u,
         mass_v=mass_v,
-        front=front,
+        front=[row["front" if f.dim == 1 else "r_outer"] for row in diagnostics],
+        diagnostics=diagnostics,
         config=config,
         solver_iterations=solver_iterations,
         v_builds=st.v_builds,

@@ -364,17 +364,20 @@ def test_leading_edge_speed_branches():
     assert leading_edge_speed(2.0, 0.1) == pytest.approx(C_MIN, rel=1e-14)
     lam0 = 0.2
     assert leading_edge_speed(lam0, 0.1) == pytest.approx(lam0 + 0.1 / lam0, rel=1e-14)
-    # literal vs minimizer switch at different decay rates when gamma0 != 1:
-    # pick lam0 between sqrt(a/gamma0) ~ 0.2236 and sqrt(a) ~ 0.3162.
-    lam0 = 0.28
+    # with gamma0 != 1 the switch sits at the dispersion minimizer
+    # sqrt(a/gamma0) ~ 0.2236, not at sqrt(a) ~ 0.3162.
     a, g0 = 0.1, 2.0
-    assert leading_edge_speed(lam0, a, g0, "literal") == pytest.approx(
+    lam0 = 0.22
+    assert leading_edge_speed(lam0, a, g0) == pytest.approx(
         g0 * lam0 + a / lam0, rel=1e-14
     )
-    assert leading_edge_speed(lam0, a, g0, "minimizer") == pytest.approx(
+    assert leading_edge_speed(0.28, a, g0) == pytest.approx(
         2.0 * math.sqrt(g0 * a), rel=1e-14
     )
-    # above both cutoffs the rules agree on the capped speed
-    assert leading_edge_speed(0.4, a, g0, "literal") == pytest.approx(
-        2.0 * math.sqrt(g0 * a), rel=1e-14
+    # the speed is continuous at the switch and never below the minimum
+    cut = math.sqrt(a / g0)
+    assert leading_edge_speed(cut * (1 - 1e-9), a, g0) == pytest.approx(
+        2.0 * math.sqrt(g0 * a), rel=1e-12
     )
+    for lam in (0.05, 0.1, 0.2, 0.3, 1.0):
+        assert leading_edge_speed(lam, a, g0) >= 2.0 * math.sqrt(g0 * a)

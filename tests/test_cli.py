@@ -17,8 +17,8 @@ import wavemotil.pde as pde
 from wavemotil.analysis import b_star, c_star, kappa
 from wavemotil.certificates import CertificateReport, CheckRecord
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
-from wavemotil.errors import ConfigError
-from wavemotil.frontmetrics import classify_profile
+from wavemotil.errors import ConfigError, NoCrossing, NoRing
+from wavemotil.frontmetrics import classify_profile, front_position
 from wavemotil.waveode import WaveProfile, frame_step
 
 
@@ -72,6 +72,17 @@ class TestConfigParsing:
         for name, preset in PRESETS.items():
             resolved = resolve_config("simulate", preset)
             assert resolved["t_end"] > 0, name
+
+
+def test_keys_of_a_value_not_chosen_are_rejected():
+    # Each motility law and initial condition owns its fields, as dim=2
+    # owns y_min, y_max, bc_bottom and bc_top.
+    raw = dict(PRESETS["fig2"], chi="3", ic_path="nowhere.npz")
+    with pytest.raises(ConfigError, match="chi do not apply to motility=power"):
+        resolve_config("simulate", raw)
+    del raw["chi"]
+    with pytest.raises(ConfigError, match="ic_path do not apply to ic=front"):
+        resolve_config("simulate", raw)
 
 
 class TestAnalyze:
@@ -307,6 +318,87 @@ class TestSimulate:
                     repr(r) for r in radii
                 ]
 
+    def test_each_ring_is_measured_once(self, tmp_path, monkeypatch):
+        calls = []
+        measure = pde.ring_metrics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "ring_metrics", counted)
+        cfg = _write(tmp_path, "s.cfg", _SIM_2D_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "text, tail",
+        [
+            (_SIM_CFG.replace("ic_offset=10", "ic_offset=-100"), ",nan,NoFront,,"),
+            (_SIM_2D_CFG.replace("ic_amplitude=4", "ic_amplitude=0.01"), ",nan,nan,nan"),
+        ],
+        ids=["1d-no-front", "2d-no-ring"],
+    )
+    def test_unmeasured_snapshots_write_placeholders(self, tmp_path, text, tail):
+        # Far below a/(2b) everywhere: no front and no ring to measure, as
+        # recomputing from the saved snapshots confirms.
+        cfg = _write(tmp_path, "s.cfg", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()[1:]
+        config = cli._sim_config(resolve_config("simulate", read_config(cfg)))
+        params = config.params
+        level = params.a / (2.0 * params.b)
+        snaps = sorted(out.glob("snap_*.csv" if config.dim == 1 else "snap_*.json"))
+        assert len(lines) == len(snaps) > 1
+        for line, path in zip(lines, snaps):
+            assert line.endswith(tail)
+            snap = pde.load_field(str(path.with_suffix("")))
+            if config.dim == 1:
+                with pytest.raises(NoCrossing):
+                    classify_profile(snap.u, params.equilibrium)
+                with pytest.raises(NoCrossing):
+                    front_position(snap.x, snap.u, level)
+            else:
+                with pytest.raises(NoRing):
+                    pde.ring_radii(snap, level)
+        metrics = json.loads((out / "run.json").read_text())["metrics"]
+        assert metrics["front_final"] is None and metrics["c_est"] is None
+        assert metrics["classification"] == ("NoFront" if config.dim == 1 else None)
+
+    @pytest.mark.parametrize(
+        "preset, text, recorded",
+        [
+            (
+                "fig3",
+                "motility=power\nm=6\n",
+                {"motility": "power", "m": "6.0", "eps": "", "v0": ""},
+            ),
+            (
+                "fig2",
+                "ic=custom\nic_path={npz}\n",
+                {"ic": "custom", "ic_path": "{npz}", "ic_steepness": "", "ic_offset": ""},
+            ),
+        ],
+        ids=["fig3-power", "fig2-custom"],
+    )
+    def test_config_replaces_a_preset_value(self, tmp_path, preset, text, recorded):
+        # The preset's keys of the value replaced are dropped, not rejected.
+        x = np.linspace(0.0, 200.0, 4001)
+        profile = 1.0 / (1.0 + np.exp(2.0 * (x - 20.0)))
+        npz = tmp_path / "ic.npz"
+        np.savez(npz, u=profile, v=profile)
+        cfg = _write(tmp_path, "s.cfg", text.format(npz=npz) + "t_end=5\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--preset", preset, "--config", cfg, "--out", str(out)]
+        assert main(argv) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert {key: config[key] for key in recorded} == {
+            key: value.format(npz=npz) for key, value in recorded.items()
+        }
+
     @pytest.mark.parametrize(
         "text, snaps",
         [
@@ -490,6 +582,22 @@ class TestSpeedscan:
         assert abs(float(rel)) < 0.1
         assert abs(float(c_est) - 2.5) / 2.5 < 0.1
 
+    def test_sigmoid_row_past_the_minimizer_takes_the_minimal_speed(self, tmp_path):
+        # gamma(0) != 1, so the minimal speed 2 sqrt(gamma0 a) takes over at
+        # the dispersion minimizer sqrt(a / gamma0), below sqrt(a).
+        text = (
+            "motility=sigmoid\neps=0.1\nv0=1\na=0.2\nb=0.2\nlambda0=0.4\n"
+            "x0=5\nh=0.1\nt_end=10\ncadence=0.5\n"
+        )
+        cfg = _write(tmp_path, "scan.cfg", text)
+        out = tmp_path / "out"
+        assert main(["speedscan", "--config", cfg, "--out", str(out)]) == 0
+        params = cli._model_params(resolve_config("speedscan", read_config(cfg)))
+        a, gamma0 = params.a, params.motility.gamma(0.0)
+        assert math.sqrt(a / gamma0) < 0.4 < math.sqrt(a)
+        row = (out / "speedscan.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == ["0.4", repr(2.0 * math.sqrt(gamma0 * a))]
+
     def test_empty_rate_list_is_usage_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "scan.cfg", _SCAN_CFG.replace("lambda0=0.5", "lambda0= ,"))
         assert main(["speedscan", "--config", cfg, "--out", str(tmp_path)]) == 64
@@ -541,6 +649,10 @@ class TestUsage:
             ("analyze", "a=0.1\nb=inf\nm=6\n"),
             ("certify", "a=0.1\nb=inf\nm=6\nc=0.7\n"),
             ("speedscan", _SCAN_CFG.replace("lambda0=0.5", "lambda0=0.5,inf")),
+            ("simulate --preset fig2", "chi=3\nic_path=nowhere.npz\n"),
+            ("simulate", _SIM_SHORT + "eps=0.1\n"),
+            ("simulate", _SIM_SHORT + "ic_base=0\n"),
+            ("speedscan", _SCAN_CFG + "chi=3\n"),
         ],
         ids=[
             "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
@@ -552,7 +664,8 @@ class TestUsage:
             "dim1-bc_top", "dim1-bc_bottom", "dim1-y_min", "dim1-y_max",
             "fig2-t_end-inf", "fig2-x_max-inf", "fig2-cadence-inf",
             "dirichlet-nan", "analyze-c-nan", "analyze-c-inf", "analyze-b-inf",
-            "certify-b-inf", "speedscan-lambda0-inf",
+            "certify-b-inf", "speedscan-lambda0-inf", "fig2-chi-ic_path",
+            "power-eps", "front-ic_base", "speedscan-power-chi",
         ],
     )
     def test_malformed_value_is_usage_error(

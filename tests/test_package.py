@@ -118,6 +118,18 @@ def test_no_module_imports_a_name_it_never_uses():
         assert not unused, f"{path.name} imports {unused} and never uses them"
 
 
+def test_cli_measures_no_snapshot():
+    # simulate measures each snapshot once and the CLI writes the rows; the
+    # run-level fits (wave_speed, decay_fit) stay in the CLI.
+    tree = ast.parse((Path(wavemotil.__file__).parent / "cli.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    measures = {"front_position", "classify_profile", "ring_metrics", "ring_radii"}
+    assert not names & measures
+
+
 def _is_json_write(node) -> bool:
     """Whether ``node`` is a call of ``json.dump`` or ``json.dumps``."""
     return (

@@ -30,7 +30,7 @@ from wavemotil.errors import (
     NonFiniteState,
 )
 from wavemotil.analysis import c_star, lambda_decay, leading_edge_speed
-from wavemotil.frontmetrics import front_position, wave_speed
+from wavemotil.frontmetrics import classify_profile, front_position, wave_speed
 from wavemotil.model import (
     ModelParams,
     PowerMotility,
@@ -1087,7 +1087,7 @@ class TestRedBlackSolve:
         ]
         assert np.count_nonzero(d_r - np.diag(np.diag(d_r))) == 0
         assert np.count_nonzero(d_b - np.diag(np.diag(d_b))) == 0
-        return solver.operator(), d_b, c_br, np.diag(d_r), c_rb, rng
+        return solver.schur, d_b, c_br, np.diag(d_r), c_rb, rng
 
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     @pytest.mark.parametrize("unknown", ["u", "v"])
@@ -1117,6 +1117,22 @@ class TestRedBlackSolve:
         assert np.max(np.abs(dense - dense.T)) <= 4 * np.finfo(float).eps * scale
         off = dense - np.diag(np.diag(dense))
         assert np.max(off) <= 0.0 < np.min(np.diag(dense))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_system_owns_its_schur_matrix(self, case):
+        # The u and v systems of a step hold their values of S side by side
+        # over the pattern's index arrays; solving one leaves the other's.
+        f, gamma, rng = self._case(case)
+        st = pde._stepper_of(f)
+        u_sys, v_sys = st.u_system(gamma, 0.1), st.v_system(0.1)
+        assert u_sys.schur is not v_sys.schur
+        for index, shared in zip(st.pattern.schur_index, ("indices", "indptr")):
+            assert np.shares_memory(getattr(u_sys.schur, shared), index)
+            assert np.shares_memory(getattr(v_sys.schur, shared), index)
+        u_values = u_sys.schur.data.copy()
+        v_sys.solve(0.5 + rng.random(f.u.shape), np.zeros(st.pattern.black.size))
+        assert np.array_equal(u_sys.schur.data, u_values)
+        assert not np.array_equal(u_sys.schur.data, v_sys.schur.data)
 
     def test_half_the_iterations_of_full_system_cg(self):
         # Guards against a silent return to CG on the full system, which
@@ -1374,6 +1390,30 @@ class TestSimulate:
         # Front positions are recorded and move right once the wave forms.
         assert np.isfinite(traj.front[-1]) and traj.front[-1] > traj.front[0]
 
+    def test_each_snapshot_is_measured_as_taken(self):
+        # 1-D: the front at a/(2b) and the trailing-edge class; 2-D: the
+        # ring radii, of which front records the outer one.
+        for cfg in (_front_config(), TestExtrapolatedStart._config(True)):
+            traj, snaps = _collected(cfg)
+            params = cfg.params
+            level = params.a / (2.0 * params.b)
+            assert len(traj.diagnostics) == len(traj.front) == len(snaps)
+            for row, front, snap in zip(traj.diagnostics, traj.front, snaps):
+                if cfg.dim == 1:
+                    cls = classify_profile(snap.u, params.equilibrium)
+                    assert row == dict(
+                        front=front_position(snap.x, snap.u, level),
+                        label=cls.label,
+                        crossing_count=cls.crossing_count,
+                        overshoot=cls.overshoot,
+                    )
+                    assert front == row["front"]
+                else:
+                    radii = pde.ring_radii(snap, level)
+                    assert list(row) == ["r_inner", "r_peak", "r_outer"]
+                    assert tuple(row.values()) == radii
+                    assert front == row["r_outer"]
+
     @pytest.mark.parametrize("writer", [False, True], ids=["bare", "forked-writer"])
     def test_run_holds_only_the_final_snapshot(self, tmp_path, writer, monkeypatch):
         # The callback keeps weak references only, so the run frees each
@@ -1532,18 +1572,23 @@ class TestSimulate:
         traj = simulate(_front_config(t_end=2.0, cadence=1.0))
         assert len(calls) == len(traj.solver_iterations) > 0
 
-    def test_no_sparse_matrix_built_per_2d_step(self, monkeypatch):
+    def test_no_sparse_structure_built_per_2d_step(self, monkeypatch):
         # u and v share unit conductances, so the red-black coupling block,
         # the sparsity of the Schur complement and its refill map are built
-        # once per run; each system only fills values.
-        calls = []
-        csr = pde.sparse.csr_matrix
+        # once per run; each system only fills values, into its own CSR
+        # matrix over the pattern's index arrays.
+        structures, matrices = [], []
+        packed, csr = pde._packed, pde.sparse.csr_matrix
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return csr(*args, **kwargs)
+        def counting(calls, build):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return build(*args, **kwargs)
 
-        monkeypatch.setattr(pde.sparse, "csr_matrix", counting)
+            return counted
+
+        monkeypatch.setattr(pde, "_packed", counting(structures, packed))
+        monkeypatch.setattr(pde.sparse, "csr_matrix", counting(matrices, csr))
         built = []
         for t_end in (1.0, 2.0):
             cfg = SimConfig(
@@ -1556,11 +1601,14 @@ class TestSimulate:
                 cadence=0.5,
                 disk_mask=True,
             )
-            calls.clear()
+            structures.clear()
+            matrices.clear()
             traj = simulate(cfg)
-            built.append((len(traj.solver_iterations), len(calls)))
-        assert [steps for steps, _ in built] == [10, 20]
+            built.append((len(traj.solver_iterations), len(structures), len(matrices)))
+        assert [steps for steps, _, _ in built] == [10, 20]
         assert built[0][1] == built[1][1] > 0
+        # One matrix per u system, one per step; the v system is kept.
+        assert built[1][2] - built[0][2] == 10
 
     def test_back_to_back_2d_runs_match_runs_alone(self):
         # Each run owns its stepper, so a run on another mask in between
