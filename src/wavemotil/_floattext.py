@@ -1,6 +1,8 @@
 """CSV text of float64 tables, each float written as Python's ``repr``.
 
-``csv_rows(columns)`` renders whole blocks of cells at a time in numpy.
+``csv_blocks(columns)`` renders a table block by block in numpy and yields
+each block's bytes, so a writer streams a table of any length through a
+working set of one block.
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020).  A normal float v = c 2^q has the rounding interval
 R_v = [v - 2^(q-1), v + 2^(q-1)] (its lower half-gap is 2^(q-2) when c is
@@ -36,6 +38,7 @@ float64.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -49,7 +52,7 @@ _CHUNK = 8192
 _WIDTH = 25
 #: Byte columns of a cell's 32-byte alphabet (four little-endian uint64
 #: words): its 17 digits S, then '.', '-', '0' and a 0 byte, which
-#: ``csv_rows`` drops; from 24 on, 'e', the exponent's sign and digits, and
+#: ``csv_blocks`` drops; from 24 on, 'e', the exponent's sign and digits, and
 #: the separator.
 _S, _POINT, _MINUS, _ZERO, _NUL = 0, 17, 18, 19, 23
 _E, _E_SIGN, _E_HUNDREDS, _E_TENS, _E_ONES, _SEP = 24, 25, 26, 27, 28, 29
@@ -274,16 +277,21 @@ def _render(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     return cells
 
 
-def csv_rows(columns) -> str:
-    """Newline-ended CSV rows of float columns, each float as its ``repr``."""
-    table = np.asarray(np.column_stack(columns), dtype=float)
-    n_rows, n_cols = table.shape
+def csv_blocks(columns) -> Iterator[bytes]:
+    """Newline-ended CSV rows of float columns, each float as its ``repr``,
+    as ASCII byte blocks of whole rows, at most _CHUNK cells each (one row
+    when a row is longer).
+
+    Each block is stacked, rendered and compacted on its own, so a table is
+    never held whole: a writer passes the blocks to a binary file as they
+    come.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    n_cols = len(columns)
     seps = np.full(n_cols, ord(","), dtype=np.uint8)
     seps[-1] = ord("\n")
     step = max(1, _CHUNK // n_cols)
-    parts = []
-    for start in range(0, n_rows, step):
-        block = np.ascontiguousarray(table[start : start + step]).ravel()
-        cells = _render(block, np.tile(seps, len(block) // n_cols))
-        parts.append(cells[cells != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([column[start : start + step] for column in columns])
+        cells = _render(block.ravel(), np.tile(seps, len(block)))
+        yield cells[cells != 0].tobytes()

@@ -140,16 +140,24 @@ def _eta_smaller_root(a: float, b: float, m: float, c: float) -> float:
         raise EtaUndefined(
             f"ceiling quadratic has no real root (a={a}, b={b}, m={m}, c={c})"
         )
-    # smaller root via the product of roots; avoids cancellation
-    return 2.0 * a / (-lin + math.sqrt(disc))
+    # smaller root via the product of roots; avoids cancellation.  With
+    # lin >= 0 both roots are negative, and an overflowing lin^2 rounds the
+    # root to 0: neither is a positive finite eta.
+    denom = -lin + math.sqrt(disc)
+    eta = 2.0 * a / denom if denom > 0.0 else math.nan
+    if not 0.0 < eta < math.inf:
+        raise EtaUndefined(
+            f"ceiling quadratic has no positive finite root (a={a}, b={b}, m={m}, c={c})"
+        )
+    return eta
 
 
 def speed_window(params: ModelParams, c: float) -> WaveContext:
     """Assemble the WaveContext for power-law motility at speed c.
 
     Raises SpeedBelowMinimal for c < 2 sqrt(a) and EtaUndefined when the
-    ceiling quadratic has no real root.  Membership of the (b, c) window is
-    reported, not enforced.
+    ceiling quadratic has no positive finite root.  Membership of the (b, c)
+    window is reported, not enforced.
     """
     if not isinstance(params.motility, PowerMotility):
         raise WindowViolation("speed window analysis requires the power motility family")

@@ -7,8 +7,10 @@ The operator under certification is
 
 where V solves V'' + c V' + u - V = 0 for a source u between the candidate
 sub- and super-solutions.  ``solve_v`` evaluates V through the whole-line
-kernel of that equation: two composite-Simpson recurrences, each solved as
-one unit triangular banded system by BLAS ``dtbsv``.  The super-solution is
+kernel of that equation: two composite-Simpson recurrences, each solved
+by BLAS ``dtbsv`` as unit triangular banded systems of _BLOCK nodes, a
+block seeded by the two values solved next to it, which gives the bits of
+one solve over the whole grid.  The super-solution is
 min{e^{-lambda x}, eta}; the sub-solution is a plateau delta glued at
 x_delta to the two-rate tail d_n e^{-theta1(x) x} + d0 e^{-theta2(x) x}.
 All sign checks are evaluated with the worst-case envelopes of V and V' over
@@ -29,7 +31,10 @@ screen sizes and the two slacks are module constants.
 
 Every check is a ``CheckRecord`` built from per-point margins by one rule:
 the worst point is kept and the check passes iff margin > -slack, so a NaN
-margin fails.
+margin fails.  Grid checks are evaluated in blocks of _BLOCK points, each
+block keeping its worst point per check; the worst of those is the worst
+of the whole grid, so the records are those of one evaluation on the whole
+grid while no transient is longer than a block.
 """
 
 from __future__ import annotations
@@ -44,11 +49,13 @@ from .analysis import (
     ThetaBundle,
     WaveContext,
     b_star,
+    c_star,
+    in_speed_window,
     lambda12,
     speed_window,
     theta_bundle,
 )
-from .errors import CertificateFailed, NonFiniteTail, WindowViolation
+from .errors import CertificateFailed, EtaUndefined, NonFiniteTail, WindowViolation
 from .model import ModelParams
 
 __all__ = [
@@ -74,6 +81,9 @@ _DELTA_START = 1e-2
 _DELTA_FLOOR = 1e-18
 # points of the margin grid around the junction and of the chemical solve
 _GRID_POINTS = 40_000
+# points per block of the sign checks, the input checks and the chemical
+# recurrences, which bounds their transients whatever the grid length
+_BLOCK = 4096
 # leading grid points past the junction on which a plateau height is screened
 _SCREEN_POINTS = 64
 # plateau heights whose junctions are searched together
@@ -238,6 +248,11 @@ def _locate_junctions(
 # ---------------------------------------------------------------------------
 # chemical field
 # ---------------------------------------------------------------------------
+def _blocks(stop: int, start: int = 0):
+    """Slices of range(start, stop), _BLOCK points each but the last."""
+    return [slice(k, min(k + _BLOCK, stop)) for k in range(start, stop, _BLOCK)]
+
+
 def solve_v(
     grid,
     u,
@@ -254,11 +269,16 @@ def solve_v(
     x > grid[-1].  Each of the two one-sided integrals obeys a two-step
     composite-Simpson recurrence y[k] = r y[k -/+ 2] + s[k] (the exponential
     kernel factors out of each panel), seeded by the closed-form tail
-    integrals.  The sources s are built as whole arrays and each recurrence
-    is solved as one unit triangular banded system (BLAS dtbsv, bandwidth 2:
-    lower for the leftward integral, upper for the rightward one).  V' comes
-    from the differentiated kernel, so no numerical differentiation is
-    involved.
+    integrals.  The recurrences run in blocks of _BLOCK nodes: a block's
+    sources s go into a work array behind (leftward integral) or ahead of
+    (rightward one) the two values already solved next to it, and BLAS
+    dtbsv solves that array as a unit triangular banded system of
+    bandwidth 2 (lower for the leftward integral, upper for the rightward
+    one).  The two known values are its unit rows, so every node gets the
+    arithmetic of one solve over the whole grid, and so its bits.  The
+    integrals are solved into the two output arrays and combined there
+    block by block, so the transients stay one block long.  V' comes from
+    the differentiated kernel, so no numerical differentiation is involved.
     """
     grid = np.asarray(grid, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -266,15 +286,21 @@ def solve_v(
         raise ValueError("grid and u must be 1-D arrays of equal length")
     if grid.size < 5:
         raise ValueError("need at least 5 samples")
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    n = grid.size
+    h = float(grid[1] - grid[0])
+    # every step within 1e-9 |h| of the first (np.allclose(steps, h,
+    # rtol=1e-9, atol=0), which no NaN or infinite step passes)
+    tol = 1e-9 * abs(h)
+    if not all(
+        np.all(np.abs(np.diff(grid[k.start : k.stop + 1]) - h) <= tol)
+        for k in _blocks(n - 1)
+    ):
         raise ValueError("grid must be uniformly spaced")
     for name, value in (("u_left", u_left), ("tail_amplitude", tail_amplitude),
                         ("tail_rate", tail_rate)):
         if value is None or not math.isfinite(value):
             raise NonFiniteTail(f"tail description incomplete: {name}={value!r}")
-    if not np.all(np.isfinite(u)):
+    if not all(np.isfinite(u[k]).all() for k in _blocks(n)):
         raise NonFiniteTail("source samples must be finite")
 
     lam1, lam2 = lambda12(c)
@@ -291,43 +317,53 @@ def solve_v(
             f"grid step h = {h!r} too coarse for the kernel: e^({rate!r}) overflows"
         )
 
-    n = grid.size
-    # The two seed values at the start of each sweep are the first two unit
-    # rows.  In BLAS band storage the coupling -r sits in row 2 of the lower
-    # band and in row 0 of the upper band; each solve's unit diagonal is not
-    # referenced and is the other's coupling row, so one array serves both.
-    band = np.zeros((3, n), order="F")
-
-    # leftward integral: I1(x) = int_{-inf}^{x} e^{lam1 (x - s)} u(s) ds
     e1 = math.exp(lam1 * h)
     e1sq = e1 * e1
     e1inv = math.exp(-lam1 * h)
-    i1 = np.empty(n)
-    i1[0] = u_left / (-lam1)
-    i1[1] = e1 * i1[0] + (h / 12.0) * (5.0 * e1 * u[0] + 8.0 * u[1] - e1inv * u[2])
-    i1[2:] = (h / 3.0) * (e1sq * u[:-2] + 4.0 * e1 * u[1:-1] + u[2:])
-    band[2, : n - 2] = -e1sq
-    i1 = dtbsv(2, band, i1, lower=1, diag=1, overwrite_x=1)
-
-    # rightward integral: I2(x) = int_{x}^{+inf} e^{lam2 (x - s)} u(s) ds
     e2 = math.exp(-lam2 * h)
     e2sq = e2 * e2
     e2inv = math.exp(lam2 * h)
-    i2 = np.empty(n)
+    # In BLAS band storage the coupling -r sits in row 2 of the lower band
+    # and in row 0 of the upper band; each solve's unit diagonal is not
+    # referenced and is the other's coupling row, so one array serves both.
+    band = np.zeros((3, _BLOCK + 2), order="F")
+    band[0], band[2] = -e2sq, -e1sq
+    work = np.empty(_BLOCK + 2)
+    i1 = np.empty(n)  # becomes V
+    i2 = np.empty(n)  # becomes V'
+
+    # leftward integral: I1(x) = int_{-inf}^{x} e^{lam1 (x - s)} u(s) ds
+    i1[0] = u_left / (-lam1)
+    i1[1] = e1 * i1[0] + (h / 12.0) * (5.0 * e1 * u[0] + 8.0 * u[1] - e1inv * u[2])
+    for k in _blocks(n, 2):
+        m, lo = k.stop - k.start, k.start - 2
+        work[:2] = i1[lo : k.start]
+        work[2 : m + 2] = (h / 3.0) * (
+            e1sq * u[lo : k.stop - 2] + 4.0 * e1 * u[lo + 1 : k.stop - 1] + u[k]
+        )
+        i1[k] = dtbsv(2, band[:, : m + 2], work[: m + 2], lower=1, diag=1, overwrite_x=1)[2:]
+
+    # rightward integral: I2(x) = int_{x}^{+inf} e^{lam2 (x - s)} u(s) ds
     i2[n - 1] = tail_amplitude * math.exp(-tail_rate * grid[n - 1]) / (lam2 + tail_rate)
     i2[n - 2] = e2 * i2[n - 1] + (h / 12.0) * (
         -e2inv * u[n - 3] + 8.0 * u[n - 2] + 5.0 * e2 * u[n - 1]
     )
-    i2[: n - 2] = (h / 3.0) * (u[:-2] + 4.0 * e2 * u[1:-1] + e2sq * u[2:])
-    band[0, 2:] = -e2sq
-    i2 = dtbsv(2, band, i2, lower=0, diag=1, overwrite_x=1)
+    for k in reversed(_blocks(n - 2)):
+        m, hi = k.stop - k.start, k.stop + 2
+        work[m : m + 2] = i2[k.stop : hi]
+        work[:m] = (h / 3.0) * (
+            u[k] + 4.0 * e2 * u[k.start + 1 : hi - 1] + e2sq * u[k.start + 2 : hi]
+        )
+        i2[k] = dtbsv(2, band[:, : m + 2], work[: m + 2], lower=0, diag=1, overwrite_x=1)[:m]
 
     denom = lam2 - lam1
-    values = (i1 + i2) / denom
-    dvalues = (lam1 * i1 + lam2 * i2) / denom
-    for arr in (values, dvalues):
+    for k in _blocks(n):
+        v = (i1[k] + i2[k]) / denom
+        i2[k] = (lam1 * i1[k] + lam2 * i2[k]) / denom
+        i1[k] = v
+    for arr in (i1, i2):
         arr.setflags(write=False)
-    return VSolution(values=values, dvalues=dvalues)
+    return VSolution(values=i1, dvalues=i2)
 
 
 def residual_l(U, Up, Upp, V, Vp, params: ModelParams, c: float):
@@ -403,6 +439,27 @@ def _sub_tail_margin(
     return reserve - e_b - d1 * d_n * np.exp((shift - lam) * xr) - d2 * e_lam
 
 
+def _worst_points(n: int, margins_of) -> dict[str, tuple[list, list]]:
+    """Per-block worst points of sign checks evaluated in blocks.
+
+    ``margins_of(k)`` returns ``{name: (margins, locations)}`` on the points
+    of the slice k of range(n); each block keeps each check's
+    ``CheckRecord.worst_of`` point.  ``CheckRecord.worst_of`` over a check's
+    kept points is then its record over all points: the first NaN if there
+    is one (no earlier block has a NaN), else the first least margin (each
+    earlier block's worst is larger).
+    """
+    kept: dict[str, tuple[list, list]] = {}
+    for k in _blocks(n):
+        for name, (margins, locations) in margins_of(k).items():
+            if margins.size:
+                i = int(np.argmin(margins))
+                worst = kept.setdefault(name, ([], []))
+                worst[0].append(margins[i])
+                worst[1].append(locations[i])
+    return kept
+
+
 def _analytic_checks(
     ctx: WaveContext,
     tb: ThetaBundle,
@@ -413,81 +470,105 @@ def _analytic_checks(
     x_delta: float,
     grid: np.ndarray,
 ) -> list[CheckRecord]:
+    """The analytic sign checks of one candidate in report order, those on
+    the grid evaluated in blocks of _BLOCK points."""
     a, b, m, c, lam, eta = ctx.a, ctx.b, ctx.m, ctx.c, ctx.lam, ctx.eta
     r1a = math.sqrt(1.0 + a)
     slack = _MARGIN_SLACK
-    checks: list[CheckRecord] = []
-
-    def record(name, margins, locations, use_slack):
-        checks.append(CheckRecord.worst_of(name, margins, locations, use_slack))
-
-    # L at the flat branch of the super-solution: the worst-case chain
-    # collapses to the defining quadratic of eta, which vanishes identically.
     quad = m * (m + 1.0) / (1.0 + a)
     lin = m * (1.0 + c / r1a) - b
-    record("super_plateau_branch", -(quad * eta * eta + lin * eta + a) * eta,
-           math.nan, slack)
-
-    # L at the exponential branch: (lam^2 - c lam + a) e^{-lam x} cancels and
-    # the e^{-2 lam x} coefficient must be nonpositive.
+    # L at the exponential branch of the super-solution: (lam^2 - c lam + a)
+    # e^{-lam x} cancels and the e^{-2 lam x} coefficient must be nonpositive.
     coef = 2.0 * m * lam / r1a + quad * eta + c * m / r1a + m - b
-    bound = (lam * lam - c * lam + a) * np.exp(-lam * grid) + coef * np.exp(
-        -2.0 * lam * grid
-    )
-    record("super_exp_branch", -bound, grid, slack)
-
-    # L at the plateau of the sub-solution
-    record("sub_plateau", a - b * delta - m * eta * (1.0 + c / r1a), math.nan, 0.0)
-
-    xr = grid[grid > x_delta]
-    th1 = np.asarray(tb.theta1(xr))
-    th2 = th1 + tb.shift
-
-    # shifted-rate quadratics with the worst-case gamma(V)
-    v_cap, _ = _caps(ctx, xr)
-    gamma_cap = np.exp(-m * np.log1p(v_cap))
-    q1 = gamma_cap * th1 * th1 - c * th1 + a
-    record("theta1_quadratic", q1, xr, slack)
-    if tb.is_critical:
-        q2 = gamma_cap * th2 * th2 - c * th2 + a - a / 64.0
-        record("theta2_quadratic", q2, xr, slack)
-    else:
-        reserve = lam * (c - 2.0 * lam) / (4.0 * tb.k0)
-        q2 = -(th2 * th2 - c * th2 + a) - reserve
-        record("theta2_quadratic", q2, xr, slack)
-
-    # L at the two-rate tail
-    record("sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xr, th1), xr, 0.0)
-
-    # junction matching residual
-    resid = float(_tail(tb, d_n, d0, x_delta)) - delta
-    record("junction_matching", _MATCHING_TOL - abs(resid), x_delta, 0.0)
-
-    # strict ordering 0 < lower < upper on the whole grid
+    reserve = 0.0 if tb.is_critical else lam * (c - 2.0 * lam) / (4.0 * tb.k0)
     spec = SubSolutionSpec(n=n, d_n=d_n, d0=d0, delta=delta, x_delta=x_delta)
-    lower = sub_solution(tb, spec, grid)
-    upper = super_solution(ctx, grid)
-    margin = min(float(np.min(lower)), float(np.min(upper - lower)))
-    record("sandwich_ordering", margin, grid[int(np.argmin(upper - lower))], 0.0)
-    return checks
+
+    def margins_of(k):
+        x = grid[k]
+        bound = (lam * lam - c * lam + a) * np.exp(-lam * x) + coef * np.exp(-2.0 * lam * x)
+        xr = x[x > x_delta]
+        th1 = np.asarray(tb.theta1(xr))
+        th2 = th1 + tb.shift
+        # shifted-rate quadratics with the worst-case gamma(V)
+        v_cap, _ = _caps(ctx, xr)
+        gamma_cap = np.exp(-m * np.log1p(v_cap))
+        if tb.is_critical:
+            q2 = gamma_cap * th2 * th2 - c * th2 + a - a / 64.0
+        else:
+            q2 = -(th2 * th2 - c * th2 + a) - reserve
+        lower = sub_solution(tb, spec, x)
+        return {
+            "super_exp_branch": (-bound, x),
+            "theta1_quadratic": (gamma_cap * th1 * th1 - c * th1 + a, xr),
+            "theta2_quadratic": (q2, xr),
+            # L at the two-rate tail
+            "sub_tail": (_sub_tail_margin(ctx, tb, d_n, d0, xr, th1), xr),
+            "lower": (lower, x),
+            "ordering": (super_solution(ctx, x) - lower, x),
+        }
+
+    kept = _worst_points(grid.size, margins_of)
+
+    def worst(name, use_slack):
+        return CheckRecord.worst_of(name, *kept[name], use_slack)
+
+    ordering = worst("ordering", 0.0)
+    return [
+        # L at the flat branch of the super-solution: the worst-case chain
+        # collapses to the defining quadratic of eta, which vanishes
+        # identically.
+        CheckRecord.worst_of(
+            "super_plateau_branch", -(quad * eta * eta + lin * eta + a) * eta, math.nan, slack
+        ),
+        worst("super_exp_branch", slack),
+        # L at the plateau of the sub-solution
+        CheckRecord.worst_of(
+            "sub_plateau", a - b * delta - m * eta * (1.0 + c / r1a), math.nan, 0.0
+        ),
+        worst("theta1_quadratic", slack),
+        worst("theta2_quadratic", slack),
+        worst("sub_tail", 0.0),
+        # junction matching residual
+        CheckRecord.worst_of(
+            "junction_matching",
+            _MATCHING_TOL - abs(float(_tail(tb, d_n, d0, x_delta)) - delta),
+            x_delta,
+            0.0,
+        ),
+        # strict ordering 0 < lower < upper on the whole grid
+        CheckRecord.worst_of(
+            "sandwich_ordering",
+            min(float(np.min(kept["lower"][0])), ordering.margin),
+            ordering.location,
+            0.0,
+        ),
+    ]
 
 
 def _v_checks(ctx: WaveContext, grid: np.ndarray) -> list[CheckRecord]:
     """Envelope checks on the numerically solved chemical field at the
-    largest admissible source (monotonicity of the kernel covers the rest)."""
+    largest admissible source (monotonicity of the kernel covers the rest),
+    evaluated in blocks of _BLOCK points."""
     x_knee = -math.log(ctx.eta) / ctx.lam
     lo = min(float(grid[0]), x_knee - 10.0)
     vx = np.linspace(lo, float(grid[-1]), _GRID_POINTS)
     u = super_solution(ctx, vx)
     sol = solve_v(vx, u, ctx.c, u_left=ctx.eta, tail_amplitude=1.0, tail_rate=ctx.lam)
-    v_cap, dv_cap = _caps(ctx, vx)
-    v = sol.values
+
+    def margins_of(k):
+        x, v = vx[k], sol.values[k]
+        v_cap, dv_cap = _caps(ctx, x)
+        return {
+            "v_positive": (v, x),
+            "v_upper_bound": ((v_cap - v) / v_cap, x),
+            "dv_bound": ((dv_cap - np.abs(sol.dvalues[k])) / dv_cap, x),
+        }
+
+    kept = _worst_points(vx.size, margins_of)
     return [
-        CheckRecord.worst_of("v_positive", v, vx),
-        CheckRecord.worst_of("v_upper_bound", (v_cap - v) / v_cap, vx, _V_REL_SLACK),
-        CheckRecord.worst_of(
-            "dv_bound", (dv_cap - np.abs(sol.dvalues)) / dv_cap, vx, _V_REL_SLACK
-        ),
+        CheckRecord.worst_of("v_positive", *kept["v_positive"]),
+        CheckRecord.worst_of("v_upper_bound", *kept["v_upper_bound"], _V_REL_SLACK),
+        CheckRecord.worst_of("dv_bound", *kept["dv_bound"], _V_REL_SLACK),
     ]
 
 
@@ -513,6 +594,13 @@ def _screen_points(lo: float, hi: float, x_delta: float) -> np.ndarray:
     return points[points > x_delta][:_SCREEN_POINTS]
 
 
+def _outside_window(a: float, b: float, m: float, c: float) -> str:
+    return (
+        f"(b={b}, c={c}) outside the admissible window: need b >= {b_star(m, a)!r} "
+        f"and c in [{2.0 * math.sqrt(a)!r}, {c_star(a, b, m)!r}]"
+    )
+
+
 def certify_pair(
     params: ModelParams,
     c: float,
@@ -534,18 +622,24 @@ def certify_pair(
     and so the report, is the one a full evaluation of every candidate
     would accept.  Raises
     WindowViolation outside b >= b_threshold or c outside [2 sqrt(a),
-    c_max]; raises CertificateFailed if no plateau height above
+    c_max]; raises EtaUndefined inside the window when the plateau ceiling
+    eta has no positive finite value; raises CertificateFailed if no
+    plateau height above
     _DELTA_FLOOR works, naming the first check a full evaluation fails at
     the last height tried.
     """
     if n < 2:
         raise ValueError("sub-solution index n must be at least 2")
-    ctx = speed_window(params, c)
+    try:
+        ctx = speed_window(params, c)
+    except EtaUndefined:
+        # below b* the ceiling quadratic can lose its positive root; the
+        # window is then what the caller has to change
+        if in_speed_window(params.a, params.b, params.motility.m, c):
+            raise
+        raise WindowViolation(_outside_window(params.a, params.b, params.motility.m, c))
     if not ctx.in_window:
-        raise WindowViolation(
-            f"(b={ctx.b}, c={c}) outside the admissible window: need "
-            f"b >= {b_star(ctx.m, ctx.a)!r} and c in [{ctx.c_min!r}, {ctx.c_max!r}]"
-        )
+        raise WindowViolation(_outside_window(ctx.a, ctx.b, ctx.m, c))
     tb = theta_bundle(ctx)
     d_n = 1.0 - 1.0 / n
     d0 = 1.0 if ctx.is_critical else -1.0

@@ -639,8 +639,8 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     ):
         values += measured.values()
         lines.append(",".join(map(_fmt_value, values)) + "\n")
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        fh.writelines(lines)
+    with open(out_dir / "metrics.csv", "wb") as fh:
+        fh.writelines(line.encode() for line in lines)
     outputs.append("metrics.csv")
 
     classification = traj.diagnostics[-1].get("label")  # 1-D only
@@ -732,8 +732,8 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     for rec in records:
         fit = "," if "error" in rec else f"{rec['c_est']!r},{rec['rel_err']!r}"
         lines.append(f"{rec['lambda0']!r},{rec['c_pred']!r},{fit}\n")
-    with open(out_dir / "speedscan.csv", "w", newline="") as fh:
-        fh.writelines(lines)
+    with open(out_dir / "speedscan.csv", "wb") as fh:
+        fh.writelines(line.encode() for line in lines)
 
     failures = [rec for rec in records if "error" in rec]
     metrics = {

@@ -35,7 +35,7 @@ class SpeedBelowMinimal(WavemotilError):
 
 
 class EtaUndefined(WavemotilError):
-    """The ceiling quadratic has no real root for these parameters."""
+    """The ceiling quadratic has no positive finite root for these parameters."""
 
 
 class WindowViolation(WavemotilError):

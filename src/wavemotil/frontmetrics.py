@@ -61,6 +61,29 @@ class ProfileClass:
     overshoot: float
 
 
+def _rightmost_crossing(u: np.ndarray, level: float) -> tuple[int, int, float]:
+    """The cell (i, i + 1) of the rightmost crossing of ``u`` through
+    ``level`` and the fraction t across it where the linear interpolant
+    crosses; a sign change across a run of exact hits is the cell ending at
+    the rightmost hit node, with t = 0.
+
+    Raises:
+        NoCrossing: if ``u`` never reaches the level.
+    """
+    d = u - level
+    nz = np.flatnonzero(d)
+    if nz.size == 0:
+        raise NoCrossing(f"density never crosses level {level!r}")
+    signs = np.sign(d[nz])
+    flips = np.flatnonzero(signs[:-1] != signs[1:])
+    if flips.size == 0:
+        raise NoCrossing(f"density never crosses level {level!r}")
+    i, j = int(nz[flips[-1]]), int(nz[flips[-1] + 1])
+    if j == i + 1:
+        return i, j, float(d[i] / (d[i] - d[j]))
+    return j - 1, j, 0.0
+
+
 def front_position(x: np.ndarray, u: np.ndarray, level: float) -> float:
     """Rightmost crossing of ``u`` through ``level``, linearly interpolated.
 
@@ -77,20 +100,8 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float) -> float:
     u = np.asarray(u, dtype=float)
     if x.ndim != 1 or u.shape != x.shape:
         raise ValueError("x and u must be matching 1-D arrays")
-    d = u - level
-    nz = np.flatnonzero(d)
-    if nz.size == 0:
-        raise NoCrossing(f"density never crosses level {level!r}")
-    signs = np.sign(d[nz])
-    flips = np.flatnonzero(signs[:-1] != signs[1:])
-    if flips.size == 0:
-        raise NoCrossing(f"density never crosses level {level!r}")
-    i, j = nz[flips[-1]], nz[flips[-1] + 1]
-    if j == i + 1:
-        t = d[i] / (d[i] - d[j])
-        return float(x[i] + t * (x[j] - x[i]))
-    # Sign change across a run of exact hits: report the rightmost hit node.
-    return float(x[j - 1])
+    i, j, t = _rightmost_crossing(u, level)
+    return float(x[i] + t * (x[j] - x[i]))
 
 
 def wave_speed(
@@ -187,11 +198,18 @@ def classify_profile(u: np.ndarray, equilibrium: float) -> ProfileClass:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("u must be a 1-D array")
+    return _front_and_class(None, u, equilibrium)[1]
+
+
+def _front_and_class(x, u: np.ndarray, equilibrium: float) -> tuple[float, ProfileClass]:
+    """``front_position(x, u, equilibrium / 2)`` and ``classify_profile(u,
+    equilibrium)`` from one crossing search (front NaN when x is None)."""
     if not equilibrium > 0:
         raise ValueError("equilibrium must be positive")
-    level = 0.5 * equilibrium
-    front_idx = front_position(np.arange(u.size, dtype=float), u, level)
-    region = u[: int(np.floor(front_idx)) + 1]
+    i, j, t = _rightmost_crossing(u, 0.5 * equilibrium)
+    front = np.nan if x is None else float(x[i] + t * (x[j] - x[i]))
+    # the front in index coordinates, as front_position on np.arange computes it
+    region = u[: int(np.floor(i + t * (j - i))) + 1]
     dev = region - equilibrium
     signs = np.sign(np.where(np.abs(dev) <= 1e-8 * equilibrium, 0.0, dev))
     signs = signs[signs != 0.0]
@@ -203,7 +221,7 @@ def classify_profile(u: np.ndarray, equilibrium: float) -> ProfileClass:
         label = "OscillatoryTrailingEdge"
     else:
         label = "Indeterminate"
-    return ProfileClass(label=label, crossing_count=crossings, overshoot=overshoot)
+    return front, ProfileClass(label=label, crossing_count=crossings, overshoot=overshoot)
 
 
 def _cell(grid: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

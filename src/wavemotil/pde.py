@@ -132,7 +132,7 @@ from .errors import (
     NonFiniteState,
     NoRing,
 )
-from .frontmetrics import classify_profile, front_position, ring_metrics
+from .frontmetrics import _front_and_class, ring_metrics
 from .model import ModelParams
 
 __all__ = [
@@ -1115,22 +1115,22 @@ def ring_radii(f: GridField, level: float) -> tuple[float, float, float]:
 def _diagnostics(f: GridField, params: ModelParams) -> dict:
     """The ``metrics.csv`` columns measured on a snapshot at level a/(2b):
     in 1-D the ``front`` position and ``classify_profile``'s trailing-edge
-    class (``NoFront`` with a NaN front when u never crosses the level), in
-    2-D the ring radii (NaN when the azimuthal average never crosses it)."""
-    level = params.a / (2.0 * params.b)
+    class, both from one rightmost-crossing search (``NoFront`` with a NaN
+    front when u never crosses the level), in 2-D the ring radii (NaN when
+    the azimuthal average never crosses it)."""
     if f.dim == 2:
         try:
-            radii = ring_radii(f, level)
+            radii = ring_radii(f, params.a / (2.0 * params.b))
         except NoRing:
             radii = (math.nan,) * 3
         return dict(zip(("r_inner", "r_peak", "r_outer"), radii))
     try:
-        cls = asdict(classify_profile(f.u, params.equilibrium))
+        front, cls = _front_and_class(f.x, f.u, params.equilibrium)
     except NoCrossing:
         return dict(
             front=math.nan, label="NoFront", crossing_count=None, overshoot=None
         )
-    return dict(front=front_position(f.x, f.u, level), **cls)
+    return dict(front=front, **asdict(cls))
 
 
 def simulate(
@@ -1232,29 +1232,28 @@ def save_field(f: GridField, basepath: str) -> list[str]:
 
     1-D fields become a CSV: a first line ``# bc`` with the JSON record of
     each side's boundary condition, then the columns x, u, v, each float
-    written as its ``repr`` and every line ended by LF on any OS.  2-D
-    fields become a flat binary file (u then v, C order, float64) plus a
-    JSON header describing the geometry and the boundary condition of each
-    side.  Either way the floats round-trip exactly.
+    written as its ``repr`` and every line ended by LF on any OS; the rows
+    go to the file block by block as ``csv_blocks`` renders them.  2-D
+    fields become a flat binary file (u then v, then the mask if any, C
+    order, float64, each written from its own array) plus a JSON header
+    describing the geometry and the boundary condition of each side.
+    Either way the floats round-trip exactly.
     """
     base = Path(basepath)
     if f.dim == 1:
-        from ._floattext import csv_rows  # compiled only by runs that write CSV
+        from ._floattext import csv_blocks  # compiled only by runs that write CSV
 
         path = base.with_suffix(".csv")
-        with open(path, "w", newline="") as fh:
+        with open(path, "wb") as fh:
             bc = json.dumps(_bc_record(f.bc), allow_nan=False)
-            fh.write(_CSV_BC + bc + "\nx,u,v\n")
-            fh.write(csv_rows((f.x, f.u, f.v)))
+            fh.write(f"{_CSV_BC}{bc}\nx,u,v\n".encode())
+            fh.writelines(csv_blocks((f.x, f.u, f.v)))
         return [str(path)]
     jpath = base.with_suffix(".json")
     bpath = base.with_suffix(".bin")
-    arrays = ["u", "v"]
-    payload = [np.ascontiguousarray(f.u, dtype="<f8").tobytes()]
-    payload.append(np.ascontiguousarray(f.v, dtype="<f8").tobytes())
+    arrays = {"u": f.u, "v": f.v}
     if f.mask is not None:
-        arrays.append("mask")
-        payload.append(np.ascontiguousarray(f.mask, dtype="<f8").tobytes())
+        arrays["mask"] = f.mask
     header = {
         "dim": 2,
         "nx": f.nx,
@@ -1263,14 +1262,15 @@ def save_field(f: GridField, basepath: str) -> list[str]:
         "extents": [list(pair) for pair in f.extents],
         "dtype": "<f8",
         "order": "C",
-        "arrays": arrays,
+        "arrays": list(arrays),
         "bc": _bc_record(f.bc),
     }
     with open(jpath, "w") as fh:
         json.dump(header, fh, indent=2, allow_nan=False)
         fh.write("\n")
     with open(bpath, "wb") as fh:
-        fh.write(b"".join(payload))
+        for values in arrays.values():
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
     return [str(jpath), str(bpath)]
 
 

@@ -452,12 +452,13 @@ class WaveProfile:
     def write_csv(self, path) -> None:
         """Write the profile to ``path`` as CSV: a header line, then z, U, V,
         U' and V' per grid node, each float as its ``repr`` and every line
-        ended by LF on any OS."""
-        from ._floattext import csv_rows  # compiled only by runs that write CSV
+        ended by LF on any OS.  The rows go to the file block by block as
+        ``csv_blocks`` renders them, so no whole table is held."""
+        from ._floattext import csv_blocks  # compiled only by runs that write CSV
 
-        with open(path, "w", newline="") as fh:
-            fh.write("z,U,V,Uprime,Vprime\n")
-            fh.write(csv_rows((self.grid, self.U, self.V, self.Uprime, self.Vprime)))
+        with open(path, "wb") as fh:
+            fh.write(b"z,U,V,Uprime,Vprime\n")
+            fh.writelines(csv_blocks((self.grid, self.U, self.V, self.Uprime, self.Vprime)))
 
 
 def _fit_tail_ratio(grid, values, lam: float) -> float:

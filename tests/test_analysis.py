@@ -128,8 +128,20 @@ def test_speed_window_inside():
 
 
 def test_speed_window_outside_for_small_b():
-    ctx = speed_window(ModelParams(A, 1.0, PowerMotility(M)), C_MIN)
-    assert not ctx.in_window
+    # b = 20 lies below b* (about 51) with a positive ceiling: the window
+    # is reported, not enforced
+    ctx = speed_window(ModelParams(A, 20.0, PowerMotility(M)), C_MIN)
+    assert not ctx.in_window and ctx.eta > 0.0
+
+
+@pytest.mark.parametrize("b", [1.0, 1e300], ids=["negative-roots", "root-underflows"])
+def test_speed_window_without_a_positive_finite_ceiling_raises(b):
+    # At b = 1 both roots of the ceiling quadratic are negative; at
+    # b = 1e300 its linear coefficient squared overflows and the root
+    # rounds to 0.
+    m = M if b == 1.0 else 1e-300
+    with pytest.raises(EtaUndefined, match="no positive finite root"):
+        speed_window(ModelParams(A, b, PowerMotility(m)), C_MIN)
 
 
 def test_speed_window_endpoint_included():

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtbsv
 
 from wavemotil import (
     CertificateFailed,
@@ -196,6 +199,59 @@ def test_solve_v_banded_solve_matches_the_simpson_loops(which, n):
     dscale = float(np.max(np.abs(dvalues)))
     assert float(np.max(np.abs(sol.dvalues - dvalues))) <= 1e-12 * dscale
     assert not sol.values.flags.writeable and not sol.dvalues.flags.writeable
+
+
+def _solve_v_in_one_solve(grid, u, c, u_left, tail_amplitude, tail_rate):
+    """Reference: each Simpson recurrence as one dtbsv solve over the whole
+    grid, its sources built as whole arrays."""
+    lam1, lam2 = lambda12(c)
+    n, h = grid.size, float(grid[1] - grid[0])
+    band = np.zeros((3, n), order="F")
+    e1, e1inv = math.exp(lam1 * h), math.exp(-lam1 * h)
+    e1sq = e1 * e1
+    i1 = np.empty(n)
+    i1[0] = u_left / (-lam1)
+    i1[1] = e1 * i1[0] + (h / 12.0) * (5.0 * e1 * u[0] + 8.0 * u[1] - e1inv * u[2])
+    i1[2:] = (h / 3.0) * (e1sq * u[:-2] + 4.0 * e1 * u[1:-1] + u[2:])
+    band[2, : n - 2] = -e1sq
+    i1 = dtbsv(2, band, i1, lower=1, diag=1, overwrite_x=1)
+    e2, e2inv = math.exp(-lam2 * h), math.exp(lam2 * h)
+    e2sq = e2 * e2
+    i2 = np.empty(n)
+    i2[n - 1] = tail_amplitude * math.exp(-tail_rate * grid[n - 1]) / (lam2 + tail_rate)
+    i2[n - 2] = e2 * i2[n - 1] + (h / 12.0) * (
+        -e2inv * u[n - 3] + 8.0 * u[n - 2] + 5.0 * e2 * u[n - 1]
+    )
+    i2[: n - 2] = (h / 3.0) * (u[:-2] + 4.0 * e2 * u[1:-1] + e2sq * u[2:])
+    band[0, 2:] = -e2sq
+    i2 = dtbsv(2, band, i2, lower=0, diag=1, overwrite_x=1)
+    denom = lam2 - lam1
+    return (i1 + i2) / denom, (lam1 * i1 + lam2 * i2) / denom
+
+
+_B = certificates._BLOCK
+
+
+@pytest.mark.parametrize(
+    "block, n",
+    [(_B, n) for n in (_B - 1, _B, _B + 1, _B + 2, _B + 3, 2 * _B + 2, 2 * _B + 3)]
+    + [(3, n) for n in range(5, 13)],
+)
+@pytest.mark.parametrize("which", ["critical", "mid"])
+def test_blockwise_recurrences_are_one_solve_bit_for_bit(which, block, n):
+    # the leftward sweep's blocks start at node 2 and the rightward one's
+    # end at node n - 3, so these sizes put a block edge at every offset
+    # from the seeds
+    c = C_MIN if which == "critical" else _mid_speed()
+    ctx = _ctx(c)
+    grid = np.linspace(-30.0, 200.0, n)
+    u = super_solution(ctx, grid)
+    tail = dict(u_left=ctx.eta, tail_amplitude=1.0, tail_rate=ctx.lam)
+    with mock.patch.object(certificates, "_BLOCK", block):
+        sol = solve_v(grid, u, c, **tail)
+    values, dvalues = _solve_v_in_one_solve(grid, u, c, **tail)
+    assert sol.values.tobytes() == values.tobytes()
+    assert sol.dvalues.tobytes() == dvalues.tobytes()
 
 
 def test_solve_v_requires_tail_description():
@@ -604,19 +660,24 @@ def test_tail_screen_margins_are_the_full_margins_bit_for_bit(which):
 
 
 def test_certify_evaluates_the_full_tail_margin_only_at_the_accepted_height(monkeypatch):
-    calls = {"screen": 0, "full": 0}
+    points = []
     original = certificates._sub_tail_margin
 
     def counting(ctx, tb, d_n, d0, xr, th1):
-        calls["screen" if xr.size <= certificates._SCREEN_POINTS else "full"] += 1
+        points.append(xr.size)
         return original(ctx, tb, d_n, d0, xr, th1)
 
     monkeypatch.setattr(certificates, "_sub_tail_margin", counting)
     report = certify_pair(PARAMS, C_MIN, n=2)
     assert report.delta == 1e-2 * 2.0**-45
-    # every height is screened; only the accepted one reaches the full grid
-    # (47 full-length margins without the screen)
-    assert calls == {"screen": 46, "full": 1}
+    # every height is screened on its first points past the junction; only
+    # the accepted one, the last screened, is evaluated on the whole grid
+    # past its junction, in blocks (47 full-length margins without the
+    # screen)
+    grid = np.linspace(report.grid_lo, report.grid_hi, report.grid_points)
+    full = int(np.count_nonzero(grid > report.x_delta))
+    assert points[:46] == [certificates._SCREEN_POINTS] * 46
+    assert sum(points[46:]) == full
 
 
 def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
@@ -637,6 +698,63 @@ def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
     assert report.delta == 1e-2 * 2.0**-45
     # the 46 heights tried are located in blocks of eight
     assert counts == {"_locate_junctions": 6, "_analytic_checks": 1}
+
+
+def _merged(margins, locations):
+    """CheckRecord of margins evaluated in blocks and merged."""
+    kept = certificates._worst_points(
+        margins.size, lambda k: {"probe": (margins[k], locations[k])}
+    )
+    return CheckRecord.worst_of("probe", *kept["probe"], 1e-12)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    block=st.integers(1, 6),
+    margins=st.lists(st.sampled_from(_SPECIAL) | st.floats(), min_size=1, max_size=30),
+)
+def test_block_merge_is_worst_of_on_the_whole_array(block, margins):
+    # few distinct values, so NaN, infinities and ties fall on every side of
+    # the block edges
+    margins = np.array(margins)
+    locations = np.arange(margins.size, dtype=float)
+    with mock.patch.object(certificates, "_BLOCK", block):
+        merged = _merged(margins, locations)
+    assert repr(merged) == repr(CheckRecord.worst_of("probe", margins, locations, 1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([1, _B - 1, _B, _B + 1]),
+    specials=st.lists(
+        st.tuples(st.sampled_from([0, 1, _B - 2, _B - 1, _B, -1]), st.sampled_from(_SPECIAL)),
+        max_size=4,
+    ),
+)
+def test_block_merge_is_worst_of_at_the_block_size(n, specials):
+    margins = np.linspace(2.0, 3.0, n)
+    for index, value in specials:
+        if -n <= index < n:
+            margins[index] = value
+    locations = np.arange(n, dtype=float)
+    merged = _merged(margins, locations)
+    assert repr(merged) == repr(CheckRecord.worst_of("probe", margins, locations, 1e-12))
+
+
+def test_certify_working_set_does_not_grow_with_the_grid():
+    # The margin grid, the chemical grid, its source and V, V' are 40,000
+    # points each (1.6 MB); every other transient is one block long.
+    certify_pair(PARAMS, C_MIN)
+    tracemalloc.start()
+    try:
+        certify_pair(PARAMS, C_MIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_certificate_report_serializes():

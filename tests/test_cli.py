@@ -28,6 +28,15 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+# Configs whose ceiling quadratic has no positive finite root: with
+# lin >= 0 both roots are negative (b is below b*, so outside the window),
+# and at b = 1e300 lin^2 overflows and the root rounds to 0 (in the window).
+ETA_UNDEFINED = {
+    "negative-roots": "a=1e-300\nb=1e-300\nm=0.1\nc=60\n",
+    "root-underflows": "a=1e-8\nb=1e300\nm=1e-300\nc=60\n",
+}
+
+
 class TestConfigParsing:
     def test_comments_blanks_and_values(self, tmp_path):
         path = _write(
@@ -132,6 +141,16 @@ class TestAnalyze:
             assert coexistence is None
         assert len(report["linearization"]["origin"]["eigenvalues"]) == 4
 
+    @pytest.mark.parametrize("config", list(ETA_UNDEFINED), ids=list(ETA_UNDEFINED))
+    def test_undefined_ceiling_writes_a_null_eta(self, tmp_path, config):
+        # The ceiling quadratic has no positive finite root: the report
+        # still holds the rest of the analysis, with eta null.
+        cfg = _write(tmp_path, "a.cfg", ETA_UNDEFINED[config])
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["eta"] is None and report["lambda"] > 0.0
+
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "a.cfg", "b=1\nm=6\n")
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 64
@@ -168,6 +187,16 @@ class TestCertify:
 
 
 class TestWave:
+    @pytest.mark.parametrize(
+        "config, error",
+        [("negative-roots", "WindowViolation"), ("root-underflows", "EtaUndefined")],
+    )
+    def test_undefined_ceiling_exits_2(self, tmp_path, capsys, config, error):
+        cfg = _write(tmp_path, "w.cfg", ETA_UNDEFINED[config])
+        assert main(["wave", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}:") and "Traceback" not in err
+
     def test_profile_artifacts_and_manifest(self, tmp_path):
         c = 2.0 * math.sqrt(0.1)
         cfg = _write(tmp_path, "w.cfg", f"a=0.1\nb=60\nm=6\nc={c!r}\n")

@@ -8,6 +8,8 @@ shapes and the snapshots and profiles the package writes.
 from __future__ import annotations
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavemotil import _floattext
-from wavemotil._floattext import csv_rows
+from wavemotil._floattext import csv_blocks
 from wavemotil.cli import PRESETS, _sim_config, resolve_config
 from wavemotil.pde import save_field, simulate
+from wavemotil.waveode import WaveProfile
 
 
 def oracle_rows(columns) -> str:
@@ -28,13 +31,18 @@ def oracle_rows(columns) -> str:
     return (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
+def csv_text(columns) -> str:
+    """The streamed blocks of ``csv_blocks`` joined into one string."""
+    return b"".join(csv_blocks(columns)).decode("ascii")
+
+
 def assert_matches_repr(values, widths=(1, 5)) -> None:
     """Rows of ``values`` in tables of each of ``widths`` columns match."""
     values = np.asarray(values, dtype=float).ravel()
     for cols in widths:
         usable = values[: values.size // cols * cols].reshape(-1, cols)
         columns = list(usable.T)
-        assert csv_rows(columns) == oracle_rows(columns)
+        assert csv_text(columns) == oracle_rows(columns)
 
 
 def with_neighbours(values) -> np.ndarray:
@@ -57,7 +65,7 @@ def with_neighbours(values) -> np.ndarray:
 )
 def test_any_table_of_floats_matches_repr(table):
     columns = list(table.T)
-    assert csv_rows(columns) == oracle_rows(columns)
+    assert csv_text(columns) == oracle_rows(columns)
 
 
 def test_random_bit_patterns_match_repr():
@@ -107,7 +115,51 @@ def test_table_shapes_match_repr(rows, cols):
     rng = np.random.default_rng(rows * 10 + cols)
     table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 20, (rows, cols))
     columns = list(table.T)
-    assert csv_rows(columns) == oracle_rows(columns)
+    assert csv_text(columns) == oracle_rows(columns)
+
+
+@pytest.mark.parametrize("cols", [1, 3, 5, 7])
+def test_streamed_blocks_are_whole_rows_of_the_oracle_table(cols):
+    # rows for three full blocks and one row more; seven columns do not
+    # divide a block, so its blocks hold fewer cells than _CHUNK
+    step = _floattext._CHUNK // cols
+    shape = (3 * step + 1, cols)
+    rng = np.random.default_rng(cols)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+    columns = list(table.T)
+    blocks = list(csv_blocks(columns))
+    assert [block.count(b"\n") for block in blocks] == [step, step, step, 1]
+    assert all(block.endswith(b"\n") for block in blocks)
+    assert b"".join(blocks) == oracle_rows(columns).encode()
+
+
+def _profile(rows: int, seed: int = 0) -> types.SimpleNamespace:
+    """The five columns of a WaveProfile, as random floats."""
+    rng = np.random.default_rng(seed)
+    names = ("grid", "U", "V", "Uprime", "Vprime")
+    return types.SimpleNamespace(**{name: rng.standard_normal(rows) for name in names})
+
+
+def test_write_csv_streams_the_oracle_rows(tmp_path):
+    profile = _profile(3 * _floattext._CHUNK // 5 + 2)
+    WaveProfile.write_csv(profile, tmp_path / "wave.csv")
+    columns = (profile.grid, profile.U, profile.V, profile.Uprime, profile.Vprime)
+    expected = b"z,U,V,Uprime,Vprime\n" + oracle_rows(columns).encode()
+    assert (tmp_path / "wave.csv").read_bytes() == expected
+
+
+def test_write_csv_working_set_does_not_grow_with_the_table(tmp_path):
+    # 90,071 rows (a 9 MB file) are the largest frame grid of the speed
+    # window sweep; the writer holds one block of cells at a time.
+    WaveProfile.write_csv(_profile(10), tmp_path / "warm.csv")
+    profile = _profile(90_071)
+    tracemalloc.start()
+    try:
+        WaveProfile.write_csv(profile, tmp_path / "wave.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_power_table_brackets_each_power_of_ten():

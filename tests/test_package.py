@@ -80,13 +80,72 @@ def test_cli_import_leaves_the_float_text_tables_unbuilt():
 
 
 def test_no_percent_r_formatting_in_the_package():
-    # Floats reach CSV text only through _floattext.csv_rows, which
+    # Floats reach CSV text only through _floattext.csv_blocks, which
     # renders whole arrays; a "%r" format would be a second, per-float path.
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert "%r" not in node.value, f"{path.name}:{node.lineno}"
+
+
+def _call_name(node) -> str | None:
+    """The name a call's function is bound to: f(...) or obj.f(...)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
+
+
+def test_csv_tables_stream_to_binary_files():
+    # A CSV table reaches its file block by block: csv_blocks yields bytes
+    # that go straight to writelines on a file opened in binary mode, so no
+    # module holds a whole table as one string, and no text layer encodes
+    # it again.  A CSV file is an open() whose path names ".csv", directly
+    # or through a name assigned in the same function, or one in a function
+    # named for CSV; every one opened to write is opened in binary mode.
+    streamed = csv_opens = 0
+    for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem == "_floattext":
+            # the renderer yields its blocks and never joins or decodes them
+            calls = {_call_name(node) for node in ast.walk(tree)}
+            assert not calls & {"join", "decode"}
+            continue
+        written = {
+            id(arg)
+            for node in ast.walk(tree)
+            if _call_name(node) == "writelines"
+            for arg in node.args
+        }
+        for node in ast.walk(tree):
+            if _call_name(node) == "csv_blocks":
+                assert id(node) in written, f"{path.name}:{node.lineno} csv_blocks not streamed"
+                streamed += 1
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            assigned = {
+                target.id: node.value
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(func):
+                if _call_name(node) != "open" or not node.args:
+                    continue
+                target = node.args[0]
+                target = assigned.get(getattr(target, "id", None), target)
+                if ".csv" not in ast.unparse(target) and "csv" not in func.name:
+                    continue
+                mode = node.args[1].value if len(node.args) > 1 else "r"
+                if set(mode) & set("wax"):
+                    assert "b" in mode, f"{path.name}:{node.lineno} writes CSV as text"
+                    csv_opens += 1
+    # save_field and write_csv stream csv_blocks; they and the CLI's
+    # metrics.csv and speedscan.csv writers are the CSV writes
+    assert streamed == 2 and csv_opens == 4
 
 
 def _exported(tree):
