@@ -463,7 +463,6 @@ def _worst_points(n: int, margins_of) -> dict[str, tuple[list, list]]:
 def _analytic_checks(
     ctx: WaveContext,
     tb: ThetaBundle,
-    n: int,
     d_n: float,
     d0: float,
     delta: float,
@@ -481,12 +480,12 @@ def _analytic_checks(
     # e^{-lam x} cancels and the e^{-2 lam x} coefficient must be nonpositive.
     coef = 2.0 * m * lam / r1a + quad * eta + c * m / r1a + m - b
     reserve = 0.0 if tb.is_critical else lam * (c - 2.0 * lam) / (4.0 * tb.k0)
-    spec = SubSolutionSpec(n=n, d_n=d_n, d0=d0, delta=delta, x_delta=x_delta)
 
     def margins_of(k):
         x = grid[k]
         bound = (lam * lam - c * lam + a) * np.exp(-lam * x) + coef * np.exp(-2.0 * lam * x)
-        xr = x[x > x_delta]
+        tail = x > x_delta
+        xr = x[tail]
         th1 = np.asarray(tb.theta1(xr))
         th2 = th1 + tb.shift
         # shifted-rate quadratics with the worst-case gamma(V)
@@ -496,7 +495,9 @@ def _analytic_checks(
             q2 = gamma_cap * th2 * th2 - c * th2 + a - a / 64.0
         else:
             q2 = -(th2 * th2 - c * th2 + a) - reserve
-        lower = sub_solution(tb, spec, x)
+        # the sub-solution: plateau delta, then the two-rate tail of _tail
+        lower = np.full(x.shape, delta)
+        lower[tail] = d_n * np.exp(-th1 * xr) + d0 * np.exp(-th2 * xr)
         return {
             "super_exp_branch": (-bound, x),
             "theta1_quadratic": (gamma_cap * th1 * th1 - c * th1 + a, xr),
@@ -671,7 +672,7 @@ def certify_pair(
                 last_fail = (delta, x_delta)
                 continue
             grid = np.linspace(lo, hi, _GRID_POINTS)
-            checks = _analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
+            checks = _analytic_checks(ctx, tb, d_n, d0, delta, x_delta, grid)
             if not all(ch.passed for ch in checks):
                 last_fail = (delta, x_delta)
                 continue
@@ -709,7 +710,7 @@ def certify_pair(
         if x_delta is not None:
             # name the first failing check in the order of a full evaluation
             grid = np.linspace(*_margin_span(ctx, x_delta), _GRID_POINTS)
-            checks = _analytic_checks(ctx, tb, n, d_n, d0, bad_delta, x_delta, grid)
+            checks = _analytic_checks(ctx, tb, d_n, d0, bad_delta, x_delta, grid)
             name = next(ch.name for ch in checks if not ch.passed)
     raise CertificateFailed(
         f"no plateau height in [{_DELTA_FLOOR!r}, {_DELTA_START!r}] passes; "

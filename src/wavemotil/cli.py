@@ -85,7 +85,7 @@ from .pde import (
     FrontIC,
     Neumann,
     SimConfig,
-    _SnapshotWriter,
+    save_field,
     simulate,
 )
 from .waveode import frame_step, traveling_wave, verify_profile
@@ -442,6 +442,14 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    """Write a header line of ``columns`` and one line per row, each value
+    through ``_fmt_value`` (so None, a missing value, is an empty cell)."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        fh.writelines((",".join(map(_fmt_value, row)) + "\n").encode() for row in rows)
+
+
 def _json_tree(value):
     """``value`` as JSON can hold it: a dataclass record becomes a dict of
     its fields in their order, dicts, lists and tuples are walked, and
@@ -625,22 +633,34 @@ def _sim_config(resolved: dict) -> SimConfig:
 
 
 def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    config = _sim_config(resolved)
-    # The snapshots are saved by a forked writer while the run steps; they
-    # are complete, and hashed by the manifest, only after the block.
-    with _SnapshotWriter(out_dir) as writer:
-        traj = simulate(config, on_snapshot=writer)
+    """Run the configured simulation, saving each snapshot with
+    ``save_field`` as the run takes it (``snap_0000`` first), and write
+    ``metrics.csv``.
 
-    outputs = [Path(p).name for p in writer.written]
+    A run that fails writes no snapshot: the files saved so far are
+    removed and the error propagates.
+    """
+    config = _sim_config(resolved)
+    written: list[str] = []
+
+    def save(k, f):
+        written.extend(save_field(f, str(out_dir / f"snap_{k:04d}")))
+
+    try:
+        traj = simulate(config, on_snapshot=save)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+    outputs = [Path(p).name for p in written]
     # The run measured each snapshot; its rows are written as measured.
-    lines = [",".join(["time", "mass_u", "mass_v", *traj.diagnostics[0]]) + "\n"]
-    for *values, measured in zip(
-        traj.times, traj.mass_u, traj.mass_v, traj.diagnostics
-    ):
-        values += measured.values()
-        lines.append(",".join(map(_fmt_value, values)) + "\n")
-    with open(out_dir / "metrics.csv", "wb") as fh:
-        fh.writelines(line.encode() for line in lines)
+    rows = zip(traj.times, traj.mass_u, traj.mass_v, traj.diagnostics)
+    _write_csv(
+        out_dir / "metrics.csv",
+        ["time", "mass_u", "mass_v", *traj.diagnostics[0]],
+        ([t, mu, mv, *measured.values()] for t, mu, mv, measured in rows),
+    )
     outputs.append("metrics.csv")
 
     classification = traj.diagnostics[-1].get("label")  # 1-D only
@@ -728,12 +748,10 @@ def cmd_speedscan(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     ]
     records = [_run_scan_row(*row, resolved["transient_fraction"]) for row in rows]
 
-    lines = ["lambda0,c_pred,c_est,rel_err\n"]
-    for rec in records:
-        fit = "," if "error" in rec else f"{rec['c_est']!r},{rec['rel_err']!r}"
-        lines.append(f"{rec['lambda0']!r},{rec['c_pred']!r},{fit}\n")
-    with open(out_dir / "speedscan.csv", "wb") as fh:
-        fh.writelines(line.encode() for line in lines)
+    columns = ["lambda0", "c_pred", "c_est", "rel_err"]  # a failed row has no fit
+    _write_csv(
+        out_dir / "speedscan.csv", columns, ([rec.get(k) for k in columns] for rec in records)
+    )
 
     failures = [rec for rec in records if "error" in rec]
     metrics = {

@@ -95,16 +95,9 @@ the front and trailing-edge class in 1-D, the ring radii in 2-D, at level
 a/(2b)), hands it to an optional ``on_snapshot`` callback and keeps only
 the final one: a run holds at most one snapshot whatever its length, and
 none while it steps, so a caller that wants the earlier ones collects them
-through the callback.  The CLI passes a ``_SnapshotWriter``, which saves
-the snapshots with ``save_field`` in one forked writer process while the
-run steps on, so the CLI needs the ``fork`` start method of
-``multiprocessing`` (POSIX).  The writer inherits the first snapshot and
-the run's stepper through the fork, and each later snapshot reaches it as
-(k, u, v); the files have the bytes of an in-process save.  The CLI hashes
-them for ``run.json`` only after the writer has finished.  A run that
-fails writes no snapshot: the writer is stopped and reaped, the files it
-wrote are removed and the run's error propagates, and so does an error of
-the writer itself.
+through the callback.  The CLI's callback saves each one with
+``save_field``, in 1-D and 2-D alike a JSON header and a float64 binary
+file that ``load_field`` reads back exactly.
 
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
@@ -1147,11 +1140,8 @@ def simulate(
     it is taken, k = 0 for the initial state; each is a copy the run no
     longer touches.  The run keeps only the final snapshot, in
     ``Trajectory.snapshots``, and measures each snapshot once as it takes
-    it, into ``Trajectory.diagnostics``.  The CLI passes a
-    ``_SnapshotWriter``: a forked process (start method ``fork``) saves
-    each snapshot while the run steps on.  The CLI hashes the snapshot
-    files for ``run.json`` only after that writer has finished, and a run
-    that fails leaves no snapshot of its own on disk.
+    it, into ``Trajectory.diagnostics``.  An error the callback raises
+    ends the run and propagates.
     """
     f = build_initial(config)
     st = _stepper_of(f)
@@ -1203,11 +1193,6 @@ def simulate(
     )
 
 
-#: Start of the first line of a 1-D snapshot, followed by the JSON record
-#: of each side's boundary condition.
-_CSV_BC = "# bc "
-
-
 def _bc_record(bc: dict) -> dict:
     """Each side's boundary condition as JSON values."""
     return {
@@ -1230,32 +1215,21 @@ def _bc_of_record(dim: int, record: dict) -> dict:
 def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.
 
-    1-D fields become a CSV: a first line ``# bc`` with the JSON record of
-    each side's boundary condition, then the columns x, u, v, each float
-    written as its ``repr`` and every line ended by LF on any OS; the rows
-    go to the file block by block as ``csv_blocks`` renders them.  2-D
-    fields become a flat binary file (u then v, then the mask if any, C
-    order, float64, each written from its own array) plus a JSON header
-    describing the geometry and the boundary condition of each side.
-    Either way the floats round-trip exactly.
+    A field of either dimension becomes a JSON header (``<base>.json``)
+    describing the geometry (``ny`` is null in 1-D) and the boundary
+    condition of each side, plus a flat binary file (``<base>.bin``): u
+    then v, then the mask if any, C order, float64, each written from its
+    own array.  Every float, h and the extents included, round-trips
+    exactly.
     """
     base = Path(basepath)
-    if f.dim == 1:
-        from ._floattext import csv_blocks  # compiled only by runs that write CSV
-
-        path = base.with_suffix(".csv")
-        with open(path, "wb") as fh:
-            bc = json.dumps(_bc_record(f.bc), allow_nan=False)
-            fh.write(f"{_CSV_BC}{bc}\nx,u,v\n".encode())
-            fh.writelines(csv_blocks((f.x, f.u, f.v)))
-        return [str(path)]
     jpath = base.with_suffix(".json")
     bpath = base.with_suffix(".bin")
     arrays = {"u": f.u, "v": f.v}
     if f.mask is not None:
         arrays["mask"] = f.mask
     header = {
-        "dim": 2,
+        "dim": f.dim,
         "nx": f.nx,
         "ny": f.ny,
         "h": f.h,
@@ -1274,142 +1248,24 @@ def save_field(f: GridField, basepath: str) -> list[str]:
     return [str(jpath), str(bpath)]
 
 
-class _SnapshotWriter:
-    """Saves the snapshots of one run as ``snap_<k>`` in ``out_dir`` from a
-    forked process, while the run steps on.
-
-    Pass it to ``simulate`` as ``on_snapshot``.  The first call forks the
-    writer (start method ``fork``, so POSIX only), which inherits that field
-    and through it the run's stepper; later calls send only (k, u, v), and
-    the writer saves ``field._with(u, v, bc)`` with ``save_field``, so every
-    file has the bytes of an in-process save.  The writer only formats and
-    writes: it calls no BLAS and starts no thread.  Leaving the ``with``
-    block waits for the writer, reaps it and puts the written paths in
-    ``written``.  If the block raises, or a write raises ``OSError`` (raised
-    again in the run at the next snapshot, or on leaving), the writer is
-    stopped and reaped, the files it wrote are removed and the first error
-    propagates.  A writer that dies without answering raises ``OSError``
-    with its exit code, and its files stay.
-    """
-
-    def __init__(self, out_dir: str | Path) -> None:
-        self.out_dir = Path(out_dir)
-        self.written: list[str] = []
-        self._process = self._conn = self._result = None
-
-    def __enter__(self) -> "_SnapshotWriter":
-        return self
-
-    def __call__(self, k: int, f: GridField) -> None:
-        if self._process is None:
-            import multiprocessing  # paid only by runs that save snapshots
-
-            context = multiprocessing.get_context("fork")
-            self._conn, child_end = context.Pipe()
-            self._process = context.Process(
-                target=self._serve, args=(child_end, k, f), daemon=True
-            )
-            self._process.start()
-            child_end.close()
-            return
-        try:
-            if not self._conn.poll():  # the writer answers early only if it failed
-                self._conn.send((k, f.u, f.v))
-                return
-        except OSError:  # the writer has stopped
-            pass
-        raise self._stop()[1]
-
-    def _serve(self, conn, k: int, f: GridField) -> None:
-        """The writer's loop: save snapshot k of field f and each one sent
-        after it until told to stop, then answer with the written paths and
-        the error that ended the loop early, if any."""
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the run stops it
-        # The run's end of the pipe came along with the fork; closing it
-        # here lets the writer see EOF if the run dies.
-        self._conn.close()
-        written, error = [], None
-        try:
-            while True:
-                written += save_field(f, str(self.out_dir / f"snap_{k:04d}"))
-                message = conn.recv()
-                if message is None:
-                    break
-                k, u, v = message
-                f = f._with(u, v, f.bc)
-        except OSError as exc:  # raised again in the run
-            error = exc
-        conn.send((written, error))
-
-    def _stop(self):
-        """Stop and reap the writer once; its (written paths, error)."""
-        if self._result is None:
-            try:
-                self._conn.send(None)
-            except OSError:  # it has stopped already
-                pass
-            try:
-                answer = self._conn.recv()
-            except (EOFError, OSError):  # it died without answering
-                answer = None
-            self._conn.close()
-            self._process.join()
-            self._result = answer or (
-                [],
-                OSError(f"snapshot writer exited with code {self._process.exitcode}"),
-            )
-        return self._result
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._process is None:
-            return
-        written, error = self._stop()
-        if exc_type is None and error is None:
-            self.written = written
-            return
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        if exc_type is None:
-            raise error
-
-
 def load_field(basepath: str) -> GridField:
-    """Inverse of save_field.
+    """Inverse of ``save_field``.
 
-    Fields get the boundary conditions their 2-D header or 1-D first line
-    records; files without that record get zero-flux sides.
+    The field gets the boundary conditions its header records; a header
+    without that record gives zero-flux sides.
     """
     base = Path(basepath)
-    jpath = base.with_suffix(".json")
-    cpath = base.with_suffix(".csv")
-    if jpath.exists():
-        with open(jpath) as fh:
-            header = json.load(fh)
-        nx, ny = int(header["nx"]), int(header["ny"])
-        extents = tuple(tuple(float(e) for e in pair) for pair in header["extents"])
-        raw = np.frombuffer(
-            Path(base.with_suffix(".bin")).read_bytes(), dtype=header["dtype"]
-        )
-        n = ny * nx
-        u = raw[:n].reshape(ny, nx).copy()
-        v = raw[n : 2 * n].reshape(ny, nx).copy()
-        mask = None
-        if "mask" in header["arrays"]:
-            mask = raw[2 * n : 3 * n].reshape(ny, nx) > 0.5
-        bc = _bc_of_record(2, header.get("bc", {}))
-        return GridField(extents, float(header["h"]), u, v, bc, mask)
-    if cpath.exists():
-        with open(cpath) as fh:
-            line = fh.readline()
-            record = {}
-            if line.startswith(_CSV_BC):
-                record = json.loads(line[len(_CSV_BC) :])
-                fh.readline()  # the column names
-            data = np.atleast_2d(np.loadtxt(fh, delimiter=","))
-        x, u, v = data[:, 0], data[:, 1], data[:, 2]
-        h = float((x[-1] - x[0]) / (x.size - 1))
-        bc = _bc_of_record(1, record)
-        return GridField(((float(x[0]), float(x[-1])),), h, u.copy(), v.copy(), bc)
-    raise FileNotFoundError(f"no snapshot found at {basepath!r}")
+    with open(base.with_suffix(".json")) as fh:
+        header = json.load(fh)
+    dim, nx = int(header["dim"]), int(header["nx"])
+    shape = (nx,) if dim == 1 else (int(header["ny"]), nx)
+    n = math.prod(shape)
+    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype=header["dtype"])
+    u = raw[:n].reshape(shape).copy()
+    v = raw[n : 2 * n].reshape(shape).copy()
+    mask = None
+    if "mask" in header["arrays"]:
+        mask = raw[2 * n : 3 * n].reshape(shape) > 0.5
+    extents = tuple(tuple(float(e) for e in pair) for pair in header["extents"])
+    bc = _bc_of_record(dim, header.get("bc", {}))
+    return GridField(extents, float(header["h"]), u, v, bc, mask)

@@ -515,7 +515,7 @@ def _certify_by_full_checks(params, c, n=2, junction=_one_height_block):
         lo = x_delta - 20.0 / ctx.lam
         hi = x_delta + 200.0 / ctx.lam
         grid = np.linspace(lo, hi, certificates._GRID_POINTS)
-        checks = certificates._analytic_checks(ctx, tb, n, d_n, d0, delta, x_delta, grid)
+        checks = certificates._analytic_checks(ctx, tb, d_n, d0, delta, x_delta, grid)
         failing = [ch for ch in checks if not ch.passed]
         if failing:
             last_fail = (failing[0].name, delta)
@@ -698,6 +698,36 @@ def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
     assert report.delta == 1e-2 * 2.0**-45
     # the 46 heights tried are located in blocks of eight
     assert counts == {"_locate_junctions": 6, "_analytic_checks": 1}
+
+
+@pytest.mark.parametrize("c", [C_MIN, _mid_speed()], ids=["critical", "mid"])
+def test_analytic_checks_evaluate_theta1_once_per_point(monkeypatch, c):
+    # theta1 is evaluated once at each grid point past the junction (and
+    # once at the junction itself), and the sub-solution the checks build
+    # from those values is sub_solution's, bit for bit.
+    report = certify_pair(PARAMS, c, n=2)
+    ctx = speed_window(PARAMS, c)
+    tb = theta_bundle(ctx)
+    grid = np.linspace(report.grid_lo, report.grid_hi, report.grid_points)
+    points = []
+    theta1 = type(tb).theta1
+
+    def counting(self, x):
+        points.append(np.size(x))
+        return theta1(self, x)
+
+    monkeypatch.setattr(type(tb), "theta1", counting)
+    checks = certificates._analytic_checks(
+        ctx, tb, report.d_n, report.d0, report.delta, report.x_delta, grid
+    )
+    monkeypatch.undo()
+    assert sum(points) == np.count_nonzero(grid > report.x_delta) + 1
+    spec = SubSolutionSpec(report.n, report.d_n, report.d0, report.delta, report.x_delta)
+    lower = sub_solution(tb, spec, grid)
+    ordering = super_solution(ctx, grid) - lower
+    (sandwich,) = [ch for ch in checks if ch.name == "sandwich_ordering"]
+    assert sandwich.margin == min(float(lower.min()), float(ordering.min()))
+    assert sandwich.location == grid[np.argmin(ordering)]
 
 
 def _merged(margins, locations):

@@ -7,7 +7,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import wavemotil.pde as pde
 from wavemotil.analysis import b_star, c_star, kappa
 from wavemotil.certificates import CertificateReport, CheckRecord
 from wavemotil.cli import PRESETS, main, read_config, resolve_config
-from wavemotil.errors import ConfigError, NoCrossing, NoRing
+from wavemotil.errors import ConfigError, NegativeDensity, NoCrossing, NoRing
 from wavemotil.frontmetrics import classify_profile, front_position
 from wavemotil.waveode import WaveProfile, frame_step
 
@@ -297,14 +300,14 @@ class TestSimulate:
         cfg = _write(tmp_path, "s.cfg", _SIM_CFG)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        snaps = sorted(out.glob("snap_*.csv"))
-        assert len(snaps) == 21
+        assert len(sorted(out.glob("snap_*.json"))) == 21
+        assert len(sorted(out.glob("snap_*.bin"))) == 21
         rows = (out / "metrics.csv").read_text().splitlines()
         assert rows[0] == "time,mass_u,mass_v,front,label,crossing_count,overshoot"
         assert len(rows) == 22
         manifest = json.loads((out / "run.json").read_text())
         listed = {entry["path"] for entry in manifest["outputs"]}
-        assert "metrics.csv" in listed and "snap_0000.csv" in listed
+        assert {"metrics.csv", "snap_0000.json", "snap_0000.bin"} <= listed
         for entry in manifest["outputs"]:
             target = out / entry["path"]
             assert target.exists()
@@ -380,7 +383,7 @@ class TestSimulate:
         config = cli._sim_config(resolve_config("simulate", read_config(cfg)))
         params = config.params
         level = params.a / (2.0 * params.b)
-        snaps = sorted(out.glob("snap_*.csv" if config.dim == 1 else "snap_*.json"))
+        snaps = sorted(out.glob("snap_*.json"))
         assert len(lines) == len(snaps) > 1
         for line, path in zip(lines, snaps):
             assert line.endswith(tail)
@@ -431,7 +434,11 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "text, snaps",
         [
-            pytest.param(_SIM_CFG, [f"snap_{k:04d}.csv" for k in range(21)], id="1d"),
+            pytest.param(
+                _SIM_CFG,
+                [f"snap_{k:04d}.{ext}" for k in range(21) for ext in ("json", "bin")],
+                id="1d",
+            ),
             pytest.param(
                 _SIM_2D_CFG,
                 [f"snap_{k:04d}.{ext}" for k in range(3) for ext in ("json", "bin")],
@@ -459,7 +466,7 @@ class TestSimulate:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["config"]["t_end"] == "10.0"
         assert manifest["config"]["m"] == "6.0"
-        assert len(sorted(out.glob("snap_*.csv"))) == 3
+        assert len(sorted(out.glob("snap_*.json"))) == 3
 
     @pytest.mark.parametrize(
         "preset, t_end, expected",
@@ -527,9 +534,61 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "NegativeDensity" in err and "t=" in err
-        # The writer saved snapshot 0 before the step failed; it is removed.
+        # The run saved snapshot 0 before the step failed; it is removed.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ic.npz", "s.cfg"]
-        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("error", [NegativeDensity, KeyboardInterrupt])
+    def test_failed_run_removes_the_snapshots_it_saved(self, tmp_path, monkeypatch, error):
+        # The run fails on its 11th step, after saving snapshots 0 to 2;
+        # they go, and what the directory held before stays.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("")
+        steps, saved = [], []
+        step, save_field = pde.step, pde.save_field
+
+        def failing_step(f, params, dt):
+            steps.append(dt)
+            if len(steps) == 11:
+                raise error("stop here")
+            return step(f, params, dt)
+
+        def recorded_save(f, base):
+            paths = save_field(f, base)
+            saved.extend(paths)
+            return paths
+
+        monkeypatch.setattr(pde, "step", failing_step)
+        monkeypatch.setattr(cli, "save_field", recorded_save)
+        resolved = resolve_config("simulate", read_config(_write(tmp_path, "s.cfg", _SIM_CFG)))
+        with pytest.raises(error):
+            cli.cmd_simulate(resolved, out)
+        assert [Path(p).name for p in saved] == [
+            f"snap_{k:04d}.{ext}" for k in range(3) for ext in ("json", "bin")
+        ]
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    def test_run_starts_no_child_process(self, tmp_path):
+        # Snapshots are saved in the run's own process: a run loads no
+        # multiprocessing, so it can start no writer process.
+        cfg = _write(tmp_path, "s.cfg", _SIM_SHORT)
+        probe = (
+            "import sys, wavemotil.cli as cli; "
+            f"code = cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+            "print(code, 'multiprocessing' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.split() == ["0", "False"]
+        assert sorted(p.name for p in tmp_path.glob("snap_*")) == [
+            "snap_0000.bin", "snap_0000.json", "snap_0001.bin", "snap_0001.json"
+        ]
 
     def test_write_error_reaches_the_caller(self, tmp_path):
         out = tmp_path / "out"
@@ -539,7 +598,6 @@ class TestSimulate:
             pde.save_field(pde.build_initial(cli._sim_config(resolved)), str(out / "x"))
         with pytest.raises(type(direct.value)):
             cli.cmd_simulate(resolved, out)
-        assert not multiprocessing.active_children()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_step_exits_1(self, tmp_path, capsys):

@@ -38,8 +38,8 @@ def test_every_error_type_is_raised():
 
 def test_cli_import_loads_only_the_scipy_it_uses():
     # scipy.optimize, scipy.interpolate, scipy.special and scipy.signal cost
-    # import time every command pays; the package needs none of them.
-    # multiprocessing is imported only by a run that saves snapshots.
+    # import time every command pays; the package needs none of them, and
+    # nothing in it imports multiprocessing.
     env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
     probe = (
         "import sys, wavemotil.cli; "
@@ -143,9 +143,9 @@ def test_csv_tables_stream_to_binary_files():
                 if set(mode) & set("wax"):
                     assert "b" in mode, f"{path.name}:{node.lineno} writes CSV as text"
                     csv_opens += 1
-    # save_field and write_csv stream csv_blocks; they and the CLI's
-    # metrics.csv and speedscan.csv writers are the CSV writes
-    assert streamed == 2 and csv_opens == 4
+    # WaveProfile.write_csv streams csv_blocks; it and the CLI's _write_csv,
+    # which writes metrics.csv and speedscan.csv, are the CSV writes
+    assert streamed == 1 and csv_opens == 2
 
 
 def _exported(tree):
@@ -219,7 +219,7 @@ def test_every_json_write_rejects_nan():
             ]
             assert strict, f"{path.name}:{node.lineno} json.{node.func.attr} allows NaN"
             calls += 1
-    assert calls >= 3  # run.json and the reports, and both snapshot headers
+    assert calls == 2  # cli._write_json and the snapshot header of save_field
 
 
 def test_records_reach_json_only_through_the_cli_writer():

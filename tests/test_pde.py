@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
-import multiprocessing
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,20 +59,14 @@ POWER = ModelParams(a=0.1, b=0.1, motility=PowerMotility(m=6.0))
 DILUTE = ModelParams(a=0.1, b=60.0, motility=PowerMotility(m=6.0))
 
 
-def _collected(config, on_snapshot=None):
+def _collected(config):
     """A run of ``config`` and every snapshot it took, in order.
 
     The run keeps only its final snapshot, so the others are collected
-    through ``on_snapshot``; a given ``on_snapshot`` is called first.
+    through ``on_snapshot``.
     """
     snaps = []
-
-    def keep(k, f):
-        if on_snapshot is not None:
-            on_snapshot(k, f)
-        snaps.append(f)
-
-    return simulate(config, on_snapshot=keep), snaps
+    return simulate(config, on_snapshot=lambda k, f: snaps.append(f)), snaps
 
 
 # ---------------------------------------------------------------------------
@@ -1414,8 +1406,8 @@ class TestSimulate:
                     assert tuple(row.values()) == radii
                     assert front == row["r_outer"]
 
-    @pytest.mark.parametrize("writer", [False, True], ids=["bare", "forked-writer"])
-    def test_run_holds_only_the_final_snapshot(self, tmp_path, writer, monkeypatch):
+    @pytest.mark.parametrize("saved", [False, True], ids=["bare", "saved"])
+    def test_run_holds_only_the_final_snapshot(self, tmp_path, saved, monkeypatch):
         # The callback keeps weak references only, so the run frees each
         # snapshot once it has handed it on, before it steps again, and
         # keeps the final one alone.
@@ -1423,8 +1415,8 @@ class TestSimulate:
 
         def watch(k, f):
             refs.append(weakref.ref(f))
-            if writer:
-                save(k, f)
+            if saved:
+                save_field(f, str(tmp_path / f"snap_{k:04d}"))
 
         def counted_step(f, params, dt):
             alive.append(sum(ref() is not None for ref in refs))
@@ -1432,13 +1424,21 @@ class TestSimulate:
 
         monkeypatch.setattr(pde, "step", counted_step)
 
-        with pde._SnapshotWriter(tmp_path) as save:
-            traj = simulate(_front_config(), on_snapshot=watch)
+        traj = simulate(_front_config(), on_snapshot=watch)
         gc.collect()
         assert len(refs) == 6 and len(alive) == len(traj.solver_iterations)
         assert not any(alive)
         assert [ref() is None for ref in refs] == [True] * 5 + [False]
         assert refs[-1]() is traj.snapshots[-1]
+
+    def test_on_snapshot_sees_every_snapshot_in_order(self):
+        calls = []
+        traj = simulate(_front_config(), on_snapshot=lambda k, f: calls.append((k, f)))
+        assert [k for k, _ in calls] == list(range(len(traj.times)))
+        assert len(traj.snapshots) == 1 and traj.snapshots[-1] is calls[-1][1]
+        # Each is a copy of its own: no later step wrote into an earlier one.
+        assert len({id(f.u) for _, f in calls}) == len(calls)
+        assert all(mass(f)[0] == mu for (_, f), mu in zip(calls, traj.mass_u))
 
     def test_front_speed_near_minimal(self):
         # A steep-front start travels at about the minimal speed 2 sqrt(a).
@@ -1679,45 +1679,60 @@ class TestSimulate:
 
 
 class TestSerialization:
-    def test_1d_csv_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extents, h",
+        [((0.0, 2.0), 0.1), ((0.3, 2.1), 0.03), ((0.0, 7.0), 0.07)],
+        ids=["0-2", "0.3-2.1", "0-7"],
+    )
+    def test_1d_roundtrip(self, tmp_path, extents, h):
+        # (2.1 - 0.3) / 0.03 and 7 / 0.07 are not exact in binary, so a
+        # grid re-derived from the node positions would come back with
+        # another h or extents; the header records the grid as made.
         for bc in (None, {"left": Dirichlet(0.1 + 1e-17, 1.0 / 3.0)}):
-            f = make_field(1, ((0.0, 2.0),), 0.1, u0=0.0, v0=0.0, bc=bc)
+            f = make_field(1, extents, h, u0=0.0, v0=0.0, bc=bc)
             f.u[:] = np.linspace(0.0, 1.0, f.nx) ** 2
             f.v[:] = 0.5 - 0.1 * np.linspace(0.0, 1.0, f.nx)
             base = tmp_path / "snap"
             paths = save_field(f, str(base))
-            assert any(p.endswith(".csv") for p in paths)
+            assert paths == [str(base.with_suffix(".json")), str(base.with_suffix(".bin"))]
             g = load_field(str(base))
-            assert np.array_equal(g.u, f.u)
-            assert np.array_equal(g.v, f.v)
-            assert g.h == f.h and g.nx == f.nx
-            assert g.bc == f.bc
+            assert g.h == f.h and g.extents == f.extents
+            assert np.array_equal(g.x, f.x)
+            assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v)
+            assert g.bc == f.bc and g.mask is None
 
-        # Files written without the boundary record load as zero-flux.
-        path = base.with_suffix(".csv")
-        path.write_text(path.read_text().split("\n", 1)[1])
+        # Headers written without the boundary record load as zero-flux.
+        jpath = base.with_suffix(".json")
+        header = json.loads(jpath.read_text())
+        del header["bc"]
+        jpath.write_text(json.dumps(header))
         old = load_field(str(base))
         assert np.array_equal(old.u, f.u)
         assert old.bc == {"left": Neumann(), "right": Neumann()}
 
-    def test_1d_csv_bytes_match_per_row_repr(self, tmp_path):
+    def test_1d_bytes_are_the_header_and_the_arrays(self, tmp_path):
         f = make_field(1, ((0.0, 400.0),), 0.1, u0=0.0, v0=0.0)
         rng = np.random.default_rng(11)
         f.u[:] = rng.random(f.nx) * 10.0 ** rng.integers(-300, 300, f.nx)
         f.v[:] = -rng.random(f.nx)
         f.u[:5] = f.v[-5:] = [0.0, -0.0, 5e-324, 1e-300, 1e16]
-        # A later snapshot of the run shares the rendered x column.
-        later = f.copy()
-        later.u[:] = f.v[::-1]
-        later.v[:] = f.u[::-1]
-        record = '{"left": {"type": "neumann"}, "right": {"type": "neumann"}}'
-        for k, g in enumerate((f, later)):
-            save_field(g, str(tmp_path / f"snap{k}"))
-            rows = zip(g.x, g.u, g.v)
-            expected = f"# bc {record}\nx,u,v\n" + "".join(
-                f"{float(x)!r},{float(u)!r},{float(v)!r}\n" for x, u, v in rows
-            )
-            assert (tmp_path / f"snap{k}.csv").read_bytes() == expected.encode()
+        save_field(f, str(tmp_path / "snap"))
+        assert (tmp_path / "snap.bin").read_bytes() == (
+            f.u.astype("<f8").tobytes() + f.v.astype("<f8").tobytes()
+        )
+        assert json.loads((tmp_path / "snap.json").read_text()) == {
+            "dim": 1,
+            "nx": 4001,
+            "ny": None,
+            "h": 0.1,
+            "extents": [[0.0, 400.0]],
+            "dtype": "<f8",
+            "order": "C",
+            "arrays": ["u", "v"],
+            "bc": {"left": {"type": "neumann"}, "right": {"type": "neumann"}},
+        }
+        g = load_field(str(tmp_path / "snap"))
+        assert g.u.tobytes() == f.u.tobytes() and g.v.tobytes() == f.v.tobytes()
 
     def test_2d_binary_roundtrip(self, tmp_path):
         f = make_field(2, ((0.0, 1.0), (0.0, 2.0)), 0.25, u0=0.0, v0=0.0)
@@ -1750,97 +1765,6 @@ class TestSerialization:
         old = load_field(str(base))
         assert all(isinstance(c, Neumann) for c in old.bc.values())
         assert sorted(old.bc) == ["bottom", "left", "right", "top"]
-
-
-class TestSnapshotWriter:
-    """Snapshots saved by the forked writer while the run steps."""
-
-    CONFIGS = {
-        "1d-dirichlet": lambda: _front_config(
-            bc={"left": Dirichlet(1.0, 1.0), "right": Dirichlet(0.0, 0.0)},
-            t_end=4.0,
-        ),
-        "1d-zero-flux": lambda: _front_config(t_end=4.0),
-        "2d-masked-disk": lambda: SimConfig(
-            params=POWER,
-            dim=2,
-            extents=((-3.0, 3.0), (-3.0, 3.0)),
-            h=0.25,
-            ic=Bump2dIC(base=1.0, amplitude=0.5),
-            t_end=1.0,
-            cadence=0.5,
-            disk_mask=True,
-        ),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CONFIGS))
-    def test_bytes_match_saves_in_the_run(self, tmp_path, case):
-        forked, direct = tmp_path / "forked", tmp_path / "direct"
-        forked.mkdir()
-        direct.mkdir()
-        with pde._SnapshotWriter(forked) as writer:
-            _, snaps = _collected(self.CONFIGS[case](), on_snapshot=writer)
-        expected = []
-        for k, snap in enumerate(snaps):
-            expected += save_field(snap, str(direct / f"snap_{k:04d}"))
-        names = [Path(p).name for p in expected]
-        assert [Path(p).name for p in writer.written] == names
-        assert sorted(p.name for p in forked.iterdir()) == sorted(names)
-        for name in names:
-            assert (forked / name).read_bytes() == (direct / name).read_bytes(), name
-        assert not multiprocessing.active_children()
-
-    def test_on_snapshot_sees_every_snapshot_in_order(self):
-        calls = []
-        traj = simulate(_front_config(), on_snapshot=lambda k, f: calls.append((k, f)))
-        assert [k for k, _ in calls] == list(range(len(traj.times)))
-        assert len(traj.snapshots) == 1 and traj.snapshots[-1] is calls[-1][1]
-        # Each is a copy of its own: no later step wrote into an earlier one.
-        assert len({id(f.u) for _, f in calls}) == len(calls)
-        assert all(mass(f)[0] == mu for (_, f), mu in zip(calls, traj.mass_u))
-
-    @pytest.mark.parametrize("stop", ["on_leaving", "at_next_snapshot"])
-    def test_write_error_reaches_the_run(self, tmp_path, stop):
-        out = tmp_path / "not-a-directory"
-        out.write_text("")
-        f = build_initial(_front_config())
-        with pytest.raises(OSError) as direct:
-            save_field(f, str(out / "snap_0000"))
-        with pytest.raises(type(direct.value)) as caught:
-            with pde._SnapshotWriter(out) as writer:
-                writer(0, f)
-                if stop == "at_next_snapshot":
-                    writer._process.join(timeout=60)  # it failed on snapshot 0
-                    assert not writer._process.is_alive()
-                    writer(1, f)
-        raised_in = [entry.name for entry in caught.traceback]
-        assert ("__call__" in raised_in) == (stop == "at_next_snapshot")
-        assert not multiprocessing.active_children()
-
-    def test_writer_killed_raises_os_error(self, tmp_path):
-        f = build_initial(_front_config())
-        with pytest.raises(OSError, match="exited with code -9"):
-            with pde._SnapshotWriter(tmp_path) as writer:
-                writer(0, f)
-                writer._process.kill()
-                writer._process.join(timeout=60)
-                assert not writer._process.is_alive()
-        assert not multiprocessing.active_children()
-
-    def test_failed_run_removes_what_the_writer_wrote(self, tmp_path):
-        (tmp_path / "keep.txt").write_text("")
-        cfg = _front_config(t_end=4.0)
-
-        def fail_at_two(k, f):
-            writer(k, f)
-            if k == 2:
-                raise NegativeDensity("stop here")
-
-        with pytest.raises(NegativeDensity):
-            with pde._SnapshotWriter(tmp_path) as writer:
-                simulate(cfg, on_snapshot=fail_at_two)
-        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
-        assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------------
