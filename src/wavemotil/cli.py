@@ -3,10 +3,11 @@
 Parses a flat ``key=value`` config file (``#`` comments allowed), runs one of
 the engines — threshold analysis, certificate checking, the constructive wave
 solver, time-dependent simulation, or a front-speed scan over initial decay
-rates — and writes plot-ready CSV/JSON artifacts into the output directory
-together with a ``run.json`` manifest recording the fully resolved config,
-the package version, timestamps, content hashes of every output file and the
-headline metrics.  Re-running a command with the same resolved config and
+rates — and writes its artifacts into the output directory (JSON reports,
+CSV tables, and the wave profile as a JSON header plus a float64 binary, the
+layout of ``save_field``'s snapshots) together with a ``run.json`` manifest
+recording the fully resolved config, the package version, timestamps,
+content hashes of every output file and the headline metrics.  Re-running a command with the same resolved config and
 build produces byte-identical data files.
 
 ``resolve_config`` checks a config completely, including the keys each
@@ -23,12 +24,12 @@ it needs and owns, are the dataclass fields of the class it names (``ic_``
 ``frame_step(c)`` and ``DEFAULT_TRANSIENT_FRACTION``, so ``run.json``
 records the values used, and ``metrics.csv`` rows are as ``simulate``
 measured them.  Each command returns its exit code, outputs and metrics.
-One walker writes every JSON file: a record field by field, non-finite
-values as null.
+One walker, ``_json_tree``, readies every JSON report, ``wave.json``
+included: a record field by field, non-finite values as null.
 
 Exit codes: 0 all requested checks passed; 1 numeric failure (divergence,
-instability, failed verification); 2 certificate or speed-window failure;
-64 malformed config or usage.
+instability, failed verification) or an output that cannot be written;
+2 certificate or speed-window failure; 64 malformed config or usage.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from .pde import (
     FrontIC,
     Neumann,
     SimConfig,
+    _write_arrays,
     save_field,
     simulate,
 )
@@ -583,7 +585,6 @@ def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     params = _model_params(resolved)
     profile = traveling_wave(params, resolved["c"], h=resolved["h"])
     verification = verify_profile(profile, params)
-    profile.write_csv(out_dir / "wave.csv")
     grid = profile.grid
     payload = dict(c=profile.c, lam=profile.lam, z_min=grid[0], z_max=grid[-1])
     payload.update(n_points=grid.size, h=grid[1] - grid[0])
@@ -592,7 +593,14 @@ def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         if np.ndim(value) == 0:
             payload.setdefault(f.name, value)
     payload["verification"] = verification
-    _write_json(out_dir / "wave.json", payload)
+    arrays = {
+        "z": grid,
+        "U": profile.U,
+        "V": profile.V,
+        "Uprime": profile.Uprime,
+        "Vprime": profile.Vprime,
+    }
+    _write_arrays(out_dir / "wave", arrays, _json_tree(payload))
     metrics = {
         "c": profile.c,
         "lambda": profile.lam,
@@ -606,7 +614,7 @@ def cmd_wave(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         "newton_iterations": profile.newton_iterations,
         "verification_passed": bool(verification.passed),
     }
-    return (0 if verification.passed else 1), ["wave.csv", "wave.json"], metrics
+    return (0 if verification.passed else 1), ["wave.bin", "wave.json"], metrics
 
 
 def _sim_config(resolved: dict) -> SimConfig:
@@ -829,6 +837,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except WavemotilError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output that cannot be written
+        print(f"OSError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -334,6 +334,8 @@ def _grid_spec(dim: int, extents, h: float, bc: dict | None, disk_mask: bool):
         raise ValueError("spacing h must be positive")
     extents = _normalize_extents(dim, extents)
     counts = [_axis_count(lo, hi, h) for lo, hi in extents]
+    if 8 * math.prod(counts) > np.iinfo(np.intp).max:  # bytes of a float64 field
+        raise ValueError(f"spacing {h!r} gives a grid too large to index")
     full_bc = _default_bc(dim)
     for side, cond in (bc or {}).items():
         if side not in full_bc:
@@ -1212,40 +1214,59 @@ def _bc_of_record(dim: int, record: dict) -> dict:
     return bc
 
 
+def _write_arrays(
+    base: Path, arrays: dict, header: dict, tail: dict | None = None
+) -> list[str]:
+    """Write ``arrays`` to ``<base>.bin`` and its JSON header to
+    ``<base>.json``, and return the two paths.
+
+    The binary file holds each array in turn, C order, little-endian
+    float64, each written from its own array.  The header is ``header``,
+    then ``dtype``, ``order`` and ``arrays`` (the names, in file order),
+    then ``tail``.  Each file is recorded as it is created, and a write
+    that fails removes them before the error propagates.
+    """
+    layout = {"dtype": "<f8", "order": "C", "arrays": list(arrays)}
+    header = {**header, **layout, **(tail or {})}
+    created: list[Path] = []
+    try:
+        jpath = base.with_suffix(".json")
+        with open(jpath, "w") as fh:
+            created.append(jpath)
+            json.dump(header, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        bpath = base.with_suffix(".bin")
+        with open(bpath, "wb") as fh:
+            created.append(bpath)
+            for values in arrays.values():
+                fh.write(np.ascontiguousarray(values, dtype="<f8"))
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+    return [str(path) for path in created]
+
+
 def save_field(f: GridField, basepath: str) -> list[str]:
     """Write a snapshot to disk and return the written paths.
 
     A field of either dimension becomes a JSON header (``<base>.json``)
     describing the geometry (``ny`` is null in 1-D) and the boundary
     condition of each side, plus a flat binary file (``<base>.bin``): u
-    then v, then the mask if any, C order, float64, each written from its
-    own array.  Every float, h and the extents included, round-trips
-    exactly.
+    then v, then the mask if any, as ``_write_arrays`` lays them out.
+    Every float, h and the extents included, round-trips exactly.
     """
-    base = Path(basepath)
-    jpath = base.with_suffix(".json")
-    bpath = base.with_suffix(".bin")
     arrays = {"u": f.u, "v": f.v}
     if f.mask is not None:
         arrays["mask"] = f.mask
-    header = {
+    geometry = {
         "dim": f.dim,
         "nx": f.nx,
         "ny": f.ny,
         "h": f.h,
         "extents": [list(pair) for pair in f.extents],
-        "dtype": "<f8",
-        "order": "C",
-        "arrays": list(arrays),
-        "bc": _bc_record(f.bc),
     }
-    with open(jpath, "w") as fh:
-        json.dump(header, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    with open(bpath, "wb") as fh:
-        for values in arrays.values():
-            fh.write(np.ascontiguousarray(values, dtype="<f8"))
-    return [str(jpath), str(bpath)]
+    return _write_arrays(Path(basepath), arrays, geometry, {"bc": _bc_record(f.bc)})
 
 
 def load_field(basepath: str) -> GridField:

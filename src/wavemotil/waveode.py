@@ -26,7 +26,9 @@ The profile is built exactly the way its existence is certified:
 wave system with independent finite differences.  Each of its checks
 follows the ``CheckRecord`` rule (pass iff margin > -slack, so a NaN margin
 fails), except the two plateau checks, which are informational passes when
-the invasion index is at least one.
+the invasion index is at least one.  The ``wave`` command saves a profile
+as ``pde.save_field`` saves a snapshot: a float64 binary with a JSON
+header (see ``WaveProfile``).
 
 Above the minimal speed the rest state is the maximal solution of the
 centred-difference equation T U + A2 U - A3 U^2 = 0 with two Dirichlet
@@ -427,7 +429,10 @@ class WaveProfile:
     frozen-field march of the run and ``checkpoints`` the number of
     checkpoints all its marches took, both 0 when no map marched;
     ``newton_iterations`` is the number of Newton iterations all its maps
-    took, 0 at the minimal speed.
+    took, 0 at the minimal speed.  The ``wave`` command saves ``grid``,
+    ``U``, ``V``, ``Uprime`` and ``Vprime`` as ``wave.bin``, ``n_points``
+    little-endian float64 each, in that order, with the scalars in its
+    header ``wave.json``.
     """
 
     grid: np.ndarray
@@ -448,17 +453,6 @@ class WaveProfile:
     march_steps_per_checkpoint: int
     checkpoints: int
     newton_iterations: int
-
-    def write_csv(self, path) -> None:
-        """Write the profile to ``path`` as CSV: a header line, then z, U, V,
-        U' and V' per grid node, each float as its ``repr`` and every line
-        ended by LF on any OS.  The rows go to the file block by block as
-        ``csv_blocks`` renders them, so no whole table is held."""
-        from ._floattext import csv_blocks  # compiled only by runs that write CSV
-
-        with open(path, "wb") as fh:
-            fh.write(b"z,U,V,Uprime,Vprime\n")
-            fh.writelines(csv_blocks((self.grid, self.U, self.V, self.Uprime, self.Vprime)))
 
 
 def _fit_tail_ratio(grid, values, lam: float) -> float:

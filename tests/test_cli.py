@@ -154,6 +154,15 @@ class TestAnalyze:
         report = json.loads((out / "analysis.json").read_text())
         assert report["eta"] is None and report["lambda"] > 0.0
 
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "a.cfg", "a=0.1\nb=60\nm=6\n")
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OSError:") and "Traceback" not in err
+        assert out.read_text() == "kept"
+
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "a.cfg", "b=1\nm=6\n")
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 64
@@ -210,15 +219,20 @@ class TestWave:
         # the grid's extent, then the profile's other scalar fields in order
         listed = {"grid", "U", "V", "Uprime", "Vprime", "c", "lam"}
         scalars = [f.name for f in dataclasses.fields(WaveProfile) if f.name not in listed]
+        # and the layout of wave.bin, as a snapshot header gives it
         assert list(payload) == [
-            "c", "lam", "z_min", "z_max", "n_points", "h", *scalars, "verification"
+            "c", "lam", "z_min", "z_max", "n_points", "h", *scalars, "verification",
+            "dtype", "order", "arrays",
         ]
+        assert (payload["dtype"], payload["order"]) == ("<f8", "C")
+        assert payload["arrays"] == ["z", "U", "V", "Uprime", "Vprime"]
         assert list(payload["verification"]) == ["passed", "checks"]
         check_keys = [f.name for f in dataclasses.fields(CheckRecord)]
         assert all(list(ch) == check_keys for ch in payload["verification"]["checks"])
-        header = (out / "wave.csv").read_text().splitlines()[0]
-        assert header == "z,U,V,Uprime,Vprime"
+        profile = np.fromfile(out / "wave.bin", "<f8").reshape(5, payload["n_points"])
+        assert profile[0, 0] == payload["z_min"] and profile[0, -1] == payload["z_max"]
         manifest = json.loads((out / "run.json").read_text())
+        assert [entry["path"] for entry in manifest["outputs"]] == ["wave.bin", "wave.json"]
         for entry in manifest["outputs"]:
             data = (out / entry["path"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
@@ -257,7 +271,7 @@ class TestWave:
         manifest = json.loads((out / "run.json").read_text())
         assert float(manifest["config"]["h"]) == frame_step(c)
         assert frame_step(c) == pytest.approx(0.00330, abs=1e-5)
-        assert [entry["path"] for entry in manifest["outputs"]] == ["wave.csv", "wave.json"]
+        assert [entry["path"] for entry in manifest["outputs"]] == ["wave.bin", "wave.json"]
         assert manifest["metrics"]["verification_passed"] is False
         checks = json.loads((out / "wave.json").read_text())["verification"]["checks"]
         failed = [ch["name"] for ch in checks if not ch["passed"]]
@@ -568,6 +582,20 @@ class TestSimulate:
         ]
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
+    def test_unwritable_snapshot_exits_1_and_leaves_no_snapshot(self, tmp_path, capsys):
+        # A directory stands where snapshot 1's binary should go: the run
+        # stops at that save with exit 1 and no traceback, and removes what
+        # it saved, snapshot 1's header included; the directory stays.
+        out = tmp_path / "out"
+        (out / "snap_0001.bin").mkdir(parents=True)
+        cfg = _write(tmp_path, "s.cfg", _SIM_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OSError:") and "snap_0001.bin" in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["snap_0001.bin"]
+        assert (out / "snap_0001.bin").is_dir()
+
     def test_run_starts_no_child_process(self, tmp_path):
         # Snapshots are saved in the run's own process: a run loads no
         # multiprocessing, so it can start no writer process.
@@ -783,6 +811,25 @@ class TestUsage:
         out = tmp_path / "out"
         assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 64
         assert "dt_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _SIM_SHORT.replace("h=0.1", "h=1e-300"),
+            _SIM_SHORT.replace("h=0.1", f"h={10 / 2**61!r}"),
+            _SIM_2D_CFG.replace("h=0.25", f"h={6 / 2**33!r}"),
+        ],
+        ids=["1d", "1d-bytes", "2d"],
+    )
+    def test_grid_too_large_to_index(self, tmp_path, capsys, text):
+        # 1e301 nodes on one axis, or 2**33 + 1 on each of two, is more than
+        # an array index reaches; 2**61 + 1 is fewer, but not its 8-byte
+        # floats.  Each is refused before any array exists.
+        cfg = _write(tmp_path, "big.cfg", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 64
+        assert "too large to index" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command(self, capsys):

@@ -1,6 +1,7 @@
 """The package namespace: each public name is declared once, in its module."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -57,31 +58,9 @@ def test_cli_import_loads_only_the_scipy_it_uses():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_the_float_text_tables_unbuilt():
-    # The CSV kernel is imported by the first CSV write, and builds its
-    # tables on first use, so a command pays for neither at import.
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
-    probe = (
-        "import sys, wavemotil.cli; "
-        "print('wavemotil._floattext' in sys.modules); "
-        "import wavemotil._floattext as f; "
-        "print(*(t.cache_info().currsize for t in "
-        "(f._powers, f._exponents, f._layouts)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert out.stdout.split() == ["False", "0", "0", "0"]
-
-
 def test_no_percent_r_formatting_in_the_package():
-    # Floats reach CSV text only through _floattext.csv_blocks, which
-    # renders whole arrays; a "%r" format would be a second, per-float path.
+    # Floats reach CSV text only through cli._fmt_value, which writes each
+    # as its repr; a "%r" format would be a second, per-float path.
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -97,55 +76,66 @@ def _call_name(node) -> str | None:
     return None
 
 
-def test_csv_tables_stream_to_binary_files():
-    # A CSV table reaches its file block by block: csv_blocks yields bytes
-    # that go straight to writelines on a file opened in binary mode, so no
-    # module holds a whole table as one string, and no text layer encodes
-    # it again.  A CSV file is an open() whose path names ".csv", directly
-    # or through a name assigned in the same function, or one in a function
-    # named for CSV; every one opened to write is opened in binary mode.
-    streamed = csv_opens = 0
+def _opens(func):
+    """Each open() call in ``func`` with its path expression, a name
+    assigned in ``func`` read as what was assigned to it."""
+    assigned = {
+        target.id: node.value
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(func):
+        if _call_name(node) == "open" and node.args:
+            target = node.args[0]
+            yield node, assigned.get(getattr(target, "id", None), target)
+
+
+def _mode(node) -> str:
+    """The mode an open() call passes positionally, "r" if none."""
+    return node.args[1].value if len(node.args) > 1 else "r"
+
+
+def _functions():
+    """Each function of the package with the file it is in."""
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        if path.stem == "_floattext":
-            # the renderer yields its blocks and never joins or decodes them
-            calls = {_call_name(node) for node in ast.walk(tree)}
-            assert not calls & {"join", "decode"}
-            continue
-        written = {
-            id(arg)
-            for node in ast.walk(tree)
-            if _call_name(node) == "writelines"
-            for arg in node.args
-        }
-        for node in ast.walk(tree):
-            if _call_name(node) == "csv_blocks":
-                assert id(node) in written, f"{path.name}:{node.lineno} csv_blocks not streamed"
-                streamed += 1
         for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
+            if isinstance(func, ast.FunctionDef):
+                yield path, func
+
+
+def test_csv_tables_stream_to_binary_files():
+    # A CSV table is written with no text layer encoding it again.  A CSV
+    # file is an open() whose path names ".csv", directly or through a name
+    # assigned in the same function, or one in a function named for CSV;
+    # every one opened to write is opened in binary mode.
+    csv_opens = 0
+    for path, func in _functions():
+        for node, target in _opens(func):
+            if ".csv" not in ast.unparse(target) and "csv" not in func.name:
                 continue
-            assigned = {
-                target.id: node.value
-                for node in ast.walk(func)
-                if isinstance(node, ast.Assign)
-                for target in node.targets
-                if isinstance(target, ast.Name)
-            }
-            for node in ast.walk(func):
-                if _call_name(node) != "open" or not node.args:
-                    continue
-                target = node.args[0]
-                target = assigned.get(getattr(target, "id", None), target)
-                if ".csv" not in ast.unparse(target) and "csv" not in func.name:
-                    continue
-                mode = node.args[1].value if len(node.args) > 1 else "r"
-                if set(mode) & set("wax"):
-                    assert "b" in mode, f"{path.name}:{node.lineno} writes CSV as text"
-                    csv_opens += 1
-    # WaveProfile.write_csv streams csv_blocks; it and the CLI's _write_csv,
-    # which writes metrics.csv and speedscan.csv, are the CSV writes
-    assert streamed == 1 and csv_opens == 2
+            if set(_mode(node)) & set("wax"):
+                assert "b" in _mode(node), f"{path.name}:{node.lineno} writes CSV as text"
+                csv_opens += 1
+    # the CLI's _write_csv, which writes metrics.csv and speedscan.csv
+    assert csv_opens == 1
+
+
+def test_every_array_file_goes_through_the_one_array_writer():
+    # Snapshots and the wave profile share one layout, a JSON header and
+    # a float64 binary: every binary open() of a ".bin" path sits in
+    # pde._write_arrays, and no second array or float-text writer exists.
+    bin_opens = []
+    for path, func in _functions():
+        for node, target in _opens(func):
+            if ".bin" in ast.unparse(target) and "b" in _mode(node):
+                bin_opens.append((path.stem, func.name))
+    assert bin_opens == [("pde", "_write_arrays")]
+    package = Path(wavemotil.__file__).parent
+    assert not list(package.glob("_floattext*"))
+    assert importlib.util.find_spec("wavemotil._floattext") is None
 
 
 def _exported(tree):
@@ -219,13 +209,14 @@ def test_every_json_write_rejects_nan():
             ]
             assert strict, f"{path.name}:{node.lineno} json.{node.func.attr} allows NaN"
             calls += 1
-    assert calls == 2  # cli._write_json and the snapshot header of save_field
+    assert calls == 2  # cli._write_json and the array headers of pde._write_arrays
 
 
 def test_records_reach_json_only_through_the_cli_writer():
     # cli._write_json writes a report record field by field, so no record
-    # lists its fields again in a to_dict, and only the snapshot headers of
-    # pde.save_field write JSON apart from it.
+    # lists its fields again in a to_dict, and only the array headers of
+    # pde._write_arrays (snapshots, and wave.json, which the CLI hands over
+    # as cli._json_tree made it) write JSON apart from it.
     writers = set()
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -236,4 +227,4 @@ def test_records_reach_json_only_through_the_cli_writer():
                     assert "to_dict" not in methods, f"{path.name}: {node.name}.to_dict"
                 if _is_json_write(node):
                     writers.add((path.stem, getattr(top, "name", None)))
-    assert writers == {("cli", "_write_json"), ("pde", "save_field")}
+    assert writers == {("cli", "_write_json"), ("pde", "_write_arrays")}

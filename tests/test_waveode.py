@@ -11,10 +11,8 @@ original wave system.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 
@@ -24,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+import wavemotil.cli as cli
 import wavemotil.pde as pde
 from wavemotil import (
     BlowUp,
@@ -736,26 +735,25 @@ def test_tail_fit_recovers_a_pure_exponential():
     assert ratio == pytest.approx(0.8, rel=1e-10)
 
 
-def test_profile_serialization_round_trips(critical_profile, tmp_path):
-    path = tmp_path / "wave.csv"
-    critical_profile.write_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["z", "U", "V", "Uprime", "Vprime"]
-    assert len(rows) == critical_profile.grid.size + 1
-    z_back = np.array([float(r[0]) for r in rows[1:]])
-    u_back = np.array([float(r[1]) for r in rows[1:]])
-    assert np.array_equal(z_back, critical_profile.grid)
-    assert np.array_equal(u_back, critical_profile.U)
-    # the bytes of the per-scalar formatter the column lists replaced
-    columns = (
+def test_profile_serialization_round_trips(critical_profile, tmp_path, monkeypatch):
+    # The wave command saves z, U, V, U' and V' as n_points float64 each, in
+    # the order its header lists them; they read back bit for bit.
+    monkeypatch.setattr(cli, "traveling_wave", lambda params, c, h: critical_profile)
+    raw = {"a": repr(A), "b": repr(B), "m": repr(M), "c": repr(C_MIN)}
+    assert cli.cmd_wave(cli.resolve_config("wave", raw), tmp_path)[1] == [
+        "wave.bin", "wave.json"
+    ]
+    header = json.loads((tmp_path / "wave.json").read_text())
+    assert header["arrays"] == ["z", "U", "V", "Uprime", "Vprime"]
+    n = header["n_points"]
+    assert n == critical_profile.grid.size
+    back = np.fromfile(tmp_path / "wave.bin", "<f8").reshape(5, n)
+    saved = (
         critical_profile.grid, critical_profile.U, critical_profile.V,
         critical_profile.Uprime, critical_profile.Vprime,
     )
-    expected = "z,U,V,Uprime,Vprime\n" + "".join(
-        ",".join(repr(float(x)) for x in row) + "\n" for row in zip(*columns)
-    )
-    assert path.read_bytes() == expected.encode()
+    for column, original in zip(back, saved):
+        assert column.tobytes() == original.tobytes()
     side = _json_tree(critical_profile)
     assert side["c"] == critical_profile.c
     assert side["tail_ratio_U"] == critical_profile.tail_ratio_U
