@@ -832,6 +832,28 @@ class TestUsage:
         assert "too large to index" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("certify", f"a=0.1\nb=60\nm=6\nc={2.0 * math.sqrt(0.1)!r}\n"),
+            ("wave", f"a=0.1\nb=60\nm=6\nc={2.0 * math.sqrt(0.1)!r}\n"),
+            ("simulate", _SIM_SHORT),
+            ("speedscan", _SCAN_CFG),
+        ],
+        ids=["certify", "wave", "simulate", "speedscan"],
+    )
+    def test_out_under_a_file_exits_1(self, tmp_path, capsys, command, text):
+        # An output directory that cannot be made is an OSError of the run:
+        # exit 1, no traceback, and the file in the way is left as it was.
+        cfg = _write(tmp_path, "c.cfg", text)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        assert main([command, "--config", cfg, "--out", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OSError:") and "Traceback" not in err
+        assert blocker.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "c.cfg"]
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 64
         capsys.readouterr()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -92,6 +93,33 @@ class TestGrid:
     def test_non_divisible_extent_rejected(self):
         with pytest.raises(ValueError):
             make_field(1, ((0.0, 1.0),), 0.3, u0=0.0, v0=0.0)
+
+    @pytest.mark.parametrize(
+        "extents, counts",
+        [
+            (((0.0, 2.0**60 - 256),), [2**60 - 255]),
+            (((0.0, 2.0**30), (0.0, 2.0**30 - 2)), [2**30 + 1, 2**30 - 1]),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_largest_indexable_grid_is_accepted(self, extents, counts):
+        # 2**60 - 1 float64 nodes are the most whose bytes an intp indexes;
+        # the 2-D grid has exactly that many, and 2**60 - 255 is the largest
+        # 1-D count below it that a float extent gives at h = 1.  Only the
+        # description is checked: no array is made.
+        _, got, _ = pde._grid_spec(len(extents), extents, 1.0, None, False)
+        assert got == counts
+        assert 8 * math.prod(got) <= np.iinfo(np.intp).max
+
+    @pytest.mark.parametrize(
+        "extents",
+        [((0.0, 2.0**60),), ((0.0, 2.0**30), (0.0, 2.0**30))],
+        ids=["1d", "2d"],
+    )
+    def test_one_node_past_the_index_bound_is_refused(self, extents):
+        # 2**60 + 1 nodes, and (2**30 + 1)**2, need more than 2**63 - 1 bytes.
+        with pytest.raises(ValueError, match="too large to index"):
+            pde._grid_spec(len(extents), extents, 1.0, None, False)
 
     def test_mass_of_constant_field(self):
         f = make_field(1, ((0.0, 10.0),), 0.1, u0=2.0, v0=0.5)
@@ -1765,6 +1793,123 @@ class TestSerialization:
         old = load_field(str(base))
         assert all(isinstance(c, Neumann) for c in old.bc.values())
         assert sorted(old.bc) == ["bottom", "left", "right", "top"]
+
+
+def _bits(name):
+    """Float64 values of one class that a text format finds hard to keep."""
+    rng = np.random.default_rng(34)
+    tiny = np.finfo(float).tiny
+    if name == "special":
+        values = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+    elif name == "subnormal":
+        values = [5e-324, -5e-324, tiny - 5e-324, 12345 * 5e-324, tiny]
+    elif name == "near-2^53":
+        values = [2.0**53 - 1, 2.0**53, 2.0**53 + 2, np.nextafter(2.0**53, 0.0)]
+    elif name == "extremes":
+        values = [np.finfo(float).max, -np.finfo(float).max, 1e-300, 1e300, 1e16]
+    elif name == "powers":
+        powers = np.concatenate(
+            [np.ldexp(1.0, np.arange(-1074, 1024)), 10.0 ** np.arange(-300, 301)]
+        )
+        values = np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+        )
+    else:  # random bit patterns, NaN payloads among them
+        values = rng.integers(0, 2**64, 4096, dtype=np.uint64, endpoint=False).view(float)
+    return np.asarray(values, dtype=float)
+
+
+class TestArrayWriter:
+    """``pde._write_arrays``, which lays out every array file the package
+    writes (snapshots and the wave profile) as little-endian float64."""
+
+    @pytest.mark.parametrize(
+        "name", ["special", "subnormal", "near-2^53", "extremes", "powers", "random-bits"]
+    )
+    def test_every_bit_comes_back(self, tmp_path, name):
+        values = _bits(name)
+        pde._write_arrays(tmp_path / "t", {"x": values}, {})
+        assert (tmp_path / "t.bin").read_bytes() == values.tobytes()
+        back = np.fromfile(tmp_path / "t.bin", "<f8")
+        assert back.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            np.arange(20.0)[::3],
+            np.arange(9.0)[::-1],
+            np.arange(20.0).reshape(4, 5).T,
+            np.linspace(0.0, 1.0, 7).astype(">f8"),
+            np.linspace(0.0, 1.0, 6, dtype=np.float32),
+            np.arange(-3, 4),
+            np.array([True, False, True]),
+        ],
+        ids=[
+            "fortran", "strided", "reversed", "transposed",
+            "big-endian", "float32", "int", "bool",
+        ],
+    )
+    def test_any_array_is_written_in_c_order_as_little_endian_float64(self, tmp_path, values):
+        pde._write_arrays(tmp_path / "t", {"x": values}, {})
+        expected = np.asarray(values, dtype=float).ravel(order="C")
+        back = np.fromfile(tmp_path / "t.bin", "<f8")
+        assert back.tobytes() == expected.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize(
+        "n, k", [(0, 3), (1, 1), (7, 1), (3, 5), (2000, 5)],
+        ids=["0-3", "1-1", "7-1", "3-5", "2000-5"],
+    )
+    def test_k_arrays_of_n_points_read_back_as_a_k_by_n_block(self, tmp_path, n, k):
+        rng = np.random.default_rng(n + k)
+        arrays = {f"a{j}": rng.standard_normal(n) for j in range(k)}
+        pde._write_arrays(tmp_path / "t", arrays, {"n_points": n})
+        header = json.loads((tmp_path / "t.json").read_text())
+        assert header["arrays"] == list(arrays)
+        assert (tmp_path / "t.bin").stat().st_size == 8 * n * k
+        back = np.fromfile(tmp_path / "t.bin", header["dtype"]).reshape(k, header["n_points"])
+        assert back.tobytes() == np.stack(list(arrays.values())).tobytes()
+
+    def test_header_is_the_caller_keys_then_the_layout_then_the_tail(self, tmp_path):
+        base = tmp_path / "t"
+        paths = pde._write_arrays(
+            base, {"z": np.zeros(2), "U": np.ones(2)}, {"c": 0.5, "n_points": 2}, {"bc": {}}
+        )
+        assert paths == [str(base.with_suffix(".json")), str(base.with_suffix(".bin"))]
+        assert json.loads(base.with_suffix(".json").read_text()) == {
+            "c": 0.5, "n_points": 2, "dtype": "<f8", "order": "C", "arrays": ["z", "U"],
+            "bc": {},
+        }
+        assert list(json.loads(base.with_suffix(".json").read_text())) == [
+            "c", "n_points", "dtype", "order", "arrays", "bc"
+        ]
+
+    @pytest.mark.parametrize(
+        "case", ["json-is-a-directory", "bin-is-a-directory", "nan-in-header", "array-not-numeric"]
+    )
+    def test_a_failed_write_leaves_only_what_was_there(self, tmp_path, case):
+        # Whichever step fails, the files the writer created are removed
+        # before the error propagates; a directory in the way stays.
+        base = tmp_path / "t"
+        header = {"c": 0.5}
+        arrays = {"u": np.zeros(3), "v": np.ones(3)}
+        if case == "json-is-a-directory":
+            base.with_suffix(".json").mkdir()
+            error = IsADirectoryError
+        elif case == "bin-is-a-directory":
+            base.with_suffix(".bin").mkdir()
+            error = IsADirectoryError
+        elif case == "nan-in-header":
+            header = {"c": float("nan")}
+            error = ValueError
+        else:  # v fails to convert after u is on disk
+            arrays["v"] = np.array(["x", "y", "z"])
+            error = ValueError
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(error):
+            pde._write_arrays(base, arrays, header)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert all((tmp_path / name).is_dir() for name in before)
 
 
 # ---------------------------------------------------------------------------
