@@ -95,7 +95,10 @@ def kappa(m: float, a: float) -> float:
     if not (m > 0 and a > 0):
         raise ValueError("m and a must be positive")
     r = math.sqrt(a * (1.0 + a) / (m * (m + 1.0)))
-    return m * r * (r + 1.0) ** m
+    try:
+        return m * r * (r + 1.0) ** m
+    except OverflowError:  # beyond every float
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,6 @@ class WaveContext:
     @property
     def c_min(self) -> float:
         return 2.0 * math.sqrt(self.a)
-
-    @property
-    def c_max(self) -> float:
-        return c_star(self.a, self.b, self.m)
 
     @property
     def is_critical(self) -> bool:
@@ -295,7 +294,8 @@ class LinearizationReport:
     c < 2 sqrt(gamma(0) a)).  hopf_omega is the frequency of a purely
     imaginary eigenvalue pair of the c = 0 problem at coexistence, when one
     exists.  residual is the largest |p(lambda)| / max(1, |lambda|)^4 over
-    the eigenvalues lambda, with p the characteristic polynomial.
+    the eigenvalues lambda, with p the characteristic polynomial, and inf
+    when p or an eigenvalue overflows.
     """
 
     at: str
@@ -310,6 +310,8 @@ class LinearizationReport:
 def _char_residual(coeffs: np.ndarray, eigs: np.ndarray) -> float:
     """max |p(lambda)| / s^n with s = max(1, |lambda|), by Horner's rule in
     lambda / s, so no power of a large eigenvalue overflows."""
+    if not (np.isfinite(coeffs).all() and np.isfinite(eigs).all()):
+        return math.inf  # the polynomial overflows in floating point
     scale = np.maximum(1.0, np.abs(eigs))
     z = eigs / scale
     vals = np.zeros_like(eigs)
@@ -360,7 +362,8 @@ def linearize(params: ModelParams, c: float, at: str = "origin") -> Linearizatio
         spiral = c < 2.0 * math.sqrt(g0 * a) * (1.0 - _REL_TOL)
         hopf = None
     elif at == "coexistence":
-        s1, s2, _ = params.motility.eval(params.equilibrium)
+        # gamma and gamma' alone: gamma'' can be inf * 0 where they are not
+        s1, s2 = params.motility._first(params.equilibrium, 2)
         if s1 * b > 0.0:
             matrix = np.array(
                 [

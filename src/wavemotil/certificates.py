@@ -19,15 +19,15 @@ source at once, not one sample.
 
 The plateau height delta is found by adaptive halving: each candidate fixes
 the junction x_delta (rightmost root of the matching equation: the rightmost
-sign-change cell of a scan, resampled and narrowed until it is narrower than
-1e-12 + 4 eps |x|) and a dense grid around it.  The junctions of a block of
-_HEIGHT_BLOCK candidates are searched together, each bit for bit as on its
-own.  A candidate is screened on the tail margin at the first
+sign-change cell of one scan shared by every candidate, bisected until it
+is narrower than 1e-12 + 4 eps |x|) and a dense grid around it.  The
+junctions of all candidates are located together, each bit for bit as on
+its own.  A candidate is screened on the tail margin at the first
 _SCREEN_POINTS grid points past x_delta, computed without the grid; one
 that fails there is rejected, since by the worst-point rule below a failing
 subset fails the whole grid.  Only a candidate that passes the screen gets
-the grid and every margin on it.  The halving range, the block, grid and
-screen sizes and the two slacks are module constants.
+the grid and every margin on it.  The halving range, the grid and screen
+sizes and the two slacks are module constants.
 
 Every check is a ``CheckRecord`` built from per-point margins by one rule:
 the worst point is kept and the check passes iff margin > -slack, so a NaN
@@ -59,7 +59,6 @@ from .errors import CertificateFailed, EtaUndefined, NonFiniteTail, WindowViolat
 from .model import ModelParams
 
 __all__ = [
-    "SubSolutionSpec",
     "VSolution",
     "CheckRecord",
     "CertificateReport",
@@ -71,11 +70,9 @@ __all__ = [
 ]
 
 _MATCHING_TOL = 1e-10
-# junction root: absolute and relative width of the final bracket, and the
-# samples each refinement of the bracket takes
+# junction root: absolute and relative width of the final bracket
 _ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-_REFINE_POINTS = 33
 # plateau heights tried by halving, from the start down to the floor
 _DELTA_START = 1e-2
 _DELTA_FLOOR = 1e-18
@@ -86,39 +83,9 @@ _GRID_POINTS = 40_000
 _BLOCK = 4096
 # leading grid points past the junction on which a plateau height is screened
 _SCREEN_POINTS = 64
-# plateau heights whose junctions are searched together
-_HEIGHT_BLOCK = 8
 # slack of the analytic sign checks and relative slack of the V envelopes
 _MARGIN_SLACK = 1e-12
 _V_REL_SLACK = 1e-5
-
-
-@dataclass(frozen=True)
-class SubSolutionSpec:
-    """Parameters of one glued sub-solution candidate.
-
-    d_n = 1 - 1/n scales the slow-rate part of the tail; d0 is +1 at the
-    minimal speed and -1 above it; delta is the plateau height and x_delta
-    the junction where the tail formula equals delta.
-    """
-
-    n: int
-    d_n: float
-    d0: float
-    delta: float
-    x_delta: float
-
-    def __post_init__(self):
-        if not (self.n >= 2):
-            raise ValueError("index n must be at least 2")
-        if not (0.0 < self.d_n < 1.0):
-            raise ValueError("amplitude d_n must lie in (0, 1)")
-        if self.d0 not in (-1.0, 1.0):
-            raise ValueError("d0 must be +1 or -1")
-        if not (self.delta > 0.0):
-            raise ValueError("plateau height delta must be positive")
-        if not (self.x_delta > 0.0):
-            raise ValueError("junction x_delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,58 +155,64 @@ def _tail(bundle: ThetaBundle, d_n: float, d0: float, x):
     return d_n * np.exp(-th1 * x) + d0 * np.exp(-(th1 + bundle.shift) * x)
 
 
-def sub_solution(bundle: ThetaBundle, spec: SubSolutionSpec, x):
-    """Plateau delta for x <= x_delta, two-rate tail beyond it."""
+def sub_solution(bundle: ThetaBundle, report: CertificateReport, x):
+    """Plateau delta for x <= x_delta, two-rate tail beyond it, with d_n,
+    d0, delta and x_delta read from a certificate report."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(xa.shape, spec.delta, dtype=float)
-    mask = xa > spec.x_delta
+    out = np.full(xa.shape, report.delta, dtype=float)
+    mask = xa > report.x_delta
     if np.any(mask):
-        out[mask] = _tail(bundle, spec.d_n, spec.d0, xa[mask])
+        out[mask] = _tail(bundle, report.d_n, report.d0, xa[mask])
     return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _scan_end(ctx: WaveContext) -> float:
+    """Right end of the junction scan, 10 (1 + |log _DELTA_FLOOR|) / lambda."""
+    return 10.0 / ctx.lam * (1.0 + abs(math.log(_DELTA_FLOOR)))
 
 
 def _locate_junctions(
     bundle: ThetaBundle, d_n: float, d0: float, deltas
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Junctions of a block of plateau heights, searched together.
+    """Junctions of plateau heights, all located on one scan.
 
     The junction of a height delta is the rightmost root of
     d_n e^{-theta1 x} + d0 e^{-theta2 x} = delta.  With d0 = -1 the
     matching function typically changes sign twice (it starts negative,
     rises, then decays); the rightmost root lies on the decreasing branch.
-    Row k scans the matching function for deltas[k] on 4097 points of
-    [0, x_max_k], x_max_k = 10 (1 + |log deltas[k]|) / lambda, and counts
-    its sign changes.  The rightmost sign-change cell is resampled on
-    _REFINE_POINTS points and narrowed to its rightmost sign-change cell
-    until it is narrower than 1e-12 + 4 eps |x|; x_delta is its midpoint.
-    All rows advance together, each by the arithmetic a search of its
-    height alone would do, so every row is bit for bit that search.
-    Returns (x_delta, sign_change_count) per row, NaN and 0 for a height
-    whose scan finds no sign change.
+    The tail is sampled once on 4097 points of [0, _scan_end(ctx)], and
+    each height counts its sign changes on that scan.  The rightmost
+    sign-change cell of each height is then bisected until it is narrower
+    than 1e-12 + 4 eps |x|; x_delta is its midpoint.  The scan does not
+    depend on the heights and the bisection works elementwise, so every
+    junction is bit for bit the search of its height alone.  Returns
+    (x_delta, sign_change_count) per height, NaN and 0 for a height the
+    scan never crosses.
     """
     deltas = np.asarray(deltas, dtype=float)
-    lam = bundle.ctx.lam
-    x_max = np.array([10.0 / lam * (1.0 + abs(math.log(d))) for d in deltas])
-    xs = np.linspace(0.0, x_max, 4097, axis=1)
-    sign = np.sign(_tail(bundle, d_n, d0, xs) - deltas[:, None])
-    cells = sign[:, :-1] * sign[:, 1:] < 0.0
+    xs = np.linspace(0.0, _scan_end(bundle.ctx), 4097)
+    tail = _tail(bundle, d_n, d0, xs)
+    above = tail > deltas[:, None]
+    below = tail < deltas[:, None]
+    # a sign change of tail - delta: one end above delta, the other below
+    cells = (above[:, :-1] & below[:, 1:]) | (below[:, :-1] & above[:, 1:])
     crossings = np.count_nonzero(cells, axis=1)
     found = np.flatnonzero(crossings)
-    # the rightmost sign-change cell of each row with a root
+    # the rightmost sign-change cell of each height with a root
     i = cells.shape[1] - 1 - np.argmax(cells[found, ::-1], axis=1)
-    lo, hi, right = xs[found, i], xs[found, i + 1], sign[found, i + 1]
-    found_deltas = deltas[found, None]
-    active = np.flatnonzero(hi - lo >= _ROOT_XTOL + _ROOT_RTOL * hi)
-    while active.size:
-        xs = np.linspace(lo[active], hi[active], _REFINE_POINTS, axis=1)
-        sign = np.sign(_tail(bundle, d_n, d0, xs) - found_deltas[active])
-        # the left end is a root or has the other sign, so j exists and the
-        # new cell still holds a root
-        other = sign != right[active, None]
-        j = _REFINE_POINTS - 1 - np.argmax(other[:, ::-1], axis=1)
-        k = np.arange(active.size)
-        lo[active], hi[active] = xs[k, j], xs[k, j + 1]
-        active = active[hi[active] - lo[active] >= _ROOT_XTOL + _ROOT_RTOL * hi[active]]
+    lo, hi, right = xs[i], xs[i + 1], above[found, i + 1]
+    heights = deltas[found]
+    wide = hi - lo >= _ROOT_XTOL + _ROOT_RTOL * hi
+    while wide.any():
+        mid = 0.5 * (lo + hi)
+        # the left end is a root or on the other side, so the half whose
+        # right end is on the side of hi still holds a root
+        value = _tail(bundle, d_n, d0, mid)
+        up = np.where(right, value > heights, value < heights)
+        # a bracket already narrow enough stays, as it would on its own
+        hi = np.where(wide & up, mid, hi)
+        lo = np.where(wide & ~up, mid, lo)
+        wide = hi - lo >= _ROOT_XTOL + _ROOT_RTOL * hi
     x_delta = np.full(deltas.size, math.nan)
     x_delta[found] = 0.5 * (lo + hi)
     return x_delta, crossings
@@ -611,23 +584,23 @@ def certify_pair(
     super- and sub-solutions of L over the whole sandwich class.
 
     The plateau height is halved from _DELTA_START until every sign check
-    passes.  The junctions of _HEIGHT_BLOCK heights at a time are located
-    by one batched search (``_locate_junctions``), whose every row is the
-    search of that height alone.  Each candidate then screens the
+    passes.  The junctions of all heights down to _DELTA_FLOOR are located
+    by one call of ``_locate_junctions``, on one shared scan, each bit for
+    bit the search of that height alone.  Each candidate then screens the
     ``sub_tail`` margin on the first _SCREEN_POINTS points of its margin
     grid past the junction, computed as linspace computes them, without
-    the grid: a height that fails there is rejected on that
-    slice alone, and only a height that passes it gets the grid, every
-    analytic check on it and then the chemical-field envelopes.  A margin
-    that fails on a slice fails on the whole grid, so the accepted height,
-    and so the report, is the one a full evaluation of every candidate
-    would accept.  Raises
-    WindowViolation outside b >= b_threshold or c outside [2 sqrt(a),
-    c_max]; raises EtaUndefined inside the window when the plateau ceiling
-    eta has no positive finite value; raises CertificateFailed if no
-    plateau height above
-    _DELTA_FLOOR works, naming the first check a full evaluation fails at
-    the last height tried.
+    the grid: a height that fails there is rejected on that slice alone,
+    and only a height that passes it gets the grid, every analytic check
+    on it and then the chemical-field envelopes.  A margin that fails on a
+    slice fails on the whole grid, so the accepted height, and so the
+    report, is the one a full evaluation of every candidate would accept.
+    Raises WindowViolation outside b >= b_threshold or c outside
+    [2 sqrt(a), c_star], or for a lambda so small that the lengths, which
+    scale as 1/lambda, overflow; raises EtaUndefined inside the window
+    when the plateau ceiling eta has no positive finite value; raises
+    CertificateFailed if no plateau height above _DELTA_FLOOR works,
+    naming the first check a full evaluation fails at the last height
+    tried (``junction_matching`` when its matching equation has no root).
     """
     if n < 2:
         raise ValueError("sub-solution index n must be at least 2")
@@ -641,6 +614,14 @@ def certify_pair(
         raise WindowViolation(_outside_window(params.a, params.b, params.motility.m, c))
     if not ctx.in_window:
         raise WindowViolation(_outside_window(ctx.a, ctx.b, ctx.m, c))
+    # every length of the certificate scales as 1/lambda, and lambda =
+    # 2a / (c + sqrt(c^2 - 4a)) rounds to 0 once c^2 overflows: the scan and
+    # the margin grid of its farthest junction must end at a finite x
+    if not (ctx.lam > 0.0 and _margin_span(ctx, _scan_end(ctx))[1] < math.inf):
+        raise WindowViolation(
+            f"decay rate lambda = {ctx.lam!r} at (a={ctx.a!r}, c={c!r}) is too "
+            "small for the certificate's lengths, which scale as 1/lambda"
+        )
     tb = theta_bundle(ctx)
     d_n = 1.0 - 1.0 / n
     d0 = 1.0 if ctx.is_critical else -1.0
@@ -650,68 +631,59 @@ def certify_pair(
     while delta >= _DELTA_FLOOR:
         heights.append(delta)
         delta *= 0.5
-    # (delta, x_delta) of the last height that failed; x_delta is None when
-    # its matching equation had no root
-    last_fail: tuple[float, float | None] | None = None
-    for first in range(0, len(heights), _HEIGHT_BLOCK):
-        block = heights[first : first + _HEIGHT_BLOCK]
-        junctions, crossings = _locate_junctions(tb, d_n, d0, block)
-        for delta, x_delta, count in zip(block, junctions.tolist(), crossings.tolist()):
-            if count == 0:
-                last_fail = (delta, None)
-                continue
-            # too large a height fails the tail margin already on the first
-            # points past the junction, so those points alone can reject it;
-            # only a height that passes them gets the grid and every check
-            lo, hi = _margin_span(ctx, x_delta)
-            xs = _screen_points(lo, hi, x_delta)
-            screen = CheckRecord.worst_of(
-                "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xs, tb.theta1(xs)), xs
-            )
-            if not screen.passed:
-                last_fail = (delta, x_delta)
-                continue
-            grid = np.linspace(lo, hi, _GRID_POINTS)
-            checks = _analytic_checks(ctx, tb, d_n, d0, delta, x_delta, grid)
-            if not all(ch.passed for ch in checks):
-                last_fail = (delta, x_delta)
-                continue
-            checks = checks + _v_checks(ctx, grid)
-            failing = [ch for ch in checks if not ch.passed]
-            if failing:
-                # the chemical-field envelopes do not depend on the plateau
-                # height, so shrinking it further cannot help
-                raise CertificateFailed(
-                    f"chemical-field envelope check {failing[0].name!r} failed "
-                    f"(margin {failing[0].margin!r})",
-                    failing_check=failing[0].name,
-                    delta=delta,
-                )
-            return CertificateReport(
-                a=ctx.a,
-                b=ctx.b,
-                m=ctx.m,
-                c=ctx.c,
-                n=n,
-                d_n=d_n,
-                d0=d0,
+    junctions, crossings = _locate_junctions(tb, d_n, d0, heights)
+    for delta, x_delta, count in zip(heights, junctions.tolist(), crossings.tolist()):
+        if count == 0:
+            continue
+        # too large a height fails the tail margin already on the first
+        # points past the junction, so those points alone can reject it;
+        # only a height that passes them gets the grid and every check
+        lo, hi = _margin_span(ctx, x_delta)
+        xs = _screen_points(lo, hi, x_delta)
+        screen = CheckRecord.worst_of(
+            "sub_tail", _sub_tail_margin(ctx, tb, d_n, d0, xs, tb.theta1(xs)), xs
+        )
+        if not screen.passed:
+            continue
+        grid = np.linspace(lo, hi, _GRID_POINTS)
+        checks = _analytic_checks(ctx, tb, d_n, d0, delta, x_delta, grid)
+        if not all(ch.passed for ch in checks):
+            continue
+        checks = checks + _v_checks(ctx, grid)
+        failing = [ch for ch in checks if not ch.passed]
+        if failing:
+            # the chemical-field envelopes do not depend on the plateau
+            # height, so shrinking it further cannot help
+            raise CertificateFailed(
+                f"chemical-field envelope check {failing[0].name!r} failed "
+                f"(margin {failing[0].margin!r})",
+                failing_check=failing[0].name,
                 delta=delta,
-                x_delta=x_delta,
-                sign_changes=count,
-                grid_lo=lo,
-                grid_hi=hi,
-                grid_points=_GRID_POINTS,
-                passed=True,
-                checks=tuple(checks),
             )
-    name, bad_delta = "junction_matching", _DELTA_START
-    if last_fail is not None:
-        bad_delta, x_delta = last_fail
-        if x_delta is not None:
-            # name the first failing check in the order of a full evaluation
-            grid = np.linspace(*_margin_span(ctx, x_delta), _GRID_POINTS)
-            checks = _analytic_checks(ctx, tb, d_n, d0, bad_delta, x_delta, grid)
-            name = next(ch.name for ch in checks if not ch.passed)
+        return CertificateReport(
+            a=ctx.a,
+            b=ctx.b,
+            m=ctx.m,
+            c=ctx.c,
+            n=n,
+            d_n=d_n,
+            d0=d0,
+            delta=delta,
+            x_delta=x_delta,
+            sign_changes=count,
+            grid_lo=lo,
+            grid_hi=hi,
+            grid_points=_GRID_POINTS,
+            passed=True,
+            checks=tuple(checks),
+        )
+    # every height failed: name the first check a full evaluation fails at
+    # the last one, or the matching when its equation has no root
+    name, bad_delta, x_delta = "junction_matching", heights[-1], float(junctions[-1])
+    if crossings[-1]:
+        grid = np.linspace(*_margin_span(ctx, x_delta), _GRID_POINTS)
+        checks = _analytic_checks(ctx, tb, d_n, d0, bad_delta, x_delta, grid)
+        name = next(ch.name for ch in checks if not ch.passed)
     raise CertificateFailed(
         f"no plateau height in [{_DELTA_FLOOR!r}, {_DELTA_START!r}] passes; "
         f"first failing check {name!r} at delta={bad_delta!r}",

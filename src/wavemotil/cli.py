@@ -87,6 +87,7 @@ from .pde import (
     Neumann,
     SimConfig,
     _write_arrays,
+    make_field,
     save_field,
     simulate,
 )
@@ -707,13 +708,16 @@ def cmd_simulate(resolved: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 def _scan_row(
     resolved: dict, params: ModelParams, gamma0: float, lam0: float
 ) -> tuple[float, SimConfig]:
-    """The predicted speed and the simulation setup of one decay-rate row."""
+    """The predicted speed and the simulation setup of one decay-rate row,
+    its profile sampled on the grid ``make_field`` validates."""
     a, b = params.a, params.b
     c_pred = leading_edge_speed(lam0, a, gamma0)
     x0, h, t_end = resolved["x0"], resolved["h"], resolved["t_end"]
     length = 10.0 * math.ceil((x0 + 1.25 * c_pred * t_end + 10.0) / 10.0)
-    nx = int(round(length / h)) + 1
-    x = h * np.arange(nx)
+    try:
+        x = make_field(1, (0.0, length), h, u0=0.0, v0=0.0).x
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     profile = np.minimum(a / b, np.exp(-lam0 * (x - x0)))
     config = SimConfig(
         params=params,

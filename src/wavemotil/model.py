@@ -130,7 +130,7 @@ class ModelParams:
 
     a is the intrinsic growth rate, b the intraspecific competition rate;
     both must be positive.  The coexistence state of the reaction part is
-    (u, v) = (a/b, a/b).
+    (u, v) = (a/b, a/b), and a/b must be a positive finite float.
     """
 
     a: float
@@ -140,6 +140,10 @@ class ModelParams:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError("both rates a and b must be positive")
+        if not 0.0 < self.a / self.b < np.inf:
+            raise ValueError(
+                f"coexistence level a/b = {self.a / self.b!r} is not a positive finite float"
+            )
 
     @property
     def equilibrium(self) -> float:

@@ -310,6 +310,8 @@ def _normalize_extents(dim: int, extents) -> tuple[tuple[float, float], ...]:
 
 def _axis_count(lo: float, hi: float, h: float) -> int:
     ratio = (hi - lo) / h
+    if ratio == math.inf:  # more steps than a float counts
+        raise ValueError(f"spacing {h!r} gives a grid too large to index")
     k = round(ratio)
     if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(

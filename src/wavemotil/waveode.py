@@ -69,7 +69,7 @@ from .certificates import (
     solve_v,
     super_solution,
 )
-from .errors import BlowUp, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
+from .errors import BlowUp, ConfigError, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
 from .model import ModelParams, PowerMotility
 from .pde import spd_tridiagonal_factor
 
@@ -133,15 +133,22 @@ def default_wave_grid(
     The left end resolves the approach to the plateau (width scales like
     1/sqrt(a)), the right end resolves the e^{-lam z} tail down to far
     below the fitting threshold.  The step ``h`` defaults to
-    ``frame_step(c)``.
+    ``frame_step(c)``.  Raises ConfigError, as ``SimConfig`` does, for a
+    step that gives fewer than the 5 nodes ``solve_v`` needs or a float64
+    grid of more bytes than ``np.intp`` can index.
     """
     ctx = speed_window(params, c)
     if h is None:
         h = frame_step(c)
     z_min = -40.0 / math.sqrt(params.a)
     z_max = 40.0 / ctx.lam
-    n = int(round((z_max - z_min) / h)) + 1
-    return z_min + h * np.arange(n)
+    n = float(np.rint((z_max - z_min) / h)) + 1.0
+    if not (n >= 5 and 8 * n <= np.iinfo(np.intp).max):
+        raise ConfigError(
+            f"frame step {h!r} gives {n:.6g} nodes on [{z_min!r}, {z_max!r}]: "
+            "need at least 5 and a grid small enough to index"
+        )
+    return z_min + h * np.arange(int(n))
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Oracles used here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -37,7 +38,7 @@ from wavemotil import (
     theta_bundle,
 )
 from wavemotil import certificates
-from wavemotil.certificates import CheckRecord, SubSolutionSpec
+from wavemotil.certificates import CheckRecord
 from wavemotil.cli import _json_tree
 
 A, B, M = 0.1, 60.0, 6.0
@@ -301,12 +302,14 @@ def test_sub_solution_matches_at_junction(c):
     ctx = _ctx(c)
     tb = theta_bundle(ctx)
     delta = 1e-6
-    d0 = 1.0 if ctx.is_critical else -1.0
+    report = certify_pair(PARAMS, c, n=2)
+    d0 = report.d0
+    assert (report.d_n, d0) == (0.5, 1.0 if ctx.is_critical else -1.0)
     x_delta, crossings = _one_height_block(tb, 0.5, d0, delta)
     assert x_delta > 0.0
     expected_crossings = 1 if ctx.is_critical else 2
     assert crossings == expected_crossings
-    spec = SubSolutionSpec(n=2, d_n=0.5, d0=d0, delta=delta, x_delta=x_delta)
+    spec = dataclasses.replace(report, delta=delta, x_delta=x_delta)
     tail_at_junction = 0.5 * math.exp(-tb.theta1(x_delta) * x_delta) + d0 * math.exp(
         -tb.theta2(x_delta) * x_delta
     )
@@ -329,7 +332,8 @@ def test_sub_solution_vectorized_matches_scalar():
     ctx = _ctx(C_MIN)
     tb = theta_bundle(ctx)
     x_delta, _ = _one_height_block(tb, 0.5, 1.0, 1e-6)
-    spec = SubSolutionSpec(n=2, d_n=0.5, d0=1.0, delta=1e-6, x_delta=x_delta)
+    report = certify_pair(PARAMS, C_MIN, n=2)
+    spec = dataclasses.replace(report, delta=1e-6, x_delta=x_delta)
     xs = np.linspace(x_delta - 10.0, x_delta + 50.0, 97)
     vec = sub_solution(tb, spec, xs)
     scal = np.array([sub_solution(tb, spec, x) for x in xs])
@@ -352,8 +356,9 @@ def test_one_height_block_matches_scipy_brentq(c, delta):
             - delta
         )
 
-    # rightmost sign change of the same 4097-point scan
-    xs = np.linspace(0.0, 10.0 / tb.ctx.lam * (1.0 + abs(math.log(delta))), 4097)
+    # rightmost sign change of the 4097-point scan all heights share
+    x_max = 10.0 / tb.ctx.lam * (1.0 + abs(math.log(certificates._DELTA_FLOOR)))
+    xs = np.linspace(0.0, x_max, 4097)
     signs = np.sign([f(x) for x in xs])
     i = int(np.nonzero(signs[:-1] * signs[1:] < 0.0)[0][-1])
     want = brentq(f, xs[i], xs[i + 1], xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
@@ -473,10 +478,10 @@ def test_certify_reports_failure_when_plateau_floor_blocks_halving(monkeypatch):
 
 def _junction_of_one_height(tb, d_n, d0, delta):
     """The junction search for one plateau height on its own: the rightmost
-    sign-change cell of a 4097-point scan, resampled on 33 points and
-    narrowed to its rightmost sign-change cell until it is narrower than
+    sign-change cell of the 4097-point scan over [0, 10 (1 + |log floor|) /
+    lambda], bisected one midpoint at a time until it is narrower than
     1e-12 + 4 eps |x|."""
-    x_max = 10.0 / tb.ctx.lam * (1.0 + abs(math.log(delta)))
+    x_max = 10.0 / tb.ctx.lam * (1.0 + abs(math.log(certificates._DELTA_FLOOR)))
     xs = np.linspace(0.0, x_max, 4097)
     sign = np.sign(certificates._tail(tb, d_n, d0, xs) - delta)
     brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
@@ -485,20 +490,20 @@ def _junction_of_one_height(tb, d_n, d0, delta):
             "no root", failing_check="junction_matching", delta=delta
         )
     i = int(brackets[-1])
-    lo, hi, right = xs[i], xs[i + 1], sign[i + 1]
+    lo, hi, right = float(xs[i]), float(xs[i + 1]), sign[i + 1]
     while hi - lo >= 1e-12 + 4.0 * np.finfo(float).eps * hi:
-        xs = np.linspace(lo, hi, 33)
-        sign = np.sign(certificates._tail(tb, d_n, d0, xs) - delta)
-        j = int(np.nonzero(sign != right)[0][-1])
-        lo, hi = xs[j], xs[j + 1]
-    return float(0.5 * (lo + hi)), int(len(brackets))
+        mid = 0.5 * (lo + hi)
+        if np.sign(certificates._tail(tb, d_n, d0, mid) - delta) == right:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), int(len(brackets))
 
 
 def _certify_by_full_checks(params, c, n=2, junction=_one_height_block):
     """The halving search that evaluates every analytic check at every
     height, one height at a time, as the oracle of the search that screens
-    the tail margin and locates the junctions of a block of heights
-    together."""
+    the tail margin and locates the junctions of all heights together."""
     ctx = speed_window(params, c)
     tb = theta_bundle(ctx)
     d_n = 1.0 - 1.0 / n
@@ -593,13 +598,16 @@ def test_certify_matches_a_search_of_one_height_at_a_time_at_the_gate_speeds(whi
     )
 
 
-@pytest.mark.parametrize("c", [C_MIN, 0.88], ids=["critical", "c0.88"])
+@pytest.mark.parametrize("c", [C_MIN, 0.88, 0.75], ids=["critical", "c0.88", "c0.75"])
 def test_one_height_block_is_its_row_of_the_block_search_bit_for_bit(c):
-    # the 46 heights the minimal speed tries, in one block; at c = 0.88 the
-    # four largest have no root
+    # all 54 heights from 1e-2 down to the floor, in one search; above the
+    # minimal speed the four largest have no root.  At c = 0.75 the heights'
+    # brackets fall below the tolerance on different bisection steps, so a
+    # bracket narrowed past its own stop would show here.
     tb = theta_bundle(_ctx(c))
     d0 = 1.0 if tb.is_critical else -1.0
-    deltas = [1e-2 * 2.0**-k for k in range(46)]
+    deltas = [1e-2 * 2.0**-k for k in range(54)]
+    assert deltas[-1] >= certificates._DELTA_FLOOR > 0.5 * deltas[-1]
     junctions, crossings = certificates._locate_junctions(tb, 0.5, d0, deltas)
     assert np.count_nonzero(crossings == 0) == (0 if tb.is_critical else 4)
     for delta, x_delta, count in zip(deltas, junctions.tolist(), crossings.tolist()):
@@ -696,8 +704,8 @@ def test_certify_runs_the_full_checks_only_at_the_accepted_height(monkeypatch):
         monkeypatch.setattr(certificates, name, counting(name))
     report = certify_pair(PARAMS, C_MIN, n=2)
     assert report.delta == 1e-2 * 2.0**-45
-    # the 46 heights tried are located in blocks of eight
-    assert counts == {"_locate_junctions": 6, "_analytic_checks": 1}
+    # every height is located by one search
+    assert counts == {"_locate_junctions": 1, "_analytic_checks": 1}
 
 
 @pytest.mark.parametrize("c", [C_MIN, _mid_speed()], ids=["critical", "mid"])
@@ -722,8 +730,7 @@ def test_analytic_checks_evaluate_theta1_once_per_point(monkeypatch, c):
     )
     monkeypatch.undo()
     assert sum(points) == np.count_nonzero(grid > report.x_delta) + 1
-    spec = SubSolutionSpec(report.n, report.d_n, report.d0, report.delta, report.x_delta)
-    lower = sub_solution(tb, spec, grid)
+    lower = sub_solution(tb, report, grid)
     ordering = super_solution(ctx, grid) - lower
     (sandwich,) = [ch for ch in checks if ch.name == "sandwich_ordering"]
     assert sandwich.margin == min(float(lower.min()), float(ordering.min()))
@@ -816,10 +823,9 @@ def test_accepted_pair_has_a_concave_corner_at_the_junction(c, x_delta, slope):
     # the opposite, and no check of the certificate tests it.
     report = certify_pair(PARAMS, c)
     tb = theta_bundle(speed_window(PARAMS, c))
-    spec = SubSolutionSpec(report.n, report.d_n, report.d0, report.delta, report.x_delta)
     x, eps = report.x_delta, 1e-5
     assert x == pytest.approx(x_delta, abs=1e-3)
-    assert sub_solution(tb, spec, x - eps) == sub_solution(tb, spec, x) == report.delta
+    assert sub_solution(tb, report, x - eps) == sub_solution(tb, report, x) == report.delta
     below, above = (
         float(certificates._tail(tb, report.d_n, report.d0, x + s)) for s in (-eps, eps)
     )
@@ -842,12 +848,8 @@ def test_certificate_sandwich_is_strict_on_the_grid():
     report = certify_pair(PARAMS, C_MIN, n=2)
     ctx = speed_window(PARAMS, report.c)
     tb = theta_bundle(ctx)
-    spec = SubSolutionSpec(
-        n=report.n, d_n=report.d_n, d0=report.d0,
-        delta=report.delta, x_delta=report.x_delta,
-    )
     x = np.linspace(report.x_delta - 15.0, report.x_delta + 150.0, 5000)
-    lower = sub_solution(tb, spec, x)
+    lower = sub_solution(tb, report, x)
     upper = super_solution(ctx, x)
     assert np.all(lower > 0.0)
     assert np.all(lower < upper)

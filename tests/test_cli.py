@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,16 @@ class TestAnalyze:
         report = json.loads((out / "analysis.json").read_text())
         assert report["eta"] is None and report["lambda"] > 0.0
 
+    def test_kappa_beyond_every_float_writes_null(self, tmp_path):
+        # (1 + r)^m overflows at r ~ 1.7e6, m = 60: kappa is infinite
+        assert kappa(60.0, 1e8) == math.inf
+        cfg = _write(tmp_path, "a.cfg", "a=1e8\nb=1\nm=60\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["kappa"] is None
+        assert json.loads((out / "run.json").read_text())["metrics"]["kappa"] is None
+
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
         cfg = _write(tmp_path, "a.cfg", "a=0.1\nb=60\nm=6\n")
         out = tmp_path / "out"
@@ -188,6 +199,22 @@ class TestCertify:
         cfg = _write(tmp_path, "c.cfg", "a=0.1\nb=0.1\nm=6\nc=0.7\n")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "WindowViolation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a=3\nb=3\nm=1e-300\nc=1e300\n", "a=1e-300\nb=1e8\nm=0.1\nc=1e8\n"],
+        ids=["lambda-0", "lambda-1e-308"],
+    )
+    def test_decay_rate_too_small_exits_2(self, tmp_path, capsys, text):
+        # c lies in the window, but c^2 overflows, so 2a / (c + sqrt(c^2 -
+        # 4a)) rounds to 0, or lambda ~ a/c is so small that the
+        # certificate's lengths, which scale as 1/lambda, overflow
+        cfg = _write(tmp_path, "c.cfg", text)
+        for command in ("certify", "wave"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("WindowViolation: decay rate lambda") and "too small" in err
 
     def test_kernel_overflow_exits_1_without_traceback(self, tmp_path, capsys):
         # the chemical-field grid of this certificate has h |lambda_1| > 709
@@ -768,6 +795,12 @@ class TestUsage:
             ("simulate", _SIM_SHORT + "eps=0.1\n"),
             ("simulate", _SIM_SHORT + "ic_base=0\n"),
             ("speedscan", _SCAN_CFG + "chi=3\n"),
+            ("analyze", "a=1e-300\nb=1e300\nm=0.1\n"),
+            ("analyze", "a=1e300\nb=1e-300\nm=0.1\n"),
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=1e-300\n"),
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=200\n"),
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=420\n"),
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=1e300\n"),
         ],
         ids=[
             "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
@@ -781,6 +814,11 @@ class TestUsage:
             "dirichlet-nan", "analyze-c-nan", "analyze-c-inf", "analyze-b-inf",
             "certify-b-inf", "speedscan-lambda0-inf", "fig2-chi-ic_path",
             "power-eps", "front-ic_base", "speedscan-power-chi",
+            # a/b rounds to 0 or to inf: no coexistence state
+            "analyze-a/b-underflows", "analyze-a/b-overflows",
+            # 4e302 frame nodes are more than an index reaches; 3, 2 and 1
+            # are fewer than the 5 the chemical solve needs
+            "wave-h1e-300", "wave-h200", "wave-h420", "wave-h1e300",
         ],
     )
     def test_malformed_value_is_usage_error(
@@ -814,21 +852,24 @@ class TestUsage:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text",
+        "command, text",
         [
-            _SIM_SHORT.replace("h=0.1", "h=1e-300"),
-            _SIM_SHORT.replace("h=0.1", f"h={10 / 2**61!r}"),
-            _SIM_2D_CFG.replace("h=0.25", f"h={6 / 2**33!r}"),
+            ("simulate", _SIM_SHORT.replace("h=0.1", "h=1e-300")),
+            ("simulate", _SIM_SHORT.replace("h=0.1", "h=1e-320")),
+            ("simulate", _SIM_SHORT.replace("h=0.1", f"h={10 / 2**61!r}")),
+            ("simulate", _SIM_2D_CFG.replace("h=0.25", f"h={6 / 2**33!r}")),
+            ("speedscan", "a=0.1\nb=0.1\nm=6\nlambda0=0.5\nh=1e-300\n"),
         ],
-        ids=["1d", "1d-bytes", "2d"],
+        ids=["1d", "1d-subnormal", "1d-bytes", "2d", "speedscan"],
     )
-    def test_grid_too_large_to_index(self, tmp_path, capsys, text):
+    def test_grid_too_large_to_index(self, tmp_path, capsys, command, text):
         # 1e301 nodes on one axis, or 2**33 + 1 on each of two, is more than
-        # an array index reaches; 2**61 + 1 is fewer, but not its 8-byte
-        # floats.  Each is refused before any array exists.
+        # an array index reaches (at h = 1e-320 the step count overflows to
+        # inf); 2**61 + 1 is fewer, but not its 8-byte floats.  Each is
+        # refused before any array exists, a scan row's profile included.
         cfg = _write(tmp_path, "big.cfg", text)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 64
+        assert main([command, "--config", cfg, "--out", str(out)]) == 64
         assert "too large to index" in capsys.readouterr().err
         assert not out.exists()
 
@@ -861,3 +902,31 @@ class TestUsage:
     def test_preset_not_accepted_elsewhere(self, capsys):
         assert main(["analyze", "--preset", "fig2"]) == 64
         capsys.readouterr()
+
+
+# Values each of a, b, m and c is drawn from: zero, negative, tiny, huge and
+# non-finite values around the gate's (0.1, 60, 6, 2 sqrt(0.1)).
+_FUZZ_VALUES = (
+    0.0, -1.0, 1e-300, 1e-8, 0.1, 1.0, 2.0, 3.0, 6.0, 60.0, 1e8, 1e300,
+    math.nan, math.inf, 2.0 * math.sqrt(0.1),
+)
+
+
+def test_random_configs_end_in_a_documented_exit_code(tmp_path, capsys):
+    # 150 seeded configs through analyze, certify and wave: each command
+    # exits 0, 1, 2 or 64 and no exception escapes main.  No n is drawn
+    # (certify with n=1 is a known bare ValueError) and no h (its bounds
+    # have tests of their own).
+    rng = random.Random(0)
+    codes = set()
+    for k in range(150):
+        a, b, m, c = (rng.choice(_FUZZ_VALUES) for _ in range(4))
+        text = f"a={a!r}\nb={b!r}\nm={m!r}\nc={c!r}\n"
+        cfg = _write(tmp_path, f"{k}.cfg", text)
+        for command in ("analyze", "certify", "wave"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / f"{k}-{command}")])
+            assert code in (0, 1, 2, 64), (command, text)
+            codes.add(code)
+    capsys.readouterr()
+    # the draw reaches passing runs, window failures and usage errors
+    assert {0, 2, 64} <= codes

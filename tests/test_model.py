@@ -146,6 +146,16 @@ def test_model_params_validation_and_equilibrium():
         ModelParams(1.0, -1.0, PowerMotility(6.0))
 
 
+@pytest.mark.parametrize(
+    "a, b", [(1e-300, 1e300), (1e300, 1e-300)], ids=["a/b-underflows", "a/b-overflows"]
+)
+def test_model_params_rejects_a_coexistence_level_beyond_the_floats(a, b):
+    with pytest.raises(ValueError, match="coexistence level a/b"):
+        ModelParams(a, b, PowerMotility(6.0))
+    # a subnormal level is still a positive finite float
+    assert ModelParams(1e-8, 1e300, PowerMotility(6.0)).equilibrium > 0.0
+
+
 def test_records_are_immutable():
     p = ModelParams(0.1, 60.0, PowerMotility(6.0))
     with pytest.raises(dataclasses.FrozenInstanceError):
