@@ -713,12 +713,18 @@ def _scan_row(
     a, b = params.a, params.b
     c_pred = leading_edge_speed(lam0, a, gamma0)
     x0, h, t_end = resolved["x0"], resolved["h"], resolved["t_end"]
-    length = 10.0 * math.ceil((x0 + 1.25 * c_pred * t_end + 10.0) / 10.0)
+    reach = (x0 + 1.25 * c_pred * t_end + 10.0) / 10.0
+    if not reach < math.inf:
+        raise ConfigError(
+            f"lambda0={lam0!r} predicts speed {c_pred!r}: no finite domain holds the run"
+        )
+    length = 10.0 * math.ceil(reach)
     try:
         x = make_field(1, (0.0, length), h, u0=0.0, v0=0.0).x
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    profile = np.minimum(a / b, np.exp(-lam0 * (x - x0)))
+    with np.errstate(over="ignore"):  # an overflowing exp is capped at a/b
+        profile = np.minimum(a / b, np.exp(-lam0 * (x - x0)))
     config = SimConfig(
         params=params,
         dim=1,

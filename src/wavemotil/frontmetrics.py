@@ -16,6 +16,7 @@ All functions here are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,26 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float) -> float:
     return float(x[i] + t * (x[j] - x[i]))
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line y = slope x + intercept from centred sums.
+
+    Returns (slope, intercept, sxx, ssr): sxx is the sum of squared
+    deviations of x from its mean and ssr the residual sum of squares.
+    All x equal (sxx = 0) give a NaN slope and intercept.  The closed form
+    is the one fit of ``wave_speed``, ``decay_fit`` and
+    ``waveode.verify_profile``: a degree-1 ``np.polyfit`` would solve the
+    same problem through numpy's LAPACK, which no 1-D run loads otherwise.
+    """
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        return math.nan, math.nan, 0.0, math.nan
+    slope = float(dx @ dy) / sxx
+    resid = dy - slope * dx
+    return slope, float(y_mean - slope * x_mean), sxx, float(resid @ resid)
+
+
 def wave_speed(
     times: np.ndarray,
     positions: np.ndarray,
@@ -114,7 +135,8 @@ def wave_speed(
 
     Non-finite positions are dropped; the fit window excludes the leading
     ``transient_fraction`` of the time span and must retain at least 10
-    samples.
+    samples.  The line is ``_line_fit``'s, the fit ``decay_fit`` and
+    ``waveode.verify_profile`` share.
 
     Raises:
         InsufficientSamples: fewer than 10 usable samples in the window.
@@ -134,14 +156,9 @@ def wave_speed(
         raise InsufficientSamples(
             f"{t_fit.size} samples in the fit window, need {_MIN_FIT_SAMPLES}"
         )
-    dt = t_fit - t_fit.mean()
-    dp = p_fit - p_fit.mean()
-    sxx = float(dt @ dt)
+    slope, _, sxx, ssr = _line_fit(t_fit, p_fit)
     if sxx == 0.0:
         raise InsufficientSamples("all fit-window samples share one time")
-    slope = float(dt @ dp) / sxx
-    resid = dp - slope * dt
-    ssr = float(resid @ resid)
     dof = t_fit.size - 2
     stderr = float(np.sqrt(max(ssr, 0.0) / (dof * sxx))) if dof > 0 else float("nan")
     return slope, stderr
@@ -153,7 +170,8 @@ def decay_fit(z: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     Fits ln u = ln A - lambda z over the rightmost contiguous stretch where
     u lies strictly inside ``DECAY_WINDOW``; restricting to the rightmost
     stretch keeps small plateau values far behind the front from
-    contaminating the tail fit.  Returns (lambda, A).
+    contaminating the tail fit.  The line is ``_line_fit``'s, the
+    closed-form fit ``wave_speed`` uses.  Returns (lambda, A).
 
     Raises:
         WindowTooSmall: fewer than two in-window samples in that stretch.
@@ -175,8 +193,8 @@ def decay_fit(z: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     run = idx[idx >= start]
     if run.size < 2:
         raise WindowTooSmall("tail window shorter than two samples")
-    slope, intercept = np.polyfit(z[run], np.log(u[run]), 1)
-    return float(-slope), float(np.exp(intercept))
+    slope, intercept, _, _ = _line_fit(z[run], np.log(u[run]))
+    return -slope, float(np.exp(intercept))
 
 
 def classify_profile(u: np.ndarray, equilibrium: float) -> ProfileClass:

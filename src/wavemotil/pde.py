@@ -102,6 +102,15 @@ file that ``load_field`` reads back exactly.
 Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
 geometry closer to a petri dish.
+
+Only the 2-D systems use ``scipy.sparse``, so it is imported where a
+planar stepper builds its red-black pattern (``_packed``) and each of its
+systems (``_RedBlackCG``), not with this module: 1-D runs, and every
+command that never steps a planar grid, do not load it.
+
+No run may ask for more than ``MAX_RUN_COUNT`` grid nodes, snapshots or
+steps: ``make_field`` and ``SimConfig`` refuse a larger count before any
+array exists.
 """
 
 from __future__ import annotations
@@ -114,7 +123,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
@@ -148,11 +156,20 @@ __all__ = [
     "save_field",
     "load_field",
     "DEFAULT_DT_MAX",
+    "MAX_RUN_COUNT",
 ]
 
 #: Largest step of ``simulate``, which splits each snapshot interval into the
 #: fewest equal steps of at most this size.
 DEFAULT_DT_MAX = 0.1
+
+#: The most grid nodes (of a field or of ``waveode``'s frame grid),
+#: snapshots or steps one run may ask for; a larger count is refused before
+#: any array exists.  Far above every preset (fig2 takes 3,000 steps on
+#: 4,001 nodes, fig4 has 40,401 nodes) and the 100,000 steps of the gate's
+#: kinetics check, while 1e7 steps of about 0.2 ms take over half an hour
+#: and 1e7 float64 nodes hold 80 MB per array.
+MAX_RUN_COUNT = 10_000_000
 
 _NEG_FLOOR = -1e-12
 
@@ -308,10 +325,17 @@ def _normalize_extents(dim: int, extents) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _too_many_nodes(h: float, nodes: float) -> ValueError:
+    return ValueError(
+        f"spacing {h!r} gives {nodes:.6g} grid nodes, more than "
+        f"MAX_RUN_COUNT = {MAX_RUN_COUNT:,}"
+    )
+
+
 def _axis_count(lo: float, hi: float, h: float) -> int:
     ratio = (hi - lo) / h
-    if ratio == math.inf:  # more steps than a float counts
-        raise ValueError(f"spacing {h!r} gives a grid too large to index")
+    if ratio >= MAX_RUN_COUNT:  # also before round() meets an infinite count
+        raise _too_many_nodes(h, ratio + 1.0)
     k = round(ratio)
     if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(
@@ -336,8 +360,8 @@ def _grid_spec(dim: int, extents, h: float, bc: dict | None, disk_mask: bool):
         raise ValueError("spacing h must be positive")
     extents = _normalize_extents(dim, extents)
     counts = [_axis_count(lo, hi, h) for lo, hi in extents]
-    if 8 * math.prod(counts) > np.iinfo(np.intp).max:  # bytes of a float64 field
-        raise ValueError(f"spacing {h!r} gives a grid too large to index")
+    if math.prod(counts) > MAX_RUN_COUNT:
+        raise _too_many_nodes(h, math.prod(counts))
     full_bc = _default_bc(dim)
     for side, cond in (bc or {}).items():
         if side not in full_bc:
@@ -491,8 +515,12 @@ class _Stepper:
 
     def u_system(self, gamma: np.ndarray, dt: float, lead: float = 1.0):
         """Solver of W (lead Gamma^-1 - dt L) for w = gamma u+, each held
-        node holding gamma times its u value."""
-        diag = lead * self.weights / gamma
+        node holding gamma times its u value.  ``NonFiniteState`` where
+        gamma has underflowed so far that W / gamma is infinite."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            diag = lead * self.weights / gamma
+        if not diag.max() < math.inf:  # False for NaN
+            raise NonFiniteState("motility gamma(v) underflows: W / gamma is not finite")
         return self._system(self, diag, dt, gamma * self.pin_u)
 
     def v_system(self, dt: float, lead: float = 1.0):
@@ -658,9 +686,11 @@ class _Tridiagonal:
         return x
 
 
-def _packed(data, indices, lengths, n_cols: int) -> sparse.csr_matrix:
+def _packed(data, indices, lengths, n_cols: int):
     """CSR matrix whose rows, of the given lengths, hold ``data`` at
     ``indices`` in order."""
+    import scipy.sparse as sparse  # planar runs only (module docstring)
+
     indptr = np.zeros(lengths.size + 1, dtype=np.int32)
     np.cumsum(lengths, out=indptr[1:])
     return sparse.csr_matrix((data, indices, indptr), shape=(lengths.size, n_cols))
@@ -824,6 +854,8 @@ class _RedBlackCG:
     """
 
     def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
+        import scipy.sparse as sparse  # planar runs only (module docstring)
+
         pat = st.pattern
         self.st = st
         self.held = held
@@ -994,7 +1026,12 @@ class SimConfig:
         if not self.cadence > 0:
             raise ConfigError("cadence must be positive")
         ratio = self.t_end / self.cadence
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
+        if ratio > MAX_RUN_COUNT:
+            raise ConfigError(
+                f"t_end / cadence asks for {ratio:.6g} snapshots, more than "
+                f"MAX_RUN_COUNT = {MAX_RUN_COUNT:,}"
+            )
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
             raise ConfigError("cadence must divide t_end")
         if not isinstance(self.ic, (FrontIC, Bump2dIC, CustomIC, ArrayIC)):
             raise ConfigError("unknown initial-condition selector")
@@ -1004,6 +1041,12 @@ class SimConfig:
             raise ConfigError("dt_max must be positive")
         if not 0 < self.cadence / self.dt_max < math.inf:
             raise ConfigError("dt_max must split the cadence into finitely many steps")
+        steps = round(ratio) * round(self.cadence / self.dt)  # as simulate takes them
+        if steps > MAX_RUN_COUNT:
+            raise ConfigError(
+                f"dt_max = {self.dt_max!r} splits the run into more than "
+                f"MAX_RUN_COUNT = {MAX_RUN_COUNT:,} steps"
+            )
 
     @property
     def dt(self) -> float:

@@ -70,8 +70,9 @@ from .certificates import (
     super_solution,
 )
 from .errors import BlowUp, ConfigError, NoConvergence, NonFiniteState, NonMonotone, PicardStalled
+from .frontmetrics import _line_fit
 from .model import ModelParams, PowerMotility
-from .pde import spd_tridiagonal_factor
+from .pde import MAX_RUN_COUNT, spd_tridiagonal_factor
 
 __all__ = [
     "WaveProfile",
@@ -133,9 +134,9 @@ def default_wave_grid(
     The left end resolves the approach to the plateau (width scales like
     1/sqrt(a)), the right end resolves the e^{-lam z} tail down to far
     below the fitting threshold.  The step ``h`` defaults to
-    ``frame_step(c)``.  Raises ConfigError, as ``SimConfig`` does, for a
-    step that gives fewer than the 5 nodes ``solve_v`` needs or a float64
-    grid of more bytes than ``np.intp`` can index.
+    ``frame_step(c)``.  Raises ConfigError, as ``SimConfig`` does, before
+    any array exists, for a step that gives fewer than the 5 nodes
+    ``solve_v`` needs or more than ``pde.MAX_RUN_COUNT``.
     """
     ctx = speed_window(params, c)
     if h is None:
@@ -143,10 +144,10 @@ def default_wave_grid(
     z_min = -40.0 / math.sqrt(params.a)
     z_max = 40.0 / ctx.lam
     n = float(np.rint((z_max - z_min) / h)) + 1.0
-    if not (n >= 5 and 8 * n <= np.iinfo(np.intp).max):
+    if not 5 <= n <= MAX_RUN_COUNT:
         raise ConfigError(
             f"frame step {h!r} gives {n:.6g} nodes on [{z_min!r}, {z_max!r}]: "
-            "need at least 5 and a grid small enough to index"
+            f"need at least 5 and at most MAX_RUN_COUNT = {MAX_RUN_COUNT:,}"
         )
     return z_min + h * np.arange(int(n))
 
@@ -585,17 +586,15 @@ class VerificationReport:
     checks: tuple[CheckRecord, ...]
 
 
-def _slope(grid, values) -> float:
-    return float(np.polyfit(grid, values, 1)[0])
-
-
 def verify_profile(profile: WaveProfile, params: ModelParams) -> VerificationReport:
     """Re-check a profile against the original wave system.
 
     All quantities are recomputed from the stored arrays with independent
     finite differences: sup-norm residuals of (gamma(V) U)'' + c U' +
     U (a - b U) and V'' + c V' + U - V, plateau limits, tail ratios, end
-    flatness, and positivity.  The plateau target a/b applies when the
+    flatness (the least-squares slope over each end tenth of the grid, by
+    ``frontmetrics._line_fit``, the fit ``wave_speed`` and ``decay_fit``
+    share), and positivity.  The plateau target a/b applies when the
     invasion index of the power family is below one; otherwise the
     plateau checks are recorded as informational passes.  Every other
     check passes iff its margin exceeds minus its slack, so a NaN margin
@@ -639,8 +638,8 @@ def verify_profile(profile: WaveProfile, params: ModelParams) -> VerificationRep
     n_end = max(2, grid.size // 10)
     for name, values in (("flat_ends_u", U), ("flat_ends_v", V)):
         slopes = (
-            abs(_slope(grid[:n_end], values[:n_end])),
-            abs(_slope(grid[-n_end:], values[-n_end:])),
+            abs(_line_fit(grid[:n_end], values[:n_end])[0]),
+            abs(_line_fit(grid[-n_end:], values[-n_end:])[0]),
         )
         record(name, _SLOPE_TOL - np.array(slopes), (grid[0], grid[-1]))
 

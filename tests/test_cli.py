@@ -9,8 +9,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,58 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+#: Seconds each fuzzed command may take; a passing gate-speed wave takes
+#: about 0.3 s and a two-row scan a few seconds on a 2-vCPU VM.
+_CASE_BUDGET_S = 20.0
+
+#: Elements of the largest array a guarded test may ask numpy for: a few
+#: arrays per node of a grid at the MAX_RUN_COUNT bound (1.28 GB of float64).
+_ELEMENT_LIMIT = 16 * pde.MAX_RUN_COUNT
+
+
+@contextmanager
+def _time_budget(seconds: float, case):
+    """Fails the test if the block runs longer than ``seconds``."""
+
+    def expired(signum, frame):
+        pytest.fail(f"{case!r} ran past its {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _elements(name: str, args, kwargs) -> float:
+    """Elements a numpy constructor call asks for."""
+    if name == "arange":
+        start, stop, step = (0.0, args[0], 1.0) if len(args) == 1 else (*args, 1.0)[:3]
+        return max(0.0, (stop - start) / step)
+    shape = args[0] if args else kwargs["shape"]
+    return float(math.prod(shape)) if isinstance(shape, tuple) else float(shape)
+
+
+@pytest.fixture
+def allocation_guard(monkeypatch):
+    """Fails the test before numpy makes an array of more than
+    ``_ELEMENT_LIMIT`` elements, so a missing size bound shows as a failure
+    and never as an allocation."""
+
+    def guarded(name, build):
+        def call(*args, **kwargs):
+            if _elements(name, args, kwargs) > _ELEMENT_LIMIT:
+                pytest.fail(f"np.{name} asked for more than {_ELEMENT_LIMIT:,} elements")
+            return build(*args, **kwargs)
+
+        return call
+
+    for name in ("arange", "empty", "zeros", "ones", "full"):
+        monkeypatch.setattr(np, name, guarded(name, getattr(np, name)))
 
 
 # Configs whose ceiling quadratic has no positive finite root: with
@@ -801,6 +855,7 @@ class TestUsage:
             ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=200\n"),
             ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=420\n"),
             ("wave", "a=0.1\nb=60\nm=6\nc=0.88\nh=1e300\n"),
+            ("speedscan", "a=1e300\nb=2\nm=3\nlambda0=1e-300\n"),
         ],
         ids=[
             "analyze-a", "certify-a", "simulate-a", "analyze-m", "sigmoid-eps",
@@ -819,6 +874,9 @@ class TestUsage:
             # 4e302 frame nodes are more than an index reaches; 3, 2 and 1
             # are fewer than the 5 the chemical solve needs
             "wave-h1e-300", "wave-h200", "wave-h420", "wave-h1e300",
+            # a / lambda0 overflows: the predicted speed, and the scan's
+            # domain, are infinite
+            "speedscan-c_pred-inf",
         ],
     )
     def test_malformed_value_is_usage_error(
@@ -852,6 +910,36 @@ class TestUsage:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            _SIM_SHORT.replace("cadence=1", "cadence=1e-300"),
+            _SIM_SHORT + "dt_max=1e-300\n",
+        ],
+        ids=["cadence", "dt_max"],
+    )
+    def test_run_past_the_count_bound_is_refused(self, tmp_path, capsys, text):
+        # 1e300 snapshots, or steps, were once accepted and then stepped
+        # until stopped; now they are refused at once.
+        cfg = _write(tmp_path, "long.cfg", text)
+        out = tmp_path / "out"
+        with _time_budget(10.0, text):
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 64
+        assert "more than MAX_RUN_COUNT" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frame_grid_past_the_count_bound_is_refused(
+        self, tmp_path, capsys, allocation_guard
+    ):
+        # h = 1e-8 asks for 2e10 frame nodes (160 GB of each array); the
+        # guard fails the test should any such array be asked for.
+        cfg = _write(tmp_path, "fine.cfg", "a=0.1\nb=60\nm=6\nc=0.88\nh=1e-8\n")
+        out = tmp_path / "out"
+        with _time_budget(10.0, "wave h=1e-8"):
+            assert main(["wave", "--config", cfg, "--out", str(out)]) == 64
+        assert "at most MAX_RUN_COUNT" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, text",
         [
             ("simulate", _SIM_SHORT.replace("h=0.1", "h=1e-300")),
@@ -865,12 +953,13 @@ class TestUsage:
     def test_grid_too_large_to_index(self, tmp_path, capsys, command, text):
         # 1e301 nodes on one axis, or 2**33 + 1 on each of two, is more than
         # an array index reaches (at h = 1e-320 the step count overflows to
-        # inf); 2**61 + 1 is fewer, but not its 8-byte floats.  Each is
-        # refused before any array exists, a scan row's profile included.
+        # inf); 2**61 + 1 is fewer, but not its 8-byte floats.  Each is far
+        # past MAX_RUN_COUNT and refused before any array exists, a scan
+        # row's profile included.
         cfg = _write(tmp_path, "big.cfg", text)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 64
-        assert "too large to index" in capsys.readouterr().err
+        assert "grid nodes, more than MAX_RUN_COUNT" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -912,11 +1001,11 @@ _FUZZ_VALUES = (
 )
 
 
-def test_random_configs_end_in_a_documented_exit_code(tmp_path, capsys):
+def test_random_configs_end_in_a_documented_exit_code(tmp_path, capsys, allocation_guard):
     # 150 seeded configs through analyze, certify and wave: each command
     # exits 0, 1, 2 or 64 and no exception escapes main.  No n is drawn
-    # (certify with n=1 is a known bare ValueError) and no h (its bounds
-    # have tests of their own).
+    # (certify with n=1 is a known bare ValueError) and no h (the next
+    # test draws it).
     rng = random.Random(0)
     codes = set()
     for k in range(150):
@@ -924,9 +1013,47 @@ def test_random_configs_end_in_a_documented_exit_code(tmp_path, capsys):
         text = f"a={a!r}\nb={b!r}\nm={m!r}\nc={c!r}\n"
         cfg = _write(tmp_path, f"{k}.cfg", text)
         for command in ("analyze", "certify", "wave"):
-            code = main([command, "--config", cfg, "--out", str(tmp_path / f"{k}-{command}")])
+            with _time_budget(_CASE_BUDGET_S, (command, text)):
+                code = main([command, "--config", cfg, "--out", str(tmp_path / f"{k}-{command}")])
             assert code in (0, 1, 2, 64), (command, text)
             codes.add(code)
     capsys.readouterr()
     # the draw reaches passing runs, window failures and usage errors
     assert {0, 2, 64} <= codes
+
+
+def test_random_scans_and_steps_end_in_a_documented_exit_code(
+    tmp_path, capsys, allocation_guard
+):
+    # Each h of _FUZZ_VALUES on the gate's wave and on a one-row scan, then
+    # 300 seeded configs through wave with h drawn too, and through
+    # speedscan with a, b, m, one or two lambda0 and h drawn, all from
+    # _FUZZ_VALUES: each command exits 0, 1, 2 or 64 within its budget and
+    # no exception escapes main.  Still no n is drawn (certify with n=1 is
+    # a known bare ValueError).
+    cases = [
+        (command, text + f"h={h!r}\n")
+        for h in _FUZZ_VALUES
+        for command, text in (
+            ("wave", "a=0.1\nb=60\nm=6\nc=0.88\n"),
+            ("speedscan", "a=1\nb=1\nm=6\nlambda0=0.5\n"),
+        )
+    ]
+    rng = random.Random(1)
+    for _ in range(300):
+        a, b, m, c, h = (rng.choice(_FUZZ_VALUES) for _ in range(5))
+        rates = ",".join(repr(rng.choice(_FUZZ_VALUES)) for _ in range(rng.choice((1, 2))))
+        cases.append(("wave", f"a={a!r}\nb={b!r}\nm={m!r}\nc={c!r}\nh={h!r}\n"))
+        cases.append(
+            ("speedscan", f"a={a!r}\nb={b!r}\nm={m!r}\nlambda0={rates}\nh={h!r}\n")
+        )
+    codes = {"wave": set(), "speedscan": set()}
+    for k, (command, text) in enumerate(cases):
+        cfg = _write(tmp_path, f"{k}.cfg", text)
+        with _time_budget(_CASE_BUDGET_S, (command, text)):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / str(k))])
+        assert code in (0, 1, 2, 64), (command, text)
+        codes[command].add(code)
+    capsys.readouterr()
+    # both commands reach finished runs, numeric failures and usage errors
+    assert codes["speedscan"] == {0, 1, 64} and codes["wave"] == {0, 1, 2, 64}

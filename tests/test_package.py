@@ -58,6 +58,86 @@ def test_cli_import_loads_only_the_scipy_it_uses():
     assert out.stdout.strip() == "[]"
 
 
+# Each stage's configs are written by the probe, then run through cli.main
+# in the one process: a 1-D simulate and a wave, then a small planar run.
+_SPARSE_PROBE = """
+import sys
+from pathlib import Path
+import wavemotil.cli as cli
+
+def loaded():
+    return "scipy.sparse" in sys.modules
+
+def run(command, text, out):
+    Path(out + ".cfg").write_text(text)
+    assert cli.main([command, "--config", out + ".cfg", "--out", out]) == 0
+
+seen = [loaded()]
+run("simulate", "m=6\\na=0.1\\nb=0.1\\nx_min=0\\nx_max=10\\nh=0.1\\nic=front\\n"
+    "ic_steepness=2\\nic_offset=3\\nt_end=1\\ncadence=1\\n", "sim1d")
+run("wave", "a=0.1\\nb=60\\nm=6\\nc=0.88\\n", "wave")
+seen.append(loaded())
+run("simulate", "m=6\\na=0.1\\nb=0.1\\ndim=2\\nx_min=-2\\nx_max=2\\ny_min=-2\\n"
+    "y_max=2\\nh=0.5\\nic=bump2d\\nic_base=0\\nic_amplitude=4\\nt_end=1\\ncadence=1\\n",
+    "sim2d")
+seen.append(loaded())
+print(seen)
+"""
+
+
+def test_scipy_sparse_loads_only_for_a_planar_run(tmp_path):
+    # Only the 2-D stepper needs scipy.sparse: importing the CLI, a 1-D
+    # simulate and a wave leave it unloaded, and a planar run loads it.
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPARSE_PROBE],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    assert out.stdout.strip() == "[False, False, True]"
+
+
+def _imports_sparse(node) -> bool:
+    """Whether an import statement loads scipy.sparse or a submodule of it."""
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.sparse") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.sparse") or (
+            module == "scipy" and any(a.name == "sparse" for a in node.names)
+        )
+    return False
+
+
+def _outside_functions(node):
+    """Every node under ``node`` that runs on import: function bodies left out."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def test_one_dimensional_runs_stay_off_scipy_sparse_and_lapack_fits():
+    # Stands in for a lint rule: scipy.sparse is imported only inside the
+    # functions of the planar stepper, never with a module, and no line
+    # fit goes through numpy's LAPACK (np.polyfit, np.linalg.lstsq); the
+    # one fit is frontmetrics._line_fit.
+    for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _outside_functions(tree):
+            assert not _imports_sparse(node), f"{path.name}:{node.lineno} imports scipy.sparse"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("polyfit", "lstsq"), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                assert not names & {"polyfit", "lstsq"}, f"{path.name}:{node.lineno}"
+
+
 def test_no_percent_r_formatting_in_the_package():
     # Floats reach CSV text only through cli._fmt_value, which writes each
     # as its repr; a "%r" format would be a second, per-float path.

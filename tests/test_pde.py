@@ -97,28 +97,27 @@ class TestGrid:
     @pytest.mark.parametrize(
         "extents, counts",
         [
-            (((0.0, 2.0**60 - 256),), [2**60 - 255]),
-            (((0.0, 2.0**30), (0.0, 2.0**30 - 2)), [2**30 + 1, 2**30 - 1]),
+            (((0.0, 9_999_999.0),), [10_000_000]),
+            (((0.0, 3_999.0), (0.0, 2_499.0)), [4_000, 2_500]),
         ],
         ids=["1d", "2d"],
     )
-    def test_largest_indexable_grid_is_accepted(self, extents, counts):
-        # 2**60 - 1 float64 nodes are the most whose bytes an intp indexes;
-        # the 2-D grid has exactly that many, and 2**60 - 255 is the largest
-        # 1-D count below it that a float extent gives at h = 1.  Only the
-        # description is checked: no array is made.
+    def test_largest_runnable_grid_is_accepted(self, extents, counts):
+        # MAX_RUN_COUNT nodes, on one axis or two, are the most a run may
+        # have.  Only the description is checked: no array is made.
         _, got, _ = pde._grid_spec(len(extents), extents, 1.0, None, False)
         assert got == counts
-        assert 8 * math.prod(got) <= np.iinfo(np.intp).max
+        assert math.prod(got) == pde.MAX_RUN_COUNT
 
     @pytest.mark.parametrize(
         "extents",
-        [((0.0, 2.0**60),), ((0.0, 2.0**30), (0.0, 2.0**30))],
-        ids=["1d", "2d"],
+        [((0.0, 1e7),), ((0.0, 3_999.0), (0.0, 2_500.0)), ((0.0, 2.0**60),)],
+        ids=["1d", "2d", "1d-past-index"],
     )
-    def test_one_node_past_the_index_bound_is_refused(self, extents):
-        # 2**60 + 1 nodes, and (2**30 + 1)**2, need more than 2**63 - 1 bytes.
-        with pytest.raises(ValueError, match="too large to index"):
+    def test_one_node_past_the_run_bound_is_refused(self, extents):
+        # MAX_RUN_COUNT + 1 nodes, 4,000 x 2,501, and 2**60 + 1, whose
+        # float64 bytes no intp indexes, are refused before any array exists.
+        with pytest.raises(ValueError, match="grid nodes, more than MAX_RUN_COUNT"):
             pde._grid_spec(len(extents), extents, 1.0, None, False)
 
     def test_mass_of_constant_field(self):
@@ -505,6 +504,17 @@ class TestStepErrors:
         f.v[10] = value
         with pytest.raises(NonFiniteState):
             step(f, POWER, 0.01)
+
+    @pytest.mark.parametrize("m", [1800.0, 1e8], ids=["subnormal", "zero"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_underflowing_motility_raises_non_finite_state(self, dim, m):
+        # gamma(0.5) = 1.5**-m is 1e-317 or 0, so W / gamma is not finite.
+        # In 1-D at m = 1800 the step once returned u = 0 everywhere with
+        # only an overflow warning; elsewhere a 0/0 or a CG residual failed.
+        params = ModelParams(a=0.1, b=0.1, motility=PowerMotility(m=m))
+        f = make_field(dim, ((0.0, 2.0),) * dim, 0.1, u0=0.5, v0=0.5)
+        with pytest.raises(NonFiniteState, match=r"gamma\(v\) underflows"):
+            step(f, params, 0.01)
 
     def test_steep_front_into_held_zero_stays_nonnegative(self):
         # u is held at 0 on the right, where the far field is already
@@ -1285,6 +1295,12 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             _front_config(t_end=1.0, cadence=0.3)
 
+    def test_t_end_below_one_cadence_is_refused(self):
+        # 1e-10 / 1 is within 1e-9 of 0, a whole number of intervals but
+        # none: the run would take no step and report the initial state.
+        with pytest.raises(ConfigError, match="cadence must divide t_end"):
+            _front_config(t_end=1e-10, cadence=1.0)
+
     def test_t_end_positive(self):
         with pytest.raises(ConfigError):
             _front_config(t_end=-1.0)
@@ -1310,6 +1326,17 @@ class TestSimConfig:
         # whole number of steps.
         with pytest.raises(ConfigError, match="dt_max"):
             _front_config(dt_max=dt_max)
+
+    def test_snapshots_and_steps_up_to_the_run_bound(self):
+        # MAX_RUN_COUNT snapshots, or steps, are accepted and one snapshot
+        # or one interval's steps more are refused.  Only configs are built.
+        n = pde.MAX_RUN_COUNT
+        assert _front_config(t_end=n * 0.5, cadence=0.5, dt_max=0.5).dt == 0.5
+        with pytest.raises(ConfigError, match="snapshots, more than MAX_RUN_COUNT"):
+            _front_config(t_end=(n + 1) * 0.5, cadence=0.5, dt_max=0.5)
+        assert _front_config(t_end=n / 2, cadence=2.0, dt_max=0.5).dt == 0.5
+        with pytest.raises(ConfigError, match="more than MAX_RUN_COUNT = 10,000,000 steps"):
+            _front_config(t_end=n / 2 + 2.0, cadence=2.0, dt_max=0.5)
 
     def test_bump_ic_needs_2d(self):
         with pytest.raises(ConfigError):
@@ -1606,7 +1633,9 @@ class TestSimulate:
         # once per run; each system only fills values, into its own CSR
         # matrix over the pattern's index arrays.
         structures, matrices = [], []
-        packed, csr = pde._packed, pde.sparse.csr_matrix
+        # The 2-D code binds scipy.sparse where it builds, so the counter
+        # goes on scipy.sparse itself.
+        packed, csr = pde._packed, sparse.csr_matrix
 
         def counting(calls, build):
             def counted(*args, **kwargs):
@@ -1616,7 +1645,7 @@ class TestSimulate:
             return counted
 
         monkeypatch.setattr(pde, "_packed", counting(structures, packed))
-        monkeypatch.setattr(pde.sparse, "csr_matrix", counting(matrices, csr))
+        monkeypatch.setattr(sparse, "csr_matrix", counting(matrices, csr))
         built = []
         for t_end in (1.0, 2.0):
             cfg = SimConfig(

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ import wavemotil.cli as cli
 import wavemotil.pde as pde
 from wavemotil import (
     BlowUp,
+    ConfigError,
     ModelParams,
     NoConvergence,
     NonFiniteState,
     NonMonotone,
     PowerMotility,
     SpeedBelowMinimal,
+    decay_fit,
     default_wave_grid,
     front_position,
     residual_l,
@@ -42,7 +45,7 @@ from wavemotil import (
     u_map,
     verify_profile,
 )
-from wavemotil import waveode
+from wavemotil import frontmetrics, waveode
 from wavemotil.analysis import b_star, c_star
 from wavemotil.cli import _json_tree
 from wavemotil.waveode import WaveProfile, _fit_tail_ratio
@@ -539,6 +542,17 @@ def test_rest_state_moves_with_the_domain_only_at_the_minimal_speed(c, fronts):
         assert abs(near - far) < 0.01
 
 
+def test_frame_grid_past_the_run_bound_is_refused_before_it_exists(monkeypatch):
+    # h = 1e-8 gives 2e10 frame nodes, 160 GB of float64: refused from the
+    # node count alone, before np.arange is asked for the grid.
+    def no_grid(*args, **kwargs):
+        pytest.fail("np.arange asked for a refused frame grid")
+
+    monkeypatch.setattr(waveode.np, "arange", no_grid)
+    with pytest.raises(ConfigError, match="at most MAX_RUN_COUNT = 10,000,000"):
+        default_wave_grid(PARAMS, 0.88, 1e-8)
+
+
 # ------------------------------------------------------------- frame step
 @pytest.mark.parametrize(
     "params, c",
@@ -618,6 +632,58 @@ def test_verification_report_passes_for_the_converged_wave(critical_profile):
         "flat_ends_v",
         "positivity",
     } <= names
+
+
+def _line_fits_of(profile, monkeypatch):
+    """The (x, y) of every line fit ``decay_fit`` and ``verify_profile``
+    make on ``profile``: the tail of U, then each field's two end tenths."""
+    fits = []
+    line_fit = frontmetrics._line_fit
+
+    def spy(x, y):
+        fits.append((x.copy(), y.copy()))
+        return line_fit(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frontmetrics, "_line_fit", spy)
+        patch.setattr(waveode, "_line_fit", spy)
+        decay_fit(profile.grid, profile.U)
+        verify_profile(profile, PARAMS)
+    assert len(fits) == 5
+    return fits
+
+
+def test_line_fit_agrees_with_polyfit_on_decay_and_verification_inputs(
+    critical_profile, monkeypatch
+):
+    # Slopes and intercepts match np.polyfit's within 1e-12 relative.  On
+    # the plateau ends a slope of 2e-10 sits on values of 1.7e-3, where
+    # one rounding of the values moves any fitted slope by about
+    # eps |y| / span; polyfit's slope is off by up to 0.6 of that (1e-11
+    # relative) and is matched to within 4 such roundings.
+    eps = np.finfo(float).eps
+    for x, y in _line_fits_of(critical_profile, monkeypatch):
+        slope, intercept, _, _ = frontmetrics._line_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        rounding = 4.0 * eps * np.max(np.abs(y)) / (x[-1] - x[0])
+        assert abs(slope - ref_slope) <= 1e-12 * abs(ref_slope) + rounding
+        assert intercept == pytest.approx(ref_intercept, rel=1e-12, abs=0.0)
+
+
+def test_line_fit_is_the_exact_least_squares_line_of_its_inputs(
+    critical_profile, monkeypatch
+):
+    # Against the least-squares line in exact rational arithmetic, the
+    # plateau ends included, both coefficients agree within 1e-12 relative.
+    for x, y in _line_fits_of(critical_profile, monkeypatch):
+        xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+        sxy = sum((p - x_mean) * (q - y_mean) for p, q in zip(xs, ys))
+        sxx = sum((p - x_mean) ** 2 for p in xs)
+        slope, intercept, _, _ = frontmetrics._line_fit(x, y)
+        assert slope == pytest.approx(float(sxy / sxx), rel=1e-12, abs=0.0)
+        exact_intercept = float(y_mean - sxy / sxx * x_mean)
+        assert intercept == pytest.approx(exact_intercept, rel=1e-12, abs=0.0)
 
 
 def test_verification_flags_a_constant_pair_as_not_a_front():
