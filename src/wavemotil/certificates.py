@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
+from ._compiled import dtbsv
 from .analysis import (
     ThetaBundle,
     WaveContext,

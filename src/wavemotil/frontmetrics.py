@@ -303,7 +303,8 @@ def ring_metrics(
     profile = samples.mean(axis=1)
     d = profile - level
     exact = np.flatnonzero(d == 0.0)
-    flips = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    # Signs, not d itself: a product of two huge d overflows.
+    flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
     crossings = [float(radii[i]) for i in exact]
     for i in flips:
         t = d[i] / (d[i] - d[i + 1])

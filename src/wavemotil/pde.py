@@ -103,10 +103,11 @@ Planar runs default to a square box with zero flux; a masked-disk mode
 (staircase boundary, closed faces at the mask edge) is available for
 geometry closer to a petri dish.
 
-Only the 2-D systems use ``scipy.sparse``, so it is imported where a
-planar stepper builds its red-black pattern (``_packed``) and each of its
-systems (``_RedBlackCG``), not with this module: 1-D runs, and every
-command that never steps a planar grid, do not load it.
+The compiled kernels are bound in ``_compiled`` (its docstring says why
+they are bound there): LAPACK ``pttrf``/``pttrs`` for the 1-D systems and
+sparsetools' CSR and CSC products for the 2-D ones.  The 2-D blocks keep
+their arrays in a small record (``_CSR``) whose products sum into a zeroed
+output.
 
 No run may ask for more than ``MAX_RUN_COUNT`` grid nodes, snapshots or
 steps: ``make_field`` and ``SimConfig`` refuse a larger count before any
@@ -123,8 +124,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._compiled import csc_matvec, csr_matvec, dpttrf, dpttrs
 from .errors import (
     ConfigError,
     NegativeDensity,
@@ -686,14 +687,42 @@ class _Tridiagonal:
         return x
 
 
-def _packed(data, indices, lengths, n_cols: int):
+@dataclass(frozen=True, eq=False)
+class _CSR:
+    """A sparse matrix of the given shape in compressed sparse row form:
+    row i holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices`` lists there, with int32 ``indices`` and ``indptr``.  Its
+    products run sparsetools' kernels into a zeroed output, each entry
+    summed in storage order from that zero."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x, written into ``out`` when given (it is zeroed first)."""
+        if out is None:
+            out = np.zeros(self.shape[0])
+        else:
+            out.fill(0.0)
+        csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, out)
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y: the same arrays read as the CSC form of A^T."""
+        n_rows, n_cols = self.shape
+        out = np.zeros(n_cols)
+        csc_matvec(n_cols, n_rows, self.indptr, self.indices, self.data, y, out)
+        return out
+
+
+def _packed(data, indices, lengths, n_cols: int) -> _CSR:
     """CSR matrix whose rows, of the given lengths, hold ``data`` at
     ``indices`` in order."""
-    import scipy.sparse as sparse  # planar runs only (module docstring)
-
     indptr = np.zeros(lengths.size + 1, dtype=np.int32)
     np.cumsum(lengths, out=indptr[1:])
-    return sparse.csr_matrix((data, indices, indptr), shape=(lengths.size, n_cols))
+    return _CSR(data, indices, indptr, (lengths.size, n_cols))
 
 
 def _held_faces(st: _Stepper):
@@ -723,8 +752,8 @@ class _Pattern:
     coefficient s (the stepper's ``scale``); closed faces are left out.
     Every face joins a red node to a black one, so the only off-diagonal
     block of W (D - dt L) is dt times the red-row, black-column block
-    ``coupling`` = C1, with one entry -s per face between two active nodes,
-    and ``coupling_t`` is C1^T as a CSC view of the same arrays.  Faces
+    ``coupling`` = C1, with one entry -s per face between two active nodes
+    (``coupling.rmatvec`` applies C1^T on the same arrays).  Faces
     from an active node (``held_rows``) to a held one (``held_nodes``) move
     dt s times the held value (``held_scale`` holds s) to the right-hand
     side.
@@ -788,7 +817,6 @@ class _Pattern:
         self.coupling = _packed(
             -coeff.T[keep.T], cols.T[keep.T], keep.sum(axis=0), n_black
         )
-        self.coupling_t = self.coupling.T
 
         # Entry (j, j + D) of S takes one term per pair of steps d1, d2 whose
         # offsets sum to D, through the red node j + d1; the 1 for D_b leads
@@ -838,11 +866,12 @@ class _RedBlackCG:
     S = D_b - dt^2 C1^T D_r^-1 C1 on the black ones.  The system assembles
     its values of S once, through the pattern's ``refill`` map, into its
     own CSR matrix ``schur`` over the pattern's index arrays, and each
-    iteration applies S as one sparse product.  Conjugate gradients solve
-    it preconditioned by D_b: the Jacobi scaling of the full system carried
-    over to the reduced one (the reduced-system CG of Hageman & Young,
-    *Applied Iterative Methods*, ch. 9), which needs about half the
-    iterations of Jacobi-preconditioned CG on the full system.  One back
+    iteration applies S as one sparse product, into one vector the solve
+    allocates once.  Conjugate gradients solve it preconditioned by D_b:
+    the Jacobi scaling of the full system carried over to the reduced one
+    (the reduced-system CG of Hageman & Young, *Applied Iterative Methods*,
+    ch. 9), which needs about half the iterations of Jacobi-preconditioned
+    CG on the full system.  One back
     substitution then gives the red nodes.  That leaves the red rows'
     residual at rounding level, so the reduced residual is the full
     weighted residual; the iteration stops once it is at most ``_CG_RTOL``
@@ -854,8 +883,6 @@ class _RedBlackCG:
     """
 
     def __init__(self, st: _Stepper, diag, dt: float, held: np.ndarray) -> None:
-        import scipy.sparse as sparse  # planar runs only (module docstring)
-
         pat = st.pattern
         self.st = st
         self.held = held
@@ -863,10 +890,10 @@ class _RedBlackCG:
         diag = (diag + st.faces(dt)[0]).ravel()
         self.inv_red = 1.0 / diag[pat.red]
         self.inv_black = 1.0 / diag[pat.black]
-        values = pat.refill @ np.concatenate((-dt * dt * self.inv_red, diag[pat.black]))
-        self.schur = sparse.csr_matrix(
-            (values, *pat.schur_index), shape=(pat.black.size,) * 2
+        values = pat.refill.matvec(
+            np.concatenate((-dt * dt * self.inv_red, diag[pat.black]))
         )
+        self.schur = _CSR(values, *pat.schur_index, (pat.black.size,) * 2)
         self.held_term = dt * pat.held_scale * held.ravel()[pat.held_nodes]
 
     def solve(self, rhs: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -879,11 +906,11 @@ class _RedBlackCG:
         b_red, b_black = b[pat.red], b[pat.black]
         tol = _CG_RTOL * np.sqrt(_dot(b_red, b_red) + _dot(b_black, b_black))
         x = start.copy()
-        r = b_black - pat.coupling_t @ (self.dt * self.inv_red * b_red)
-        r -= schur @ x
+        r = b_black - pat.coupling.rmatvec(self.dt * self.inv_red * b_red)
+        r -= schur.matvec(x)
         z = self.inv_black * r
         p = z.copy()
-        scaled = np.empty_like(p)
+        q, scaled = np.empty_like(p), np.empty_like(p)
         rz = _dot(r, z)
         res = np.sqrt(_dot(r, r))
         it = 0
@@ -898,7 +925,7 @@ class _RedBlackCG:
                     f"implicit solve stopped at {it} iterations with weighted "
                     f"residual {res:.3g} above {tol:.3g}"
                 )
-            q = schur @ p
+            schur.matvec(p, out=q)
             alpha = rz / _dot(p, q)
             x += np.multiply(p, alpha, out=scaled)
             r -= np.multiply(q, alpha, out=scaled)
@@ -911,7 +938,7 @@ class _RedBlackCG:
         self.st.iterations += it
         out = self.held.copy()
         out_flat = out.ravel()
-        out_flat[pat.red] = self.inv_red * (b_red - self.dt * (pat.coupling @ x))
+        out_flat[pat.red] = self.inv_red * (b_red - self.dt * pat.coupling.matvec(x))
         out_flat[pat.black] = x
         return out
 
@@ -955,8 +982,9 @@ def step(f: GridField, params: ModelParams, dt: float) -> GridField:
     # u - v.  Each field's first-order right-hand side is x + dt g, and its
     # carry x / 2 + dt g is what the next step's SBDF2 right-hand side
     # 2 (x + dt g) - (x0 / 2 + dt g0) takes from this state.  An infinite
-    # value makes NaN here; gamma or the final check reports it.
-    with np.errstate(invalid="ignore"):
+    # or overflowing value makes inf or NaN here; gamma or the final check
+    # reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
         carry_u = np.multiply(params.b, f.u)
         np.subtract(params.a, carry_u, out=carry_u)
         carry_u *= f.u

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrs
 
+from ._compiled import dgtsv, dpttrs
 from .analysis import WaveContext, kappa, lambda12, speed_window
 from .certificates import (
     CheckRecord,

@@ -1057,3 +1057,67 @@ def test_random_scans_and_steps_end_in_a_documented_exit_code(
     capsys.readouterr()
     # both commands reach finished runs, numeric failures and usage errors
     assert codes["speedscan"] == {0, 1, 64} and codes["wave"] == {0, 1, 2, 64}
+
+
+
+# Values near the presets' for the fuzzed simulate runs on tiny grids.
+_NEAR_PRESETS = {
+    "a": (0.1, 0.2, 1.0),
+    "b": (0.1, 0.2),
+    "m": (2.0, 6.0),
+    "h": (0.1, 0.25, 0.5),
+    "t_end": (1.0, 2.0, 5.0),
+    "cadence": (0.5, 1.0, 5.0),
+    "dt_max": (0.05, 0.1, 0.5),
+}
+
+#: The tiny grids fuzzed: a 1-D front and a planar bump, square or masked.
+_SIM_GRIDS = (
+    "x_min=0\nx_max=10\nic=front\nic_steepness=2\nic_offset=3\n",
+    "dim=2\nx_min=-2\nx_max=2\ny_min=-2\ny_max=2\nic=bump2d\nic_base=0\nic_amplitude=4\n",
+    "dim=2\nx_min=-2\nx_max=2\ny_min=-2\ny_max=2\nic=bump2d\nic_base=0\nic_amplitude=4\n"
+    "disk_mask=true\n",
+)
+
+
+def _long_valid_run(t_end, cadence, dt_max) -> bool:
+    """Whether the times ask for a run of 2e3 to 2e7 steps: within the
+    run-size bound (or near it), so valid, but minutes long."""
+    if not all(0.0 < x < math.inf for x in (t_end, cadence, dt_max)):
+        return False
+    return 2e3 < t_end / min(cadence, dt_max) <= 2.0 * pde.MAX_RUN_COUNT
+
+
+def test_random_simulations_end_in_a_documented_exit_code(tmp_path, capsys, allocation_guard):
+    # Three runs whose growth term overflows, then 90 seeded simulate
+    # configs on tiny 1-D and planar grids: a, b, m, h, t_end, cadence and
+    # dt_max are each drawn near the presets' values two times in three and
+    # from _FUZZ_VALUES otherwise.  Each run exits 0, 1, 2 or 64 within its
+    # budget and no exception escapes main.  Times that ask for a valid but
+    # minutes-long run (_long_valid_run) are drawn again; times past the
+    # run-size bound are kept.
+    times = {"h": 0.1, "t_end": 2.0, "cadence": 1.0, "dt_max": 0.1}
+    draws = [
+        (grid, dict(a=a, b=b, m=2.0, **times))
+        for grid, a, b in ((0, 1e300, 0.1), (1, 1e300, 0.1), (2, 1e8, 1e-300))
+    ]
+    rng = random.Random(2)
+    for k in range(90):
+        draw = {}
+        while not draw or _long_valid_run(draw["t_end"], draw["cadence"], draw["dt_max"]):
+            draw = {
+                key: rng.choice(_FUZZ_VALUES if rng.random() < 1 / 3 else near)
+                for key, near in _NEAR_PRESETS.items()
+            }
+        draws.append((k % len(_SIM_GRIDS), draw))
+    codes = set()
+    for k, (grid, draw) in enumerate(draws):
+        text = _SIM_GRIDS[grid] + "".join(f"{key}={value!r}\n" for key, value in draw.items())
+        cfg = _write(tmp_path, f"{k}.cfg", text)
+        with _time_budget(_CASE_BUDGET_S, text):
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / str(k))])
+        assert code in (0, 1, 2, 64), text
+        codes.add(code)
+    capsys.readouterr()
+    # the draw reaches finished runs and usage errors
+    assert {0, 64} <= codes

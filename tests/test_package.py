@@ -37,36 +37,17 @@ def test_every_error_type_is_raised():
         assert re.search(rf"raise {name}\b", source), f"nothing raises {name}"
 
 
-def test_cli_import_loads_only_the_scipy_it_uses():
-    # scipy.optimize, scipy.interpolate, scipy.special and scipy.signal cost
-    # import time every command pays; the package needs none of them, and
-    # nothing in it imports multiprocessing.
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
-    probe = (
-        "import sys, wavemotil.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
-        "'scipy.special', 'scipy.signal', 'multiprocessing') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert out.stdout.strip() == "[]"
-
-
 # Each stage's configs are written by the probe, then run through cli.main
-# in the one process: a 1-D simulate and a wave, then a small planar run.
-_SPARSE_PROBE = """
+# in the one process: a 1-D simulate, a planar simulate and a wave.
+_IMPORT_PROBE = """
 import sys
 from pathlib import Path
 import wavemotil.cli as cli
 
+WATCHED = ("scipy", "scipy.linalg", "scipy.sparse", "numpy.f2py", "multiprocessing")
+
 def loaded():
-    return "scipy.sparse" in sys.modules
+    return sorted(m for m in WATCHED if m in sys.modules)
 
 def run(command, text, out):
     Path(out + ".cfg").write_text(text)
@@ -75,22 +56,26 @@ def run(command, text, out):
 seen = [loaded()]
 run("simulate", "m=6\\na=0.1\\nb=0.1\\nx_min=0\\nx_max=10\\nh=0.1\\nic=front\\n"
     "ic_steepness=2\\nic_offset=3\\nt_end=1\\ncadence=1\\n", "sim1d")
-run("wave", "a=0.1\\nb=60\\nm=6\\nc=0.88\\n", "wave")
 seen.append(loaded())
 run("simulate", "m=6\\na=0.1\\nb=0.1\\ndim=2\\nx_min=-2\\nx_max=2\\ny_min=-2\\n"
     "y_max=2\\nh=0.5\\nic=bump2d\\nic_base=0\\nic_amplitude=4\\nt_end=1\\ncadence=1\\n",
     "sim2d")
 seen.append(loaded())
+run("wave", "a=0.1\\nb=60\\nm=6\\nc=0.88\\n", "wave")
+seen.append(loaded())
 print(seen)
 """
 
 
-def test_scipy_sparse_loads_only_for_a_planar_run(tmp_path):
-    # Only the 2-D stepper needs scipy.sparse: importing the CLI, a 1-D
-    # simulate and a wave leave it unloaded, and a planar run loads it.
+def test_no_command_loads_scipy_linalg_or_scipy_sparse(tmp_path):
+    # The package binds its compiled routines from scipy's extension files
+    # (wavemotil._compiled), so no scipy package initializer runs: not on
+    # import, and not in a 1-D simulate, a planar simulate or a wave.
+    # numpy.f2py stands for what those initializers would pull in, and
+    # nothing in the package imports multiprocessing.
     env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", _SPARSE_PROBE],
+        [sys.executable, "-c", _IMPORT_PROBE],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -98,38 +83,19 @@ def test_scipy_sparse_loads_only_for_a_planar_run(tmp_path):
         check=True,
         timeout=300,
     )
-    assert out.stdout.strip() == "[False, False, True]"
-
-
-def _imports_sparse(node) -> bool:
-    """Whether an import statement loads scipy.sparse or a submodule of it."""
-    if isinstance(node, ast.Import):
-        return any(a.name.startswith("scipy.sparse") for a in node.names)
-    if isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        return module.startswith("scipy.sparse") or (
-            module == "scipy" and any(a.name == "sparse" for a in node.names)
-        )
-    return False
-
-
-def _outside_functions(node):
-    """Every node under ``node`` that runs on import: function bodies left out."""
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield child
-            yield from _outside_functions(child)
+    assert out.stdout.strip() == "[[], [], [], []]"
 
 
 def test_one_dimensional_runs_stay_off_scipy_sparse_and_lapack_fits():
-    # Stands in for a lint rule: scipy.sparse is imported only inside the
-    # functions of the planar stepper, never with a module, and no line
-    # fit goes through numpy's LAPACK (np.polyfit, np.linalg.lstsq); the
-    # one fit is frontmetrics._line_fit.
+    # Stands in for a lint rule: no module but _compiled names scipy at
+    # all, in code or text, so every compiled routine is bound in one
+    # place; and no line fit goes through numpy's LAPACK (np.polyfit,
+    # np.linalg.lstsq); the one fit is frontmetrics._line_fit.
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in _outside_functions(tree):
-            assert not _imports_sparse(node), f"{path.name}:{node.lineno} imports scipy.sparse"
+        source = path.read_text()
+        if path.name != "_compiled.py":
+            assert not re.search(r"\bscipy\b", source), f"{path.name} names scipy"
+        tree = ast.parse(source, filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in ("polyfit", "lstsq"), f"{path.name}:{node.lineno}"

@@ -824,6 +824,12 @@ def _black(st, a):
     return a.ravel()[st.pattern.black]
 
 
+def _scipy_csr(m):
+    """A CSR record of the 2-D stepper as a scipy.sparse matrix over the
+    same arrays: the reference for its products and entries."""
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def _reference_system(f, dt, gamma=None):
     """Unweighted Gamma^-1 - dt L of a planar grid (I - dt L without gamma),
     assembled node by node.
@@ -1085,16 +1091,16 @@ class TestRedBlackSolve:
 
     @pytest.mark.parametrize("case", CASES)
     def test_transposed_block_matches_transpose_view(self, case):
-        # The CSC view of C1^T scatters each product in the order a CSR
-        # copy of C1^T sums its rows, so the right-hand side is the same
-        # bit for bit either way.
+        # C1^T read as the CSC form of C1's arrays scatters each product in
+        # the order a CSR copy of C1^T sums its rows, so the right-hand side
+        # is the same bit for bit either way.
         f, gamma, rng = self._case(case)
         st = pde._stepper_of(f)
         pat = st.pattern
-        copy = sparse.csr_matrix(pat.coupling.T)
+        copy = sparse.csr_matrix(_scipy_csr(pat.coupling).T)
         for _ in range(3):
             r = rng.standard_normal(pat.red.size)
-            assert np.array_equal(pat.coupling_t @ r, copy @ r)
+            assert np.array_equal(pat.coupling.rmatvec(r), copy @ r)
 
     @classmethod
     def _assembled(cls, case, unknown, dt):
@@ -1117,7 +1123,7 @@ class TestRedBlackSolve:
         ]
         assert np.count_nonzero(d_r - np.diag(np.diag(d_r))) == 0
         assert np.count_nonzero(d_b - np.diag(np.diag(d_b))) == 0
-        return solver.schur, d_b, c_br, np.diag(d_r), c_rb, rng
+        return _scipy_csr(solver.schur), d_b, c_br, np.diag(d_r), c_rb, rng
 
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     @pytest.mark.parametrize("unknown", ["u", "v"])
@@ -1630,12 +1636,10 @@ class TestSimulate:
     def test_no_sparse_structure_built_per_2d_step(self, monkeypatch):
         # u and v share unit conductances, so the red-black coupling block,
         # the sparsity of the Schur complement and its refill map are built
-        # once per run; each system only fills values, into its own CSR
-        # matrix over the pattern's index arrays.
+        # once per run (by _packed); each system only fills values, into its
+        # own CSR record over the pattern's index arrays.
         structures, matrices = [], []
-        # The 2-D code binds scipy.sparse where it builds, so the counter
-        # goes on scipy.sparse itself.
-        packed, csr = pde._packed, sparse.csr_matrix
+        packed, csr = pde._packed, pde._CSR
 
         def counting(calls, build):
             def counted(*args, **kwargs):
@@ -1645,7 +1649,7 @@ class TestSimulate:
             return counted
 
         monkeypatch.setattr(pde, "_packed", counting(structures, packed))
-        monkeypatch.setattr(sparse, "csr_matrix", counting(matrices, csr))
+        monkeypatch.setattr(pde, "_CSR", counting(matrices, csr))
         built = []
         for t_end in (1.0, 2.0):
             cfg = SimConfig(
