@@ -1,21 +1,22 @@
-"""The six compiled routines the solvers call, bound straight from scipy's
-extension modules.
+"""The six compiled routines the solvers call, bound straight from two of
+scipy's extension files.
 
 LAPACK ``dpttrf``/``dpttrs`` factor and solve the 1-D IMEX step's and the
 frame march's SPD tridiagonal systems, ``dgtsv`` takes the wave solver's
-Newton steps, BLAS ``dtbsv`` runs ``solve_v``'s kernel recurrences, and
-sparsetools' ``csr_matvec``/``csc_matvec`` apply the 2-D red-black
-blocks.  scipy.linalg and scipy.sparse hand out these very objects, but
-their package initializers also build scipy's array-API namespace, which
-imports numpy.f2py, numpy.testing, numpy.ma, numpy.random and more: about
-0.15 s and 20 MB per process that the package never uses.  So the three
-extension files those packages' own ``linalg/lapack.py``, ``linalg/blas.py``
-and ``sparse/_compressed.py`` import, ``scipy/linalg/_flapack``,
-``scipy/linalg/_fblas`` and ``scipy/sparse/_sparsetools``, are loaded here
-from scipy's directory, which ``find_spec`` locates without importing
-scipy.  The same compiled code runs on the same operands as through
-scipy's wrappers, bit for bit.  A missing file is an ``ImportError`` that
-names it and the scipy version.
+Newton steps and ``dtbtrs`` runs ``solve_v``'s kernel recurrences; with a
+unit diagonal it skips its singularity scan and calls BLAS ``dtbsv``, the
+kernel inside scipy's OpenBLAS, on the same operands.  sparsetools'
+``csr_matvec``/``csc_matvec`` apply the 2-D red-black blocks.
+scipy.linalg and scipy.sparse hand out these very objects, but their
+package initializers also build scipy's array-API namespace, which imports
+numpy.f2py, numpy.testing, numpy.ma, numpy.random and more: about 0.15 s
+and 20 MB per process that the package never uses.  So the two extension
+files those packages' own ``linalg/lapack.py`` and ``sparse/_compressed.py``
+import, ``scipy/linalg/_flapack`` and ``scipy/sparse/_sparsetools``, are
+loaded here from scipy's directory, which ``find_spec`` locates without
+importing scipy.  The same compiled code runs on the same operands as
+through scipy's wrappers, bit for bit.  A missing file is an
+``ImportError`` that names it and the scipy version.
 """
 
 import importlib.machinery
@@ -45,5 +46,5 @@ def _extension(name: str):
 _flapack = _extension("linalg._flapack")
 _sparsetools = _extension("sparse._sparsetools")
 dpttrf, dpttrs, dgtsv = _flapack.dpttrf, _flapack.dpttrs, _flapack.dgtsv
-dtbsv = _extension("linalg._fblas").dtbsv
+dtbtrs = _flapack.dtbtrs
 csr_matvec, csc_matvec = _sparsetools.csr_matvec, _sparsetools.csc_matvec

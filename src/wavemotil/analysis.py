@@ -387,11 +387,13 @@ def linearize(params: ModelParams, c: float, at: str = "origin") -> Linearizatio
         hopf = _hopf_omega(a, b, s1, s2)
     else:
         raise ValueError("at must be 'origin' or 'coexistence'")
+    # np.poly of a square matrix is np.poly of its eigvals, in their
+    # unsorted order: one eigenvalue solve serves both.
     eigs = np.linalg.eigvals(matrix)
+    coeffs = np.poly(eigs)
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
     matrix.setflags(write=False)
     eigs.setflags(write=False)
-    coeffs = np.poly(matrix)
     coeffs.setflags(write=False)
     return LinearizationReport(
         at=at,

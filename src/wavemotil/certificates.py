@@ -8,7 +8,7 @@ The operator under certification is
 where V solves V'' + c V' + u - V = 0 for a source u between the candidate
 sub- and super-solutions.  ``solve_v`` evaluates V through the whole-line
 kernel of that equation: two composite-Simpson recurrences, each solved
-by BLAS ``dtbsv`` as unit triangular banded systems of _BLOCK nodes, a
+by LAPACK ``dtbtrs`` as unit triangular banded systems of _BLOCK nodes, a
 block seeded by the two values solved next to it, which gives the bits of
 one solve over the whole grid.  The super-solution is
 min{e^{-lambda x}, eta}; the sub-solution is a plateau delta glued at
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._compiled import dtbsv
+from ._compiled import dtbtrs
 from .analysis import (
     ThetaBundle,
     WaveContext,
@@ -55,7 +55,13 @@ from .analysis import (
     speed_window,
     theta_bundle,
 )
-from .errors import CertificateFailed, EtaUndefined, NonFiniteTail, WindowViolation
+from .errors import (
+    CertificateFailed,
+    EtaUndefined,
+    NonFiniteState,
+    NonFiniteTail,
+    WindowViolation,
+)
 from .model import ModelParams
 
 __all__ = [
@@ -244,8 +250,8 @@ def solve_v(
     kernel factors out of each panel), seeded by the closed-form tail
     integrals.  The recurrences run in blocks of _BLOCK nodes: a block's
     sources s go into a work array behind (leftward integral) or ahead of
-    (rightward one) the two values already solved next to it, and BLAS
-    dtbsv solves that array as a unit triangular banded system of
+    (rightward one) the two values already solved next to it, and LAPACK
+    dtbtrs solves that array as a unit triangular banded system of
     bandwidth 2 (lower for the leftward integral, upper for the rightward
     one).  The two known values are its unit rows, so every node gets the
     arithmetic of one solve over the whole grid, and so its bits.  The
@@ -296,12 +302,21 @@ def solve_v(
     e2 = math.exp(-lam2 * h)
     e2sq = e2 * e2
     e2inv = math.exp(lam2 * h)
-    # In BLAS band storage the coupling -r sits in row 2 of the lower band
-    # and in row 0 of the upper band; each solve's unit diagonal is not
-    # referenced and is the other's coupling row, so one array serves both.
+    # In LAPACK band storage (kd = 2, the layout BLAS uses too) the coupling
+    # -r sits in row 2 of the lower band and in row 0 of the upper band;
+    # each solve's unit diagonal is not referenced and is the other's
+    # coupling row, so one array serves both.
     band = np.zeros((3, _BLOCK + 2), order="F")
     band[0], band[2] = -e2sq, -e1sq
     work = np.empty(_BLOCK + 2)
+
+    def solve(m: int, uplo: str) -> np.ndarray:
+        # work[: m + 2], solved in place
+        x, info = dtbtrs(band[:, : m + 2], work[: m + 2], uplo=uplo, diag="U", overwrite_b=1)
+        if info != 0:
+            raise NonFiniteState(f"kernel recurrence failed (LAPACK info {info})")
+        return x
+
     i1 = np.empty(n)  # becomes V
     i2 = np.empty(n)  # becomes V'
 
@@ -314,7 +329,7 @@ def solve_v(
         work[2 : m + 2] = (h / 3.0) * (
             e1sq * u[lo : k.stop - 2] + 4.0 * e1 * u[lo + 1 : k.stop - 1] + u[k]
         )
-        i1[k] = dtbsv(2, band[:, : m + 2], work[: m + 2], lower=1, diag=1, overwrite_x=1)[2:]
+        i1[k] = solve(m, "L")[2:]
 
     # rightward integral: I2(x) = int_{x}^{+inf} e^{lam2 (x - s)} u(s) ds
     i2[n - 1] = tail_amplitude * math.exp(-tail_rate * grid[n - 1]) / (lam2 + tail_rate)
@@ -327,7 +342,7 @@ def solve_v(
         work[:m] = (h / 3.0) * (
             u[k] + 4.0 * e2 * u[k.start + 1 : hi - 1] + e2sq * u[k.start + 2 : hi]
         )
-        i2[k] = dtbsv(2, band[:, : m + 2], work[: m + 2], lower=0, diag=1, overwrite_x=1)[:m]
+        i2[k] = solve(m, "U")[:m]
 
     denom = lam2 - lam1
     for k in _blocks(n):

@@ -305,6 +305,21 @@ def test_linearize_coexistence_matches_printed_quartic():
     assert rep.residual < 1e-8
 
 
+@pytest.mark.parametrize(
+    "params",
+    [PARAMS, ModelParams(0.2, 0.2, SigmoidMotility(eps=0.1, v0=1.0))],
+    ids=["gate", "fig3"],
+)
+@pytest.mark.parametrize("at", ["origin", "coexistence"])
+def test_char_poly_is_numpys_poly_of_the_matrix_bit_for_bit(params, at):
+    # linearize hands np.poly the eigenvalues it already has, in eigvals'
+    # order; np.poly(matrix) solves for them again and must agree in every bit.
+    rep = linearize(params, 2.0 * math.sqrt(params.a), at=at)
+    want = np.poly(rep.matrix)
+    assert rep.char_poly.dtype == want.dtype
+    assert np.array_equal(rep.char_poly, want)
+
+
 def test_hopf_frequency_consistent_with_oscillation_condition():
     cases = [
         (ModelParams(0.1, 0.1, PowerMotility(6.0)), False),

@@ -74,18 +74,25 @@ def test_gtsv_info_matches_scipy_on_a_singular_matrix():
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("lower", [0, 1])
 @pytest.mark.parametrize("overwrite", [0, 1])
-def test_tbsv_matches_scipy_on_unit_banded_systems(seed, lower, overwrite):
-    # As solve_v calls it: two off-diagonal bands, a unit diagonal.
+def test_tbtrs_matches_scipy_lapack_and_blas_on_unit_banded_systems(seed, lower, overwrite):
+    # As solve_v calls it: the (3, m + 2) leading columns of one Fortran
+    # band array, two off-diagonal bands and a unit diagonal.  With
+    # diag="U" dtbtrs runs BLAS dtbsv on the same operands, bit for bit.
     rng = np.random.default_rng(20 + seed)
-    n = 30 + 3 * seed
-    band = rng.uniform(-0.5, 0.5, (3, n))
-    x = rng.standard_normal(n)
-    mine, public = x.copy(), x.copy()
-    got = _compiled.dtbsv(2, band, mine, lower=lower, diag=1, overwrite_x=overwrite)
-    want = blas.dtbsv(2, band, public, lower=lower, diag=1, overwrite_x=overwrite)
-    assert np.array_equal(got, want)
+    m = 30 + 3 * seed
+    band = np.asfortranarray(rng.uniform(-0.5, 0.5, (3, m + 7)))[:, : m + 2]
+    x = rng.standard_normal(m + 2)
+    mine, public, blas_in = x.copy(), x.copy(), x.copy()
+    uplo = "L" if lower else "U"
+    got, info = _compiled.dtbtrs(band, mine, uplo=uplo, diag="U", overwrite_b=overwrite)
+    want, info_ref = lapack.dtbtrs(band, public, uplo=uplo, diag="U", overwrite_b=overwrite)
+    via_blas = blas.dtbsv(2, band, blas_in, lower=lower, diag=1, overwrite_x=overwrite)
+    assert info == info_ref == 0
+    assert got.shape == want.shape == (m + 2,)
+    assert np.array_equal(got, want) and np.array_equal(got, via_blas)
     assert np.shares_memory(got, mine) == bool(overwrite)
-    assert np.array_equal(mine, public)
+    assert np.array_equal(mine, public) and np.array_equal(mine, blas_in)
+    assert np.array_equal(mine, got) == bool(overwrite)
 
 
 @pytest.fixture(scope="module")

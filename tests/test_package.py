@@ -44,7 +44,8 @@ import sys
 from pathlib import Path
 import wavemotil.cli as cli
 
-WATCHED = ("scipy", "scipy.linalg", "scipy.sparse", "numpy.f2py", "multiprocessing")
+WATCHED = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.linalg._fblas", "numpy.f2py",
+           "multiprocessing")
 
 def loaded():
     return sorted(m for m in WATCHED if m in sys.modules)
@@ -71,8 +72,9 @@ def test_no_command_loads_scipy_linalg_or_scipy_sparse(tmp_path):
     # The package binds its compiled routines from scipy's extension files
     # (wavemotil._compiled), so no scipy package initializer runs: not on
     # import, and not in a 1-D simulate, a planar simulate or a wave.
-    # numpy.f2py stands for what those initializers would pull in, and
-    # nothing in the package imports multiprocessing.
+    # numpy.f2py stands for what those initializers would pull in, BLAS
+    # comes only through LAPACK (no scipy/linalg/_fblas), and nothing in
+    # the package imports multiprocessing.
     env = dict(os.environ, PYTHONPATH=str(Path(wavemotil.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE],
@@ -89,13 +91,21 @@ def test_no_command_loads_scipy_linalg_or_scipy_sparse(tmp_path):
 def test_one_dimensional_runs_stay_off_scipy_sparse_and_lapack_fits():
     # Stands in for a lint rule: no module but _compiled names scipy at
     # all, in code or text, so every compiled routine is bound in one
-    # place; and no line fit goes through numpy's LAPACK (np.polyfit,
-    # np.linalg.lstsq); the one fit is frontmetrics._line_fit.
+    # place, and _compiled loads exactly two extension files; and no line
+    # fit goes through numpy's LAPACK (np.polyfit, np.linalg.lstsq); the
+    # one fit is frontmetrics._line_fit.
     for path in sorted(Path(wavemotil.__file__).parent.glob("*.py")):
         source = path.read_text()
+        tree = ast.parse(source, filename=str(path))
         if path.name != "_compiled.py":
             assert not re.search(r"\bscipy\b", source), f"{path.name} names scipy"
-        tree = ast.parse(source, filename=str(path))
+        else:
+            loaded = sorted(
+                ast.literal_eval(node.args[0])
+                for node in ast.walk(tree)
+                if _call_name(node) == "_extension"
+            )
+            assert loaded == ["linalg._flapack", "sparse._sparsetools"]
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in ("polyfit", "lstsq"), f"{path.name}:{node.lineno}"
